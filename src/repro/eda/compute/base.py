@@ -89,8 +89,10 @@ def _combine_numeric_summaries(partials: List[NumericSummary]) -> NumericSummary
     return NumericSummary.merge_all(partials)
 
 
-def _chunk_categorical_summary(partition: DataFrame, column: str) -> CategoricalSummary:
-    return CategoricalSummary.from_column(partition.column(column))
+def _chunk_categorical_summary(partition: DataFrame, column: str,
+                               capacity: Optional[int] = None) -> CategoricalSummary:
+    return CategoricalSummary.from_column(partition.column(column),
+                                          capacity=capacity)
 
 
 def _combine_categorical_summaries(partials: List[CategoricalSummary]) -> CategoricalSummary:
@@ -161,33 +163,29 @@ def _combine_samples(partials: List[DataFrame]) -> DataFrame:
     return concat_rows(non_empty)
 
 
-def _chunk_pair_counts(partition: DataFrame, col1: str, col2: str) -> Dict[Tuple[str, str], int]:
-    first = partition.column(col1)
-    second = partition.column(col2)
-    keep = first.notna() & second.notna()
-    if first.is_dictionary and second.is_dictionary:
-        # Fuse both code arrays into one integer key and count with a
-        # single bincount/unique pass — no per-row python pairs.
-        width = max(int(second.dictionary.size), 1)
-        fused = (first.codes[keep].astype(np.int64) * width
-                 + second.codes[keep].astype(np.int64))
-        if fused.size == 0:
-            return {}
-        span = int(first.dictionary.size) * width
-        if span <= (1 << 22):
-            tallies = np.bincount(fused, minlength=span)
-            keys = np.flatnonzero(tallies)
-            tallies = tallies[keys]
-        else:       # too sparse for a dense bincount table
-            keys, tallies = np.unique(fused, return_counts=True)
-        left, right = first.dictionary, second.dictionary
-        return {(str(left[key // width]), str(right[key % width])): int(count)
-                for key, count in zip(keys.tolist(), tallies.tolist())}
-    counts: Dict[Tuple[str, str], int] = {}
-    for a, b in zip(first.filter(keep).to_list(), second.filter(keep).to_list()):
-        key = (str(a), str(b))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _chunk_pair_counts(partition: DataFrame, col1: str, col2: str,
+                       capacity: Optional[int] = None) -> Dict[Tuple[str, str], int]:
+    """Counts per (value of col1, value of col2) pair, as strings; with a
+    *capacity*, only that many most frequent pairs are kept."""
+    first, left = partition.column(col1).category_codes()
+    second, right = partition.column(col2).category_codes()
+    keep = (first >= 0) & (second >= 0)
+    if not keep.any():
+        return {}
+    # Fuse both code arrays into one integer key and count with a single
+    # bincount/unique pass — no per-row python pairs.
+    width = max(int(right.size), 1)
+    fused = first[keep].astype(np.int64) * width + second[keep]
+    span = int(left.size) * width
+    if span <= (1 << 22):
+        tallies = np.bincount(fused, minlength=span)
+        keys = np.flatnonzero(tallies)
+        tallies = tallies[keys]
+    else:       # too sparse for a dense bincount table
+        keys, tallies = np.unique(fused, return_counts=True)
+    counts = {(str(left[key // width]), str(right[key % width])): int(count)
+              for key, count in zip(keys.tolist(), tallies.tolist())}
+    return counts if capacity is None else _prune_pair_counts(counts, capacity)
 
 
 def _combine_pair_counts(partials: List[Dict[Tuple[str, str], int]]
@@ -202,12 +200,6 @@ def _combine_pair_counts(partials: List[Dict[Tuple[str, str], int]]
 # --------------------------------------------------------------------------- #
 # Streaming-mode chunk/combine functions (sketch-based).
 # --------------------------------------------------------------------------- #
-def _chunk_categorical_summary_bounded(partition: DataFrame, column: str,
-                                       capacity: int) -> CategoricalSummary:
-    return CategoricalSummary.from_column(partition.column(column),
-                                          capacity=capacity)
-
-
 def _prune_pair_counts(counts: Dict[Tuple[str, str], int],
                        capacity: int) -> Dict[Tuple[str, str], int]:
     """Keep the *capacity* most frequent pairs (deterministic tie-break)."""
@@ -215,12 +207,6 @@ def _prune_pair_counts(counts: Dict[Tuple[str, str], int],
         return counts
     ordered = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
     return dict(ordered[:capacity])
-
-
-def _chunk_pair_counts_bounded(partition: DataFrame, col1: str, col2: str,
-                               capacity: int) -> Dict[Tuple[str, str], int]:
-    return _prune_pair_counts(_chunk_pair_counts(partition, col1, col2),
-                              capacity)
 
 
 def _combine_pair_counts_bounded(partials: List[Dict[Tuple[str, str], int]]
@@ -379,7 +365,7 @@ REDUCTION_KINDS: Dict[str, ReductionKind] = {
         "categorical_summary",
         exact=ReductionPlan(_chunk_categorical_summary,
                             _combine_categorical_summaries),
-        sketch=ReductionPlan(_chunk_categorical_summary_bounded,
+        sketch=ReductionPlan(_chunk_categorical_summary,
                              _combine_categorical_summaries,
                              adapt=_append_category_capacity),
         columns=_requires_first_arg_column),
@@ -415,7 +401,7 @@ REDUCTION_KINDS: Dict[str, ReductionKind] = {
     "pair_counts": ReductionKind(
         "pair_counts",
         exact=ReductionPlan(_chunk_pair_counts, _combine_pair_counts),
-        sketch=ReductionPlan(_chunk_pair_counts_bounded,
+        sketch=ReductionPlan(_chunk_pair_counts,
                              _combine_pair_counts_bounded,
                              adapt=_append_category_capacity),
         columns=_requires_column_pair),

@@ -163,22 +163,22 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
 
     started = time.perf_counter()
     sample: DataFrame = stage1["sample"]
-    keep = sample.column(categorical).notna() & sample.column(numerical).notna()
-    clean = sample.filter(keep)
-    groups = [str(value) for value in clean.column(categorical).to_list()]
-    values = clean.column(numerical).to_numpy().astype(np.float64)
+    codes, labels = sample.column(categorical).category_codes()
+    keep = (codes >= 0) & sample.column(numerical).notna()
+    codes = codes[keep]
+    values = sample.column(numerical).filter(keep).to_numpy().astype(np.float64)
 
     max_groups = config.get("box.max_groups")
     top_categories = [value for value, _ in
                       stage1["categories"].top_values(max_groups)]
-    grouped: Dict[str, List[float]] = {category: [] for category in top_categories}
-    for group, value in zip(groups, values):
-        if group in grouped:
-            grouped[group].append(value)
+    code_of = {label: code for code, label in enumerate(labels.tolist())}
+    grouped: Dict[str, np.ndarray] = {
+        category: values[codes == code_of.get(category, -1)]
+        for category in top_categories}
 
     boxes = []
     for category in top_categories:
-        samples = np.asarray(grouped[category], dtype=np.float64)
+        samples = grouped[category]
         if samples.size < 2:
             continue
         quantile_values = np.quantile(samples, [0.25, 0.5, 0.75])
@@ -213,11 +213,11 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
     return context.finish(intermediates)
 
 
-def _multi_line(grouped: Dict[str, List[float]], categories: List[str],
+def _multi_line(grouped: Dict[str, np.ndarray], categories: List[str],
                 config: Config) -> Dict[str, Any]:
     """Per-category aggregate of the numeric column across value bins."""
-    all_values = np.concatenate([np.asarray(values) for values in grouped.values()
-                                 if values]) if any(grouped.values()) else np.array([])
+    all_values = np.concatenate(list(grouped.values())) if grouped \
+        else np.array([])
     if all_values.size == 0:
         return {"bins": [], "series": {}}
     bins = config.get("line.bins")
@@ -226,8 +226,7 @@ def _multi_line(grouped: Dict[str, List[float]], categories: List[str],
     series: Dict[str, List[float]] = {}
     max_groups = config.get("line.max_groups")
     for category in categories[:max_groups]:
-        values = np.asarray(grouped.get(category, []), dtype=np.float64)
-        counts, _ = np.histogram(values, bins=edges)
+        counts, _ = np.histogram(grouped[category], bins=edges)
         series[category] = counts.astype(int).tolist()
     return {"bins": centers, "series": series}
 

@@ -23,17 +23,20 @@ from repro.frame.dtypes import (
 class Column:
     """A single named, typed column with missing-value support.
 
-    Values are stored in a numpy array (``data``) and missingness in a boolean
-    array of the same length (``mask``; True means missing).  All reduction
-    methods skip missing values.
+    Missingness lives in a boolean array (``mask``; True means missing) and
+    all reduction methods skip missing values.  Values are stored per dtype:
 
-    STRING columns built through coercion (lists, inferred numpy arrays, the
-    CSV parse) additionally carry a *dictionary encoding*: ``int32`` codes
-    into a sorted unique-values array, with ``-1`` in missing slots.  The
-    codes are the canonical storage — categorical kernels, the binary
-    sidecar and pickled worker payloads all work on them — while ``data``
-    stays available as a lazily decoded object-array view, so code that
-    predates the encoding keeps working unchanged.
+    * BOOL / INT / FLOAT / DATETIME keep one numpy array of the dtype's
+      storage type (``data``);
+    * STRING keeps a *dictionary encoding* — ``int32`` ``codes`` into
+      ``dictionary``, the sorted distinct values, with ``-1`` in missing
+      slots.  That is the only STRING storage: categorical kernels, the
+      binary sidecar, pickled worker payloads and fingerprints all work on
+      it, and ``data`` is a lazily decoded object-array view kept for
+      ``to_numpy`` / ``to_list`` / ``__getitem__``.
+
+    :meth:`category_codes` gives every dtype the same ``(codes, labels)``
+    shape, so categorical kernels are written once.
 
     Columns are immutable from the caller's perspective: every operation
     returns a new :class:`Column` and never mutates ``data`` in place.
@@ -49,75 +52,99 @@ class Column:
         self._codes: Optional[np.ndarray] = None
         self._dictionary: Optional[np.ndarray] = None
         self._memory_bytes: Optional[int] = None
-        coerced = True
+        self._fingerprint: Optional[str] = None
         if isinstance(values, np.ndarray) and dtype is None and mask is None:
-            data, inferred_mask, inferred_dtype = from_numpy(values)
-            self.data = data
-            self.mask = inferred_mask
-            self.dtype = inferred_dtype
+            self._data, self.mask, self.dtype = from_numpy(values)
         elif isinstance(values, np.ndarray) and dtype is not None and mask is not None:
             if values.shape != mask.shape:
                 raise FrameError("data and mask must have the same shape")
             # Adoption path: internal callers hand over storage they already
-            # validated; stays on the object carrier for strings (encode via
-            # :meth:`dictionary_encode` when the codes are worth having).
-            coerced = False
-            self.data = values
+            # validated.
+            self._data = values
             self.mask = mask.astype(np.bool_)
             self.dtype = dtype
         else:
             values_list = list(values)
-            resolved_dtype = dtype if dtype is not None else infer_dtype(values_list)
-            data, inferred_mask = coerce_values(values_list, resolved_dtype)
+            self.dtype = dtype if dtype is not None else infer_dtype(values_list)
+            self._data, self.mask = coerce_values(values_list, self.dtype)
             if mask is not None:
-                inferred_mask = inferred_mask | np.asarray(mask, dtype=np.bool_)
-            self.data = data
-            self.mask = inferred_mask
-            self.dtype = resolved_dtype
+                self.mask = self.mask | np.asarray(mask, dtype=np.bool_)
         if self.dtype is DType.FLOAT:
             # NaN and the mask must agree so float reductions stay consistent.
-            self.mask = self.mask | np.isnan(self.data)
-        if coerced and self.dtype is DType.STRING:
+            self.mask = self.mask | np.isnan(self._data)
+        if self.dtype is DType.STRING:
             self._codes, self._dictionary = encode_string_codes(self._data,
                                                                 self.mask)
-        self._fingerprint: Optional[str] = None
+            self._data = None
+
+    @classmethod
+    def _build(cls, name: str, dtype: DType, mask: np.ndarray,
+               data: Optional[np.ndarray], codes: Optional[np.ndarray] = None,
+               dictionary: Optional[np.ndarray] = None) -> "Column":
+        """Assemble a column from buffers that already hold the constructor's
+        invariants (coerced to *dtype*, FLOAT NaNs masked, codes ``-1`` exactly
+        where masked) without copying or rescanning them."""
+        column = object.__new__(cls)
+        column.name = name
+        column.dtype = dtype
+        column.mask = mask
+        column._data = data
+        column._codes = codes
+        column._dictionary = dictionary
+        column._fingerprint = None
+        column._memory_bytes = None
+        return column
 
     # ------------------------------------------------------------------ #
-    # Storage access (dictionary encoding)
+    # Storage access
     # ------------------------------------------------------------------ #
     @property
     def data(self) -> np.ndarray:
-        """The values array; decoded on demand for dictionary columns."""
+        """The values array; for STRING, decoded from the codes on first use."""
         if self._data is None:
             self._data = decode_string_codes(self._codes, self._dictionary)
         return self._data
 
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self._data = value
-
     @property
     def codes(self) -> Optional[np.ndarray]:
-        """``int32`` dictionary codes (``-1`` = missing), or None."""
+        """STRING: ``int32`` dictionary codes (``-1`` = missing); else None."""
         return self._codes
 
     @property
     def dictionary(self) -> Optional[np.ndarray]:
-        """Sorted unique present values (object array of str), or None."""
+        """STRING: sorted distinct values (object array of str); else None.
+
+        A row subset shares its parent's dictionary, so entries may be
+        unused by this column's codes.
+        """
         return self._dictionary
 
     @property
-    def is_dictionary(self) -> bool:
-        """Whether this column carries the dictionary encoding."""
-        return self._codes is not None
+    def _storage(self) -> np.ndarray:
+        """The per-row array actually stored: codes for STRING, else data."""
+        return self._codes if self.dtype is DType.STRING else self._data
 
-    def dictionary_encode(self) -> "Column":
-        """This column carried as codes + dictionary (no-op when it already
-        is, or when the dtype is not STRING)."""
-        if self.dtype is not DType.STRING or self._codes is not None:
-            return self
-        codes, dictionary = encode_string_codes(self.data, self.mask)
-        return Column.from_codes(self.name, codes, dictionary, mask=self.mask)
+    def category_codes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This column as categories: ``(codes, labels)``.
+
+        ``codes`` holds one integer per row (``-1`` where missing) indexing
+        ``labels``, an object array with ``labels[code] == str(value)``.
+        STRING hands back its storage as is (labels sorted, possibly with
+        unused entries); other dtypes factorize their present values, with
+        ``-0.0`` counted as ``0.0`` like every other reduction here.
+        """
+        if self.dtype is DType.STRING:
+            return self._codes, self._dictionary
+        codes = np.full(len(self), -1, dtype=np.int32)
+        present = ~self.mask
+        values = self._data[present]
+        if self.dtype is DType.FLOAT:
+            values = values + 0.0
+        distinct, inverse = np.unique(values, return_inverse=True)
+        codes[present] = inverse
+        labels = np.empty(distinct.size, dtype=object)
+        labels[:] = [str(value) for value in distinct.tolist()]
+        return codes, labels
 
     @classmethod
     def from_codes(cls, name: str, codes: np.ndarray, dictionary: np.ndarray,
@@ -125,42 +152,47 @@ class Column:
         """Build a STRING column directly from its dictionary encoding.
 
         *codes* index into *dictionary* with ``-1`` marking missing slots;
-        when *mask* is omitted it is derived from the negative codes.  The
-        object-array view is not materialized until someone reads ``data``.
+        when *mask* is omitted it is derived from the negative codes.
         """
-        column = object.__new__(cls)
-        column.name = str(name)
         codes = np.asarray(codes, dtype=np.int32)
-        column._codes = codes
-        column._dictionary = np.asarray(dictionary, dtype=object)
-        column.mask = (codes < 0) if mask is None \
-            else np.asarray(mask, dtype=np.bool_)
-        column.dtype = DType.STRING
-        column._data = None
-        column._fingerprint = None
-        column._memory_bytes = None
-        return column
+        mask = (codes < 0) if mask is None else np.asarray(mask, dtype=np.bool_)
+        return cls._build(str(name), DType.STRING, mask, None, codes,
+                          np.asarray(dictionary, dtype=object))
 
-    def _take_rows(self, indexer: Union[slice, np.ndarray]) -> "Column":
-        """Row subset preserving the dictionary encoding when present."""
-        if self._codes is not None:
-            return Column.from_codes(self.name, self._codes[indexer],
-                                     self._dictionary, self.mask[indexer])
-        return Column(self.name, self.data[indexer], self.dtype,
-                      self.mask[indexer])
+    @classmethod
+    def from_storage(cls, name: str, data: np.ndarray, dtype: DType,
+                     mask: np.ndarray) -> "Column":
+        """Adopt pre-validated fixed-width storage without constructor checks.
+
+        The binary chunk sidecar (:mod:`repro.frame.sidecar`) decodes
+        buffers that already hold the constructor's invariants; re-running
+        the constructor would copy the mask and rescan for NaNs, defeating
+        the zero-copy ``numpy.memmap`` load.  The buffers may be read-only
+        (memmap/frombuffer): columns never mutate them in place.
+        """
+        return cls._build(str(name), dtype, mask, data)
+
+    def _rows(self, indexer: Union[slice, np.ndarray]) -> "Column":
+        """Row subset; indexing preserves every constructor invariant, and a
+        STRING subset keeps sharing this column's dictionary."""
+        if self.dtype is DType.STRING:
+            return Column._build(self.name, self.dtype, self.mask[indexer],
+                                 None, self._codes[indexer], self._dictionary)
+        return Column._build(self.name, self.dtype, self.mask[indexer],
+                             self._data[indexer])
 
     # ------------------------------------------------------------------ #
-    # Pickling: encoded columns ship codes + dictionary, never the decoded
-    # object array — this is what shrinks process/remote worker payloads.
+    # Pickling: STRING ships codes + dictionary, never the decoded object
+    # array — this is what keeps process/remote worker payloads small.
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> Dict[str, Any]:
         state: Dict[str, Any] = {"name": self.name, "mask": self.mask,
                                  "dtype": self.dtype}
-        if self._codes is not None:
+        if self.dtype is DType.STRING:
             state["codes"] = np.ascontiguousarray(self._codes)
             state["dictionary"] = self._dictionary
         else:
-            state["data"] = np.ascontiguousarray(self.data)
+            state["data"] = np.ascontiguousarray(self._data)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -169,20 +201,15 @@ class Column:
         self.dtype = state["dtype"]
         self._fingerprint = None
         self._memory_bytes = None
-        if "codes" in state:
-            self._codes = state["codes"]
-            self._dictionary = state["dictionary"]
-            self._data = None
-        else:
-            self._codes = None
-            self._dictionary = None
-            self._data = state["data"]
+        self._data = state.get("data")
+        self._codes = state.get("codes")
+        self._dictionary = state.get("dictionary")
 
     # ------------------------------------------------------------------ #
     # Basic container protocol
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.mask.shape[0])
 
     def __iter__(self) -> Iterator[Any]:
         for index in range(len(self)):
@@ -197,8 +224,8 @@ class Column:
                 return value.item()
             return value
         if isinstance(item, slice):
-            return self._take_rows(item)
-        return self._take_rows(np.asarray(item))
+            return self._rows(item)
+        return self._rows(np.asarray(item))
 
     def __repr__(self) -> str:
         return (f"Column(name={self.name!r}, dtype={self.dtype.value}, "
@@ -226,15 +253,14 @@ class Column:
             return NotImplemented
         out = np.zeros(len(self), dtype=np.bool_)
         present = ~self.mask
-        if self._codes is not None and isinstance(other, str):
-            # Compare the (small) dictionary once, then gather per row.
-            if self._dictionary.size:
+        try:
+            if self.dtype is DType.STRING:
+                # Compare the (small) dictionary once, then gather per row.
                 per_code = np.asarray(op(self._dictionary, other),
                                       dtype=np.bool_)
                 out[present] = per_code[self._codes[present]]
-            return out
-        try:
-            out[present] = op(self.data[present], other)
+            else:
+                out[present] = op(self._data[present], other)
         except TypeError:
             raise FrameError(
                 f"cannot compare column {self.name!r} "
@@ -255,12 +281,14 @@ class Column:
 
     def _values_equal(self, other: "Column") -> bool:
         valid = ~self.mask
+        if self.dtype is DType.STRING:
+            # Dictionaries may differ (unused entries); the values may not.
+            return bool(np.array_equal(self._dictionary[self._codes[valid]],
+                                       other._dictionary[other._codes[valid]]))
         if self.dtype is DType.FLOAT:
-            return bool(np.allclose(self.data[valid], other.data[valid], equal_nan=True))
-        if self._codes is not None and other._codes is not None and \
-                np.array_equal(self._dictionary, other._dictionary):
-            return bool(np.array_equal(self._codes[valid], other._codes[valid]))
-        return bool(np.array_equal(self.data[valid], other.data[valid]))
+            return bool(np.allclose(self._data[valid], other._data[valid],
+                                    equal_nan=True))
+        return bool(np.array_equal(self._data[valid], other._data[valid]))
 
     # ------------------------------------------------------------------ #
     # Fingerprinting (cross-call cache support)
@@ -288,69 +316,25 @@ class Column:
     # ------------------------------------------------------------------ #
     def rename(self, name: str) -> "Column":
         """Return a copy of this column under a new name (data is shared)."""
-        if self._codes is not None:
-            renamed = Column.from_codes(name, self._codes, self._dictionary,
-                                        self.mask)
-            renamed._data = self._data
-            return renamed
-        return Column(name, self.data, self.dtype, self.mask)
-
-    @classmethod
-    def from_storage(cls, name: str, data: np.ndarray, dtype: DType,
-                     mask: np.ndarray) -> "Column":
-        """Adopt pre-validated storage buffers without constructor checks.
-
-        The binary chunk sidecar (:mod:`repro.frame.sidecar`) decodes
-        buffers that already hold the constructor's invariants — the data
-        was coerced to *dtype* before it was spilled, and the FLOAT
-        NaN/mask reconciliation happened then too.  Re-running the
-        constructor would copy the mask and rescan for NaNs, defeating the
-        zero-copy ``numpy.memmap`` load; like :meth:`slice_view`, this
-        bypasses it.  The buffers may be read-only (memmap/frombuffer):
-        columns never mutate them in place.
-        """
-        column = object.__new__(cls)
-        column.name = str(name)
-        column._codes = None
-        column._dictionary = None
-        column.data = data
-        column.mask = mask
-        column.dtype = dtype
-        column._fingerprint = None
-        column._memory_bytes = None
-        return column
+        return Column._build(str(name), self.dtype, self.mask, self._data,
+                             self._codes, self._dictionary)
 
     def slice_view(self, start: int, stop: int) -> "Column":
         """Zero-copy row slice sharing this column's buffers.
 
-        Skips the constructor's re-validation (the NaN/mask reconciliation
-        for FLOAT columns allocates a fresh mask array); a constructed
-        Column already holds that invariant and numpy basic slicing
-        preserves it, so partition slicing — the hottest in-memory graph
-        task — allocates nothing proportional to the slice.
+        Partition slicing is the hottest in-memory graph task; it allocates
+        nothing proportional to the slice.
         """
-        view = object.__new__(Column)
-        view.name = self.name
-        if self._codes is not None:
-            view._codes = self._codes[start:stop]
-            view._dictionary = self._dictionary
-            view._data = None if self._data is None else self._data[start:stop]
-        else:
-            view._codes = None
-            view._dictionary = None
-            view._data = self.data[start:stop]
-        view.mask = self.mask[start:stop]
-        view.dtype = self.dtype
-        view._fingerprint = None
-        view._memory_bytes = None
-        return view
+        return self._rows(slice(start, stop))
 
     def copy(self) -> "Column":
-        """Return a deep copy of this column."""
-        if self._codes is not None:
-            return Column.from_codes(self.name, self._codes.copy(),
-                                     self._dictionary, self.mask.copy())
-        return Column(self.name, self.data.copy(), self.dtype, self.mask.copy())
+        """Return a deep copy of this column (a STRING copy shares the
+        dictionary, which nothing mutates)."""
+        if self.dtype is DType.STRING:
+            return Column._build(self.name, self.dtype, self.mask.copy(), None,
+                                 self._codes.copy(), self._dictionary)
+        return Column._build(self.name, self.dtype, self.mask.copy(),
+                             self._data.copy())
 
     def astype(self, dtype: DType) -> "Column":
         """Cast this column to another storage dtype.
@@ -360,10 +344,7 @@ class Column:
         """
         if dtype is self.dtype:
             return self
-        values = [None if self.mask[i] else self[i] for i in range(len(self))]
-        data, mask = coerce_values(values, dtype)
-        column = Column(self.name, data, dtype, mask)
-        return column.dictionary_encode() if dtype is DType.STRING else column
+        return Column(self.name, self.to_list(), dtype)
 
     # ------------------------------------------------------------------ #
     # Missing values
@@ -388,7 +369,7 @@ class Column:
 
     def dropna(self) -> "Column":
         """Return a column containing only the present values."""
-        return self._take_rows(~self.mask)
+        return self._rows(~self.mask)
 
     def fillna(self, value: Any) -> "Column":
         """Return a column with missing entries replaced by *value*."""
@@ -419,14 +400,14 @@ class Column:
 
     def take(self, indices: Sequence[int]) -> "Column":
         """Return the rows selected by integer positions."""
-        return self._take_rows(np.asarray(indices, dtype=np.int64))
+        return self._rows(np.asarray(indices, dtype=np.int64))
 
     def filter(self, predicate: np.ndarray) -> "Column":
         """Return the rows where the boolean *predicate* array is True."""
         keep = np.asarray(predicate, dtype=np.bool_)
         if keep.shape[0] != len(self):
             raise FrameError("predicate length does not match column length")
-        return self._take_rows(keep)
+        return self._rows(keep)
 
     def head(self, n: int = 5) -> "Column":
         """Return the first *n* rows."""
@@ -445,7 +426,7 @@ class Column:
             raise DTypeError(
                 f"column {self.name!r} has dtype {self.dtype.value}, "
                 "which does not support numeric reductions")
-        return self.data[~self.mask].astype(np.float64)
+        return self._data[~self.mask].astype(np.float64)
 
     def count(self) -> int:
         """Number of present (non-missing) values."""
@@ -484,26 +465,15 @@ class Column:
         return self._extreme(np.max)
 
     def _extreme(self, reducer: Callable[[np.ndarray], Any]) -> Any:
-        if self._codes is not None:
-            used = self._codes[~self.mask]
-            if used.size == 0:
-                return None
-            # The dictionary is sorted, so the extreme value is the one at
-            # the extreme used code.
-            code = used.min() if reducer is np.min else used.max()
-            return str(self._dictionary[code])
-        present = self.data[~self.mask]
+        present = self._storage[~self.mask]
         if present.size == 0:
             return None
-        if self.dtype is DType.STRING:
-            # numpy ufunc reductions do not support unicode arrays; the number
-            # of present strings is modest enough for the builtin min/max.
-            values = [str(value) for value in present.tolist()]
-            return min(values) if reducer is np.min else max(values)
         value = reducer(present)
-        if isinstance(value, np.generic):
-            return value.item() if self.dtype is not DType.DATETIME else value
-        return value
+        if self.dtype is DType.STRING:
+            # The dictionary is sorted, so the extreme value sits at the
+            # extreme used code.
+            return str(self._dictionary[value])
+        return value if self.dtype is DType.DATETIME else value.item()
 
     def quantile(self, q: Union[float, Sequence[float]]) -> Union[float, np.ndarray]:
         """Quantile(s) of present values using linear interpolation."""
@@ -519,57 +489,30 @@ class Column:
 
     def nunique(self) -> int:
         """Number of distinct present values."""
-        if self._codes is not None:
-            used = self._codes[~self.mask]
-            return int(np.unique(used).size) if used.size else 0
-        present = self.data[~self.mask]
-        if present.size == 0:
-            return 0
-        if self.dtype is DType.STRING:
-            return len(set(present.tolist()))
-        return int(np.unique(present).size)
+        return int(np.unique(self._storage[~self.mask]).size)
 
     def unique(self) -> List[Any]:
         """Distinct present values in first-seen order."""
-        if self._codes is not None:
-            used = self._codes[~self.mask]
-            if used.size == 0:
-                return []
-            distinct, first_seen = np.unique(used, return_index=True)
-            order = np.argsort(first_seen)
-            return [str(self._dictionary[code]) for code in distinct[order]]
-        seen: Dict[Any, None] = {}
-        for index in range(len(self)):
-            if self.mask[index]:
-                continue
-            seen.setdefault(self[index], None)
-        return list(seen.keys())
+        distinct, first_seen = np.unique(self._storage[~self.mask],
+                                         return_index=True)
+        ordered = distinct[np.argsort(first_seen)]
+        if self.dtype is DType.STRING:
+            ordered = self._dictionary[ordered]
+        return ordered.tolist()
 
     def value_counts(self, descending: bool = True) -> List[Tuple[Any, int]]:
         """Counts of distinct present values as ``(value, count)`` pairs."""
-        if self._codes is not None:
-            used = self._codes[~self.mask]
-            if used.size == 0:
-                return []
-            tallies = np.bincount(used, minlength=self._dictionary.size)
-            pairs = [(str(self._dictionary[code]), int(count))
-                     for code, count in enumerate(tallies) if count]
-            pairs.sort(key=lambda pair: (-pair[1], str(pair[0])) if descending
-                       else (pair[1], str(pair[0])))
-            return pairs
-        present = self.data[~self.mask]
-        if present.size == 0:
-            return []
         if self.dtype is DType.STRING:
-            uniques, counts = np.unique(present.astype(str), return_counts=True)
-            pairs = [(str(value), int(count)) for value, count in zip(uniques, counts)]
+            tallies = np.bincount(self._codes[~self.mask],
+                                  minlength=self._dictionary.size)
+            used = np.flatnonzero(tallies)
+            values, counts = self._dictionary[used], tallies[used]
         else:
-            uniques, counts = np.unique(present, return_counts=True)
-            pairs = []
-            for value, count in zip(uniques, counts):
-                scalar = value.item() if isinstance(value, np.generic) and \
-                    self.dtype is not DType.DATETIME else value
-                pairs.append((scalar, int(count)))
+            values, counts = np.unique(self._data[~self.mask],
+                                       return_counts=True)
+        scalars = list(values) if self.dtype is DType.DATETIME \
+            else values.tolist()
+        pairs = list(zip(scalars, counts.tolist()))
         pairs.sort(key=lambda pair: (-pair[1], str(pair[0])) if descending
                    else (pair[1], str(pair[0])))
         return pairs
@@ -607,7 +550,7 @@ class Column:
         """Number of +inf/-inf entries (always 0 for non-float dtypes)."""
         if self.dtype is not DType.FLOAT:
             return 0
-        return int(np.isinf(self.data[~self.mask]).sum())
+        return int(np.isinf(self._data[~self.mask]).sum())
 
     def zeros_count(self) -> int:
         """Number of present values equal to zero (numeric dtypes only)."""
@@ -626,27 +569,17 @@ class Column:
     def memory_bytes(self) -> int:
         """Approximate memory footprint of the stored arrays.
 
-        String columns count the actual python ``str`` objects (header
-        included), not just the pointer array — the intermediate cache uses
-        this to keep its byte budget honest for parsed CSV chunks.  For a
-        dictionary-encoded column each distinct value is sized once
-        (O(dictionary), not O(rows)); the residual object path still walks
-        every row but memoizes the result, since the cache budget check
-        runs on every store.
+        STRING columns count the python ``str`` objects of the dictionary
+        (header included), once per distinct value — O(dictionary), not
+        O(rows) — so the intermediate cache keeps its byte budget honest for
+        parsed CSV chunks.  Memoized: the budget check runs on every store.
         """
         if self._memory_bytes is None:
-            if self._codes is not None:
-                payload = sum(sys.getsizeof(value)
-                              for value in self._dictionary.tolist())
-                self._memory_bytes = int(self._codes.nbytes + self.mask.nbytes
-                                         + self._dictionary.nbytes + payload)
-            elif self.dtype is DType.STRING:
-                payload = sum(sys.getsizeof(value)
-                              for value in self.data[~self.mask].tolist())
-                self._memory_bytes = int(self.data.nbytes + self.mask.nbytes
-                                         + payload)
-            else:
-                self._memory_bytes = int(self.data.nbytes + self.mask.nbytes)
+            size = self._storage.nbytes + self.mask.nbytes
+            if self.dtype is DType.STRING:
+                size += self._dictionary.nbytes + sum(
+                    sys.getsizeof(value) for value in self._dictionary.tolist())
+            self._memory_bytes = int(size)
         return self._memory_bytes
 
     def describe(self) -> Dict[str, Any]:

@@ -7,7 +7,9 @@ for the EDA tasks in the paper:
 * ``INT`` — stored as ``numpy.int64`` with a separate null mask.
 * ``FLOAT`` — stored as ``numpy.float64``; NaN doubles as the null marker but
   a mask is still kept so the behaviour is uniform across dtypes.
-* ``STRING`` — stored as a numpy object array of ``str``.
+* ``STRING`` — stored dictionary-encoded: ``numpy.int32`` codes (``-1`` =
+  missing) into a sorted object array of the distinct ``str`` values; the
+  object array of every row's ``str`` exists only as a lazily decoded view.
 * ``DATETIME`` — stored as ``numpy.datetime64[s]``.
 
 Semantic types used by the EDA mapping rules (Numerical / Categorical) are a
@@ -367,9 +369,22 @@ def encode_string_codes(data: np.ndarray,
     present = ~mask
     if not present.any():
         return codes, np.empty(0, dtype=object)
-    uniques, inverse = np.unique(data[present].astype(str), return_inverse=True)
-    codes[present] = inverse.astype(np.int32)
-    return codes, uniques.astype(object)
+    # Python set/dict semantics, not a fixed-width ``U`` array: numpy strips
+    # trailing NULs from those, which would merge distinct strings.
+    values = data[present].tolist()
+    dictionary = _sorted_distinct(values)
+    index = {value: code for code, value in enumerate(dictionary.tolist())}
+    codes[present] = np.fromiter(map(index.__getitem__, values),
+                                 dtype=np.int32, count=len(values))
+    return codes, dictionary
+
+
+def _sorted_distinct(values: Iterable[str]) -> np.ndarray:
+    """The canonical dictionary of *values*: sorted distinct ``str`` objects."""
+    distinct = sorted(set(values))
+    dictionary = np.empty(len(distinct), dtype=object)
+    dictionary[:] = distinct
+    return dictionary
 
 
 def decode_string_codes(codes: np.ndarray,
@@ -377,8 +392,7 @@ def decode_string_codes(codes: np.ndarray,
     """Materialize dictionary codes back into an object array of ``str``.
 
     Masked slots (code ``-1``) decode to the STRING null sentinel ``""`` —
-    byte-identical to what :func:`coerce_values` stores there, so decoded
-    arrays are indistinguishable from ones that never left the object path.
+    what :func:`coerce_values` stores there.
     """
     if dictionary.size == 0:
         data = np.empty(codes.shape[0], dtype=object)
@@ -408,7 +422,7 @@ def unify_dictionaries(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
     if len(non_empty) == 1:
         unified = non_empty[0]
     else:
-        unified = np.unique(np.concatenate(non_empty).astype(str)).astype(object)
+        unified = _sorted_distinct(np.concatenate(non_empty).tolist())
     remapped: List[np.ndarray] = []
     for codes, dictionary in parts:
         if dictionary.size == 0 or (dictionary.size == unified.size and

@@ -10,8 +10,11 @@ names) plus the content, sampling the content above a size threshold:
 * arrays up to :data:`FULL_HASH_BYTES` are hashed byte-for-byte;
 * larger arrays combine a full-coverage CRC32 (cheap, covers every element,
   so any edit anywhere changes the fingerprint) with a head block, a tail
-  block and a strided sample fed to SHA1; object (string) arrays feed item
-  ``repr``s to the CRC instead of raw bytes.
+  block and a strided sample fed to SHA1; object arrays feed item ``repr``s
+  to the CRC instead of raw bytes.
+
+STRING columns are hashed as stored (int32 codes + the dictionary entries in
+use), so fingerprinting never decodes a per-row object array.
 
 Fingerprints are cached on the Column/DataFrame object.  Every public frame
 operation returns a *new* object, so a mutated frame naturally gets a fresh
@@ -26,6 +29,8 @@ import zlib
 from typing import TYPE_CHECKING, Iterable, Tuple
 
 import numpy as np
+
+from repro.frame.dtypes import DType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.frame.column import Column
@@ -46,7 +51,7 @@ def fingerprint_array(array: np.ndarray) -> str:
 
     Small arrays (including the boolean null masks) are hashed exactly;
     large arrays are sampled as described in the module docstring.  Object
-    arrays (the STRING storage dtype) are hashed from item ``repr``s.
+    arrays (a STRING column's dictionary) are hashed from item ``repr``s.
     """
     hasher = hashlib.sha1()
     hasher.update(str(array.dtype).encode())
@@ -100,12 +105,31 @@ def _hash_object_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
 
 
 def fingerprint_column(column: "Column") -> str:
-    """Fingerprint of one Column: name, dtype, length, data and null mask."""
+    """Fingerprint of one Column: name, dtype, length, values and null mask.
+
+    A STRING column is hashed as stored — its int32 codes plus the
+    dictionary — never through the decoded per-row object array.  Codes are
+    first renumbered over the dictionary entries actually used, so a row
+    subset that still shares its parent's larger dictionary fingerprints
+    equal to a freshly built column of the same values.
+    """
     hasher = hashlib.sha1()
     hasher.update(column.name.encode())
     hasher.update(column.dtype.value.encode())
     hasher.update(str(len(column)).encode())
-    hasher.update(fingerprint_array(column.data).encode())
+    if column.dtype is DType.STRING:
+        codes, dictionary = column.codes, column.dictionary
+        used = np.flatnonzero(np.bincount(codes[codes >= 0],
+                                          minlength=dictionary.size))
+        if used.size != dictionary.size:
+            rank = np.full(dictionary.size + 1, -1, dtype=np.int32)
+            rank[used] = np.arange(used.size)
+            codes = rank[codes]             # code -1 reads the spare last slot
+            dictionary = dictionary[used]
+        hasher.update(fingerprint_array(codes).encode())
+        hasher.update(fingerprint_array(dictionary).encode())
+    else:
+        hasher.update(fingerprint_array(column.data).encode())
     hasher.update(fingerprint_array(column.mask).encode())
     return hasher.hexdigest()
 

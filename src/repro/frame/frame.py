@@ -290,16 +290,12 @@ class DataFrame:
             return 0
         codes = []
         for column in self._columns.values():
-            if column.is_dictionary:
-                # Dictionary codes already give equal values equal codes.
-                inverse = column.codes.astype(np.int64)
-            else:
-                if column.dtype is DType.STRING:
-                    values = column.data.astype(str)
-                else:
-                    values = column.data
-                _, inverse = np.unique(values, return_inverse=True)
-                inverse = inverse.astype(np.int64)
+            if column.dtype is DType.STRING:
+                codes.append(column.codes)
+                continue
+            # Not category_codes(): stringifying a label per distinct value
+            # would dominate for high-cardinality numeric columns.
+            inverse = np.unique(column.data, return_inverse=True)[1]
             inverse[column.mask] = -1
             codes.append(inverse)
         stacked = np.column_stack(codes)
@@ -343,18 +339,15 @@ def concat_rows(frames: Sequence[DataFrame]) -> DataFrame:
         dtype = _common_dtype([part.dtype for part in parts])
         parts = [part if part.dtype is dtype else part.astype(dtype) for part in parts]
         mask = np.concatenate([part.mask for part in parts])
-        if dtype is DType.STRING and all(part.is_dictionary for part in parts):
-            # Unify the per-chunk dictionaries instead of materializing the
-            # object arrays: the result is the encoding of the concatenation.
+        if dtype is DType.STRING:
+            # Unify the per-chunk dictionaries: the result is the encoding
+            # of the concatenation, and no object array is materialized.
             codes, dictionary = unify_dictionaries(
                 [(part.codes, part.dictionary) for part in parts])
             columns.append(Column.from_codes(name, codes, dictionary, mask))
-            continue
-        data = np.concatenate([part.data for part in parts])
-        column = Column(name, data, dtype, mask)
-        if dtype is DType.STRING:
-            column = column.dictionary_encode()
-        columns.append(column)
+        else:
+            data = np.concatenate([part.data for part in parts])
+            columns.append(Column(name, data, dtype, mask))
     return DataFrame(columns)
 
 
@@ -366,5 +359,3 @@ def _common_dtype(dtypes: Sequence[DType]) -> DType:
     if unique <= {DType.INT, DType.FLOAT, DType.BOOL}:
         return DType.FLOAT
     return DType.STRING
-
-

@@ -7,7 +7,7 @@ grouped aggregation (used for categorical-vs-numerical bivariate plots).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,82 +46,45 @@ def crosstab(frame: DataFrame, row_column: str, col_column: str,
     the per-axis limits are collapsed into an ``"(other)"`` bucket, mirroring
     how EDA tools keep nested/stacked bar charts readable.
     """
-    rows = frame.column(row_column)
-    cols = frame.column(col_column)
-    keep = rows.notna() & cols.notna()
-    if rows.is_dictionary and cols.is_dictionary:
-        # Vectorized path: both axes are dictionary-encoded, so tabulate
-        # int32 codes with one fused bincount instead of per-row dict hits.
-        row_codes = rows.codes[keep]
-        col_codes = cols.codes[keep]
-        row_categories, row_map = _top_codes(
-            row_codes, rows.dictionary, max_row_categories)
-        col_categories, col_map = _top_codes(
-            col_codes, cols.dictionary, max_col_categories)
-        counts = np.zeros((len(row_categories), len(col_categories)),
-                          dtype=np.int64)
-        if row_codes.size and counts.size:
-            fused = (row_map[row_codes].astype(np.int64) * len(col_categories)
-                     + col_map[col_codes])
-            counts += np.bincount(
-                fused, minlength=counts.size).reshape(counts.shape)
-        return row_categories, col_categories, counts
-    row_values = [str(value) for value in rows.filter(keep).to_list()]
-    col_values = [str(value) for value in cols.filter(keep).to_list()]
-
-    row_categories = _top_categories(row_values, max_row_categories)
-    col_categories = _top_categories(col_values, max_col_categories)
-    row_index = {category: i for i, category in enumerate(row_categories)}
-    col_index = {category: i for i, category in enumerate(col_categories)}
-
-    counts = np.zeros((len(row_categories), len(col_categories)), dtype=np.int64)
-    other_row = row_index.get("(other)")
-    other_col = col_index.get("(other)")
-    for row_value, col_value in zip(row_values, col_values):
-        i = row_index.get(row_value, other_row)
-        j = col_index.get(col_value, other_col)
-        if i is None or j is None:
-            continue
-        counts[i, j] += 1
+    row_codes, row_labels = frame.column(row_column).category_codes()
+    col_codes, col_labels = frame.column(col_column).category_codes()
+    keep = (row_codes >= 0) & (col_codes >= 0)
+    row_codes, col_codes = row_codes[keep], col_codes[keep]
+    row_categories, row_map = _top_codes(row_codes, row_labels,
+                                         max_row_categories)
+    col_categories, col_map = _top_codes(col_codes, col_labels,
+                                         max_col_categories)
+    counts = np.zeros((len(row_categories), len(col_categories)),
+                      dtype=np.int64)
+    if row_codes.size and counts.size:
+        # One fused bincount over (row index, column index) pairs.
+        fused = row_map[row_codes] * len(col_categories) + col_map[col_codes]
+        counts += np.bincount(fused, minlength=counts.size).reshape(counts.shape)
     return row_categories, col_categories, counts
 
 
-def _top_codes(codes: np.ndarray, dictionary: np.ndarray,
-               limit: int) -> Tuple[List[str], np.ndarray]:
-    """Codes-domain twin of :func:`_top_categories`.
+def _by_frequency(codes: np.ndarray, labels: np.ndarray) -> List[int]:
+    """The codes that occur, most frequent first, ties broken on the label."""
+    tallies = np.bincount(codes, minlength=labels.size)
+    return sorted(np.flatnonzero(tallies).tolist(),
+                  key=lambda code: (-int(tallies[code]), str(labels[code])))
 
-    Returns the top categories (same ``(-count, value)`` ordering, same
-    ``"(other)"`` bucket when truncated) plus an int64 lookup table mapping
-    every dictionary code to its index in the category list.
-    """
-    tallies = np.bincount(codes, minlength=dictionary.size) \
-        if codes.size else np.zeros(dictionary.size, dtype=np.int64)
-    used = np.flatnonzero(tallies)
-    ordered = sorted(used.tolist(),
-                     key=lambda code: (-int(tallies[code]),
-                                       str(dictionary[code])))
+
+def _top_codes(codes: np.ndarray, labels: np.ndarray,
+               limit: int) -> Tuple[List[str], np.ndarray]:
+    """The *limit* most frequent categories, with an ``"(other)"`` bucket if
+    truncated, plus an int64 table mapping every code to its index in that
+    category list."""
+    ordered = _by_frequency(codes, labels)
     top = ordered[:limit]
-    categories = [str(dictionary[code]) for code in top]
+    categories = [str(labels[code]) for code in top]
     truncated = len(ordered) > limit
     if truncated:
         categories.append("(other)")
-    table = np.full(max(dictionary.size, 1), len(categories) - 1 if truncated
+    table = np.full(max(labels.size, 1), len(categories) - 1 if truncated
                     else 0, dtype=np.int64)
-    for index, code in enumerate(top):
-        table[code] = index
+    table[top] = np.arange(len(top))
     return categories, table
-
-
-def _top_categories(values: Sequence[str], limit: int) -> List[str]:
-    """The most frequent categories, with an ``"(other)"`` bucket if truncated."""
-    counts: Dict[str, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    ordered = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
-    categories = [category for category, _ in ordered[:limit]]
-    if len(ordered) > limit:
-        categories.append("(other)")
-    return categories
 
 
 def groupby_aggregate(frame: DataFrame, by: str, value: str,
@@ -137,70 +100,25 @@ def groupby_aggregate(frame: DataFrame, by: str, value: str,
         raise DTypeError(
             f"unknown aggregation {aggregation!r}; "
             f"expected one of {sorted(AGGREGATIONS)}")
-    group_column = frame.column(by)
-    value_column = frame.column(value)
-    if not value_column.dtype.is_numeric:
-        raise DTypeError(f"column {value!r} must be numeric for aggregation")
-
-    keep = group_column.notna() & value_column.notna()
-    values = value_column.filter(keep).to_numpy(drop_missing=False).astype(np.float64)
     reducer = AGGREGATIONS[aggregation]
-    if group_column.is_dictionary:
-        return [(group, reducer(values[selector]))
-                for group, selector in _code_groups(
-                    group_column.codes[keep], group_column.dictionary,
-                    max_groups)]
-
-    groups = [str(item) for item in group_column.filter(keep).to_list()]
-    buckets: Dict[str, List[float]] = {}
-    for group, number in zip(groups, values):
-        buckets.setdefault(group, []).append(float(number))
-    frequency = sorted(buckets.items(), key=lambda pair: (-len(pair[1]), pair[0]))
-    return [(group, reducer(np.asarray(numbers)))
-            for group, numbers in frequency[:max_groups]]
-
-
-def _code_groups(codes: np.ndarray, dictionary: np.ndarray,
-                 max_groups: int) -> List[Tuple[str, np.ndarray]]:
-    """The *max_groups* most frequent groups as ``(name, row selector)``.
-
-    Order matches the bucket-dict path: by descending count, ties broken on
-    the group name.  The boolean selector preserves row order inside each
-    group, so float reductions see values in exactly the order the python
-    loop appended them.
-    """
-    tallies = np.bincount(codes, minlength=dictionary.size) \
-        if codes.size else np.zeros(dictionary.size, dtype=np.int64)
-    used = np.flatnonzero(tallies)
-    ordered = sorted(used.tolist(),
-                     key=lambda code: (-int(tallies[code]),
-                                       str(dictionary[code])))
-    return [(str(dictionary[code]), codes == code)
-            for code in ordered[:max_groups]]
+    return [(group, reducer(values))
+            for group, values in grouped_values(frame, by, value, max_groups)]
 
 
 def grouped_values(frame: DataFrame, by: str, value: str,
                    max_groups: int = 10) -> List[Tuple[str, np.ndarray]]:
     """Raw numeric values per category, for categorical box plots.
 
-    Returns the *max_groups* most frequent categories with their numeric
-    samples as float arrays (missing values dropped).
+    Returns the *max_groups* most frequent categories (ties broken on the
+    category name) with their numeric samples as float arrays in row order,
+    rows missing either value dropped.
     """
-    group_column = frame.column(by)
     value_column = frame.column(value)
     if not value_column.dtype.is_numeric:
         raise DTypeError(f"column {value!r} must be numeric")
-    keep = group_column.notna() & value_column.notna()
+    codes, labels = frame.column(by).category_codes()
+    keep = (codes >= 0) & value_column.notna()
+    codes = codes[keep]
     values = value_column.filter(keep).to_numpy().astype(np.float64)
-    if group_column.is_dictionary:
-        return [(group, values[selector])
-                for group, selector in _code_groups(
-                    group_column.codes[keep], group_column.dictionary,
-                    max_groups)]
-    groups = [str(item) for item in group_column.filter(keep).to_list()]
-    buckets: Dict[str, List[float]] = {}
-    for group, number in zip(groups, values):
-        buckets.setdefault(group, []).append(float(number))
-    frequency = sorted(buckets.items(), key=lambda pair: (-len(pair[1]), pair[0]))
-    return [(group, np.asarray(numbers, dtype=np.float64))
-            for group, numbers in frequency[:max_groups]]
+    return [(str(labels[code]), values[codes == code])
+            for code in _by_frequency(codes, labels)[:max_groups]]

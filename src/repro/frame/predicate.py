@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 import numpy as np
 
 from repro.errors import FrameError
-from repro.frame.dtypes import parse_datetime
+from repro.frame.dtypes import DType, parse_datetime
 
 
 class PredicateError(FrameError):
@@ -120,25 +120,12 @@ class Conjunct:
         out = np.zeros(len(column), dtype=bool)
         if not present.any():
             return out
-        if column.is_dictionary and isinstance(self.value, str) and \
-                self.op in ("==", "!="):
-            # Resolve the literal to a dictionary code once, then compare
-            # int32 codes instead of per-row strings.  The dictionary is
-            # sorted, so the lookup is a binary search.
-            dictionary = column.dictionary
-            position = int(np.searchsorted(dictionary, self.value)) \
-                if dictionary.size else 0
-            hit = position < dictionary.size and \
-                dictionary[position] == self.value
-            codes = column.codes
-            if self.op == "==":
-                if hit:
-                    out[present] = codes[present] == np.int32(position)
-            else:
-                out[present] = codes[present] != np.int32(position) \
-                    if hit else True
-            return out
-        values = column.to_numpy()[present]
+        if column.dtype is DType.STRING:
+            # Compare the (small, sorted) dictionary once, then gather by
+            # int32 code instead of comparing per-row strings.
+            values, codes = column.dictionary, column.codes[present]
+        else:
+            values, codes = column.data[present], None
         value = self.value
         if values.dtype.kind == "M" and not isinstance(value, np.datetime64):
             # Datetime literals are normalized to ISO strings in the spec;
@@ -157,7 +144,8 @@ class Conjunct:
             raise PredicateError(
                 f"cannot compare column {self.column!r} with "
                 f"{self.value!r}: {error}") from None
-        out[present] = np.asarray(matched, dtype=bool)
+        matched = np.asarray(matched, dtype=bool)
+        out[present] = matched if codes is None else matched[codes]
         return out
 
     def __repr__(self) -> str:

@@ -201,9 +201,8 @@ def _encode_frame(frame: DataFrame, stamp: Tuple[int, int], n_rows: int,
         column = frame.column(name)
         entry: Dict[str, Any] = {"dtype": column.dtype.value}
         if column.dtype is DType.STRING:
-            encoded_column = column.dictionary_encode()
-            codes = np.ascontiguousarray(encoded_column.codes, dtype=np.int32)
-            dictionary = encoded_column.dictionary
+            codes = np.ascontiguousarray(column.codes, dtype=np.int32)
+            dictionary = column.dictionary
             offsets = np.zeros(dictionary.size + 1, dtype=np.int64)
             blobs: List[bytes] = []
             total = 0

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.frame.dtypes import parse_datetime
+from repro.frame.dtypes import DType, parse_datetime
 from repro.frame.sidecar import atomic_replace
 
 #: Distinct-value estimates saturate here; beyond this a chunk is simply
@@ -190,7 +190,7 @@ def chunk_column_stats(frame: Any) -> Dict[str, Tuple[Any, ...]]:
         if nulls == len(column):
             stats[name] = (None, None, nulls, 0, None)
             continue
-        if getattr(column, "is_dictionary", False):
+        if column.dtype is DType.STRING:
             used = np.unique(column.codes[present])
             dictionary = column.dictionary
             distinct = int(used.size)
@@ -201,12 +201,8 @@ def chunk_column_stats(frame: Any) -> Dict[str, Tuple[Any, ...]]:
                            nulls, min(distinct, DISTINCT_CAP), values_set)
             continue
         values = column.to_numpy()[present]
-        try:
-            distinct = min(int(np.unique(values).size), DISTINCT_CAP)
-        except TypeError:       # mixed unhashable/unsortable objects
-            distinct = DISTINCT_CAP
-        stats[name] = (_scalar(values.min()), _scalar(values.max()),
-                       nulls, distinct, None)
+        stats[name] = (_scalar(values.min()), _scalar(values.max()), nulls,
+                       min(int(np.unique(values).size), DISTINCT_CAP), None)
     return stats
 
 

@@ -75,7 +75,7 @@ from repro.graph.engines import (
     available_engines,
     get_engine,
 )
-from repro.graph.cluster import ClusterCostModel, SimulatedCluster
+from repro.graph.cluster import ClusterCostModel
 
 #: Remote-backend names resolved on first attribute access (PEP 562): an
 #: eager import here would make `python -m repro.graph.remote` — the worker
@@ -105,7 +105,6 @@ __all__ = [
     "RemoteExecutor",
     "RemoteScheduler",
     "Scheduler",
-    "SimulatedCluster",
     "SynchronousScheduler",
     "ThreadExecutor",
     "Task",

@@ -199,14 +199,13 @@ def detach_views(value: Any, _depth: int = 0) -> Any:
 def _column_is_view(column: Any) -> bool:
     """True when the column's backing arrays are views into a parent buffer.
 
-    Dictionary-encoded columns are judged on their codes array — touching
-    ``column.data`` here would materialize the decoded object array just to
-    inspect it.  The shared dictionary is the unique-values buffer itself,
-    not a slice of a larger frame, so it never pins foreign memory.
+    STRING columns are judged on their codes array: the shared dictionary
+    is the unique-values buffer itself, not a slice of a larger frame, so
+    it never pins foreign memory.
     """
-    if column.is_dictionary:
-        return column.codes.base is not None or column.mask.base is not None
-    return column.data.base is not None or column.mask.base is not None
+    from repro.frame.dtypes import DType
+    stored = column.codes if column.dtype is DType.STRING else column.data
+    return stored.base is not None or column.mask.base is not None
 
 
 # --------------------------------------------------------------------------- #

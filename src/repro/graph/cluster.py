@@ -1,4 +1,4 @@
-"""Analytical cluster cost model (and legacy simulation) for Figure 6(c).
+"""Analytical cluster cost model for Figure 6(c).
 
 The paper runs ``create_report`` on an 8-node cluster reading 100M rows from
 HDFS and shows that wall time drops as workers are added because the HDFS
@@ -10,20 +10,15 @@ Figure 6(c) benchmark measures genuine multi-worker runs and uses
 measurements, then extrapolates the curve to worker counts the local
 machine cannot host.
 
-* :class:`ClusterCostModel` — the analytical model: total time = (scan
-  bytes / aggregate read bandwidth) + (compute work / aggregate compute
-  throughput) + fixed per-run coordination overhead.
-* :class:`SimulatedCluster` — **deprecated**: the pre-remote-backend
-  thread-pool make-believe (sleep-injected "I/O"), kept only for the legacy
-  shape tests.
+:class:`ClusterCostModel` is that model: total time = (scan bytes /
+aggregate read bandwidth) + (compute work / aggregate compute throughput) +
+fixed per-run coordination overhead.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import GraphError
 
@@ -153,56 +148,3 @@ class ClusterCostModel:
             coordination_overhead_s=overhead,
             bytes_per_row=bytes_per_row,
         )
-
-
-class SimulatedCluster:
-    """Executes partitioned work on N worker threads with simulated I/O.
-
-    .. deprecated::
-        Superseded by the real distributed backend: run with
-        ``compute.scheduler = "remote"`` (see
-        :class:`repro.graph.remote.RemoteScheduler`) to execute partitions
-        on actual socket worker processes, and calibrate
-        :class:`ClusterCostModel` from those measured runs via
-        :meth:`ClusterCostModel.calibrate`.  Kept only for the legacy
-        Figure 6(c) shape tests; no new code should depend on it.
-
-    Each partition "read" sleeps for ``partition_bytes / (bandwidth)`` seconds
-    before the real computation runs, modelling an HDFS read whose aggregate
-    bandwidth is fixed per worker.  The cluster is intentionally tiny — it is
-    meant for integration tests and the Fig. 6(c) shape check, not for
-    processing genuinely large data.
-    """
-
-    def __init__(self, n_workers: int,
-                 read_bandwidth_bytes_per_s: float = 50e6,
-                 coordination_overhead_s: float = 0.0):
-        if n_workers <= 0:
-            raise GraphError("n_workers must be positive")
-        self.n_workers = int(n_workers)
-        self.read_bandwidth_bytes_per_s = float(read_bandwidth_bytes_per_s)
-        self.coordination_overhead_s = float(coordination_overhead_s)
-
-    def run(self, partitions: Sequence[Any],
-            partition_bytes: Sequence[int],
-            work: Callable[[Any], Any]) -> List[Any]:
-        """Process partitions on the simulated cluster, returning results in order."""
-        if len(partitions) != len(partition_bytes):
-            raise GraphError("partitions and partition_bytes must align")
-        if self.coordination_overhead_s:
-            time.sleep(self.coordination_overhead_s)
-
-        def process(args: tuple[Any, int]) -> Any:
-            partition, size = args
-            time.sleep(size / self.read_bandwidth_bytes_per_s)
-            return work(partition)
-
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            return list(pool.map(process, zip(partitions, partition_bytes)))
-
-    def timed_run(self, partitions: Sequence[Any], partition_bytes: Sequence[int],
-                  work: Callable[[Any], Any]) -> tuple[List[Any], float]:
-        """Like :meth:`run` but also returns the elapsed wall time in seconds."""
-        started = time.perf_counter()
-        results = self.run(partitions, partition_bytes, work)
-        return results, time.perf_counter() - started

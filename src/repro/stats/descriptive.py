@@ -247,8 +247,9 @@ class CategoricalSummary:
     def from_codes(cls, codes: np.ndarray, dictionary: np.ndarray,
                    missing: int = 0,
                    capacity: Optional[int] = None) -> "CategoricalSummary":
-        """Summary from a dictionary encoding — one ``bincount`` over the
-        codes plus O(dictionary) python work, no per-row loop.
+        """Summary from category codes (negative = missing) and their
+        labels — one ``bincount`` over the codes plus O(labels) python
+        work, no per-row loop.
 
         Produces exactly what :meth:`from_values` would for the decoded
         values: the same counts, length statistics, pruning and distinct
@@ -278,15 +279,9 @@ class CategoricalSummary:
     def from_column(cls, column: Column,
                     capacity: Optional[int] = None) -> "CategoricalSummary":
         """Summary of a :class:`Column` treated as categorical."""
-        if getattr(column, "is_dictionary", False):
-            return cls.from_codes(column.codes[~column.isna()],
-                                  column.dictionary,
-                                  missing=column.missing_count(),
-                                  capacity=capacity)
-        present = [value for value, is_missing in zip(column.to_list(), column.isna())
-                   if not is_missing]
-        return cls.from_values(present, missing=column.missing_count(),
-                               capacity=capacity)
+        codes, labels = column.category_codes()
+        return cls.from_codes(codes, labels, missing=column.missing_count(),
+                              capacity=capacity)
 
     def _prune(self) -> None:
         """Drop the least frequent entries beyond ``capacity`` (in place)."""

@@ -50,6 +50,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import EDAError
+from repro.frame.dtypes import DType
 from repro.stats.histogram import Histogram
 
 
@@ -419,7 +420,7 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 def _column_hash_codes(column: Any) -> np.ndarray:
     """Per-row 64-bit codes of one Column; equal values get equal codes."""
-    if getattr(column, "is_dictionary", False):
+    if column.dtype is DType.STRING:
         # Hash the (small) dictionary once and gather by code — no per-row
         # python loop and no decoded object array.
         dictionary = column.dictionary
@@ -430,12 +431,7 @@ def _column_hash_codes(column: Any) -> np.ndarray:
         codes[column.isna()] = _MISSING_CODE
         return codes
     data = column.data
-    if data.dtype == object:
-        uniques, inverse = np.unique(data.astype(str), return_inverse=True)
-        table = np.fromiter((_hash64(value) for value in uniques),
-                            dtype=np.uint64, count=len(uniques))
-        codes = table[inverse]
-    elif np.issubdtype(data.dtype, np.floating):
+    if np.issubdtype(data.dtype, np.floating):
         canonical = data.astype(np.float64) + 0.0       # -0.0 → +0.0
         canonical[np.isnan(canonical)] = np.nan          # one NaN bit pattern
         codes = canonical.view(np.uint64)

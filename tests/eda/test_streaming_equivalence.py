@@ -302,14 +302,14 @@ def test_streaming_pair_counts_are_capacity_bounded(csv_path):
     pair table: the reduction prunes to the streaming capacity."""
     from repro.eda.compute.base import (
         STREAMING_CATEGORY_CAPACITY,
-        _chunk_pair_counts_bounded,
+        _chunk_pair_counts,
         _combine_pair_counts_bounded,
     )
     from repro.frame.frame import DataFrame as _DF
 
     chunk = _DF({"a": [f"a{i}" for i in range(500)],
                  "b": [f"b{i}" for i in range(500)]})
-    counts = _chunk_pair_counts_bounded(chunk, "a", "b", 100)
+    counts = _chunk_pair_counts(chunk, "a", "b", 100)
     assert len(counts) == 100
     merged = _combine_pair_counts_bounded([counts, counts])
     assert len(merged) <= STREAMING_CATEGORY_CAPACITY

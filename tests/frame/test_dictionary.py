@@ -9,8 +9,13 @@ dictionary (``-1`` = missing).  The contracts pinned here:
   concatenating independently encoded parts yields bit-identical codes and
   dictionary to encoding the whole column at once — the invariant streaming
   scans rely on when combining per-chunk dictionaries;
+* the codes are the *only* STRING storage — every constructor encodes,
+  distinct strings stay distinct (trailing NULs included), and a whole
+  ``create_report`` never decodes a column;
 * vectorized kernels (value counts, unique, min/max, predicate masks,
-  crosstab/groupby) agree with the residual object-array path;
+  crosstab/groupby, pair counts, summaries, duplicate rows) agree with the
+  naive per-row reference in ``tests/naive_reference.py`` for every
+  categorical dtype, through row slices and pickling;
 * pickled payloads ship codes + dictionary, never the decoded object
   array, and ``memory_bytes`` is O(dictionary) and memoized;
 * zone maps record exact bounded distinct sets, so a string-equality
@@ -19,13 +24,17 @@ dictionary (``-1`` = missing).  The contracts pinned here:
 
 from __future__ import annotations
 
+import operator
 import pickle
 
+import naive_reference as naive
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import create_report
+from repro.eda.compute.base import _chunk_pair_counts
+from repro.frame import ops
 from repro.frame.column import Column
 from repro.frame.dtypes import (
     DType,
@@ -37,6 +46,7 @@ from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.predicate import Conjunct
 from repro.frame.sidecar import SidecarRoute, load_chunk, store_chunk
 from repro.frame.zonemap import chunk_column_stats, zone_map_from_stats
+from repro.stats.descriptive import CategoricalSummary
 
 ROUTE = tuple(SidecarRoute())
 STAMP = (1234, 5678)
@@ -52,42 +62,44 @@ def _column(values):
     return Column("s", list(values), DType.STRING)
 
 
-def _object_column(values):
-    """The residual (non-encoded) object-array carrier of the same values.
-
-    Built by adopting the encoded column's decoded buffers, so both carriers
-    hold the exact same post-coercion content (the list-input coercion treats
-    ``""`` as missing; constructing an object array by hand would not).
-    """
-    encoded = _column(values)
-    return Column("s", encoded.data.copy(), DType.STRING,
-                  encoded.mask.copy())
-
-
-def _codes_column(values):
-    """An encoded column with no materialized object array (``_data=None``)."""
-    encoded = _column(values)
-    return Column.from_codes("s", encoded.codes.copy(), encoded.dictionary,
-                             encoded.mask.copy())
-
-
 # --------------------------------------------------------------------------- #
 # Representation invariants.
 # --------------------------------------------------------------------------- #
 class TestRepresentation:
     def test_string_columns_encode_by_default(self):
         column = _column(["b", "a", None, "b"])
-        assert column.is_dictionary
         assert column.codes.dtype == np.int32
         assert list(column.dictionary) == ["a", "b"]
         assert list(column.codes) == [1, 0, -1, 1]
 
-    def test_adopted_object_arrays_stay_residual(self):
-        column = _object_column(["b", "a", None])
-        assert not column.is_dictionary
-        encoded = column.dictionary_encode()
-        assert encoded.is_dictionary
-        assert encoded.to_list() == column.to_list()
+    def test_adopted_object_arrays_encode(self):
+        data = np.array(["b", "a", "", "b"], dtype=object)
+        mask = np.array([False, False, True, False])
+        column = Column("s", data, DType.STRING, mask)
+        assert list(column.dictionary) == ["a", "b"]
+        assert list(column.codes) == [1, 0, -1, 1]
+        assert column._data is None
+        assert column.to_list() == ["b", "a", None, "b"]
+        # Every other way to a STRING column lands on the same carrier.
+        for other in (Column("s", np.array(["b", "a", "", "b"])),
+                      Column("s", [1, 2, 3]).astype(DType.STRING),
+                      pickle.loads(pickle.dumps(column))):
+            assert other.codes.dtype == np.int32 and other._data is None
+
+    def test_trailing_nul_strings_stay_distinct(self, tmp_path):
+        values = ["a\x00", "a", "b"]
+        column = Column("s", values)
+        assert list(column.dictionary) == ["a", "a\x00", "b"]
+        assert column.nunique() == 3
+        path = str(tmp_path / "data.csv")
+        frame = DataFrame([column])
+        assert store_chunk(path, 0, 100, STAMP, frame, ROUTE)
+        stored = load_chunk(path, 0, 100, STAMP, ("s",), {"s": DType.STRING},
+                            3, ROUTE).column("s")
+        merged = concat_rows([frame, DataFrame([Column("s", ["a", "c"])])])
+        for other in (pickle.loads(pickle.dumps(column)), stored,
+                      merged.column("s")[:3]):
+            assert other.to_list() == values
 
     def test_mask_iff_negative_codes(self):
         column = _column(["x", None, "y", None])
@@ -129,7 +141,6 @@ class TestRepresentation:
         combined = concat_rows([DataFrame([_column(values[:split])]),
                                 DataFrame([_column(values[split:])])])
         whole = _column(values)
-        assert combined.column("s").is_dictionary
         np.testing.assert_array_equal(combined.column("s").codes, whole.codes)
         np.testing.assert_array_equal(combined.column("s").dictionary,
                                       whole.dictionary)
@@ -139,39 +150,110 @@ class TestRepresentation:
         for view in (column[1:4], column.take(np.array([0, 3, 4])),
                      column.filter(np.array([1, 0, 1, 1, 0], dtype=bool)),
                      column.dropna(), column.copy()):
-            assert view.is_dictionary
+            assert view.codes.dtype == np.int32 and view._data is None
         np.testing.assert_array_equal(column[1:4].codes, column.codes[1:4])
         assert column[1:4].dictionary is column.dictionary
 
 
 # --------------------------------------------------------------------------- #
-# Kernel equivalence against the residual object path.
+# Kernel equivalence against the naive per-row reference.
 # --------------------------------------------------------------------------- #
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              ">=": operator.ge}
+
+#: One categorical column per dtype the Figure 2 rules treat as C.
+_CATEGORY_POOLS = {
+    DType.STRING: ["a", "b", "apple", "Apple", "x y", "日本語", "10", "9"],
+    DType.BOOL: [True, False],
+    DType.INT: [-1, 0, 2, 9, 10, 33],
+}
+
+
+@st.composite
+def categorical_frames(draw):
+    """A 3-column frame (two categoricals + a float) that went through a
+    row slice — so STRING dictionaries keep unused entries — and, maybe, a
+    pickle round trip; plus the python lists it must behave like."""
+    n_rows = draw(st.integers(min_value=0, max_value=40))
+
+    def categorical(name):
+        dtype = draw(st.sampled_from(sorted(_CATEGORY_POOLS, key=str)))
+        pool = st.sampled_from(_CATEGORY_POOLS[dtype])
+        values = draw(st.lists(st.one_of(st.none(), pool),
+                               min_size=n_rows, max_size=n_rows))
+        return Column(name, values, dtype)
+
+    numbers = draw(st.lists(
+        st.one_of(st.none(), st.integers(-5, 5).map(float)),
+        min_size=n_rows, max_size=n_rows))
+    frame = DataFrame([categorical("a"), categorical("b"),
+                       Column("v", numbers, DType.FLOAT)])
+    start = draw(st.integers(0, n_rows))
+    stop = draw(st.integers(start, n_rows))
+    frame = frame.slice(start, stop)
+    if draw(st.booleans()):
+        frame = pickle.loads(pickle.dumps(frame))
+    return frame
+
+
 class TestKernelEquivalence:
     @given(values=string_lists)
     @settings(max_examples=60, deadline=None)
-    def test_reductions_match_object_path(self, values):
+    def test_reductions_match_reference(self, values):
         encoded = _column(values)
-        residual = _object_column(values)
-        assert encoded.value_counts() == residual.value_counts()
-        assert encoded.nunique() == residual.nunique()
-        assert encoded.unique() == residual.unique()
-        assert encoded.min() == residual.min()
-        assert encoded.max() == residual.max()
-        assert encoded.to_list() == residual.to_list()
+        expected = encoded.to_list()
+        assert [None if v in (None, "") else v for v in values] == expected
+        assert encoded.value_counts() == naive.value_counts(expected)
+        assert encoded.nunique() == len(naive.unique(expected))
+        assert encoded.unique() == naive.unique(expected)
+        assert encoded.min() == naive.minimum(expected)
+        assert encoded.max() == naive.maximum(expected)
+
+    @given(frame=categorical_frames(), limit=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_every_categorical_kernel_matches_reference(self, frame, limit):
+        a, b, v = (frame.column(name).to_list() for name in "abv")
+        for name, values in (("a", a), ("b", b)):
+            column = frame.column(name)
+            assert column.value_counts() == naive.value_counts(values)
+            assert column.unique() == naive.unique(values)
+            assert column.nunique() == len(naive.unique(values))
+            assert column.min() == naive.minimum(values)
+            assert column.max() == naive.maximum(values)
+            summary = CategoricalSummary.from_column(column)
+            assert {key: getattr(summary, key)
+                    for key in naive.categorical_summary(values)} == \
+                naive.categorical_summary(values)
+            # A slice that keeps its parent's dictionary, pickled or not,
+            # fingerprints like a column built fresh from the same values.
+            assert column.fingerprint() == \
+                Column(name, values, column.dtype).fingerprint()
+
+        rows, cols, counts = ops.crosstab(frame, "a", "b", limit, limit + 1)
+        assert (rows, cols, counts.tolist()) == \
+            naive.crosstab(a, b, limit, limit + 1)
+        expected_groups = naive.grouped_values(a, v, limit)
+        groups = ops.grouped_values(frame, "a", "v", max_groups=limit)
+        assert [(g, values.tolist()) for g, values in groups] == expected_groups
+        for aggregation, reducer in ops.AGGREGATIONS.items():
+            np.testing.assert_equal(          # NaN-aware (std of one value)
+                ops.groupby_aggregate(frame, "a", "v", aggregation, limit),
+                [(g, reducer(np.asarray(values, dtype=np.float64)))
+                 for g, values in expected_groups])
+        assert _chunk_pair_counts(frame, "a", "b") == naive.pair_counts(a, b)
+        assert frame.duplicate_row_count() == \
+            naive.duplicate_row_count([a, b, v])
 
     @given(values=string_lists, literal=string_values,
-           op=st.sampled_from(["==", "!="]))
+           op=st.sampled_from(sorted(_OPERATORS)))
     @settings(max_examples=60, deadline=None)
-    def test_predicate_mask_matches_object_path(self, values, literal, op):
+    def test_predicate_mask_matches_reference(self, values, literal, op):
         if not values:
             return
-        frame_encoded = DataFrame([_column(values)])
-        frame_residual = DataFrame([_object_column(values)])
-        assert frame_encoded.column("s").is_dictionary
-        conjunct = Conjunct("s", op, literal)
-        np.testing.assert_array_equal(conjunct.mask(frame_encoded),
-                                      conjunct.mask(frame_residual))
+        frame = DataFrame([_column(values)])
+        expected = [value is not None and _OPERATORS[op](value, literal)
+                    for value in frame.column("s").to_list()]
+        assert Conjunct("s", op, literal).mask(frame).tolist() == expected
 
     def test_equality_on_absent_literal(self):
         frame = DataFrame({"s": ["a", None, "b"]})
@@ -182,6 +264,23 @@ class TestKernelEquivalence:
             [True, False, True]
 
 
+def test_create_report_never_decodes_string_columns():
+    rng = np.random.default_rng(7)
+    n_rows = 600
+    frame = DataFrame({
+        "city": rng.choice(["vancouver", "toronto", "montreal"], n_rows),
+        "kind": list(rng.choice(["condo", "detached", None], n_rows)),
+        "flag": rng.random(n_rows) < 0.3,
+        "rooms": rng.integers(1, 6, n_rows),
+        "price": rng.normal(500.0, 90.0, n_rows),
+    })
+    for config in ({}, {"compute.use_graph": "always",
+                        "compute.partition_rows": 200}):
+        create_report(frame, config=config).to_html()
+        for name in frame.string_columns():
+            assert frame.column(name)._data is None, name
+
+
 # --------------------------------------------------------------------------- #
 # Transport: pickle payloads and the binary sidecar.
 # --------------------------------------------------------------------------- #
@@ -189,17 +288,18 @@ class TestTransport:
     def test_pickle_round_trip_preserves_encoding(self):
         column = _column(["a", None, "b", "a"])
         restored = pickle.loads(pickle.dumps(column))
-        assert restored.is_dictionary
         np.testing.assert_array_equal(restored.codes, column.codes)
         np.testing.assert_array_equal(restored.dictionary, column.dictionary)
         assert restored.to_list() == column.to_list()
 
     def test_pickle_ships_codes_not_decoded_strings(self):
         values = [f"category-{i % 8:02d}" for i in range(5_000)]
-        column = _codes_column(values)
+        column = _column(values)
+        assert sorted(column.__getstate__()) == \
+            ["codes", "dictionary", "dtype", "mask", "name"]
         encoded_bytes = len(pickle.dumps(column))
-        residual_bytes = len(pickle.dumps(_object_column(values)))
-        assert encoded_bytes < residual_bytes / 2
+        per_row_bytes = len(pickle.dumps(np.array(values, dtype=object)))
+        assert encoded_bytes < per_row_bytes / 2
         # Pickling must not materialize the decoded object array.
         assert column._data is None
         pickle.dumps(column)
@@ -218,7 +318,6 @@ class TestTransport:
                           len(frame), ROUTE)
         assert back is not None
         column = back.column("s")
-        assert column.is_dictionary
         np.testing.assert_array_equal(column.codes, frame.column("s").codes)
         np.testing.assert_array_equal(column.dictionary,
                                       frame.column("s").dictionary)
@@ -231,9 +330,8 @@ class TestTransport:
 class TestMemoryBytes:
     def test_encoded_footprint_counts_codes_plus_dictionary(self):
         values = ["left", "right"] * 10_000
-        encoded = _codes_column(values)
-        residual = _object_column(values)
-        assert encoded.memory_bytes() < residual.memory_bytes() / 3
+        encoded = _column(values)
+        assert encoded.memory_bytes() < naive.per_row_object_bytes(values) / 3
         # Computing the footprint must not decode the column.
         assert encoded._data is None
 
@@ -242,10 +340,6 @@ class TestMemoryBytes:
         first = column.memory_bytes()
         assert column._memory_bytes == first
         assert column.memory_bytes() == first
-        residual = _object_column(["a", "b", "a"])
-        first = residual.memory_bytes()
-        assert residual._memory_bytes == first
-        assert residual.memory_bytes() == first
 
 
 # --------------------------------------------------------------------------- #

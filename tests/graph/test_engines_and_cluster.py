@@ -10,7 +10,6 @@ from repro.graph import (
     ClusterRPCEngine,
     EagerEngine,
     LazyEngine,
-    SimulatedCluster,
     available_engines,
     delayed,
     get_engine,
@@ -158,26 +157,3 @@ class TestClusterCostModel:
         with pytest.raises(GraphError):
             ClusterCostModel.calibrate([(1, 10.0), (2, 6.0)], n_rows=100,
                                        io_fraction=1.0)
-
-
-class TestSimulatedCluster:
-    def test_results_preserve_order(self):
-        cluster = SimulatedCluster(n_workers=2, read_bandwidth_bytes_per_s=1e9)
-        results = cluster.run([1, 2, 3, 4], [10, 10, 10, 10], lambda x: x * 10)
-        assert results == [10, 20, 30, 40]
-
-    def test_more_workers_reduce_wall_time(self):
-        partitions = list(range(8))
-        sizes = [200_000] * 8  # 1ms of simulated I/O each at 200 MB/s
-        slow_cluster = SimulatedCluster(n_workers=1, read_bandwidth_bytes_per_s=2e8)
-        fast_cluster = SimulatedCluster(n_workers=8, read_bandwidth_bytes_per_s=2e8)
-        _, slow = slow_cluster.timed_run(partitions, sizes, lambda x: x)
-        _, fast = fast_cluster.timed_run(partitions, sizes, lambda x: x)
-        assert fast < slow
-
-    def test_validation(self):
-        with pytest.raises(GraphError):
-            SimulatedCluster(n_workers=0)
-        cluster = SimulatedCluster(n_workers=1)
-        with pytest.raises(GraphError):
-            cluster.run([1], [1, 2], lambda x: x)
