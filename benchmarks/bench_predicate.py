@@ -34,7 +34,7 @@ from repro import plot, scan_csv
 from repro.eda.compute.base import ComputeContext
 from repro.eda.config import Config
 from repro.frame.predicate import compile_predicate
-from repro.frame.source import CsvSource, FilteredSource
+from repro.frame.source import FilteredSource
 from repro.graph import TaskCache, set_global_cache
 
 N_ROWS = int(os.environ.get("REPRO_BENCH_PREDICATE_ROWS", "40000"))
@@ -88,7 +88,7 @@ def test_predicate_chunk_skipping(clustered_csv):
     set_global_cache(TaskCache())
     scan = scan_csv(clustered_csv, chunk_rows=CHUNK_ROWS)
     context = ComputeContext(
-        FilteredSource(CsvSource(scan), predicate),
+        FilteredSource(scan, predicate),
         Config.from_user({"cache.enabled": False}))
     resolved = context.resolve({"summary": context.numeric_summary("value")})
     run = context.engine.scheduler.last_run

@@ -37,7 +37,6 @@ from repro.frame import (
     InMemorySource,
     MultiFileCsvSource,
     Predicate,
-    ScannedFrame,
     SourceCapabilities,
     SourcePartition,
     as_source,
@@ -100,7 +99,6 @@ __all__ = [
     "MultiFileCsvSource",
     "Predicate",
     "Report",
-    "ScannedFrame",
     "SourceCapabilities",
     "SourcePartition",
     "as_source",

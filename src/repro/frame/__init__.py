@@ -24,7 +24,13 @@ from repro.frame.dtypes import DType, infer_dtype
 from repro.frame.column import Column
 from repro.frame.fingerprint import fingerprint_array, fingerprint_column, fingerprint_frame
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.io import ScannedFrame, read_csv, scan_csv, write_csv
+from repro.frame.io import (
+    CsvSource,
+    MultiFileCsvSource,
+    read_csv,
+    scan_csv,
+    write_csv,
+)
 from repro.frame.ops import crosstab, groupby_aggregate, value_counts
 from repro.frame.predicate import (
     ColumnExpr,
@@ -33,11 +39,9 @@ from repro.frame.predicate import (
     compile_predicate,
 )
 from repro.frame.source import (
-    CsvSource,
     FilteredSource,
     FrameSource,
     InMemorySource,
-    MultiFileCsvSource,
     SourceCapabilities,
     SourcePartition,
     as_source,
@@ -63,7 +67,6 @@ __all__ = [
     "InMemorySource",
     "MultiFileCsvSource",
     "Predicate",
-    "ScannedFrame",
     "SourceCapabilities",
     "SourcePartition",
     "ZoneMap",

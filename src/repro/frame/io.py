@@ -8,18 +8,24 @@ Kaggle CSV files.
 The streaming reader (:func:`scan_csv`) never materializes the file: it scans
 the byte layout once (quote-aware, so embedded newlines inside quoted fields
 are handled), infers dtypes from a bounded preview, and returns a
-:class:`ScannedFrame` whose chunks are parsed lazily, one bounded row range
-at a time.  The EDA layer accepts a ``ScannedFrame`` wherever it accepts a
-``DataFrame`` and routes it through per-partition sketch reductions, which is
-what makes ``plot`` / ``create_report`` work on CSVs larger than memory.
+:class:`CsvSource` — or, for a list or glob of paths, a
+:class:`MultiFileCsvSource` over one ``CsvSource`` per file — whose chunks
+are parsed lazily, one bounded row range at a time.  Both are
+:class:`~repro.frame.source.FrameSource` implementations, so the EDA layer
+routes them through per-partition sketch reductions, which is what makes
+``plot`` / ``create_report`` work on CSVs larger than memory.  This module
+imports :mod:`repro.frame.source` (the protocol), never the reverse.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import glob as glob_module
 import io
 import os
 import zlib
+from itertools import accumulate
 from typing import (
     Any,
     Dict,
@@ -42,7 +48,26 @@ from repro.frame.dtypes import (
     encode_string_codes,
     infer_dtype,
 )
+from repro.frame.fingerprint import fingerprint_file_stamps
 from repro.frame.frame import DataFrame, concat_rows
+from repro.frame.predicate import apply_predicate_spec
+from repro.frame.sidecar import load_chunk, record_hit, record_miss, store_chunk
+from repro.frame.source import (
+    SourceCapabilities,
+    SourcePartition,
+    _source_getattr,
+    _source_getitem,
+)
+from repro.frame.zonemap import (
+    ZoneMap,
+    chunk_column_stats,
+    chunk_key,
+    decode_zone_entry,
+    encode_zone_entry,
+    load_zone_entries,
+    save_zone_entries,
+    zone_map_from_stats,
+)
 from repro.utils import default_worker_count  # noqa: F401 - re-exported; the
 # shared worker-count default lives in repro.utils so the graph and compute
 # layers no longer depend on the I/O layer for it.
@@ -415,76 +440,197 @@ def parse_csv_range(path: Union[str, os.PathLike], byte_start: int,
                     dtypes=dtypes, lenient=True, usecols=usecols)
 
 
-class ScannedFrame:
-    """A lazy, chunked view of an on-disk CSV file.
+def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
+                    column_names: Tuple[str, ...], dtypes: dict,
+                    file_stamp: Tuple[int, int] = (0, 0),
+                    delimiter: str = ",",
+                    expected_rows: Optional[int] = None,
+                    columns: Optional[Tuple[str, ...]] = None,
+                    predicate: Optional[Tuple[Tuple[str, str, Any], ...]] = None,
+                    sidecar: Optional[Tuple[Any, ...]] = None
+                    ) -> DataFrame:
+    """Parse one byte range of a CSV file into a DataFrame partition.
 
-    Holds only metadata — column names, inferred dtypes, precomputed chunk
-    boundaries and a bounded preview — never the parsed file.  Chunks are
-    parsed on demand via :meth:`read_chunk` / :meth:`chunks`, and the EDA
-    layer (``plot``, ``plot_correlation``, ``plot_missing``,
-    ``create_report``) accepts a ``ScannedFrame`` directly, streaming it
-    through mergeable sketches with peak memory proportional to the chunk
-    size, not the file.
+    *file_stamp* is the chunk's content stamp — the ``(head_crc, tail_crc)``
+    probe pair captured at scan time (see
+    :func:`compute_chunk_stamps`).  It is not parsed here —
+    it exists so the task's cross-call cache key changes when the chunk's
+    bytes change, even with identical byte boundaries, while *surviving*
+    file growth: an append leaves the old chunks' byte ranges and probes
+    untouched, so their cache keys (and any tree-combine ancestors built
+    purely from them) stay warm and a refresh re-executes only the new
+    chunks.  The binary chunk sidecar validates the same opaque pair.
+
+    *columns* projects the parse onto a column subset: the other columns'
+    cells are skipped before collection and dtype coercion (the hot path of
+    a streaming scan), so a single-column reduction over a wide file pays
+    for one column, not the whole table.  The projection is an explicit
+    task argument, which is what makes projected and full parses occupy
+    distinct cross-call cache keys — a cached single-column partition can
+    never be served where a full-table partition is needed.
+
+    *predicate* (a :meth:`~repro.frame.predicate.Predicate.spec` tuple)
+    filters the parsed rows before they reach any downstream sketch.  A
+    predicate column missing from the projection is parsed additionally —
+    cells the filter reads but the reductions do not — and dropped again
+    after filtering, so the output keeps exactly the projected columns.
+    Like the projection, the predicate is an explicit task argument and so
+    part of the cache key: a filtered partition can never be served where
+    the unfiltered rows are needed, and vice versa.
+
+    When *expected_rows* is given (the layout scan's record count for this
+    range) a mismatch raises instead of letting every downstream statistic
+    silently disagree with the row boundaries: it means the file's quoting
+    defies record-aligned chunking — e.g. a stray unpaired quote inside an
+    unquoted field, which RFC 4180 forbids but ``csv.reader`` tolerates.
+    The check runs against the pre-filter parse count — the layout scan
+    knows nothing about predicates.
+
+    *sidecar* (a :class:`~repro.frame.sidecar.SidecarRoute` tuple) enables
+    the parsed-chunk binary cache: the sidecar is consulted before any CSV
+    byte is decoded — a hit loads the already-coerced arrays and skips the
+    parse entirely — and after a successful parse the pre-filter frame is
+    spilled best-effort, so any later scan (this process, a
+    ``ProcessScheduler`` worker, another session) hits.  The route is
+    configuration, not semantics: the returned rows are identical with or
+    without it, which is why the graph layer excludes the keyword from CSE
+    tokens and cross-call cache keys (``NON_SEMANTIC_KWARGS``).
+    """
+    parse_columns = columns
+    if predicate is not None and columns is not None:
+        wanted = set(columns)
+        filter_columns = {column for column, _, _ in predicate}
+        parse_columns = tuple(name for name in column_names
+                              if name in wanted or name in filter_columns)
+    frame = None
+    if sidecar is not None:
+        needed = parse_columns if parse_columns is not None \
+            else tuple(column_names)
+        frame = load_chunk(path, byte_start, byte_stop, file_stamp, needed,
+                           dtypes, expected_rows, sidecar,
+                           delimiter=delimiter)
+        if frame is not None:
+            record_hit(byte_stop - byte_start)
+    if frame is None:
+        frame = parse_csv_range(path, byte_start, byte_stop,
+                                list(column_names), dtypes,
+                                delimiter=delimiter, usecols=parse_columns)
+        if expected_rows is not None and len(frame) != expected_rows:
+            raise FrameError(
+                f"CSV chunk at bytes [{byte_start}, {byte_stop}) of {path!r} "
+                f"parsed {len(frame)} rows where the layout scan counted "
+                f"{expected_rows}; the file's quoting defies record-aligned "
+                f"chunking (e.g. an unpaired quote in an unquoted field) — "
+                f"read it with repro.read_csv instead of scan_csv")
+        if sidecar is not None:
+            record_miss(byte_stop - byte_start)
+            # Spill the pre-filter rows: one entry serves filtered,
+            # unfiltered and any projection of this chunk.
+            store_chunk(path, byte_start, byte_stop, file_stamp, frame,
+                        sidecar, delimiter=delimiter)
+    if predicate is not None:
+        frame = apply_predicate_spec(frame, predicate)
+        if columns is not None and parse_columns != columns:
+            wanted = set(columns)
+            frame = frame[[name for name in frame.columns if name in wanted]]
+    return frame
+
+
+class CsvSource:
+    """One on-disk CSV file as a lazy, chunked :class:`FrameSource`.
+
+    What ``scan_csv(path)`` returns.  Constructing one scans the file's
+    byte layout (quote-aware) and parses a bounded preview for dtypes; it
+    holds only that metadata — column names, dtypes, chunk boundaries,
+    per-chunk content stamps, the preview — never the parsed file.
+    Partitions are lazy byte-range parse tasks, and
+    ``capabilities.exact=False`` routes every reduction through the
+    bounded-memory sketch finalizers, so ``plot`` / ``create_report`` run
+    with peak memory proportional to the chunk size, not the file.
+
+    *validate_dtype_keys* is disabled by the multi-file scanner for files
+    after the first: those receive file 1's complete dtype map, and a
+    header mismatch there must surface as the multi-file "files disagree on
+    columns" error, not as an unknown-dtype-key error.
     """
 
-    def __init__(self, path: str, columns: Sequence[str],
-                 dtypes: Dict[str, DType],
-                 boundaries: Sequence[Tuple[int, int]],
-                 byte_ranges: Sequence[Tuple[int, int]],
-                 file_stamp: Tuple[int, int], chunk_rows: int,
-                 preview: DataFrame, delimiter: str = ",",
-                 budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                 budget_concurrency: Optional[int] = None,
-                 chunk_stamps: Optional[Sequence[Tuple[int, int]]] = None,
-                 clean_eof: bool = True,
-                 requested_chunk_rows: Optional[int] = None,
+    def __init__(self, path: Union[str, os.PathLike],
+                 chunk_rows: Optional[int] = None,
+                 budget_bytes: Optional[int] = None,
+                 dtypes: Optional[Dict[str, DType]] = None,
                  inference_rows: int = 10_000,
-                 user_dtypes: Optional[Dict[str, DType]] = None,
+                 delimiter: str = ",",
                  validate_dtype_keys: bool = True):
+        requested_rows = chunk_rows if chunk_rows is not None \
+            else DEFAULT_CHUNK_ROWS
+        if requested_rows <= 0:
+            raise FrameError("chunk_rows must be positive")
+        budget = budget_bytes if budget_bytes is not None \
+            else DEFAULT_BUDGET_BYTES
+        if budget <= 0:
+            raise FrameError("budget_bytes must be positive")
         self.path = str(path)
-        self._columns = list(columns)
-        self._dtypes = dict(dtypes)
-        self._boundaries = [tuple(boundary) for boundary in boundaries]
-        self._byte_ranges = [tuple(byte_range) for byte_range in byte_ranges]
-        self.file_stamp = tuple(file_stamp)
-        self.chunk_rows = int(chunk_rows)
-        self._preview = preview
         self.delimiter = delimiter
         #: The budget inputs the chunking already accounts for; consumers
         #: (ComputeContext) re-derive a chunk size only when theirs differ,
         #: so default-config EDA calls never pay a second layout pass.
-        self.budget_bytes = int(budget_bytes)
-        self.budget_concurrency = int(budget_concurrency
-                                      if budget_concurrency is not None
-                                      else default_worker_count())
-        #: Per-chunk ``(head_crc, tail_crc)`` content stamps.  Captured at
-        #: scan time — NOT lazily — so a later :meth:`refreshed` compares
-        #: today's bytes against what the layout was actually computed
-        #: from; stamping after a mutation would trust the mutated prefix.
-        if chunk_stamps is not None:
-            self._chunk_stamps: Optional[List[Tuple[int, int]]] = \
-                [tuple(stamp) for stamp in chunk_stamps]
-        else:
-            try:
-                self._chunk_stamps = compute_chunk_stamps(
-                    self.path, self._byte_ranges)
-            except OSError:
-                # Hand-constructed handles over absent files (tests, remote
-                # metadata) stay usable; refresh then falls back to rescan.
-                self._chunk_stamps = None
+        self.budget_bytes = int(budget)
+        self.budget_concurrency = default_worker_count()
+        #: The scan_csv arguments that produced this handle, retained so
+        #: :meth:`refreshed` can re-derive the layout under the exact same
+        #: settings when extension is not safe.
+        self._requested_chunk_rows = chunk_rows
+        self._inference_rows = int(inference_rows)
+        self._user_dtypes = dict(dtypes) if dtypes else None
+        self._validate_dtype_keys = bool(validate_dtype_keys)
+
+        self._preview, inferred = _scan_preview(
+            path, dtypes, inference_rows, delimiter, validate_dtype_keys)
+        file_stat = os.stat(path)
+        # Cap the chunk size by the budget using cheap row-size estimates
+        # (the parsed preview plus a 64 KiB on-disk probe), then scan the
+        # layout once at the final granularity.  The formula deliberately
+        # mirrors chunk_rows_for_budget with the default worker count, so
+        # the worker-aware re-derivation in ComputeContext usually agrees
+        # and no second layout pass is needed.
+        row_cost = max(1.0, _estimate_csv_row_bytes(path)
+                       * PARSE_OVERHEAD_FACTOR + self._preview_row_bytes())
+        budget_rows = max(MIN_CHUNK_ROWS,
+                          int(budget / self.budget_concurrency // row_cost))
+        effective_rows = min(requested_rows, budget_rows)
+        self._columns, boundaries, byte_ranges, clean_eof = _scan_csv_layout(
+            path, effective_rows, delimiter=delimiter)
+        self._dtypes = {name: inferred.get(name, DType.STRING)
+                        for name in self._columns}
+        self._set_layout(effective_rows, boundaries, byte_ranges, clean_eof,
+                         (int(file_stat.st_size), int(file_stat.st_mtime_ns)))
+
+    def _set_layout(self, chunk_rows: int,
+                    boundaries: Sequence[Tuple[int, int]],
+                    byte_ranges: Sequence[Tuple[int, int]], clean_eof: bool,
+                    file_stamp: Tuple[int, int],
+                    chunk_stamps: Optional[List[Tuple[int, int]]] = None
+                    ) -> "CsvSource":
+        """Install a chunk layout, dropping the memos derived from the old
+        one; ``copy.copy(scan)._set_layout(...)`` is the same scan (path,
+        schema, settings) over a new layout."""
+        self.chunk_rows = int(chunk_rows)
+        self._boundaries = list(boundaries)
+        self._byte_ranges = list(byte_ranges)
         #: Whether the layout scan ended outside any quoted field; an open
         #: quote at EOF makes appended bytes part of the dangling record,
         #: so refresh must rescan instead of extending.
         self.clean_eof = bool(clean_eof)
-        #: The scan_csv arguments that produced this handle, retained so
-        #: :meth:`refreshed` can re-derive the layout under the exact same
-        #: settings when extension is not safe.
-        self._requested_chunk_rows = requested_chunk_rows
-        self._inference_rows = int(inference_rows)
-        self._user_dtypes = dict(user_dtypes) if user_dtypes else None
-        self._validate_dtype_keys = bool(validate_dtype_keys)
-        self._rechunks: Dict[int, "ScannedFrame"] = {}
-        self._zone_map: Optional[Any] = None
+        self.file_stamp = tuple(file_stamp)
+        #: Per-chunk ``(head_crc, tail_crc)`` content stamps.  Captured with
+        #: the layout — NOT lazily — so a later :meth:`refreshed` compares
+        #: today's bytes against what the layout was actually computed
+        #: from; stamping after a mutation would trust the mutated prefix.
+        self._chunk_stamps = chunk_stamps if chunk_stamps is not None \
+            else compute_chunk_stamps(self.path, self._byte_ranges)
+        self._rechunks: Dict[int, "CsvSource"] = {}
+        self._zone_map: Optional[ZoneMap] = None
+        return self
 
     # ------------------------------------------------------------------ #
     # Metadata (no I/O)
@@ -528,22 +674,15 @@ class ScannedFrame:
     def chunk_stamps(self) -> List[Tuple[int, int]]:
         """Per-chunk ``(head_crc, tail_crc)`` content stamps.
 
-        Captured when the layout was scanned; chunk ``index`` of this
-        layout is keyed by ``chunk_stamps[index]`` in the cross-call cache,
-        the zone-map sidecar and the parsed-chunk binary sidecar.  Computed
-        on demand only for hand-built handles that skipped stamping.
+        Chunk ``index`` of this layout is keyed by ``chunk_stamps[index]``
+        in the cross-call cache, the zone-map sidecar and the parsed-chunk
+        binary sidecar.
         """
-        if self._chunk_stamps is None:
-            self._chunk_stamps = compute_chunk_stamps(self.path,
-                                                      self._byte_ranges)
         return list(self._chunk_stamps)
 
     def chunk_stamp(self, index: int) -> Tuple[int, int]:
         """The content stamp of chunk *index*."""
-        if self._chunk_stamps is None:
-            self._chunk_stamps = compute_chunk_stamps(self.path,
-                                                      self._byte_ranges)
-        return tuple(self._chunk_stamps[index])
+        return self._chunk_stamps[index]
 
     def content_crc(self) -> int:
         """One CRC folding every chunk stamp — the file-level content probe.
@@ -554,7 +693,7 @@ class ScannedFrame:
         editors restoring timestamps, appends within one mtime resolution).
         """
         crc = 0
-        for head, tail in self.chunk_stamps:
+        for head, tail in self._chunk_stamps:
             crc = zlib.crc32(f"{head}:{tail};".encode(), crc)
         return crc
 
@@ -563,67 +702,49 @@ class ScannedFrame:
         """The bounded preview frame dtypes and semantic types come from."""
         return self._preview
 
+    @property
+    def capabilities(self) -> SourceCapabilities:
+        return SourceCapabilities(exact=False, projection=True,
+                                  predicates=True, chunk_sidecar=True)
+
+    def schema_preview(self) -> DataFrame:
+        return self._preview
+
     def fingerprint(self) -> str:
         """Content fingerprint from ``(path, size, mtime_ns, content CRC)``.
 
-        Stable across processes while the file is unchanged, so a scan
-        handle used as a task argument produces cross-call cache keys that
-        survive re-scanning (the same contract
-        :class:`~repro.frame.source.CsvSource` exposes).  The trailing
-        content CRC folds every per-chunk probe, so a same-size same-mtime
-        rewrite still changes the fingerprint.
+        Stable across processes while the file is unchanged, so cross-call
+        cache keys survive re-scanning.  The trailing content CRC folds
+        every per-chunk probe, so a same-size same-mtime rewrite still
+        changes the fingerprint.
         """
-        from repro.frame.fingerprint import fingerprint_file_stamps
         return fingerprint_file_stamps(
             [(self.path, self.file_stamp[0], self.file_stamp[1],
               self.content_crc())])
 
+    def footprint_bytes(self) -> int:
+        return self.file_size
+
+    def materialization_bytes(self) -> int:
+        if not len(self._preview):
+            return self.file_size
+        return int(self._preview_row_bytes() * self.n_rows)
+
     def __repr__(self) -> str:
-        return (f"ScannedFrame(path={self.path!r}, rows={self.n_rows}, "
+        return (f"CsvSource(path={self.path!r}, rows={self.n_rows}, "
                 f"chunks={self.n_chunks}, columns={self._columns})")
 
     # ------------------------------------------------------------------ #
     # Filtered views (predicate pushdown)
     # ------------------------------------------------------------------ #
-    def __getitem__(self, item):
-        """Lazy filter building: ``scan["x"]`` and ``scan[scan["x"] > 0]``.
+    def __getitem__(self, item: Any) -> Any:
+        """``scan["x"]`` / ``scan[scan["x"] > 0]``: lazy filter building."""
+        return _source_getitem(self, item)
 
-        A column name returns a
-        :class:`~repro.frame.predicate.ColumnExpr` — a symbolic reference
-        whose comparison operators build
-        :class:`~repro.frame.predicate.Predicate` objects; indexing with a
-        predicate returns a lazy
-        :class:`~repro.frame.source.FilteredSource` over this scan.
-        Neither operation reads a single data byte: the filter is pushed
-        into the chunk parses (and zone-map chunk skipping) when the EDA
-        layer plans over the result, instead of materializing the file
-        here.
-        """
-        from repro.frame.predicate import ColumnExpr, Predicate
-        if isinstance(item, str):
-            if item not in self._columns:
-                raise ColumnNotFoundError(
-                    f"unknown column {item!r}; available: {self._columns}")
-            return ColumnExpr(item)
-        if isinstance(item, Predicate):
-            from repro.frame.source import CsvSource, FilteredSource
-            return FilteredSource(CsvSource(self), item)
-        raise FrameError(
-            f"a ScannedFrame accepts a column name or a Predicate, got "
-            f"{type(item).__name__}; for row masks, read the file with "
-            f"read_csv and filter the DataFrame")
+    def __getattr__(self, name: str) -> Any:
+        return _source_getattr(self, name)
 
-    def __getattr__(self, name: str):
-        """``scan.x`` as shorthand for ``scan["x"]`` (known columns only)."""
-        if not name.startswith("_"):
-            columns = self.__dict__.get("_columns") or []
-            if name in columns:
-                from repro.frame.predicate import ColumnExpr
-                return ColumnExpr(name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def zone_map(self):
+    def zone_map(self) -> ZoneMap:
         """The per-chunk zone map of this scan, building it if needed.
 
         The sidecar holds one entry per chunk byte range, each keyed by
@@ -635,52 +756,69 @@ class ScannedFrame:
         verbatim and the build pays for the new chunks alone; a mutated
         chunk rebuilds individually.  Memoized on this handle.
         """
-        from repro.frame.zonemap import (
-            chunk_column_stats,
-            chunk_key,
-            decode_zone_entry,
-            encode_zone_entry,
-            load_zone_entries,
-            save_zone_entries,
-            zone_map_from_stats,
-        )
         if self._zone_map is not None:
             return self._zone_map
         entries = load_zone_entries(self.path)
-        stamps = self.chunk_stamps
         per_chunk: List[Dict[str, Tuple[Any, Any, int, int]]] = []
         fresh: Dict[str, Dict[str, Any]] = {}
         for index, byte_range in enumerate(self._byte_ranges):
             key = chunk_key(*byte_range)
-            stats = decode_zone_entry(entries.get(key), stamps[index])
+            stamp = self._chunk_stamps[index]
+            stats = decode_zone_entry(entries.get(key), stamp)
             if stats is None:
                 stats = chunk_column_stats(self.read_chunk(index))
-                fresh[key] = encode_zone_entry(stats, stamps[index])
+                fresh[key] = encode_zone_entry(stats, stamp)
             per_chunk.append(stats)
         if fresh:
             save_zone_entries(self.path, fresh)
-        built = zone_map_from_stats(per_chunk, self.file_stamp,
-                                    self.chunk_rows)
-        self._zone_map = built
-        return built
+        self._zone_map = zone_map_from_stats(per_chunk, self.file_stamp,
+                                             self.chunk_rows)
+        return self._zone_map
 
     # ------------------------------------------------------------------ #
     # Chunked access
     # ------------------------------------------------------------------ #
-    def read_chunk(self, index: int) -> DataFrame:
-        """Parse chunk *index* (its rows only) into a DataFrame.
+    def _partition(self, index: int, offset: int = 0) -> SourcePartition:
+        """The parse task of chunk *index*, shifted to global *offset* rows.
 
-        Delegates to the same slice parser the lazy partition tasks use
-        (:func:`repro.frame.source._read_csv_slice`), so the
-        parsed-rows-vs-layout-count validation has exactly one home.
+        The task carries its chunk's *own* content stamp (the head/tail
+        CRC probe pair) instead of a whole-file stamp: appending to the
+        file leaves the old chunks' args — and therefore their cross-call
+        cache keys — byte-identical, which is what lets a refresh reuse
+        every already-sketched chunk and execute only the appended ones.
         """
-        from repro.frame.source import _read_csv_slice
         byte_start, byte_stop = self._byte_ranges[index]
         start, stop = self._boundaries[index]
-        return _read_csv_slice(self.path, byte_start, byte_stop,
-                               tuple(self._columns), self._dtypes,
-                               self.chunk_stamp(index), self.delimiter,
-                               expected_rows=stop - start)
+        return SourcePartition(
+            offset + start, offset + stop, _read_csv_slice,
+            (self.path, byte_start, byte_stop, tuple(self._columns),
+             self._dtypes, self._chunk_stamps[index], self.delimiter,
+             stop - start),
+            prefix="read_csv_partition")
+
+    def partitions(self, offset: int = 0) -> List[SourcePartition]:
+        return [self._partition(index, offset)
+                for index in range(self.n_chunks)]
+
+    def partitions_matching(self, spec: Sequence[Tuple[str, str, Any]],
+                            offset: int = 0) -> List[SourcePartition]:
+        """:meth:`partitions` minus chunks the zone map proves hold no match.
+
+        Falls back to every partition on any failure — zone maps are an
+        optimization, never a correctness requirement, so an unreadable
+        sidecar or a parse problem during the statistics build must
+        degrade to "parse every chunk".
+        """
+        parts = self.partitions(offset)
+        try:
+            keep = self.zone_map().keep_flags(spec)
+        except (OSError, FrameError):
+            return parts
+        return [part for part, kept in zip(parts, keep) if kept]
+
+    def read_chunk(self, index: int) -> DataFrame:
+        """Parse chunk *index* (its rows only) into a DataFrame."""
+        return self._partition(index).materialize()
 
     def chunks(self) -> Iterator[DataFrame]:
         """Yield every chunk in row order, one bounded DataFrame at a time."""
@@ -702,14 +840,18 @@ class ScannedFrame:
     # ------------------------------------------------------------------ #
     # Chunk-size control
     # ------------------------------------------------------------------ #
+    def _preview_row_bytes(self) -> float:
+        """In-memory bytes of one parsed row, going by the preview."""
+        return self._preview.memory_bytes() / len(self._preview) \
+            if len(self._preview) else 64.0
+
     def estimated_row_bytes(self) -> int:
         """Rough peak parse cost of one row (on-disk and in-memory)."""
         data_bytes = max(self.file_size - self._byte_ranges[0][0], 0) \
             if self._byte_ranges else 0
         csv_row = data_bytes / self.n_rows if self.n_rows else 64.0
-        parsed_row = self._preview.memory_bytes() / len(self._preview) \
-            if len(self._preview) else 64.0
-        return max(1, int(csv_row * PARSE_OVERHEAD_FACTOR + parsed_row))
+        return max(1, int(csv_row * PARSE_OVERHEAD_FACTOR
+                          + self._preview_row_bytes()))
 
     def chunk_rows_for_budget(self, budget_bytes: int,
                               concurrency: int = 1) -> int:
@@ -721,38 +863,52 @@ class ScannedFrame:
         rows = int(per_chunk // self.estimated_row_bytes())
         return max(MIN_CHUNK_ROWS, rows)
 
-    def rechunk(self, chunk_rows: int) -> "ScannedFrame":
+    def rechunk(self, chunk_rows: int) -> "CsvSource":
         """Re-scan the byte layout with a different chunk granularity.
 
         The result is memoized per granularity on this handle: repeated EDA
-        calls on the same ``ScannedFrame`` (the interactive-session pattern)
-        must not pay a full-file layout pass each time — a warm-cache call
-        would otherwise still re-read the whole file.
+        calls on the same handle (the interactive-session pattern) must not
+        pay a full-file layout pass each time — a warm-cache call would
+        otherwise still re-read the whole file.
         """
         if chunk_rows == self.chunk_rows:
             return self
         cached = self._rechunks.get(chunk_rows)
-        if cached is not None:
-            return cached
-        columns, boundaries, byte_ranges, clean_eof = _scan_csv_layout(
-            self.path, chunk_rows, delimiter=self.delimiter)
-        rechunked = ScannedFrame(self.path, columns, self._dtypes, boundaries,
-                                 byte_ranges, self.file_stamp, chunk_rows,
-                                 self._preview, delimiter=self.delimiter,
-                                 budget_bytes=self.budget_bytes,
-                                 budget_concurrency=self.budget_concurrency,
-                                 clean_eof=clean_eof,
-                                 requested_chunk_rows=self._requested_chunk_rows,
-                                 inference_rows=self._inference_rows,
-                                 user_dtypes=self._user_dtypes,
-                                 validate_dtype_keys=self._validate_dtype_keys)
-        self._rechunks[chunk_rows] = rechunked
-        return rechunked
+        if cached is None:
+            _, boundaries, byte_ranges, clean_eof = _scan_csv_layout(
+                self.path, chunk_rows, delimiter=self.delimiter)
+            cached = self._rechunks[chunk_rows] = copy.copy(self)._set_layout(
+                chunk_rows, boundaries, byte_ranges, clean_eof,
+                self.file_stamp)
+        return cached
+
+    def with_partitioning(self, chunk_rows: Optional[int] = None,
+                          budget_bytes: Optional[int] = None,
+                          concurrency: int = 1) -> "CsvSource":
+        """Shrink the chunking for an explicit budget/chunk-rows override.
+
+        The scan's own chunking already satisfies the budget it was created
+        with; only constrain further for settings the caller explicitly
+        overrides (or a worker count the scan did not assume).  Anything
+        else would silently override an explicit
+        ``scan_csv(chunk_rows=...)`` choice and pay a needless full-file
+        layout rescan.
+        """
+        target = self.chunk_rows
+        if chunk_rows is not None:
+            target = min(target, chunk_rows)
+        budget = budget_bytes if budget_bytes is not None \
+            else self.budget_bytes
+        if budget != self.budget_bytes \
+                or concurrency != self.budget_concurrency:
+            target = min(target, self.chunk_rows_for_budget(
+                budget, concurrency=concurrency))
+        return self.rechunk(target)
 
     # ------------------------------------------------------------------ #
     # Incremental refresh
     # ------------------------------------------------------------------ #
-    def refreshed(self) -> "ScannedFrame":
+    def refreshed(self) -> "CsvSource":
         """Re-resolve this scan against the file's current on-disk state.
 
         Returns ``self`` (the same object) when the file's ``(size,
@@ -765,12 +921,13 @@ class ScannedFrame:
         layout-scanned and stamped.  Any other change (shrink, mutation,
         schema drift in the preview window, a layout that ended inside an
         open quote) falls back to a full rescan under the original
-        ``scan_csv`` arguments.
+        ``scan_csv`` arguments.  A file that can no longer be read raises.
         """
         try:
             file_stat = os.stat(self.path)
-        except OSError:
-            return self
+        except OSError as error:
+            raise FrameError(f"cannot refresh the scan of {self.path!r}: "
+                             f"{error.strerror}") from error
         stamp = (int(file_stat.st_size), int(file_stat.st_mtime_ns))
         if stamp == self.file_stamp:
             return self
@@ -778,13 +935,12 @@ class ScannedFrame:
             extended = self._extend_layout(stamp)
             if extended is not None:
                 return extended
-        return _scan_csv_file(self.path,
-                              chunk_rows=self._requested_chunk_rows,
-                              budget_bytes=self.budget_bytes,
-                              dtypes=self._user_dtypes,
-                              inference_rows=self._inference_rows,
-                              delimiter=self.delimiter,
-                              validate_dtype_keys=self._validate_dtype_keys)
+        return CsvSource(self.path, chunk_rows=self._requested_chunk_rows,
+                         budget_bytes=self.budget_bytes,
+                         dtypes=self._user_dtypes,
+                         inference_rows=self._inference_rows,
+                         delimiter=self.delimiter,
+                         validate_dtype_keys=self._validate_dtype_keys)
 
     def _prefix_intact(self) -> bool:
         """Whether the scanned byte region still holds exactly the old data.
@@ -796,8 +952,7 @@ class ScannedFrame:
         at scan time, so a mutated-then-grown prefix rescans instead of
         extending over a stale layout.
         """
-        if not self._columns or not self.clean_eof \
-                or self._chunk_stamps is None or not self._byte_ranges:
+        if not self._columns or not self.clean_eof or not self._byte_ranges:
             return False
         scanned_end = int(self._byte_ranges[-1][1])
         if scanned_end < 1:
@@ -813,7 +968,7 @@ class ScannedFrame:
             return False
 
     def _extend_layout(self, stamp: Tuple[int, int]
-                       ) -> Optional["ScannedFrame"]:
+                       ) -> Optional["CsvSource"]:
         """Append-only layout extension; None when a full rescan is needed.
 
         Re-runs preview dtype inference over the grown file first: when the
@@ -826,9 +981,8 @@ class ScannedFrame:
         """
         scanned_end = int(self._byte_ranges[-1][1])
         try:
-            if self.n_rows >= self._inference_rows:
-                preview = self._preview
-            else:
+            preview = self._preview
+            if self.n_rows < self._inference_rows:
                 preview, inferred = _scan_preview(
                     self.path, self._user_dtypes, self._inference_rows,
                     self.delimiter, self._validate_dtype_keys)
@@ -840,23 +994,19 @@ class ScannedFrame:
                 handle.seek(scanned_end)
                 offsets, counts, trailing, end, clean_eof = \
                     _scan_records(handle, self.chunk_rows)
-        except (OSError, FrameError, ColumnNotFoundError):
+        except (OSError, FrameError):
             return None
         byte_offsets = [scanned_end] + offsets
         row_counts = list(counts)
         if trailing:
             byte_offsets.append(end)
             row_counts.append(trailing)
-        old_boundaries = list(self._boundaries)
-        old_ranges = [tuple(byte_range) for byte_range in self._byte_ranges]
-        old_stamps = [tuple(chunk) for chunk in self._chunk_stamps]
-        if self.n_rows == 0:
-            # The placeholder empty chunk of a zero-row scan is replaced by
-            # the real appended chunks instead of lingering at index 0.
-            old_boundaries, old_ranges, old_stamps = [], [], []
-        row = old_boundaries[-1][1] if old_boundaries else 0
-        boundaries = old_boundaries
-        byte_ranges = old_ranges
+        # The placeholder empty chunk of a zero-row scan is replaced by the
+        # real appended chunks instead of lingering at index 0.
+        kept = self.n_chunks if self.n_rows else 0
+        boundaries = self._boundaries[:kept]
+        byte_ranges = self._byte_ranges[:kept]
+        row = self.n_rows
         for index, count in enumerate(row_counts):
             boundaries.append((row, row + count))
             byte_ranges.append((byte_offsets[index], byte_offsets[index + 1]))
@@ -865,20 +1015,231 @@ class ScannedFrame:
             boundaries = [(0, 0)]
             byte_ranges = [(scanned_end, scanned_end)]
         try:
-            chunk_stamps = old_stamps + compute_chunk_stamps(
-                self.path, byte_ranges[len(old_stamps):])
+            chunk_stamps = self._chunk_stamps[:kept] + compute_chunk_stamps(
+                self.path, byte_ranges[kept:])
         except OSError:
             return None
-        return ScannedFrame(self.path, self._columns, self._dtypes,
-                            boundaries, byte_ranges, stamp, self.chunk_rows,
-                            preview, delimiter=self.delimiter,
-                            budget_bytes=self.budget_bytes,
-                            budget_concurrency=self.budget_concurrency,
-                            chunk_stamps=chunk_stamps, clean_eof=clean_eof,
-                            requested_chunk_rows=self._requested_chunk_rows,
-                            inference_rows=self._inference_rows,
-                            user_dtypes=self._user_dtypes,
-                            validate_dtype_keys=self._validate_dtype_keys)
+        extended = copy.copy(self)._set_layout(
+            self.chunk_rows, boundaries, byte_ranges, clean_eof, stamp,
+            chunk_stamps)
+        extended._preview = preview
+        return extended
+
+
+class MultiFileCsvSource:
+    """Several scanned CSV files concatenated into one logical frame.
+
+    Built by ``repro.scan_csv`` from a list or glob of paths.  Every file
+    gets its own :class:`CsvSource`; the per-file chunk partitions are
+    concatenated with shifted global row offsets, so the downstream pipeline
+    sees one frame and never learns about file boundaries.  Dtypes are
+    pinned to the first file's inference (plus user overrides) so all
+    partitions agree on storage types; files whose header disagrees with
+    the first file's columns are rejected up front.  The fingerprint covers
+    every file's ``(path, size, mtime_ns, content CRC)`` stamp, so the
+    cross-call cache stays warm across sessions while the files are
+    unchanged.
+    """
+
+    def __init__(self, scans: Sequence[CsvSource],
+                 pattern: Optional[str] = None,
+                 scan_kwargs: Optional[Dict[str, Any]] = None):
+        scans = list(scans)
+        if not scans:
+            raise FrameError("MultiFileCsvSource requires at least one file")
+        for scan in scans:
+            if not isinstance(scan, CsvSource):
+                raise FrameError("MultiFileCsvSource expects CsvSource parts")
+            if scan.columns != scans[0].columns:
+                raise FrameError(
+                    f"CSV files disagree on columns: {scans[0].path!r} has "
+                    f"{scans[0].columns} but {scan.path!r} has {scan.columns}")
+            if scan.delimiter != scans[0].delimiter:
+                raise FrameError("CSV files disagree on the delimiter")
+        self._scans = scans
+        #: The glob pattern this source was built from, when it was — a
+        #: refresh re-expands it and absorbs newly matching files as
+        #: appended partitions.  None for explicit path lists (closed set).
+        self._pattern = pattern
+        #: The scan_csv keyword arguments, so absorbed files are scanned
+        #: with the same chunking/budget/inference settings.
+        self._scan_kwargs = dict(scan_kwargs or {})
+
+    @classmethod
+    def scan(cls, paths: Sequence[Union[str, os.PathLike]],
+             chunk_rows: Optional[int] = None,
+             budget_bytes: Optional[int] = None,
+             dtypes: Optional[Dict[str, DType]] = None,
+             inference_rows: int = 10_000,
+             delimiter: str = ",",
+             pattern: Optional[str] = None) -> "MultiFileCsvSource":
+        """Layout-scan every file, sharing the first file's inferred dtypes.
+
+        The first file is scanned with normal preview inference (plus any
+        user *dtypes* overrides); the resulting full dtype map is forced on
+        every later file, so a column whose type is ambiguous in file N
+        cannot silently diverge from file 1 and break partition merges.
+        """
+        if not paths:
+            raise FrameError("scan_csv received an empty list of paths")
+        scan_kwargs = {"chunk_rows": chunk_rows, "budget_bytes": budget_bytes,
+                       "inference_rows": inference_rows,
+                       "delimiter": delimiter}
+        first = CsvSource(paths[0], dtypes=dtypes, **scan_kwargs)
+        rest = [CsvSource(path, dtypes=first.dtypes,
+                          validate_dtype_keys=False, **scan_kwargs)
+                for path in paths[1:]]
+        return cls([first] + rest, pattern=pattern, scan_kwargs=scan_kwargs)
+
+    # ------------------------------------------------------------------ #
+    # Schema
+    # ------------------------------------------------------------------ #
+    @property
+    def scans(self) -> List[CsvSource]:
+        """The per-file scans, in concatenation order."""
+        return list(self._scans)
+
+    @property
+    def paths(self) -> List[str]:
+        """The file paths, in concatenation order."""
+        return [scan.path for scan in self._scans]
+
+    @property
+    def columns(self) -> List[str]:
+        return self._scans[0].columns
+
+    @property
+    def dtypes(self) -> Dict[str, DType]:
+        return self._scans[0].dtypes
+
+    @property
+    def n_rows(self) -> int:
+        return sum(scan.n_rows for scan in self._scans)
+
+    @property
+    def capabilities(self) -> SourceCapabilities:
+        return self._scans[0].capabilities
+
+    def schema_preview(self) -> DataFrame:
+        return self._scans[0].preview
+
+    def fingerprint(self) -> str:
+        """Stable across processes while every file's content is unchanged.
+
+        Folds each file's content CRC in next to its size/mtime stamp, so
+        an in-place rewrite that preserves both (the stamp-granularity
+        hazard) still changes the fingerprint.
+        """
+        return fingerprint_file_stamps(
+            [(scan.path, scan.file_stamp[0], scan.file_stamp[1],
+              scan.content_crc())
+             for scan in self._scans])
+
+    def footprint_bytes(self) -> int:
+        return sum(scan.file_size for scan in self._scans)
+
+    def materialization_bytes(self) -> int:
+        return sum(scan.materialization_bytes() for scan in self._scans)
+
+    def _scans_with_offsets(self) -> Iterator[Tuple[CsvSource, int]]:
+        """Each file's scan with the global row offset of its first row."""
+        return zip(self._scans,
+                   accumulate((scan.n_rows for scan in self._scans),
+                              initial=0))
+
+    def partitions(self) -> List[SourcePartition]:
+        return [part for scan, offset in self._scans_with_offsets()
+                for part in scan.partitions(offset)]
+
+    def partitions_matching(self, spec: Sequence[Tuple[str, str, Any]]
+                            ) -> List[SourcePartition]:
+        """Every file's zone-map-surviving partitions, at global offsets."""
+        return [part for scan, offset in self._scans_with_offsets()
+                for part in scan.partitions_matching(spec, offset)]
+
+    def _with_scans(self, scans: List[CsvSource]) -> "MultiFileCsvSource":
+        """``self`` when every scan is unchanged, else the same set-up over
+        *scans*."""
+        if len(scans) == len(self._scans) and \
+                all(new is old for new, old in zip(scans, self._scans)):
+            return self
+        return MultiFileCsvSource(scans, pattern=self._pattern,
+                                  scan_kwargs=self._scan_kwargs)
+
+    def with_partitioning(self, chunk_rows: Optional[int] = None,
+                          budget_bytes: Optional[int] = None,
+                          concurrency: int = 1) -> "MultiFileCsvSource":
+        return self._with_scans(
+            [scan.with_partitioning(chunk_rows, budget_bytes, concurrency)
+             for scan in self._scans])
+
+    def refreshed(self) -> "MultiFileCsvSource":
+        """Re-resolve every file and absorb newly matching glob files.
+
+        Each existing scan refreshes individually (appends extend, other
+        changes rescan, a vanished member raises naming its path).  When
+        this source was built from a glob pattern, the pattern is
+        re-expanded and previously unseen files are scanned — pinned to the
+        first file's *current* dtype map, like any later file at cold-scan
+        time — and appended in sorted order as new partitions.  Returns
+        ``self`` when nothing changed.
+        """
+        scans = [scan.refreshed() for scan in self._scans]
+        if self._pattern:
+            known = set(self.paths)
+            shared_dtypes = scans[0].dtypes
+            scans += [CsvSource(path, dtypes=shared_dtypes,
+                                validate_dtype_keys=False,
+                                **self._scan_kwargs)
+                      for path in _glob_data_files(self._pattern)
+                      if path not in known]
+        return self._with_scans(scans)
+
+    def to_frame(self) -> DataFrame:
+        """Materialize every file (escape hatch; needs the full memory)."""
+        return concat_rows([scan.to_frame() for scan in self._scans])
+
+    def __getitem__(self, item: Any) -> Any:
+        """``source["x"]`` / ``source[pred]``: lazy filter building."""
+        return _source_getitem(self, item)
+
+    def __getattr__(self, name: str) -> Any:
+        return _source_getattr(self, name)
+
+    def __repr__(self) -> str:
+        return (f"MultiFileCsvSource(files={len(self._scans)}, "
+                f"rows={self.n_rows}, columns={self.columns})")
+
+
+def _glob_data_files(pattern: str) -> List[str]:
+    """Sorted matches of *pattern*, minus Python bytecode litter.
+
+    Every glob walk in this package (expansion at scan time, re-expansion
+    on refresh) goes through here: a broad user pattern like ``data/*``
+    must not absorb ``__pycache__`` directories or ``.pyc`` files as scan
+    members.
+    """
+    return sorted(match for match in glob_module.glob(pattern)
+                  if not match.endswith(".pyc")
+                  and "__pycache__" not in match.split(os.sep))
+
+
+def expand_scan_paths(path: Union[str, os.PathLike, Sequence]) -> List[str]:
+    """Resolve a ``scan_csv`` path argument into an explicit file list.
+
+    Lists/tuples pass through; a string containing glob magic (``*``,
+    ``?``, ``[``) expands to the sorted matches.  Raises when a glob
+    matches nothing, so a typo cannot silently scan zero files.
+    """
+    if isinstance(path, (list, tuple)):
+        return [str(item) for item in path]
+    text = str(path)
+    if glob_module.has_magic(text):
+        matches = _glob_data_files(text)
+        if not matches:
+            raise FrameError(f"glob pattern {text!r} matched no files")
+        return matches
+    return [text]
 
 
 def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
@@ -886,7 +1247,8 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
              budget_bytes: Optional[int] = None,
              dtypes: Optional[Dict[str, DType]] = None,
              inference_rows: int = 10_000,
-             delimiter: str = ","):
+             delimiter: str = ","
+             ) -> Union[CsvSource, MultiFileCsvSource]:
     """Open one or more CSVs for out-of-core streaming without materializing.
 
     Each file is scanned once (I/O only, quote-aware) to precompute chunk
@@ -895,13 +1257,14 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
     dtypes, which every chunk then shares.  Peak memory of any downstream
     consumer is bounded by the chunk size.
 
-    A single path returns a :class:`ScannedFrame`.  A list of paths, or a
+    A single path returns a :class:`CsvSource`.  A list of paths, or a
     glob pattern (``"data/part-*.csv"``), returns a
-    :class:`~repro.frame.source.MultiFileCsvSource`: one logical frame
-    concatenating the files in list (or sorted glob) order, with dtypes
-    pinned to the first file's inference so every partition agrees.  Both
-    handle types are accepted by every ``plot*`` / ``create_report`` entry
-    point.
+    :class:`MultiFileCsvSource`: one logical frame concatenating the files
+    in list (or sorted glob) order, with dtypes pinned to the first file's
+    inference so every partition agrees.  Both handle types are
+    :class:`~repro.frame.source.FrameSource` implementations accepted by
+    every ``plot*`` / ``create_report`` entry point, and both build lazy
+    filters the same way (``h[h.ts >= x]``).
 
     Parameters
     ----------
@@ -933,73 +1296,19 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
     delimiter:
         Field separator.
     """
-    import glob as glob_module
-
-    if isinstance(path, (list, tuple)) or glob_module.has_magic(os.fspath(path)):
-        from repro.frame.source import MultiFileCsvSource, expand_scan_paths
+    is_list = isinstance(path, (list, tuple))
+    if is_list or glob_module.has_magic(os.fspath(path)):
         # A glob pattern is remembered so refresh() can re-expand it and
         # absorb newly matching files as appended partitions; an explicit
         # list is a closed set and only its members are refreshed.
-        pattern = None if isinstance(path, (list, tuple)) else os.fspath(path)
         return MultiFileCsvSource.scan(
             expand_scan_paths(path), chunk_rows=chunk_rows,
             budget_bytes=budget_bytes, dtypes=dtypes,
             inference_rows=inference_rows, delimiter=delimiter,
-            pattern=pattern)
-    return _scan_csv_file(path, chunk_rows=chunk_rows,
-                          budget_bytes=budget_bytes, dtypes=dtypes,
-                          inference_rows=inference_rows, delimiter=delimiter)
-
-
-def _scan_csv_file(path: Union[str, os.PathLike],
-                   chunk_rows: Optional[int] = None,
-                   budget_bytes: Optional[int] = None,
-                   dtypes: Optional[Dict[str, DType]] = None,
-                   inference_rows: int = 10_000,
-                   delimiter: str = ",",
-                   validate_dtype_keys: bool = True) -> ScannedFrame:
-    """Layout-scan a single CSV file (the single-path body of *scan_csv*).
-
-    *validate_dtype_keys* is disabled by the multi-file scanner for files
-    after the first: those receive file 1's complete dtype map, and a
-    header mismatch there must surface as the multi-file "files disagree on
-    columns" error, not as an unknown-dtype-key error.
-    """
-    requested_rows = chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS
-    if requested_rows <= 0:
-        raise FrameError("chunk_rows must be positive")
-    budget = budget_bytes if budget_bytes is not None else DEFAULT_BUDGET_BYTES
-    if budget <= 0:
-        raise FrameError("budget_bytes must be positive")
-
-    preview, inferred = _scan_preview(path, dtypes, inference_rows, delimiter,
-                                      validate_dtype_keys)
-
-    file_stat = os.stat(path)
-    file_stamp = (int(file_stat.st_size), int(file_stat.st_mtime_ns))
-
-    # Cap the chunk size by the budget using cheap row-size estimates (the
-    # parsed preview plus a 64 KiB on-disk probe), then scan the layout once
-    # at the final granularity.  The formula deliberately mirrors
-    # ScannedFrame.chunk_rows_for_budget with the default worker count, so
-    # the worker-aware re-derivation in ComputeContext usually agrees and no
-    # second layout pass is needed.
-    parsed_row = preview.memory_bytes() / len(preview) if len(preview) else 64.0
-    csv_row = _estimate_csv_row_bytes(path)
-    row_cost = max(1.0, csv_row * PARSE_OVERHEAD_FACTOR + parsed_row)
-    budget_rows = max(MIN_CHUNK_ROWS,
-                      int(budget / default_worker_count() // row_cost))
-    effective_rows = min(requested_rows, budget_rows)
-
-    columns, boundaries, byte_ranges, clean_eof = _scan_csv_layout(
-        path, effective_rows, delimiter=delimiter)
-    column_dtypes = {name: inferred.get(name, DType.STRING) for name in columns}
-    return ScannedFrame(str(path), columns, column_dtypes, boundaries,
-                        byte_ranges, file_stamp, effective_rows, preview,
-                        delimiter=delimiter, budget_bytes=budget,
-                        clean_eof=clean_eof, requested_chunk_rows=chunk_rows,
-                        inference_rows=inference_rows, user_dtypes=dtypes,
-                        validate_dtype_keys=validate_dtype_keys)
+            pattern=None if is_list else os.fspath(path))
+    return CsvSource(path, chunk_rows=chunk_rows, budget_bytes=budget_bytes,
+                     dtypes=dtypes, inference_rows=inference_rows,
+                     delimiter=delimiter)
 
 
 def _scan_preview(path: Union[str, os.PathLike],
@@ -1009,7 +1318,7 @@ def _scan_preview(path: Union[str, os.PathLike],
                   validate_dtype_keys: bool) -> Tuple["DataFrame", Dict[str, DType]]:
     """Parse the preview rows and resolve inferred + overridden dtypes.
 
-    Shared by the cold scan and by ``ScannedFrame.refreshed``: an
+    Shared by the cold scan and by ``CsvSource.refreshed``: an
     append-extension must re-run the same inference over the grown file so
     it can detect appended rows changing a column's inferred dtype (in
     which case the refresh falls back to a full rescan).

@@ -3,21 +3,23 @@
 The compute layer (Section 5.2 of the paper) is one lazy partitioned
 pipeline — per-partition work, tree merge, finalize — regardless of where
 the bytes come from.  This module defines the contract a data source must
-satisfy to feed that pipeline, plus the three built-in implementations:
+satisfy to feed that pipeline.  There are three built-in implementations:
 
-* :class:`InMemorySource` — wraps a materialized :class:`DataFrame`;
-  partitions are lazy row slices and every reduction may use the exact
-  (unbounded per-value memory) finalizers.
-* :class:`CsvSource` — wraps one :class:`~repro.frame.io.ScannedFrame`
-  (the quote-aware CSV layout scan); partitions parse record-aligned byte
-  ranges lazily, so reductions must use bounded-memory sketches.
-* :class:`MultiFileCsvSource` — several per-file layout scans concatenated
-  into one logical frame.  ``repro.scan_csv`` returns one for a list or
-  glob of paths.  All files share the first file's inferred dtypes (plus
-  user overrides) so every partition agrees on storage types, and the
-  fingerprint covers every file's ``(path, size, mtime_ns, content CRC)``
-  stamp so the cross-call intermediate cache stays warm across sessions as
-  long as the files are unchanged.
+* :class:`InMemorySource` (here) — wraps a materialized
+  :class:`DataFrame`; partitions are lazy row slices and every reduction
+  may use the exact (unbounded per-value memory) finalizers.
+* :class:`~repro.frame.io.CsvSource` — what ``repro.scan_csv(path)``
+  returns: one file's quote-aware layout scan, whose partitions parse
+  record-aligned byte ranges lazily, so reductions must use bounded-memory
+  sketches.
+* :class:`~repro.frame.io.MultiFileCsvSource` — what ``repro.scan_csv``
+  returns for a list or glob of paths: several ``CsvSource`` parts
+  concatenated into one logical frame, sharing the first file's dtypes.
+
+plus :class:`FilteredSource`, the row-predicate view over any of them.  The
+CSV classes live in :mod:`repro.frame.io`, which imports this module —
+never the other way round: everything here reaches a concrete source only
+through the protocol.
 
 Sources are *refreshable*: ``refreshed()`` re-resolves the on-disk state
 and returns an updated source (or ``self`` when nothing changed).  CSV
@@ -46,15 +48,18 @@ dataset may safely coexist in memory.  Declare
 ``capabilities.projection=True`` only when the partition ``func`` accepts a
 ``columns=`` keyword naming a column subset and materializes just those
 columns — the EDA planner then pushes each reduction's required-column set
-down into the partition tasks (``materialize(columns=...)``).  See
+down into the partition tasks (``materialize(columns=...)``).  A source
+that keeps per-chunk statistics may also offer
+``partitions_matching(spec)`` — its partitions minus those that provably
+hold no row matching the predicate spec — which :class:`FilteredSource`
+uses to skip chunks; without it every chunk parses and filters.  See
 ``docs/architecture.md`` for a worked example.
 """
 
 from __future__ import annotations
 
-import glob as glob_module
+import hashlib
 import inspect
-import os
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -65,23 +70,14 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
-from repro.errors import FrameError
+from repro.errors import ColumnNotFoundError, FrameError
 from repro.frame.dtypes import DType
-from repro.frame.fingerprint import fingerprint_file_stamps
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.io import ScannedFrame, _scan_csv_file, parse_csv_range
 from repro.frame.predicate import ColumnExpr, Predicate, apply_predicate_spec
-from repro.frame.sidecar import (
-    SidecarRoute,
-    load_chunk,
-    record_hit,
-    record_miss,
-    store_chunk,
-)
+from repro.frame.sidecar import SidecarRoute
 from repro.utils import filtered_prefix, projected_prefix
 
 #: Default number of rows per in-memory partition (mirrors the graph layer).
@@ -122,102 +118,6 @@ def _slice_frame(frame: DataFrame, start: int, stop: int,
                       for name in needed])
     filtered = apply_predicate_spec(view, predicate)
     return filtered[list(names)] if len(needed) != len(names) else filtered
-
-
-def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
-                    column_names: Tuple[str, ...], dtypes: dict,
-                    file_stamp: Tuple[int, int] = (0, 0),
-                    delimiter: str = ",",
-                    expected_rows: Optional[int] = None,
-                    columns: Optional[Tuple[str, ...]] = None,
-                    predicate: Optional[Tuple[Tuple[str, str, Any], ...]] = None,
-                    sidecar: Optional[Tuple[Any, ...]] = None
-                    ) -> DataFrame:
-    """Parse one byte range of a CSV file into a DataFrame partition.
-
-    *file_stamp* is the chunk's content stamp — the ``(head_crc, tail_crc)``
-    probe pair captured at scan time (see
-    :func:`repro.frame.io.compute_chunk_stamps`).  It is not parsed here —
-    it exists so the task's cross-call cache key changes when the chunk's
-    bytes change, even with identical byte boundaries, while *surviving*
-    file growth: an append leaves the old chunks' byte ranges and probes
-    untouched, so their cache keys (and any tree-combine ancestors built
-    purely from them) stay warm and a refresh re-executes only the new
-    chunks.  The binary chunk sidecar validates the same opaque pair.
-
-    *columns* projects the parse onto a column subset: the other columns'
-    cells are skipped before collection and dtype coercion (the hot path of
-    a streaming scan), so a single-column reduction over a wide file pays
-    for one column, not the whole table.  The projection is an explicit
-    task argument, which is what makes projected and full parses occupy
-    distinct cross-call cache keys — a cached single-column partition can
-    never be served where a full-table partition is needed.
-
-    *predicate* (a :meth:`~repro.frame.predicate.Predicate.spec` tuple)
-    filters the parsed rows before they reach any downstream sketch.  A
-    predicate column missing from the projection is parsed additionally —
-    cells the filter reads but the reductions do not — and dropped again
-    after filtering, so the output keeps exactly the projected columns.
-    Like the projection, the predicate is an explicit task argument and so
-    part of the cache key: a filtered partition can never be served where
-    the unfiltered rows are needed, and vice versa.
-
-    When *expected_rows* is given (the layout scan's record count for this
-    range) a mismatch raises instead of letting every downstream statistic
-    silently disagree with the row boundaries: it means the file's quoting
-    defies record-aligned chunking — e.g. a stray unpaired quote inside an
-    unquoted field, which RFC 4180 forbids but ``csv.reader`` tolerates.
-    The check runs against the pre-filter parse count — the layout scan
-    knows nothing about predicates.
-
-    *sidecar* (a :class:`~repro.frame.sidecar.SidecarRoute` tuple) enables
-    the parsed-chunk binary cache: the sidecar is consulted before any CSV
-    byte is decoded — a hit loads the already-coerced arrays and skips the
-    parse entirely — and after a successful parse the pre-filter frame is
-    spilled best-effort, so any later scan (this process, a
-    ``ProcessScheduler`` worker, another session) hits.  The route is
-    configuration, not semantics: the returned rows are identical with or
-    without it, which is why the graph layer excludes the keyword from CSE
-    tokens and cross-call cache keys (``NON_SEMANTIC_KWARGS``).
-    """
-    parse_columns = columns
-    if predicate is not None and columns is not None:
-        wanted = set(columns)
-        filter_columns = {column for column, _, _ in predicate}
-        parse_columns = tuple(name for name in column_names
-                              if name in wanted or name in filter_columns)
-    frame = None
-    if sidecar is not None:
-        needed = parse_columns if parse_columns is not None \
-            else tuple(column_names)
-        frame = load_chunk(path, byte_start, byte_stop, file_stamp, needed,
-                           dtypes, expected_rows, sidecar,
-                           delimiter=delimiter)
-        if frame is not None:
-            record_hit(byte_stop - byte_start)
-    if frame is None:
-        frame = parse_csv_range(path, byte_start, byte_stop,
-                                list(column_names), dtypes,
-                                delimiter=delimiter, usecols=parse_columns)
-        if expected_rows is not None and len(frame) != expected_rows:
-            raise FrameError(
-                f"CSV chunk at bytes [{byte_start}, {byte_stop}) of {path!r} "
-                f"parsed {len(frame)} rows where the layout scan counted "
-                f"{expected_rows}; the file's quoting defies record-aligned "
-                f"chunking (e.g. an unpaired quote in an unquoted field) — "
-                f"read it with repro.read_csv instead of scan_csv")
-        if sidecar is not None:
-            record_miss(byte_stop - byte_start)
-            # Spill the pre-filter rows: one entry serves filtered,
-            # unfiltered and any projection of this chunk.
-            store_chunk(path, byte_start, byte_stop, file_stamp, frame,
-                        sidecar, delimiter=delimiter)
-    if predicate is not None:
-        frame = apply_predicate_spec(frame, predicate)
-        if columns is not None and parse_columns != columns:
-            wanted = set(columns)
-            frame = frame[[name for name in frame.columns if name in wanted]]
-    return frame
 
 
 #: Memoized "does this partition func accept this keyword" checks.
@@ -421,7 +321,7 @@ class FrameSource(Protocol):
     """Anything the EDA pipeline can partition and stream.
 
     See the module docstring for the contract; :func:`as_source` adapts the
-    user-facing input types (``DataFrame``, ``ScannedFrame``) onto it.
+    one user-facing input that is not already a source (``DataFrame``).
     """
 
     @property
@@ -544,382 +444,48 @@ def _row_boundaries(n_rows: int, partition_rows: int) -> List[Tuple[int, int]]:
 
 
 # --------------------------------------------------------------------------- #
-# CSV scans
+# Column access shared by every lazy handle (scan_csv results, filtered views)
 # --------------------------------------------------------------------------- #
-def _scan_partitions(scan: ScannedFrame, offset: int) -> List[SourcePartition]:
-    """Partition tasks of one layout scan, shifted to global *offset* rows.
-
-    Each task carries its chunk's *own* content stamp (the head/tail CRC
-    probe pair) instead of the whole-file stamp: appending to the file
-    leaves the old chunks' args — and therefore their cross-call cache
-    keys — byte-identical, which is what lets a refresh reuse every
-    already-sketched chunk and execute only the appended ones.
-    """
-    columns = tuple(scan.columns)
-    dtypes = scan.dtypes
-    stamps = scan.chunk_stamps
-    return [SourcePartition(offset + start, offset + stop, _read_csv_slice,
-                            (scan.path, byte_start, byte_stop, columns, dtypes,
-                             stamp, scan.delimiter, stop - start),
-                            prefix="read_csv_partition")
-            for (byte_start, byte_stop), (start, stop), stamp
-            in zip(scan.byte_ranges, scan.boundaries, stamps)]
-
-
-def _rechunk_scan(scan: ScannedFrame, chunk_rows: Optional[int],
-                  budget_bytes: Optional[int],
-                  concurrency: int) -> ScannedFrame:
-    """Shrink a scan's chunking for an explicit budget/chunk-rows override.
-
-    The scan's own chunking already satisfies the budget it was created
-    with; only constrain further for settings the caller explicitly
-    overrides (or a worker count the scan did not assume).  Anything else
-    would silently override an explicit ``scan_csv(chunk_rows=...)`` choice
-    and pay a needless full-file layout rescan.
-    """
-    target = scan.chunk_rows
-    if chunk_rows is not None:
-        target = min(target, chunk_rows)
-    budget = budget_bytes if budget_bytes is not None else scan.budget_bytes
-    if budget != scan.budget_bytes or concurrency != scan.budget_concurrency:
-        target = min(target, scan.chunk_rows_for_budget(
-            budget, concurrency=concurrency))
-    if target < scan.chunk_rows:
-        return scan.rechunk(target)
-    return scan
-
-
-class CsvSource:
-    """A :class:`FrameSource` over one scanned CSV file.
-
-    Absorbs the :class:`~repro.frame.io.ScannedFrame` layout scan: schema
-    and row counts come from the scan metadata, partitions are lazy
-    byte-range parse tasks, and ``capabilities.exact=False`` routes every
-    reduction through the bounded-memory sketch finalizers.
-    """
-
-    def __init__(self, scan: ScannedFrame):
-        if not isinstance(scan, ScannedFrame):
-            raise FrameError("CsvSource expects a ScannedFrame (from scan_csv)")
-        self._scan = scan
-
-    @property
-    def scan(self) -> ScannedFrame:
-        """The underlying layout scan handle."""
-        return self._scan
-
-    @property
-    def columns(self) -> List[str]:
-        return self._scan.columns
-
-    @property
-    def dtypes(self) -> Dict[str, DType]:
-        return self._scan.dtypes
-
-    @property
-    def n_rows(self) -> int:
-        return self._scan.n_rows
-
-    @property
-    def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities(exact=False, projection=True,
-                                  predicates=True, chunk_sidecar=True)
-
-    def schema_preview(self) -> DataFrame:
-        return self._scan.preview
-
-    def fingerprint(self) -> str:
-        return self._scan.fingerprint()
-
-    def footprint_bytes(self) -> int:
-        return self._scan.file_size
-
-    def materialization_bytes(self) -> int:
-        preview = self._scan.preview
-        if not len(preview):
-            return self._scan.file_size
-        per_row = preview.memory_bytes() / len(preview)
-        return int(per_row * self._scan.n_rows)
-
-    def partitions(self) -> List[SourcePartition]:
-        return _scan_partitions(self._scan, 0)
-
-    def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
-                          concurrency: int = 1) -> "CsvSource":
-        rechunked = _rechunk_scan(self._scan, chunk_rows, budget_bytes,
-                                  concurrency)
-        return self if rechunked is self._scan else CsvSource(rechunked)
-
-    def refreshed(self) -> "CsvSource":
-        """Re-resolve the scan against the file's current on-disk state.
-
-        Returns ``self`` when the file is unchanged; an appended file
-        yields a source whose old chunks keep their stamps (and cache
-        keys) with only the new bytes layout-scanned.
-        """
-        scan = self._scan.refreshed()
-        return self if scan is self._scan else CsvSource(scan)
-
-    def to_frame(self) -> DataFrame:
-        return self._scan.to_frame()
-
-    def __getitem__(self, item: Any) -> Any:
-        """``source["x"]`` / ``source[pred]``: lazy filter building."""
-        return _source_getitem(self, item)
-
-    def __repr__(self) -> str:
-        return f"CsvSource({self._scan!r})"
-
-
-class MultiFileCsvSource:
-    """Several scanned CSV files concatenated into one logical frame.
-
-    Built by ``repro.scan_csv`` from a list or glob of paths.  Every file
-    gets its own quote-aware layout scan; the per-file chunk partitions are
-    concatenated with shifted global row offsets, so the downstream pipeline
-    sees one frame and never learns about file boundaries.  Dtypes are
-    pinned to the first file's inference (plus user overrides) so all
-    partitions agree on storage types; files whose header disagrees with
-    the first file's columns are rejected up front.
-    """
-
-    def __init__(self, scans: Sequence[ScannedFrame],
-                 pattern: Optional[str] = None,
-                 scan_kwargs: Optional[Dict[str, Any]] = None):
-        scans = list(scans)
-        if not scans:
-            raise FrameError("MultiFileCsvSource requires at least one file")
-        for scan in scans:
-            if not isinstance(scan, ScannedFrame):
-                raise FrameError("MultiFileCsvSource expects ScannedFrame parts")
-            if scan.columns != scans[0].columns:
-                raise FrameError(
-                    f"CSV files disagree on columns: {scans[0].path!r} has "
-                    f"{scans[0].columns} but {scan.path!r} has {scan.columns}")
-            if scan.delimiter != scans[0].delimiter:
-                raise FrameError("CSV files disagree on the delimiter")
-        self._scans = scans
-        #: The glob pattern this source was built from, when it was — a
-        #: refresh re-expands it and absorbs newly matching files as
-        #: appended partitions.  None for explicit path lists (closed set).
-        self._pattern = pattern
-        #: The scan_csv keyword arguments, so absorbed files are scanned
-        #: with the same chunking/budget/inference settings.
-        self._scan_kwargs = dict(scan_kwargs or {})
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def scan(cls, paths: Sequence[Union[str, os.PathLike]],
-             chunk_rows: Optional[int] = None,
-             budget_bytes: Optional[int] = None,
-             dtypes: Optional[Dict[str, DType]] = None,
-             inference_rows: int = 10_000,
-             delimiter: str = ",",
-             pattern: Optional[str] = None) -> "MultiFileCsvSource":
-        """Layout-scan every file, sharing the first file's inferred dtypes.
-
-        The first file is scanned with normal preview inference (plus any
-        user *dtypes* overrides); the resulting full dtype map is forced on
-        every later file, so a column whose type is ambiguous in file N
-        cannot silently diverge from file 1 and break partition merges.
-        """
-        if not paths:
-            raise FrameError("scan_csv received an empty list of paths")
-        first = _scan_csv_file(paths[0], chunk_rows=chunk_rows,
-                                 budget_bytes=budget_bytes, dtypes=dtypes,
-                                 inference_rows=inference_rows,
-                                 delimiter=delimiter)
-        shared_dtypes = first.dtypes
-        rest = [_scan_csv_file(path, chunk_rows=chunk_rows,
-                                 budget_bytes=budget_bytes,
-                                 dtypes=shared_dtypes,
-                                 inference_rows=inference_rows,
-                                 delimiter=delimiter,
-                                 validate_dtype_keys=False)
-                for path in paths[1:]]
-        scan_kwargs = {"chunk_rows": chunk_rows, "budget_bytes": budget_bytes,
-                       "inference_rows": inference_rows,
-                       "delimiter": delimiter}
-        return cls([first] + rest, pattern=pattern, scan_kwargs=scan_kwargs)
-
-    # ------------------------------------------------------------------ #
-    # Schema
-    # ------------------------------------------------------------------ #
-    @property
-    def scans(self) -> List[ScannedFrame]:
-        """The per-file layout scans, in concatenation order."""
-        return list(self._scans)
-
-    @property
-    def paths(self) -> List[str]:
-        """The file paths, in concatenation order."""
-        return [scan.path for scan in self._scans]
-
-    @property
-    def columns(self) -> List[str]:
-        return self._scans[0].columns
-
-    @property
-    def dtypes(self) -> Dict[str, DType]:
-        return self._scans[0].dtypes
-
-    @property
-    def n_rows(self) -> int:
-        return sum(scan.n_rows for scan in self._scans)
-
-    @property
-    def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities(exact=False, projection=True,
-                                  predicates=True, chunk_sidecar=True)
-
-    def schema_preview(self) -> DataFrame:
-        return self._scans[0].preview
-
-    def fingerprint(self) -> str:
-        """Stable across processes while every file's content is unchanged.
-
-        Folds each file's content CRC in next to its size/mtime stamp, so
-        an in-place rewrite that preserves both (the stamp-granularity
-        hazard) still changes the fingerprint.
-        """
-        return fingerprint_file_stamps(
-            [(scan.path, scan.file_stamp[0], scan.file_stamp[1],
-              scan.content_crc())
-             for scan in self._scans])
-
-    def footprint_bytes(self) -> int:
-        return sum(scan.file_size for scan in self._scans)
-
-    def materialization_bytes(self) -> int:
-        return sum(CsvSource(scan).materialization_bytes()
-                   for scan in self._scans)
-
-    def partitions(self) -> List[SourcePartition]:
-        parts: List[SourcePartition] = []
-        offset = 0
-        for scan in self._scans:
-            parts.extend(_scan_partitions(scan, offset))
-            offset += scan.n_rows
-        return parts
-
-    def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
-                          concurrency: int = 1) -> "MultiFileCsvSource":
-        rechunked = [_rechunk_scan(scan, chunk_rows, budget_bytes, concurrency)
-                     for scan in self._scans]
-        if all(new is old for new, old in zip(rechunked, self._scans)):
-            return self
-        return MultiFileCsvSource(rechunked, pattern=self._pattern,
-                                  scan_kwargs=self._scan_kwargs)
-
-    def refreshed(self) -> "MultiFileCsvSource":
-        """Re-resolve every file and absorb newly matching glob files.
-
-        Each existing scan refreshes individually (appends extend, other
-        changes rescan).  When this source was built from a glob pattern,
-        the pattern is re-expanded and previously unseen files are scanned
-        — pinned to the first file's *current* dtype map, like any later
-        file at cold-scan time — and appended in sorted order as new
-        partitions.  Returns ``self`` when nothing changed.
-        """
-        refreshed = [scan.refreshed() for scan in self._scans]
-        new_scans: List[ScannedFrame] = []
-        if self._pattern:
-            known = {scan.path for scan in self._scans}
-            try:
-                matches = sorted(glob_module.glob(self._pattern))
-            except OSError:
-                matches = []
-            shared_dtypes = refreshed[0].dtypes
-            for path in matches:
-                if str(path) in known or _is_bytecode_artifact(path):
-                    continue
-                new_scans.append(_scan_csv_file(
-                    path, dtypes=shared_dtypes, validate_dtype_keys=False,
-                    **self._scan_kwargs))
-        if not new_scans and \
-                all(new is old for new, old in zip(refreshed, self._scans)):
-            return self
-        return MultiFileCsvSource(refreshed + new_scans,
-                                  pattern=self._pattern,
-                                  scan_kwargs=self._scan_kwargs)
-
-    def to_frame(self) -> DataFrame:
-        """Materialize every file (escape hatch; needs the full memory)."""
-        return concat_rows([scan.to_frame() for scan in self._scans])
-
-    def __getitem__(self, item: Any) -> Any:
-        """``source["x"]`` / ``source[pred]``: lazy filter building."""
-        return _source_getitem(self, item)
-
-    def __repr__(self) -> str:
-        return (f"MultiFileCsvSource(files={len(self._scans)}, "
-                f"rows={self.n_rows}, columns={self.columns})")
-
-
 def _source_getitem(source: "FrameSource", item: Any) -> Any:
-    """Shared ``source[...]`` behaviour of the streaming sources.
+    """``source["x"]`` and ``source[pred]``: lazy filter building.
 
     A column name returns a symbolic
     :class:`~repro.frame.predicate.ColumnExpr` (whose comparisons build
     predicates); a :class:`~repro.frame.predicate.Predicate` returns a lazy
-    :class:`FilteredSource` — no data bytes are read either way.
+    :class:`FilteredSource` — no data bytes are read either way: the filter
+    is pushed into the chunk parses (and zone-map chunk skipping) when the
+    EDA layer plans over the result.
     """
     if isinstance(item, str):
         if item not in source.columns:
-            raise FrameError(f"unknown column {item!r}; available: "
-                             f"{source.columns}")
+            raise ColumnNotFoundError(item, source.columns)
         return ColumnExpr(item)
     if isinstance(item, Predicate):
         return FilteredSource(source, item)
     raise FrameError(
-        f"{type(source).__name__} accepts a column name or a Predicate, "
-        f"got {type(item).__name__}")
+        f"{type(source).__name__} accepts a column name or a Predicate, got "
+        f"{type(item).__name__}; for row masks, read the file with read_csv "
+        f"and filter the DataFrame")
+
+
+def _source_getattr(source: "FrameSource", name: str) -> ColumnExpr:
+    """``source.x`` as shorthand for ``source["x"]`` (known columns only).
+
+    Called from ``__getattr__``, so only for names normal lookup missed.  A
+    name the class defines got here because its property raised
+    ``AttributeError`` — re-raise rather than ask the source for its
+    columns again.
+    """
+    if not name.startswith("_") and not hasattr(type(source), name) \
+            and name in source.columns:
+        return ColumnExpr(name)
+    raise AttributeError(
+        f"{type(source).__name__!r} object has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------------- #
 # Filtered views
 # --------------------------------------------------------------------------- #
-def _inner_scans(source: Any) -> Optional[List[Tuple[ScannedFrame, int]]]:
-    """``(scan, global row offset)`` pairs of a chunked CSV source, or None.
-
-    Zone-map pruning needs per-chunk statistics, which only the file scans
-    maintain; any other predicate-capable source simply gets no pruning
-    (every chunk parses and filters, results unchanged).
-    """
-    if isinstance(source, CsvSource):
-        return [(source.scan, 0)]
-    if isinstance(source, MultiFileCsvSource):
-        pairs: List[Tuple[ScannedFrame, int]] = []
-        offset = 0
-        for scan in source.scans:
-            pairs.append((scan, offset))
-            offset += scan.n_rows
-        return pairs
-    return None
-
-
-def _zone_keep_flags(scan: ScannedFrame,
-                     spec: Tuple[Tuple[str, str, Any], ...]
-                     ) -> Optional[List[bool]]:
-    """Per-chunk keep/skip flags from the scan's zone map, or None.
-
-    None (no pruning) on any failure — zone maps are an optimization, never
-    a correctness requirement, so an unreadable sidecar or a parse problem
-    during the statistics build must degrade to "parse every chunk".
-    """
-    try:
-        zone_map = scan.zone_map()
-    except (OSError, FrameError):
-        return None
-    if zone_map is None or zone_map.n_chunks != len(scan.boundaries):
-        return None
-    return zone_map.keep_flags(spec)
-
-
 class FilteredSource:
     """A :class:`FrameSource` view applying a row predicate to a source.
 
@@ -928,10 +494,11 @@ class FilteredSource:
     The wrapper delegates schema and partitioning to the inner source and
     adds two things:
 
-    * **chunk skipping** — ``partitions()`` consults the per-chunk zone
-      maps of chunked CSV scans (:mod:`repro.frame.zonemap`) and drops
-      chunks whose min/max ranges prove no row can match, recording the
-      decision in :attr:`last_pruning`;
+    * **chunk skipping** — ``partitions()`` asks the inner source for its
+      ``partitions_matching(spec)`` (the CSV scans answer from per-chunk
+      zone maps, :mod:`repro.frame.zonemap`), dropping chunks whose min/max
+      ranges prove no row can match and recording the decision in
+      :attr:`last_pruning`;
     * **the predicate itself** — exposed as :attr:`predicate` so the
       reduction planner pushes its spec into the surviving partition tasks
       (each chunk parse then filters rows before coercion and sketching).
@@ -1001,16 +568,10 @@ class FilteredSource:
 
     def __getitem__(self, item: Any) -> Any:
         """``filtered["x"]`` names a column; ``filtered[pred]`` stacks."""
-        if isinstance(item, str):
-            if item not in self._source.columns:
-                raise FrameError(f"unknown column {item!r}; available: "
-                                 f"{self._source.columns}")
-            return ColumnExpr(item)
-        if isinstance(item, Predicate):
-            return FilteredSource(self, item, prune=self._prune)
-        raise FrameError(
-            f"a filtered scan accepts a column name or a Predicate, got "
-            f"{type(item).__name__}")
+        return _source_getitem(self, item)
+
+    def __getattr__(self, name: str) -> ColumnExpr:
+        return _source_getattr(self, name)
 
     # ------------------------------------------------------------------ #
     # FrameSource protocol, by delegation
@@ -1069,12 +630,10 @@ class FilteredSource:
                 break
         if not collected:
             return filtered
-        from repro.frame.frame import concat_rows
         merged = concat_rows(collected)
         return merged.slice(0, target) if len(merged) > target else merged
 
     def fingerprint(self) -> str:
-        import hashlib
         payload = repr((self._source.fingerprint(), self._predicate.spec()))
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
@@ -1088,39 +647,20 @@ class FilteredSource:
     def partitions(self) -> List[SourcePartition]:
         """The inner partitions minus provably non-matching chunks.
 
-        Chunks are pruned with the zone maps of chunked CSV scans when
-        available (and pruning is enabled); row boundaries of the surviving
-        partitions keep their original pre-filter global offsets.  When
-        every chunk is prunable, the first is kept anyway — it parses and
-        filters to zero rows — so downstream planning never sees an empty
-        partition list.  Each call records its decision in
+        Chunks are pruned by the inner source's ``partitions_matching``
+        when it has one (and pruning is enabled); row boundaries of the
+        surviving partitions keep their original pre-filter global offsets.
+        When every chunk is prunable, the first is kept anyway — it parses
+        and filters to zero rows — so downstream planning never sees an
+        empty partition list.  Each call records its decision in
         :attr:`last_pruning`.
         """
-        spec = self._predicate.spec()
-        total = 0
-        skipped = 0
-        parts: List[SourcePartition] = []
-        first_part: Optional[SourcePartition] = None
-        scans = _inner_scans(self._source) if self._prune else None
-        if scans is None:
-            parts = self._source.partitions()
-            total = len(parts)
-        else:
-            for scan, offset in scans:
-                scan_parts = _scan_partitions(scan, offset)
-                total += len(scan_parts)
-                keep = _zone_keep_flags(scan, spec)
-                for index, part in enumerate(scan_parts):
-                    if first_part is None:
-                        first_part = part
-                    if keep is None or keep[index]:
-                        parts.append(part)
-                    else:
-                        skipped += 1
-            if not parts and first_part is not None:
-                parts = [first_part]
-                skipped -= 1
-        self.last_pruning = {"chunks_total": total, "chunks_skipped": skipped}
+        parts = everything = self._source.partitions()
+        matching = getattr(self._source, "partitions_matching", None)
+        if self._prune and matching is not None:
+            parts = matching(self._predicate.spec()) or everything[:1]
+        self.last_pruning = {"chunks_total": len(everything),
+                             "chunks_skipped": len(everything) - len(parts)}
         return parts
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
@@ -1153,52 +693,15 @@ class FilteredSource:
 # --------------------------------------------------------------------------- #
 # Adapters
 # --------------------------------------------------------------------------- #
-def _is_bytecode_artifact(path: Union[str, os.PathLike]) -> bool:
-    """Whether a walked path is Python bytecode litter, never data.
-
-    Every directory walk in this package (glob expansion, glob re-expansion
-    on refresh) filters these: a broad user pattern like ``data/*`` must
-    not absorb ``__pycache__`` directories or ``.pyc`` files as scan
-    members.
-    """
-    text = str(path)
-    return text.endswith(".pyc") or "__pycache__" in text.split(os.sep)
-
-
-def expand_scan_paths(path: Union[str, os.PathLike, Sequence]) -> List[str]:
-    """Resolve a ``scan_csv`` path argument into an explicit file list.
-
-    Lists/tuples pass through; a string containing glob magic (``*``,
-    ``?``, ``[``) expands to the sorted matches (bytecode artifacts —
-    ``__pycache__``, ``*.pyc`` — are never matched).  Raises when a glob
-    matches nothing, so a typo cannot silently scan zero files.
-    """
-    if isinstance(path, (list, tuple)):
-        return [str(item) for item in path]
-    text = str(path)
-    if glob_module.has_magic(text):
-        matches = sorted(match for match in glob_module.glob(text)
-                         if not _is_bytecode_artifact(match))
-        if not matches:
-            raise FrameError(f"glob pattern {text!r} matched no files")
-        return matches
-    return [text]
-
-
 def as_source(data: Any) -> FrameSource:
     """Adapt any supported EDA input onto the :class:`FrameSource` protocol.
 
-    ``DataFrame`` becomes an :class:`InMemorySource`, a ``ScannedFrame``
-    becomes a :class:`CsvSource`, and objects already satisfying the
-    protocol (including custom sources) pass through unchanged.
+    A ``DataFrame`` becomes an :class:`InMemorySource`; objects already
+    satisfying the protocol (``scan_csv`` handles, filtered views, custom
+    sources) pass through unchanged.
     """
     if isinstance(data, DataFrame):
         return InMemorySource(data)
-    if isinstance(data, ScannedFrame):
-        return CsvSource(data)
-    if isinstance(data, (InMemorySource, CsvSource, MultiFileCsvSource,
-                         FilteredSource)):
-        return data
     if isinstance(data, FrameSource):
         return data
     raise FrameError(
@@ -1209,31 +712,24 @@ def as_source(data: Any) -> FrameSource:
 def refresh_input(data: Any) -> Any:
     """Re-resolve any EDA input handle against its current on-disk state.
 
-    ``ScannedFrame`` handles and the streaming sources return an updated
-    handle of the same type (``data`` itself when nothing changed); appends
-    are recognised as growth, so the refreshed handle's unchanged chunks
-    keep their cross-call cache keys and only new chunks execute.  Inputs
-    with no on-disk state (a ``DataFrame``, an :class:`InMemorySource`)
-    pass through unchanged.  This is what ``repro.refresh`` and
-    ``Report.refresh()`` call.
+    Anything with a ``refreshed()`` method (``scan_csv`` handles, filtered
+    views, custom sources) returns an updated handle of the same type
+    (``data`` itself when nothing changed); appends are recognised as
+    growth, so the refreshed handle's unchanged chunks keep their
+    cross-call cache keys and only new chunks execute.  Inputs with no
+    on-disk state (a ``DataFrame``) pass through unchanged.  This is what
+    ``repro.refresh`` and ``Report.refresh()`` call.
     """
-    if isinstance(data, ScannedFrame):
-        return data.refreshed()
     refreshed = getattr(data, "refreshed", None)
-    if callable(refreshed):
-        return refreshed()
-    return data
+    return refreshed() if callable(refreshed) else data
 
 
 __all__ = [
-    "CsvSource",
     "FilteredSource",
     "FrameSource",
     "InMemorySource",
-    "MultiFileCsvSource",
     "SourceCapabilities",
     "SourcePartition",
     "as_source",
-    "expand_scan_paths",
     "refresh_input",
 ]

@@ -65,7 +65,6 @@ from repro.graph.scheduler import (
 from repro.graph.partition import (
     PartitionedFrame,
     precompute_chunk_sizes,
-    precompute_csv_chunks,
 )
 from repro.graph.engines import (
     ClusterRPCEngine,
@@ -126,7 +125,6 @@ __all__ = [
     "get_scheduler",
     "optimize",
     "precompute_chunk_sizes",
-    "precompute_csv_chunks",
     "set_global_cache",
     "shutdown_remote_pools",
     "tokenize",

@@ -16,7 +16,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.source import _read_csv_slice, _slice_frame
+from repro.frame.source import _slice_frame
 from repro.graph.delayed import Delayed, delayed
 
 #: Default number of rows per partition; chosen so per-partition numpy work
@@ -54,31 +54,6 @@ def precompute_chunk_sizes(n_rows: int,
         boundaries.append((start, stop))
         start = stop
     return boundaries
-
-
-# The partition task functions (_slice_frame, _read_csv_slice) live in
-# repro.frame.source so every layer — FrameSource implementations, this
-# module's legacy constructors and the compute planner — shares the same
-# function objects, keeping CSE tokens and cross-call cache keys aligned.
-
-
-def precompute_csv_chunks(path: str,
-                          partition_rows: int) -> Tuple[List[str], List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """Scan a CSV file once and precompute its partition byte ranges.
-
-    This is the chunk-size precompute stage of Section 5.2 applied to file
-    input: the scan records the byte offset of every *partition_rows*-th data
-    record so the lazy graph can be built with fully known chunk boundaries.
-    Returns ``(column names, row boundaries, byte ranges)``.  Delegates to
-    the quote-aware layout scanner in :mod:`repro.frame.io`, so records with
-    embedded newlines inside quoted fields are never split.
-    """
-    from repro.frame.io import _scan_csv_layout
-
-    if partition_rows <= 0:
-        raise GraphError("partition_rows must be positive")
-    columns, boundaries, byte_ranges, _ = _scan_csv_layout(path, partition_rows)
-    return columns, boundaries, byte_ranges
 
 
 class PartitionedFrame:
@@ -197,41 +172,6 @@ class PartitionedFrame:
         boundaries = [(part.start, part.stop) for part in parts]
         frame_columns = source.columns if columns is None else list(columns)
         return cls(partitions, frame_columns, boundaries)
-
-    @classmethod
-    def from_csv(cls, path: str,
-                 partition_rows: int = DEFAULT_PARTITION_ROWS,
-                 inference_rows: int = 1000) -> "PartitionedFrame":
-        """Partition a CSV file: each partition parses its own byte range.
-
-        The file is scanned once up front (the chunk-size precompute stage);
-        dtypes are inferred from the first *inference_rows* rows and applied
-        to every partition so all partitions agree on storage dtypes.  The
-        actual reading and parsing happens lazily, per partition, inside the
-        task graph — which is exactly the expensive input stage the paper's
-        single-graph optimization shares across visualizations.
-        """
-        from repro.frame.io import scan_csv
-
-        # partition_rows is an explicit caller choice; pass an effectively
-        # unbounded budget so scan_csv's memory heuristic never shrinks it
-        # (out-of-core callers go through scan_csv directly instead).
-        scan = scan_csv(path, chunk_rows=partition_rows,
-                        budget_bytes=2 ** 62,
-                        inference_rows=inference_rows)
-        return cls.from_scan(scan)
-
-    @classmethod
-    def from_scan(cls, scan: Any) -> "PartitionedFrame":
-        """Partition a :class:`~repro.frame.io.ScannedFrame` lazily.
-
-        Every partition task parses its own record-aligned byte range, and is
-        stamped with the scan's ``(size, mtime_ns)`` so the cross-call cache
-        cannot serve a partition of a file overwritten in place (same path
-        and byte boundaries, different content).
-        """
-        from repro.frame.source import CsvSource
-        return cls.from_source(CsvSource(scan))
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -27,9 +27,15 @@ from hypothesis import strategies as st
 
 from repro.frame.dtypes import DType
 from repro.frame.frame import DataFrame
-from repro.frame.io import compute_chunk_stamps, read_csv, scan_csv, write_csv
+from repro.frame.io import (
+    MultiFileCsvSource,
+    compute_chunk_stamps,
+    read_csv,
+    scan_csv,
+    write_csv,
+)
 from repro.frame.sidecar import SidecarRoute, load_chunk, store_chunk
-from repro.frame.source import MultiFileCsvSource, refresh_input
+from repro.frame.source import refresh_input
 from repro.frame.zonemap import (
     chunk_column_stats,
     chunk_key,
@@ -243,6 +249,25 @@ def test_multifile_refresh_extends_grown_member(tmp_path):
     assert refreshed.scans[0].chunk_stamps[:len(old_first_stamps)] == \
         old_first_stamps
     assert refreshed.scans[1] is source.scans[1]
+
+
+@pytest.mark.parametrize("kind", ["file", "list", "glob"])
+def test_refresh_of_vanished_file_names_the_path(tmp_path, kind):
+    """A handle whose file is gone must not come back from refresh as if
+    it were current — the next EDA call would fail deep inside a parse
+    task without naming the file."""
+    from repro.errors import FrameError
+
+    paths = [str(tmp_path / f"v{index}.csv") for index in range(2)]
+    for index, path in enumerate(paths):
+        _write_rows(path, index * 50, index * 50 + 50)
+    target = {"file": paths[1], "list": paths,
+              "glob": str(tmp_path / "v*.csv")}[kind]
+    handle = scan_csv(target, chunk_rows=10)
+    os.remove(paths[1])
+    for stale in (handle, handle[handle["x"] >= 0]):
+        with pytest.raises(FrameError, match="v1.csv"):
+            refresh_input(stale)
 
 
 def test_refresh_input_passthrough():

@@ -245,14 +245,14 @@ def test_explicit_scan_chunk_rows_not_overridden_by_config_default(tmp_path):
     assert finer["overview"]["n_rows"] == 3000
 
 
-def test_precompute_csv_chunks_is_quote_aware(tmp_path):
-    from repro.graph.partition import precompute_csv_chunks
-
+def test_scan_csv_chunks_are_quote_aware(tmp_path):
     frame = DataFrame({"x": [1, 2, 3, 4],
                        "text": ["one\ntwo", "plain", "three\nfour", "end"]})
     path = tmp_path / "quoted_chunks.csv"
     write_csv(frame, str(path))
-    columns, boundaries, byte_ranges = precompute_csv_chunks(str(path), 2)
+    scan = scan_csv(str(path), chunk_rows=2)
+    columns, boundaries, byte_ranges = \
+        scan.columns, scan.boundaries, scan.byte_ranges
     assert columns == ["x", "text"]
     assert boundaries == [(0, 2), (2, 4)]
     # Each byte range parses cleanly on its own (no split records).

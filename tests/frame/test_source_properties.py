@@ -3,9 +3,9 @@
 The contract every source must satisfy (same style as the sketch suite):
 the precomputed partitions are contiguous, cover ``[0, n_rows)``, and
 materializing them in order concatenates back to the source's whole logical
-frame — for in-memory frames at any partition granularity, for CSV scans at
-any chunk granularity, and for multi-file datasets under any split of the
-rows across files.
+frame — for in-memory frames at any partition granularity, and for every
+handle ``scan_csv`` returns (one file, a list, a glob, each plain or
+filtered) at any chunk granularity and any split of the rows across files.
 """
 
 from __future__ import annotations
@@ -14,17 +14,26 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.errors import ColumnNotFoundError, FrameError
 from repro.frame.dtypes import DType
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.io import scan_csv, write_csv
-from repro.frame.source import (
+from repro.frame.io import (
     CsvSource,
+    MultiFileCsvSource,
+    read_csv,
+    scan_csv,
+    write_csv,
+)
+from repro.frame.predicate import ColumnExpr
+from repro.frame.source import (
+    FilteredSource,
     FrameSource,
     InMemorySource,
-    MultiFileCsvSource,
     as_source,
 )
 
@@ -50,7 +59,9 @@ frames = st.builds(
 
 def materialized(source: FrameSource) -> DataFrame:
     """Concatenate every partition of *source*, preserving row order."""
-    parts = [part.materialize() for part in source.partitions()]
+    spec = source.predicate.spec() if isinstance(source, FilteredSource) \
+        else None
+    parts = [part.materialize(predicate=spec) for part in source.partitions()]
     non_empty = [part for part in parts if len(part)]
     return concat_rows(non_empty) if non_empty else parts[0]
 
@@ -76,43 +87,52 @@ def test_in_memory_partitions_concatenate_to_frame(frame, partition_rows):
     assert source.fingerprint() == frame.fingerprint()
 
 
-@given(frame=frames, chunk_rows=st.integers(min_value=1, max_value=150))
-@settings(max_examples=25, deadline=None)
-def test_csv_source_partitions_concatenate_to_file(frame, chunk_rows):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "data.csv")
-        write_csv(frame, path)
-        source = as_source(scan_csv(path, chunk_rows=chunk_rows,
-                                    dtypes=CSV_DTYPES))
-        assert isinstance(source, CsvSource)
-        assert_covers(source)
-        assert materialized(source) == source.to_frame()
-        assert source.n_rows == len(frame)
-
-
 @given(frame=frames,
+       kind=st.sampled_from(["file", "list", "glob"]),
+       filtered=st.booleans(),
        split=st.integers(min_value=0, max_value=120),
        chunk_rows=st.integers(min_value=1, max_value=150))
-@settings(max_examples=25, deadline=None)
-def test_multifile_partitions_concatenate_like_one_file(frame, split, chunk_rows):
+@settings(max_examples=60, deadline=None)
+def test_scan_handle_partitions_concatenate_to_file(frame, kind, filtered,
+                                                    split, chunk_rows):
+    """Every handle ``scan_csv`` can return — one file, an explicit list, a
+    glob, each plain or behind a filter — is its own source, refreshes to
+    itself while unchanged, names columns the same way, and its partitions
+    concatenate to what ``read_csv`` makes of the same rows."""
     split = min(split, len(frame))
     with tempfile.TemporaryDirectory() as tmp:
         whole_path = os.path.join(tmp, "whole.csv")
-        part_a = os.path.join(tmp, "a.csv")
-        part_b = os.path.join(tmp, "b.csv")
+        parts = [os.path.join(tmp, "part-0.csv"),
+                 os.path.join(tmp, "part-1.csv")]
         write_csv(frame, whole_path)
-        write_csv(frame.slice(0, split), part_a)
-        write_csv(frame.slice(split, len(frame)), part_b)
+        write_csv(frame.slice(0, split), parts[0])
+        write_csv(frame.slice(split, len(frame)), parts[1])
+        target = {"file": whole_path, "list": parts,
+                  "glob": os.path.join(tmp, "part-*.csv")}[kind]
+        handle = scan_csv(target, chunk_rows=chunk_rows, dtypes=CSV_DTYPES)
+        assert isinstance(handle, CsvSource if kind == "file"
+                          else MultiFileCsvSource)
+        assert handle.n_rows == len(frame)
+        assert_covers(handle)
+        expected = read_csv(whole_path, dtypes=CSV_DTYPES)
+        if filtered:
+            predicate = handle.value >= 0.0
+            handle = handle[predicate]
+            assert isinstance(handle, FilteredSource)
+            expected = expected.filter(predicate.mask(expected))
 
-        multi = scan_csv([part_a, part_b], chunk_rows=chunk_rows,
-                         dtypes=CSV_DTYPES)
-        assert isinstance(multi, MultiFileCsvSource)
-        assert_covers(multi)
+        assert as_source(handle) is handle
+        assert repro.refresh(handle) is handle
+        assert repr(handle.label) == repr(handle["label"]) \
+            == repr(ColumnExpr("label"))
+        assert not hasattr(handle, "nope")
+        with pytest.raises(ColumnNotFoundError) as caught:
+            handle["nope"]
+        assert isinstance(caught.value, KeyError)
+        assert isinstance(caught.value, FrameError)
 
-        single = as_source(scan_csv(whole_path, chunk_rows=chunk_rows,
-                                    dtypes=CSV_DTYPES))
-        assert multi.n_rows == single.n_rows
-        assert materialized(multi) == materialized(single)
+        assert materialized(handle) == expected
+        assert handle.to_frame() == expected
 
 
 def test_as_source_rejects_unknown_inputs():
@@ -305,7 +325,8 @@ def test_columns_keyword_probe_never_pins_closures():
 
     assert _accepts_columns(closure_func) is True
     assert not any(func is closure_func for func, _ in _KEYWORD_SUPPORT)
-    from repro.frame.source import _read_csv_slice, _slice_frame
+    from repro.frame.io import _read_csv_slice
+    from repro.frame.source import _slice_frame
     assert _accepts_columns(_read_csv_slice) is True
     assert _accepts_columns(_slice_frame) is True
     assert (_read_csv_slice, "columns") in _KEYWORD_SUPPORT

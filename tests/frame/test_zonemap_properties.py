@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.frame.frame import DataFrame
 from repro.frame.io import scan_csv, write_csv
 from repro.frame.predicate import Predicate, compile_predicate
-from repro.frame.source import CsvSource, FilteredSource
+from repro.frame.source import FilteredSource
 from repro.frame.zonemap import (
     ZoneMap,
     build_zone_map,
@@ -97,12 +97,12 @@ def test_pruned_scan_equals_mask_filter(data, predicate, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("zm-scan") / "data.csv")
     write_csv(frame, path)
     scan = scan_csv(path, chunk_rows=chunk_rows, budget_bytes=2 ** 62)
-    filtered = FilteredSource(CsvSource(scan), predicate)
+    filtered = FilteredSource(scan, predicate)
     result = PartitionedFrame.from_source(filtered,
                                           predicate=predicate).compute()
     # Re-derive the expectation from the *parsed* file (CSV round-trips may
     # legally re-infer dtypes), then compare row counts and present values.
-    parsed = PartitionedFrame.from_source(CsvSource(scan)).compute()
+    parsed = PartitionedFrame.from_source(scan).compute()
     expected = parsed.filter(predicate.mask(parsed))
     assert len(result) == len(expected)
     for name in expected.columns:
@@ -295,7 +295,7 @@ def test_stamp_change_invalidates_sidecar(data, tmp_path_factory):
 
 
 def test_scanned_frame_memoizes_and_persists_zone_map(tmp_path):
-    """ScannedFrame.zone_map builds once, persists the sidecar, and a fresh
+    """CsvSource.zone_map builds once, persists the sidecar, and a fresh
     scan of the unchanged file loads it instead of rebuilding; overwriting
     the file invalidates the sidecar through the stamp."""
     path = str(tmp_path / "data.csv")

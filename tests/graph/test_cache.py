@@ -83,13 +83,15 @@ class TestCacheKeys:
         import os
         import time as time_module
 
+        from repro.frame.io import scan_csv
         from repro.graph import PartitionedFrame
 
         path = tmp_path / "data.csv"
         path.write_text("x\n" + "\n".join(str(i) for i in range(10)) + "\n")
 
         def partition_key(csv_path):
-            partitioned = PartitionedFrame.from_csv(str(csv_path), partition_rows=100)
+            partitioned = PartitionedFrame.from_source(
+                scan_csv(str(csv_path), chunk_rows=100))
             part = partitioned.partitions[0]
             return assign_cache_keys(part.graph)[part.key]
 

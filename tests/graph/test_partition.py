@@ -103,11 +103,12 @@ class TestPartitionedFrame:
 
 
 class TestCsvPartitioning:
-    def test_from_csv_round_trips_the_frame(self, wide_frame, tmp_path):
-        from repro.frame.io import write_csv
+    def test_scanned_csv_round_trips_the_frame(self, wide_frame, tmp_path):
+        from repro.frame.io import scan_csv, write_csv
         path = tmp_path / "wide.csv"
         write_csv(wide_frame, str(path))
-        partitioned = PartitionedFrame.from_csv(str(path), partition_rows=128)
+        partitioned = PartitionedFrame.from_source(
+            scan_csv(str(path), chunk_rows=128))
         assert partitioned.npartitions == 8
         assert partitioned.n_rows == len(wide_frame)
         assert partitioned.columns == wide_frame.columns
@@ -116,27 +117,29 @@ class TestCsvPartitioning:
             combine=lambda parts: float(sum(parts))).compute()
         assert total == pytest.approx(wide_frame.column("x").sum())
 
-    def test_from_csv_partitions_share_dtypes(self, wide_frame, tmp_path):
-        from repro.frame.io import write_csv
+    def test_scanned_csv_partitions_share_dtypes(self, wide_frame, tmp_path):
+        from repro.frame.io import scan_csv, write_csv
         path = tmp_path / "wide.csv"
         write_csv(wide_frame, str(path))
-        partitioned = PartitionedFrame.from_csv(str(path), partition_rows=400)
+        partitioned = PartitionedFrame.from_source(
+            scan_csv(str(path), chunk_rows=400))
         frames = [partition.compute() for partition in partitioned.partitions]
         dtype_sets = {tuple(sorted((name, dtype.value)
                                    for name, dtype in frame.dtypes.items()))
                       for frame in frames}
         assert len(dtype_sets) == 1
 
-    def test_precompute_csv_chunks_validation(self, tmp_path):
-        from repro.graph.partition import precompute_csv_chunks
+    def test_scan_csv_precomputes_chunks_and_validates(self, tmp_path):
+        from repro.errors import FrameError
+        from repro.frame.io import scan_csv
         path = tmp_path / "tiny.csv"
         path.write_text("a,b\n1,2\n3,4\n")
-        columns, boundaries, ranges = precompute_csv_chunks(str(path), 10)
-        assert columns == ["a", "b"]
-        assert boundaries == [(0, 2)]
-        assert len(ranges) == 1
-        with pytest.raises(GraphError):
-            precompute_csv_chunks(str(path), 0)
+        scan = scan_csv(str(path), chunk_rows=10)
+        assert scan.columns == ["a", "b"]
+        assert scan.boundaries == [(0, 2)]
+        assert len(scan.byte_ranges) == 1
+        with pytest.raises(FrameError):
+            scan_csv(str(path), chunk_rows=0)
 
 
 class TestTreeCombine:

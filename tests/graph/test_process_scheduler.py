@@ -284,7 +284,6 @@ class TestProjectedBundles:
     def test_projected_parse_tasks_ship_to_workers(self, tmp_path):
         from repro.frame.frame import DataFrame
         from repro.frame.io import scan_csv, write_csv
-        from repro.frame.source import CsvSource
         from repro.graph.partition import PartitionedFrame
 
         frame = DataFrame({
@@ -294,7 +293,7 @@ class TestProjectedBundles:
         })
         path = str(tmp_path / "ship.csv")
         write_csv(frame, path)
-        source = CsvSource(scan_csv(path, chunk_rows=150))
+        source = scan_csv(path, chunk_rows=150)
         projected = PartitionedFrame.from_source(source, columns=("a",))
 
         for part in projected.partitions:
@@ -321,7 +320,7 @@ class TestFilteredBundles:
         from repro.frame.frame import DataFrame
         from repro.frame.io import scan_csv, write_csv
         from repro.frame.predicate import compile_predicate
-        from repro.frame.source import CsvSource, FilteredSource
+        from repro.frame.source import FilteredSource
         from repro.graph.partition import PartitionedFrame
         from repro.utils import is_filtered_parse_key
 
@@ -335,7 +334,7 @@ class TestFilteredBundles:
         # Pruning off so every chunk's filtered parse actually ships (the
         # data is sorted, so zone maps would otherwise skip half of them).
         source = FilteredSource(
-            CsvSource(scan_csv(path, chunk_rows=150)),
+            scan_csv(path, chunk_rows=150),
             predicate).without_pruning()
         filtered = PartitionedFrame.from_source(source, columns=("a",),
                                                 predicate=predicate)
@@ -362,7 +361,7 @@ class TestFilteredBundles:
         from repro.frame.frame import DataFrame
         from repro.frame.io import scan_csv, write_csv
         from repro.frame.predicate import compile_predicate
-        from repro.frame.source import CsvSource, FilteredSource
+        from repro.frame.source import FilteredSource
         from repro.graph.partition import PartitionedFrame
 
         frame = DataFrame({"a": np.arange(100, dtype=np.float64)})
@@ -370,9 +369,9 @@ class TestFilteredBundles:
         write_csv(frame, path)
         predicate = compile_predicate(("a", "<", 10.0))
         plain = PartitionedFrame.from_source(
-            CsvSource(scan_csv(path, chunk_rows=50)))
+            scan_csv(path, chunk_rows=50))
         filtered = PartitionedFrame.from_source(
-            FilteredSource(CsvSource(scan_csv(path, chunk_rows=50)),
+            FilteredSource(scan_csv(path, chunk_rows=50),
                            predicate).without_pruning(),
             predicate=predicate)
         plain_keys = {part.key for part in plain.partitions}
