@@ -22,7 +22,7 @@ import enum
 import math
 import re
 from datetime import datetime, timezone
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -101,13 +101,13 @@ _NULL_VALUES = {
 
 def is_missing_scalar(value: Any) -> bool:
     """Return True if a raw python value should be treated as missing."""
+    if isinstance(value, str):        # first: text cells are the hot case
+        return value.strip().lower() in MISSING_TOKENS
     if value is None:
         return True
     if isinstance(value, float) and math.isnan(value):
         return True
     if isinstance(value, np.floating) and np.isnan(value):
-        return True
-    if isinstance(value, str) and value.strip().lower() in MISSING_TOKENS:
         return True
     if isinstance(value, np.datetime64) and np.isnat(value):
         return True
@@ -165,20 +165,25 @@ def parse_datetime(value: Any) -> Optional[np.datetime64]:
     return None
 
 
-def _parse_number(value: Any) -> Optional[Tuple[float, bool]]:
+def _parse_number(value: Any) -> Optional[Tuple[float, Optional[int]]]:
     """Parse a scalar as a number.
 
-    Returns ``(value, is_integral)`` or None when the scalar is not numeric.
+    Returns ``(as_float, as_int)`` or None when the scalar is not numeric.
+    ``as_int`` is what INT storage holds — exact (integral text goes through
+    ``int``, never through a double) and within int64 — or None when the
+    value is not integral.  An integer outside int64 is not integral, so a
+    column holding one infers FLOAT instead of overflowing INT storage.
     Booleans are deliberately *not* treated as numbers here so that boolean
     columns keep their own dtype.
     """
     if isinstance(value, (bool, np.bool_)):
         return None
     if isinstance(value, (int, np.integer)):
-        return float(value), True
+        return float(value), _within_int64(int(value))
     if isinstance(value, (float, np.floating)):
         number = float(value)
-        return number, float(number).is_integer() and abs(number) < 2 ** 53
+        integral = number.is_integer() and abs(number) < 2 ** 53
+        return number, int(number) if integral else None
     if isinstance(value, str):
         text = value.strip()
         if not text:
@@ -187,10 +192,19 @@ def _parse_number(value: Any) -> Optional[Tuple[float, bool]]:
             number = float(text)
         except ValueError:
             return None
-        is_integral = "." not in text and "e" not in text.lower() and \
-            "inf" not in text.lower() and not math.isnan(number)
-        return number, is_integral and float(number).is_integer()
+        # inf and nan are not integers; what is left of float()'s grammar
+        # without a point or an exponent is exactly int()'s.
+        if "." in text or "e" in text.lower() or not number.is_integer():
+            return number, None
+        try:
+            return number, _within_int64(int(text))
+        except ValueError:             # int()'s digit-count limit (zero padding)
+            return number, None
     return None
+
+
+def _within_int64(exact: int) -> Optional[int]:
+    return exact if -2 ** 63 <= exact < 2 ** 63 else None
 
 
 def infer_dtype(values: Iterable[Any]) -> DType:
@@ -199,7 +213,19 @@ def infer_dtype(values: Iterable[Any]) -> DType:
     Missing markers are ignored during inference.  Mixed numeric content
     (ints and floats) infers FLOAT; anything containing non-parsable strings
     infers STRING.  An all-missing column infers FLOAT so it can hold NaN.
+
+    The loop below is the definition.  The answer depends only on which
+    distinct values occur, so a column of text cells is first reduced to
+    its distinct set and offered to :func:`_infer_text_batch`; whatever that
+    declines is decided here, cell by cell.
     """
+    if not isinstance(values, (list, tuple, set)):
+        values = list(values)
+    if _all_text(values):
+        values = set(values)
+        guess = _infer_text_batch(values)
+        if guess is not None:
+            return guess
     saw_bool = saw_int = saw_float = saw_datetime = False
     saw_any = False
     for value in values:
@@ -210,7 +236,7 @@ def infer_dtype(values: Iterable[Any]) -> DType:
         # numeric; python bools are never treated as numbers by _parse_number.
         number = _parse_number(value)
         if number is not None:
-            if number[1]:
+            if number[1] is not None:
                 saw_int = True
             else:
                 saw_float = True
@@ -242,6 +268,70 @@ def infer_dtype(values: Iterable[Any]) -> DType:
     return DType.STRING
 
 
+def _all_text(values: Any) -> bool:
+    """Whether every value is exactly a ``str`` — what the batch paths need."""
+    return set(map(type, values)) == {str}
+
+
+def _missing_cells(distinct: Set[str]) -> Set[str]:
+    """Those of the distinct text cells :func:`is_missing_scalar` calls missing."""
+    return set(filter(is_missing_scalar, distinct))
+
+
+#: The only shapes the DATETIME batch parse is offered: ASCII
+#: ``YYYY-MM-DD`` with an optional ``[ T]HH:MM:SS``.  On exactly these numpy's
+#: ISO parser and ``strptime`` accept the same strings with the same value —
+#: bar year 0000, which only numpy takes.  Everything else numpy reads
+#: (``2021-01``, fractions, offsets) or ``strptime`` reads (1-digit months,
+#: tabs, ``%d-%m-%Y``) goes through :func:`parse_datetime`.
+_ISO_DATETIME = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[ T][0-9]{2}:[0-9]{2}:[0-9]{2})?")
+_YEAR_ONE = np.datetime64("0001-01-01", "s")
+
+
+def _parse_text_batch(cells: Sequence[str], dtype: DType) -> Optional[np.ndarray]:
+    """Parse every text cell as INT, FLOAT or DATETIME in C, or None.
+
+    numpy converts a ``str`` to int64 / float64 by calling ``int`` /
+    ``float`` on it — the calls :func:`_parse_number` makes — so an array
+    here holds, cell for cell, what the scalar coercion returns; None means
+    some cell needs the scalar path (a bool token, garbage, an int beyond
+    int64, a date outside :data:`_ISO_DATETIME`), never a different value.
+    """
+    if dtype is DType.DATETIME and \
+            not all(map(_ISO_DATETIME.fullmatch, cells)):
+        return None
+    try:
+        data = np.asarray(cells, dtype=dtype.numpy_dtype())
+    except (ValueError, OverflowError):
+        return None
+    if dtype is DType.DATETIME and (data < _YEAR_ONE).any():
+        return None
+    return data
+
+
+def _infer_text_batch(distinct: Set[str]) -> Optional[DType]:
+    """:func:`infer_dtype` of text cells by trial batch parses, or None.
+
+    INT: every present cell is an int64 literal.  FLOAT: every one is a
+    float literal and INT refused some.  DATETIME: every one is ISO-shaped
+    and valid.  None of these cells can be a bool token, so the scalar
+    loop's precedence (number, bool, datetime) cannot disagree.
+    """
+    present = list(distinct - _missing_cells(distinct))
+    if not present:
+        return DType.FLOAT
+    for dtype in (DType.INT, DType.FLOAT, DType.DATETIME):
+        if _parse_text_batch(present, dtype) is not None:
+            return dtype
+    return None
+
+
+#: Text that parses to each dtype's null sentinel, substituted for missing
+#: cells before a batch parse.
+_NULL_TEXT = {DType.INT: "0", DType.FLOAT: "nan", DType.DATETIME: "1970-01-01"}
+
+
 def coerce_values(values: Sequence[Any], dtype: DType,
                   lenient: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """Coerce raw python values into ``(data, mask)`` arrays for *dtype*.
@@ -255,14 +345,15 @@ def coerce_values(values: Sequence[Any], dtype: DType,
     degrade to a missing cell (as documented on ``scan_csv``), not abort a
     long-running scan.
 
-    FLOAT, INT and STRING take a vectorized fast path (numpy parses the
-    whole batch in C) and fall back to the exact per-scalar coercion the
-    moment any value resists it, so the accepted inputs are identical either
-    way — this is the hot loop of the chunked CSV scan.
+    Text cells take a batch path (:func:`_coerce_text_batch`: numpy parses
+    the whole column in C) which either returns exactly what the per-scalar
+    loop below would, or declines — the loop is the definition and decides
+    every raise and every lenient degrade.  This is the hot loop of the
+    chunked CSV scan.
     """
-    fast = _coerce_fast(values, dtype)
-    if fast is not None:
-        return fast
+    batch = _coerce_text_batch(values, dtype)
+    if batch is not None:
+        return batch
     size = len(values)
     data = np.empty(size, dtype=dtype.numpy_dtype())
     mask = np.zeros(size, dtype=np.bool_)
@@ -276,9 +367,9 @@ def coerce_values(values: Sequence[Any], dtype: DType,
             try:
                 data[index] = _coerce_scalar(value, dtype)
             except (DTypeError, OverflowError):
-                # OverflowError: a parsed python int too large for the int64
-                # storage raises at numpy assignment, not inside the coercion
-                # — it must still degrade to missing, not abort the scan.
+                # OverflowError: a python int too large for a double raises
+                # inside the coercion — it must still degrade to missing,
+                # not abort the scan.
                 data[index] = null
                 mask[index] = True
         else:
@@ -286,35 +377,36 @@ def coerce_values(values: Sequence[Any], dtype: DType,
     return data, mask
 
 
-def _coerce_fast(values: Sequence[Any],
-                 dtype: DType) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Vectorized coercion for the common dtypes; None = use the slow path."""
-    if dtype not in (DType.FLOAT, DType.INT, DType.STRING) or not len(values):
+def _coerce_text_batch(values: Sequence[Any], dtype: DType
+                       ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Whole-column coercion of text cells; None = use the per-scalar loop.
+
+    Guess that no cell is missing and parse; when that fails, find the
+    missing cells among the distinct ones, substitute the null text and
+    parse again.  A cell no parse accepts (lenient or not) declines.
+    """
+    if dtype is DType.BOOL or not len(values) or not _all_text(values):
         return None
-    mask = np.fromiter((is_missing_scalar(value) for value in values),
-                       dtype=np.bool_, count=len(values))
     if dtype is DType.STRING:
-        if not all(isinstance(value, str) for value in values):
-            return None
-        data = np.empty(len(values), dtype=object)
-        data[:] = values
-        if mask.any():
-            data[mask] = ""
+        codes, dictionary, mask = _encode_text_cells(values)
+        return decode_string_codes(codes, dictionary), mask
+    data = _parse_text_batch(values, dtype)
+    if data is not None:
+        mask = np.zeros(len(values), dtype=np.bool_)
+        if dtype is DType.FLOAT:
+            # "nan" is both a float literal and a missing token.
+            for index in np.flatnonzero(np.isnan(data)).tolist():
+                mask[index] = is_missing_scalar(values[index])
         return data, mask
-    null_token = "nan" if dtype is DType.FLOAT else "0"
-    cleaned = [null_token if missing else value
-               for value, missing in zip(values, mask)]
-    if not all(isinstance(value, str) for value in cleaned):
+    missing = _missing_cells(set(values))
+    if not missing:
         return None
-    if dtype is DType.INT and any("_" in value for value in cleaned):
-        return None                    # numpy and int() disagree on "1_0"
-    try:
-        data = np.asarray(cleaned, dtype=dtype.numpy_dtype())
-    except (ValueError, OverflowError):
+    fill = dict.fromkeys(missing, _NULL_TEXT[dtype])
+    data = _parse_text_batch(list(map(fill.get, values, values)), dtype)
+    if data is None:
         return None
-    if dtype is DType.FLOAT and bool(np.isnan(data[~mask]).any()):
-        return None                    # a non-missing cell parsed to NaN
-    return data, mask
+    return data, np.fromiter(map(missing.__contains__, values),
+                             dtype=np.bool_, count=len(values))
 
 
 def _coerce_scalar(value: Any, dtype: DType) -> Any:
@@ -326,12 +418,12 @@ def _coerce_scalar(value: Any, dtype: DType) -> Any:
         return parsed_bool
     if dtype is DType.INT:
         number = _parse_number(value)
-        if number is None or not number[1]:
+        if number is None or number[1] is None:
             parsed_bool = parse_bool(value)
             if parsed_bool is not None:
                 return int(parsed_bool)
             raise DTypeError(f"cannot interpret {value!r} as int")
-        return int(number[0])
+        return number[1]
     if dtype is DType.FLOAT:
         number = _parse_number(value)
         if number is not None:
@@ -377,6 +469,33 @@ def encode_string_codes(data: np.ndarray,
     codes[present] = np.fromiter(map(index.__getitem__, values),
                                  dtype=np.int32, count=len(values))
     return codes, dictionary
+
+
+def encode_cells(values: Sequence[Any]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw cells straight to a STRING column's ``(codes, dictionary, mask)``.
+
+    Equal to ``coerce_values(values, DType.STRING)`` followed by
+    :func:`encode_string_codes`, without materializing the per-row object
+    array in between — what the CSV parse emits for a STRING column.
+    """
+    if len(values) and _all_text(values):
+        return _encode_text_cells(values)
+    data, mask = coerce_values(values, DType.STRING)
+    return (*encode_string_codes(data, mask), mask)
+
+
+def _encode_text_cells(values: Sequence[str]
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One distinct-set pass: missing cells, dictionary and codes of text."""
+    distinct = set(values)
+    missing = _missing_cells(distinct)
+    dictionary = _sorted_distinct(distinct - missing)
+    index = dict(zip(dictionary.tolist(), range(dictionary.size)))
+    index.update(dict.fromkeys(missing, -1))
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32,
+                        count=len(values))
+    return codes, dictionary, codes < 0
 
 
 def _sorted_distinct(values: Iterable[str]) -> np.ndarray:

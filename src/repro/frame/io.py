@@ -42,12 +42,7 @@ import numpy as np
 
 from repro.errors import ColumnNotFoundError, FrameError
 from repro.frame.column import Column
-from repro.frame.dtypes import (
-    DType,
-    coerce_values,
-    encode_string_codes,
-    infer_dtype,
-)
+from repro.frame.dtypes import DType, coerce_values, encode_cells, infer_dtype
 from repro.frame.fingerprint import fingerprint_file_stamps
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.predicate import apply_predicate_spec
@@ -161,24 +156,32 @@ def _read_csv_stream(stream: io.TextIOBase,
                      dtypes: Optional[Dict[str, DType]],
                      max_rows: Optional[int],
                      lenient: bool = False,
-                     usecols: Optional[Sequence[str]] = None) -> DataFrame:
+                     usecols: Optional[Sequence[str]] = None,
+                     validate_dtype_keys: bool = True) -> DataFrame:
+    """Tokenise → infer where no dtype was given → batch coerce → encode.
+
+    The one cell→column step behind :func:`read_csv`, the scan preview and
+    every chunk parse.  *dtypes* entries naming no column of this header
+    raise unless *validate_dtype_keys* is false (the multi-file scan hands
+    later files the first file's whole map), in which case they are unused.
+    """
     reader = csv.reader(stream, delimiter=delimiter)
     rows = iter(reader)
 
     names: List[str]
+    header: Optional[List[str]] = None
     if has_header:
-        try:
-            header = next(rows)
-        except StopIteration:
-            return DataFrame()
-        names = [name.strip() for name in header]
+        header = next(rows, None)
+        names = [name.strip() for name in header or ()]
     else:
         if column_names is None:
             raise FrameError("column_names is required when has_header is False")
         names = list(column_names)
 
-    if dtypes:
+    if dtypes and validate_dtype_keys:
         _validate_known_columns(dtypes, names)
+    if has_header and header is None:          # a zero-byte input
+        return DataFrame()
 
     keep: Optional[List[int]] = None
     full_width = len(names)
@@ -212,16 +215,19 @@ def _read_csv_stream(stream: io.TextIOBase,
     overrides = dtypes or {}
     columns = []
     for name, raw_values in zip(names, cells):
-        dtype = overrides.get(name, infer_dtype(raw_values))
-        data, mask = coerce_values(raw_values, dtype, lenient=lenient)
+        # Inference is paid only by a column nobody named a dtype for: a
+        # chunk parse, handed the scan's complete map, infers nothing.
+        dtype = overrides[name] if name in overrides \
+            else infer_dtype(raw_values)
         if dtype is DType.STRING:
-            # Emit dictionary codes directly at parse time: one np.unique
-            # over the chunk's cells replaces every later per-row loop, and
-            # the chunk travels (cache, sidecar, worker payloads) as int32
-            # codes plus its per-chunk dictionary.
-            codes, dictionary = encode_string_codes(data, mask)
+            # Emit dictionary codes directly at parse time: one pass over
+            # the chunk's distinct cells replaces every later per-row loop,
+            # and the chunk travels (cache, sidecar, worker payloads) as
+            # int32 codes plus its per-chunk dictionary.
+            codes, dictionary, mask = encode_cells(raw_values)
             columns.append(Column.from_codes(name, codes, dictionary, mask))
             continue
+        data, mask = coerce_values(raw_values, dtype, lenient=lenient)
         columns.append(Column(name, data, dtype, mask))
     return DataFrame(columns)
 
@@ -1323,25 +1329,20 @@ def _scan_preview(path: Union[str, os.PathLike],
     it can detect appended rows changing a column's inferred dtype (in
     which case the refresh falls back to a full rescan).
     """
-    preview = read_csv(path, delimiter=delimiter, max_rows=inference_rows)
+    # One tokenisation of the preview rows: a named column is coerced under
+    # its override, every other one is inferred.  Lenient like the chunk
+    # parser when overrides are given — explicit dtypes are the documented
+    # remedy for late-typed columns, so early values that contradict them
+    # must become missing, not abort the scan; an inferred dtype accepts
+    # every cell it was inferred from, so leniency never touches those.
+    # In the multi-file path *dtypes* is file 1's complete map and its keys
+    # go unvalidated: a header mismatch must be reported by the multi-file
+    # constructor, not here.
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        preview = _read_csv_stream(
+            handle, delimiter, True, None, dtypes, inference_rows,
+            lenient=bool(dtypes), validate_dtype_keys=validate_dtype_keys)
     inferred = preview.dtypes
     if dtypes:
-        # Mirror the config-key validation: a dtype override naming no
-        # column raises with a did-you-mean instead of silently doing
-        # nothing (the historical behaviour hid typos until the column's
-        # inferred type diverged deep in the file).
-        if validate_dtype_keys:
-            _validate_known_columns(dtypes, preview.columns)
         inferred.update(dtypes)
-        # Lenient like the chunk parser: explicit dtypes are the documented
-        # remedy for late-typed columns, so early values that contradict
-        # them must become missing, not abort the scan.  Restrict the map
-        # to this file's own header: in the multi-file path, *dtypes* is
-        # file 1's complete map and a header mismatch must be reported by
-        # the multi-file constructor, not here.
-        preview_columns = set(preview.columns)
-        preview_dtypes = {name: dtype for name, dtype in inferred.items()
-                          if name in preview_columns}
-        preview = read_csv(path, delimiter=delimiter, dtypes=preview_dtypes,
-                           max_rows=inference_rows, lenient=True)
     return preview, inferred

@@ -165,3 +165,100 @@ class TestDtypeKeyValidation:
         write_csv(house_frame, path)
         scan = scan_csv(path, dtypes={"price": DType.FLOAT})
         assert scan.dtypes["price"] is DType.FLOAT
+
+    def test_zero_byte_file_has_no_column_to_name(self, tmp_path):
+        from repro.errors import ColumnNotFoundError
+        from repro.frame.io import scan_csv
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert read_csv(str(path)).shape == (0, 0)
+        assert scan_csv(str(path)).columns == []
+        for reader in (read_csv, scan_csv):
+            with pytest.raises(ColumnNotFoundError):
+                reader(str(path), dtypes={"a": DType.INT})
+
+
+class TestDecodePaysOnlyForWhatItReturns:
+    """Counts, not timings: inference runs for columns nobody named a dtype
+    for, and a scan tokenises its preview rows once."""
+
+    TEXT = "n,s,when\n" + "".join(
+        f"{i}.5,v{i % 3},2021-01-{i % 28 + 1:02d}\n" for i in range(40))
+    DTYPES = {"n": DType.FLOAT, "s": DType.STRING, "when": DType.DATETIME}
+
+    @pytest.fixture
+    def inferred(self, monkeypatch):
+        """The columns ``infer_dtype`` was asked about, as cell lists."""
+        from repro.frame import io as io_module
+        calls = []
+
+        def counted(values):
+            calls.append(list(values))
+            return DType.STRING
+        monkeypatch.setattr(io_module, "infer_dtype", counted)
+        return calls
+
+    @pytest.fixture
+    def tokenised(self, monkeypatch):
+        """``max_rows`` of every pass over CSV text (None = a chunk parse)."""
+        from repro.frame import io as io_module
+        original = io_module._read_csv_stream
+        calls = []
+
+        def counted(stream, delimiter, has_header, column_names, dtypes,
+                    max_rows, *args, **kwargs):
+            calls.append(max_rows)
+            return original(stream, delimiter, has_header, column_names,
+                            dtypes, max_rows, *args, **kwargs)
+        monkeypatch.setattr(io_module, "_read_csv_stream", counted)
+        return calls
+
+    def _write(self, tmp_path, name="data.csv"):
+        path = tmp_path / name
+        path.write_text(self.TEXT)
+        return str(path)
+
+    def test_chunk_parse_with_a_complete_map_infers_nothing(
+            self, tmp_path, inferred):
+        from repro.frame.io import _read_csv_slice, parse_csv_range, scan_csv
+        scan = scan_csv(self._write(tmp_path), chunk_rows=16,
+                        dtypes=self.DTYPES)
+        assert inferred == []
+        for start, stop in scan.byte_ranges:
+            parse_csv_range(scan.path, start, stop, scan.columns, scan.dtypes)
+            parse_csv_range(scan.path, start, stop, scan.columns, scan.dtypes,
+                            usecols=["s"])
+            _read_csv_slice(scan.path, start, stop, tuple(scan.columns),
+                            scan.dtypes)
+        assert len(scan.to_frame()) == 40
+        assert inferred == []
+
+    def test_partial_override_infers_only_the_unnamed_columns(
+            self, tmp_path, inferred):
+        from repro.frame.io import scan_csv
+        scan = scan_csv(self._write(tmp_path), dtypes={"n": DType.FLOAT})
+        assert [cells[0] for cells in inferred] == ["v0", "2021-01-01"]
+        assert scan.dtypes["n"] is DType.FLOAT
+        read_csv(io.StringIO(self.TEXT), dtypes={"s": DType.STRING,
+                                                 "when": DType.DATETIME})
+        assert [cells[0] for cells in inferred[2:]] == ["0.5"]
+
+    def test_scan_with_overrides_reads_the_preview_rows_once(
+            self, tmp_path, tokenised):
+        from repro.frame.io import scan_csv
+        scan = scan_csv(self._write(tmp_path), dtypes={"n": DType.FLOAT},
+                        inference_rows=25)
+        assert tokenised == [25]
+        assert len(scan.preview) == 25
+        assert scan.dtypes == self.DTYPES
+
+    def test_glob_scan_reads_each_files_preview_rows_once(
+            self, tmp_path, tokenised, inferred):
+        from repro.frame.io import scan_csv
+        for name in ("part-0.csv", "part-1.csv", "part-2.csv"):
+            self._write(tmp_path, name)
+        scan = scan_csv(str(tmp_path / "part-*.csv"), inference_rows=30)
+        assert tokenised == [30, 30, 30]
+        # Files 2..N are handed file 1's complete map: nothing to infer.
+        assert len(inferred) == 3
+        assert scan.n_rows == 120

@@ -1,4 +1,4 @@
-"""Deliberately naive reference semantics for the categorical kernels.
+"""Deliberately naive reference semantics: categorical kernels, CSV cell decode.
 
 Every function works on plain python lists (``None`` = missing, as
 ``Column.to_list()`` returns them) with Counter / dict loops — the smallest
@@ -9,9 +9,14 @@ these; nothing here may import a kernel it is the reference for.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.errors import DTypeError
+from repro.frame.dtypes import DType
 
 
 def present(values: Sequence[Any]) -> List[Any]:
@@ -110,3 +115,148 @@ def per_row_object_bytes(values: Sequence[Any]) -> int:
     + the object itself) — what dictionary encoding is measured against."""
     return 9 * len(values) + sum(sys.getsizeof(value)
                                  for value in present(values))
+
+
+# --------------------------------------------------------------------------- #
+# CSV cell decode: what a text cell means under each storage dtype
+# --------------------------------------------------------------------------- #
+# One cell at a time with ``float`` / ``int`` / ``strptime`` — no numpy, no
+# batching, no distinct sets.  ``repro.frame.dtypes`` is tested against
+# these; only the DType enum and the error class are imported from ``repro``.
+DECODE_MISSING = {"", "na", "n/a", "nan", "null", "none", "missing", "?"}
+DECODE_TRUE = {"true", "t", "yes", "y", "1"}
+DECODE_FALSE = {"false", "f", "no", "n", "0"}
+DECODE_DATETIME_FORMATS = (
+    "%Y-%m-%d %H:%M:%S", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S%z",
+    "%Y-%m-%dT%H:%M:%S%z", "%Y-%m-%d", "%Y/%m/%d", "%m/%d/%Y", "%d-%m-%Y")
+#: The only texts offered to strptime: three digit groups, then optionally
+#: whitespace or ``T``, a time, and ``Z`` or a ``+hh[:]mm`` offset.
+DECODE_DATETIME_SHAPE = re.compile(
+    r"^\d{1,4}[-/]\d{1,2}[-/]\d{1,4}"
+    r"((\s+|T)\d{1,2}:\d{1,2}:\d{1,2}(Z|[+-]\d{2}:?\d{2})?)?$")
+DECODE_EPOCH = datetime(1970, 1, 1)
+#: What a missing slot stores, per dtype (datetimes as epoch seconds).
+DECODE_NULLS = {DType.BOOL: False, DType.INT: 0, DType.FLOAT: float("nan"),
+                DType.STRING: "", DType.DATETIME: 0}
+
+
+def decode_is_missing(cell: str) -> bool:
+    return cell.strip().lower() in DECODE_MISSING
+
+
+def decode_bool(cell: str) -> Optional[bool]:
+    token = cell.strip().lower()
+    return True if token in DECODE_TRUE else \
+        False if token in DECODE_FALSE else None
+
+
+def decode_number(cell: str) -> Any:
+    """An ``int`` (an integer literal that fits int64), a ``float`` (any
+    other float literal, integers beyond int64 included) or None."""
+    text = cell.strip()
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    try:
+        exact = int(text)
+    except ValueError:
+        return number
+    return exact if -2 ** 63 <= exact < 2 ** 63 else number
+
+
+def decode_datetime(cell: str) -> Optional[int]:
+    """Seconds since the epoch on the naive UTC timeline, or None."""
+    text = cell.strip()
+    if not DECODE_DATETIME_SHAPE.match(text):
+        return None
+    for fmt in DECODE_DATETIME_FORMATS:
+        try:
+            parsed = datetime.strptime(text, fmt)
+        except ValueError:
+            continue
+        if parsed.tzinfo is not None:
+            parsed = parsed.astimezone(timezone.utc).replace(tzinfo=None)
+        return (parsed - DECODE_EPOCH) // timedelta(seconds=1)
+    return None
+
+
+def decode_kind(cell: str) -> str:
+    """What one present cell is; numbers before bools before datetimes."""
+    number = decode_number(cell)
+    if number is not None:
+        return "int" if isinstance(number, int) else "float"
+    if decode_bool(cell) is not None:
+        return "bool"
+    if decode_datetime(cell) is not None:
+        return "datetime"
+    return "string"
+
+
+def decode_infer(cells: Sequence[str]) -> DType:
+    kinds = {decode_kind(cell) for cell in cells
+             if not decode_is_missing(cell)}
+    if not kinds:
+        return DType.FLOAT
+    if "string" in kinds:
+        return DType.STRING
+    if "datetime" in kinds:
+        return DType.DATETIME if kinds == {"datetime"} else DType.STRING
+    if "float" in kinds:
+        return DType.FLOAT
+    if "int" in kinds:
+        return DType.INT if kinds == {"int"} else DType.STRING
+    return DType.BOOL
+
+
+def decode_cell(cell: str, dtype: DType) -> Any:
+    """One present cell as *dtype* (datetimes as epoch seconds), or raise."""
+    if dtype is DType.STRING:
+        return cell
+    if dtype is DType.DATETIME:
+        value: Any = decode_datetime(cell)
+    elif dtype is DType.BOOL:
+        value = decode_bool(cell)
+    else:
+        number = decode_number(cell)
+        as_type = int if dtype is DType.INT else float
+        if dtype is DType.FLOAT and number is not None:
+            value = float(cell.strip())     # not float(int(...)): "-0" is -0.0
+        elif isinstance(number, int):
+            value = number
+        else:                          # INT and FLOAT both take bool tokens
+            flag = decode_bool(cell)
+            value = None if flag is None else as_type(flag)
+    if value is None:
+        raise DTypeError(f"cannot interpret {cell!r} as {dtype.value}")
+    return value
+
+
+def decode_column(cells: Sequence[str], dtype: DType,
+                  lenient: bool) -> Tuple[List[Any], List[bool]]:
+    """``(values, mask)``; a cell *dtype* cannot hold raises, or when
+    *lenient* becomes missing."""
+    values: List[Any] = []
+    mask: List[bool] = []
+    for cell in cells:
+        missing = decode_is_missing(cell)
+        if not missing:
+            try:
+                values.append(decode_cell(cell, dtype))
+            except DTypeError:
+                if not lenient:
+                    raise
+                missing = True
+        if missing:
+            values.append(DECODE_NULLS[dtype])
+        mask.append(missing)
+    return values, mask
+
+
+def decode_dictionary(values: Sequence[str], mask: Sequence[bool]
+                      ) -> Tuple[List[int], List[str]]:
+    """``(codes, dictionary)``: sorted distinct present values, -1 = missing."""
+    dictionary = sorted({value for value, missing in zip(values, mask)
+                         if not missing})
+    return [-1 if missing else dictionary.index(value)
+            for value, missing in zip(values, mask)], dictionary

@@ -58,6 +58,23 @@ class TestReport:
         report = create_report(house_frame)
         assert len(report.interactions) == 3  # C(3 numeric columns, 2)
 
+    def test_report_interactions_drop_rows_missing_in_either_column(
+            self, house_frame):
+        """A pair keeps the sampled rows present in both columns, and its
+        lists share one python float per sampled value with the column's
+        other pairs (a report used to box each value once per pair)."""
+        report = create_report(house_frame)   # 400 rows: the sample is the frame
+        size, price = (house_frame.column(name) for name in ("size", "price"))
+        keep = size.notna() & price.notna()
+        pair = report.interactions["size x price"]
+        assert pair["x"] == size.to_numpy()[keep].tolist()
+        assert pair["y"] == price.to_numpy()[keep].tolist()
+        assert len(pair["x"]) < len(house_frame)        # price has missing rows
+        other = report.interactions["size x year_built"]["x"]
+        assert other == size.to_numpy().tolist()
+        assert all(a is b for a, b in zip(
+            pair["x"], (value for value, kept in zip(other, keep) if kept)))
+
     def test_report_insights_collected(self, house_frame):
         report = create_report(house_frame)
         # size and price are constructed to be strongly correlated.
