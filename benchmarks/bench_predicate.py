@@ -12,8 +12,8 @@ This benchmark pins both claims, sized so CI can smoke the counter claim on
 every push:
 
 1. **Chunk skipping** — a 10%-selective filter on the clustered key skips
-   ≥50% of the chunks, observed via ``RunStats.chunks_skipped`` on the
-   engine's scheduler and via ``meta["predicate"]`` on the API result.
+   ≥50% of the chunks, observed via ``chunks_skipped`` on the context's
+   execution report and via ``meta["predicate"]`` on the API result.
 2. **Speedup** — with the zone-map sidecar in place, the pruned run beats
    the same filtered call with pruning disabled (``compute.predicates:
    False``) by ≥1.5x, with identical results.
@@ -83,15 +83,15 @@ def test_predicate_chunk_skipping(clustered_csv):
     total = _total_chunks()
     predicate = compile_predicate(("ts", ">=", _threshold()))
 
-    # Engine-level: one reduction over the filtered source, counters read
-    # straight off the scheduler's RunStats.
+    # Context-level: one reduction over the filtered source, counters read
+    # off the stage's execution report.
     set_global_cache(TaskCache())
     scan = scan_csv(clustered_csv, chunk_rows=CHUNK_ROWS)
     context = ComputeContext(
         FilteredSource(scan, predicate),
         Config.from_user({"cache.enabled": False}))
     resolved = context.resolve({"summary": context.numeric_summary("value")})
-    run = context.engine.scheduler.last_run
+    run = context.reports[-1]
     kept_rows = resolved["summary"].count
 
     print_header(

@@ -52,6 +52,7 @@ from repro.graph.cache import TaskCache, get_global_cache
 from repro.graph.delayed import Delayed
 from repro.graph.engines import Engine, ExecutionReport, get_engine
 from repro.graph.partition import PartitionedFrame
+from repro.graph.scheduler import RunStats
 from repro.stats.correlation import PearsonPartial
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
 from repro.stats.histogram import Histogram, compute_histogram
@@ -64,6 +65,14 @@ from repro.stats.sketches import (
     merge_all,
 )
 from repro.utils import default_worker_count
+
+#: RunStats sidecar counter -> key of the sidecar module's process-wide
+#: totals (:func:`repro.frame.sidecar.stats_snapshot`) it is a delta of.
+_SIDECAR_COUNTERS = {
+    "sidecar_hits": "hits",
+    "sidecar_misses": "misses",
+    "bytes_decoded_avoided": "bytes_decoded_avoided",
+}
 
 #: Bound on the per-chunk categorical value-count table in streaming mode; a
 #: high-cardinality column cannot grow a chunk's state past this many
@@ -487,46 +496,30 @@ class ComputeContext:
         self._predicate_spec = self._predicate.spec() \
             if self.predicate_enabled else None
         self._rows_audit_done = False
-        #: Planning-side projection/predicate counters: partition tasks
-        #: built per kind, columns whose parse/slice was avoided altogether,
-        #: chunks the zone maps dropped and rows the pushed-down filter
-        #: removed from the chunks that did parse.
-        self.parse_plan: Dict[str, int] = {
+        #: The call's run ledger.  ``total`` is the field-wise sum of every
+        #: report :meth:`resolve` produced — the four ``*_stats()`` views
+        #: read it and nothing else writes it.  ``_unreported`` collects
+        #: what the context itself observes between two reports (columns
+        #: pruned and chunks skipped per newly built partition set, rows
+        #: the pushed-down filter removed, this process's sidecar deltas);
+        #: the next report takes it over.
+        self.total = RunStats()
+        self._unreported = RunStats()
+        #: Planner-only counts: partition tasks built per kind.
+        self._parse_tasks: Dict[str, int] = {
             "projected_parse_tasks": 0,
             "full_parse_tasks": 0,
-            "columns_pruned": 0,
-            "chunks_skipped": 0,
-            "rows_filtered": 0,
         }
         #: Parsed-chunk disk sidecar: streaming sources whose partition
         #: tasks accept a sidecar route spill each parsed chunk to a binary
         #: sidecar and serve warm re-scans from it without decoding CSV.
-        #: In-memory sources never parse, so they get no route.  The
-        #: counters accumulate per-call deltas of the sidecar module's
-        #: process-local totals (coordinator process only — process-pool
-        #: workers keep their own counts, so these are a lower bound under
-        #: the process scheduler).
+        #: In-memory sources never parse, so they get no route.
         self.sidecar_route: Optional[SidecarRoute] = None
         if (config.get("cache.disk_enabled") and not self.exact_results
                 and getattr(self.source.capabilities, "chunk_sidecar", False)):
             self.sidecar_route = SidecarRoute(
                 directory=config.get("cache.disk_dir"),
                 budget_bytes=int(config.get("cache.disk_bytes")))
-        self.sidecar_counts: Dict[str, int] = {
-            "sidecar_hits": 0,
-            "sidecar_misses": 0,
-            "bytes_decoded_avoided": 0,
-        }
-        #: Incremental-refresh counters accumulated across every resolve():
-        #: parse chunks answered by their per-chunk-stamp cache keys,
-        #: chunks that executed, and the file bytes those executions read.
-        #: After ``refresh()`` of an appended source these show ~old chunks
-        #: reused and ~new chunks executed (the delta-merge win).
-        self.incremental_counts: Dict[str, int] = {
-            "chunks_reused": 0,
-            "chunks_new": 0,
-            "bytes_reparsed": 0,
-        }
         if engine is not None:
             self.engine = engine
         else:
@@ -642,26 +635,14 @@ class ComputeContext:
         }
 
     def _engine_kwargs(self, engine_name: str) -> Dict[str, Any]:
+        kwargs = {"max_workers": self.config.get("compute.max_workers"),
+                  "cache": self.cache,
+                  "scheduler": self.config.get("compute.scheduler"),
+                  "scheduler_options": self._scheduler_options()}
         if engine_name == "lazy":
-            return {
-                "max_workers": self.config.get("compute.max_workers"),
-                "enable_cse": self.config.get("compute.enable_cse"),
-                "enable_fusion": self.config.get("compute.enable_fusion"),
-                "cache": self.cache,
-                "scheduler": self.config.get("compute.scheduler"),
-                "scheduler_options": self._scheduler_options(),
-            }
-        if engine_name == "eager":
-            return {"max_workers": self.config.get("compute.max_workers"),
-                    "cache": self.cache,
-                    "scheduler": self.config.get("compute.scheduler"),
-                    "scheduler_options": self._scheduler_options()}
-        if engine_name == "cluster-rpc":
-            # The cluster-RPC model is defined by its per-task dispatch
-            # latency on a synchronous scheduler; compute.scheduler does not
-            # apply to it.
-            return {"cache": self.cache}
-        return {}
+            kwargs["enable_cse"] = self.config.get("compute.enable_cse")
+            kwargs["enable_fusion"] = self.config.get("compute.enable_fusion")
+        return kwargs
 
     def _decide_graph_mode(self) -> bool:
         if not self.exact_results:
@@ -750,29 +731,35 @@ class ComputeContext:
         if pruning:
             # Counted per newly built partition set: each one re-plans the
             # chunk list, so each one independently avoids these reads.
-            self.parse_plan["chunks_skipped"] += pruning.get("chunks_skipped", 0)
+            self._unreported.chunks_skipped += pruning.get("chunks_skipped", 0)
         if projection is None:
-            self.parse_plan["full_parse_tasks"] += built.npartitions
+            self._parse_tasks["full_parse_tasks"] += built.npartitions
         else:
-            self.parse_plan["projected_parse_tasks"] += built.npartitions
-            self.parse_plan["columns_pruned"] += \
+            self._parse_tasks["projected_parse_tasks"] += built.npartitions
+            self._unreported.columns_pruned += \
                 (self.n_columns - len(projection)) * built.npartitions
         return built
 
+    # The four views below are the public shape of ``meta[...]`` and
+    # ``Report.*_stats``: an enabled flag, planner-only facts, and counters
+    # read from the ledger — each the sum over this call's reports.
+    def _counters(self, *names: str) -> Dict[str, int]:
+        return {name: getattr(self.total, name) for name in names}
+
     def projection_stats(self) -> Dict[str, Any]:
-        """Planning-side projection counters plus the enabled flag."""
-        return {"enabled": self.projection_enabled, **self.parse_plan}
+        """Projection planner counters: partition tasks built per kind,
+        columns whose parse was avoided, plus the predicate counters."""
+        return {"enabled": self.projection_enabled, **self._parse_tasks,
+                **self._counters("columns_pruned", "chunks_skipped",
+                                 "rows_filtered")}
 
     def predicate_stats(self) -> Dict[str, Any]:
         """Predicate-pushdown counters: the pushed spec, chunks the zone
         maps skipped before any bytes were read, and rows the in-parse
         filter removed from the chunks that did parse."""
-        return {
-            "enabled": self.predicate_enabled,
-            "predicate": self._predicate_spec,
-            "chunks_skipped": self.parse_plan["chunks_skipped"],
-            "rows_filtered": self.parse_plan["rows_filtered"],
-        }
+        return {"enabled": self.predicate_enabled,
+                "predicate": self._predicate_spec,
+                **self._counters("chunks_skipped", "rows_filtered")}
 
     def sidecar_stats(self) -> Dict[str, Any]:
         """Parsed-chunk sidecar counters for this call (plus enabled flag).
@@ -780,23 +767,26 @@ class ComputeContext:
         Coordinator-process counts: chunk parses served from the binary
         sidecar, parses that decoded CSV (and stored a sidecar for next
         time), and the CSV bytes the hits avoided.  A lower bound under the
-        process scheduler, where workers hit their sidecars in their own
-        processes.
+        process and remote schedulers, where workers hit their sidecars in
+        their own processes.
         """
         return {"enabled": self.sidecar_route is not None,
-                **self.sidecar_counts}
+                **self._counters(*_SIDECAR_COUNTERS)}
 
     def incremental_stats(self) -> Dict[str, Any]:
         """Incremental-refresh counters for this call (plus enabled flag).
 
-        Enabled whenever the source streams from storage with a cross-call
-        cache attached — that combination gives every chunk a stable
+        Parse chunks answered by their per-chunk-stamp cache keys, chunks
+        that executed, and the file bytes those executions read.  Enabled
+        whenever the source streams from storage with a cross-call cache
+        attached — that combination gives every chunk a stable
         per-chunk-stamp cache key, which is what makes appended-file
         refreshes reuse the old chunks' sketch states.
         """
         return {"enabled": bool(not self.exact_results
                                 and self.cache is not None),
-                **self.incremental_counts}
+                **self._counters("chunks_reused", "chunks_new",
+                                 "bytes_reparsed")}
 
     # ------------------------------------------------------------------ #
     # The planner dispatch
@@ -1048,9 +1038,6 @@ class ComputeContext:
         """
         started = time.perf_counter()
         resolved = dict(requested)
-        pruned_before = self.parse_plan["columns_pruned"]
-        chunks_before = self.parse_plan["chunks_skipped"]
-        rows_before = self.parse_plan["rows_filtered"]
         pending_keys = [key for key, value in requested.items()
                         if isinstance(value, PendingReduction)]
         audit_key: Optional[str] = None
@@ -1081,39 +1068,18 @@ class ComputeContext:
                 [resolved[key] for key in keys])
             for key, value in zip(keys, values):
                 resolved[key] = value
+            sidecar_after = _sidecar_snapshot()
+            unreported, self._unreported = self._unreported, RunStats()
             if audit_key is not None:
                 kept = resolved.pop(audit_key)
-                self.parse_plan["rows_filtered"] += \
-                    max(0, planned_rows - int(kept))
-            report.columns_pruned = \
-                self.parse_plan["columns_pruned"] - pruned_before
-            report.chunks_skipped = \
-                self.parse_plan["chunks_skipped"] - chunks_before
-            report.rows_filtered = \
-                self.parse_plan["rows_filtered"] - rows_before
-            sidecar_after = _sidecar_snapshot()
-            report.sidecar_hits = \
-                sidecar_after["hits"] - sidecar_before["hits"]
-            report.sidecar_misses = \
-                sidecar_after["misses"] - sidecar_before["misses"]
-            report.bytes_decoded_avoided = \
-                sidecar_after["bytes_decoded_avoided"] - \
-                sidecar_before["bytes_decoded_avoided"]
-            self.sidecar_counts["sidecar_hits"] += report.sidecar_hits
-            self.sidecar_counts["sidecar_misses"] += report.sidecar_misses
-            self.sidecar_counts["bytes_decoded_avoided"] += \
-                report.bytes_decoded_avoided
-            self.incremental_counts["chunks_reused"] += report.chunks_reused
-            self.incremental_counts["chunks_new"] += report.chunks_new
-            self.incremental_counts["bytes_reparsed"] += report.bytes_reparsed
-            last_run = getattr(getattr(self.engine, "scheduler", None),
-                               "last_run", None)
-            if last_run is not None:
-                last_run.chunks_skipped += report.chunks_skipped
-                last_run.rows_filtered += report.rows_filtered
-                last_run.sidecar_hits += report.sidecar_hits
-                last_run.sidecar_misses += report.sidecar_misses
-                last_run.bytes_decoded_avoided += report.bytes_decoded_avoided
+                unreported.rows_filtered += max(0, planned_rows - int(kept))
+            # The sidecar counts its work process-wide; this batch's share
+            # is the difference across the run (coordinator process only).
+            for name, total_key in _SIDECAR_COUNTERS.items():
+                setattr(unreported, name,
+                        sidecar_after[total_key] - sidecar_before[total_key])
+            report += unreported
+            self.total += report
             self.reports.append(report)
         elapsed = time.perf_counter() - started
         self.timings[stage] = self.timings.get(stage, 0.0) + elapsed

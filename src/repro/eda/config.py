@@ -20,6 +20,7 @@ from repro.frame.io import DEFAULT_BUDGET_BYTES as _DEFAULT_BUDGET_BYTES
 from repro.frame.io import DEFAULT_CHUNK_ROWS as _DEFAULT_CHUNK_ROWS
 from repro.frame.sidecar import DEFAULT_DISK_BYTES as _SIDECAR_DEFAULT_BYTES
 from repro.graph.cache import DEFAULT_MAX_BYTES as _CACHE_DEFAULT_MAX_BYTES
+from repro.graph.engines import available_engines
 
 #: Default values for every configurable parameter, grouped by component.
 #: The how-to guide surfaces these keys to the user (Section 4.1).
@@ -337,11 +338,13 @@ def _validate(key: str, value: Any) -> Any:
             raise ConfigError(f"config key {key!r} expects one of "
                               f"{_VALID_GRAPH_MODES}, got {value!r}", key=key)
         return value
-    if key == "compute.scheduler":
-        if value not in _VALID_SCHEDULERS:
-            suggestion = _closest(str(value), _VALID_SCHEDULERS)
+    if key in ("compute.scheduler", "compute.engine"):
+        valid = _VALID_SCHEDULERS if key == "compute.scheduler" \
+            else tuple(available_engines())
+        if value not in valid:
+            suggestion = _closest(str(value), valid)
             raise ConfigError(f"config key {key!r} expects one of "
-                              f"{_VALID_SCHEDULERS}, got {value!r}", key=key,
+                              f"{valid}, got {value!r}", key=key,
                               suggestion=suggestion)
         return value
     if key == "correlation.methods":

@@ -25,16 +25,16 @@ does not ship Dask, so this package implements the required subset:
   with lazy per-partition map and tree reductions, plus the chunk-size
   precompute stage described in Section 5.2 of the paper.
 * :mod:`~repro.graph.engines` — execution strategies compared in Figure 6(a):
-  lazy-shared (DataPrep.EDA / Dask), eager per-operation (Modin-like) and
-  cluster-RPC with scheduling overhead (Koalas / PySpark-like).
+  lazy-shared (DataPrep.EDA / Dask) and eager per-operation (Modin-like);
+  the RPC-overhead series (Koalas / PySpark-like) is the lazy engine over a
+  synchronous scheduler with a per-task dispatch latency.
 * :mod:`~repro.graph.remote` / :mod:`~repro.graph.wire` — the real
   distributed backend behind Figure 6(c): a coordinator dispatching bundles
   to socket workers (spawned locally or attached from other hosts) over a
   checksummed, length-prefixed TCP protocol with heartbeat-based failure
   detection and bundle re-dispatch.
 * :mod:`~repro.graph.cluster` — the analytical multi-worker cluster + HDFS
-  cost model (now calibrated from measured RemoteScheduler runs) and the
-  deprecated Figure 6(c) thread-pool simulation it replaces.
+  cost model, calibrated from measured RemoteScheduler runs.
 * :mod:`~repro.graph.cache` — the cross-call intermediate cache: stable,
   content-addressed task keys plus a bounded LRU store the schedulers
   consult before executing, so interactive sessions that iterate over the
@@ -67,7 +67,6 @@ from repro.graph.partition import (
     precompute_chunk_sizes,
 )
 from repro.graph.engines import (
-    ClusterRPCEngine,
     EagerEngine,
     Engine,
     LazyEngine,
@@ -92,7 +91,6 @@ def __getattr__(name):
 __all__ = [
     "CacheStats",
     "ClusterCostModel",
-    "ClusterRPCEngine",
     "Delayed",
     "EagerEngine",
     "Engine",

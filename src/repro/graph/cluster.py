@@ -60,32 +60,6 @@ class ClusterCostModel:
         """Estimated wall time for each worker count (the Fig. 6c series)."""
         return [self.estimate_seconds(n_rows, n) for n in workers]
 
-    def calibrate_from_single_node(self, n_rows: int,
-                                   measured_seconds: float,
-                                   io_fraction: float = 0.4,
-                                   coordination_seconds: float = 0.0) -> "ClusterCostModel":
-        """Return a model whose 1-worker prediction matches a measurement.
-
-        *io_fraction* is the share of the measured time attributed to reading
-        the input; the remainder is compute.  This lets the benchmark anchor
-        the simulation to real single-node numbers gathered in this repo.
-        """
-        if measured_seconds <= 0:
-            raise GraphError("measured_seconds must be positive")
-        if not 0.0 < io_fraction < 1.0:
-            raise GraphError("io_fraction must be in (0, 1)")
-        usable = measured_seconds - coordination_seconds
-        if usable <= 0:
-            raise GraphError("coordination overhead exceeds the measurement")
-        io_seconds = usable * io_fraction
-        compute_seconds = usable - io_seconds
-        return ClusterCostModel(
-            hdfs_bandwidth_bytes_per_s=(n_rows * self.bytes_per_row) / io_seconds,
-            worker_throughput_rows_per_s=n_rows / compute_seconds,
-            coordination_overhead_s=coordination_seconds,
-            bytes_per_row=self.bytes_per_row,
-        )
-
     @classmethod
     def calibrate(cls, measurements: Sequence[Tuple[int, float]],
                   n_rows: int, bytes_per_row: float = 60.0,

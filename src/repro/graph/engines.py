@@ -1,7 +1,7 @@
 """Execution engines compared in Figure 6(a) of the paper.
 
 The paper justifies choosing Dask over Modin, Koalas and PySpark by comparing
-how long each takes to compute the intermediates of ``plot(df)``.  The three
+how long each takes to compute the intermediates of ``plot(df)``.  The
 strategies differ in *how* they execute the same logical work:
 
 * :class:`LazyEngine` — DataPrep.EDA's strategy: merge everything into one
@@ -9,9 +9,11 @@ strategies differ in *how* they execute the same logical work:
 * :class:`EagerEngine` — Modin's strategy: each requested value is computed
   immediately with its own graph, so common sub-computations are repeated and
   nothing is co-scheduled.
-* :class:`ClusterRPCEngine` — Koalas/PySpark on a single node: lazy overall,
-  but every task dispatch pays an RPC/scheduling latency, which dominates on
-  small data.
+
+Koalas/PySpark on a single node — lazy overall, but every task dispatch pays
+an RPC/scheduling latency that dominates on small data — is the lazy engine
+over ``SynchronousScheduler(dispatch_latency=...)``; the Figure 6(a)
+benchmark composes it from those two parts.
 
 Absolute times differ from the paper (the substrates are pure Python), but
 the ordering and the gap structure of Figure 6(a) are reproduced because they
@@ -20,89 +22,47 @@ follow from the strategies, not from the specific frameworks.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import GraphError
 from repro.graph.cache import TaskCache
 from repro.graph.delayed import Delayed, compute
-from repro.graph.optimize import OptimizeStats
-from repro.graph.scheduler import (
-    RunStats,
-    SynchronousScheduler,
-    get_scheduler,
-)
+from repro.graph.scheduler import RunStats, get_scheduler
 
 
 @dataclass
-class ExecutionReport:
+class ExecutionReport(RunStats):
     """What an engine did for one batch of requested values.
 
-    ``tasks_executed`` counts tasks that actually ran; the three avoidance
-    mechanisms each have their own counter: culling and CSE are folded into
-    the gap between ``tasks_before_optimization`` and the optimized graph,
-    while ``cache_hits`` / ``tasks_skipped_by_cache`` report the cross-call
+    Every :class:`~repro.graph.scheduler.RunStats` counter of the batch's
+    scheduler run(s) — merged with ``+=`` when the engine ran more than one
+    — plus what only the engine knows.  The three avoidance mechanisms each
+    have their own counter: culling and CSE are folded into the gap between
+    ``tasks_before_optimization`` and the optimized graph, while
+    ``cache_hits`` / ``tasks_skipped_by_cache`` report the cross-call
     intermediate cache (tasks served from cache, and their exclusive
-    ancestors that never ran because of it).
+    ancestors that never ran because of it).  The compute context adds the
+    planning-side and sidecar counters of the batch; the per-call totals in
+    ``meta["projection" | "predicate" | "sidecar" | "incremental"]`` /
+    ``Report.*_stats`` are the field-wise sum over the call's reports.
     """
 
-    engine: str
-    requested: int
-    graphs_built: int
-    tasks_executed: int
-    tasks_before_optimization: int
+    engine: str = ""
+    requested: int = 0
+    graphs_built: int = 0
+    tasks_before_optimization: int = 0
     shared_tasks: int = 0
-    cache_hits: int = 0
-    tasks_skipped_by_cache: int = 0
-    #: Executed partition materializations that carried a column projection
-    #: (parsed/sliced only the columns the consuming reductions declared).
-    projected_parses: int = 0
-    #: Executed partition materializations that parsed every column.
-    full_parses: int = 0
-    #: Planning-side delta: columns avoided across the projected partition
-    #: tasks *newly built* for this batch — sum of (table width - projected
-    #: width) per new task.  A stage that reuses an earlier stage's
-    #: projection builds no new tasks, so it can legitimately report
-    #: ``projected_parses > 0`` with ``columns_pruned == 0``; the
-    #: authoritative per-call total lives in ``meta["projection"]`` /
-    #: ``Report.projection_stats``.  Attached by the compute context.
-    columns_pruned: int = 0
-    #: Planning-side predicate-pushdown deltas for this batch, attached by
-    #: the compute context like ``columns_pruned``: chunks the zone maps
-    #: dropped before any bytes were read (counted once per newly built
-    #: partition set), and rows the pushed-down filter removed from the
-    #: chunks that did parse.  The authoritative per-call totals live in
-    #: ``meta["predicate"]`` / ``Report.predicate_stats``.
-    chunks_skipped: int = 0
-    rows_filtered: int = 0
-    #: Parsed-chunk disk-sidecar deltas for this batch, attached by the
-    #: compute context from the sidecar's process-local counters
-    #: (:func:`repro.frame.sidecar.stats_snapshot`): partition parses
-    #: served from the binary sidecar, parses that decoded CSV, and the
-    #: CSV bytes the hits avoided.  Coordinator-process counts only; the
-    #: per-call totals live in ``meta["sidecar"]`` /
-    #: ``Report.sidecar_stats``.
-    sidecar_hits: int = 0
-    sidecar_misses: int = 0
-    bytes_decoded_avoided: int = 0
-    #: Incremental-refresh accounting over partition parse tasks: chunks
-    #: whose per-chunk-stamp cache key answered without running, chunks
-    #: that executed, and the file bytes those executions read.  After a
-    #: ``refresh()`` following an append, ``chunks_reused`` covers the old
-    #: chunks and ``chunks_new`` the appended ones; the per-call totals
-    #: live in ``meta["incremental"]`` / ``Report.incremental_stats``.
-    chunks_reused: int = 0
-    chunks_new: int = 0
-    bytes_reparsed: int = 0
-    #: Remote-backend wire accounting (``compute.scheduler = "remote"``;
-    #: zero elsewhere): task-frame bytes shipped to socket workers,
-    #: result-frame bytes received back, bundles re-dispatched after a
-    #: worker loss, and per-worker busy fraction of the run.
-    shipped_bytes: int = 0
-    bytes_received: int = 0
-    redispatched: int = 0
-    worker_utilization: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def tasks_executed(self) -> int:
+        """Tasks that actually ran (``executed``)."""
+        return self.executed
+
+    @property
+    def tasks_skipped_by_cache(self) -> int:
+        """Ancestors a cache hit made unnecessary (``skipped``)."""
+        return self.skipped
 
     @property
     def sharing_ratio(self) -> float:
@@ -114,8 +74,8 @@ class ExecutionReport:
     @property
     def cache_hit_ratio(self) -> float:
         """Fraction of post-optimization tasks avoided via the cache."""
-        avoided = self.cache_hits + self.tasks_skipped_by_cache
-        planned = self.tasks_executed + avoided
+        avoided = self.cache_hits + self.skipped
+        planned = self.executed + avoided
         return avoided / planned if planned else 0.0
 
 
@@ -133,44 +93,35 @@ class Engine:
         """Compute all values and also report how much work was done."""
         raise NotImplementedError
 
-    def _run_single_graph(self, values: Sequence[Delayed], **compute_kwargs: Any
-                          ) -> tuple[List[Any], ExecutionReport]:
-        """One merged-graph compute + report, shared by the lazy engines.
+    def _run(self, values: Sequence[Delayed], report: ExecutionReport,
+             **compute_kwargs: Any) -> List[Any]:
+        """One graph's compute, its counters folded into *report*.
 
-        Requires ``self.scheduler``; reads its per-run cache statistics and
-        folds them into the report so every engine accounts for the
-        cross-call cache identically.
+        Requires ``self.scheduler``; every engine goes through here, so all
+        of them account for the run — cross-call cache included —
+        identically.
         """
-        self.scheduler.last_run = None
+        # An empty batch never reaches the scheduler: it reports zeros, not
+        # the previous batch's run.
+        self.scheduler.last_run = RunStats()
         results, stats = compute(*values, scheduler=self.scheduler,
                                  return_stats=True, **compute_kwargs)
-        run = self.scheduler.last_run or RunStats(
-            planned=stats.output_tasks, executed=stats.output_tasks)
-        report = ExecutionReport(
-            engine=self.name, requested=len(values), graphs_built=1,
-            tasks_executed=run.executed,
-            tasks_before_optimization=stats.input_tasks,
-            shared_tasks=stats.merged_by_cse,
-            cache_hits=run.cache_hits,
-            tasks_skipped_by_cache=run.skipped,
-            projected_parses=run.projected_parses,
-            full_parses=run.full_parses,
-            chunks_reused=run.chunks_reused,
-            chunks_new=run.chunks_new,
-            bytes_reparsed=run.bytes_reparsed,
-            shipped_bytes=run.shipped_bytes,
-            bytes_received=run.bytes_received,
-            redispatched=run.redispatched,
-            worker_utilization=dict(run.worker_utilization))
-        return results, report
+        report += self.scheduler.last_run
+        report.graphs_built += 1
+        # The true pre-optimization size of the graph, so the report
+        # measures sharing instead of defining it away.
+        report.tasks_before_optimization += stats.input_tasks
+        report.shared_tasks += stats.merged_by_cse
+        return results
 
 
 class LazyEngine(Engine):
     """Single shared graph + optimization + parallel execution (Dask-like).
 
     *scheduler* selects the execution backend by registry name —
-    ``"threaded"`` (default), ``"process"`` or ``"synchronous"`` — which is
-    how the ``compute.scheduler`` config key reaches the graph layer.
+    ``"threaded"`` (default), ``"process"``, ``"synchronous"`` or
+    ``"remote"`` — which is how the ``compute.scheduler`` config key reaches
+    the graph layer.
     """
 
     name = "lazy"
@@ -191,8 +142,10 @@ class LazyEngine(Engine):
 
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:
-        return self._run_single_graph(values, enable_cse=self.enable_cse,
-                                      enable_fusion=self.enable_fusion)
+        report = ExecutionReport(engine=self.name, requested=len(values))
+        results = self._run(values, report, enable_cse=self.enable_cse,
+                            enable_fusion=self.enable_fusion)
+        return results, report
 
 
 class EagerEngine(Engine):
@@ -215,87 +168,15 @@ class EagerEngine(Engine):
 
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:
-        results = []
-        total_executed = 0
-        total_before = 0
-        total_hits = 0
-        total_skipped = 0
-        total_projected = 0
-        total_full = 0
-        total_reused = 0
-        total_new = 0
-        total_reparsed = 0
-        total_shipped_bytes = 0
-        total_received = 0
-        total_redispatched = 0
-        utilization: Dict[str, float] = {}
-        for value in values:
-            self.scheduler.last_run = None
-            (result,), stats = compute(value, scheduler=self.scheduler,
-                                       enable_cse=False, return_stats=True)
-            results.append(result)
-            run = self.scheduler.last_run or RunStats(
-                planned=stats.output_tasks, executed=stats.output_tasks)
-            total_executed += run.executed
-            # The true pre-optimization size of this value's graph, so the
-            # report measures sharing instead of defining it away.
-            total_before += stats.input_tasks
-            total_hits += run.cache_hits
-            total_skipped += run.skipped
-            total_projected += run.projected_parses
-            total_full += run.full_parses
-            total_reused += run.chunks_reused
-            total_new += run.chunks_new
-            total_reparsed += run.bytes_reparsed
-            total_shipped_bytes += run.shipped_bytes
-            total_received += run.bytes_received
-            total_redispatched += run.redispatched
-            for worker_id, busy in run.worker_utilization.items():
-                utilization[worker_id] = max(utilization.get(worker_id, 0.0),
-                                             busy)
-        report = ExecutionReport(
-            engine=self.name, requested=len(values), graphs_built=len(values),
-            tasks_executed=total_executed, tasks_before_optimization=total_before,
-            shared_tasks=0, cache_hits=total_hits,
-            tasks_skipped_by_cache=total_skipped,
-            projected_parses=total_projected, full_parses=total_full,
-            chunks_reused=total_reused, chunks_new=total_new,
-            bytes_reparsed=total_reparsed,
-            shipped_bytes=total_shipped_bytes, bytes_received=total_received,
-            redispatched=total_redispatched, worker_utilization=utilization)
+        report = ExecutionReport(engine=self.name, requested=len(values))
+        results = [self._run([value], report, enable_cse=False)[0]
+                   for value in values]
         return results, report
-
-
-class ClusterRPCEngine(Engine):
-    """Lazy execution with per-task dispatch latency (Koalas/PySpark-like).
-
-    *dispatch_latency* models the driver/executor round trip a cluster
-    framework pays per task even when everything runs on one node.  The
-    default (10 ms) is deliberately modest; it still dominates when the data is
-    tiny, which is exactly the paper's point.
-    """
-
-    name = "cluster-rpc"
-
-    def __init__(self, dispatch_latency: float = 0.01, enable_cse: bool = True,
-                 cache: Optional[TaskCache] = None):
-        self.scheduler = SynchronousScheduler(dispatch_latency=dispatch_latency,
-                                              cache=cache)
-        self.enable_cse = enable_cse
-        self.dispatch_latency = dispatch_latency
-
-    def compute(self, values: Sequence[Delayed]) -> List[Any]:
-        return compute(*values, scheduler=self.scheduler, enable_cse=self.enable_cse)
-
-    def compute_with_report(self, values: Sequence[Delayed]
-                            ) -> tuple[List[Any], ExecutionReport]:
-        return self._run_single_graph(values, enable_cse=self.enable_cse)
 
 
 _ENGINES = {
     LazyEngine.name: LazyEngine,
     EagerEngine.name: EagerEngine,
-    ClusterRPCEngine.name: ClusterRPCEngine,
 }
 
 

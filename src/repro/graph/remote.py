@@ -930,8 +930,7 @@ class RemoteScheduler(ProcessScheduler):
 
     def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
         graph = state.graph
-        if self.last_run is not None:
-            self.last_run.shipped += 1 + len(unit.members)
+        self.last_run.shipped += 1 + len(unit.members)
         root = graph[unit.root]
         executor = self.executor()
         assert isinstance(executor, RemoteExecutor)
@@ -955,14 +954,13 @@ class RemoteScheduler(ProcessScheduler):
         elapsed = max(time.monotonic() - started, 1e-9)
         after = executor.stats_snapshot()
         run = self.last_run
-        if run is not None:
-            run.shipped_bytes += after.shipped_bytes - before.shipped_bytes
-            run.bytes_received += after.bytes_received - before.bytes_received
-            run.redispatched += after.redispatched - before.redispatched
-            run.worker_utilization = {
-                worker_id: min(1.0, (busy - before.worker_busy_s.get(
-                    worker_id, 0.0)) / elapsed)
-                for worker_id, busy in after.worker_busy_s.items()}
+        run.shipped_bytes += after.shipped_bytes - before.shipped_bytes
+        run.bytes_received += after.bytes_received - before.bytes_received
+        run.redispatched += after.redispatched - before.redispatched
+        run.worker_utilization = {
+            worker_id: min(1.0, (busy - before.worker_busy_s.get(
+                worker_id, 0.0)) / elapsed)
+            for worker_id, busy in after.worker_busy_s.items()}
         return results
 
 

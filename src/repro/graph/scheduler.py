@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulerError
@@ -52,29 +52,38 @@ from repro.utils import (
 
 @dataclass
 class RunStats:
-    """What one ``execute`` call did, including cache-based work avoidance."""
+    """What one ``execute`` call did, including cache-based work avoidance.
+
+    The single declaration of every run counter: an engine's
+    :class:`~repro.graph.engines.ExecutionReport` extends this record, and
+    the per-call totals behind ``meta[...]`` / ``Report.*_stats`` are one
+    more instance that every report is added to with ``+=``.
+    """
 
     planned: int = 0       # tasks in the (already optimized) graph
     executed: int = 0      # tasks actually run
     cache_hits: int = 0    # tasks served straight from the cache
     skipped: int = 0       # ancestors never visited because a hit covered them
     released: int = 0      # intermediate results freed once fully consumed
-    shipped: int = 0       # tasks dispatched to worker processes (ProcessScheduler)
+    shipped: int = 0       # tasks dispatched to worker processes (process/remote)
     projected_parses: int = 0  # executed partition tasks carrying a projection
     full_parses: int = 0       # executed partition tasks parsing every column
-    # The two predicate-pushdown counters are planning-side facts the
-    # compute layer attaches after the run (the scheduler sees only task
-    # keys): chunks the zone maps let the planner drop before any bytes
-    # were read, and rows the pushed-down filters removed inside the
-    # executed parse tasks.
+    # Planning-side facts the compute layer adds to the report after the
+    # run (the scheduler sees only task keys), each counted once per newly
+    # built partition set: columns avoided across the projected partition
+    # tasks (table width - projected width, per task), chunks the zone maps
+    # let the planner drop before any bytes were read, and rows the
+    # pushed-down filters removed inside the executed parse tasks.  A stage
+    # that reuses an earlier stage's partition set builds none, so it can
+    # report ``projected_parses > 0`` with ``columns_pruned == 0``.
+    columns_pruned: int = 0
     chunks_skipped: int = 0
     rows_filtered: int = 0
-    # Parsed-chunk disk sidecar counters, attached by the compute layer
-    # after the run like the predicate counters above: chunks served from
-    # the binary sidecar instead of decoding CSV, chunks that had to
-    # decode, and the CSV bytes the hits avoided.  Coordinator-process
-    # counts only — ProcessScheduler workers keep their own (see
-    # repro.frame.sidecar).
+    # Parsed-chunk disk sidecar counters, added by the compute layer like
+    # the planning facts above: chunks served from the binary sidecar
+    # instead of decoding CSV, chunks that had to decode, and the CSV bytes
+    # the hits avoided.  Coordinator-process counts only — process-pool and
+    # remote workers keep their own (see repro.frame.sidecar).
     sidecar_hits: int = 0
     sidecar_misses: int = 0
     bytes_decoded_avoided: int = 0
@@ -95,6 +104,23 @@ class RunStats:
     bytes_received: int = 0
     redispatched: int = 0
     worker_utilization: Dict[str, float] = field(default_factory=dict)
+
+    def __iadd__(self, other: "RunStats") -> "RunStats":
+        """Fold another run's counters into this record.
+
+        Integers add; ``worker_utilization`` keeps each worker's busiest
+        run (fractions of different runs do not add).
+        """
+        # RunStats' own fields, whatever the operands: a report (subclass)
+        # takes in a plain run, and a plain total takes in a report.
+        for spec in fields(RunStats):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(theirs, dict):
+                for worker_id, busy in theirs.items():
+                    mine[worker_id] = max(mine.get(worker_id, 0.0), busy)
+            else:
+                setattr(self, spec.name, mine + theirs)
+        return self
 
 
 @dataclass
@@ -168,22 +194,20 @@ class _ExecutionState:
         if returned:
             self.results[key] = value
             self.scheduler.store_result(self.plan, key, value)
-        run = self.scheduler.last_run
-        if run is not None:
-            # Partition materializations are the projection pushdown's hot
-            # path; count them per kind so the win is observable per run.
-            kind = classify_parse_key(key)
-            if kind == "projected":
-                run.projected_parses += 1
-            elif kind == "full":
-                run.full_parses += 1
-            if kind is not None:
-                # Every parse that reaches complete() actually ran (cache
-                # hits are prefilled, never completed) — the delta side of
-                # the chunks_reused subtraction in plan_with_cache.
-                run.chunks_new += 1
-                run.bytes_reparsed += parse_task_byte_span(
-                    self.graph[key].args)
+        run = self.scheduler.last_run      # set by plan_with_cache
+        # Partition materializations are the projection pushdown's hot
+        # path; count them per kind so the win is observable per run.
+        kind = classify_parse_key(key)
+        if kind == "projected":
+            run.projected_parses += 1
+        elif kind == "full":
+            run.full_parses += 1
+        if kind is not None:
+            # Every parse that reaches complete() actually ran (cache hits
+            # are prefilled, never completed) — the delta side of the
+            # chunks_reused subtraction in plan_with_cache.
+            run.chunks_new += 1
+            run.bytes_reparsed += parse_task_byte_span(self.graph[key].args)
         newly_ready: List[str] = []
         for consumer in self.dependents.get(key, ()):
             if consumer not in self.remaining:
@@ -314,8 +338,7 @@ class Scheduler:
                 continue
             counts[dependency] = remaining - 1
             if counts[dependency] <= 0 and dependency not in outputs:
-                if results.pop(dependency, None) is not None and \
-                        self.last_run is not None:
+                if results.pop(dependency, None) is not None:
                     self.last_run.released += 1
 
 
@@ -503,22 +526,12 @@ class ThreadedScheduler(_PoolScheduler):
 
     name = "threaded"
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 dispatch_latency: float = 0.0,
-                 cache: Optional[TaskCache] = None):
-        super().__init__(max_workers=max_workers, cache=cache)
-        self.dispatch_latency = float(dispatch_latency)
-
     def _make_executor(self) -> Executor:
         return ThreadExecutor(max_workers=self.max_workers)
 
-    def _run_task(self, key: str, state: _ExecutionState) -> Any:
-        if self.dispatch_latency:
-            time.sleep(self.dispatch_latency)
-        return state.graph[key].execute(state.results)
-
     def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
-        return self.executor().submit(self._run_task, unit.root, state)
+        return self.executor().submit(state.graph[unit.root].execute,
+                                      state.results)
 
     def _absorb_unit(self, unit: WorkUnit, payload: Any,
                      state: _ExecutionState) -> List[str]:
@@ -592,8 +605,7 @@ class ProcessScheduler(_PoolScheduler):
 
     def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
         graph = state.graph
-        if self.last_run is not None:
-            self.last_run.shipped += 1 + len(unit.members)
+        self.last_run.shipped += 1 + len(unit.members)
         return self.executor().submit(
             run_task_bundle, graph[unit.root],
             [graph[key] for key in unit.members], unit.return_root)

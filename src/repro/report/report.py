@@ -45,7 +45,10 @@ class Report:
     wall-clock ``timings`` and the engine's ``execution_reports`` — one
     :class:`~repro.graph.engines.ExecutionReport` per resolved graph stage,
     whose ``cache_hits`` field shows how much work the cross-call
-    intermediate cache (``cache.enabled``) avoided on repeated runs.
+    intermediate cache (``cache.enabled``) avoided on repeated runs.  The
+    four ``*_stats`` dicts are views of one record, the field-wise sum of
+    those reports: an ``enabled`` flag, the planner-only facts, and the
+    counters of that name.
     """
 
     title: str

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import (
     ClusterCostModel,
-    ClusterRPCEngine,
     EagerEngine,
     LazyEngine,
     available_engines,
@@ -33,13 +32,12 @@ def build_workload():
 
 class TestEngines:
     def test_registry(self):
-        assert set(available_engines()) == {"lazy", "eager", "cluster-rpc"}
+        assert set(available_engines()) == {"lazy", "eager"}
         assert isinstance(get_engine("lazy"), LazyEngine)
         with pytest.raises(GraphError):
             get_engine("spark")
 
-    @pytest.mark.parametrize("engine", [LazyEngine(), EagerEngine(),
-                                        ClusterRPCEngine(dispatch_latency=0.0)])
+    @pytest.mark.parametrize("engine", [LazyEngine(), EagerEngine()])
     def test_all_engines_produce_identical_results(self, engine):
         values, _ = build_workload()
         assert engine.compute(values) == [42, 84, 42]
@@ -60,12 +58,6 @@ class TestEngines:
         assert counter["calls"] == 3
         assert report.graphs_built == len(values)
         assert report.shared_tasks == 0
-
-    def test_cluster_rpc_engine_reports_single_graph(self):
-        values, _ = build_workload()
-        results, report = ClusterRPCEngine(dispatch_latency=0.0).compute_with_report(values)
-        assert results == [42, 84, 42]
-        assert report.graphs_built == 1
 
     def test_lazy_engine_without_cse_still_correct(self):
         values, counter = build_workload()
@@ -90,18 +82,6 @@ class TestClusterCostModel:
             model.estimate_seconds(10, 0)
         with pytest.raises(GraphError):
             model.estimate_seconds(-1, 1)
-
-    def test_calibration_matches_measurement(self):
-        model = ClusterCostModel().calibrate_from_single_node(
-            n_rows=1_000_000, measured_seconds=20.0, io_fraction=0.4)
-        assert model.estimate_seconds(1_000_000, 1) == pytest.approx(20.0)
-        assert model.estimate_seconds(1_000_000, 4) < 20.0
-
-    def test_calibration_validation(self):
-        with pytest.raises(GraphError):
-            ClusterCostModel().calibrate_from_single_node(10, 0.0)
-        with pytest.raises(GraphError):
-            ClusterCostModel().calibrate_from_single_node(10, 5.0, io_fraction=1.5)
 
     def test_calibrate_recovers_synthetic_curve(self):
         # Wall times generated from a known t(w) = c + K/w must be
