@@ -8,7 +8,7 @@ categorical columns, missing rates); :func:`generate_dataset` turns it into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 

@@ -42,18 +42,19 @@ reset the cache with :func:`repro.cache_stats` / :func:`repro.clear_cache`.
 Execution backend: the ``compute.scheduler`` config key
 -------------------------------------------------------
 The graph stage runs on a pluggable scheduler: ``"threaded"`` (default),
-``"process"`` (a true multiprocess pool — the only backend that scales
-GIL-bound chunk work such as streaming CSV parsing across cores; pair it
-with ``scan_csv`` inputs) or ``"synchronous"``.  ``compute.max_workers``
+``"process"`` (a true multiprocess pool — scales GIL-bound chunk work such
+as streaming CSV parsing across cores; pair it with ``scan_csv`` inputs),
+``"remote"`` (socket worker processes, here or on other hosts; see the
+``compute.remote.*`` keys) or ``"synchronous"``.  ``compute.max_workers``
 bounds the worker count for every backend.  Example:
-``plot(df, config={"compute.scheduler": "process"})``.  All three backends
+``plot(df, config={"compute.scheduler": "process"})``.  All four backends
 produce identical results for every compute kind.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 

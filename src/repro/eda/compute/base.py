@@ -18,7 +18,10 @@ point is the only place the pipeline distinguishes in-memory from
 out-of-core execution — every compute function upstream is source-agnostic,
 and the schedulers release each chunk as soon as its sketches have consumed
 it, so streaming peak memory tracks ``memory.chunk_rows`` /
-``memory.budget_bytes``, not the file size.
+``memory.budget_bytes``, not the file size.  It is also the only place
+that distinguishes the two stages: the local stage evaluates the very same
+triple inline on the whole frame (:meth:`ComputeContext._run_inline`), so
+a compute kind has one definition whichever way it runs.
 
 The planner also performs **projection pushdown**: every
 :class:`ReductionKind` declares the column set its chunk functions read,
@@ -43,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from dataclasses import dataclass
 
 from repro.eda.config import Config
-from repro.errors import EDAError
+from repro.eda.dtypes import SemanticType, detect_frame_types
 from repro.frame.column import Column
 from repro.frame.frame import DataFrame
 from repro.frame.sidecar import SidecarRoute, stats_snapshot as _sidecar_snapshot
@@ -55,7 +58,7 @@ from repro.graph.partition import PartitionedFrame
 from repro.graph.scheduler import RunStats
 from repro.stats.correlation import PearsonPartial
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
-from repro.stats.histogram import Histogram, compute_histogram
+from repro.stats.histogram import Histogram
 from repro.stats.sketches import (
     DUPLICATE_SKETCH_CAPACITY,
     DuplicateSketch,
@@ -74,28 +77,27 @@ _SIDECAR_COUNTERS = {
     "bytes_decoded_avoided": "bytes_decoded_avoided",
 }
 
+#: A column subset: what a reduction declares it reads, and what a partition
+#: task materializes.  None = every column.
+Projection = Optional[Tuple[str, ...]]
+
 #: Bound on the per-chunk categorical value-count table in streaming mode; a
 #: high-cardinality column cannot grow a chunk's state past this many
 #: entries (the distinct sketch keeps the cardinality estimate honest).
 STREAMING_CATEGORY_CAPACITY = 50_000
-
-#: Sentinel distinguishing "no reusable projection found" from a legitimate
-#: None (= full-width) reuse candidate.
-_UNSET = object()
 
 
 # --------------------------------------------------------------------------- #
 # Module-level chunk/combine functions.
 #
 # They must be module-level (not lambdas) so the optimizer's CSE pass can
-# recognise two identical computations built independently.
+# recognise two identical computations built independently.  A partial that
+# has a ``merge`` method (summaries, histograms, Pearson sums, sketches) needs
+# no combine function of its own: its plan names
+# :func:`repro.stats.sketches.merge_all`, the left fold of ``merge``.
 # --------------------------------------------------------------------------- #
 def _chunk_numeric_summary(partition: DataFrame, column: str) -> NumericSummary:
     return NumericSummary.from_column(partition.column(column))
-
-
-def _combine_numeric_summaries(partials: List[NumericSummary]) -> NumericSummary:
-    return NumericSummary.merge_all(partials)
 
 
 def _chunk_categorical_summary(partition: DataFrame, column: str,
@@ -104,18 +106,10 @@ def _chunk_categorical_summary(partition: DataFrame, column: str,
                                           capacity=capacity)
 
 
-def _combine_categorical_summaries(partials: List[CategoricalSummary]) -> CategoricalSummary:
-    return CategoricalSummary.merge_all(partials)
-
-
 def _chunk_histogram(partition: DataFrame, column: str, bins: int,
                      low: float, high: float) -> Histogram:
     values = partition.column(column).to_numpy(drop_missing=True).astype(np.float64)
     return StreamingHistogram.from_values(values, bins, low, high)
-
-
-def _combine_histograms(partials: List[Histogram]) -> Histogram:
-    return Histogram.merge_all(partials)
 
 
 def _chunk_pearson(partition: DataFrame, columns: Tuple[str, ...]) -> PearsonPartial:
@@ -130,21 +124,6 @@ def _chunk_pearson(partition: DataFrame, columns: Tuple[str, ...]) -> PearsonPar
         if column.dtype.is_numeric:
             matrix[column.isna(), index] = np.nan
     return PearsonPartial.from_matrix(matrix)
-
-
-def _combine_pearson(partials: List[PearsonPartial]) -> PearsonPartial:
-    return PearsonPartial.merge_all(partials)
-
-
-def _chunk_missing_mask(partition: DataFrame) -> np.ndarray:
-    return partition.missing_mask()
-
-
-def _combine_missing_masks(partials: List[np.ndarray]) -> np.ndarray:
-    non_empty = [mask for mask in partials if mask.size]
-    if not non_empty:
-        return partials[0]
-    return np.vstack(non_empty)
 
 
 def _chunk_row_count(partition: DataFrame) -> int:
@@ -232,10 +211,6 @@ def _chunk_reservoir(partition: DataFrame, columns: Tuple[str, ...],
                                       capacity, seed=seed)
 
 
-def _combine_reservoirs(partials: List[ReservoirSketch]) -> ReservoirSketch:
-    return merge_all(partials)
-
-
 def _finalize_reservoir(sketch: ReservoirSketch) -> DataFrame:
     return sketch.frame
 
@@ -247,16 +222,8 @@ def _chunk_nullity(partition: DataFrame, start: int, stop: int,
                                    columns, start, n_rows_total, n_bins)
 
 
-def _combine_nullity(partials: List[NullitySketch]) -> NullitySketch:
-    return merge_all(partials)
-
-
 def _chunk_duplicates(partition: DataFrame, capacity: int) -> DuplicateSketch:
     return DuplicateSketch.from_frame(partition, capacity)
-
-
-def _combine_duplicates(partials: List[DuplicateSketch]) -> DuplicateSketch:
-    return merge_all(partials)
 
 
 def _finalize_duplicates(sketch: DuplicateSketch) -> Optional[int]:
@@ -270,24 +237,29 @@ def _finalize_duplicates(sketch: DuplicateSketch) -> Optional[int]:
 # sources — unbounded per-value state, results pinned by the equivalence
 # suite) and its sketch plan (streaming sources — bounded state).  Sources
 # select between them through SourceCapabilities.exact; nothing outside this
-# module ever branches on the input flavour.
+# module ever branches on the input flavour.  A plan is the only definition
+# of its kind and has two evaluators: the graph stage binds it to partition
+# tasks (ComputeContext._bind_reduction), the local stage runs the same
+# chunk -> combine -> finalize inline on the whole frame
+# (ComputeContext._run_inline).
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ReductionPlan:
     """One chunk/combine/finalize triple plus how to call it.
 
-    ``adapt(context, args)`` turns the caller's kind-level arguments into
-    the chunk function's positional tail (e.g. appending a capacity bound,
-    or converting a target sample size into a per-partition fraction);
-    ``indexed`` selects :meth:`PartitionedFrame.reduction_indexed`, whose
-    chunk functions also receive their global row range.
+    ``adapt(context, args, n_rows)`` turns the caller's kind-level
+    arguments into the chunk function's positional tail (e.g. appending a
+    capacity bound, or converting a target sample size into a per-partition
+    fraction of the *n_rows* the plan runs over); ``indexed`` chunk
+    functions also receive their global row range, ``chunk(partition,
+    start, stop, ...)``.
     """
 
     chunk: Callable[..., Any]
     combine: Callable[[List[Any]], Any]
     finalize: Optional[Callable[[Any], Any]] = None
     indexed: bool = False
-    adapt: Optional[Callable[["ComputeContext", Tuple[Any, ...]],
+    adapt: Optional[Callable[["ComputeContext", Tuple[Any, ...], int],
                              Tuple[Any, ...]]] = None
 
 
@@ -296,127 +268,95 @@ class ReductionKind:
     """Exact and sketch plans of one compute kind.
 
     ``sketch=None`` means the exact plan is already bounded (pure mergeable
-    partials like numeric summaries) and serves every source;
-    ``exact_only=True`` marks kinds whose state is inherently O(rows) (the
-    full missing mask) — requesting them on a streaming source raises.
+    partials like numeric summaries) and serves every source.
 
-    ``columns(context, kind_args)`` declares the column set this kind's
-    chunk functions read, as a tuple of names — the projection-pushdown
-    contract.  ``None`` (the default, and the return value of
-    :func:`_requires_all_columns`) means the kind reads the whole row, so
-    its partitions must materialize every column.  The declaration operates
-    on the *kind-level* arguments (before ``adapt``), so both the exact and
+    ``columns(kind_args)`` declares the column set this kind's chunk
+    functions read, as a tuple of names — the projection-pushdown contract.
+    ``None`` (the default) means the kind reads the whole row, so its
+    partitions must materialize every column.  The declaration operates on
+    the *kind-level* arguments (before ``adapt``), so both the exact and
     the sketch plan share it.
     """
 
-    name: str
     exact: ReductionPlan
     sketch: Optional[ReductionPlan] = None
-    exact_only: bool = False
-    columns: Optional[Callable[["ComputeContext", Tuple[Any, ...]],
-                               Optional[Tuple[str, ...]]]] = None
-
-    def required_columns(self, context: "ComputeContext",
-                         args: Tuple[Any, ...]) -> Optional[Tuple[str, ...]]:
-        """Column names this reduction reads (None = every column)."""
-        if self.columns is None:
-            return None
-        return self.columns(context, args)
+    columns: Optional[Callable[[Tuple[Any, ...]], Tuple[str, ...]]] = None
 
 
 # --------------------------------------------------------------------------- #
 # Column-requirement declarations (the projection-pushdown contract).
 # --------------------------------------------------------------------------- #
-def _requires_first_arg_column(context: "ComputeContext",
-                               args: Tuple[Any, ...]) -> Tuple[str, ...]:
+def _requires_first_arg_column(args: Tuple[Any, ...]) -> Tuple[str, ...]:
     return (args[0],)
 
 
-def _requires_column_tuple(context: "ComputeContext",
-                           args: Tuple[Any, ...]) -> Tuple[str, ...]:
+def _requires_column_tuple(args: Tuple[Any, ...]) -> Tuple[str, ...]:
     return tuple(args[0])
 
 
-def _requires_column_pair(context: "ComputeContext",
-                          args: Tuple[Any, ...]) -> Tuple[str, ...]:
+def _requires_column_pair(args: Tuple[Any, ...]) -> Tuple[str, ...]:
     return (args[0], args[1])
 
 
-def _sample_exact_args(context: "ComputeContext",
-                       args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _sample_exact_args(context: "ComputeContext", args: Tuple[Any, ...],
+                       n_rows: int) -> Tuple[Any, ...]:
     columns, size, seed = args
-    total = max(context.known_n_rows, 1)
-    return (columns, min(1.0, size / total), seed)
+    return (columns, min(1.0, size / max(n_rows, 1)), seed)
 
 
-def _append_category_capacity(context: "ComputeContext",
-                              args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _append_category_capacity(context: "ComputeContext", args: Tuple[Any, ...],
+                              n_rows: int) -> Tuple[Any, ...]:
     return args + (STREAMING_CATEGORY_CAPACITY,)
 
 
-def _append_duplicate_capacity(context: "ComputeContext",
-                               args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _append_duplicate_capacity(context: "ComputeContext", args: Tuple[Any, ...],
+                               n_rows: int) -> Tuple[Any, ...]:
     return args + (DUPLICATE_SKETCH_CAPACITY,)
 
 
-def _nullity_args(context: "ComputeContext",
-                  args: Tuple[Any, ...]) -> Tuple[Any, ...]:
+def _nullity_args(context: "ComputeContext", args: Tuple[Any, ...],
+                  n_rows: int) -> Tuple[Any, ...]:
     (n_bins,) = args
-    return (tuple(context.column_names), context.known_n_rows, n_bins)
+    return (tuple(context.column_names), n_rows, n_bins)
 
 
 REDUCTION_KINDS: Dict[str, ReductionKind] = {
     "numeric_summary": ReductionKind(
-        "numeric_summary",
-        exact=ReductionPlan(_chunk_numeric_summary, _combine_numeric_summaries),
+        exact=ReductionPlan(_chunk_numeric_summary, merge_all),
         columns=_requires_first_arg_column),
     "categorical_summary": ReductionKind(
-        "categorical_summary",
-        exact=ReductionPlan(_chunk_categorical_summary,
-                            _combine_categorical_summaries),
-        sketch=ReductionPlan(_chunk_categorical_summary,
-                             _combine_categorical_summaries,
+        exact=ReductionPlan(_chunk_categorical_summary, merge_all),
+        sketch=ReductionPlan(_chunk_categorical_summary, merge_all,
                              adapt=_append_category_capacity),
         columns=_requires_first_arg_column),
     "histogram": ReductionKind(
-        "histogram",
-        exact=ReductionPlan(_chunk_histogram, _combine_histograms),
+        exact=ReductionPlan(_chunk_histogram, merge_all),
         columns=_requires_first_arg_column),
     "pearson": ReductionKind(
-        "pearson",
-        exact=ReductionPlan(_chunk_pearson, _combine_pearson),
+        exact=ReductionPlan(_chunk_pearson, merge_all),
         columns=_requires_column_tuple),
-    "missing_mask": ReductionKind(
-        "missing_mask",
-        exact=ReductionPlan(_chunk_missing_mask, _combine_missing_masks),
-        exact_only=True),                 # reads the whole row: no projection
     "nullity": ReductionKind(
-        "nullity",
-        exact=ReductionPlan(_chunk_nullity, _combine_nullity, indexed=True,
+        exact=ReductionPlan(_chunk_nullity, merge_all, indexed=True,
                             adapt=_nullity_args)),  # spans every column
     # row_count only ever reduces on exact (in-memory) sources — streaming
     # sources answer it from the layout scan — where the planner keeps
     # full-width slices anyway, so it declares no projection.
     "row_count": ReductionKind(
-        "row_count",
         exact=ReductionPlan(_chunk_row_count, _combine_counts)),
     "sample": ReductionKind(
-        "sample",
         exact=ReductionPlan(_chunk_sample, _combine_samples,
                             adapt=_sample_exact_args),
-        sketch=ReductionPlan(_chunk_reservoir, _combine_reservoirs,
+        sketch=ReductionPlan(_chunk_reservoir, merge_all,
                              finalize=_finalize_reservoir),
         columns=_requires_column_tuple),
     "pair_counts": ReductionKind(
-        "pair_counts",
         exact=ReductionPlan(_chunk_pair_counts, _combine_pair_counts),
         sketch=ReductionPlan(_chunk_pair_counts,
                              _combine_pair_counts_bounded,
                              adapt=_append_category_capacity),
         columns=_requires_column_pair),
     "duplicates": ReductionKind(
-        "duplicates",
-        exact=ReductionPlan(_chunk_duplicates, _combine_duplicates,
+        exact=ReductionPlan(_chunk_duplicates, merge_all,
                             finalize=_finalize_duplicates,
                             adapt=_append_duplicate_capacity)),
                                           # row hash spans every column
@@ -439,20 +379,99 @@ class PendingReduction:
 
     kind: str
     args: Tuple[Any, ...]
-    required: Optional[Tuple[str, ...]]
+    required: Projection
 
     def __repr__(self) -> str:
         columns = "*" if self.required is None else list(self.required)
         return f"PendingReduction(kind={self.kind!r}, columns={columns})"
 
 
+# --------------------------------------------------------------------------- #
+# The projection planner: pure functions of (column names, projections
+# already built, requests), so a plan can be computed — and tested — with no
+# source and no engine.  A request is the column tuple one reduction declared
+# (None = every column); a projection is a column tuple in source order
+# (None = full width).
+# --------------------------------------------------------------------------- #
+def _plan_projections(column_names: Sequence[str], built: Sequence[Projection],
+                      requests: Sequence[Projection]) -> List[Projection]:
+    """Choose the partition projection for every request of a batch.
+
+    Overlapping column requirements are merged into shared groups
+    (union of the overlapping sets), so e.g. ``plot(df, "x")``'s
+    summary, histograms and sample all consume one single-column parse
+    per chunk, while a batch containing any whole-row reduction (the
+    nullity sketch, the duplicate hash) collapses onto the full parse.
+    Genuinely *disjoint* groups stay separate and each tokenizes the
+    chunk bytes once — every shipped compute shape either carries a
+    linking reduction that merges the batch or reuses an earlier
+    stage's superset, but a custom batch of disjoint single-column
+    requests over a narrow table can pay more byte-tokenization than
+    one full parse (coercion work never exceeds it).  A group covering
+    every column yields None (full-width tasks) — which is also what a
+    batch of None requests (a source without projection support, or
+    ``compute.projection=False``) plans to.
+    """
+    full = set(column_names)
+    groups: List[Tuple[set, List[int]]] = []
+    for index, request in enumerate(requests):
+        needed = set(full) if request is None else set(request)
+        if not needed or not needed <= full:
+            # Unknown names: parse everything so the error surfaces in
+            # the chunk function exactly as it did before projection.
+            needed = set(full)
+        touching = [group for group in groups if group[0] & needed]
+        if touching:
+            merged_set, members = touching[0]
+            merged_set.update(needed)
+            members.append(index)
+            for other in touching[1:]:
+                merged_set.update(other[0])
+                members.extend(other[1])
+                groups.remove(other)
+        else:
+            groups.append((needed, [index]))
+    projections: List[Projection] = [None] * len(requests)
+    for needed, members in groups:
+        chosen = _select_projection(column_names, built, needed)
+        for index in members:
+            projections[index] = chosen
+    return projections
+
+
+def _select_projection(column_names: Sequence[str], built: Sequence[Projection],
+                       needed: set) -> Projection:
+    """The projection tuple serving *needed*, reusing earlier parses.
+
+    An already-built projection covering *needed* is preferred over a
+    fresh narrower parse — the narrowest such superset wins.  An exact
+    match reuses the very same partition task objects; a strict
+    superset reuses chunks the cache has (or is about to have), and
+    with the cache disabled it re-executes tasks the earlier stage
+    already paid for once — exactly the pre-projection cost, whereas a
+    brand-new narrow projection would tokenize every chunk's bytes
+    again on top of it (e.g. the overview's stage-2 histograms would
+    otherwise fragment the stage-1 full parse into one parse set per
+    column).  Projections are emitted in source column order, which
+    keeps them canonical across stages and calls (stable cache keys).
+    """
+    if needed >= set(column_names):
+        return None
+    covering = [used for used in built if used is None or needed <= set(used)]
+    if covering:
+        return min(covering, key=lambda used:
+                   len(column_names) if used is None else len(used))
+    return tuple(name for name in column_names if name in needed)
+
+
 class ComputeContext:
     """Execution context for one EDA task.
 
     The context owns the frame source, the partitioned frame, the engine
-    and the timing bookkeeping.  Compute functions ask it for lazy (or, on
-    tiny data, eager) intermediates and then call :meth:`resolve` once per
-    pipeline stage so every requested value lands in the same optimized
+    and the timing bookkeeping.  Compute functions ask it for intermediates
+    — pending reductions in the graph stage, plain values on tiny data,
+    where the same plans run inline — and then call :meth:`resolve` once
+    per pipeline stage so every pending value lands in the same optimized
     graph.
     """
 
@@ -466,13 +485,13 @@ class ComputeContext:
         self.timings: Dict[str, float] = {}
         self.reports: List[ExecutionReport] = []
         self._planned_source: Optional[FrameSource] = None
-        self._projected_partitions: Dict[Optional[Tuple[str, ...]],
-                                         PartitionedFrame] = {}
-        self._used_projections: List[Optional[Tuple[str, ...]]] = []
+        self._projected_partitions: Dict[Projection, PartitionedFrame] = {}
+        self._used_projections: List[Projection] = []
+        self._semantic_types: Optional[Dict[str, SemanticType]] = None
         self.use_graph = self._decide_graph_mode()
         self.cache = self._decide_cache()
         #: Projection pushdown is active only when the user has not disabled
-        #: it, the source's partition tasks accept a column subset, and the
+        #: it, the source declares ``capabilities.projection``, and the
         #: source actually pays per column to materialize (streaming
         #: parses).  In-memory slices are zero-copy views whichever columns
         #: they carry, so projecting them would buy nothing while
@@ -480,7 +499,7 @@ class ComputeContext:
         #: ``plot(df)`` could no longer serve ``plot_correlation(df)``).
         self.projection_enabled = bool(
             config.get("compute.projection") and
-            getattr(self.source.capabilities, "projection", False) and
+            self.source.capabilities.projection and
             not self.exact_results)
         #: Predicate pushdown: a filtered streaming source carries its
         #: compiled predicate into every partition task (rows are dropped
@@ -510,13 +529,13 @@ class ComputeContext:
             "projected_parse_tasks": 0,
             "full_parse_tasks": 0,
         }
-        #: Parsed-chunk disk sidecar: streaming sources whose partition
-        #: tasks accept a sidecar route spill each parsed chunk to a binary
+        #: Parsed-chunk disk sidecar: streaming sources that declare
+        #: ``capabilities.chunk_sidecar`` spill each parsed chunk to a binary
         #: sidecar and serve warm re-scans from it without decoding CSV.
         #: In-memory sources never parse, so they get no route.
         self.sidecar_route: Optional[SidecarRoute] = None
         if (config.get("cache.disk_enabled") and not self.exact_results
-                and getattr(self.source.capabilities, "chunk_sidecar", False)):
+                and self.source.capabilities.chunk_sidecar):
             self.sidecar_route = SidecarRoute(
                 directory=config.get("cache.disk_dir"),
                 budget_bytes=int(config.get("cache.disk_bytes")))
@@ -530,11 +549,6 @@ class ComputeContext:
     # ------------------------------------------------------------------ #
     # Input access (source-mediated)
     # ------------------------------------------------------------------ #
-    @property
-    def is_streaming(self) -> bool:
-        """True when the source streams from storage (sketch reductions)."""
-        return not self.exact_results
-
     @property
     def frame(self) -> DataFrame:
         """The full in-memory frame.
@@ -559,16 +573,6 @@ class ComputeContext:
         return self._frame
 
     @property
-    def schema_frame(self) -> DataFrame:
-        """A bounded frame for schema questions (dtypes, semantic types).
-
-        The in-memory frame itself, or the scan's preview rows; semantic
-        type detection samples a row prefix in both cases, so the two modes
-        agree whenever the preview is representative.
-        """
-        return self.source.schema_preview()
-
-    @property
     def known_n_rows(self) -> int:
         """Total row count, known from the source without materializing."""
         return self.source.n_rows
@@ -583,9 +587,26 @@ class ComputeContext:
         """Number of columns of the input."""
         return len(self.column_names)
 
-    def total_memory_bytes(self) -> int:
-        """In-memory footprint of a frame, or on-disk size of a scan."""
-        return self.source.footprint_bytes()
+    def semantic_types(self) -> Dict[str, SemanticType]:
+        """Semantic type of every column, detected once per context.
+
+        Read from the source's bounded schema preview — the in-memory frame
+        itself, or the scan's preview rows; detection samples a row prefix
+        in both cases, so the two agree whenever the preview is
+        representative.
+        """
+        if self._semantic_types is None:
+            self._semantic_types = detect_frame_types(
+                self.source.schema_preview())
+        return self._semantic_types
+
+    def numerical_columns(self) -> List[str]:
+        """Columns that are semantically numerical and stored numerically —
+        what the histogram, correlation and interaction sections analyse."""
+        preview = self.source.schema_preview()
+        return [name for name, semantic in self.semantic_types().items()
+                if semantic is SemanticType.NUMERICAL
+                and preview.column(name).dtype.is_numeric]
 
     def duplicate_rows(self, max_rows: int) -> Union[PendingReduction, Optional[int]]:
         """Duplicate-row count, or None when it would be unbounded.
@@ -641,7 +662,6 @@ class ComputeContext:
                   "scheduler_options": self._scheduler_options()}
         if engine_name == "lazy":
             kwargs["enable_cse"] = self.config.get("compute.enable_cse")
-            kwargs["enable_fusion"] = self.config.get("compute.enable_fusion")
         return kwargs
 
     def _decide_graph_mode(self) -> bool:
@@ -708,8 +728,7 @@ class ComputeContext:
         materializes every column)."""
         return self.partitioned_for(None)
 
-    def partitioned_for(self, projection: Optional[Tuple[str, ...]]
-                        ) -> PartitionedFrame:
+    def partitioned_for(self, projection: Projection) -> PartitionedFrame:
         """The partitioned frame projected onto *projection* (None = full).
 
         Memoized per column set, so every reduction bound to the same
@@ -796,133 +815,58 @@ class ComputeContext:
         spec = REDUCTION_KINDS[kind]
         if self.exact_results:
             return spec.exact
-        if spec.exact_only:
-            raise EDAError(
-                f"the {spec.name!r} reduction holds O(rows) state and is "
-                f"not available on a streaming source; use its sketch "
-                f"counterpart instead")
         return spec.sketch or spec.exact
 
-    def _reduce(self, kind: str, args: Tuple[Any, ...] = ()) -> PendingReduction:
-        """Request the lazy reduction of *kind* for this context's source.
+    def _reduce(self, kind: str, args: Tuple[Any, ...] = ()) -> Any:
+        """The reduction of *kind* over this context's source.
 
-        Returns a :class:`PendingReduction` carrying the kind's declared
-        column requirement; :meth:`resolve` binds every pending reduction of
-        a batch to (possibly projected) partition tasks at once, so
-        overlapping column requirements end up sharing parse tasks.
+        The graph stage returns a :class:`PendingReduction` carrying the
+        kind's declared column requirement; :meth:`resolve` binds every
+        pending reduction of a batch to (possibly projected) partition
+        tasks at once, so overlapping column requirements end up sharing
+        parse tasks.  The local stage runs the same plan inline and
+        returns its value.
         """
-        self._plan(kind)        # validates kind/capabilities eagerly
-        spec = REDUCTION_KINDS[kind]
-        required = spec.required_columns(self, args) \
-            if self.projection_enabled else None
+        if not self.use_graph:
+            return self._run_inline(kind, args)
+        declared = REDUCTION_KINDS[kind].columns
+        required = declared(args) \
+            if self.projection_enabled and declared is not None else None
         return PendingReduction(kind, args, required)
 
+    def _run_inline(self, kind: str, args: Tuple[Any, ...]) -> Any:
+        """Evaluate the plan of *kind* on the whole frame, as one chunk.
+
+        ``finalize(combine([chunk(frame, *adapt(args))]))`` — what the graph
+        stage computes over a single partition, minus the graph; an indexed
+        chunk receives ``(0, n_rows)`` as its row range.
+        """
+        plan = self._plan(kind)
+        frame = self.frame
+        n_rows = len(frame)
+        chunk_args = plan.adapt(self, args, n_rows) \
+            if plan.adapt is not None else args
+        if plan.indexed:
+            chunk_args = (0, n_rows) + tuple(chunk_args)
+        value = plan.combine([plan.chunk(frame, *chunk_args)])
+        return value if plan.finalize is None else plan.finalize(value)
+
     def _bind_reduction(self, pending: PendingReduction,
-                        projection: Optional[Tuple[str, ...]]) -> Delayed:
+                        projection: Projection) -> Delayed:
         """Bind one pending reduction to partition tasks of *projection*."""
         plan = self._plan(pending.kind)
-        chunk_args = plan.adapt(self, pending.args) \
+        chunk_args = plan.adapt(self, pending.args, self.known_n_rows) \
             if plan.adapt is not None else pending.args
-        partitioned = self.partitioned_for(projection)
-        if plan.indexed:
-            return partitioned.reduction_indexed(
-                plan.chunk, plan.combine, finalize=plan.finalize,
-                chunk_args=chunk_args)
-        return partitioned.reduction(
+        return self.partitioned_for(projection).reduction(
             plan.chunk, plan.combine, finalize=plan.finalize,
-            chunk_args=chunk_args)
-
-    def _plan_projections(self, pendings: List[PendingReduction]
-                          ) -> List[Optional[Tuple[str, ...]]]:
-        """Choose the partition projection for every reduction of a batch.
-
-        Overlapping column requirements are merged into shared groups
-        (union of the overlapping sets), so e.g. ``plot(df, "x")``'s
-        summary, histograms and sample all consume one single-column parse
-        per chunk, while a batch containing any whole-row reduction (the
-        nullity sketch, the duplicate hash) collapses onto the full parse.
-        Genuinely *disjoint* groups stay separate and each tokenizes the
-        chunk bytes once — every shipped compute shape either carries a
-        linking reduction that merges the batch or reuses an earlier
-        stage's superset, but a custom batch of disjoint single-column
-        requests over a narrow table can pay more byte-tokenization than
-        one full parse (coercion work never exceeds it).  A group covering
-        every column, a source without projection support, or
-        ``compute.projection=False`` yields None (full-width tasks).
-        """
-        full = set(self.column_names)
-        if not self.projection_enabled or len(full) <= 1:
-            return [None] * len(pendings)
-        requirement_sets: List[set] = []
-        for pending in pendings:
-            if pending.required is None:
-                requirement_sets.append(set(full))
-                continue
-            needed = set(pending.required)
-            if not needed or not needed <= full:
-                # Unknown names: parse everything so the error surfaces in
-                # the chunk function exactly as it did before projection.
-                needed = set(full)
-            requirement_sets.append(needed)
-        groups: List[Tuple[set, List[int]]] = []
-        for index, needed in enumerate(requirement_sets):
-            touching = [group for group in groups if group[0] & needed]
-            if touching:
-                merged_set, members = touching[0]
-                merged_set.update(needed)
-                members.append(index)
-                for other in touching[1:]:
-                    merged_set.update(other[0])
-                    members.extend(other[1])
-                    groups.remove(other)
-            else:
-                groups.append((needed, [index]))
-        projections: List[Optional[Tuple[str, ...]]] = [None] * len(pendings)
-        for needed, members in groups:
-            chosen = self._select_projection(needed, full)
-            for index in members:
-                projections[index] = chosen
-        return projections
-
-    def _select_projection(self, needed: set,
-                           full: set) -> Optional[Tuple[str, ...]]:
-        """The projection tuple serving *needed*, reusing earlier parses.
-
-        An already-built projection covering *needed* is preferred over a
-        fresh narrower parse — the narrowest such superset wins.  An exact
-        match reuses the very same partition task objects; a strict
-        superset reuses chunks the cache has (or is about to have), and
-        with the cache disabled it re-executes tasks the earlier stage
-        already paid for once — exactly the pre-projection cost, whereas a
-        brand-new narrow projection would tokenize every chunk's bytes
-        again on top of it (e.g. the overview's stage-2 histograms would
-        otherwise fragment the stage-1 full parse into one parse set per
-        column).  Projections are emitted in source column order, which
-        keeps them canonical across stages and calls (stable cache keys).
-        """
-        if needed >= full:
-            return None
-        best: Any = _UNSET
-        best_width = None
-        for used in self._used_projections:
-            used_set = full if used is None else set(used)
-            if needed == used_set:
-                return used
-            if needed < used_set:
-                width = len(used_set)
-                if best_width is None or width < best_width:
-                    best, best_width = used, width
-        if best is not _UNSET:
-            return best
-        return tuple(name for name in self.column_names if name in needed)
+            chunk_args=chunk_args, indexed=plan.indexed)
 
     # ------------------------------------------------------------------ #
-    # Intermediate builders (lazy in graph mode, eager otherwise)
+    # Intermediate builders: one ``_reduce`` call each — pending in the
+    # graph stage, a value in the local stage, the same plan either way.
     # ------------------------------------------------------------------ #
     def numeric_summary(self, column: str) -> Union[PendingReduction, NumericSummary]:
         """Mergeable numeric summary of one column."""
-        if not self.use_graph:
-            return NumericSummary.from_column(self.frame.column(column))
         return self._reduce("numeric_summary", (column,))
 
     def categorical_summary(self, column: str) -> Union[PendingReduction, CategoricalSummary]:
@@ -932,35 +876,16 @@ class ComputeContext:
         (:data:`STREAMING_CATEGORY_CAPACITY`) so cardinality cannot defeat
         the memory budget; counts stay exact below the bound.
         """
-        if not self.use_graph:
-            return CategoricalSummary.from_column(self.frame.column(column))
         return self._reduce("categorical_summary", (column,))
 
     def histogram(self, column: str, bins: int, low: float,
                   high: float) -> Union[PendingReduction, Histogram]:
         """Mergeable histogram of one column over a fixed range."""
-        if not self.use_graph:
-            values = self.frame.column(column).to_numpy(drop_missing=True)
-            return compute_histogram(values.astype(np.float64), bins, (low, high))
         return self._reduce("histogram", (column, bins, float(low), float(high)))
 
     def pearson_partial(self, columns: Sequence[str]) -> Union[PendingReduction, PearsonPartial]:
         """Mergeable Pearson partial sums over the given numeric columns."""
-        columns = tuple(columns)
-        if not self.use_graph:
-            return _chunk_pearson(self.frame, columns)
-        return self._reduce("pearson", (columns,))
-
-    def missing_mask(self) -> Union[PendingReduction, np.ndarray]:
-        """Full boolean missing mask (rows x columns).
-
-        The mask is O(rows x columns); a streaming source must use
-        :meth:`nullity_sketch` instead, which holds only per-column and
-        per-bin counts.
-        """
-        if not self.use_graph:
-            return self.frame.missing_mask()
-        return self._reduce("missing_mask")
+        return self._reduce("pearson", (tuple(columns),))
 
     def nullity_sketch(self, n_bins: int) -> Union[PendingReduction, NullitySketch]:
         """Mergeable missing-value sketch over all columns.
@@ -969,28 +894,21 @@ class ComputeContext:
         counts, pairwise co-missing counts and the row-binned missing
         spectrum — in a few small arrays per chunk, for every source kind.
         """
-        if not self.use_graph or self._predicate_spec is not None:
+        if self._predicate_spec is not None:
             # The nullity reduction is indexed (chunks place themselves by
             # their precomputed global row range), but a filtered partition
             # compacts rows, so those pre-filter positions would be wrong.
-            # Fall back to the local path — for a streaming source this
+            # Run the plan inline instead — for a streaming source this
             # materializes (with the documented UserWarning) and filters.
-            frame = self.frame
-            return NullitySketch.from_mask(
-                frame.missing_mask(), tuple(self.column_names),
-                0, len(frame), n_bins)
+            return self._run_inline("nullity", (n_bins,))
         return self._reduce("nullity", (n_bins,))
 
     def row_count(self) -> Union[PendingReduction, int]:
         """Total number of rows (post-filter when a predicate is pushed)."""
-        if not self.exact_results:
-            if self._predicate_spec is not None:
-                # The layout scan counts pre-filter rows; only the filtered
-                # parses know how many survive, so count through them.
-                return self._reduce("row_count")
+        if not self.exact_results and self._predicate_spec is None:
             return self.known_n_rows      # precomputed by the layout scan
-        if not self.use_graph:
-            return len(self.frame)
+        # In memory, or filtered: the layout scan counts pre-filter rows and
+        # only the filtered parses know how many survive — count through them.
         return self._reduce("row_count")
 
     def sample(self, columns: Sequence[str], size: int,
@@ -1003,10 +921,7 @@ class ComputeContext:
         which is what pins the streaming results to the in-memory ones on
         small data.
         """
-        columns = tuple(columns)
-        if not self.use_graph:
-            return self.frame.select(list(columns)).sample(size, seed=seed)
-        return self._reduce("sample", (columns, int(size), seed))
+        return self._reduce("sample", (tuple(columns), int(size), seed))
 
     def pair_counts(self, col1: str, col2: str) -> Union[PendingReduction, Dict[Tuple[str, str], int]]:
         """Joint value counts of two categorical columns.
@@ -1017,8 +932,6 @@ class ComputeContext:
         the memory budget; exact below the bound (the downstream charts only
         consume the top few dozen pairs).
         """
-        if not self.use_graph:
-            return _chunk_pair_counts(self.frame, col1, col2)
         return self._reduce("pair_counts", (col1, col2))
 
     # ------------------------------------------------------------------ #
@@ -1043,8 +956,9 @@ class ComputeContext:
         audit_key: Optional[str] = None
         planned_rows = 0
         if pending_keys:
-            projections = self._plan_projections(
-                [requested[key] for key in pending_keys])
+            projections = _plan_projections(
+                self.column_names, self._used_projections,
+                [requested[key].required for key in pending_keys])
             for key, projection in zip(pending_keys, projections):
                 resolved[key] = self._bind_reduction(requested[key], projection)
             if self._predicate_spec is not None and not self._rows_audit_done:

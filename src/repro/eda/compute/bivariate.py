@@ -20,7 +20,7 @@ from repro.eda.intermediates import Intermediates
 from repro.frame.frame import DataFrame
 from repro.stats.correlation import PearsonPartial
 from repro.stats.histogram import compute_histogram
-from repro.stats.qq import box_plot_stats, quantiles_from_histogram
+from repro.stats.qq import box_plot_stats
 
 
 def compute_bivariate(frame: DataFrame, col1: str, col2: str, config: Config,

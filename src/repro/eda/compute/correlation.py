@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.eda.compute.base import ComputeContext
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_frame_types
 from repro.eda.insights import correlation_insights
 from repro.eda.intermediates import Intermediates
 from repro.errors import EDAError
@@ -40,19 +39,12 @@ from repro.stats.correlation import (
 )
 
 
-def _numerical_columns(context: ComputeContext) -> List[str]:
-    types = detect_frame_types(context.schema_frame)
-    return [name for name, semantic in types.items()
-            if semantic is SemanticType.NUMERICAL and
-            context.column(name).dtype.is_numeric]
-
-
 def compute_correlation_overview(frame: DataFrame, config: Config,
                                  context: Optional[ComputeContext] = None
                                  ) -> Intermediates:
     """Intermediates of ``plot_correlation(df)``."""
     context = context or ComputeContext(frame, config)
-    columns = _numerical_columns(context)
+    columns = context.numerical_columns()
     if len(columns) < 2:
         raise EDAError("correlation analysis requires at least two numerical columns")
 
@@ -112,7 +104,7 @@ def compute_correlation_single(frame: DataFrame, column: str, config: Config,
                                ) -> Intermediates:
     """Intermediates of ``plot_correlation(df, col1)``."""
     context = context or ComputeContext(frame, config)
-    columns = _numerical_columns(context)
+    columns = context.numerical_columns()
     if column not in columns:
         raise EDAError(f"column {column!r} must be numerical for correlation analysis")
     if len(columns) < 2:

@@ -9,13 +9,11 @@ main computation-sharing win the paper measures against Pandas-profiling.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from typing import Any, Dict, Optional
 
 from repro.eda.compute.base import ComputeContext
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_frame_types
+from repro.eda.dtypes import SemanticType
 from repro.eda.insights import dataset_insights
 from repro.eda.intermediates import Intermediates
 from repro.frame.frame import DataFrame
@@ -41,11 +39,8 @@ def compute_overview(frame: DataFrame, config: Config,
     parses instead of fragmenting them per column.
     """
     context = context or ComputeContext(frame, config)
-    semantic_types = detect_frame_types(context.schema_frame)
-
-    numerical = [name for name, semantic in semantic_types.items()
-                 if semantic is SemanticType.NUMERICAL and
-                 context.column(name).dtype.is_numeric]
+    semantic_types = context.semantic_types()
+    numerical = context.numerical_columns()
     categorical = [name for name in context.column_names if name not in numerical]
 
     # Stage 1 (graph): every per-column summary in one shared graph, plus
@@ -96,7 +91,8 @@ def compute_overview(frame: DataFrame, config: Config,
         "missing_cells": int(missing_cells),
         "missing_cells_rate": missing_cells / total_cells,
         "duplicate_rows": duplicate_rows,
-        "memory_bytes": context.total_memory_bytes(),
+        # In-memory footprint of a frame, or on-disk size of a scan.
+        "memory_bytes": context.source.footprint_bytes(),
     }
 
     variables: Dict[str, Dict[str, Any]] = {}

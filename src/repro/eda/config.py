@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, _closest
 from repro.frame.io import DEFAULT_BUDGET_BYTES as _DEFAULT_BUDGET_BYTES
@@ -22,69 +22,176 @@ from repro.frame.sidecar import DEFAULT_DISK_BYTES as _SIDECAR_DEFAULT_BYTES
 from repro.graph.cache import DEFAULT_MAX_BYTES as _CACHE_DEFAULT_MAX_BYTES
 from repro.graph.engines import available_engines
 
-#: Default values for every configurable parameter, grouped by component.
-#: The how-to guide surfaces these keys to the user (Section 4.1).
-DEFAULTS: Dict[str, Any] = {
+_VALID_GRAPH_MODES = ("auto", "always", "never")
+_VALID_CORRELATION_METHODS = ("pearson", "spearman", "kendall")
+_VALID_SCHEDULERS = ("synchronous", "threaded", "process", "remote")
+
+
+# --------------------------------------------------------------------------- #
+# Validators: ``check(key, value) -> validated value``.
+# --------------------------------------------------------------------------- #
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expects(expected: str, accepts: Callable[[Any], bool],
+             convert: Callable[[Any], Any] = lambda value: value
+             ) -> Callable[[str, Any], Any]:
+    """A validator passing (converted) values for which *accepts* holds."""
+    def check(key: str, value: Any) -> Any:
+        if not accepts(value):
+            raise ConfigError(f"config key {key!r} expects {expected}, "
+                              f"got {value!r}", key=key)
+        return convert(value)
+    return check
+
+
+_boolean = _expects("a boolean", lambda v: isinstance(v, bool))
+_positive_int = _expects("a positive integer", lambda v: _is_int(v) and v > 0)
+_rate = _expects("a number in [0, 1]",
+                 lambda v: _is_number(v) and 0.0 <= float(v) <= 1.0, float)
+_seconds = _expects("a positive number of seconds",
+                    lambda v: _is_number(v) and float(v) > 0.0, float)
+_optional_workers = _expects(
+    "None or a positive integer", lambda v: v is None or (_is_int(v) and v > 0))
+# 0 is meaningful: spawn no local workers and rely entirely on workers
+# attached from other hosts via compute.remote.bind.
+_optional_remote_workers = _expects(
+    "None or a non-negative integer",
+    lambda v: v is None or (_is_int(v) and v >= 0))
+_optional_directory = _expects("None or a directory path string",
+                               lambda v: v is None or isinstance(v, str))
+_graph_mode = _expects(f"one of {_VALID_GRAPH_MODES}",
+                       lambda v: v in _VALID_GRAPH_MODES)
+
+
+def _registered(key: str, value: Any, valid: Tuple[str, ...]) -> str:
+    if value not in valid:
+        raise ConfigError(f"config key {key!r} expects one of "
+                          f"{valid}, got {value!r}", key=key,
+                          suggestion=_closest(str(value), valid))
+    return value
+
+
+def _scheduler(key: str, value: Any) -> str:
+    return _registered(key, value, _VALID_SCHEDULERS)
+
+
+def _engine(key: str, value: Any) -> str:
+    return _registered(key, value, tuple(available_engines()))
+
+
+def _correlation_methods(key: str, value: Any) -> Tuple[str, ...]:
+    methods = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    for method in methods:
+        if method not in _VALID_CORRELATION_METHODS:
+            raise ConfigError(
+                f"unknown correlation method {method!r}; expected a subset "
+                f"of {_VALID_CORRELATION_METHODS}", key=key)
+    if not methods:
+        raise ConfigError("correlation.methods must not be empty", key=key)
+    return methods
+
+
+def _aggregation(key: str, value: Any) -> str:
+    from repro.frame.ops import AGGREGATIONS
+    if value not in AGGREGATIONS:
+        raise ConfigError(f"unknown aggregation {value!r}; expected one of "
+                          f"{sorted(AGGREGATIONS)}", key=key)
+    return value
+
+
+def _bind_address(key: str, value: Any) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} expects a 'host:port' "
+                          f"string, got {value!r}", key=key)
+    from repro.graph.wire import WireError, parse_address
+    try:
+        parse_address(value)
+    except WireError as error:
+        raise ConfigError(f"config key {key!r}: {error}", key=key) from None
+    return value
+
+
+def _authkey(key: str, value: Any) -> Optional[str]:
+    # None = a random per-pool secret (spawned workers only); attach mode
+    # needs an explicit non-empty shared key.
+    if value is not None and (not isinstance(value, str) or not value):
+        # Deliberately not echoing the value: it is a secret.
+        raise ConfigError(f"config key {key!r} expects None or a "
+                          f"non-empty secret string", key=key)
+    return value
+
+
+#: Every configurable parameter, declared once: ``key: (default, validator)``,
+#: grouped by component.  A validator is ``check(key, value) -> value`` and
+#: raises :class:`ConfigError`; None accepts any value.  The how-to guide
+#: surfaces these keys to the user (Section 4.1).
+_KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     # Histogram
-    "hist.bins": 50,
-    "hist.auto_bins": False,
+    "hist.bins": (50, _positive_int),
+    "hist.auto_bins": (False, _boolean),
     # Kernel density estimate plot
-    "kde.grid_points": 200,
-    "kde.bins": 256,
+    "kde.grid_points": (200, _positive_int),
+    "kde.bins": (256, _positive_int),
     # Normal Q-Q plot
-    "qq.points": 100,
+    "qq.points": (100, _positive_int),
     # Box plot
-    "box.whisker": 1.5,
-    "box.max_groups": 10,
+    "box.whisker": (1.5, None),
+    "box.max_groups": (10, _positive_int),
     # Bar / pie chart for categorical columns
-    "bar.top_words": 10,
-    "bar.sort_descending": True,
-    "pie.slices": 6,
+    "bar.top_words": (10, _positive_int),
+    "bar.sort_descending": (True, _boolean),
+    "pie.slices": (6, _positive_int),
     # Word statistics for categorical columns
-    "wordfreq.top_words": 10,
-    "wordfreq.lowercase": True,
+    "wordfreq.top_words": (10, _positive_int),
+    "wordfreq.lowercase": (True, _boolean),
     # Scatter / hexbin for numerical-numerical bivariate analysis
-    "scatter.sample_size": 1000,
-    "hexbin.gridsize": 20,
-    "binnedbox.bins": 10,
+    "scatter.sample_size": (1000, _positive_int),
+    "hexbin.gridsize": (20, _positive_int),
+    "binnedbox.bins": (10, _positive_int),
     # Nested / stacked bar charts and heat map for two categorical columns
-    "nested.max_categories": 10,
-    "stacked.max_categories": 10,
-    "heatmap.max_categories": 20,
+    "nested.max_categories": (10, _positive_int),
+    "stacked.max_categories": (10, _positive_int),
+    "heatmap.max_categories": (20, _positive_int),
     # Multi-line chart for categorical-numerical bivariate analysis
-    "line.max_groups": 10,
-    "line.bins": 20,
-    "line.aggregate": "mean",
+    "line.max_groups": (10, _positive_int),
+    "line.bins": (20, _positive_int),
+    "line.aggregate": ("mean", _aggregation),
     # Correlation analysis
-    "correlation.methods": ("pearson", "spearman", "kendall"),
-    "correlation.kendall_max_rows": 10000,
-    "correlation.scatter_sample_size": 1000,
-    "correlation.top_k": 5,
+    "correlation.methods": (("pearson", "spearman", "kendall"), _correlation_methods),
+    "correlation.kendall_max_rows": (10000, _positive_int),
+    "correlation.scatter_sample_size": (1000, _positive_int),
+    "correlation.top_k": (5, _positive_int),
     # Missing-value analysis
-    "missing.spectrum_bins": 32,
-    "missing.bins": 30,
-    "missing.quantiles": 100,
+    "missing.spectrum_bins": (32, _positive_int),
+    "missing.bins": (30, _positive_int),
+    "missing.quantiles": (100, _positive_int),
     # Insight thresholds (Section 4.2.2: each insight has its own threshold)
-    "insight.missing.threshold": 0.1,
-    "insight.duplicates.threshold": 0.05,
-    "insight.similar_distribution.alpha": 0.05,
-    "insight.uniform.alpha": 0.05,
-    "insight.normal.alpha": 0.05,
-    "insight.skewness.threshold": 1.0,
-    "insight.infinity.threshold": 0.0,
-    "insight.zeros.threshold": 0.5,
-    "insight.negatives.threshold": 0.0,
-    "insight.high_cardinality.threshold": 50,
-    "insight.constant.enabled": True,
-    "insight.outlier.iqr_multiplier": 1.5,
-    "insight.outlier.threshold": 0.01,
-    "insight.correlation.threshold": 0.8,
-    "insight.enabled": True,
+    "insight.missing.threshold": (0.1, _rate),
+    "insight.duplicates.threshold": (0.05, _rate),
+    "insight.similar_distribution.alpha": (0.05, _rate),
+    "insight.uniform.alpha": (0.05, _rate),
+    "insight.normal.alpha": (0.05, _rate),
+    "insight.skewness.threshold": (1.0, None),
+    "insight.infinity.threshold": (0.0, _rate),
+    "insight.zeros.threshold": (0.5, _rate),
+    "insight.negatives.threshold": (0.0, _rate),
+    "insight.high_cardinality.threshold": (50, _positive_int),
+    "insight.constant.enabled": (True, _boolean),
+    "insight.outlier.iqr_multiplier": (1.5, None),
+    "insight.outlier.threshold": (0.01, _rate),
+    "insight.correlation.threshold": (0.8, None),
+    "insight.enabled": (True, _boolean),
     # Compute pipeline
-    "compute.partition_rows": 100000,
-    "compute.use_graph": "auto",          # "auto" | "always" | "never"
-    "compute.small_data_rows": 50000,      # below this, skip the graph stage
-    "compute.engine": "lazy",              # see repro.graph.engines
+    "compute.partition_rows": (100000, _positive_int),
+    "compute.use_graph": ("auto", _graph_mode), # "auto" | "always" | "never"
+    "compute.small_data_rows": (50000, _positive_int), # below this, skip the graph stage
+    "compute.engine": ("lazy", _engine), # see repro.graph.engines
     # Execution backend for the graph stage: "threaded" (default; GIL-shared
     # workers, fine for numpy-dominated tasks), "process" (a true
     # multiprocess pool — scales GIL-bound chunk work such as streaming CSV
@@ -92,8 +199,8 @@ DEFAULTS: Dict[str, Any] = {
     # The REPRO_SCHEDULER environment variable overrides the default at
     # Config construction time, which is how CI runs the whole suite under
     # the process backend.
-    "compute.scheduler": "threaded",
-    "compute.max_workers": None,           # respected by all schedulers
+    "compute.scheduler": ("threaded", _scheduler),
+    "compute.max_workers": (None, _optional_workers), # respected by all schedulers
     # Remote (socket) backend, compute.scheduler = "remote": a coordinator
     # binds compute.remote.bind (port 0 = any free port; bind a routable
     # address to let workers on other hosts attach with
@@ -110,18 +217,18 @@ DEFAULTS: Dict[str, Any] = {
     # exported as REPRO_REMOTE_AUTHKEY on the worker side.  The key
     # authenticates but does not encrypt: bind routable addresses only on
     # trusted networks.
-    "compute.remote.workers": None,
-    "compute.remote.bind": "127.0.0.1:0",
-    "compute.remote.heartbeat_s": 2.0,
-    "compute.remote.timeout_s": 30.0,
-    "compute.remote.authkey": None,
+    "compute.remote.workers": (None, _optional_remote_workers),
+    "compute.remote.bind": ("127.0.0.1:0", _bind_address),
+    "compute.remote.heartbeat_s": (2.0, _seconds),
+    "compute.remote.timeout_s": (30.0, _seconds),
+    "compute.remote.authkey": (None, _authkey),
     # Projection pushdown: partition tasks parse/slice only the columns the
     # requested reductions declare (e.g. plot(df, "x") over a scanned CSV
     # parses one column per chunk, not the whole table).  Overlapping
     # requests inside one graph are merged into shared projected parses;
     # disable to force every partition task back to full-width
     # materialization (the pre-projection behaviour).
-    "compute.projection": True,
+    "compute.projection": (True, _boolean),
     # Predicate pushdown: filtered EDA calls (plot(..., where=...) or a
     # scan indexed with a predicate) ship the compiled filter into the
     # partition parse tasks and consult per-chunk zone-map statistics to
@@ -129,78 +236,41 @@ DEFAULTS: Dict[str, Any] = {
     # chunk and filter inside the parse instead — identical results, no
     # chunk skipping (the equivalence grid pins both modes against
     # in-memory mask filtering).
-    "compute.predicates": True,
-    "compute.histogram_bins_internal": 512,
-    "compute.enable_cse": True,
-    "compute.enable_fusion": False,
+    "compute.predicates": (True, _boolean),
+    "compute.histogram_bins_internal": (512, _positive_int),
+    "compute.enable_cse": (True, _boolean),
     # Out-of-core streaming (inputs opened with repro.scan_csv).  A scanned
     # frame is processed chunk by chunk: memory.chunk_rows caps the rows per
     # chunk and memory.budget_bytes caps the estimated peak parse memory
     # across all concurrently in-flight chunks (the effective chunk size is
     # the smaller of the two constraints).
-    "memory.chunk_rows": _DEFAULT_CHUNK_ROWS,
-    "memory.budget_bytes": _DEFAULT_BUDGET_BYTES,
+    "memory.chunk_rows": (_DEFAULT_CHUNK_ROWS, _positive_int),
+    "memory.budget_bytes": (_DEFAULT_BUDGET_BYTES, _positive_int),
     # Cross-call intermediate cache (see repro.graph.cache).  When enabled,
     # repeated EDA calls on the same frame reuse partition slices, summaries
     # and histograms computed by earlier calls in this process.
-    "cache.enabled": True,
-    "cache.max_bytes": _CACHE_DEFAULT_MAX_BYTES,
+    "cache.enabled": (True, _boolean),
+    "cache.max_bytes": (_CACHE_DEFAULT_MAX_BYTES, _positive_int),
     # Parsed-chunk disk sidecar (see repro.frame.sidecar).  Scanned CSVs
     # spill each parsed chunk's columns to a binary sidecar next to the
     # file (or under cache.disk_dir when set); warm re-scans — in this
     # process, a later one, or a process-pool worker — load the columns
     # back without decoding CSV.  cache.disk_bytes caps each sidecar
     # directory, evicting least-recently-used chunks.
-    "cache.disk_enabled": True,
-    "cache.disk_dir": None,
-    "cache.disk_bytes": _SIDECAR_DEFAULT_BYTES,
+    "cache.disk_enabled": (True, _boolean),
+    "cache.disk_dir": (None, _optional_directory),
+    "cache.disk_bytes": (_SIDECAR_DEFAULT_BYTES, _positive_int),
     # Rendering
-    "render.width": 640,
-    "render.height": 360,
-    "render.max_tabs": 12,
-    "report.title": "DataPrep.EDA Report",
-    "report.sample_rows": 10,
-    "report.interactions_max_columns": 10,
+    "render.width": (640, _positive_int),
+    "render.height": (360, _positive_int),
+    "render.max_tabs": (12, _positive_int),
+    "report.title": ("DataPrep.EDA Report", None),
+    "report.sample_rows": (10, _positive_int),
+    "report.interactions_max_columns": (10, _positive_int),
 }
 
-#: Keys whose value must be a positive integer.
-_POSITIVE_INT_KEYS = {
-    "hist.bins", "kde.grid_points", "kde.bins", "qq.points", "box.max_groups",
-    "bar.top_words", "pie.slices", "wordfreq.top_words", "scatter.sample_size",
-    "hexbin.gridsize", "binnedbox.bins", "nested.max_categories",
-    "stacked.max_categories", "heatmap.max_categories", "line.max_groups",
-    "line.bins", "correlation.kendall_max_rows", "correlation.scatter_sample_size",
-    "correlation.top_k", "missing.spectrum_bins", "missing.bins",
-    "missing.quantiles", "insight.high_cardinality.threshold",
-    "compute.partition_rows", "compute.small_data_rows",
-    "compute.histogram_bins_internal", "memory.chunk_rows",
-    "memory.budget_bytes", "cache.max_bytes", "cache.disk_bytes",
-    "render.width",
-    "render.height", "render.max_tabs", "report.sample_rows",
-    "report.interactions_max_columns",
-}
-
-#: Keys whose value must be a plain boolean.
-_BOOL_KEYS = {
-    "cache.enabled", "cache.disk_enabled", "hist.auto_bins",
-    "bar.sort_descending",
-    "wordfreq.lowercase", "insight.constant.enabled", "insight.enabled",
-    "compute.enable_cse", "compute.enable_fusion", "compute.projection",
-    "compute.predicates",
-}
-
-#: Keys whose value must be a float in [0, 1].
-_RATE_KEYS = {
-    "insight.missing.threshold", "insight.duplicates.threshold",
-    "insight.similar_distribution.alpha", "insight.uniform.alpha",
-    "insight.normal.alpha", "insight.zeros.threshold",
-    "insight.negatives.threshold", "insight.outlier.threshold",
-    "insight.infinity.threshold",
-}
-
-_VALID_GRAPH_MODES = ("auto", "always", "never")
-_VALID_CORRELATION_METHODS = ("pearson", "spearman", "kendall")
-_VALID_SCHEDULERS = ("synchronous", "threaded", "process", "remote")
+#: Default value of every key (what the how-to guide and the docs list).
+DEFAULTS: Dict[str, Any] = {key: default for key, (default, _) in _KEYS.items()}
 
 
 @dataclass
@@ -241,23 +311,15 @@ class Config:
         env_authkey = os.environ.get("REPRO_REMOTE_AUTHKEY")
         if env_authkey is not None:
             values["compute.remote.authkey"] = env_authkey
-        if user_config:
-            for key, value in user_config.items():
-                if key not in DEFAULTS:
-                    suggestion = _closest(key, DEFAULTS.keys())
-                    raise ConfigError(f"unknown config key {key!r}", key=key,
-                                      suggestion=suggestion)
-                values[key] = _validate(key, value)
-        # Scheduler and remote worker-count defaults may come from the
-        # REPRO_SCHEDULER / REPRO_REMOTE_WORKERS environment variables;
+        for key, value in (user_config or {}).items():
+            values[key] = _validate(key, value)
+        # These defaults may come from the REPRO_SCHEDULER /
+        # REPRO_REMOTE_WORKERS / REPRO_REMOTE_AUTHKEY environment variables;
         # validate them even when the user did not pass the keys, so a
         # typo'd environment fails as loudly as a typo'd config dict.
-        values["compute.scheduler"] = _validate("compute.scheduler",
-                                                values["compute.scheduler"])
-        values["compute.remote.workers"] = _validate(
-            "compute.remote.workers", values["compute.remote.workers"])
-        values["compute.remote.authkey"] = _validate(
-            "compute.remote.authkey", values["compute.remote.authkey"])
+        for key in ("compute.scheduler", "compute.remote.workers",
+                    "compute.remote.authkey"):
+            values[key] = _validate(key, values[key])
         return cls(values=values,
                    display=list(display) if display is not None else None,
                    provided=frozenset(user_config or ()))
@@ -297,10 +359,6 @@ class Config:
         """Return a copy of this config with extra validated overrides."""
         merged = copy.deepcopy(self.values)
         for key, value in overrides.items():
-            if key not in DEFAULTS:
-                suggestion = _closest(key, DEFAULTS.keys())
-                raise ConfigError(f"unknown config key {key!r}", key=key,
-                                  suggestion=suggestion)
             merged[key] = _validate(key, value)
         return Config(values=merged, display=self.display,
                       provided=self.provided | frozenset(overrides))
@@ -316,96 +374,13 @@ class Config:
 
 
 def _validate(key: str, value: Any) -> Any:
-    """Validate a single override, raising :class:`ConfigError` on bad values."""
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} expects a boolean, "
-                              f"got {value!r}", key=key)
-        return value
-    if key in _POSITIVE_INT_KEYS:
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ConfigError(f"config key {key!r} expects a positive integer, "
-                              f"got {value!r}", key=key)
-        return value
-    if key in _RATE_KEYS:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or \
-                not 0.0 <= float(value) <= 1.0:
-            raise ConfigError(f"config key {key!r} expects a number in [0, 1], "
-                              f"got {value!r}", key=key)
-        return float(value)
-    if key == "compute.use_graph":
-        if value not in _VALID_GRAPH_MODES:
-            raise ConfigError(f"config key {key!r} expects one of "
-                              f"{_VALID_GRAPH_MODES}, got {value!r}", key=key)
-        return value
-    if key in ("compute.scheduler", "compute.engine"):
-        valid = _VALID_SCHEDULERS if key == "compute.scheduler" \
-            else tuple(available_engines())
-        if value not in valid:
-            suggestion = _closest(str(value), valid)
-            raise ConfigError(f"config key {key!r} expects one of "
-                              f"{valid}, got {value!r}", key=key,
-                              suggestion=suggestion)
-        return value
-    if key == "correlation.methods":
-        methods = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-        for method in methods:
-            if method not in _VALID_CORRELATION_METHODS:
-                raise ConfigError(
-                    f"unknown correlation method {method!r}; expected a subset "
-                    f"of {_VALID_CORRELATION_METHODS}", key=key)
-        if not methods:
-            raise ConfigError("correlation.methods must not be empty", key=key)
-        return methods
-    if key == "line.aggregate":
-        from repro.frame.ops import AGGREGATIONS
-        if value not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {value!r}; expected one of "
-                              f"{sorted(AGGREGATIONS)}", key=key)
-        return value
-    if key == "compute.max_workers":
-        if value is not None and (not isinstance(value, int) or value <= 0):
-            raise ConfigError(f"config key {key!r} expects None or a positive "
-                              f"integer, got {value!r}", key=key)
-        return value
-    if key == "compute.remote.workers":
-        # 0 is meaningful: spawn no local workers and rely entirely on
-        # workers attached from other hosts via compute.remote.bind.
-        if value is not None and (not isinstance(value, int)
-                                  or isinstance(value, bool) or value < 0):
-            raise ConfigError(f"config key {key!r} expects None or a "
-                              f"non-negative integer, got {value!r}", key=key)
-        return value
-    if key == "compute.remote.bind":
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} expects a 'host:port' "
-                              f"string, got {value!r}", key=key)
-        from repro.graph.wire import WireError, parse_address
-        try:
-            parse_address(value)
-        except WireError as error:
-            raise ConfigError(f"config key {key!r}: {error}", key=key) from None
-        return value
-    if key == "compute.remote.authkey":
-        # None = a random per-pool secret (spawned workers only); attach
-        # mode needs an explicit non-empty shared key.
-        if value is not None and (not isinstance(value, str) or not value):
-            # Deliberately not echoing the value: it is a secret.
-            raise ConfigError(f"config key {key!r} expects None or a "
-                              f"non-empty secret string", key=key)
-        return value
-    if key in ("compute.remote.heartbeat_s", "compute.remote.timeout_s"):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or \
-                float(value) <= 0.0:
-            raise ConfigError(f"config key {key!r} expects a positive number "
-                              f"of seconds, got {value!r}", key=key)
-        return float(value)
-    if key == "cache.disk_dir":
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} expects None or a directory "
-                              f"path string, got {value!r}", key=key)
-        return value
-    return value
+    """Validate a single override, raising :class:`ConfigError` for an
+    unknown key (naming the closest real one) or a bad value."""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}", key=key,
+                          suggestion=_closest(key, _KEYS))
+    check = _KEYS[key][1]
+    return value if check is None else check(key, value)
 
 
 def available_config_keys() -> List[str]:

@@ -9,7 +9,7 @@ re-plot the same numbers with the plotting library of their choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from repro.eda.insights import Insight
 

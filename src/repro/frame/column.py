@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 import operator
 import sys
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -12,7 +12,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DTypeError
-from repro.frame.column import Column
 from repro.frame.frame import DataFrame
 
 #: Aggregations supported by :func:`groupby_aggregate`.

@@ -48,7 +48,10 @@ dataset may safely coexist in memory.  Declare
 ``capabilities.projection=True`` only when the partition ``func`` accepts a
 ``columns=`` keyword naming a column subset and materializes just those
 columns — the EDA planner then pushes each reduction's required-column set
-down into the partition tasks (``materialize(columns=...)``).  A source
+down into the partition tasks (``materialize(columns=...)``).  The declared
+flags *are* the pushdown contract (:data:`PUSHDOWN_KEYWORDS`): nothing
+inspects the func's signature, so a flag declared for a func that lacks the
+keyword fails with that func's own ``TypeError`` when the task runs.  A source
 that keeps per-chunk statistics may also offer
 ``partitions_matching(spec)`` — its partitions minus those that provably
 hold no row matching the predicate spec — which :class:`FilteredSource`
@@ -59,7 +62,6 @@ uses to skip chunks; without it every chunk parses and filters.  See
 from __future__ import annotations
 
 import hashlib
-import inspect
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -120,41 +122,6 @@ def _slice_frame(frame: DataFrame, start: int, stop: int,
     return filtered[list(names)] if len(needed) != len(names) else filtered
 
 
-#: Memoized "does this partition func accept this keyword" checks.
-#: Only module-level functions enter the cache — they are process-permanent,
-#: so a strong reference costs nothing — while per-call closures/partials
-#: (which the protocol allows, at the price of never being cached across
-#: calls) are re-inspected each time rather than pinned forever.
-_KEYWORD_SUPPORT: Dict[Tuple[Callable[..., Any], str], bool] = {}
-
-
-def _accepts_keyword(func: Callable[..., Any], keyword: str) -> bool:
-    """Whether *func* can receive *keyword* as a keyword argument."""
-    qualname = getattr(func, "__qualname__", "")
-    memoizable = bool(getattr(func, "__module__", None)) and \
-        qualname and "<" not in qualname
-    if memoizable:
-        cached = _KEYWORD_SUPPORT.get((func, keyword))
-        if cached is not None:
-            return cached
-    try:
-        parameters = inspect.signature(func).parameters
-    except (TypeError, ValueError):         # builtins without signatures
-        accepts = False
-    else:
-        accepts = keyword in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values())
-    if memoizable:
-        _KEYWORD_SUPPORT[(func, keyword)] = accepts
-    return accepts
-
-
-def _accepts_columns(func: Callable[..., Any]) -> bool:
-    """Whether *func* can receive the ``columns=`` projection keyword."""
-    return _accepts_keyword(func, "columns")
-
-
 # --------------------------------------------------------------------------- #
 # The protocol
 # --------------------------------------------------------------------------- #
@@ -200,6 +167,18 @@ class SourceCapabilities:
     chunk_sidecar: bool = False
 
 
+#: The pushdown contract, ``(capability flag, partition-func keyword)``: a
+#: source that declares the flag promises that every partition ``func``
+#: accepts the keyword.  :meth:`PartitionedFrame.from_source
+#: <repro.graph.partition.PartitionedFrame.from_source>` checks a requested
+#: pushdown against the flag, once per partition set; nothing else does.
+PUSHDOWN_KEYWORDS: Tuple[Tuple[str, str], ...] = (
+    ("projection", "columns"),
+    ("predicates", "predicate"),
+    ("chunk_sidecar", "sidecar"),
+)
+
+
 @dataclass(frozen=True)
 class SourcePartition:
     """One lazily-materialized row chunk of a source.
@@ -229,15 +208,15 @@ class SourcePartition:
                              Dict[str, Any], str]:
         """``(func, args, kwargs, key prefix)`` of this partition's task.
 
+        This only builds the call; whether the source supports a pushdown
+        is its declared :class:`SourceCapabilities`, checked where the
+        partition set is planned (see :data:`PUSHDOWN_KEYWORDS`).
+
         With *columns* the task materializes only that column subset:
         the projection travels as an explicit ``columns=`` keyword (so
         cache keys and CSE tokens incorporate it) and the key prefix gains
         the projected marker (so run statistics can count projected vs.
-        full parses).  Only sources declaring
-        ``capabilities.projection=True`` support a non-None projection; a
-        partition whose func takes no ``columns=`` keyword is rejected
-        here with a clear error rather than a ``TypeError`` from deep
-        inside the func at execution time.
+        full parses).
 
         With *predicate* (a :meth:`~repro.frame.predicate.Predicate.spec`
         tuple) the task additionally filters the partition's rows.  The
@@ -245,9 +224,7 @@ class SourcePartition:
         nested tuples — the graph layer tokenizes those structurally, so
         filtered tasks get their own CSE tokens and cross-call cache keys,
         and the payload stays picklable for process-pool shipping — and
-        the key prefix gains the filtered marker.  Requires
-        ``capabilities.predicates=True`` (a func without the keyword is
-        rejected here, mirroring the projection contract).
+        the key prefix gains the filtered marker.
 
         With *sidecar* (a :class:`~repro.frame.sidecar.SidecarRoute`
         tuple) the task consults and maintains the parsed-chunk binary
@@ -256,42 +233,17 @@ class SourcePartition:
         the task returns — so the prefix stays unchanged and the graph
         layer excludes the keyword from CSE tokens and cross-call cache
         keys: a cached result from a sidecar-less run serves a
-        sidecar-enabled one and vice versa.  Requires
-        ``capabilities.chunk_sidecar=True`` (a func without the keyword is
-        rejected here like the other pushdowns).
+        sidecar-enabled one and vice versa.
         """
         kwargs: Dict[str, Any] = {}
         prefix = self.prefix
         if columns is not None:
-            if not _accepts_columns(self.func):
-                raise FrameError(
-                    f"partition func "
-                    f"{getattr(self.func, '__name__', self.func)!r} "
-                    f"takes no columns= keyword; this source does not support "
-                    f"column projection (declare capabilities.projection=True "
-                    f"only once its partition funcs accept a column subset)")
             kwargs["columns"] = tuple(columns)
             prefix = projected_prefix(prefix)
         if predicate is not None:
-            if not _accepts_keyword(self.func, "predicate"):
-                raise FrameError(
-                    f"partition func "
-                    f"{getattr(self.func, '__name__', self.func)!r} "
-                    f"takes no predicate= keyword; this source does not "
-                    f"support predicate pushdown (declare "
-                    f"capabilities.predicates=True only once its partition "
-                    f"funcs accept a predicate spec)")
             kwargs["predicate"] = tuple(tuple(entry) for entry in predicate)
             prefix = filtered_prefix(prefix)
         if sidecar is not None:
-            if not _accepts_keyword(self.func, "sidecar"):
-                raise FrameError(
-                    f"partition func "
-                    f"{getattr(self.func, '__name__', self.func)!r} "
-                    f"takes no sidecar= keyword; this source does not "
-                    f"support the parsed-chunk sidecar cache (declare "
-                    f"capabilities.chunk_sidecar=True only once its "
-                    f"partition funcs accept a sidecar route)")
             # Ship a plain tuple, not the SidecarRoute NamedTuple: the graph
             # layer's container walkers rebuild tuples as type(value)(items),
             # which would feed a NamedTuple its fields as one argument.  The
@@ -728,6 +680,7 @@ __all__ = [
     "FilteredSource",
     "FrameSource",
     "InMemorySource",
+    "PUSHDOWN_KEYWORDS",
     "SourceCapabilities",
     "SourcePartition",
     "as_source",

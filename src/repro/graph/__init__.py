@@ -11,9 +11,8 @@ does not ship Dask, so this package implements the required subset:
 * :func:`~repro.graph.delayed.delayed` and
   :class:`~repro.graph.delayed.Delayed` — lazy call wrappers used to build
   graphs declaratively.
-* :mod:`~repro.graph.optimize` — graph optimizations: culling, common
-  sub-expression elimination (the "share computations" optimization) and
-  linear-chain fusion.
+* :mod:`~repro.graph.optimize` — graph optimizations: culling and common
+  sub-expression elimination (the "share computations" optimization).
 * :mod:`~repro.graph.scheduler` — the pluggable execution layer: a shared
   scheduling core (cache planning, readiness, result release) with
   synchronous, threaded and true-multiprocess backends, selected by the
@@ -52,7 +51,7 @@ from repro.graph.cache import (
 from repro.graph.task import Task, TaskRef, tokenize
 from repro.graph.graph import TaskGraph
 from repro.graph.delayed import Delayed, compute, delayed
-from repro.graph.optimize import common_subexpression_elimination, cull, fuse_linear_chains, optimize
+from repro.graph.optimize import common_subexpression_elimination, cull, optimize
 from repro.graph.executor import Executor, ProcessExecutor, ThreadExecutor
 from repro.graph.scheduler import (
     ProcessScheduler,
@@ -117,7 +116,6 @@ __all__ = [
     "compute",
     "cull",
     "delayed",
-    "fuse_linear_chains",
     "get_engine",
     "get_global_cache",
     "get_scheduler",

@@ -39,7 +39,7 @@ import hashlib
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,8 +81,8 @@ def _task_cache_key(task: Task, dep_keys: Dict[str, Optional[str]]) -> Optional[
         # not survive across calls.
         return None
     if task.token_customized:
-        # A customized token marks an impure or fused task; neither may be
-        # served from a cross-call cache.
+        # A customized token marks an impure task, which may not be served
+        # from a cross-call cache.
         return None
     hasher = hashlib.sha1()
     hasher.update(name.encode())

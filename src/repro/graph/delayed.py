@@ -101,8 +101,7 @@ def merge_graphs(values: Sequence[Delayed]) -> Tuple[TaskGraph, List[str]]:
 
 
 def compute(*values: Any, scheduler: Optional[Scheduler] = None,
-            enable_cse: bool = True, enable_fusion: bool = False,
-            return_stats: bool = False) -> Any:
+            enable_cse: bool = True, return_stats: bool = False) -> Any:
     """Evaluate many Delayed values against one merged, optimized graph.
 
     Non-Delayed arguments pass through unchanged, so callers can mix eager
@@ -119,8 +118,7 @@ def compute(*values: Any, scheduler: Optional[Scheduler] = None,
     stats = OptimizeStats(input_tasks=0, output_tasks=0)
     if lazy_values:
         graph, keys = merge_graphs(lazy_values)
-        optimized, output_map, stats = optimize(
-            graph, keys, enable_cse=enable_cse, enable_fusion=enable_fusion)
+        optimized, output_map, stats = optimize(graph, keys, enable_cse=enable_cse)
         canonical_keys = [output_map[key] for key in keys]
         computed = scheduler.execute(optimized, canonical_keys)
         for position, key in zip(lazy_positions, canonical_keys):

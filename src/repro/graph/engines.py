@@ -86,7 +86,7 @@ class Engine:
 
     def compute(self, values: Sequence[Delayed]) -> List[Any]:
         """Compute all values and return them in order."""
-        raise NotImplementedError
+        return self.compute_with_report(values)[0]
 
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:
@@ -127,24 +127,17 @@ class LazyEngine(Engine):
     name = "lazy"
 
     def __init__(self, max_workers: Optional[int] = None, enable_cse: bool = True,
-                 enable_fusion: bool = False, cache: Optional[TaskCache] = None,
+                 cache: Optional[TaskCache] = None,
                  scheduler: str = "threaded",
                  scheduler_options: Optional[Dict[str, Any]] = None):
         self.scheduler = get_scheduler(scheduler, max_workers=max_workers,
                                        cache=cache, **(scheduler_options or {}))
         self.enable_cse = enable_cse
-        self.enable_fusion = enable_fusion
-
-    def compute(self, values: Sequence[Delayed]) -> List[Any]:
-        return compute(*values, scheduler=self.scheduler,
-                       enable_cse=self.enable_cse,
-                       enable_fusion=self.enable_fusion)
 
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:
         report = ExecutionReport(engine=self.name, requested=len(values))
-        results = self._run(values, report, enable_cse=self.enable_cse,
-                            enable_fusion=self.enable_fusion)
+        results = self._run(values, report, enable_cse=self.enable_cse)
         return results, report
 
 
@@ -161,10 +154,6 @@ class EagerEngine(Engine):
         # separate operations; a parallel scheduler per value models that.
         self.scheduler = get_scheduler(scheduler, max_workers=max_workers,
                                        cache=cache, **(scheduler_options or {}))
-
-    def compute(self, values: Sequence[Delayed]) -> List[Any]:
-        return [compute(value, scheduler=self.scheduler, enable_cse=False)[0]
-                for value in values]
 
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:

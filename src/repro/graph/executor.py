@@ -35,7 +35,7 @@ import sys
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -202,8 +202,8 @@ def _shippable_func(func: Callable[..., Any]) -> bool:
     module_name = getattr(func, "__module__", None)
     qualname = getattr(func, "__qualname__", "")
     if not module_name or not qualname or "<" in qualname:
-        # Lambdas, closures and fused tasks are per-call objects; besides
-        # being unshippable, caching them would pin them (and anything they
+        # Lambdas and closures are per-call objects; besides being
+        # unshippable, caching them would pin them (and anything they
         # capture) for the life of the process — so they never enter the
         # cache.  Module-level functions are process-permanent, so a strong
         # reference costs nothing.

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.errors import CycleError, GraphError
-from repro.graph.task import Task, TaskRef
+from repro.graph.task import Task
 
 
 class TaskGraph:

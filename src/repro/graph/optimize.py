@@ -6,8 +6,6 @@ The passes mirror what the paper relies on from Dask:
 * **common sub-expression elimination (CSE)** — merge tasks with identical
   structural fingerprints so a shared computation (e.g. the quantiles needed
   by the stats table, the box plot and the Q-Q plot of one column) runs once.
-* **linear-chain fusion** — collapse ``a -> b`` chains where ``b`` is the only
-  consumer of ``a`` to cut scheduling overhead on tiny tasks.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.graph.graph import TaskGraph
-from repro.graph.task import Task, TaskRef
+from repro.graph.task import Task, tokenize
 
 
 @dataclass
@@ -27,12 +25,6 @@ class OptimizeStats:
     output_tasks: int
     merged_by_cse: int = 0
     culled: int = 0
-    fused: int = 0
-
-    @property
-    def removed(self) -> int:
-        """Total number of tasks removed by the pass(es)."""
-        return self.input_tasks - self.output_tasks
 
 
 def cull(graph: TaskGraph, outputs: Sequence[str]) -> Tuple[TaskGraph, OptimizeStats]:
@@ -60,14 +52,12 @@ def common_subexpression_elimination(
     remap: Dict[str, str] = {}
     new_tasks: List[Task] = []
 
-    from repro.graph.task import tokenize
-
     for key in order:
         original = graph[key]
         task = original.substitute(remap)
         # Tokens are recomputed after dependency rewriting so that two tasks
         # become mergeable once their inputs have been merged.  Tasks with a
-        # customized token (impure calls, fused tasks) keep it, so they are
+        # customized token (impure calls) keep it, so they are
         # only merged with tasks carrying the exact same custom token.
         if not original.token_customized:
             token = tokenize(task.func, task.args, task.kwargs)
@@ -90,80 +80,11 @@ def common_subexpression_elimination(
     return merged_graph, output_map, stats
 
 
-def fuse_linear_chains(graph: TaskGraph,
-                       outputs: Sequence[str]) -> Tuple[TaskGraph, OptimizeStats]:
-    """Fuse ``producer -> consumer`` chains with a single consumer.
-
-    The producer's computation is in-lined into the consumer via a composed
-    callable, reducing the number of scheduled tasks without changing results.
-    Output tasks are never fused away.
-    """
-    protected = set(outputs)
-    dependents = graph.dependents()
-    fused_away: Dict[str, Task] = {}
-
-    # Identify producers eligible for fusion: exactly one consumer, not a
-    # requested output.
-    for key, consumers in dependents.items():
-        if key in protected or len(consumers) != 1:
-            continue
-        fused_away[key] = graph[key]
-
-    new_tasks: List[Task] = []
-    for key in graph.toposort():
-        if key in fused_away:
-            continue
-        task = graph[key]
-        task = _inline_dependencies(task, fused_away)
-        new_tasks.append(task)
-
-    fused_graph = TaskGraph(new_tasks)
-    stats = OptimizeStats(input_tasks=len(graph), output_tasks=len(fused_graph),
-                          fused=len(graph) - len(fused_graph))
-    return fused_graph, stats
-
-
-def _inline_dependencies(task: Task, fused_away: Dict[str, Task]) -> Task:
-    """Replace references to fused-away producers with inline sub-calls.
-
-    The returned task keeps the consumer's key; its arguments are TaskRefs to
-    the remaining (non-fused) dependencies, so the scheduler still sees the
-    correct edges.
-    """
-    direct_fused = [ref for ref in dict.fromkeys(task.dependencies())
-                    if ref in fused_away]
-    if not direct_fused:
-        return task
-
-    inline_tasks = {key: _inline_dependencies(fused_away[key], fused_away)
-                    for key in direct_fused}
-    outer: List[str] = []
-    for sub_task in list(inline_tasks.values()) + [task]:
-        for dependency in sub_task.dependencies():
-            if dependency not in inline_tasks and dependency not in outer:
-                outer.append(dependency)
-
-    def fused(*outer_values, __task=task, __inline=inline_tasks, __outer=tuple(outer)):
-        local: Dict[str, object] = dict(zip(__outer, outer_values))
-        for inline_key, inline_task in __inline.items():
-            local[inline_key] = inline_task.execute(local)
-        return __task.execute(local)
-
-    fused.__name__ = f"fused_{getattr(task.func, '__name__', 'task')}"
-    args = tuple(TaskRef(key) for key in outer)
-    return Task(task.key, fused, args, {},
-                token=f"fused:{task.token}:{sorted(inline_tasks)!r}",
-                token_customized=True)
-
-
 def optimize(graph: TaskGraph, outputs: Sequence[str],
-             enable_cse: bool = True,
-             enable_fusion: bool = False) -> Tuple[TaskGraph, Dict[str, str], OptimizeStats]:
-    """Run the standard optimization pipeline: cull, then CSE, then fusion.
+             enable_cse: bool = True) -> Tuple[TaskGraph, Dict[str, str], OptimizeStats]:
+    """Run the standard optimization pipeline: cull, then CSE.
 
-    Returns ``(graph, output key remap, stats)``.  Fusion is off by default
-    because the threaded scheduler's per-task overhead is already small; it is
-    exposed for the ablation benchmark.
+    Returns ``(graph, output key remap, stats)``.
     """
     culled_graph, cull_stats = cull(graph, outputs)
     output_map = {key: key for key in outputs}
@@ -175,9 +96,5 @@ def optimize(graph: TaskGraph, outputs: Sequence[str],
         working, output_map, cse_stats = common_subexpression_elimination(
             working, outputs)
         total.merged_by_cse = cse_stats.merged_by_cse
-        total.output_tasks = len(working)
-    if enable_fusion:
-        working, fuse_stats = fuse_linear_chains(working, list(output_map.values()))
-        total.fused = fuse_stats.fused
         total.output_tasks = len(working)
     return working, output_map, total

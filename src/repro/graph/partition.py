@@ -16,7 +16,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.source import _slice_frame
+from repro.frame.source import PUSHDOWN_KEYWORDS, _slice_frame
 from repro.graph.delayed import Delayed, delayed
 
 #: Default number of rows per partition; chosen so per-partition numpy work
@@ -103,68 +103,62 @@ class PartitionedFrame:
         concatenations all land in the same task graph shape, and a custom
         source needs no graph-layer code at all.
 
+        Each of the three pushdowns below needs the source to declare its
+        capability flag (:data:`~repro.frame.source.PUSHDOWN_KEYWORDS`);
+        this method is the one place a request is checked against the
+        flags, and it raises before any task is built.
+
         *columns* projects every partition task onto that column subset
-        (the source must declare ``capabilities.projection=True``): the
-        projection travels as an explicit task argument, so two reductions
-        needing the same column set share one projected parse per chunk —
-        within a graph via CSE and across calls via the intermediate cache
-        — while projected and full parses always occupy distinct cache
-        keys.
+        (``capabilities.projection``): the projection travels as an
+        explicit task argument, so two reductions needing the same column
+        set share one projected parse per chunk — within a graph via CSE
+        and across calls via the intermediate cache — while projected and
+        full parses always occupy distinct cache keys.
 
         *predicate* — a :class:`~repro.frame.predicate.Predicate` or its
         ``spec()`` tuple form — filters every partition task's rows before
-        they reach downstream reductions (the source must declare
-        ``capabilities.predicates=True``).  Like the projection, it travels
-        as an explicit task argument, so filtered and unfiltered parses of
-        the same chunk occupy distinct CSE tokens and cross-call cache
-        keys, while two filtered reductions with the same predicate share
-        one parse.  Note the boundaries keep the source's pre-filter row
+        they reach downstream reductions (``capabilities.predicates``).
+        Like the projection, it travels as an explicit task argument, so
+        filtered and unfiltered parses of the same chunk occupy distinct
+        CSE tokens and cross-call cache keys, while two filtered reductions
+        with the same predicate share one parse.  Note the boundaries keep the source's pre-filter row
         offsets: a filtered partition holds *at most* ``stop - start``
         rows, so indexed reductions (which assume exact global positions)
         must not be planned over a filtered frame.
 
         *sidecar* — a :class:`~repro.frame.sidecar.SidecarRoute` tuple —
         routes every partition task through the parsed-chunk binary cache
-        (the source must declare ``capabilities.chunk_sidecar=True``).
-        Unlike the two pushdowns it is non-semantic: the graph layer
-        excludes the keyword from CSE tokens and cross-call cache keys, so
-        enabling or moving the disk cache never changes task identity.
+        (``capabilities.chunk_sidecar``).  Unlike the two pushdowns it is
+        non-semantic: the graph layer excludes the keyword from CSE tokens
+        and cross-call cache keys, so enabling or moving the disk cache
+        never changes task identity.
         """
         parts = source.partitions()
         if not parts:
             raise GraphError("a FrameSource must expose at least one partition")
-        if columns is not None:
-            capabilities = getattr(source, "capabilities", None)
-            if not getattr(capabilities, "projection", False):
+        spec = route = None
+        if predicate is not None:
+            spec = predicate.spec() if hasattr(predicate, "spec") \
+                else tuple(tuple(entry) for entry in predicate)
+        if sidecar is not None:
+            route = tuple(sidecar)
+        # The one check of the pushdown contract: a requested pushdown needs
+        # its declared capability flag, before any task is built.
+        requested = {"columns": columns, "predicate": spec, "sidecar": route}
+        for flag, keyword in PUSHDOWN_KEYWORDS:
+            if requested[keyword] is not None \
+                    and not getattr(source.capabilities, flag):
                 raise GraphError(
-                    f"{type(source).__name__} does not support column "
-                    f"projection (capabilities.projection is False); its "
-                    f"partition tasks take no columns= keyword")
+                    f"{type(source).__name__} does not declare "
+                    f"capabilities.{flag}, so its partition tasks take no "
+                    f"{keyword}= keyword")
+        if columns is not None:
             known = set(source.columns)
             for name in columns:
                 if name not in known:
                     raise GraphError(
                         f"projection names unknown column {name!r}; "
                         f"source has {source.columns}")
-        spec = None
-        if predicate is not None:
-            capabilities = getattr(source, "capabilities", None)
-            if not getattr(capabilities, "predicates", False):
-                raise GraphError(
-                    f"{type(source).__name__} does not support predicate "
-                    f"pushdown (capabilities.predicates is False); its "
-                    f"partition tasks take no predicate= keyword")
-            spec = predicate.spec() if hasattr(predicate, "spec") \
-                else tuple(tuple(entry) for entry in predicate)
-        route = None
-        if sidecar is not None:
-            capabilities = getattr(source, "capabilities", None)
-            if not getattr(capabilities, "chunk_sidecar", False):
-                raise GraphError(
-                    f"{type(source).__name__} does not support the "
-                    f"parsed-chunk sidecar cache (capabilities.chunk_sidecar "
-                    f"is False); its partition tasks take no sidecar= keyword")
-            route = tuple(sidecar)
         partitions = []
         for part in parts:
             func, args, kwargs, prefix = part.task_spec(columns, spec, route)
@@ -216,32 +210,26 @@ class PartitionedFrame:
                   combine: Callable[[List[Any]], Any],
                   finalize: Optional[Callable[[Any], Any]] = None,
                   chunk_args: Tuple[Any, ...] = (),
-                  split_every: int = 8) -> Delayed:
+                  split_every: int = 8, indexed: bool = False) -> Delayed:
         """Tree reduction over all partitions.
 
         ``chunk`` maps one partition to a partial result, ``combine`` merges a
         list of partial results (applied level by level with fan-in
         *split_every*), and ``finalize`` post-processes the final merge.
-        """
-        partials = self.map_partitions(chunk, *chunk_args)
-        return tree_combine(partials, combine, finalize, split_every=split_every)
 
-    def reduction_indexed(self, chunk: Callable[..., Any],
-                          combine: Callable[[List[Any]], Any],
-                          finalize: Optional[Callable[[Any], Any]] = None,
-                          chunk_args: Tuple[Any, ...] = (),
-                          split_every: int = 8) -> Delayed:
-        """Tree reduction whose chunk function also receives its row range.
-
-        ``chunk(partition, start, stop, *chunk_args)`` — the precomputed
+        With *indexed* the chunk function also receives its row range —
+        ``chunk(partition, start, stop, *chunk_args)`` — so the precomputed
         global row boundaries let position-dependent sketches (e.g. the
         missing-spectrum row bins) place their partition in the whole
         dataset without any global pass.
         """
-        wrapped = delayed(chunk, prefix=getattr(chunk, "__name__", "chunk"))
-        partials = [wrapped(partition, start, stop, *chunk_args)
-                    for partition, (start, stop)
-                    in zip(self._partitions, self._boundaries)]
+        if indexed:
+            wrapped = delayed(chunk, prefix=getattr(chunk, "__name__", "chunk"))
+            partials = [wrapped(partition, start, stop, *chunk_args)
+                        for partition, (start, stop)
+                        in zip(self._partitions, self._boundaries)]
+        else:
+            partials = self.map_partitions(chunk, *chunk_args)
         return tree_combine(partials, combine, finalize, split_every=split_every)
 
     def column_values(self, column: str) -> List[Delayed]:

@@ -41,7 +41,7 @@ class Task:
         optimization pass.
     token_customized:
         True when the token was deliberately made non-structural (impure
-        calls, fused tasks).  Such tasks are excluded from the cross-call
+        calls).  Such tasks are excluded from the cross-call
         cache without re-tokenizing their arguments to find out.
     """
 

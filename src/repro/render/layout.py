@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import html as html_module
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.eda.howto import HowToEntry
 from repro.eda.insights import Insight

@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: Default qualitative palette (colour-blind friendly, Bokeh Category10-like).
 PALETTE = (

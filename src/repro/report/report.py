@@ -17,9 +17,7 @@ import html as html_module
 import time
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Any, Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.eda.compute import (
     ComputeContext,
@@ -28,13 +26,12 @@ from repro.eda.compute import (
     compute_overview,
 )
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_frame_types
 from repro.eda.intermediates import Intermediates
 from repro.errors import EDAError, FrameError
 from repro.frame.frame import DataFrame
 from repro.frame.source import as_source
 from repro.render import render_intermediates
-from repro.render.charts import render_scatter, render_stats_table
+from repro.render.charts import render_scatter
 
 
 @dataclass
@@ -216,11 +213,7 @@ def create_report(df: DataFrame, config: Optional[Mapping[str, Any]] = None,
     sections: Dict[str, Intermediates] = {"Overview": overview}
 
     started = time.perf_counter()
-    numerical = [name for name, semantic
-                 in detect_frame_types(context.schema_frame).items()
-                 if semantic is SemanticType.NUMERICAL and
-                 context.column(name).dtype.is_numeric]
-    if len(numerical) >= 2:
+    if len(context.numerical_columns()) >= 2:
         mark = len(context.reports)
         sections["Correlations"] = section_reports(
             mark, compute_correlation_overview(df, cfg, context=context))
@@ -249,11 +242,8 @@ def _interactions(df: DataFrame, config: Config,
     One shared row sample feeds every pair, mirroring how the real system
     shares the sampling computation across the Interactions section.
     """
-    types = detect_frame_types(context.schema_frame)
-    numerical = [name for name, semantic in types.items()
-                 if semantic is SemanticType.NUMERICAL and
-                 context.column(name).dtype.is_numeric]
-    numerical = numerical[:config.get("report.interactions_max_columns")]
+    numerical = context.numerical_columns()[
+        :config.get("report.interactions_max_columns")]
     if len(numerical) < 2:
         return {}
     resolved = context.resolve(

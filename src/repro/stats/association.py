@@ -9,11 +9,10 @@ the nullity dendrogram (both adopted from the Missingno library).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
 
 from repro.errors import EDAError
 from repro.stats.correlation import pearson_matrix

@@ -11,7 +11,7 @@ spirit of the paper's "sampling / sketches" future-work discussion).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -91,15 +91,6 @@ class PearsonPartial:
 def pearson_matrix(matrix: np.ndarray) -> np.ndarray:
     """Pearson correlation matrix with pairwise missing-value deletion."""
     return PearsonPartial.from_matrix(matrix).finalize()
-
-
-def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties, NaN kept as NaN."""
-    ranks = np.full(values.shape, np.nan)
-    finite = np.isfinite(values)
-    if finite.sum():
-        ranks[finite] = scipy_stats.rankdata(values[finite])
-    return ranks
 
 
 def spearman_matrix(matrix: np.ndarray) -> np.ndarray:

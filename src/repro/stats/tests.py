@@ -7,7 +7,7 @@ insight layer can explain *why* something was flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats

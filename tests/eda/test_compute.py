@@ -1,5 +1,8 @@
 """Tests of the Compute module's numeric correctness and pipeline behaviour."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -150,17 +153,89 @@ class TestCorrelationAndMissing:
         assert stats["rows_after_drop"] == len(house_frame) - stats["missing_rows"]
 
 
+def _identical(left, right, path="result"):
+    """Exact structural equality: ``==`` on every leaf, no tolerance; the
+    only concession is that NaN equals NaN."""
+    if isinstance(left, float) and isinstance(right, float) \
+            and math.isnan(left) and math.isnan(right):
+        return
+    assert type(left) is type(right), f"{path}: {type(left)} vs {type(right)}"
+    if dataclasses.is_dataclass(left):
+        left, right = dataclasses.asdict(left), dataclasses.asdict(right)
+    if isinstance(left, dict):
+        assert list(left) == list(right), path
+        for key in left:
+            _identical(left[key], right[key], f"{path}.{key}")
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), path
+        for index, (one, other) in enumerate(zip(left, right)):
+            _identical(one, other, f"{path}[{index}]")
+    elif isinstance(left, np.ndarray):
+        assert np.array_equal(left, right, equal_nan=True), path
+    else:
+        assert left == right, f"{path}: {left!r} != {right!r}"
+
+
+@pytest.fixture(scope="module")
+def ragged_frame() -> DataFrame:
+    """Numerical and categorical columns with missing cells, plus an
+    all-missing column and a constant column."""
+    rng = np.random.default_rng(7)
+    n = 600
+    size = rng.normal(2000, 350, n)
+    price = size * 150 + rng.normal(0, 20_000, n)
+    price[rng.random(n) < 0.1] = np.nan
+    rooms = rng.normal(4, 1.5, n)
+    rooms[rng.random(n) < 0.25] = np.nan
+    city = [None if missing else name for missing, name in zip(
+        rng.random(n) < 0.05,
+        rng.choice(["vancouver", "toronto", "montreal", "calgary"], n))]
+    return DataFrame({
+        "size": size, "price": price, "rooms": rooms, "city": city,
+        "house_type": list(rng.choice(["detached", "condo", "townhouse"], n)),
+        "empty": [None] * n,
+        "constant": [1.0] * n,
+    })
+
+
+#: The nine task shapes of Figure 2 the compute layer implements.
+TASK_SHAPES = {
+    "overview": lambda frame, config: compute_overview(frame, config),
+    "univariate-N": lambda frame, config: compute_univariate(frame, "price", config),
+    "univariate-C": lambda frame, config: compute_univariate(frame, "city", config),
+    "bivariate-NN": lambda frame, config: compute_bivariate(
+        frame, "size", "price", config),
+    "bivariate-NC": lambda frame, config: compute_bivariate(
+        frame, "price", "city", config),
+    "bivariate-CC": lambda frame, config: compute_bivariate(
+        frame, "city", "house_type", config),
+    "correlation-overview": lambda frame, config: compute_correlation_overview(
+        frame, config),
+    "missing-overview": lambda frame, config: compute_missing_overview(
+        frame, config),
+    "missing-single": lambda frame, config: compute_missing_single(
+        frame, "price", config),
+}
+
+
 class TestPipelineModes:
-    def test_graph_and_local_modes_agree(self, house_frame):
-        local = compute_univariate(house_frame, "price",
-                                   Config.from_user({"compute.use_graph": "never"}))
-        graph = compute_univariate(
-            house_frame, "price",
-            Config.from_user({"compute.use_graph": "always",
-                              "compute.partition_rows": 64}))
-        assert local.stats["mean"] == pytest.approx(graph.stats["mean"])
-        assert local.stats["missing"] == graph.stats["missing"]
-        assert local["histogram"]["counts"] == graph["histogram"]["counts"]
+    @pytest.mark.parametrize("shape", sorted(TASK_SHAPES))
+    def test_local_stage_is_the_graph_plan_run_inline(self, ragged_frame, shape):
+        """``compute.use_graph="never"`` evaluates the very plans the graph
+        stage binds, so against one partition every number is identical —
+        not close: equal."""
+        local = TASK_SHAPES[shape](
+            ragged_frame, Config.from_user({"compute.use_graph": "never"}))
+        graph = TASK_SHAPES[shape](
+            ragged_frame, Config.from_user({
+                "compute.use_graph": "always",
+                "compute.partition_rows": len(ragged_frame)}))
+        assert not local.meta["execution_reports"]
+        # missing-single aligns rows on the whole frame in either mode.
+        assert graph.meta["execution_reports"] or shape == "missing-single"
+        _identical(local.items, graph.items, "items")
+        _identical(local.stats, graph.stats, "stats")
+        _identical(local.insights, graph.insights, "insights")
 
     def test_graph_mode_records_stage_timings(self, house_frame):
         config = Config.from_user({"compute.use_graph": "always",
@@ -185,3 +260,65 @@ class TestPipelineModes:
         intermediates = compute_univariate(house_frame, "price", config)
         assert intermediates.stats["mean"] == pytest.approx(
             house_frame.column("price").mean())
+
+
+class TestProjectionPlanner:
+    """The planner is a pure function of (column names, projections already
+    built, requests): no source, no engine, nothing executes."""
+
+    COLUMNS = ["a", "b", "c", "d", "e"]
+
+    def plan(self, requests, built=()):
+        from repro.eda.compute.base import _plan_projections
+        return _plan_projections(self.COLUMNS, list(built), requests)
+
+    def test_overlapping_requests_merge_into_one_projection(self):
+        # a-b and b-c overlap on b; the shared group is emitted once, in
+        # source column order whatever order the requests named them in.
+        assert self.plan([("b", "a"), ("c", "b")]) == [("a", "b", "c")] * 2
+
+    def test_a_late_request_can_bridge_two_earlier_groups(self):
+        assert self.plan([("a",), ("c",), ("c", "a")]) == [("a", "c")] * 3
+
+    def test_disjoint_groups_stay_apart(self):
+        assert self.plan([("a",), ("d", "e"), ("a",)]) == \
+            [("a",), ("d", "e"), ("a",)]
+
+    def test_whole_row_request_collapses_the_batch_to_full_width(self):
+        assert self.plan([("a",), None, ("e",)]) == [None, None, None]
+        assert self.plan([tuple(self.COLUMNS)]) == [None]
+
+    def test_narrower_request_reuses_the_narrowest_built_superset(self):
+        built = [None, ("a", "b", "c"), ("a", "b")]
+        assert self.plan([("a",)], built) == [("a", "b")]
+        assert self.plan([("c",)], built) == [("a", "b", "c")]
+        assert self.plan([("e",)], built) == [None]      # only full covers e
+        assert self.plan([("a", "b")], built) == [("a", "b")]   # exact match
+        assert self.plan([("e",)], [("a", "b")]) == [("e",)]    # nothing covers
+
+    def test_unknown_or_empty_names_fall_back_to_full_width(self):
+        assert self.plan([("a", "nope")]) == [None]
+        assert self.plan([()]) == [None]
+        # ... and drag every request they touch (all of them) with them.
+        assert self.plan([("a",), ("nope",)]) == [None, None]
+
+    def test_planning_is_pure(self):
+        built, requests = [("a", "b")], [("a",), ("d",)]
+        first = self.plan(requests, built)
+        assert first == self.plan(requests, built) == [("a", "b"), ("d",)]
+        assert built == [("a", "b")] and requests == [("a",), ("d",)]
+
+    def test_context_plans_through_the_pure_planner(self, house_frame, tmp_path):
+        """The context feeds the planner its own column names, the
+        projections it has built and the requests' declared columns."""
+        from repro.frame.io import scan_csv, write_csv
+        path = tmp_path / "houses.csv"
+        write_csv(house_frame, str(path))
+        context = ComputeContext(scan_csv(str(path)), Config.from_user())
+        pending = context.numeric_summary("price")
+        assert pending.required == ("price",)
+        context.resolve({"summary": pending})
+        assert context._used_projections == [("price",)]
+        context.resolve({"again": context.histogram("price", 10, 0.0, 1.0),
+                         "other": context.numeric_summary("size")})
+        assert context._used_projections == [("price",), ("size",)]

@@ -109,6 +109,9 @@ class TestValidation:
             "compute.max_workers") is None
         with pytest.raises(ConfigError):
             Config.from_user({"compute.max_workers": 0})
+        # bool is an int: True used to pass and become a one-worker pool.
+        with pytest.raises(ConfigError, match="None or a positive integer"):
+            Config.from_user({"compute.max_workers": True})
 
     @pytest.mark.parametrize("name", ["synchronous", "threaded", "process",
                                       "remote"])
@@ -207,6 +210,8 @@ class TestValidation:
             Config.from_user({key: -2.0})
         with pytest.raises(ConfigError):
             Config.from_user({key: True})
+        with pytest.raises(ConfigError):
+            Config.from_user({key: float("nan")})
 
     def test_remote_authkey_validation(self):
         assert Config.from_user().get("compute.remote.authkey") is None
@@ -230,6 +235,21 @@ class TestValidation:
         with pytest.raises(ConfigError) as excinfo:
             Config.from_user({"compute.remote.authky": "s3cret"})
         assert "compute.remote.authkey" in str(excinfo.value)
+
+
+class TestKeyDeclarations:
+    """Every key is declared once, default beside validator."""
+
+    def test_every_default_passes_its_own_validator(self):
+        from repro.eda.config import _KEYS, _validate
+        assert list(_KEYS) == list(DEFAULTS)
+        for key, default in DEFAULTS.items():
+            assert _validate(key, default) == default
+
+    def test_removed_fusion_key_is_unknown(self):
+        assert "compute.enable_fusion" not in DEFAULTS
+        with pytest.raises(ConfigError, match="unknown config key"):
+            Config.from_user({"compute.enable_fusion": False})
 
 
 class TestConfigHygiene:

@@ -31,9 +31,12 @@ from repro.frame.io import (
 )
 from repro.frame.predicate import ColumnExpr
 from repro.frame.source import (
+    PUSHDOWN_KEYWORDS,
     FilteredSource,
     FrameSource,
     InMemorySource,
+    SourceCapabilities,
+    SourcePartition,
     as_source,
 )
 
@@ -275,58 +278,83 @@ def test_source_capabilities_declare_projection():
         assert multi.capabilities.projection is True
 
 
-def test_projection_rejected_for_non_projectable_sources():
-    """A source that never opted into projection must fail at plan time
-    (clear GraphError), not at execution time inside a worker."""
-    import pytest
+class _LegacySource:
+    """A source that declares none of the three pushdown capabilities; its
+    partition func takes no keyword at all."""
 
-    from repro.errors import GraphError
-    from repro.frame.source import SourcePartition, SourceCapabilities
-    from repro.graph.partition import PartitionedFrame
+    columns = ["a"]
+    capabilities = SourceCapabilities(exact=False)
 
-    class LegacySource:
-        columns = ["a"]
-        capabilities = SourceCapabilities(exact=False)   # projection=False
-
-        def partitions(self):
-            return [SourcePartition(0, 1, _legacy_chunk, ())]
-
-    with pytest.raises(GraphError, match="does not support column projection"):
-        PartitionedFrame.from_source(LegacySource(), columns=("a",))
-    # Unprojected use keeps working.
-    assert PartitionedFrame.from_source(LegacySource()).npartitions == 1
+    def partitions(self):
+        return [SourcePartition(0, 1, _legacy_chunk, ())]
 
 
 def _legacy_chunk():
     return DataFrame({"a": [1.0]})
 
 
-def test_materialize_projection_rejected_without_columns_keyword():
-    """Direct materialize(columns=...) on a legacy partition func must fail
-    with a clear FrameError, not a TypeError from inside the func."""
-    import pytest
+@pytest.mark.parametrize("flag,keyword,request_kwargs", [
+    ("projection", "columns", {"columns": ("a",)}),
+    ("predicates", "predicate", {"predicate": (("a", ">", 0.0),)}),
+    ("chunk_sidecar", "sidecar", {"sidecar": ("/tmp/nowhere", 1 << 20)}),
+])
+def test_undeclared_pushdown_fails_once_at_plan_time(flag, keyword,
+                                                     request_kwargs,
+                                                     monkeypatch):
+    """The declared flags are the pushdown contract, checked in exactly one
+    place — PartitionedFrame.from_source — before any task is built."""
+    from repro.errors import GraphError
+    from repro.graph.partition import PartitionedFrame
 
-    from repro.errors import FrameError
-    from repro.frame.source import SourcePartition
+    def no_task_may_be_built(*args, **kwargs):
+        raise AssertionError("a task was built before the capability check")
 
-    part = SourcePartition(0, 1, _legacy_chunk, ())
-    with pytest.raises(FrameError, match="takes no columns= keyword"):
-        part.materialize(columns=("a",))
-    assert part.materialize().columns == ["a"]
+    with monkeypatch.context() as patched:
+        patched.setattr(SourcePartition, "task_spec", no_task_may_be_built)
+        with pytest.raises(GraphError) as caught:
+            PartitionedFrame.from_source(_LegacySource(), **request_kwargs)
+    message = str(caught.value)
+    assert f"capabilities.{flag}" in message
+    assert f"{keyword}= keyword" in message
+    assert "_LegacySource" in message
+    # Exactly one capability is named: the one that was requested.
+    assert sum(f"capabilities.{other}" in message
+               for other, _ in PUSHDOWN_KEYWORDS) == 1
+    # Unpushed use keeps working.
+    assert PartitionedFrame.from_source(_LegacySource()).npartitions == 1
 
 
-def test_columns_keyword_probe_never_pins_closures():
-    """The keyword-support memo must only retain module-level funcs —
-    per-call closures would otherwise pin their captures forever."""
-    from repro.frame.source import _KEYWORD_SUPPORT, _accepts_columns
+def test_pushdown_contract_lists_every_capability_flag():
+    """Every non-``exact`` capability flag has its keyword in the contract,
+    and the built-in partition funcs really take the keywords their sources
+    declare."""
+    import dataclasses
+    import inspect
 
-    def closure_func(columns=None):
-        return DataFrame({"a": [1.0]})
-
-    assert _accepts_columns(closure_func) is True
-    assert not any(func is closure_func for func, _ in _KEYWORD_SUPPORT)
     from repro.frame.io import _read_csv_slice
     from repro.frame.source import _slice_frame
-    assert _accepts_columns(_read_csv_slice) is True
-    assert _accepts_columns(_slice_frame) is True
-    assert (_read_csv_slice, "columns") in _KEYWORD_SUPPORT
+
+    flags = {field.name for field in dataclasses.fields(SourceCapabilities)}
+    assert {flag for flag, _ in PUSHDOWN_KEYWORDS} == flags - {"exact"}
+    keywords = dict(PUSHDOWN_KEYWORDS)
+    in_memory = InMemorySource(DataFrame({"a": [1.0]})).capabilities
+    for flag, keyword in keywords.items():
+        assert keyword in inspect.signature(_read_csv_slice).parameters
+        if getattr(in_memory, flag):
+            assert keyword in inspect.signature(_slice_frame).parameters
+
+
+def test_task_spec_only_builds_the_call():
+    """task_spec never inspects the func: it adds the requested keywords and
+    the key-prefix markers, nothing else — an undeclared keyword surfaces as
+    the func's own TypeError if someone bypasses the planner."""
+    part = SourcePartition(0, 1, _legacy_chunk, ())
+    func, args, kwargs, prefix = part.task_spec(
+        columns=["a"], predicate=[["a", ">", 0.0]])
+    assert (func, args) == (_legacy_chunk, ())
+    assert kwargs == {"columns": ("a",), "predicate": (("a", ">", 0.0),)}
+    assert prefix != part.prefix
+    assert part.task_spec() == (_legacy_chunk, (), {}, part.prefix)
+    with pytest.raises(TypeError, match="columns"):
+        part.materialize(columns=("a",))
+    assert part.materialize().columns == ["a"]

@@ -2,7 +2,7 @@
 
 import operator
 
-from repro.graph import TaskGraph, Task, TaskRef, cull, common_subexpression_elimination, fuse_linear_chains, optimize
+from repro.graph import TaskGraph, Task, TaskRef, cull, common_subexpression_elimination, optimize
 from repro.graph.scheduler import SynchronousScheduler
 
 
@@ -59,39 +59,10 @@ class TestCSE:
         assert len(merged) == 2
 
 
-class TestFusion:
-    def test_linear_chain_is_fused(self):
-        graph = TaskGraph()
-        graph.add(make_task("a", int, 3))
-        graph.add(make_task("b", operator.add, TaskRef("a"), 1))
-        graph.add(make_task("c", operator.mul, TaskRef("b"), 2))
-        fused, stats = fuse_linear_chains(graph, ["c"])
-        assert stats.fused == 2
-        assert len(fused) == 1
-        result = SynchronousScheduler().execute(fused, ["c"])
-        assert result["c"] == 8
-
-    def test_fusion_preserves_shared_producers(self):
-        graph = build_diamond()
-        fused, _ = fuse_linear_chains(graph, ["top"])
-        # base has two consumers so it must survive as its own task.
-        assert "base" in fused
-        result = SynchronousScheduler().execute(fused, ["top"])
-        assert result["top"] == 16
-
-    def test_outputs_are_never_fused_away(self):
-        graph = TaskGraph()
-        graph.add(make_task("a", int, 3))
-        graph.add(make_task("b", operator.add, TaskRef("a"), 1))
-        fused, _ = fuse_linear_chains(graph, ["a", "b"])
-        assert "a" in fused and "b" in fused
-
-
 class TestOptimizePipeline:
     def test_full_pipeline_correctness(self):
         graph = build_diamond()
-        optimized, output_map, stats = optimize(graph, ["top"], enable_cse=True,
-                                                enable_fusion=True)
+        optimized, output_map, stats = optimize(graph, ["top"], enable_cse=True)
         key = output_map["top"]
         result = SynchronousScheduler().execute(optimized, [key])
         assert result[key] == 16
