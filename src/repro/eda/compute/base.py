@@ -611,9 +611,12 @@ class ComputeContext:
     def duplicate_rows(self, max_rows: int) -> Union[PendingReduction, Optional[int]]:
         """Duplicate-row count, or None when it would be unbounded.
 
-        Exact sources below *max_rows* run the vectorised exact scan;
-        larger ones skip (the python-level pass is not worth it, matching
-        the seed behaviour).  Streaming sources count through a
+        Exact sources up to *max_rows* run the exact group-refinement scan
+        (:meth:`~repro.frame.frame.DataFrame.duplicate_row_count`: it
+        factorizes column by column and stops once every row is told
+        apart); larger ones report None, as they always have — the scan's
+        worst case, a frame of nothing but duplicates, sorts every column.
+        Streaming sources count through a
         :class:`~repro.stats.sketches.DuplicateSketch` reduction — exact
         while the distinct rows fit the sketch capacity, None beyond.
         """

@@ -20,9 +20,10 @@ from repro.frame.frame import DataFrame
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
 
 #: Above this row count the exact duplicate-row scan is skipped for
-#: in-memory sources (it is a python-level pass; the paper's overview does
-#: not require it).  Streaming sources count duplicates through a bounded
-#: row-hash sketch regardless of length — see ComputeContext.duplicate_rows.
+#: in-memory sources (its worst case sorts every column; the paper's
+#: overview does not require it).  Streaming sources count duplicates
+#: through a bounded row-hash sketch regardless of length — see
+#: ComputeContext.duplicate_rows.
 MAX_ROWS_FOR_DUPLICATE_SCAN = 200_000
 
 

@@ -221,7 +221,7 @@ def _word_frequencies(summary: CategoricalSummary, config: Config
                       ) -> List[Tuple[str, int]]:
     lowercase = config.get("wordfreq.lowercase")
     counts: Dict[str, int] = {}
-    for value, frequency in summary.counts.items():
+    for value, frequency in summary.counts_by_label().items():
         for word in _WORD_PATTERN.findall(value):
             token = word.lower() if lowercase else word
             counts[token] = counts.get(token, 0) + frequency

@@ -18,6 +18,25 @@ from repro.frame.dtypes import (
     infer_dtype,
 )
 
+#: The ``datetime64[s]`` range python's ``datetime`` covers (years 1-9999).
+_DATETIME_MIN = np.datetime64("0001-01-01T00:00:00", "s")
+_DATETIME_MAX = np.datetime64("9999-12-31T23:59:59", "s")
+
+
+def _value_text(distinct: np.ndarray) -> Sequence[str]:
+    """``str(value)`` of every python scalar in a sorted array.
+
+    Datetimes inside python's range print as their ISO text with a space
+    for the ``T``, which numpy formats for the whole array at once; every
+    other value goes through ``str`` itself.
+    """
+    if distinct.dtype.kind == "M" and distinct.size and \
+            _DATETIME_MIN <= distinct[0] and distinct[-1] <= _DATETIME_MAX:
+        text = np.datetime_as_string(distinct, unit="s")
+        text.view(np.uint32).reshape(distinct.size, -1)[:, 10] = ord(" ")
+        return text.astype(object)
+    return [str(value) for value in distinct.tolist()]
+
 
 class Column:
     """A single named, typed column with missing-value support.
@@ -142,7 +161,7 @@ class Column:
         distinct, inverse = np.unique(values, return_inverse=True)
         codes[present] = inverse
         labels = np.empty(distinct.size, dtype=object)
-        labels[:] = [str(value) for value in distinct.tolist()]
+        labels[:] = _value_text(distinct)
         return codes, labels
 
     @classmethod

@@ -283,24 +283,37 @@ class DataFrame:
         """Number of rows that are exact duplicates of an earlier row.
 
         Rows are compared by value with missing entries treated as equal to
-        each other.  The comparison works on per-column integer codes so the
-        scan is vectorised.
+        each other.  The scan refines row groups column by column: rows
+        agreeing on every column seen so far share a group, a row alone in
+        its group can have no duplicate and is settled, and only rows still
+        sharing a group are factorized for the next column — so the scan
+        stops at the first column prefix that tells every row apart (one
+        column, for a frame that leads with a key) and otherwise costs what
+        the still-ambiguous rows cost.
         """
         if len(self) == 0 or not self._columns:
             return 0
-        codes = []
+        rows = np.arange(len(self))     # rows whose group has other members
+        groups = np.zeros(len(self), dtype=np.int64)
+        settled = 0                     # distinct rows found so far
         for column in self._columns.values():
             if column.dtype is DType.STRING:
-                codes.append(column.codes)
-                continue
-            # Not category_codes(): stringifying a label per distinct value
-            # would dominate for high-cardinality numeric columns.
-            inverse = np.unique(column.data, return_inverse=True)[1]
-            inverse[column.mask] = -1
-            codes.append(inverse)
-        stacked = np.column_stack(codes)
-        unique_rows = np.unique(stacked, axis=0).shape[0]
-        return int(len(self) - unique_rows)
+                codes = column.codes[rows]          # -1 where missing
+            else:
+                codes = np.unique(column.data[rows], return_inverse=True)[1]
+                codes[column.mask[rows]] = -1
+            # One integer per (group so far, value here) pair.
+            refined = groups * (int(codes.max()) + 2) + (codes + 1)
+            _, groups, sizes = np.unique(refined, return_inverse=True,
+                                         return_counts=True)
+            alone = int((sizes == 1).sum())
+            settled += alone
+            open_groups = sizes.size - alone
+            if not open_groups:
+                break
+            shared = sizes[groups] > 1
+            rows, groups = rows[shared], groups[shared]
+        return len(self) - settled - open_groups
 
     def memory_bytes(self) -> int:
         """Approximate memory footprint of all columns."""

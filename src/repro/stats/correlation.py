@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.stats import kendalltau
 
 from repro.errors import EDAError
 
@@ -94,21 +94,45 @@ def pearson_matrix(matrix: np.ndarray) -> np.ndarray:
 
 
 def spearman_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Spearman rank correlation matrix (pairwise deletion)."""
+    """Spearman rank correlation matrix (pairwise deletion).
+
+    Every column is sorted once; the average ranks a pair needs — those of
+    the rows finite in *both* columns — are read off that one order in
+    O(rows) (:func:`_ranks_among`), so ``m`` columns cost ``m`` sorts, not
+    one per pair and side.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     n_columns = matrix.shape[1]
+    finite = np.isfinite(matrix)
+    orders = [np.argsort(matrix[:, i]) for i in range(n_columns)]
     result = np.eye(n_columns)
     for i in range(n_columns):
         for j in range(i + 1, n_columns):
-            both = np.isfinite(matrix[:, i]) & np.isfinite(matrix[:, j])
+            both = finite[:, i] & finite[:, j]
             if both.sum() < 2:
                 value = np.nan
             else:
-                ranks_i = scipy_stats.rankdata(matrix[both, i])
-                ranks_j = scipy_stats.rankdata(matrix[both, j])
-                value = _pearson_of(ranks_i, ranks_j)
+                value = _pearson_of(
+                    _ranks_among(matrix[:, i], orders[i], both),
+                    _ranks_among(matrix[:, j], orders[j], both))
             result[i, j] = result[j, i] = value
     return result
+
+
+def _ranks_among(values: np.ndarray, order: np.ndarray,
+                 keep: np.ndarray) -> np.ndarray:
+    """``scipy.stats.rankdata(values[keep])`` — average ranks, ties sharing
+    their mean — from *order*, an argsort of all of *values*."""
+    rows = order[keep[order]]
+    ordered = values[rows]
+    # Tie groups are runs of equal neighbours; the group at sorted positions
+    # [start, stop) holds ranks start+1 .. stop, whose mean is below.
+    edges = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = np.concatenate(([0], edges))
+    stops = np.concatenate((edges, [rows.size]))
+    ranks = np.empty(values.size)
+    ranks[rows] = np.repeat(0.5 * (starts + stops + 1), stops - starts)
+    return ranks[keep]
 
 
 def kendall_tau_matrix(matrix: np.ndarray, max_rows: int = 10_000,
@@ -132,7 +156,7 @@ def kendall_tau_matrix(matrix: np.ndarray, max_rows: int = 10_000,
             if both.sum() < 2:
                 value = np.nan
             else:
-                value, _ = scipy_stats.kendalltau(matrix[both, i], matrix[both, j])
+                value, _ = kendalltau(matrix[both, i], matrix[both, j])
             result[i, j] = result[j, i] = value
     return result
 

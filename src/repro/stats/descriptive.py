@@ -17,7 +17,7 @@ distinct count honest once pruning starts.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -26,6 +26,11 @@ import numpy as np
 from repro.frame.column import Column
 from repro.stats.sketches import DistinctSketch, MomentsSketch
 from repro.stats.sketches import merge_all as _merge_all_sketches
+
+#: Object header of a python ``str`` / size of a 64-bit ``int``, for
+#: :meth:`CategoricalSummary.memory_bytes`.
+_STR_OVERHEAD = sys.getsizeof("")
+_INT_BYTES = sys.getsizeof(2 ** 63)
 
 
 @dataclass
@@ -196,20 +201,30 @@ class NumericSummary:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class CategoricalSummary:
     """Mergeable summary of a categorical (string-like) column.
 
+    The value-count table is two aligned arrays: ``labels``, the distinct
+    value texts in ascending order, and ``counts``, their ``int64``
+    frequencies.  Sorted labels make the table canonical — equal tables are
+    equal arrays whatever the chunking — so ``merge`` is one pass over two
+    sorted runs and every statistic is an array reduction; nothing below
+    calls a python function per distinct value.
+
     Exact and unbounded by default.  When built with a ``capacity`` (the
-    out-of-core streaming path does this), the value-count table is pruned
-    to the ``capacity`` most frequent entries whenever it grows past the
-    bound; ``pruned_count`` keeps the present-value total exact,
-    ``pruned_max`` bounds the count error of any surviving entry, and a
+    out-of-core streaming path does this), the table is pruned to the
+    ``capacity`` most frequent entries whenever it grows past the bound;
+    ``pruned_count`` keeps the present-value total exact, ``pruned_max``
+    bounds the count error of any surviving entry, and a
     :class:`~repro.stats.sketches.DistinctSketch` — fed every distinct value
     *before* pruning — keeps the distinct count accurate.
     """
 
-    counts: Dict[str, int] = field(default_factory=dict)
+    labels: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=object))
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
     missing: int = 0
     total: int = 0
     total_length: int = 0
@@ -221,83 +236,93 @@ class CategoricalSummary:
     distinct_sketch: Optional[DistinctSketch] = None
 
     @classmethod
-    def from_values(cls, values: Iterable[Any], missing: int = 0,
-                    capacity: Optional[int] = None) -> "CategoricalSummary":
-        """Summary of an iterable of present values (stringified)."""
-        summary = cls(missing=missing, capacity=capacity)
-        counts: Dict[str, int] = {}
-        for value in values:
-            text = str(value)
-            counts[text] = counts.get(text, 0) + 1
-            length = len(text)
-            summary.total_length += length
-            summary.min_length = length if summary.min_length is None \
-                else min(summary.min_length, length)
-            summary.max_length = length if summary.max_length is None \
-                else max(summary.max_length, length)
-        summary.counts = counts
-        present = sum(counts.values())
-        summary.total = present + missing
+    def _of_table(cls, labels: np.ndarray, counts: np.ndarray, missing: int,
+                  capacity: Optional[int]) -> "CategoricalSummary":
+        """Summary of one chunk's table (*labels* sorted and distinct)."""
+        summary = cls(labels, counts, missing=missing, capacity=capacity,
+                      total=int(counts.sum()) + missing)
+        texts = labels.tolist()
+        if texts:
+            lengths = np.fromiter(map(len, texts), dtype=np.int64,
+                                  count=len(texts))
+            summary.total_length = int(lengths @ counts)
+            summary.min_length = int(lengths.min())
+            summary.max_length = int(lengths.max())
         if capacity is not None:
-            summary.distinct_sketch = DistinctSketch.from_values(counts.keys())
+            summary.distinct_sketch = DistinctSketch.from_values(texts)
             summary._prune()
         return summary
 
     @classmethod
-    def from_codes(cls, codes: np.ndarray, dictionary: np.ndarray,
-                   missing: int = 0,
-                   capacity: Optional[int] = None) -> "CategoricalSummary":
-        """Summary from category codes (negative = missing) and their
-        labels — one ``bincount`` over the codes plus O(labels) python
-        work, no per-row loop.
+    def from_values(cls, values: Iterable[Any], missing: int = 0,
+                    capacity: Optional[int] = None) -> "CategoricalSummary":
+        """Summary of an iterable of present values (stringified).
 
-        Produces exactly what :meth:`from_values` would for the decoded
-        values: the same counts, length statistics, pruning and distinct
-        sketch.
+        The plain per-value loop: the entry point for arbitrary python
+        values and what :meth:`from_column` is tested against.
         """
-        summary = cls(missing=missing, capacity=capacity)
-        present = codes[codes >= 0]
-        if present.size:
-            tallies = np.bincount(present, minlength=dictionary.size)
-            used = np.flatnonzero(tallies)
-            lengths = np.fromiter(
-                (len(str(dictionary[index])) for index in used),
-                dtype=np.int64, count=used.size)
-            summary.counts = {str(dictionary[index]): int(tallies[index])
-                              for index in used}
-            summary.total_length = int((lengths * tallies[used]).sum())
-            summary.min_length = int(lengths.min())
-            summary.max_length = int(lengths.max())
-        summary.total = int(present.size) + missing
-        if capacity is not None:
-            summary.distinct_sketch = DistinctSketch.from_values(
-                summary.counts.keys())
-            summary._prune()
-        return summary
+        tallies: Dict[str, int] = {}
+        for value in values:
+            text = str(value)
+            tallies[text] = tallies.get(text, 0) + 1
+        ordered = sorted(tallies)
+        counts = np.fromiter(map(tallies.__getitem__, ordered), dtype=np.int64,
+                             count=len(ordered))
+        return cls._of_table(np.array(ordered, dtype=object), counts, missing,
+                             capacity)
 
     @classmethod
     def from_column(cls, column: Column,
                     capacity: Optional[int] = None) -> "CategoricalSummary":
-        """Summary of a :class:`Column` treated as categorical."""
+        """Summary of a :class:`Column` treated as categorical: one
+        ``bincount`` over its category codes, equal to :meth:`from_values`
+        on the decoded present values."""
         codes, labels = column.category_codes()
-        return cls.from_codes(codes, labels, missing=column.missing_count(),
-                              capacity=capacity)
+        tallies = np.bincount(codes[codes >= 0], minlength=labels.size)
+        used = np.flatnonzero(tallies)
+        # Numeric dtypes factorize in value order ("10" after "9"); on text
+        # already in order (dictionaries, dates) the stable sort is one pass.
+        used = used[np.argsort(labels[used], kind="stable")]
+        return cls._of_table(labels[used],
+                             tallies[used].astype(np.int64, copy=False),
+                             column.missing_count(), capacity)
+
+    def _top(self, n: int) -> np.ndarray:
+        """Indices of the *n* most frequent entries by ``(-count, label)``:
+        a partition for the cut-off count, then a sort of only the entries
+        above it — ties at the cut-off are already in label order."""
+        counts = self.counts
+        if n >= counts.size:
+            return np.argsort(-counts, kind="stable")
+        if n <= 0:
+            return np.empty(0, dtype=np.intp)
+        cutoff = np.partition(counts, counts.size - n)[counts.size - n]
+        above = np.flatnonzero(counts > cutoff)
+        ties = np.flatnonzero(counts == cutoff)[:n - above.size]
+        ranked = above[np.argsort(-counts[above], kind="stable")]
+        return np.concatenate([ranked, ties])
 
     def _prune(self) -> None:
         """Drop the least frequent entries beyond ``capacity`` (in place)."""
-        if self.capacity is None or len(self.counts) <= self.capacity:
+        if self.capacity is None or self.labels.size <= self.capacity:
             return
-        ordered = sorted(self.counts.items(), key=lambda pair: (-pair[1], pair[0]))
-        kept, dropped = ordered[:self.capacity], ordered[self.capacity:]
-        self.pruned_count += sum(count for _, count in dropped)
-        self.pruned_max = max([self.pruned_max] + [count for _, count in dropped])
-        self.counts = dict(kept)
+        kept = np.zeros(self.labels.size, dtype=np.bool_)
+        kept[self._top(self.capacity)] = True
+        dropped = self.counts[~kept]
+        self.pruned_count += int(dropped.sum())
+        self.pruned_max = max(self.pruned_max, int(dropped.max()))
+        self.labels, self.counts = self.labels[kept], self.counts[kept]
 
     def merge(self, other: "CategoricalSummary") -> "CategoricalSummary":
         """Combine two partial summaries."""
-        counts = dict(self.counts)
-        for value, count in other.counts.items():
-            counts[value] = counts.get(value, 0) + count
+        labels = np.concatenate([self.labels, other.labels])
+        counts = np.concatenate([self.counts, other.counts])
+        # Two sorted runs: the stable (tim)sort merges them in one pass.
+        order = np.argsort(labels, kind="stable")
+        labels, counts = labels[order], counts[order]
+        first = np.ones(labels.size, dtype=np.bool_)
+        first[1:] = labels[1:] != labels[:-1]
+        starts = np.flatnonzero(first)
         lengths = [length for length in (self.min_length, other.min_length)
                    if length is not None]
         max_lengths = [length for length in (self.max_length, other.max_length)
@@ -305,7 +330,8 @@ class CategoricalSummary:
         capacities = [cap for cap in (self.capacity, other.capacity)
                       if cap is not None]
         merged = CategoricalSummary(
-            counts=counts,
+            labels=labels[starts],
+            counts=np.add.reduceat(counts, starts),
             missing=self.missing + other.missing,
             total=self.total + other.total,
             total_length=self.total_length + other.total_length,
@@ -324,8 +350,10 @@ class CategoricalSummary:
         """Union the distinct sketches, covering any unbounded side's keys."""
         if self.distinct_sketch is None and other.distinct_sketch is None:
             return None
-        first = self.distinct_sketch or DistinctSketch.from_values(self.counts.keys())
-        second = other.distinct_sketch or DistinctSketch.from_values(other.counts.keys())
+        first = self.distinct_sketch or \
+            DistinctSketch.from_values(self.labels.tolist())
+        second = other.distinct_sketch or \
+            DistinctSketch.from_values(other.labels.tolist())
         return first.merge(second)
 
     @staticmethod
@@ -335,20 +363,44 @@ class CategoricalSummary:
             return CategoricalSummary()
         return _merge_all_sketches(list(summaries))
 
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, CategoricalSummary):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        return (np.array_equal(mine.pop("labels"), theirs.pop("labels"))
+                and np.array_equal(mine.pop("counts"), theirs.pop("counts"))
+                and mine == theirs)
+
+    def memory_bytes(self) -> int:
+        """O(1) footprint estimate for the task cache's byte budget: both
+        arrays, one ``str`` object per label at the mean present-value
+        length (one byte per character), and the sketch's hashes."""
+        size = self.labels.nbytes + self.counts.nbytes
+        if self.labels.size:
+            mean_length = self.total_length / max(self.total - self.missing, 1)
+            size += int(self.labels.size * (_STR_OVERHEAD + mean_length))
+        if self.distinct_sketch is not None:
+            size += _INT_BYTES * len(self.distinct_sketch.hashes)
+        return size
+
     # ------------------------------------------------------------------ #
     # Derived statistics
     # ------------------------------------------------------------------ #
+    def counts_by_label(self) -> Dict[str, int]:
+        """The (retained) table as a new ``{label: count}`` dict."""
+        return dict(zip(self.labels.tolist(), self.counts.tolist()))
+
     @property
     def count(self) -> int:
         """Number of present values (exact even after pruning)."""
-        return sum(self.counts.values()) + self.pruned_count
+        return int(self.counts.sum()) + self.pruned_count
 
     @property
     def distinct(self) -> int:
         """Number of distinct present values (estimated once pruned)."""
         if self.pruned_count and self.distinct_sketch is not None:
-            return max(len(self.counts), self.distinct_sketch.estimate())
-        return len(self.counts)
+            return max(self.labels.size, self.distinct_sketch.estimate())
+        return self.labels.size
 
     @property
     def missing_rate(self) -> float:
@@ -367,16 +419,14 @@ class CategoricalSummary:
         count = self.count
         if count == 0:
             return 0.0
-        entropy = 0.0
-        for frequency in self.counts.values():
-            p = frequency / count
-            entropy -= p * math.log2(p)
-        return entropy
+        shares = self.counts / count
+        return 0.0 - float((shares * np.log2(shares)).sum())
 
     def top_values(self, n: int = 10) -> List[Tuple[str, int]]:
-        """The *n* most frequent values as ``(value, count)`` pairs."""
-        ordered = sorted(self.counts.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ordered[:n]
+        """The *n* most frequent values as ``(value, count)`` pairs, ties
+        in label order."""
+        top = self._top(n)
+        return list(zip(self.labels[top].tolist(), self.counts[top].tolist()))
 
     def mode(self) -> Optional[str]:
         """Most frequent value (None when the column is empty)."""
@@ -386,12 +436,13 @@ class CategoricalSummary:
     def as_dict(self) -> Dict[str, Any]:
         """Flatten the summary + derived statistics into a dictionary."""
         top = self.top_values(1)
+        count = self.count
         return {
-            "count": self.count,
+            "count": count,
             "missing": self.missing,
             "missing_rate": self.missing_rate,
             "distinct": self.distinct,
-            "unique_rate": self.distinct / self.count if self.count else 0.0,
+            "unique_rate": self.distinct / count if count else 0.0,
             "top": top[0][0] if top else None,
             "top_freq": top[0][1] if top else 0,
             "entropy": self.entropy,

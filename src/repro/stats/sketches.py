@@ -119,11 +119,12 @@ class MomentsSketch:
             return sketch
         mean = float(finite.mean())
         deltas = finite - mean
+        squares = deltas * deltas       # products, not ``**``: no libm pow
         sketch.count = int(finite.size)
         sketch.mean = mean
-        sketch.m2 = float(np.sum(deltas ** 2))
-        sketch.m3 = float(np.sum(deltas ** 3))
-        sketch.m4 = float(np.sum(deltas ** 4))
+        sketch.m2 = float(squares.sum())
+        sketch.m3 = float((squares * deltas).sum())
+        sketch.m4 = float((squares * squares).sum())
         sketch.minimum = float(finite.min())
         sketch.maximum = float(finite.max())
         return sketch
@@ -592,9 +593,12 @@ class NullitySketch:
         rows = mask.shape[0]
         if rows == 0:
             return sketch
-        as_int = mask.astype(np.int64)
-        sketch.counts = as_int.sum(axis=0)
-        sketch.co_counts = as_int.T @ as_int
+        # A float64 product runs on BLAS (numpy's integer matmul does not)
+        # and is exact: every entry is a whole number no larger than the
+        # chunk's row count, far below 2**53.
+        indicator = mask.astype(np.float64)
+        sketch.counts = mask.sum(axis=0, dtype=np.int64)
+        sketch.co_counts = (indicator.T @ indicator).astype(np.int64)
         sketch.n_rows_seen = rows
         edges = sketch.bin_edges
         first = int(np.searchsorted(edges, row_start, side="right")) - 1
@@ -603,9 +607,9 @@ class NullitySketch:
             low, high = int(edges[index]), int(edges[index + 1])
             if low >= row_start + rows:
                 break
-            block = as_int[max(0, low - row_start):max(0, high - row_start)]
+            block = mask[max(0, low - row_start):max(0, high - row_start)]
             if block.shape[0]:
-                sketch.bin_missing[index] += block.sum(axis=0)
+                sketch.bin_missing[index] += block.sum(axis=0, dtype=np.int64)
         return sketch
 
     def merge(self, other: "NullitySketch") -> "NullitySketch":

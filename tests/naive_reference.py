@@ -9,6 +9,7 @@ these; nothing here may import a kernel it is the reference for.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from collections import Counter
@@ -105,9 +106,91 @@ def categorical_summary(values: Sequence[Any]) -> Dict[str, Any]:
     }
 
 
+def top_values(values: Sequence[Any], n: int) -> List[Tuple[str, int]]:
+    """The *n* most frequent labels, ties broken on the label text."""
+    counts = Counter(label for label in labels(values) if label is not None)
+    return sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
+
+
+def entropy(values: Sequence[Any]) -> float:
+    """Shannon entropy (bits) of the label distribution; 0.0 when empty."""
+    counts = Counter(label for label in labels(values) if label is not None)
+    total = sum(counts.values())
+    return -sum(count / total * math.log2(count / total)
+                for count in counts.values()) + 0.0
+
+
+def prune(counts: Dict[str, int], capacity: int
+          ) -> Tuple[Dict[str, int], int, int]:
+    """Bounded value counts: the *capacity* most frequent entries (ties on
+    the label text), the total count dropped and the largest count dropped."""
+    ordered = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))
+    dropped = [count for _, count in ordered[capacity:]]
+    return dict(ordered[:capacity]), sum(dropped), max(dropped, default=0)
+
+
 def duplicate_row_count(columns: Sequence[Sequence[Any]]) -> int:
+    """Rows equal to an earlier row; missing equals missing, -0.0 equals 0.0
+    (python's own tuple equality and hashing)."""
     rows = list(zip(*columns))
     return len(rows) - len(set(rows))
+
+
+# --------------------------------------------------------------------------- #
+# Rank correlations of two lists; None, NaN and +-inf are missing, and a pair
+# of rows counts only when both sides are present (pairwise deletion).
+# --------------------------------------------------------------------------- #
+def _jointly_finite(x: Sequence[Any], y: Sequence[Any]
+                    ) -> Tuple[List[float], List[float]]:
+    pairs = [(a, b) for a, b in zip(x, y)
+             if a is not None and b is not None
+             and math.isfinite(a) and math.isfinite(b)]
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def average_ranks(values: Sequence[float]) -> List[float]:
+    """1-based ranks; tied values share the mean of the ranks they occupy."""
+    return [sum(other < value for other in values)
+            + (sum(other == value for other in values) + 1) / 2
+            for value in values]
+
+
+def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    spread = math.sqrt(sum((a - mean_x) ** 2 for a in x)
+                       * sum((b - mean_y) ** 2 for b in y))
+    if spread == 0:
+        return math.nan
+    covariance = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    return max(-1.0, min(1.0, covariance / spread))
+
+
+def spearman(x: Sequence[Any], y: Sequence[Any]) -> float:
+    """Pearson correlation of the average ranks; NaN below two joint rows
+    or when either side is constant."""
+    x, y = _jointly_finite(x, y)
+    if len(x) < 2:
+        return math.nan
+    return _pearson(average_ranks(x), average_ranks(y))
+
+
+def kendall_tau_b(x: Sequence[Any], y: Sequence[Any]) -> float:
+    """(concordant - discordant) / sqrt(pairs untied in x * pairs untied
+    in y); NaN below two joint rows or when either side is constant."""
+    x, y = _jointly_finite(x, y)
+    if len(x) < 2:
+        return math.nan
+    score = untied_x = untied_y = 0
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            sign_x = (x[i] > x[j]) - (x[i] < x[j])
+            sign_y = (y[i] > y[j]) - (y[i] < y[j])
+            score += sign_x * sign_y
+            untied_x += sign_x != 0
+            untied_y += sign_y != 0
+    if untied_x == 0 or untied_y == 0:
+        return math.nan
+    return score / math.sqrt(untied_x * untied_y)
 
 
 def per_row_object_bytes(values: Sequence[Any]) -> int:

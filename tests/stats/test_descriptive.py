@@ -89,7 +89,7 @@ class TestCategoricalSummary:
             CategoricalSummary.from_values(values[6:12]),
             CategoricalSummary.from_values(values[12:]),
         ])
-        assert merged.counts == whole.counts
+        assert merged.counts_by_label() == whole.counts_by_label()
         assert merged.entropy == pytest.approx(whole.entropy)
         assert merged.min_length == whole.min_length
         assert merged.max_length == whole.max_length
