@@ -13,6 +13,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.eda.compute.base import ComputeContext
+from repro.eda.compute.correlation import finite_pair
 from repro.eda.config import Config
 from repro.eda.dtypes import SemanticType, detect_semantic_type
 from repro.eda.insights import Insight
@@ -66,17 +67,10 @@ def _numerical_numerical(context: ComputeContext, col1: str, col2: str,
     }, stage="graph")
 
     started = time.perf_counter()
-    sample: DataFrame = stage1["sample"]
     pearson: PearsonPartial = stage1["pearson"]
     correlation = float(pearson.finalize()[0, 1])
-
-    keep = sample.column(col1).notna() & sample.column(col2).notna()
-    clean = sample.filter(keep)
-    x = clean.column(col1).to_numpy().astype(np.float64)
-    y = clean.column(col2).to_numpy().astype(np.float64)
-    limit = config.get("scatter.sample_size")
-    if x.size > limit:
-        x, y = x[:limit], y[:limit]
+    x, y = finite_pair(stage1["sample"], col1, col2,
+                       config.get("scatter.sample_size"))
 
     hexbin = _hexbin(x, y, config.get("hexbin.gridsize"))
     binned_box = _binned_box(x, y, config.get("binnedbox.bins"),
@@ -164,9 +158,11 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
     started = time.perf_counter()
     sample: DataFrame = stage1["sample"]
     codes, labels = sample.column(categorical).category_codes()
-    keep = (codes >= 0) & sample.column(numerical).notna()
-    codes = codes[keep]
-    values = sample.column(numerical).filter(keep).to_numpy().astype(np.float64)
+    numbers = sample.column(numerical)
+    values = numbers.to_numpy().astype(np.float64)
+    # Finite values only, as the NumericSummary beside the boxes counts them.
+    keep = (codes >= 0) & numbers.notna() & np.isfinite(values)
+    codes, values = codes[keep], values[keep]
 
     max_groups = config.get("box.max_groups")
     top_categories = [value for value, _ in

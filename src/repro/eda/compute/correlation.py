@@ -170,15 +170,8 @@ def compute_correlation_pair(frame: DataFrame, col1: str, col2: str, config: Con
 
     started = time.perf_counter()
     correlation = float(stage1["pearson"].finalize()[0, 1])
-    sample: DataFrame = stage1["sample"]
-    keep = sample.column(col1).notna() & sample.column(col2).notna()
-    clean = sample.filter(keep)
-    x = clean.column(col1).to_numpy().astype(np.float64)
-    y = clean.column(col2).to_numpy().astype(np.float64)
-    limit = config.get("correlation.scatter_sample_size")
-    if x.size > limit:
-        x, y = x[:limit], y[:limit]
-
+    x, y = finite_pair(stage1["sample"], col1, col2,
+                       config.get("correlation.scatter_sample_size"))
     slope, intercept = _least_squares(x, y)
     stats = {
         "pearson_correlation": correlation,
@@ -215,6 +208,16 @@ def _dense_matrix(sample: DataFrame, columns: List[str]) -> np.ndarray:
         values[column.isna()] = np.nan
         arrays.append(values)
     return np.column_stack(arrays) if arrays else np.zeros((0, 0))
+
+
+def finite_pair(sample: DataFrame, col1: str, col2: str,
+                limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The first *limit* sampled rows finite in both columns, as two float
+    arrays — the rows ``spearman_matrix`` / ``PearsonPartial.from_matrix``
+    keep, so scatter, density grid and regression line match the coefficient."""
+    dense = _dense_matrix(sample, [col1, col2])
+    dense = dense[np.isfinite(dense).all(axis=1)][:limit]
+    return dense[:, 0], dense[:, 1]
 
 
 def _least_squares(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.render.svg import (
     Canvas,
     PlotArea,
@@ -135,49 +137,51 @@ def render_scatter(data: Dict[str, Any], width: int, height: int,
                    title: str = "Scatter Plot",
                    regression: bool = False) -> str:
     """Scatter plot, optionally with a least-squares regression line."""
-    x_values = data.get("x", [])
-    y_values = data.get("y", [])
-    if not x_values or not y_values:
+    xs, ys = _finite_points(data.get("x", []), data.get("y", []))
+    if not xs.size:
         return _empty_chart(width, height, title)
-    area = PlotArea.create(width, height, (min(x_values), max(x_values)),
-                           (min(y_values), max(y_values)), title=title,
+    x0, x1 = float(xs.min()), float(xs.max())
+    area = PlotArea.create(width, height, (x0, x1),
+                           (float(ys.min()), float(ys.max())), title=title,
                            x_label=data.get("x_label", ""),
                            y_label=data.get("y_label", ""))
     area.draw_axes()
-    for x, y in zip(x_values, y_values):
-        area.canvas.circle(area.x_scale(x), area.y_scale(y), 2.2, color_for(0),
-                           opacity=0.5)
+    area.canvas.circles(area.x_scale(xs), area.y_scale(ys), 2.2, color_for(0),
+                        opacity=0.5)
     if regression and "slope" in data:
         slope, intercept = data["slope"], data["intercept"]
-        x0, x1 = min(x_values), max(x_values)
         area.canvas.line(area.x_scale(x0), area.y_scale(slope * x0 + intercept),
                          area.x_scale(x1), area.y_scale(slope * x1 + intercept),
                          color_for(3), width=2.0)
     return area.canvas.to_svg()
 
 
+def _finite_points(xs: Sequence[Any], ys: Sequence[Any]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """The points of *xs*, *ys* finite in both coordinates (``None`` reads as
+    NaN), as float arrays: a scatter's axis domain and marks both use them."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    return xs[keep], ys[keep]
+
+
 def render_qq_plot(data: Dict[str, Any], width: int, height: int,
                    title: str = "Normal Q-Q Plot") -> str:
     """Normal Q-Q plot with the identity reference line."""
-    theoretical = data.get("theoretical", [])
-    sample = data.get("sample", [])
-    finite = [(x, y) for x, y in zip(theoretical, sample)
-              if x == x and y == y and abs(x) != math.inf]
-    if not finite:
+    xs, ys = _finite_points(data.get("theoretical", []), data.get("sample", []))
+    if not xs.size:
         return _empty_chart(width, height, title)
-    xs = [x for x, _ in finite]
-    ys = [y for _, y in finite]
-    low = min(min(xs), min(ys))
-    high = max(max(xs), max(ys))
+    low = float(min(xs.min(), ys.min()))
+    high = float(max(xs.max(), ys.max()))
     area = PlotArea.create(width, height, (low, high), (low, high), title=title,
                            x_label="theoretical quantiles",
                            y_label="sample quantiles")
     area.draw_axes()
     area.canvas.line(area.x_scale(low), area.y_scale(low), area.x_scale(high),
                      area.y_scale(high), "#999999", dash="4,3")
-    for x, y in finite:
-        area.canvas.circle(area.x_scale(x), area.y_scale(y), 2.2, color_for(0),
-                           opacity=0.7)
+    area.canvas.circles(area.x_scale(xs), area.y_scale(ys), 2.2, color_for(0),
+                        opacity=0.7)
     return area.canvas.to_svg()
 
 
@@ -213,9 +217,10 @@ def render_box_plots(boxes: List[Dict[str, Any]], width: int, height: int,
         area.canvas.rect(left, q3, band_width, q1 - q3, color, opacity=0.7,
                          tooltip=f"{labels[index]}: median {format_tick(box['median'])}")
         area.canvas.line(left, median, left + band_width, median, "#222222", width=2)
-        for outlier in box.get("outlier_samples", [])[:50]:
-            area.canvas.circle(center, area.y_scale(outlier), 1.8, "#d62728",
-                               opacity=0.7)
+        outliers = np.asarray(box.get("outlier_samples", [])[:50],
+                              dtype=np.float64)
+        area.canvas.circles(np.full(outliers.size, center),
+                            area.y_scale(outliers), 1.8, "#d62728", opacity=0.7)
     return area.canvas.to_svg()
 
 

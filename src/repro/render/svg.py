@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Default qualitative palette (colour-blind friendly, Bokeh Category10-like).
 PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -66,7 +68,8 @@ class LinearScale:
         if self.high <= self.low:
             self.high = self.low + 1.0
 
-    def __call__(self, value: float) -> float:
+    def __call__(self, value):
+        """Pixel position of a data value — or of an array of them."""
         fraction = (value - self.low) / (self.high - self.low)
         return self.start + fraction * (self.stop - self.start)
 
@@ -142,13 +145,22 @@ class Canvas:
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{stroke}" stroke-width="{width}"{dash_attr}/>')
 
-    def circle(self, x: float, y: float, radius: float, fill: str,
-               opacity: float = 1.0, tooltip: str = "") -> None:
-        """Add a circle marker."""
-        title = f"<title>{html.escape(tooltip)}</title>" if tooltip else ""
+    def circles(self, xs: Sequence[float], ys: Sequence[float], radius: float,
+                fill: str, opacity: float = 1.0) -> None:
+        """Add circle markers of one style at pixel positions *xs*, *ys*
+        (arrays), skipping any with a non-finite coordinate: one ``<g>``
+        carries the style and scales its children, written by a single format
+        call as integers in tenths of a pixel (marks are most of a report's
+        bytes; 0.1 px is finer than a screen resolves)."""
+        points = np.column_stack([xs, ys])
+        points = points[np.isfinite(points).all(axis=1)]
+        if not len(points):
+            return
+        tenths = np.rint(points * 10).astype(np.int64).ravel().tolist()
+        marks = f'<circle cx="%d" cy="%d" r="{radius * 10:.0f}"/>' * len(points)
         self.elements.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}" fill="{fill}" '
-            f'fill-opacity="{opacity}">{title}</circle>')
+            f'<g transform="scale(0.1)" fill="{fill}" fill-opacity="{opacity}">'
+            f'{marks % tuple(tenths)}</g>')
 
     def polyline(self, points: Sequence[Tuple[float, float]], stroke: str,
                  width: float = 1.5) -> None:

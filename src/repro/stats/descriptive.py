@@ -11,8 +11,8 @@ the derived moments numerically stable even when millions of chunk summaries
 are merged during an out-of-core scan.  :class:`CategoricalSummary` is exact
 by default; the streaming path bounds it with a ``capacity`` so a
 high-cardinality column cannot grow the per-chunk state past the memory
-budget — a :class:`~repro.stats.sketches.DistinctSketch` then keeps the
-distinct count honest once pruning starts.
+budget — a :class:`~repro.stats.sketches.DistinctSketch`, built at the first
+prune, then keeps the distinct count honest.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from repro.frame.column import Column
 from repro.stats.sketches import DistinctSketch, MomentsSketch
 from repro.stats.sketches import merge_all as _merge_all_sketches
 
-#: Object header of a python ``str`` / size of a 64-bit ``int``, for
+#: Object header of a python ``str``, for
 #: :meth:`CategoricalSummary.memory_bytes`.
 _STR_OVERHEAD = sys.getsizeof("")
-_INT_BYTES = sys.getsizeof(2 ** 63)
 
 
 @dataclass
@@ -217,8 +216,10 @@ class CategoricalSummary:
     ``capacity`` most frequent entries whenever it grows past the bound;
     ``pruned_count`` keeps the present-value total exact, ``pruned_max``
     bounds the count error of any surviving entry, and a
-    :class:`~repro.stats.sketches.DistinctSketch` — fed every distinct value
-    *before* pruning — keeps the distinct count accurate.
+    :class:`~repro.stats.sketches.DistinctSketch` keeps the distinct count
+    accurate — built only when exactness is lost: the first prune hashes the
+    still-complete table, later merges union in the other side's sketch or
+    labels, and a summary that never prunes has ``distinct_sketch is None``.
     """
 
     labels: np.ndarray = field(
@@ -248,9 +249,7 @@ class CategoricalSummary:
             summary.total_length = int(lengths @ counts)
             summary.min_length = int(lengths.min())
             summary.max_length = int(lengths.max())
-        if capacity is not None:
-            summary.distinct_sketch = DistinctSketch.from_values(texts)
-            summary._prune()
+        summary._prune()
         return summary
 
     @classmethod
@@ -306,6 +305,8 @@ class CategoricalSummary:
         """Drop the least frequent entries beyond ``capacity`` (in place)."""
         if self.capacity is None or self.labels.size <= self.capacity:
             return
+        if self.distinct_sketch is None:
+            self.distinct_sketch = DistinctSketch.from_values(self.labels.tolist())
         kept = np.zeros(self.labels.size, dtype=np.bool_)
         kept[self._top(self.capacity)] = True
         dropped = self.counts[~kept]
@@ -347,7 +348,8 @@ class CategoricalSummary:
 
     def _merged_sketch(self, other: "CategoricalSummary"
                        ) -> Optional[DistinctSketch]:
-        """Union the distinct sketches, covering any unbounded side's keys."""
+        """Union the distinct sketches, hashing a sketch-less side's (still
+        complete) labels; None while neither side has pruned."""
         if self.distinct_sketch is None and other.distinct_sketch is None:
             return None
         first = self.distinct_sketch or \
@@ -380,7 +382,7 @@ class CategoricalSummary:
             mean_length = self.total_length / max(self.total - self.missing, 1)
             size += int(self.labels.size * (_STR_OVERHEAD + mean_length))
         if self.distinct_sketch is not None:
-            size += _INT_BYTES * len(self.distinct_sketch.hashes)
+            size += self.distinct_sketch.hashes.nbytes
         return size
 
     # ------------------------------------------------------------------ #

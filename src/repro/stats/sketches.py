@@ -31,7 +31,6 @@ with a bounded footprint:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import (
@@ -339,49 +338,80 @@ class ReservoirSketch:
 # --------------------------------------------------------------------------- #
 # Bounded distinct count (k minimum values)
 # --------------------------------------------------------------------------- #
-def _hash64(value: Any) -> int:
-    """Deterministic 64-bit hash of a value's string form (process-stable)."""
-    digest = hashlib.blake2b(repr(value).encode("utf-8"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+#: FNV-1a's 64-bit offset basis and prime (row-hash combination; the prime is
+#: also the text fold's multiplier), then splitmix64's increment and mixers.
+_FNV_OFFSET = np.uint64(1469598103934665603)
+_FNV_PRIME = np.uint64(1099511628211)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+_EMPTY_U64 = np.zeros(0, dtype=np.uint64)
+_EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
-@dataclass
+def hash_texts(texts: Sequence[str]) -> np.ndarray:
+    """Process-stable ``uint64`` hashes of a sequence of strings, all code
+    points in one pass (modulo 2^64): ``c_1 .. c_n`` fold to ``sum(c_j * P^j)``
+    — FNV's multiply-add form, a segmented dot product where the xor form is
+    a loop — plus ``n + 1`` splitmix64 increments, so ``"a"`` and ``"a\0"``
+    differ though a NUL adds nothing to the sum; splitmix64's finaliser then
+    mixes all 64 bits.  ``tests/naive_reference.py:hash_text`` spells it out.
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    if not lengths.size:
+        return _EMPTY_U64
+    points = np.frombuffer(
+        "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # P^1 .. P^longest, gathered by each code point's position in its string.
+    powers = np.cumprod(np.full(int(lengths.max()), _FNV_PRIME))
+    position = np.arange(points.size) - np.repeat(starts, lengths)
+    running = np.zeros(points.size + 1, dtype=np.uint64)
+    np.cumsum(points * powers[position], out=running[1:])
+    mixed = running[ends] - running[starts] \
+        + (lengths.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+    mixed = (mixed ^ (mixed >> np.uint64(30))) * _MIX_1
+    mixed = (mixed ^ (mixed >> np.uint64(27))) * _MIX_2
+    return mixed ^ (mixed >> np.uint64(31))
+
+
+@dataclass(eq=False)
 class DistinctSketch:
     """K-minimum-values distinct-count estimator with bounded memory.
 
-    Keeps the ``capacity`` smallest 64-bit hashes of the values seen.  While
-    fewer than ``capacity`` distinct hashes exist the count is exact; beyond
-    that the k-th smallest hash estimates the distinct count as
-    ``(k - 1) / h_k`` with ``h_k`` the k-th hash scaled to ``(0, 1]``.  All
-    operations are deterministic, so merging sketches of any split equals
-    the sketch of the concatenation exactly.
+    Keeps the ``capacity`` smallest 64-bit hashes of the values seen, as a
+    sorted ``uint64`` array.  While fewer than ``capacity`` distinct hashes
+    exist the count is exact; beyond that the k-th smallest hash estimates
+    the distinct count as ``(k - 1) / h_k`` with ``h_k`` the k-th hash
+    scaled to ``(0, 1]``.  All operations are deterministic, so merging
+    sketches of any split equals the sketch of the concatenation exactly.
     """
 
     capacity: int = 4096
-    hashes: Tuple[int, ...] = ()
+    hashes: np.ndarray = field(default_factory=lambda: _EMPTY_U64)
 
     @classmethod
     def from_values(cls, values: Iterable[Any], capacity: int = 4096
                     ) -> "DistinctSketch":
-        """Sketch of an iterable of (hashable-by-repr) values."""
+        """Sketch of an iterable of values, each hashed by its ``str`` text."""
         if capacity <= 0:
             raise EDAError("capacity must be positive")
-        unique = {_hash64(value) for value in values}
-        return cls(capacity=capacity,
-                   hashes=tuple(sorted(unique)[:capacity]))
-
-    def update(self, values: Iterable[Any]) -> "DistinctSketch":
-        """Return a new sketch that has also seen *values*."""
-        merged = set(self.hashes) | {_hash64(value) for value in values}
-        return DistinctSketch(capacity=self.capacity,
-                              hashes=tuple(sorted(merged)[:self.capacity]))
+        hashes = hash_texts(list(set(map(str, values))))
+        return cls(capacity, np.unique(hashes)[:capacity])
 
     def merge(self, other: "DistinctSketch") -> "DistinctSketch":
         """Union of two sketches (keeps the smallest ``capacity`` hashes)."""
         capacity = min(self.capacity, other.capacity)
-        merged = sorted(set(self.hashes) | set(other.hashes))[:capacity]
-        return DistinctSketch(capacity=capacity, hashes=tuple(merged))
+        return DistinctSketch(
+            capacity, np.union1d(self.hashes, other.hashes)[:capacity])
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, DistinctSketch):
+            return NotImplemented
+        return self.capacity == other.capacity and \
+            np.array_equal(self.hashes, other.hashes)
 
     @property
     def saturated(self) -> bool:
@@ -392,8 +422,7 @@ class DistinctSketch:
         """Distinct-count estimate (exact while not saturated)."""
         if not self.saturated:
             return len(self.hashes)
-        kth = self.hashes[-1] + 1            # scale to (0, 1]
-        fraction = kth / float(2 ** 64)
+        fraction = (int(self.hashes[-1]) + 1) / float(2 ** 64)  # in (0, 1]
         return int(round((len(self.hashes) - 1) / fraction))
 
 
@@ -407,28 +436,19 @@ class DistinctSketch:
 #: duplicated log file" shape the count is interesting for.
 DUPLICATE_SKETCH_CAPACITY = 16_384
 
-#: FNV-1a 64-bit parameters for the vectorized row-hash combination.
-_FNV_OFFSET = np.uint64(1469598103934665603)
-_FNV_PRIME = np.uint64(1099511628211)
-
 #: Code standing in for a missing cell; missing cells compare equal to each
 #: other, matching DataFrame.duplicate_row_count.
-_MISSING_CODE = np.uint64(0x9E3779B97F4A7C15)
-
-_EMPTY_U64 = np.zeros(0, dtype=np.uint64)
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
+_MISSING_CODE = _GOLDEN
 
 
 def _column_hash_codes(column: Any) -> np.ndarray:
     """Per-row 64-bit codes of one Column; equal values get equal codes."""
     if column.dtype is DType.STRING:
-        # Hash the (small) dictionary once and gather by code — no per-row
-        # python loop and no decoded object array.
-        dictionary = column.dictionary
-        table = np.fromiter((_hash64(value) for value in dictionary.tolist()),
-                            dtype=np.uint64, count=dictionary.size)
+        # Hash the (small) dictionary in one pass and gather by code — no
+        # per-row python loop and no decoded object array.
+        table = hash_texts(column.dictionary.tolist())
         codes = table[np.where(column.codes < 0, 0, column.codes)] \
-            if dictionary.size else np.zeros(len(column), dtype=np.uint64)
+            if table.size else np.zeros(len(column), dtype=np.uint64)
         codes[column.isna()] = _MISSING_CODE
         return codes
     data = column.data
@@ -683,5 +703,6 @@ __all__ = [
     "ReservoirSketch",
     "StreamingHistogram",
     "frame_row_hashes",
+    "hash_texts",
     "merge_all",
 ]

@@ -10,6 +10,7 @@ from repro.eda.compute import (
     ComputeContext,
     compute_bivariate,
     compute_correlation_overview,
+    compute_correlation_pair,
     compute_missing_overview,
     compute_missing_single,
     compute_overview,
@@ -110,6 +111,42 @@ class TestBivariate:
         config = Config.from_user({"scatter.sample_size": 50})
         intermediates = compute_bivariate(house_frame, "size", "price", config)
         assert len(intermediates["scatter_plot"]["x"]) <= 50
+
+    @pytest.mark.parametrize("in_x, in_y", [
+        ([np.inf], []), ([], [-np.inf]), ([np.inf, -np.inf], [np.inf]),
+    ])
+    def test_nn_keeps_only_rows_finite_in_both_columns(self, config, in_x, in_y):
+        """``notna`` does not mask ``inf``; ``np.histogram2d`` used to raise
+        "autodetected range ... is not finite" on the first one."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(0, 1, 200)
+        y = 3 * x + rng.normal(0, 0.1, 200)
+        x[:len(in_x)] = in_x
+        y[10:10 + len(in_y)] = in_y
+        y[20] = np.nan
+        frame = DataFrame({"x": x, "y": y})
+        finite = np.isfinite(x) & np.isfinite(y)
+
+        scatter = compute_bivariate(frame, "x", "y", config)
+        assert scatter["scatter_plot"]["x"] == x[finite].tolist()
+        assert scatter["scatter_plot"]["y"] == y[finite].tolist()
+        assert scatter.stats["sampled_points"] == int(finite.sum())
+        assert np.isfinite(scatter["hexbin_plot"]["x_edges"]).all()
+        assert np.sum(scatter["hexbin_plot"]["counts"]) == finite.sum()
+
+        pair = compute_correlation_pair(frame, "x", "y", config)
+        assert pair["correlation_scatter"]["x"] == x[finite].tolist()
+        assert pair.stats["regression_slope"] == pytest.approx(3.0, abs=0.05)
+
+    def test_nn_without_a_finite_pair_degrades_to_empty_charts(self, config):
+        frame = DataFrame({"x": [np.inf, 1.0, np.nan, -np.inf] * 30,
+                           "y": [1.0, np.inf, 2.0, np.nan] * 30})
+        scatter = compute_bivariate(frame, "x", "y", config)
+        assert scatter["scatter_plot"]["x"] == []
+        assert scatter["hexbin_plot"]["counts"] == []
+        assert scatter["binned_box_plot"] == {"bins": [], "boxes": []}
+        pair = compute_correlation_pair(frame, "x", "y", config)
+        assert pair.stats["sampled_points"] == 0
 
     def test_cn_box_plot_groups(self, house_frame, config):
         intermediates = compute_bivariate(house_frame, "city", "size", config)

@@ -136,6 +136,22 @@ def duplicate_row_count(columns: Sequence[Sequence[Any]]) -> int:
     return len(rows) - len(set(rows))
 
 
+def hash_text(text: str) -> int:
+    """The 64-bit label hash of the KMV and duplicate-row sketches, one
+    string at a time in python ints: code point ``j`` (from 1) times the
+    FNV prime to the ``j``, summed; plus ``len + 1`` times splitmix64's
+    increment; through splitmix64's finaliser — all modulo 2^64."""
+    mask = (1 << 64) - 1
+    folded, power = 0, 1
+    for char in text:
+        power = power * 1099511628211 & mask
+        folded = (folded + ord(char) * power) & mask
+    mixed = (folded + (len(text) + 1) * 0x9E3779B97F4A7C15) & mask
+    mixed = (mixed ^ (mixed >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    mixed = (mixed ^ (mixed >> 27)) * 0x94D049BB133111EB & mask
+    return mixed ^ (mixed >> 31)
+
+
 # --------------------------------------------------------------------------- #
 # Rank correlations of two lists; None, NaN and +-inf are missing, and a pair
 # of rows counts only when both sides are present (pairwise deletion).

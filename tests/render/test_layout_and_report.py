@@ -1,12 +1,17 @@
 """Tests for the tabbed Container layout and the report module."""
 
+import re
+import xml.etree.ElementTree as ElementTree
+
+import numpy as np
 import pytest
 
 from repro.baselines import eager_profile_report
-from repro.eda import plot
+from repro.eda import plot, plot_correlation, plot_missing
 from repro.eda.config import Config
 from repro.errors import EDAError
-from repro.render import render_intermediates
+from repro.frame import DataFrame
+from repro.render import charts, render_intermediates
 from repro.report import create_report
 
 
@@ -44,6 +49,76 @@ class TestContainer:
 
     def test_repr_html(self, house_frame):
         assert "<div" in plot(house_frame, "city")._repr_html_()
+
+
+@pytest.fixture(scope="module")
+def non_finite_frame() -> DataFrame:
+    """Numerical columns holding ``inf``, ``-inf`` and NaN cells (one of them
+    nothing else), beside a categorical one."""
+    rng = np.random.default_rng(3)
+    rows = 300
+    x = rng.normal(0, 1, rows)
+    y = 2 * x + rng.normal(0, 1, rows)
+    z = rng.normal(0, 1, rows)
+    x[5], y[7], y[9], z[11], z[5] = np.inf, -np.inf, np.nan, np.inf, -np.inf
+    hollow = np.full(rows, np.inf)
+    hollow[::2] = np.nan
+    return DataFrame({"x": x, "y": y, "z": z, "hollow": hollow,
+                      "group": list(rng.choice(["a", "b", "c"], rows))})
+
+
+NON_FINITE_CALLS = {
+    "plot(df)": plot,
+    "plot(df, x)": lambda df: plot(df, "x"),
+    "plot(df, hollow)": lambda df: plot(df, "hollow"),
+    "plot(df, x, y)": lambda df: plot(df, "x", "y"),
+    "plot(df, x, hollow)": lambda df: plot(df, "x", "hollow"),
+    "plot(df, group, x)": lambda df: plot(df, "group", "x"),
+    "plot_correlation(df)": plot_correlation,
+    "plot_correlation(df, x)": lambda df: plot_correlation(df, "x"),
+    "plot_correlation(df, x, y)": lambda df: plot_correlation(df, "x", "y"),
+    "plot_missing(df)": plot_missing,
+    "plot_missing(df, y)": lambda df: plot_missing(df, "y"),
+    "plot_missing(df, y, x)": lambda df: plot_missing(df, "y", "x"),
+    "create_report(df)": create_report,
+}
+
+
+class TestNonFiniteCells:
+    """``inf`` and ``nan`` are not SVG numbers: a mark that would carry one
+    is not drawn, and it does not stretch the axis of the marks that are."""
+
+    @pytest.mark.parametrize("call", list(NON_FINITE_CALLS))
+    def test_every_svg_is_well_formed_with_finite_attributes(
+            self, non_finite_frame, call):
+        html = NON_FINITE_CALLS[call](non_finite_frame).to_html()
+        svgs = re.findall(r"<svg.*?</svg>", html, flags=re.DOTALL)
+        assert svgs
+        for svg in svgs:
+            for element in ElementTree.fromstring(svg).iter():
+                for name, value in element.attrib.items():
+                    assert not re.search(r"inf|nan", value, re.IGNORECASE), \
+                        (element.tag, name, value[:80])
+
+    def test_interaction_scatter_keeps_its_scale(self, non_finite_frame):
+        """One ``inf`` used to reset the axis domain to [0, 1], which drew
+        every finite point of the pair off-scale."""
+        report = create_report(non_finite_frame)
+        pair = report.interactions["x x y"]
+        assert np.inf in pair["x"]                  # the data keeps the cell
+        svg = charts.render_scatter(pair, 450, 300)
+        finite = np.isfinite(pair["x"]) & np.isfinite(pair["y"])
+        centers = [(int(cx) / 10, int(cy) / 10) for cx, cy in   # tenths of a px
+                   re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg)]
+        assert len(centers) == finite.sum()
+        assert all(60 <= cx <= 434 and 28 <= cy <= 256 for cx, cy in centers)
+
+    def test_scatter_drops_points_missing_a_coordinate(self):
+        svg = charts.render_scatter({"x": [1, 2, float("nan"), 4, None],
+                                     "y": [1, float("inf"), 3, 4, 5]}, 450, 300)
+        assert svg.count("<circle") == 2
+        assert "no data" in charts.render_scatter(
+            {"x": [float("inf")], "y": [1.0]}, 450, 300)
 
 
 class TestReport:

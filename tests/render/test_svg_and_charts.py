@@ -56,7 +56,8 @@ class TestCanvas:
         canvas = Canvas(100, 50)
         canvas.rect(0, 0, 10, 10, "#ff0000", tooltip="a <b>")
         canvas.line(0, 0, 5, 5, "#000000", dash="2,2")
-        canvas.circle(3, 3, 1, "#00ff00")
+        canvas.circles([3, 4, float("inf"), 5], [3, 4, 5, float("nan")], 1,
+                       "#00ff00", opacity=0.5)
         canvas.polyline([(0, 0), (1, 1)], "#0000ff")
         canvas.text(5, 5, "label & more", rotate=-30)
         svg = canvas.to_svg()
@@ -65,6 +66,11 @@ class TestCanvas:
         assert "&lt;b&gt;" in svg          # tooltip is escaped
         assert "label &amp; more" in svg    # text is escaped
         assert 'stroke-dasharray="2,2"' in svg
+        # One styled group per call, in tenths of a pixel; non-finite points
+        # are not drawn.
+        assert ('<g transform="scale(0.1)" fill="#00ff00" fill-opacity="0.5">'
+                '<circle cx="30" cy="30" r="10"/>'
+                '<circle cx="40" cy="40" r="10"/></g>') in svg
 
     def test_plot_area_draws_axes(self):
         area = PlotArea.create(300, 200, (0, 10), (0, 5), title="T",

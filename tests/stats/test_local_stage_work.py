@@ -15,6 +15,8 @@ import pytest
 
 from repro.frame import Column, DataFrame
 from repro.graph.cache import TaskCache
+from repro.render.charts import render_scatter
+from repro.stats import sketches
 from repro.stats.correlation import spearman_matrix
 from repro.stats.descriptive import CategoricalSummary
 
@@ -81,6 +83,89 @@ def test_summary_size_estimate_counts_label_text():
     cache = TaskCache()
     cache.put("summary", summary)
     assert cache.stats.current_bytes >= pointers + text
+
+
+def test_bounded_summary_size_estimate_has_no_sketch_until_it_prunes():
+    labels = [f"label-{index:06d}" for index in range(1_000)]
+    exact = CategoricalSummary.from_values(labels)
+    bounded = CategoricalSummary.from_values(labels, capacity=1_000)
+    assert bounded.distinct_sketch is None
+    assert bounded.memory_bytes() == exact.memory_bytes()
+    pruned = CategoricalSummary.from_values(labels, capacity=999)
+    assert pruned.memory_bytes() == (
+        pruned.labels.nbytes + pruned.counts.nbytes
+        + sum(sys.getsizeof(label) for label in labels[:999])
+        + 8 * len(labels))                  # one uint64 per hashed label
+
+
+def _bounded_chunks(labels_per_chunk: int):
+    """Five STRING chunks of *labels_per_chunk* distinct labels each, half
+    of them shared with the next chunk."""
+    return [Column("id", [f"id{index:06d}" for index in
+                          range(start, start + labels_per_chunk)])
+            for start in range(0, 5 * labels_per_chunk // 2,
+                               labels_per_chunk // 2)]
+
+
+def _count_hash_calls(monkeypatch):
+    sizes = []
+    original = sketches.hash_texts
+    monkeypatch.setattr(sketches, "hash_texts", lambda texts:
+                        sizes.append(len(texts)) or original(texts))
+    return sizes
+
+
+def test_bounded_summaries_that_never_prune_hash_nothing(monkeypatch):
+    hashed = _count_hash_calls(monkeypatch)
+
+    def run(labels_per_chunk: int) -> int:
+        chunks = _bounded_chunks(labels_per_chunk)
+        merged = []
+        calls = _python_calls(lambda: merged.append(CategoricalSummary.merge_all(
+            [CategoricalSummary.from_column(chunk, capacity=50_000)
+             for chunk in chunks])))
+        assert merged[0].distinct == merged[0].labels.size == 3 * labels_per_chunk
+        assert merged[0].distinct_sketch is None
+        return calls
+
+    assert run(4_000) == run(40)
+    assert hashed == []
+
+
+def test_bounded_summaries_that_prune_hash_once_per_side(monkeypatch):
+    hashed = _count_hash_calls(monkeypatch)
+    chunks = _bounded_chunks(4_000)
+    # The chunks fit the capacity; the second merge is the first to prune
+    # (hashing its whole table once), each later merge hashes only the
+    # incoming chunk's labels.
+    merged = CategoricalSummary.merge_all(
+        [CategoricalSummary.from_column(chunk, capacity=7_000)
+         for chunk in chunks])
+    assert hashed == [8_000, 4_000, 4_000]
+    assert merged.pruned_count > 0 and merged.labels.size == 7_000
+    # A 4096-value KMV estimate over all 12,000 labels: 1.6 % standard error.
+    assert merged.distinct == pytest.approx(12_000, rel=0.08)
+
+    hashed.clear()
+    merged = CategoricalSummary.merge_all(
+        [CategoricalSummary.from_column(chunk, capacity=3_000)
+         for chunk in chunks])
+    assert hashed == [4_000] * 5            # every chunk prunes on its own
+
+
+def test_scatter_render_makes_no_call_per_point():
+    def run(points: int) -> int:
+        # Same corners at every size, so both charts draw the same ticks.
+        xs = np.linspace(0.0, 1.0, points)
+        data = {"x": xs.tolist(), "y": (1.0 - xs).tolist(),
+                "x_label": "x", "y_label": "y", "slope": -1.0, "intercept": 1.0}
+        svgs = []
+        calls = _python_calls(lambda: svgs.append(
+            render_scatter(data, 450, 300, regression=True)))
+        assert svgs[0].count("<circle") == points
+        return calls
+
+    assert run(10_000) == run(10)
 
 
 def test_spearman_sorts_each_column_once(monkeypatch):
