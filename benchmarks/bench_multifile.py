@@ -31,8 +31,6 @@ import pytest
 from benchmarks.conftest import print_header
 from repro import create_report, scan_csv
 from repro.graph import TaskCache, set_global_cache
-from repro.graph.cache import assign_cache_keys
-from repro.graph.delayed import merge_graphs
 from repro.graph.partition import PartitionedFrame
 
 #: Number of part files and target on-disk bytes per file (smoke-sized).
@@ -66,12 +64,15 @@ def part_files(tmp_path_factory) -> List[str]:
 
 
 def _partition_cache_keys(paths: List[str]) -> List[str]:
-    """Stable cache keys of every partition parse task of the dataset."""
+    """Keys of every partition parse task of the dataset.
+
+    A task's key is the hash of what it computes, so it is also the key the
+    cross-call cache stores the parse under.
+    """
     source = scan_csv(paths, chunk_rows=CHUNK_ROWS)
-    partitioned = PartitionedFrame.from_source(source)
-    graph, keys = merge_graphs(partitioned.partitions)
-    cache_keys = assign_cache_keys(graph)
-    return [cache_keys[key] for key in keys]
+    partitions = PartitionedFrame.from_source(source).partitions
+    assert all(part.graph[part.key].cacheable for part in partitions)
+    return [part.key for part in partitions]
 
 
 _SUBPROCESS_SCRIPT = """

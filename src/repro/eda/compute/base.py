@@ -3,9 +3,9 @@
 :class:`ComputeContext` decides whether an EDA task runs through the lazy
 task graph ("graph stage", the paper's Dask computation) or directly on the
 in-memory frame ("local stage", the paper's Pandas computation), builds the
-lazy reductions, and resolves many of them together against one merged,
-optimized graph so shared work (partition slices, summaries, histograms) is
-computed once.
+lazy reductions, and resolves many of them together against one merged
+graph so shared work (partition slices, summaries, histograms) is computed
+once.
 
 Input is any :class:`~repro.frame.source.FrameSource` (a ``DataFrame`` and a
 ``scan_csv`` handle are adapted automatically): the source supplies schema,
@@ -90,8 +90,9 @@ STREAMING_CATEGORY_CAPACITY = 50_000
 # --------------------------------------------------------------------------- #
 # Module-level chunk/combine functions.
 #
-# They must be module-level (not lambdas) so the optimizer's CSE pass can
-# recognise two identical computations built independently.  A partial that
+# They must be module-level (not lambdas) so two identical computations built
+# independently get the same task key (shared in one graph, served from the
+# cache across calls).  A partial that
 # has a ``merge`` method (summaries, histograms, Pearson sums, sketches) needs
 # no combine function of its own: its plan names
 # :func:`repro.stats.sketches.merge_all`, the left fold of ``merge``.
@@ -471,7 +472,7 @@ class ComputeContext:
     and the timing bookkeeping.  Compute functions ask it for intermediates
     — pending reductions in the graph stage, plain values on tiny data,
     where the same plans run inline — and then call :meth:`resolve` once
-    per pipeline stage so every pending value lands in the same optimized
+    per pipeline stage so every pending value lands in the same merged
     graph.
     """
 
@@ -542,9 +543,8 @@ class ComputeContext:
         if engine is not None:
             self.engine = engine
         else:
-            self.engine = get_engine(
-                config.get("compute.engine"),
-                **self._engine_kwargs(config.get("compute.engine")))
+            self.engine = get_engine(config.get("compute.engine"),
+                                     **self._engine_kwargs())
 
     # ------------------------------------------------------------------ #
     # Input access (source-mediated)
@@ -658,14 +658,11 @@ class ComputeContext:
             "authkey": self.config.get("compute.remote.authkey"),
         }
 
-    def _engine_kwargs(self, engine_name: str) -> Dict[str, Any]:
-        kwargs = {"max_workers": self.config.get("compute.max_workers"),
-                  "cache": self.cache,
-                  "scheduler": self.config.get("compute.scheduler"),
-                  "scheduler_options": self._scheduler_options()}
-        if engine_name == "lazy":
-            kwargs["enable_cse"] = self.config.get("compute.enable_cse")
-        return kwargs
+    def _engine_kwargs(self) -> Dict[str, Any]:
+        return {"max_workers": self.config.get("compute.max_workers"),
+                "cache": self.cache,
+                "scheduler": self.config.get("compute.scheduler"),
+                "scheduler_options": self._scheduler_options()}
 
     def _decide_graph_mode(self) -> bool:
         if not self.exact_results:
@@ -967,7 +964,7 @@ class ComputeContext:
             if self._predicate_spec is not None and not self._rows_audit_done:
                 # One hidden row-count audit per context measures how many
                 # rows the pushed-down filter removed.  It rides along the
-                # first batch's first projection, so CSE folds it onto
+                # first batch's first projection, so it shares the
                 # parse tasks the batch builds anyway — no extra reads.
                 self._rows_audit_done = True
                 audit_key = "__predicate_rows_audit__"

@@ -131,7 +131,6 @@ def compute_overview(frame: DataFrame, config: Config,
                      for name, entry in variables.items()}
     intermediates = Intermediates(
         task="overview", columns=[], items=items, stats=dataset_stats,
-        timings=dict(context.timings),
         meta={"semantic_types": {name: semantic.value
                                  for name, semantic in semantic_types.items()}})
     intermediates.add_insights(dataset_insights(

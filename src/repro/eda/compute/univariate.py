@@ -137,7 +137,6 @@ def _numerical_univariate(context: ComputeContext, column: str,
 
     intermediates = Intermediates(
         task="univariate", columns=[column], items=items, stats=stats,
-        timings=dict(context.timings),
         meta={"semantic_type": SemanticType.NUMERICAL.value,
               "n_rows": context.known_n_rows})
     intermediates.add_insights(numeric_column_insights(
@@ -201,7 +200,6 @@ def _categorical_univariate(context: ComputeContext, column: str, config: Config
 
     intermediates = Intermediates(
         task="univariate", columns=[column], items=items, stats=stats,
-        timings=dict(context.timings),
         meta={"semantic_type": semantic.value, "n_rows": context.known_n_rows})
     intermediates.add_insights(categorical_column_insights(column, summary, config))
     context.record_local_stage(time.perf_counter() - started)

@@ -183,7 +183,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "insight.negatives.threshold": (0.0, _rate),
     "insight.high_cardinality.threshold": (50, _positive_int),
     "insight.constant.enabled": (True, _boolean),
-    "insight.outlier.iqr_multiplier": (1.5, None),
     "insight.outlier.threshold": (0.01, _rate),
     "insight.correlation.threshold": (0.8, None),
     "insight.enabled": (True, _boolean),
@@ -238,7 +237,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     # in-memory mask filtering).
     "compute.predicates": (True, _boolean),
     "compute.histogram_bins_internal": (512, _positive_int),
-    "compute.enable_cse": (True, _boolean),
     # Out-of-core streaming (inputs opened with repro.scan_csv).  A scanned
     # frame is processed chunk by chunk: memory.chunk_rows caps the rows per
     # chunk and memory.budget_bytes caps the estimated peak parse memory
@@ -265,7 +263,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "render.height": (360, _positive_int),
     "render.max_tabs": (12, _positive_int),
     "report.title": ("DataPrep.EDA Report", None),
-    "report.sample_rows": (10, _positive_int),
     "report.interactions_max_columns": (10, _positive_int),
 }
 

@@ -499,8 +499,8 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
     spilled best-effort, so any later scan (this process, a
     ``ProcessScheduler`` worker, another session) hits.  The route is
     configuration, not semantics: the returned rows are identical with or
-    without it, which is why the graph layer excludes the keyword from CSE
-    tokens and cross-call cache keys (``NON_SEMANTIC_KWARGS``).
+    without it, which is why the graph layer excludes the keyword from task
+    keys (``NON_SEMANTIC_KWARGS``).
     """
     parse_columns = columns
     if predicate is not None and columns is not None:

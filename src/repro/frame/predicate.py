@@ -22,9 +22,9 @@ frame.
 For transport into task graphs the predicate flattens to a *spec*: a nested
 tuple of plain scalars such as ``(("price", ">", 150000.0),)``.  Plain
 tuples tokenize structurally in the graph layer, so a filtered parse task
-gets a cache key and CSE token that differ from the unfiltered parse of the
-same chunk by exactly the predicate — filtered and unfiltered runs share
-nothing they should not, and identical filters share everything.
+gets a task key that differs from the unfiltered parse of the same chunk by
+exactly the predicate — filtered and unfiltered runs share nothing they
+should not, and identical filters share everything.
 """
 
 from __future__ import annotations

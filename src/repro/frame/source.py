@@ -89,8 +89,8 @@ DEFAULT_PARTITION_ROWS = 100_000
 # --------------------------------------------------------------------------- #
 # Partition task functions.
 #
-# Module-level (never lambdas) so the optimizer's CSE pass and the cross-call
-# cache can fingerprint them; the graph layer wraps them with ``delayed``.
+# Module-level (never lambdas) so task keys name them by import path — shared
+# in a graph, cached across calls; the graph layer wraps them with ``delayed``.
 # --------------------------------------------------------------------------- #
 def _slice_frame(frame: DataFrame, start: int, stop: int,
                  columns: Optional[Tuple[str, ...]] = None,
@@ -214,7 +214,7 @@ class SourcePartition:
 
         With *columns* the task materializes only that column subset:
         the projection travels as an explicit ``columns=`` keyword (so
-        cache keys and CSE tokens incorporate it) and the key prefix gains
+        task keys incorporate it) and the key prefix gains
         the projected marker (so run statistics can count projected vs.
         full parses).
 
@@ -222,17 +222,16 @@ class SourcePartition:
         tuple) the task additionally filters the partition's rows.  The
         predicate travels as an explicit ``predicate=`` keyword of plain
         nested tuples — the graph layer tokenizes those structurally, so
-        filtered tasks get their own CSE tokens and cross-call cache keys,
-        and the payload stays picklable for process-pool shipping — and
-        the key prefix gains the filtered marker.
+        filtered tasks get their own task keys, and the payload stays
+        picklable for process-pool shipping — and the key prefix gains the
+        filtered marker.
 
         With *sidecar* (a :class:`~repro.frame.sidecar.SidecarRoute`
         tuple) the task consults and maintains the parsed-chunk binary
         cache.  Unlike projection and predicate, the route is
         *non-semantic* — it changes where the bytes come from, never what
         the task returns — so the prefix stays unchanged and the graph
-        layer excludes the keyword from CSE tokens and cross-call cache
-        keys: a cached result from a sidecar-less run serves a
+        layer excludes the keyword from task keys: a cached result from a sidecar-less run serves a
         sidecar-enabled one and vice versa.
         """
         kwargs: Dict[str, Any] = {}

@@ -2,17 +2,17 @@
 
 The paper's Compute module builds a *single* lazy computational graph per EDA
 task so that redundant computations shared by multiple visualizations are
-evaluated once, then executes the optimized graph with a parallel scheduler.
+evaluated once, then executes that graph with a parallel scheduler.
 The real system uses Dask; the execution environment for this reproduction
 does not ship Dask, so this package implements the required subset:
 
 * :class:`~repro.graph.task.Task` / :class:`~repro.graph.graph.TaskGraph` —
-  the graph representation.
+  the graph representation.  A task's key is the hash of what it computes
+  (:func:`~repro.graph.task.tokenize`), so merging graphs *is* the "share
+  computations" optimization and the key addresses the cross-call cache.
 * :func:`~repro.graph.delayed.delayed` and
   :class:`~repro.graph.delayed.Delayed` — lazy call wrappers used to build
   graphs declaratively.
-* :mod:`~repro.graph.optimize` — graph optimizations: culling and common
-  sub-expression elimination (the "share computations" optimization).
 * :mod:`~repro.graph.scheduler` — the pluggable execution layer: a shared
   scheduling core (cache planning, readiness, result release) with
   synchronous, threaded and true-multiprocess backends, selected by the
@@ -34,16 +34,15 @@ does not ship Dask, so this package implements the required subset:
   detection and bundle re-dispatch.
 * :mod:`~repro.graph.cluster` — the analytical multi-worker cluster + HDFS
   cost model, calibrated from measured RemoteScheduler runs.
-* :mod:`~repro.graph.cache` — the cross-call intermediate cache: stable,
-  content-addressed task keys plus a bounded LRU store the schedulers
-  consult before executing, so interactive sessions that iterate over the
-  same frame skip work already done by earlier calls.
+* :mod:`~repro.graph.cache` — the cross-call intermediate cache: a bounded
+  LRU store, addressed by task keys, that the schedulers consult before
+  executing, so interactive sessions that iterate over the same frame skip
+  work already done by earlier calls.
 """
 
 from repro.graph.cache import (
     CacheStats,
     TaskCache,
-    assign_cache_keys,
     clear_global_cache,
     get_global_cache,
     set_global_cache,
@@ -51,7 +50,6 @@ from repro.graph.cache import (
 from repro.graph.task import Task, TaskRef, tokenize
 from repro.graph.graph import TaskGraph
 from repro.graph.delayed import Delayed, compute, delayed
-from repro.graph.optimize import common_subexpression_elimination, cull, optimize
 from repro.graph.executor import Executor, ProcessExecutor, ThreadExecutor
 from repro.graph.scheduler import (
     ProcessScheduler,
@@ -108,18 +106,14 @@ __all__ = [
     "TaskGraph",
     "TaskRef",
     "ThreadedScheduler",
-    "assign_cache_keys",
     "available_engines",
     "available_schedulers",
     "clear_global_cache",
-    "common_subexpression_elimination",
     "compute",
-    "cull",
     "delayed",
     "get_engine",
     "get_global_cache",
     "get_scheduler",
-    "optimize",
     "precompute_chunk_sizes",
     "set_global_cache",
     "shutdown_remote_pools",

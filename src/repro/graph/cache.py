@@ -1,30 +1,26 @@
-"""Cross-call intermediate cache for the task graph (fourth work-avoidance pass).
+"""Cross-call intermediate cache for the task graph.
 
-The optimizer already avoids work *inside* one EDA call (cull drops unneeded
-tasks, CSE merges duplicated ones).  This module avoids work *across* calls:
-an interactive user who iterates ``plot(df)`` → ``plot(df, "x")`` →
+Merging graphs already avoids work *inside* one EDA call (equal tasks share
+a key and run once).  This module avoids work *across* calls: an
+interactive user who iterates ``plot(df)`` → ``plot(df, "x")`` →
 ``plot_correlation(df)`` re-derives many of the same intermediates — the
 partition slices, per-column summaries and histograms — from the same frame.
 
-Two pieces make that safe and cheap:
+Nothing here computes a key: a task's own key is the hash of what it
+computes (:mod:`repro.graph.task`) — literals by value, DataFrames/Columns
+by content fingerprint (:mod:`repro.frame.fingerprint`), frame sources by
+their stamp-based ``fingerprint()`` (stable across processes while the files
+are unchanged, which is what keeps multi-file re-scans warm), dependencies
+by *their* keys — so equal subgraphs built in different calls carry equal
+keys and the cache is addressed by them directly.  Tasks whose key had to
+fall back to object identity (closures, impure calls, unrecognised argument
+types — ``Task.cacheable`` is False) are simply never cached.
 
-* **Stable cache keys** (:func:`assign_cache_keys`).  Task *graph* keys are
-  counter-based and never repeat across calls, so they cannot address a
-  shared cache.  The cache key of a task is instead derived bottom-up from
-  ``(func qualname, argument fingerprints)``: literals hash by value,
-  DataFrames/Columns by their content fingerprint
-  (:mod:`repro.frame.fingerprint`), frame sources and scan handles by
-  their stamp-based ``fingerprint()`` (stable across processes while the
-  files are unchanged — which is what keeps multi-file re-scans warm), and
-  TaskRef arguments by the *cache key* of the referenced task — a Merkle
-  scheme, so equal subgraphs built in different calls produce equal keys.
-  Tasks that cannot be keyed stably (closures, impure calls, unrecognised
-  argument types) get ``None`` and are simply never cached.
-
-* **A bounded LRU store** (:class:`TaskCache`) with a byte-size budget and
-  hit/miss/eviction statistics.  The schedulers consult it before executing
-  a task; a hit skips not only the task but its entire exclusive ancestor
-  subtree (see :meth:`repro.graph.scheduler.Scheduler.plan_with_cache`).
+What is here is **a bounded LRU store** (:class:`TaskCache`) with a
+byte-size budget and hit/miss/eviction statistics.  The schedulers consult
+it before executing a task; a hit skips not only the task but its entire
+exclusive ancestor subtree (see
+:meth:`repro.graph.scheduler.Scheduler.plan_with_cache`).
 
 A process-wide cache instance (:func:`get_global_cache`) is shared by every
 :class:`~repro.eda.compute.base.ComputeContext` whose config has
@@ -34,8 +30,6 @@ and ``create_report`` calls on the same frame fast.
 
 from __future__ import annotations
 
-import enum
-import hashlib
 import sys
 import threading
 from collections import OrderedDict
@@ -44,93 +38,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.graph import TaskGraph
-from repro.graph.task import (
-    NON_SEMANTIC_KWARGS,
-    Task,
-    TaskRef,
-    _callable_name,
-    walk_token,
-)
-
 #: Default byte budget of the global cache (also the Config default).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-
-
-# --------------------------------------------------------------------------- #
-# Stable cache keys
-# --------------------------------------------------------------------------- #
-def assign_cache_keys(graph: TaskGraph) -> Dict[str, Optional[str]]:
-    """Compute the stable cache key of every task in *graph*.
-
-    Keys are assigned bottom-up in topological order so that a task's key can
-    incorporate the keys of its dependencies.  A task whose function or any
-    argument cannot be fingerprinted deterministically gets ``None``; the
-    ``None`` propagates to every dependent task.
-    """
-    keys: Dict[str, Optional[str]] = {}
-    for key in graph.toposort():
-        keys[key] = _task_cache_key(graph[key], keys)
-    return keys
-
-
-def _task_cache_key(task: Task, dep_keys: Dict[str, Optional[str]]) -> Optional[str]:
-    name = _callable_name(task.func)
-    if "@" in name:
-        # Lambdas/closures are fingerprinted by object identity, which does
-        # not survive across calls.
-        return None
-    if task.token_customized:
-        # A customized token marks an impure task, which may not be served
-        # from a cross-call cache.
-        return None
-    hasher = hashlib.sha1()
-    hasher.update(name.encode())
-    for value in task.args:
-        token = _cache_token(value, dep_keys)
-        if token is None:
-            return None
-        hasher.update(token.encode())
-        hasher.update(b"\x00")
-    for arg_name in sorted(task.kwargs):
-        if arg_name in NON_SEMANTIC_KWARGS:
-            # The sidecar route configures where bytes come from, not what
-            # the task returns; hashing it would split cache keys between
-            # otherwise-identical runs (see repro.graph.task).
-            continue
-        token = _cache_token(task.kwargs[arg_name], dep_keys)
-        if token is None:
-            return None
-        hasher.update(arg_name.encode())
-        hasher.update(token.encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
-
-
-def _cache_token(value: Any, dep_keys: Dict[str, Optional[str]]) -> Optional[str]:
-    """Deterministic fingerprint of one task argument (None = uncacheable).
-
-    Shares the container recursion of the CSE tokenizer
-    (:func:`repro.graph.task.walk_token`); only the leaves differ — content
-    fingerprints here, object identity there — so the two can never drift
-    apart on container handling.
-    """
-    def ref(task_ref: TaskRef) -> Optional[str]:
-        dep_key = dep_keys.get(task_ref.key)
-        return None if dep_key is None else f"ref:{dep_key}"
-
-    def leaf(item: Any) -> Optional[str]:
-        if isinstance(item, enum.Enum):
-            return f"enum:{type(item).__module__}.{type(item).__qualname__}.{item.name}"
-        if isinstance(item, np.ndarray):
-            from repro.frame.fingerprint import fingerprint_array
-            return f"nd:{fingerprint_array(item)}"
-        fingerprint = getattr(item, "fingerprint", None)
-        if callable(fingerprint):
-            return f"fp:{type(item).__name__}:{fingerprint()}"
-        return None
-
-    return walk_token(value, ref, leaf)
 
 
 # --------------------------------------------------------------------------- #
@@ -242,7 +151,7 @@ class CacheStats:
 class TaskCache:
     """Thread-safe LRU cache of task results with a byte-size budget.
 
-    Entries are keyed by the stable cache keys of :func:`assign_cache_keys`.
+    Entries are keyed by the keys of cacheable tasks.
     When an insert pushes the total estimated size over ``max_bytes``, the
     least recently used entries are evicted until the budget holds; a single
     value larger than the whole budget is rejected outright.

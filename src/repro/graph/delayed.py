@@ -3,18 +3,24 @@
 This mirrors ``dask.delayed``: wrapping a function defers its execution and
 records a task in a graph; passing Delayed objects as arguments wires the
 dependency edges.  ``compute`` merges the graphs of many Delayed values into
-one graph, optimizes it, and executes it — this "single computational graph"
-step is the core of the paper's performance optimization (Section 5.2).
+one graph and executes it — this "single computational graph" step is the
+core of the paper's performance optimization (Section 5.2).  Because a task
+is keyed by what it computes (:mod:`repro.graph.task`), the merge is where
+shared computations collapse; and because a Delayed's graph is exactly its
+ancestor closure, the merged graph holds nothing the requested values do
+not need.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import TaskGraph
-from repro.graph.optimize import OptimizeStats, optimize
 from repro.graph.scheduler import Scheduler, ThreadedScheduler
-from repro.graph.task import Task, TaskRef, next_key
+from repro.graph.task import Task, tokenize
+
+_IMPURE_CALLS = itertools.count()
 
 
 class Delayed:
@@ -26,10 +32,9 @@ class Delayed:
         self.key = key
         self.graph = graph
 
-    def compute(self, scheduler: Optional[Scheduler] = None,
-                enable_cse: bool = True) -> Any:
+    def compute(self, scheduler: Optional[Scheduler] = None) -> Any:
         """Evaluate just this value."""
-        return compute(self, scheduler=scheduler, enable_cse=enable_cse)[0]
+        return compute(self, scheduler=scheduler)[0]
 
     def then(self, func: Callable[..., Any], *args: Any, **kwargs: Any) -> "Delayed":
         """Apply *func* lazily to this value: ``func(self, *args, **kwargs)``."""
@@ -52,78 +57,59 @@ class DelayedCallable:
 
     def __call__(self, *args: Any, **kwargs: Any) -> Delayed:
         graph = TaskGraph()
-        call_args: List[Any] = []
-        for value in args:
-            call_args.append(_absorb(value, graph))
-        call_kwargs: Dict[str, Any] = {name: _absorb(value, graph)
-                                       for name, value in kwargs.items()}
-        key = next_key(self.prefix)
-        task = Task(key, self.func, tuple(call_args), call_kwargs)
-        if not self.pure:
-            # Impure tasks must never be merged by CSE; make the token unique.
-            task.token = f"{task.token}:{key}"
-            task.token_customized = True
-        graph.add(task)
+
+        def lazy(value: Any) -> Optional[Task]:
+            if not isinstance(value, Delayed):
+                return None
+            graph.update(value.graph)
+            return graph[value.key]
+
+        token, deps, stable, call_args, call_kwargs = tokenize(
+            self.func, args, kwargs, lazy)
+        # The readable prefix stays everything before the last "-"
+        # (repro.utils.classify_parse_key); an impure call's counter keeps
+        # two occurrences from ever sharing a key.
+        key = f"{self.prefix}-{token}" if self.pure \
+            else f"{self.prefix}-{token}.{next(_IMPURE_CALLS)}"
+        graph.add(Task(key, self.func, call_args, call_kwargs, deps,
+                       cacheable=stable and self.pure))
         return Delayed(key, graph)
-
-
-def _absorb(value: Any, graph: TaskGraph) -> Any:
-    """Merge nested Delayed arguments into *graph*, replacing them with refs."""
-    if isinstance(value, Delayed):
-        graph.update(value.graph)
-        return TaskRef(value.key)
-    if isinstance(value, (list, tuple)):
-        absorbed = [_absorb(item, graph) for item in value]
-        return type(value)(absorbed) if isinstance(value, tuple) else absorbed
-    if isinstance(value, dict):
-        return {name: _absorb(item, graph) for name, item in value.items()}
-    return value
 
 
 def delayed(func: Callable[..., Any], prefix: Optional[str] = None,
             pure: bool = True) -> DelayedCallable:
     """Wrap *func* so calls build graph nodes instead of executing.
 
-    ``pure=False`` marks the call as non-deterministic so the CSE pass never
-    merges two occurrences.
+    ``pure=False`` marks the call as non-deterministic: two occurrences
+    never merge and the result is never cached across calls.
     """
     return DelayedCallable(func, prefix=prefix, pure=pure)
 
 
 def merge_graphs(values: Sequence[Delayed]) -> Tuple[TaskGraph, List[str]]:
-    """Union the graphs of many Delayed values into a single graph."""
+    """Union the graphs of many Delayed values into a single graph.
+
+    Equal computations share a key, so the union runs each once;
+    ``graph.shared`` says how many tasks that saved.
+    """
     merged = TaskGraph()
-    keys = []
     for value in values:
         merged.update(value.graph)
-        keys.append(value.key)
-    return merged, keys
+    return merged, [value.key for value in values]
 
 
-def compute(*values: Any, scheduler: Optional[Scheduler] = None,
-            enable_cse: bool = True, return_stats: bool = False) -> Any:
-    """Evaluate many Delayed values against one merged, optimized graph.
+def compute(*values: Any, scheduler: Optional[Scheduler] = None) -> List[Any]:
+    """Evaluate many Delayed values against one merged graph.
 
     Non-Delayed arguments pass through unchanged, so callers can mix eager
-    and lazy values.  When ``return_stats`` is True the optimizer statistics
-    are returned as a second value — the ablation benchmarks use this to
-    report how many tasks were shared.
+    and lazy values.
     """
     scheduler = scheduler or ThreadedScheduler()
-    lazy_positions = [index for index, value in enumerate(values)
-                      if isinstance(value, Delayed)]
-    lazy_values = [values[index] for index in lazy_positions]
-
     results: List[Any] = list(values)
-    stats = OptimizeStats(input_tasks=0, output_tasks=0)
-    if lazy_values:
-        graph, keys = merge_graphs(lazy_values)
-        optimized, output_map, stats = optimize(graph, keys, enable_cse=enable_cse)
-        canonical_keys = [output_map[key] for key in keys]
-        computed = scheduler.execute(optimized, canonical_keys)
-        for position, key in zip(lazy_positions, canonical_keys):
-            results[position] = computed[key]
-
-    if return_stats:
-        return results, stats
+    positions = [index for index, value in enumerate(values)
+                 if isinstance(value, Delayed)]
+    if positions:
+        graph, keys = merge_graphs([values[index] for index in positions])
+        for position, value in zip(positions, scheduler.get(graph, keys)):
+            results[position] = value
     return results

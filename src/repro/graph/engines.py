@@ -5,7 +5,8 @@ how long each takes to compute the intermediates of ``plot(df)``.  The
 strategies differ in *how* they execute the same logical work:
 
 * :class:`LazyEngine` — DataPrep.EDA's strategy: merge everything into one
-  graph, optimize it (cull + CSE), execute with the threaded scheduler.
+  graph (equal tasks share a key, so the merge runs each once), execute
+  with the threaded scheduler.
 * :class:`EagerEngine` — Modin's strategy: each requested value is computed
   immediately with its own graph, so common sub-computations are repeated and
   nothing is co-scheduled.
@@ -27,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import GraphError
 from repro.graph.cache import TaskCache
-from repro.graph.delayed import Delayed, compute
+from repro.graph.delayed import Delayed, merge_graphs
 from repro.graph.scheduler import RunStats, get_scheduler
 
 
@@ -37,9 +38,9 @@ class ExecutionReport(RunStats):
 
     Every :class:`~repro.graph.scheduler.RunStats` counter of the batch's
     scheduler run(s) — merged with ``+=`` when the engine ran more than one
-    — plus what only the engine knows.  The three avoidance mechanisms each
-    have their own counter: culling and CSE are folded into the gap between
-    ``tasks_before_optimization`` and the optimized graph, while
+    — plus what only the engine knows.  Each avoidance mechanism has its
+    own counter: ``shared_tasks`` of the ``tasks_before_optimization``
+    tasks built were equal to another one and merged away, while
     ``cache_hits`` / ``tasks_skipped_by_cache`` report the cross-call
     intermediate cache (tasks served from cache, and their exclusive
     ancestors that never ran because of it).  The compute context adds the
@@ -93,9 +94,9 @@ class Engine:
         """Compute all values and also report how much work was done."""
         raise NotImplementedError
 
-    def _run(self, values: Sequence[Delayed], report: ExecutionReport,
-             **compute_kwargs: Any) -> List[Any]:
-        """One graph's compute, its counters folded into *report*.
+    def _run(self, values: Sequence[Delayed], report: ExecutionReport
+             ) -> List[Any]:
+        """One merged graph's run, its counters folded into *report*.
 
         Requires ``self.scheduler``; every engine goes through here, so all
         of them account for the run — cross-call cache included —
@@ -104,19 +105,20 @@ class Engine:
         # An empty batch never reaches the scheduler: it reports zeros, not
         # the previous batch's run.
         self.scheduler.last_run = RunStats()
-        results, stats = compute(*values, scheduler=self.scheduler,
-                                 return_stats=True, **compute_kwargs)
+        graph, keys = merge_graphs(values)
+        results = self.scheduler.get(graph, keys) if keys else []
         report += self.scheduler.last_run
         report.graphs_built += 1
-        # The true pre-optimization size of the graph, so the report
-        # measures sharing instead of defining it away.
-        report.tasks_before_optimization += stats.input_tasks
-        report.shared_tasks += stats.merged_by_cse
+        # Every task that was built, so the report measures sharing
+        # instead of defining it away.
+        shared = graph.shared
+        report.tasks_before_optimization += len(graph) + shared
+        report.shared_tasks += shared
         return results
 
 
 class LazyEngine(Engine):
-    """Single shared graph + optimization + parallel execution (Dask-like).
+    """Single shared graph + parallel execution (Dask-like).
 
     *scheduler* selects the execution backend by registry name —
     ``"threaded"`` (default), ``"process"``, ``"synchronous"`` or
@@ -126,19 +128,17 @@ class LazyEngine(Engine):
 
     name = "lazy"
 
-    def __init__(self, max_workers: Optional[int] = None, enable_cse: bool = True,
+    def __init__(self, max_workers: Optional[int] = None,
                  cache: Optional[TaskCache] = None,
                  scheduler: str = "threaded",
                  scheduler_options: Optional[Dict[str, Any]] = None):
         self.scheduler = get_scheduler(scheduler, max_workers=max_workers,
                                        cache=cache, **(scheduler_options or {}))
-        self.enable_cse = enable_cse
 
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:
         report = ExecutionReport(engine=self.name, requested=len(values))
-        results = self._run(values, report, enable_cse=self.enable_cse)
-        return results, report
+        return self._run(values, report), report
 
 
 class EagerEngine(Engine):
@@ -158,8 +158,7 @@ class EagerEngine(Engine):
     def compute_with_report(self, values: Sequence[Delayed]
                             ) -> tuple[List[Any], ExecutionReport]:
         report = ExecutionReport(engine=self.name, requested=len(values))
-        results = [self._run([value], report, enable_cse=False)[0]
-                   for value in values]
+        results = [self._run([value], report)[0] for value in values]
         return results, report
 
 

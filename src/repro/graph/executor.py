@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import pickle
-import sys
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.graph.task import Task, TaskRef
+from repro.graph.task import Task, TaskRef, importable_name
 from repro.utils import default_worker_count
 
 #: Upper bound on the estimated argument payload of a task shipped to a
@@ -194,31 +193,6 @@ def run_task_bundle(root_task: Task, member_tasks: Sequence[Task],
 # --------------------------------------------------------------------------- #
 # Shippability: can this task run in a worker process?
 # --------------------------------------------------------------------------- #
-_SHIPPABLE_FUNCS: Dict[Callable[..., Any], bool] = {}
-
-
-def _shippable_func(func: Callable[..., Any]) -> bool:
-    """Whether *func* pickles by reference: importable and module-level."""
-    module_name = getattr(func, "__module__", None)
-    qualname = getattr(func, "__qualname__", "")
-    if not module_name or not qualname or "<" in qualname:
-        # Lambdas and closures are per-call objects; besides being
-        # unshippable, caching them would pin them (and anything they
-        # capture) for the life of the process — so they never enter the
-        # cache.  Module-level functions are process-permanent, so a strong
-        # reference costs nothing.
-        return False
-    cached = _SHIPPABLE_FUNCS.get(func)
-    if cached is not None:
-        return cached
-    target: Any = sys.modules.get(module_name)
-    for part in qualname.split("."):
-        target = getattr(target, part, None)
-    shippable = target is func
-    _SHIPPABLE_FUNCS[func] = shippable
-    return shippable
-
-
 def _payload_bytes(value: Any) -> Optional[int]:
     """Estimated pickled size of one argument, or None if not value-like.
 
@@ -267,7 +241,7 @@ def can_run_in_worker(task: Task) -> bool:
     contract of the hybrid dispatch: value-described chunk work ships,
     everything holding live objects stays on the coordinator.
     """
-    if not _shippable_func(task.func):
+    if importable_name(task.func) is None:
         return False
     total = 0
     for value in task.args:

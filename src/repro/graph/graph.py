@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CycleError, GraphError
 from repro.graph.task import Task
@@ -12,14 +12,20 @@ class TaskGraph:
     """A directed acyclic graph of :class:`~repro.graph.task.Task` nodes.
 
     The graph maps task keys to tasks; edges are implied by the
-    :class:`TaskRef` arguments of each task.  The container supports merging
-    (used to combine the graphs of many lazy values into the single graph the
-    paper's Compute module executes), topological ordering and dependency
-    queries needed by the optimizer and the schedulers.
+    :class:`TaskRef` arguments of each task.  A key names what its task
+    computes (:mod:`repro.graph.task`), so merging — used to combine the
+    graphs of many lazy values into the single graph the paper's Compute
+    module executes — is also the sharing optimization: the first task
+    under a key stays, every later one is the same computation and is
+    dropped.  The container also provides the topological ordering and
+    dependency queries the schedulers need.
     """
 
     def __init__(self, tasks: Optional[Iterable[Task]] = None):
         self._tasks: Dict[str, Task] = {}
+        #: Task objects dropped because their key was already present —
+        #: kept by identity so a union counts each of them once.
+        self._dropped: Set[Task] = set()
         if tasks is not None:
             for task in tasks:
                 self.add(task)
@@ -28,16 +34,21 @@ class TaskGraph:
     # Mutation
     # ------------------------------------------------------------------ #
     def add(self, task: Task) -> None:
-        """Add a task; re-adding the same key with a different token is an error."""
-        existing = self._tasks.get(task.key)
-        if existing is not None and existing.token != task.token:
-            raise GraphError(f"task key {task.key!r} already exists with different contents")
-        self._tasks[task.key] = task
+        """Add a task; under a key already present the first task stays."""
+        if self._tasks.setdefault(task.key, task) is not task:
+            self._dropped.add(task)
 
     def update(self, other: "TaskGraph") -> None:
         """Merge all tasks from another graph into this one."""
-        for task in other.tasks():
+        for task in other._tasks.values():
             self.add(task)
+        self._dropped |= other._dropped
+
+    @property
+    def shared(self) -> int:
+        """How many distinct tasks merging saved: built, but equal to a kept one."""
+        return sum(1 for task in self._dropped
+                   if self._tasks[task.key] is not task)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -65,15 +76,15 @@ class TaskGraph:
         """All tasks in insertion order."""
         return list(self._tasks.values())
 
-    def dependencies(self, key: str) -> List[str]:
+    def dependencies(self, key: str) -> Tuple[str, ...]:
         """Keys of the direct dependencies of *key*."""
-        return self[key].dependencies()
+        return self[key].deps
 
     def dependents(self) -> Dict[str, Set[str]]:
         """Reverse adjacency: key -> set of keys that depend on it."""
         reverse: Dict[str, Set[str]] = {key: set() for key in self._tasks}
         for key, task in self._tasks.items():
-            for dependency in task.dependencies():
+            for dependency in task.deps:
                 if dependency in reverse:
                     reverse[dependency].add(key)
         return reverse
@@ -81,7 +92,7 @@ class TaskGraph:
     def validate(self) -> None:
         """Check that every referenced dependency exists in the graph."""
         for key, task in self._tasks.items():
-            for dependency in task.dependencies():
+            for dependency in task.deps:
                 if dependency not in self._tasks:
                     raise GraphError(
                         f"task {key!r} depends on unknown task {dependency!r}")
@@ -130,10 +141,6 @@ class TaskGraph:
             seen.add(key)
             stack.extend(self.dependencies(key))
         return seen
-
-    def copy(self) -> "TaskGraph":
-        """Shallow copy (tasks are shared, the mapping is new)."""
-        return TaskGraph(self.tasks())
 
     def __repr__(self) -> str:
         return f"TaskGraph(tasks={len(self._tasks)})"

@@ -111,17 +111,17 @@ class PartitionedFrame:
         *columns* projects every partition task onto that column subset
         (``capabilities.projection``): the projection travels as an
         explicit task argument, so two reductions needing the same column
-        set share one projected parse per chunk — within a graph via CSE
-        and across calls via the intermediate cache — while projected and
-        full parses always occupy distinct cache keys.
+        set share one projected parse per chunk — same task key, so one
+        task within a graph and one cache entry across calls — while
+        projected and full parses always occupy distinct keys.
 
         *predicate* — a :class:`~repro.frame.predicate.Predicate` or its
         ``spec()`` tuple form — filters every partition task's rows before
         they reach downstream reductions (``capabilities.predicates``).
         Like the projection, it travels as an explicit task argument, so
         filtered and unfiltered parses of the same chunk occupy distinct
-        CSE tokens and cross-call cache keys, while two filtered reductions
-        with the same predicate share one parse.  Note the boundaries keep the source's pre-filter row
+        task keys, while two filtered reductions with the same predicate
+        share one parse.  Note the boundaries keep the source's pre-filter row
         offsets: a filtered partition holds *at most* ``stop - start``
         rows, so indexed reductions (which assume exact global positions)
         must not be planned over a filtered frame.
@@ -129,9 +129,8 @@ class PartitionedFrame:
         *sidecar* — a :class:`~repro.frame.sidecar.SidecarRoute` tuple —
         routes every partition task through the parsed-chunk binary cache
         (``capabilities.chunk_sidecar``).  Unlike the two pushdowns it is
-        non-semantic: the graph layer excludes the keyword from CSE tokens
-        and cross-call cache keys, so enabling or moving the disk cache
-        never changes task identity.
+        non-semantic: the graph layer excludes the keyword from task keys,
+        so enabling or moving the disk cache never changes task identity.
         """
         parts = source.partitions()
         if not parts:

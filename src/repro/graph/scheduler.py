@@ -16,12 +16,11 @@ multi-core parallelism for pure-Python chunk work such as streaming CSV
 parsing — see the hybrid-dispatch notes on the class).
 
 Every scheduler can carry a :class:`~repro.graph.cache.TaskCache`.  When one
-is attached, execution starts with a cache-planning pass: every task gets a
-stable cache key, tasks whose results are already cached are served without
-running, and their exclusive ancestors are skipped entirely — the cross-call
-analogue of the cull optimization.  Freshly computed results are stored back
-so the next call (possibly a different EDA function on the same frame) can
-reuse them.
+is attached, execution starts with a cache-planning pass: cacheable tasks
+are looked up under their own key (the hash of what they compute), those
+already cached are served without running, and their exclusive ancestors
+are skipped entirely.  Freshly computed results are stored back so the next
+call (possibly a different EDA function on the same frame) can reuse them.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulerError
-from repro.graph.cache import TaskCache, assign_cache_keys
+from repro.graph.cache import TaskCache
 from repro.graph.executor import (
     BundleOutcome,
     Executor,
@@ -60,7 +59,7 @@ class RunStats:
     more instance that every report is added to with ``+=``.
     """
 
-    planned: int = 0       # tasks in the (already optimized) graph
+    planned: int = 0       # tasks in the (merged) graph
     executed: int = 0      # tasks actually run
     cache_hits: int = 0    # tasks served straight from the cache
     skipped: int = 0       # ancestors never visited because a hit covered them
@@ -129,7 +128,6 @@ class CachePlan:
 
     results: Dict[str, Any] = field(default_factory=dict)
     needed: Set[str] = field(default_factory=set)
-    keys: Dict[str, Optional[str]] = field(default_factory=dict)
 
 
 class _ExecutionState:
@@ -160,7 +158,8 @@ class _ExecutionState:
         self.dependents = graph.dependents()
         prefilled = set(self.results)
         self.remaining = {
-            key: len(set(graph.dependencies(key)) - prefilled)
+            key: sum(dependency not in prefilled
+                     for dependency in graph.dependencies(key))
             for key in self.needed}
         #: Guards ``results`` mutation when worker threads read it concurrently.
         self.lock = threading.Lock()
@@ -193,7 +192,8 @@ class _ExecutionState:
         """
         if returned:
             self.results[key] = value
-            self.scheduler.store_result(self.plan, key, value)
+            if self.plan is not None and self.graph[key].cacheable:
+                self.scheduler.cache.put(key, value)
         run = self.scheduler.last_run      # set by plan_with_cache
         # Partition materializations are the projection pushdown's hot
         # path; count them per kind so the win is observable per run.
@@ -258,8 +258,8 @@ class Scheduler:
                         outputs: Sequence[str]) -> Optional[CachePlan]:
         """Consult the cache and decide which tasks still need to run.
 
-        Walks the graph top-down from *outputs*: a task whose stable cache
-        key hits is prefilled into the plan's results and its dependencies
+        Walks the graph top-down from *outputs*: a cacheable task whose key
+        hits is prefilled into the plan's results and its dependencies
         are not visited, so the whole subtree feeding only that task is
         skipped.  Returns None when no cache is attached (run everything);
         always records :attr:`last_run`.
@@ -268,7 +268,7 @@ class Scheduler:
         if self.cache is None:
             self.last_run = RunStats(planned=total, executed=total)
             return None
-        plan = CachePlan(keys=assign_cache_keys(graph))
+        plan = CachePlan()
         pending = list(outputs)
         seen: Set[str] = set()
         while pending:
@@ -276,9 +276,8 @@ class Scheduler:
             if key in seen:
                 continue
             seen.add(key)
-            cache_key = plan.keys.get(key)
-            if cache_key is not None:
-                hit, value = self.cache.lookup(cache_key)
+            if graph[key].cacheable:
+                hit, value = self.cache.lookup(key)
                 if hit:
                     plan.results[key] = value
                     continue
@@ -298,14 +297,6 @@ class Scheduler:
             chunks_reused=parse_total - parse_needed)
         return plan
 
-    def store_result(self, plan: Optional[CachePlan], key: str, value: Any) -> None:
-        """Store a freshly computed result under its stable cache key."""
-        if plan is None or self.cache is None:
-            return
-        cache_key = plan.keys.get(key)
-        if cache_key is not None:
-            self.cache.put(cache_key, value)
-
     # ------------------------------------------------------------------ #
     # Result lifetime (shared by all schedulers)
     # ------------------------------------------------------------------ #
@@ -318,7 +309,7 @@ class Scheduler:
         """
         counts: Dict[str, int] = {}
         for key in needed:
-            for dependency in set(graph.dependencies(key)):
+            for dependency in graph.dependencies(key):
                 counts[dependency] = counts.get(dependency, 0) + 1
         return counts
 
@@ -332,7 +323,7 @@ class Scheduler:
         consuming it have run, instead of living until the whole graph ends.
         Requested outputs are always kept.
         """
-        for dependency in set(graph.dependencies(finished)):
+        for dependency in graph.dependencies(finished):
             remaining = counts.get(dependency)
             if remaining is None:
                 continue
@@ -582,7 +573,7 @@ class ProcessScheduler(_PoolScheduler):
             if key not in state.needed or key in bundled:
                 continue
             task = graph[key]
-            if task.dependencies() or not can_run_in_worker(task):
+            if task.deps or not can_run_in_worker(task):
                 units[key] = WorkUnit(key, ship=False)
                 continue
             members: List[str] = []
@@ -592,7 +583,7 @@ class ProcessScheduler(_PoolScheduler):
                 key=state.position.get)
             for consumer in needed_consumers:
                 consumer_task = graph[consumer]
-                if set(consumer_task.dependencies()) == {key} and \
+                if consumer_task.deps == (key,) and \
                         can_run_in_worker(consumer_task):
                     members.append(consumer)
                     bundled.add(consumer)

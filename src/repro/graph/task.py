@@ -1,15 +1,40 @@
-"""Task representation and argument tokenization for the task graph."""
+"""Task representation: a task's key is the hash of what it computes.
+
+A task is a term ``func(*args, **kwargs)``; equal terms denote equal values,
+so the term's name is derived from the term.  :func:`tokenize` walks a call
+once and hashes the callable and every argument — literals by value,
+references to other tasks by *their* key (already such a hash, so the scheme
+is Merkle without a second pass), frames / columns / sources / arrays by
+content fingerprint.  Two consequences carry the whole graph layer:
+
+* merging graphs merges equal work — :meth:`TaskGraph.update
+  <repro.graph.graph.TaskGraph.update>` keeping the first task under a key
+  *is* common-subexpression elimination;
+* the key is stable across calls, processes and sessions, so it addresses
+  the cross-call cache (:mod:`repro.graph.cache`) directly.
+
+What cannot be named by content — a lambda or closure, a bound method of an
+object without a ``fingerprint()``, an argument of an unrecognised type — is
+named by ``id()``: still shared inside one graph (where the object is alive
+and the same), never cached across calls (``Task.cacheable`` is False, and
+so is every task depending on it).  An impure call gets a counter on top of
+its hash, so two occurrences never merge.
+"""
 
 from __future__ import annotations
 
+import enum
+import functools
 import hashlib
-import itertools
+import sys
+import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-_COUNTER = itertools.count()
+from repro.errors import GraphError
+from repro.frame.fingerprint import fingerprint_array
 
 
 @dataclass(frozen=True)
@@ -22,56 +47,41 @@ class TaskRef:
         return f"TaskRef({self.key!r})"
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
     """A single node in a :class:`~repro.graph.graph.TaskGraph`.
 
     Attributes
     ----------
     key:
-        Unique identifier of the task inside its graph.
+        Identifier of the task.  Tasks recorded by
+        :func:`~repro.graph.delayed.delayed` are keyed
+        ``"<prefix>-<hash of the call>"``; a task built by hand carries
+        whatever key its author chose.
     func:
         The python callable to run.
     args / kwargs:
         Call arguments.  Any :class:`TaskRef` instances are replaced by the
         referenced task's result before *func* is called.
-    token:
-        A structural fingerprint of ``(func, args, kwargs)``; two tasks with
-        the same token compute the same value and can be merged by the CSE
-        optimization pass.
-    token_customized:
-        True when the token was deliberately made non-structural (impure
-        calls).  Such tasks are excluded from the cross-call
-        cache without re-tokenizing their arguments to find out.
+    deps:
+        Keys of the tasks referenced by the arguments, each once, in
+        first-seen order.
+    cacheable:
+        True when the key is a pure content hash — the only tasks the
+        cross-call cache may store or serve.
     """
 
     key: str
     func: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    token: str = ""
-    token_customized: bool = False
+    deps: Optional[Tuple[str, ...]] = None
+    cacheable: bool = False
 
     def __post_init__(self) -> None:
-        if not self.token:
-            self.token = tokenize(self.func, self.args, self.kwargs)
-
-    def dependencies(self) -> List[str]:
-        """Keys of the tasks this task depends on."""
-        refs: List[str] = []
-        for value in self.args:
-            refs.extend(_collect_refs(value))
-        for value in self.kwargs.values():
-            refs.extend(_collect_refs(value))
-        return refs
-
-    def substitute(self, mapping: Dict[str, str]) -> "Task":
-        """Return a copy with dependency keys rewritten via *mapping*."""
-        new_args = tuple(_rewrite_refs(value, mapping) for value in self.args)
-        new_kwargs = {name: _rewrite_refs(value, mapping)
-                      for name, value in self.kwargs.items()}
-        return Task(self.key, self.func, new_args, new_kwargs, token=self.token,
-                    token_customized=self.token_customized)
+        if self.deps is None:
+            # A hand-keyed task: its references are still its edges.
+            self.deps = tokenize(self.func, self.args, self.kwargs)[1]
 
     def execute(self, results: Dict[str, Any]) -> Any:
         """Run the task, resolving TaskRef arguments from *results*."""
@@ -81,121 +91,150 @@ class Task:
 
     def __repr__(self) -> str:
         name = getattr(self.func, "__name__", repr(self.func))
-        return f"Task(key={self.key!r}, func={name}, deps={self.dependencies()})"
-
-
-def next_key(prefix: str) -> str:
-    """Generate a fresh task key with a readable prefix."""
-    return f"{prefix}-{next(_COUNTER)}"
+        return f"Task(key={self.key!r}, func={name}, deps={list(self.deps)})"
 
 
 #: Keyword arguments that configure *where* a task's bytes come from, never
 #: *what* it returns — currently only the parsed-chunk sidecar route
-#: (``sidecar=`` on CSV partition parses).  Both the CSE tokenizer and the
-#: cross-call cache key builder skip them, so toggling the disk cache (or
-#: pointing it at another directory) can never fragment CSE sharing or
-#: poison cache keys: a result computed without the sidecar legitimately
-#: serves a sidecar-enabled run and vice versa.
+#: (``sidecar=`` on CSV partition parses).  The tokenizer skips them, so
+#: toggling the disk cache (or pointing it at another directory) can never
+#: split a key: a result computed without the sidecar legitimately serves a
+#: sidecar-enabled run and vice versa.
 NON_SEMANTIC_KWARGS = frozenset({"sidecar"})
+
+_IMPORTABLE: Dict[Callable[..., Any], Optional[str]] = {}
+
+
+def importable_name(func: Callable[..., Any]) -> Optional[str]:
+    """``module.qualname`` when that path leads back to *func*, else None.
+
+    The one predicate for "this callable is the same thing in every
+    process": it names the callable in task keys and decides whether a task
+    pickles by reference (:func:`repro.graph.executor.can_run_in_worker`).
+    """
+    module_name = getattr(func, "__module__", None)
+    qualname = getattr(func, "__qualname__", "")
+    if not module_name or not qualname or "<" in qualname \
+            or isinstance(func, types.MethodType):
+        # Lambdas, closures and bound methods are per-call objects; besides
+        # not being importable, memoising them would pin them (and anything
+        # they capture) for the life of the process.  Module-level functions
+        # are process-permanent, so a strong reference costs nothing.
+        return None
+    if func not in _IMPORTABLE:
+        target: Any = sys.modules.get(module_name)
+        for part in qualname.split("."):
+            target = getattr(target, part, None)
+        _IMPORTABLE[func] = f"{module_name}.{qualname}" if target is func else None
+    return _IMPORTABLE[func]
 
 
 def tokenize(func: Callable[..., Any], args: Tuple[Any, ...],
-             kwargs: Dict[str, Any]) -> str:
-    """Structural fingerprint of a call, used for CSE.
+             kwargs: Dict[str, Any],
+             lazy: Optional[Callable[[Any], Optional[Task]]] = None
+             ) -> Tuple[str, Tuple[str, ...], bool, Tuple[Any, ...], Dict[str, Any]]:
+    """Walk a call once: ``(token, dependency keys, stable, args, kwargs)``.
 
-    Literal arguments are fingerprinted by value for cheap scalar types and by
-    object identity for containers and arrays (two tasks that operate on the
-    *same* in-memory frame/array share a fingerprint, which is exactly the
-    sharing opportunity inside one EDA call).  TaskRef arguments are
-    fingerprinted by the referenced key.  :data:`NON_SEMANTIC_KWARGS` are
-    excluded — they do not change the task's value.
+    *token* is a 128-bit content hash of the callable and the arguments
+    (:data:`NON_SEMANTIC_KWARGS` excluded).  *stable* is False when any part
+    had to be named by ``id()``, or a dependency was itself not cacheable.
+    The returned *args* / *kwargs* are the call's with every lazy value —
+    whatever the *lazy* hook returns a task for — replaced by a
+    :class:`TaskRef` to that task.
+
+    This walker is the one home of the container rules: lists, tuples and
+    dict values are walked in order, sets order-independently; a reference
+    where it could not be substituted at execution time (inside a set, or
+    among the bound arguments of a partial or method) is a
+    :class:`~repro.errors.GraphError`, not a silently unevaluated argument.
     """
-    hasher = hashlib.sha1()
-    hasher.update(_callable_name(func).encode())
-    for value in args:
-        hasher.update(_token_of(value).encode())
+    parts: List[str] = []
+    deps: Dict[str, None] = {}
+    stable = True
+    opaque = 0          # > 0 while inside a set or a callable's bound state
+
+    def depend(key: str) -> TaskRef:
+        if opaque:
+            raise GraphError(
+                f"{getattr(func, '__name__', func)}(...): a lazy value "
+                f"inside a set or a callable's bound arguments cannot become "
+                f"a dependency; pass it in a list, tuple or dict")
+        deps[key] = None
+        parts.append(f"ref:{key}")
+        return TaskRef(key)
+
+    def visit(value: Any) -> Any:
+        nonlocal stable, opaque
+        if value is None or isinstance(value, (bool, int, float, str)):
+            parts.append(f"{type(value).__name__}:{value!r}")
+            return value
+        if isinstance(value, TaskRef):
+            return depend(value.key)
+        if isinstance(value, (list, tuple)):
+            parts.append(f"{type(value).__name__}(")
+            items = [visit(item) for item in value]
+            parts.append(")")
+            return tuple(items) if isinstance(value, tuple) else items
+        if isinstance(value, dict):
+            parts.append("dict(")
+            items = {}
+            for name, item in sorted(value.items(), key=lambda kv: repr(kv[0])):
+                parts.append(f"{name!r}=")
+                items[name] = visit(item)
+            parts.append(")")
+            return items
+        if isinstance(value, (set, frozenset)):
+            opaque += 1
+            tokens = []
+            for item in value:
+                mark = len(parts)
+                visit(item)
+                tokens.append("\x01".join(parts[mark:]))
+                del parts[mark:]
+            opaque -= 1
+            parts.append(f"{type(value).__name__}({','.join(sorted(tokens))})")
+            return value
+        task = lazy(value) if lazy is not None else None
+        if task is not None:
+            stable = stable and task.cacheable
+            return depend(task.key)
+        if isinstance(value, enum.Enum):
+            kind = type(value)
+            parts.append(f"enum:{kind.__module__}.{kind.__qualname__}.{value.name}")
+        elif isinstance(value, np.ndarray):
+            parts.append(f"nd:{fingerprint_array(value)}")
+        elif callable(getattr(value, "fingerprint", None)):
+            parts.append(f"fp:{type(value).__name__}:{value.fingerprint()}")
+        else:
+            parts.append(f"id:{type(value).__name__}:{id(value)}")
+            stable = False
+        return value
+
+    def visit_callable(target: Callable[..., Any]) -> None:
+        nonlocal stable, opaque
+        if isinstance(target, functools.partial):
+            inner, bound = target.func, (target.args, target.keywords)
+        elif isinstance(target, types.MethodType):
+            inner, bound = target.__func__, target.__self__
+        else:
+            name = importable_name(target)
+            stable = stable and name is not None
+            parts.append(name or f"id:{id(target)}")
+            return
+        visit_callable(inner)
+        opaque += 1
+        visit(bound)
+        opaque -= 1
+
+    visit_callable(func)
+    new_args = tuple(visit(value) for value in args)
+    new_kwargs = dict(kwargs)
     for name in sorted(kwargs):
-        if name in NON_SEMANTIC_KWARGS:
-            continue
-        hasher.update(name.encode())
-        hasher.update(_token_of(kwargs[name]).encode())
-    return hasher.hexdigest()[:16]
-
-
-def _callable_name(func: Callable[..., Any]) -> str:
-    module = getattr(func, "__module__", "")
-    qualname = getattr(func, "__qualname__", getattr(func, "__name__", repr(func)))
-    if "<lambda>" in qualname or "<locals>" in qualname:
-        # Lambdas/closures are not structurally comparable; identity keeps
-        # them distinct so CSE never merges two different closures.
-        return f"{module}.{qualname}@{id(func)}"
-    return f"{module}.{qualname}"
-
-
-def walk_token(value: Any, ref: Callable[["TaskRef"], Any],
-               leaf: Callable[[Any], Any]) -> Any:
-    """Shared container recursion behind structural tokens.
-
-    Handles TaskRefs (via *ref*), scalar literals and the standard argument
-    containers; anything else is delegated to *leaf*.  Both the CSE
-    tokenizer and the cross-call cache key builder use this walker, so a
-    newly supported container type can never make the two disagree.  A
-    handler returning None marks the value untokenizable and the None
-    propagates outward (used by the cache; the CSE handlers never do).
-    """
-    if isinstance(value, TaskRef):
-        return ref(value)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return f"lit:{type(value).__name__}:{value!r}"
-    if isinstance(value, (tuple, list)):
-        inner = [walk_token(item, ref, leaf) for item in value]
-        if any(token is None for token in inner):
-            return None
-        return f"{type(value).__name__}:({','.join(inner)})"
-    if isinstance(value, frozenset):
-        inner = [walk_token(item, ref, leaf) for item in value]
-        if any(token is None for token in inner):
-            return None
-        return f"frozenset:({','.join(sorted(inner))})"
-    if isinstance(value, dict):
-        parts = []
-        for name, item in sorted(value.items(), key=lambda kv: repr(kv[0])):
-            token = walk_token(item, ref, leaf)
-            if token is None:
-                return None
-            parts.append(f"{name!r}={token}")
-        return f"dict:({','.join(parts)})"
-    return leaf(value)
-
-
-def _cse_ref(value: TaskRef) -> str:
-    return f"ref:{value.key}"
-
-
-def _cse_leaf(value: Any) -> str:
-    if isinstance(value, np.ndarray):
-        return f"ndarray:{id(value)}"
-    return f"obj:{type(value).__name__}:{id(value)}"
-
-
-def _token_of(value: Any) -> str:
-    return walk_token(value, _cse_ref, _cse_leaf)
-
-
-def _collect_refs(value: Any) -> List[str]:
-    if isinstance(value, TaskRef):
-        return [value.key]
-    if isinstance(value, (list, tuple)):
-        refs: List[str] = []
-        for item in value:
-            refs.extend(_collect_refs(item))
-        return refs
-    if isinstance(value, dict):
-        refs = []
-        for item in value.values():
-            refs.extend(_collect_refs(item))
-        return refs
-    return []
+        if name not in NON_SEMANTIC_KWARGS:
+            parts.append(f"{name}=")
+            new_kwargs[name] = visit(kwargs[name])
+    token = hashlib.blake2b("\x00".join(parts).encode(), digest_size=16).hexdigest()
+    return token, tuple(deps), stable, new_args, new_kwargs
 
 
 def _resolve(value: Any, results: Dict[str, Any]) -> Any:
@@ -207,16 +246,4 @@ def _resolve(value: Any, results: Dict[str, Any]) -> Any:
         return tuple(_resolve(item, results) for item in value)
     if isinstance(value, dict):
         return {name: _resolve(item, results) for name, item in value.items()}
-    return value
-
-
-def _rewrite_refs(value: Any, mapping: Dict[str, str]) -> Any:
-    if isinstance(value, TaskRef):
-        return TaskRef(mapping.get(value.key, value.key))
-    if isinstance(value, list):
-        return [_rewrite_refs(item, mapping) for item in value]
-    if isinstance(value, tuple):
-        return tuple(_rewrite_refs(item, mapping) for item in value)
-    if isinstance(value, dict):
-        return {name: _rewrite_refs(item, mapping) for name, item in value.items()}
     return value

@@ -10,6 +10,7 @@ presentation concerns.
 
 from __future__ import annotations
 
+import html
 from typing import Any, Dict, List, Optional
 
 from repro.eda.config import Config
@@ -284,7 +285,8 @@ def _render_variables(variables: Dict[str, Dict[str, Any]], config: Config,
     parts: List[str] = []
     small_width, small_height = max(width // 2, 320), max(height // 2, 220)
     for column, entry in variables.items():
-        parts.append(f"<h4>{column} <small>({entry.get('type')})</small></h4>")
+        parts.append(f"<h4>{html.escape(str(column))} "
+                     f"<small>({entry.get('type')})</small></h4>")
         parts.append(charts.render_stats_table(entry.get("stats", {}), small_width,
                                                small_height, title=""))
         if "histogram" in entry:

@@ -288,7 +288,7 @@ def render_pie_chart(data: Dict[str, Any], width: int, height: int,
             f'<path d="M {center_x:.2f} {center_y:.2f} L {x1:.2f} {y1:.2f} '
             f'A {radius:.2f} {radius:.2f} 0 {large_arc} 1 {x2:.2f} {y2:.2f} Z" '
             f'fill="{color_for(index)}" fill-opacity="0.9">'
-            f'<title>{label}: {count} ({fraction:.1%})</title></path>')
+            f'<title>{_escape(label)}: {count} ({fraction:.1%})</title></path>')
         angle = end
     _legend(canvas, [f"{label} ({count / total:.0%})"
                      for label, count in zip(labels, counts)], width)

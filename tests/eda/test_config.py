@@ -246,10 +246,30 @@ class TestKeyDeclarations:
         for key, default in DEFAULTS.items():
             assert _validate(key, default) == default
 
-    def test_removed_fusion_key_is_unknown(self):
-        assert "compute.enable_fusion" not in DEFAULTS
+    @pytest.mark.parametrize("key", [
+        "compute.enable_fusion", "compute.enable_cse",
+        "insight.outlier.iqr_multiplier", "report.sample_rows"])
+    def test_removed_keys_are_unknown(self, key):
+        assert key not in DEFAULTS
         with pytest.raises(ConfigError, match="unknown config key"):
-            Config.from_user({"compute.enable_fusion": False})
+            Config.from_user({key: False})
+
+    def test_every_key_is_read_somewhere(self):
+        """A key nothing reads is an option nobody can be using: the guard
+        that found ``insight.outlier.iqr_multiplier`` and
+        ``report.sample_rows``."""
+        import pathlib
+
+        import repro
+        from repro.eda.config import _KEYS
+        package = pathlib.Path(repro.__file__).parent
+        readers = "".join(path.read_text(encoding="utf-8")
+                          for path in sorted(package.rglob("*.py"))
+                          if path.name != "config.py")
+        unread = [key for key in _KEYS
+                  if f'"{key}"' not in readers and f"'{key}'" not in readers]
+        assert unread == []
+        assert len(_KEYS) == 68
 
 
 class TestConfigHygiene:

@@ -10,12 +10,11 @@ from repro.graph import (
     SynchronousScheduler,
     TaskCache,
     ThreadedScheduler,
-    assign_cache_keys,
+    compute,
     delayed,
 )
 from repro.graph.cache import estimate_size
 from repro.graph.delayed import merge_graphs
-from repro.graph.optimize import optimize
 
 
 def _double(value):
@@ -31,32 +30,25 @@ def _total(frame: DataFrame, column: str) -> float:
     return float(values.sum())
 
 
-def _optimized_graph(*values):
-    graph, keys = merge_graphs(list(values))
-    optimized, output_map, _ = optimize(graph, keys)
-    return optimized, [output_map[key] for key in keys]
+def _task(value):
+    return value.graph[value.key]
 
 
 class TestCacheKeys:
+    """The cache is addressed by task keys: equal work, equal key, across builds."""
+
     def test_same_structure_same_keys_across_builds(self):
         first = delayed(_add)(delayed(_double)(21), 1)
         second = delayed(_add)(delayed(_double)(21), 1)
-        keys_first = assign_cache_keys(first.graph)
-        keys_second = assign_cache_keys(second.graph)
-        # Graph keys are counter-based and differ; cache keys must not.
-        assert set(keys_first.values()) == set(keys_second.values())
-        assert keys_first[first.key] == keys_second[second.key]
+        assert set(first.graph.keys()) == set(second.graph.keys())
+        assert first.key == second.key
 
     def test_different_arguments_different_keys(self):
-        first = delayed(_double)(21)
-        second = delayed(_double)(22)
-        assert assign_cache_keys(first.graph)[first.key] != \
-            assign_cache_keys(second.graph)[second.key]
+        assert delayed(_double)(21).key != delayed(_double)(22).key
 
     def test_frame_arguments_keyed_by_content(self):
         def key_of(frame):
-            value = delayed(_total)(frame, "x")
-            return assign_cache_keys(value.graph)[value.key]
+            return delayed(_total)(frame, "x").key
 
         assert key_of(DataFrame({"x": [1.0, 2.0, 3.0]})) == \
             key_of(DataFrame({"x": [1.0, 2.0, 3.0]}))
@@ -67,20 +59,24 @@ class TestCacheKeys:
         def closure(value):
             return value
 
-        lazy_closure = delayed(closure)(1)
-        assert assign_cache_keys(lazy_closure.graph)[lazy_closure.key] is None
-
-        impure = delayed(_double, pure=False)(21)
-        assert assign_cache_keys(impure.graph)[impure.key] is None
+        assert _task(delayed(_double)(21)).cacheable
+        assert not _task(delayed(closure)(1)).cacheable
+        assert not _task(delayed(_double, pure=False)(21)).cacheable
 
     def test_uncacheable_dependency_propagates(self):
         impure = delayed(_double, pure=False)(21)
-        consumer = impure.then(_add, 1)
-        keys = assign_cache_keys(consumer.graph)
-        assert keys[consumer.key] is None
+        assert not _task(impure.then(_add, 1)).cacheable
+
+    def test_only_cacheable_tasks_reach_the_store(self):
+        cache = TaskCache()
+        scheduler = SynchronousScheduler(cache=cache)
+        stable = delayed(_double)(21)
+        unstable = delayed(lambda value: value + 1)(stable)
+        assert compute(unstable, scheduler=scheduler) == [43]
+        assert cache.keys() == [stable.key]
+        assert cache.stats.misses == 1      # the lambda task was never looked up
 
     def test_csv_partition_keys_change_when_file_is_overwritten(self, tmp_path):
-        import os
         import time as time_module
 
         from repro.frame.io import scan_csv
@@ -93,10 +89,11 @@ class TestCacheKeys:
             partitioned = PartitionedFrame.from_source(
                 scan_csv(str(csv_path), chunk_rows=100))
             part = partitioned.partitions[0]
-            return assign_cache_keys(part.graph)[part.key]
+            assert _task(part).cacheable
+            return part.key
 
         first = partition_key(path)
-        assert first is not None
+        assert partition_key(path) == first
         # Same-length overwrite: identical byte boundaries, different content.
         time_module.sleep(0.01)  # ensure a new mtime
         path.write_text("x\n" + "\n".join(str(9 - i if i < 10 else i)
@@ -186,13 +183,13 @@ class TestSchedulerCacheIntegration:
         scheduler = scheduler_factory(cache=cache)
 
         cold = delayed(_add)(delayed(_double)(21), 1)
-        graph, outputs = _optimized_graph(cold)
+        graph, outputs = merge_graphs([cold])
         assert scheduler.execute(graph, outputs) == {outputs[0]: 43}
         assert scheduler.last_run.executed == 2
         assert scheduler.last_run.cache_hits == 0
 
         warm = delayed(_add)(delayed(_double)(21), 1)  # rebuilt from scratch
-        graph, outputs = _optimized_graph(warm)
+        graph, outputs = merge_graphs([warm])
         assert scheduler.execute(graph, outputs) == {outputs[0]: 43}
         assert scheduler.last_run.executed == 0
         assert scheduler.last_run.cache_hits == 1
@@ -203,11 +200,11 @@ class TestSchedulerCacheIntegration:
         scheduler = scheduler_factory(cache=cache)
 
         shared = delayed(_double)(21)
-        graph, outputs = _optimized_graph(shared)
+        graph, outputs = merge_graphs([shared])
         scheduler.execute(graph, outputs)
 
         extended = delayed(_add)(delayed(_double)(21), 8)
-        graph, outputs = _optimized_graph(extended)
+        graph, outputs = merge_graphs([extended])
         assert scheduler.execute(graph, outputs)[outputs[0]] == 50
         assert scheduler.last_run.cache_hits == 1   # the shared _double node
         assert scheduler.last_run.executed == 1     # only the new _add node
@@ -215,7 +212,7 @@ class TestSchedulerCacheIntegration:
     def test_without_cache_everything_runs(self, scheduler_factory):
         scheduler = scheduler_factory()
         value = delayed(_add)(delayed(_double)(21), 1)
-        graph, outputs = _optimized_graph(value)
+        graph, outputs = merge_graphs([value])
         scheduler.execute(graph, outputs)
         scheduler.execute(graph, outputs)
         assert scheduler.last_run.executed == 2
@@ -232,6 +229,6 @@ class TestSchedulerCacheIntegration:
         scheduler = scheduler_factory(cache=cache)
         for _ in range(2):
             value = delayed(impure_payload, pure=False)(7)
-            graph, outputs = _optimized_graph(value)
+            graph, outputs = merge_graphs([value])
             scheduler.execute(graph, outputs)
         assert calls["count"] == 2

@@ -59,12 +59,6 @@ class TestEngines:
         assert report.graphs_built == len(values)
         assert report.shared_tasks == 0
 
-    def test_lazy_engine_without_cse_still_correct(self):
-        values, counter = build_workload()
-        engine = LazyEngine(enable_cse=False)
-        assert engine.compute(values) == [42, 84, 42]
-        assert counter["calls"] == 2  # the two independently-built calls run twice
-
 
 class TestClusterCostModel:
     def test_more_workers_is_never_slower(self):

@@ -1,77 +1,79 @@
-"""Tests for the graph optimization passes."""
+"""Graph union is the optimization: equal tasks share a key, unions are culled."""
 
 import operator
 
-from repro.graph import TaskGraph, Task, TaskRef, cull, common_subexpression_elimination, optimize
+from repro.graph import LazyEngine, TaskGraph, compute, delayed
+from repro.graph.delayed import merge_graphs
 from repro.graph.scheduler import SynchronousScheduler
 
 
-def make_task(key, func, *args):
-    return Task(key, func, args, {})
-
-
 def build_diamond():
-    """base -> (left, right) -> top, plus an unused orphan task."""
-    graph = TaskGraph()
-    graph.add(make_task("base", int, 3))
-    graph.add(make_task("left", operator.add, TaskRef("base"), 1))
-    graph.add(make_task("right", operator.add, TaskRef("base"), 1))
-    graph.add(make_task("top", operator.mul, TaskRef("left"), TaskRef("right")))
-    graph.add(make_task("orphan", int, 99))
-    return graph
+    """base -> (left, right) -> top, where left and right are the same call."""
+    base = delayed(int)(3)
+    left = delayed(operator.add)(base, 1)
+    right = delayed(operator.add)(base, 1)
+    top = delayed(operator.mul)(left, right)
+    orphan = delayed(int)(99)
+    return top, orphan
 
 
 class TestCull:
-    def test_cull_removes_unreachable_tasks(self):
-        graph = build_diamond()
-        culled, stats = cull(graph, ["top"])
-        assert "orphan" not in culled
-        assert stats.culled == 1
-        assert len(culled) == 4
+    def test_a_value_s_graph_is_its_ancestor_closure(self):
+        top, orphan = build_diamond()
+        assert orphan.key not in top.graph
+        assert top.graph.ancestors([top.key]) == set(top.graph)
 
-    def test_cull_keeps_everything_needed(self):
-        culled, _ = cull(build_diamond(), ["top", "orphan"])
-        assert len(culled) == 5
+    def test_union_holds_exactly_what_is_requested(self):
+        top, orphan = build_diamond()
+        merged, keys = merge_graphs([top])
+        assert merged.ancestors(keys) == set(merged) and orphan.key not in merged
+        merged, keys = merge_graphs([top, orphan])
+        assert merged.ancestors(keys) == set(merged) and len(merged) == 4
 
 
-class TestCSE:
+class TestSharing:
     def test_identical_tasks_are_merged(self):
-        graph = build_diamond()
-        merged, output_map, stats = common_subexpression_elimination(graph, ["top"])
+        top, _ = build_diamond()
         # left and right compute the same value and collapse into one task.
-        assert stats.merged_by_cse == 1
-        assert len(merged) == 4
+        assert len(top.graph) == 3
+        assert top.graph.shared == 1
 
     def test_merged_graph_produces_same_result(self):
-        graph = build_diamond()
-        merged, output_map, _ = common_subexpression_elimination(graph, ["top"])
-        result = SynchronousScheduler().execute(merged, [output_map["top"]])
-        assert result[output_map["top"]] == 16
+        top, _ = build_diamond()
+        result = SynchronousScheduler().execute(top.graph, [top.key])
+        assert result[top.key] == 16
 
     def test_transitive_merging(self):
-        graph = TaskGraph()
-        graph.add(make_task("a1", int, 5))
-        graph.add(make_task("a2", int, 5))
-        graph.add(make_task("b1", operator.add, TaskRef("a1"), 1))
-        graph.add(make_task("b2", operator.add, TaskRef("a2"), 1))
-        merged, _, stats = common_subexpression_elimination(graph, ["b1", "b2"])
-        assert stats.merged_by_cse == 2
+        def chain():
+            return delayed(operator.add)(delayed(int)(5), 1)
+        first, second = chain(), chain()
+        merged, keys = merge_graphs([first, second])
+        assert keys[0] == keys[1]
         assert len(merged) == 2
+        assert merged.shared == 2
+
+    def test_sharing_is_counted_once_however_the_union_is_reached(self):
+        top, _ = build_diamond()
+        again, _ = build_diamond()
+        merged, _ = merge_graphs([top, again, top])
+        # 8 tasks were built (two diamonds of four), 3 distinct ones remain.
+        assert (len(merged), merged.shared) == (3, 5)
+        graph = TaskGraph()
+        graph.update(merged)
+        graph.update(top.graph)
+        assert (len(graph), graph.shared) == (3, 5)
 
 
-class TestOptimizePipeline:
-    def test_full_pipeline_correctness(self):
-        graph = build_diamond()
-        optimized, output_map, stats = optimize(graph, ["top"], enable_cse=True)
-        key = output_map["top"]
-        result = SynchronousScheduler().execute(optimized, [key])
-        assert result[key] == 16
-        assert stats.culled == 1
-        assert stats.merged_by_cse == 1
+class TestPipeline:
+    def test_compute_runs_the_union(self):
+        top, orphan = build_diamond()
+        assert compute(top, orphan) == [16, 99]
 
-    def test_pipeline_with_optimizations_disabled(self):
-        graph = build_diamond()
-        optimized, output_map, stats = optimize(graph, ["top"], enable_cse=False)
-        assert stats.merged_by_cse == 0
-        result = SynchronousScheduler().execute(optimized, [output_map["top"]])
-        assert result[output_map["top"]] == 16
+    def test_report_carries_the_merge_s_two_integers(self):
+        top, orphan = build_diamond()
+        results, report = LazyEngine(scheduler="synchronous").compute_with_report(
+            [top, orphan])
+        assert results == [16, 99]
+        assert report.tasks_before_optimization == 5
+        assert report.shared_tasks == 1
+        assert report.planned == report.executed == 4

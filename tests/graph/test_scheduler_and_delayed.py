@@ -17,6 +17,7 @@ from repro.graph import (
     delayed,
     get_scheduler,
 )
+from repro.graph.delayed import merge_graphs
 
 
 def failing(_value):
@@ -135,12 +136,13 @@ class TestDelayed:
         results = compute("plain", lazy, 7)
         assert results == ["plain", 3, 7]
 
-    def test_compute_return_stats(self):
+    def test_merging_counts_the_shared_task(self):
         lazy_a = delayed(operator.add)(1, 2)
         lazy_b = delayed(operator.add)(1, 2)
-        results, stats = compute(lazy_a, lazy_b, return_stats=True)
-        assert results == [3, 3]
-        assert stats.merged_by_cse == 1
+        assert lazy_a.key == lazy_b.key
+        merged, _ = merge_graphs([lazy_a, lazy_b])
+        assert (len(merged), merged.shared) == (1, 1)
+        assert compute(lazy_a, lazy_b) == [3, 3]
 
     def test_delayed_arguments_inside_containers(self):
         lazy_values = [delayed(int)(index) for index in range(5)]

@@ -121,6 +121,61 @@ class TestNonFiniteCells:
             {"x": [float("inf")], "y": [1.0]}, 450, 300)
 
 
+HOSTILE_NUM, HOSTILE_NUM_2 = "x</svg><script>alert(1)</script>", 'n"&<i>'
+HOSTILE_CAT = "c<at>&"
+HOSTILE_LABELS = ["u<v", "<b>bold</b>", "a&b", "</title><script>"]
+
+
+@pytest.fixture(scope="module")
+def hostile_frame() -> DataFrame:
+    """Markup in column names and in category labels, as a CSV may carry."""
+    rng = np.random.default_rng(5)
+    rows = 240
+    x = rng.normal(0, 1, rows)
+    y = x + rng.normal(0, 1, rows)
+    y[::17] = np.nan
+    return DataFrame({HOSTILE_NUM: x, HOSTILE_NUM_2: y,
+                      HOSTILE_CAT: list(rng.choice(HOSTILE_LABELS, rows))})
+
+
+HOSTILE_CALLS = {
+    "plot(df)": plot,
+    "plot(df, num)": lambda df: plot(df, HOSTILE_NUM),
+    "plot(df, cat)": lambda df: plot(df, HOSTILE_CAT),
+    "plot(df, num, num)": lambda df: plot(df, HOSTILE_NUM, HOSTILE_NUM_2),
+    "plot(df, cat, num)": lambda df: plot(df, HOSTILE_CAT, HOSTILE_NUM),
+    "plot_correlation(df)": plot_correlation,
+    "plot_correlation(df, num)": lambda df: plot_correlation(df, HOSTILE_NUM),
+    "plot_missing(df)": plot_missing,
+    "plot_missing(df, num)": lambda df: plot_missing(df, HOSTILE_NUM_2),
+    "plot_missing(df, num, cat)":
+        lambda df: plot_missing(df, HOSTILE_NUM_2, HOSTILE_CAT),
+    "create_report(df)": create_report,
+}
+
+
+class TestHostileNames:
+    """A column name or a label is data: it reaches the page as text only."""
+
+    @pytest.mark.parametrize("call", list(HOSTILE_CALLS))
+    def test_names_and_labels_never_become_markup(self, hostile_frame, call):
+        html = HOSTILE_CALLS[call](hostile_frame).to_html()
+        svgs = re.findall(r"<svg.*?</svg>", html, flags=re.DOTALL)
+        assert svgs
+        for svg in svgs:
+            ElementTree.fromstring(svg)         # raises on stray markup
+        assert "<script" not in html
+        for text in [HOSTILE_NUM, HOSTILE_NUM_2, HOSTILE_CAT, *HOSTILE_LABELS]:
+            assert text not in html, text
+        assert "&lt;" in html                   # ...they are there, escaped
+
+    def test_saved_report_is_escaped_too(self, hostile_frame, tmp_path):
+        path = tmp_path / "report.html"
+        create_report(hostile_frame).save(str(path))
+        page = path.read_text(encoding="utf-8")
+        assert "<script" not in page and HOSTILE_NUM not in page
+
+
 class TestReport:
     def test_report_sections(self, house_frame):
         report = create_report(house_frame)
