@@ -31,6 +31,7 @@ from repro.graph import Delayed, PartitionedFrame
 from repro.graph.engines import EagerEngine, Engine, LazyEngine
 from repro.stats.descriptive import NumericSummary
 from repro.stats.histogram import Histogram, compute_histogram
+from repro.stats.sketches import merge_all
 
 #: Engine name -> measured seconds (filled as the benchmarks run).
 _RESULTS: Dict[str, float] = {}
@@ -56,7 +57,7 @@ def _chunk_summary(partition, column: str) -> NumericSummary:
 
 
 def _combine_summaries(parts: List[NumericSummary]) -> NumericSummary:
-    return NumericSummary.merge_all(parts)
+    return merge_all(parts)
 
 
 def _chunk_histogram(partition, column: str) -> Histogram:
@@ -65,7 +66,7 @@ def _chunk_histogram(partition, column: str) -> Histogram:
 
 
 def _combine_histograms(parts: List[Histogram]) -> Histogram:
-    return Histogram.merge_all(parts)
+    return merge_all(parts)
 
 
 def _plot_df_workload(partitioned: PartitionedFrame) -> List[Delayed]:

@@ -85,14 +85,3 @@ def detect_frame_types(frame, sample_rows: int = 10_000,
             preview.column(name),
             low_cardinality_threshold=low_cardinality_threshold)
     return types
-
-
-def is_numerical(column: Column, **kwargs) -> bool:
-    """Shorthand: does the column map to N in the Figure 2 rules?"""
-    return detect_semantic_type(column, **kwargs) is SemanticType.NUMERICAL
-
-
-def is_categorical(column: Column, **kwargs) -> bool:
-    """Shorthand: does the column map to C in the Figure 2 rules?"""
-    return detect_semantic_type(column, **kwargs) in (SemanticType.CATEGORICAL,
-                                                      SemanticType.CONSTANT)

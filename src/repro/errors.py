@@ -78,10 +78,6 @@ class EDAError(ReproError):
     """Errors raised by the task-centric EDA layer (``repro.eda``)."""
 
 
-class RenderError(ReproError):
-    """Errors raised while rendering intermediates into charts or HTML."""
-
-
 class DatasetError(ReproError):
     """Errors raised by the synthetic dataset generators."""
 

@@ -800,7 +800,8 @@ class CsvSource:
             (self.path, byte_start, byte_stop, tuple(self._columns),
              self._dtypes, self._chunk_stamps[index], self.delimiter,
              stop - start),
-            prefix="read_csv_partition")
+            prefix="read_csv_partition", path=self.path,
+            byte_span=byte_stop - byte_start)
 
     def partitions(self, offset: int = 0) -> List[SourcePartition]:
         return [self._partition(index, offset)

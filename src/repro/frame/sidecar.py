@@ -70,9 +70,9 @@ class SidecarRoute(NamedTuple):
     """Where one scan's chunk sidecars live and how large they may grow.
 
     A ``NamedTuple`` rather than a dataclass on purpose: the route travels
-    as a task keyword argument into worker processes, and the executor's
-    payload gate (:func:`repro.graph.executor.can_run_in_worker`) admits
-    tuples of plain scalars — a custom class would silently pin every
+    as a task keyword argument into worker processes, and the payload gate
+    (``Task.shippable``, :func:`repro.graph.task.tokenize`) admits tuples
+    of plain scalars — a custom class would silently pin every
     parse task to the coordinator.
     """
 

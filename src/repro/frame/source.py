@@ -43,7 +43,13 @@ processes for unchanged data — it feeds cross-call cache keys), and
 ``func``/``args`` lazily materialize each chunk.  ``func`` must be a
 module-level function and every argument fingerprintable (paths, numbers,
 tuples, dtype enums), otherwise the partition tasks are excluded from the
-cross-call cache.  Declare ``capabilities.exact=False`` unless the whole
+cross-call cache.  A partition's task declares what it is when it is built
+(:meth:`SourcePartition.task_spec`), so every run counter —
+``full_parses`` / ``projected_parses``, ``chunks_new`` / ``chunks_reused``
+— is right for any source by default; ``prefix`` is only the label its
+task keys start with, and the optional ``path`` / ``byte_span`` fields add
+``bytes_reparsed`` and per-file worker affinity for sources that read
+files.  Declare ``capabilities.exact=False`` unless the whole
 dataset may safely coexist in memory.  Declare
 ``capabilities.projection=True`` only when the partition ``func`` accepts a
 ``columns=`` keyword naming a column subset and materializes just those
@@ -80,9 +86,10 @@ from repro.frame.dtypes import DType
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.predicate import ColumnExpr, Predicate, apply_predicate_spec
 from repro.frame.sidecar import SidecarRoute
-from repro.utils import filtered_prefix, projected_prefix
 
-#: Default number of rows per in-memory partition (mirrors the graph layer).
+#: Default number of rows per in-memory partition; chosen so per-partition
+#: numpy work dominates python/scheduler overhead for datasets in the
+#: paper's size range.
 DEFAULT_PARTITION_ROWS = 100_000
 
 
@@ -188,6 +195,10 @@ class SourcePartition:
     ``func(*args)`` materializes the chunk as a :class:`DataFrame`; the
     graph layer wraps it in a task, so *func* must be module-level and
     *args* fingerprintable for the partition to be cacheable across calls.
+    ``prefix`` labels the task's key for whoever reads it; nothing parses
+    it.  A partition that reads a file names it in ``path`` (its tasks then
+    prefer the remote worker that served the file before) and says how many
+    bytes of it a materialization reads in ``byte_span``.
     """
 
     start: int
@@ -195,6 +206,8 @@ class SourcePartition:
     func: Callable[..., DataFrame]
     args: Tuple[Any, ...]
     prefix: str = "partition"
+    path: Optional[str] = None
+    byte_span: int = 0
 
     @property
     def n_rows(self) -> int:
@@ -205,50 +218,59 @@ class SourcePartition:
                   predicate: Optional[Sequence[Tuple[str, str, Any]]] = None,
                   sidecar: Optional[Sequence[Any]] = None
                   ) -> Tuple[Callable[..., DataFrame], Tuple[Any, ...],
-                             Dict[str, Any], str]:
-        """``(func, args, kwargs, key prefix)`` of this partition's task.
+                             Dict[str, Any], Dict[str, Any]]:
+        """``(func, args, kwargs, declared)`` of this partition's task.
 
         This only builds the call; whether the source supports a pushdown
         is its declared :class:`SourceCapabilities`, checked where the
         partition set is planned (see :data:`PUSHDOWN_KEYWORDS`).
 
+        *declared* holds the keywords of
+        :func:`~repro.graph.delayed.delayed` that say what the task is —
+        this is the one place that knows: the ``counts`` one execution adds
+        to the run's :class:`~repro.graph.scheduler.RunStats` (a projected
+        or a full parse, one new chunk, ``byte_span`` bytes read), the
+        ``affinity`` (``path``) and the key ``prefix``.
+
         With *columns* the task materializes only that column subset:
         the projection travels as an explicit ``columns=`` keyword (so
-        task keys incorporate it) and the key prefix gains
-        the projected marker (so run statistics can count projected vs.
-        full parses).
+        task keys incorporate it), the task counts as a projected parse
+        and the prefix reads ``.proj``.
 
         With *predicate* (a :meth:`~repro.frame.predicate.Predicate.spec`
         tuple) the task additionally filters the partition's rows.  The
         predicate travels as an explicit ``predicate=`` keyword of plain
         nested tuples — the graph layer tokenizes those structurally, so
         filtered tasks get their own task keys, and the payload stays
-        picklable for process-pool shipping — and the key prefix gains the
-        filtered marker.
+        picklable for process-pool shipping — and the prefix reads
+        ``.filt``.
 
         With *sidecar* (a :class:`~repro.frame.sidecar.SidecarRoute`
         tuple) the task consults and maintains the parsed-chunk binary
         cache.  Unlike projection and predicate, the route is
         *non-semantic* — it changes where the bytes come from, never what
-        the task returns — so the prefix stays unchanged and the graph
-        layer excludes the keyword from task keys: a cached result from a sidecar-less run serves a
+        the task returns — so the graph layer excludes the keyword from
+        task keys: a cached result from a sidecar-less run serves a
         sidecar-enabled one and vice versa.
         """
         kwargs: Dict[str, Any] = {}
         prefix = self.prefix
         if columns is not None:
             kwargs["columns"] = tuple(columns)
-            prefix = projected_prefix(prefix)
+            prefix += ".proj"
         if predicate is not None:
             kwargs["predicate"] = tuple(tuple(entry) for entry in predicate)
-            prefix = filtered_prefix(prefix)
+            prefix += ".filt"
         if sidecar is not None:
             # Ship a plain tuple, not the SidecarRoute NamedTuple: the graph
             # layer's container walkers rebuild tuples as type(value)(items),
             # which would feed a NamedTuple its fields as one argument.  The
             # constructor call validates the route's arity/field order.
             kwargs["sidecar"] = tuple(SidecarRoute(*sidecar))
-        return self.func, self.args, kwargs, prefix
+        counts = {"full_parses" if columns is None else "projected_parses": 1,
+                  "chunks_new": 1, "bytes_reparsed": self.byte_span}
+        return self.func, self.args, kwargs, {
+            "prefix": prefix, "counts": counts, "affinity": self.path}
 
     def materialize(self, columns: Optional[Sequence[str]] = None,
                     predicate: Optional[Sequence[Tuple[str, str, Any]]] = None,
@@ -359,10 +381,10 @@ class InMemorySource:
         return self._frame.memory_bytes()
 
     def partitions(self) -> List[SourcePartition]:
-        rows = self._partition_rows or DEFAULT_PARTITION_ROWS
         return [SourcePartition(start, stop, _slice_frame,
-                                (self._frame, start, stop), prefix="partition")
-                for start, stop in _row_boundaries(len(self._frame), rows)]
+                                (self._frame, start, stop))
+                for start, stop in precompute_chunk_sizes(
+                    len(self._frame), self._partition_rows)]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
                           budget_bytes: Optional[int] = None,
@@ -384,8 +406,26 @@ class InMemorySource:
                 f"columns={self._frame.columns})")
 
 
-def _row_boundaries(n_rows: int, partition_rows: int) -> List[Tuple[int, int]]:
-    """Contiguous ``(start, stop)`` ranges covering ``[0, n_rows)``."""
+def precompute_chunk_sizes(n_rows: int, partition_rows: Optional[int] = None,
+                           n_partitions: Optional[int] = None
+                           ) -> List[Tuple[int, int]]:
+    """Contiguous ``(start, stop)`` row ranges covering ``[0, n_rows)``.
+
+    The paper's "precompute chunk size" stage (Section 5.2): boundaries are
+    computed before the lazy graph is built and passed in as plain data.
+    At most one of *partition_rows* / *n_partitions* may be given; with
+    neither, :data:`DEFAULT_PARTITION_ROWS` is used.
+    """
+    if n_rows < 0:
+        raise FrameError("n_rows must be non-negative")
+    if partition_rows is not None and n_partitions is not None:
+        raise FrameError("pass either partition_rows or n_partitions, not both")
+    if n_partitions is not None:
+        if n_partitions <= 0:
+            raise FrameError("n_partitions must be positive")
+        partition_rows = max(1, -(-n_rows // n_partitions))
+    if partition_rows is None:
+        partition_rows = DEFAULT_PARTITION_ROWS
     if partition_rows <= 0:
         raise FrameError("partition_rows must be positive")
     if n_rows == 0:
@@ -683,5 +723,6 @@ __all__ = [
     "SourceCapabilities",
     "SourcePartition",
     "as_source",
+    "precompute_chunk_sizes",
     "refresh_input",
 ]

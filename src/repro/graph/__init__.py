@@ -59,10 +59,8 @@ from repro.graph.scheduler import (
     available_schedulers,
     get_scheduler,
 )
-from repro.graph.partition import (
-    PartitionedFrame,
-    precompute_chunk_sizes,
-)
+from repro.frame.source import precompute_chunk_sizes
+from repro.graph.partition import PartitionedFrame
 from repro.graph.engines import (
     EagerEngine,
     Engine,

@@ -14,13 +14,18 @@ not need.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import GraphError
 from repro.graph.graph import TaskGraph
-from repro.graph.scheduler import Scheduler, ThreadedScheduler
+from repro.graph.scheduler import RunStats, Scheduler, ThreadedScheduler
 from repro.graph.task import Task, tokenize
 
 _IMPURE_CALLS = itertools.count()
+
+_COUNTERS = frozenset(spec.name for spec in fields(RunStats)
+                      if isinstance(spec.default, int))
 
 
 class Delayed:
@@ -47,13 +52,20 @@ class Delayed:
 class DelayedCallable:
     """The result of :func:`delayed`: calling it records a task."""
 
-    __slots__ = ("func", "prefix", "pure")
+    __slots__ = ("func", "prefix", "pure", "counts", "affinity")
 
     def __init__(self, func: Callable[..., Any], prefix: Optional[str] = None,
-                 pure: bool = True):
+                 pure: bool = True, counts: Optional[Mapping[str, int]] = None,
+                 affinity: Optional[str] = None):
         self.func = func
         self.prefix = prefix or getattr(func, "__name__", "task")
         self.pure = pure
+        self.counts = counts or {}
+        self.affinity = affinity
+        if counts and not _COUNTERS.issuperset(counts):
+            raise GraphError(
+                f"{self.prefix}: counts names {sorted(set(counts) - _COUNTERS)}, "
+                f"which are not RunStats counters")
 
     def __call__(self, *args: Any, **kwargs: Any) -> Delayed:
         graph = TaskGraph()
@@ -64,26 +76,32 @@ class DelayedCallable:
             graph.update(value.graph)
             return graph[value.key]
 
-        token, deps, stable, call_args, call_kwargs = tokenize(
+        token, deps, stable, shippable, call_args, call_kwargs = tokenize(
             self.func, args, kwargs, lazy)
-        # The readable prefix stays everything before the last "-"
-        # (repro.utils.classify_parse_key); an impure call's counter keeps
-        # two occurrences from ever sharing a key.
+        # The prefix is a label for whoever reads the key; an impure call's
+        # counter keeps two occurrences from ever sharing one.
         key = f"{self.prefix}-{token}" if self.pure \
             else f"{self.prefix}-{token}.{next(_IMPURE_CALLS)}"
         graph.add(Task(key, self.func, call_args, call_kwargs, deps,
-                       cacheable=stable and self.pure))
+                       cacheable=stable and self.pure, shippable=shippable,
+                       counts=self.counts, affinity=self.affinity))
         return Delayed(key, graph)
 
 
 def delayed(func: Callable[..., Any], prefix: Optional[str] = None,
-            pure: bool = True) -> DelayedCallable:
+            pure: bool = True, counts: Optional[Mapping[str, int]] = None,
+            affinity: Optional[str] = None) -> DelayedCallable:
     """Wrap *func* so calls build graph nodes instead of executing.
 
+    *prefix* labels the keys for whoever reads them; nothing parses it.
     ``pure=False`` marks the call as non-deterministic: two occurrences
-    never merge and the result is never cached across calls.
+    never merge and the result is never cached across calls.  *counts*
+    declares the :class:`~repro.graph.scheduler.RunStats` counters one
+    execution of such a task adds and *affinity* where it would like to run
+    (see :class:`~repro.graph.task.Task`) — facts only the caller knows,
+    recorded on the task and never part of its key.
     """
-    return DelayedCallable(func, prefix=prefix, pure=pure)
+    return DelayedCallable(func, prefix, pure, counts, affinity)
 
 
 def merge_graphs(values: Sequence[Delayed]) -> Tuple[TaskGraph, List[str]]:

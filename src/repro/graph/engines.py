@@ -72,13 +72,6 @@ class ExecutionReport(RunStats):
             return 0.0
         return self.shared_tasks / self.tasks_before_optimization
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of post-optimization tasks avoided via the cache."""
-        avoided = self.cache_hits + self.skipped
-        planned = self.executed + avoided
-        return avoided / planned if planned else 0.0
-
 
 class Engine:
     """Base class: an engine turns a batch of Delayed values into results."""

@@ -4,19 +4,18 @@ The schedulers in :mod:`repro.graph.scheduler` decide *what* to run and in
 which order; an :class:`Executor` decides *where* — inline on the
 coordinator, on a thread pool, or on a process pool.  Separating the two
 lets one driver loop serve every parallel scheduler, and keeps everything
-process-specific (picklability checks, task bundling, worker crash
-translation) in this module.
+process-specific (task bundling, worker crash translation) in this module.
 
 The process backend and the picklability contract
 -------------------------------------------------
 A task may run in a worker process only when its payload is **picklable by
-value**: the function must be importable module-level (no lambdas or
-closures) and every argument a plain value — numbers, strings, tuples,
-dtype enums, small arrays, ``TaskRef`` placeholders.  This is exactly the
-contract :class:`~repro.frame.source.SourcePartition` already imposes for
-cross-call caching, which is why streaming CSV partitions
+value** — ``Task.shippable``, derived by the one walk that names the task
+(:func:`repro.graph.task.tokenize`): the function must be importable
+module-level (no lambdas or closures) and every argument a plain value —
+numbers, strings, tuples, dtype enums, small arrays, ``TaskRef``
+placeholders.  That is why streaming CSV partitions
 (``_read_csv_slice(path, byte_range, …)``) ship to workers while in-memory
-partition slices (which close over the resident ``DataFrame``) do not.
+partition slices (which hold the resident ``DataFrame``) do not.
 
 To keep IPC from swamping the win, shippable work is dispatched as
 **bundles**: one value-described source task (a CSV chunk parse) plus every
@@ -29,23 +28,14 @@ are tiny merges, and shipping them would pay a round trip per tree level.
 
 from __future__ import annotations
 
-import enum
 import pickle
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.graph.task import Task, TaskRef, importable_name
+from repro.graph.task import Task
 from repro.utils import default_worker_count
-
-#: Upper bound on the estimated argument payload of a task shipped to a
-#: worker process.  Anything larger (most importantly: tasks closing over an
-#: in-memory DataFrame) runs on the coordinator instead — the hybrid
-#: dispatch that keeps tiny graphs from drowning in IPC.
-MAX_SHIP_PAYLOAD_BYTES = 1 << 20
 
 
 # --------------------------------------------------------------------------- #
@@ -190,79 +180,10 @@ def run_task_bundle(root_task: Task, member_tasks: Sequence[Task],
                          members=members)
 
 
-# --------------------------------------------------------------------------- #
-# Shippability: can this task run in a worker process?
-# --------------------------------------------------------------------------- #
-def _payload_bytes(value: Any) -> Optional[int]:
-    """Estimated pickled size of one argument, or None if not value-like.
-
-    The allowlist mirrors what the cross-call cache can fingerprint: plain
-    scalars, strings, enums (dtype markers), small arrays and the standard
-    containers.  Anything else — DataFrames, Columns, open handles, user
-    objects — returns None and pins the task to the coordinator.
-    """
-    if value is None or isinstance(value, (bool, int, float, complex)):
-        return 16
-    if isinstance(value, (str, bytes)):
-        return 49 + len(value)
-    if isinstance(value, (enum.Enum, np.generic)):
-        return 48
-    if isinstance(value, TaskRef):
-        return 64
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes) + 128
-    if isinstance(value, (tuple, list, set, frozenset)):
-        total = 64
-        for item in value:
-            inner = _payload_bytes(item)
-            if inner is None:
-                return None
-            total += inner
-        return total
-    if isinstance(value, dict):
-        total = 64
-        for item_key, item in value.items():
-            inner_key = _payload_bytes(item_key)
-            inner = _payload_bytes(item)
-            if inner_key is None or inner is None:
-                return None
-            total += inner_key + inner
-        return total
-    return None
-
-
-def can_run_in_worker(task: Task) -> bool:
-    """Whether *task*'s payload may be shipped to a worker process.
-
-    True when the function pickles by reference and every argument is a
-    plain value (``TaskRef`` placeholders included — the bundle resolves
-    them worker-side) whose combined estimated size stays under
-    :data:`MAX_SHIP_PAYLOAD_BYTES`.  This is the ``can_run_in_worker``
-    contract of the hybrid dispatch: value-described chunk work ships,
-    everything holding live objects stays on the coordinator.
-    """
-    if importable_name(task.func) is None:
-        return False
-    total = 0
-    for value in task.args:
-        size = _payload_bytes(value)
-        if size is None:
-            return False
-        total += size
-    for value in task.kwargs.values():
-        size = _payload_bytes(value)
-        if size is None:
-            return False
-        total += size
-    return total <= MAX_SHIP_PAYLOAD_BYTES
-
-
 __all__ = [
     "BundleOutcome",
     "Executor",
-    "MAX_SHIP_PAYLOAD_BYTES",
     "ProcessExecutor",
     "ThreadExecutor",
-    "can_run_in_worker",
     "run_task_bundle",
 ]

@@ -11,49 +11,12 @@ in as plain data, so graph construction never needs to inspect a lazy value.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.source import PUSHDOWN_KEYWORDS, _slice_frame
+from repro.frame.source import PUSHDOWN_KEYWORDS, InMemorySource
 from repro.graph.delayed import Delayed, delayed
-
-#: Default number of rows per partition; chosen so per-partition numpy work
-#: dominates python/scheduler overhead for datasets in the paper's size range.
-DEFAULT_PARTITION_ROWS = 100_000
-
-
-def precompute_chunk_sizes(n_rows: int,
-                           partition_rows: Optional[int] = None,
-                           n_partitions: Optional[int] = None) -> List[Tuple[int, int]]:
-    """Compute partition boundaries ahead of graph construction.
-
-    Exactly one of *partition_rows* / *n_partitions* may be given; with
-    neither, :data:`DEFAULT_PARTITION_ROWS` is used.  Returns a list of
-    ``(start, stop)`` row ranges covering ``[0, n_rows)``.
-    """
-    if n_rows < 0:
-        raise GraphError("n_rows must be non-negative")
-    if partition_rows is not None and n_partitions is not None:
-        raise GraphError("pass either partition_rows or n_partitions, not both")
-    if n_rows == 0:
-        return [(0, 0)]
-    if n_partitions is not None:
-        if n_partitions <= 0:
-            raise GraphError("n_partitions must be positive")
-        partition_rows = max(1, math.ceil(n_rows / n_partitions))
-    if partition_rows is None:
-        partition_rows = DEFAULT_PARTITION_ROWS
-    if partition_rows <= 0:
-        raise GraphError("partition_rows must be positive")
-    boundaries = []
-    start = 0
-    while start < n_rows:
-        stop = min(start + partition_rows, n_rows)
-        boundaries.append((start, stop))
-        start = stop
-    return boundaries
 
 
 class PartitionedFrame:
@@ -77,18 +40,15 @@ class PartitionedFrame:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_frame(cls, frame: DataFrame,
-                   partition_rows: Optional[int] = None,
-                   n_partitions: Optional[int] = None) -> "PartitionedFrame":
+                   partition_rows: Optional[int] = None) -> "PartitionedFrame":
         """Partition an in-memory DataFrame.
 
         The chunk sizes are precomputed eagerly (the paper's extra pipeline
-        stage); the slicing itself is lazy so it can be parallelized and
-        shared inside the task graph.
+        stage, :func:`~repro.frame.source.precompute_chunk_sizes`); the
+        slicing itself is lazy so it can be parallelized and shared inside
+        the task graph.
         """
-        boundaries = precompute_chunk_sizes(len(frame), partition_rows, n_partitions)
-        slicer = delayed(_slice_frame, prefix="partition")
-        partitions = [slicer(frame, start, stop) for start, stop in boundaries]
-        return cls(partitions, frame.columns, boundaries)
+        return cls.from_source(InMemorySource(frame, partition_rows))
 
     @classmethod
     def from_source(cls, source: Any,
@@ -98,8 +58,10 @@ class PartitionedFrame:
         """Partition any :class:`~repro.frame.source.FrameSource`.
 
         The source's precomputed :class:`~repro.frame.source.SourcePartition`
-        rows-ranges become lazy tasks — ``delayed(part.func)(*part.args)`` —
-        so in-memory slices, single-file CSV byte ranges and multi-file
+        rows-ranges become lazy tasks — ``delayed(part.func)(*part.args)``,
+        carrying the facts the partition declares about its task
+        (:meth:`~repro.frame.source.SourcePartition.task_spec`) — so
+        in-memory slices, single-file CSV byte ranges and multi-file
         concatenations all land in the same task graph shape, and a custom
         source needs no graph-layer code at all.
 
@@ -160,8 +122,8 @@ class PartitionedFrame:
                         f"source has {source.columns}")
         partitions = []
         for part in parts:
-            func, args, kwargs, prefix = part.task_spec(columns, spec, route)
-            partitions.append(delayed(func, prefix=prefix)(*args, **kwargs))
+            func, args, kwargs, declared = part.task_spec(columns, spec, route)
+            partitions.append(delayed(func, **declared)(*args, **kwargs))
         boundaries = [(part.start, part.stop) for part in parts]
         frame_columns = source.columns if columns is None else list(columns)
         return cls(partitions, frame_columns, boundaries)
@@ -231,21 +193,11 @@ class PartitionedFrame:
             partials = self.map_partitions(chunk, *chunk_args)
         return tree_combine(partials, combine, finalize, split_every=split_every)
 
-    def column_values(self, column: str) -> List[Delayed]:
-        """Lazy per-partition Column objects for one column."""
-        if column not in self._columns:
-            raise GraphError(f"unknown column {column!r}")
-        return self.map_partitions(_extract_column, column)
-
     def compute(self, scheduler: Optional[Any] = None) -> DataFrame:
         """Materialize the whole collection back into one DataFrame."""
         from repro.graph.delayed import compute as compute_values
         frames = compute_values(*self._partitions, scheduler=scheduler)
         return concat_rows([frame for frame in frames if len(frame) > 0] or frames)
-
-
-def _extract_column(frame: DataFrame, column: str):
-    return frame.column(column)
 
 
 def tree_combine(values: Sequence[Delayed],

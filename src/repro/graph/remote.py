@@ -23,17 +23,16 @@ key exported — against a coordinator bound to a routable address
 proves the key, it does not encrypt: only bind routable addresses on
 networks you trust.
 
-What ships is exactly what the in-process pool ships: the
-``can_run_in_worker`` contract of :mod:`repro.graph.executor` decides which
-tasks are value-picklable, and shippable chunk parses travel as bundles
-(parse + the sketches consuming it) so only small mergeable sketch states
-come back over the wire.  Multi-file sources shard **per file**: a bundle
-whose parse task names a path is pinned to the worker that served that path
-before, so each worker re-reads (and keeps the disk-sidecar warm set of)
-its own file subset.  Pinning only engages when the scan actually spans
-multiple files (a single-file scan round-robins its chunks across every
-worker) and spills to the least-loaded worker when the pinned owner's
-queue backs up, so affinity never serializes a run.
+What ships is exactly what the in-process pool ships: ``Task.shippable``
+says which tasks are value-picklable, and shippable chunk parses travel as
+bundles (parse + the sketches consuming it) so only small mergeable sketch
+states come back over the wire.  Multi-file sources shard **per file**: a
+bundle whose parse task declares a path as its ``affinity`` is pinned to the
+worker that served that path before, so each worker re-reads (and keeps the
+disk-sidecar warm set of) its own file subset.  Pinning only engages when
+the scan actually spans multiple files (a single-file scan round-robins its
+chunks across every worker) and spills to the least-loaded worker when the
+pinned owner's queue backs up, so affinity never serializes a run.
 
 Failure semantics
 -----------------
@@ -85,7 +84,7 @@ from repro.graph import wire
 from repro.graph.cache import TaskCache
 from repro.graph.executor import Executor, _portable_error, run_task_bundle
 from repro.graph.scheduler import ProcessScheduler, WorkUnit, _ExecutionState
-from repro.utils import classify_parse_key, default_worker_count
+from repro.utils import default_worker_count
 
 #: Default coordinator bind address; port 0 means "any free port".  Bind to
 #: a routable address (e.g. ``"0.0.0.0:8786"``) to let workers on other
@@ -855,31 +854,11 @@ class RemoteExecutor(Executor):
         """No-op: the pool is shared process-wide (see the class docstring)."""
 
 
-def _bundle_affinity(task: Any) -> Optional[str]:
-    """Per-file sharding key of a bundle: the path its parse task reads.
-
-    Multi-file sources emit one parse task per (file, byte range); pinning
-    every bundle of a file to one worker keeps that worker's OS page cache
-    and parsed-chunk disk sidecar warm for exactly its file subset.
-
-    Only genuine partition-parse tasks qualify (their key prefix is a
-    :data:`~repro.utils.PARSE_TASK_PREFIXES` variant and the path is
-    always their first positional argument) — matching any slash-bearing
-    string would mis-pin bundles on arguments like date-format strings.
-    In-memory partition slices carry a frame, not a path, and return None.
-    """
-    if classify_parse_key(task.key) is None:
-        return None
-    if task.args and isinstance(task.args[0], str):
-        return task.args[0]
-    return None
-
-
 class RemoteScheduler(ProcessScheduler):
     """Scheduler dispatching bundles to socket workers (the Fig 6(c) backend).
 
     Planning is inherited unchanged from :class:`ProcessScheduler` — the
-    same hybrid dispatch and ``can_run_in_worker`` contract — so results
+    same hybrid dispatch and ``Task.shippable`` contract — so results
     are bit-identical across the synchronous/threaded/process/remote
     backends; only *where* shippable bundles run differs.  On top of the
     shared RunStats this backend reports ``shipped_bytes`` /
@@ -934,7 +913,7 @@ class RemoteScheduler(ProcessScheduler):
         root = graph[unit.root]
         executor = self.executor()
         assert isinstance(executor, RemoteExecutor)
-        affinity = _bundle_affinity(root) if self._affinity_active else None
+        affinity = root.affinity if self._affinity_active else None
         return executor.submit(
             run_task_bundle, root, [graph[key] for key in unit.members],
             unit.return_root, affinity=affinity)
@@ -942,12 +921,14 @@ class RemoteScheduler(ProcessScheduler):
     def execute(self, graph: Any, outputs: Any) -> Dict[str, Any]:
         executor = self.executor()
         assert isinstance(executor, RemoteExecutor)
-        # Per-file pinning only pays when there are files to shard: a
-        # single-file scan (or an in-memory source) must round-robin its
-        # bundles across the whole pool, not serialize on one worker.
-        paths = {path for path in map(_bundle_affinity, graph.tasks())
-                 if path is not None}
-        self._affinity_active = len(paths) > 1
+        # Tasks declare the file they read as their affinity: pinning every
+        # bundle of a file to one worker keeps that worker's OS page cache
+        # and parsed-chunk sidecar warm for exactly its file subset.  That
+        # only pays when there are files to shard: a single-file scan (or an
+        # in-memory source) must round-robin its bundles across the whole
+        # pool, not serialize on one worker.
+        self._affinity_active = len({task.affinity for task in graph.tasks()
+                                     if task.affinity is not None}) > 1
         before = executor.stats_snapshot()
         started = time.monotonic()
         results = super().execute(graph, outputs)

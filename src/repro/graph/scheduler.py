@@ -38,15 +38,10 @@ from repro.graph.executor import (
     Executor,
     ProcessExecutor,
     ThreadExecutor,
-    can_run_in_worker,
     run_task_bundle,
 )
 from repro.graph.graph import TaskGraph
-from repro.utils import (
-    classify_parse_key,
-    default_worker_count,
-    parse_task_byte_span,
-)
+from repro.utils import default_worker_count
 
 
 @dataclass
@@ -57,6 +52,11 @@ class RunStats:
     :class:`~repro.graph.engines.ExecutionReport` extends this record, and
     the per-call totals behind ``meta[...]`` / ``Report.*_stats`` are one
     more instance that every report is added to with ``+=``.
+
+    The scheduler counts tasks; what a task *is* it reads from the facts
+    declared when the task was built (``Task.counts``): executing a task
+    adds them, and ``chunks_reused`` is the ``chunks_new`` declared by the
+    tasks a run did not need.
     """
 
     planned: int = 0       # tasks in the (merged) graph
@@ -65,13 +65,14 @@ class RunStats:
     skipped: int = 0       # ancestors never visited because a hit covered them
     released: int = 0      # intermediate results freed once fully consumed
     shipped: int = 0       # tasks dispatched to worker processes (process/remote)
+    # Declared by every partition task (SourcePartition.task_spec):
     projected_parses: int = 0  # executed partition tasks carrying a projection
     full_parses: int = 0       # executed partition tasks parsing every column
     # Planning-side facts the compute layer adds to the report after the
-    # run (the scheduler sees only task keys), each counted once per newly
-    # built partition set: columns avoided across the projected partition
-    # tasks (table width - projected width, per task), chunks the zone maps
-    # let the planner drop before any bytes were read, and rows the
+    # run (work that was avoided is no task's to declare), each counted once
+    # per newly built partition set: columns avoided across the projected
+    # partition tasks (table width - projected width, per task), chunks the
+    # zone maps let the planner drop before any bytes were read, and rows the
     # pushed-down filters removed inside the executed parse tasks.  A stage
     # that reuses an earlier stage's partition set builds none, so it can
     # report ``projected_parses > 0`` with ``columns_pruned == 0``.
@@ -86,12 +87,12 @@ class RunStats:
     sidecar_hits: int = 0
     sidecar_misses: int = 0
     bytes_decoded_avoided: int = 0
-    # Incremental-refresh accounting over the partition parse tasks only:
-    # chunks whose stable (per-chunk content stamp) cache key answered
-    # without running, chunks that did execute, and the file bytes those
-    # executions read.  After an append+refresh, chunks_reused ≈ the old
-    # chunks and chunks_new ≈ the appended ones — the observable form of
-    # "re-parse only the delta".
+    # Incremental-refresh accounting over the partition tasks, which
+    # declare chunks_new and their byte span: chunks whose stable (per-chunk
+    # content stamp) cache key answered without running, chunks that did
+    # execute, and the file bytes those executions read.  After an
+    # append+refresh, chunks_reused ≈ the old chunks and chunks_new ≈ the
+    # appended ones — the observable form of "re-parse only the delta".
     chunks_reused: int = 0
     chunks_new: int = 0
     bytes_reparsed: int = 0
@@ -190,24 +191,16 @@ class _ExecutionState:
         worker): dependents are still unblocked and refcounts still drop,
         but nothing is stored or cached.
         """
+        task = self.graph[key]
         if returned:
             self.results[key] = value
-            if self.plan is not None and self.graph[key].cacheable:
+            if self.plan is not None and task.cacheable:
                 self.scheduler.cache.put(key, value)
         run = self.scheduler.last_run      # set by plan_with_cache
-        # Partition materializations are the projection pushdown's hot
-        # path; count them per kind so the win is observable per run.
-        kind = classify_parse_key(key)
-        if kind == "projected":
-            run.projected_parses += 1
-        elif kind == "full":
-            run.full_parses += 1
-        if kind is not None:
-            # Every parse that reaches complete() actually ran (cache hits
-            # are prefilled, never completed) — the delta side of the
-            # chunks_reused subtraction in plan_with_cache.
-            run.chunks_new += 1
-            run.bytes_reparsed += parse_task_byte_span(self.graph[key].args)
+        # Every task that reaches complete() actually ran (cache hits are
+        # prefilled, never completed), so it adds what it declared.
+        for counter, amount in task.counts.items():
+            setattr(run, counter, getattr(run, counter) + amount)
         newly_ready: List[str] = []
         for consumer in self.dependents.get(key, ()):
             if consumer not in self.remaining:
@@ -283,18 +276,16 @@ class Scheduler:
                     continue
             plan.needed.add(key)
             pending.extend(graph.dependencies(key))
-        # chunks_reused counts by subtraction over the whole graph, not by
-        # visited hits: a combine-level cache hit skips its parse subtree
-        # without the walk ever visiting those parse keys.
-        parse_total = sum(1 for key in graph.keys()
-                          if classify_parse_key(key) is not None)
-        parse_needed = sum(1 for key in plan.needed
-                           if classify_parse_key(key) is not None)
+        # chunks_reused counts over the whole graph, not over visited hits:
+        # a combine-level cache hit skips its parse subtree without the walk
+        # ever visiting those partition tasks.
         self.last_run = RunStats(
             planned=total, executed=len(plan.needed),
             cache_hits=len(plan.results),
             skipped=total - len(plan.needed) - len(plan.results),
-            chunks_reused=parse_total - parse_needed)
+            chunks_reused=sum(task.counts.get("chunks_new", 0)
+                              for task in graph.tasks()
+                              if task.key not in plan.needed))
         return plan
 
     # ------------------------------------------------------------------ #
@@ -542,9 +533,9 @@ class ProcessScheduler(_PoolScheduler):
     scheduler ships them to a ``ProcessPoolExecutor`` instead, with a
     **hybrid dispatch** (see :mod:`repro.graph.executor`):
 
-    * a dependency-free task whose payload is picklable **by value** (the
-      ``can_run_in_worker`` contract: module-level function, plain-value
-      arguments, bounded size) becomes a bundle root; every sketch task
+    * a dependency-free task whose payload is picklable **by value**
+      (``Task.shippable``: module-level function, plain-value arguments,
+      bounded size) becomes a bundle root; every sketch task
       consuming only it joins the bundle and runs in the same worker, so a
       parsed chunk crosses the process boundary only when a
       coordinator-side task still needs it;
@@ -573,7 +564,7 @@ class ProcessScheduler(_PoolScheduler):
             if key not in state.needed or key in bundled:
                 continue
             task = graph[key]
-            if task.deps or not can_run_in_worker(task):
+            if task.deps or not task.shippable:
                 units[key] = WorkUnit(key, ship=False)
                 continue
             members: List[str] = []
@@ -583,8 +574,7 @@ class ProcessScheduler(_PoolScheduler):
                 key=state.position.get)
             for consumer in needed_consumers:
                 consumer_task = graph[consumer]
-                if consumer_task.deps == (key,) and \
-                        can_run_in_worker(consumer_task):
+                if consumer_task.deps == (key,) and consumer_task.shippable:
                     members.append(consumer)
                     bundled.add(consumer)
             member_set = set(members)

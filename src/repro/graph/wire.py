@@ -44,7 +44,7 @@ networks you trust (or tunnel the port).
 Post-auth payloads are pickled python objects (:func:`dump_payload` /
 :func:`load_payload`): the remote backend only ever ships values that
 already satisfy the process backend's picklability contract
-(``can_run_in_worker``), so pickle is both sufficient and the same
+(``Task.shippable``), so pickle is both sufficient and the same
 serialization the in-process pool uses.
 """
 

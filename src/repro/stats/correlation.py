@@ -60,16 +60,6 @@ class PearsonPartial:
             cross_sums=self.cross_sums + other.cross_sums,
         )
 
-    @staticmethod
-    def merge_all(partials: Sequence["PearsonPartial"]) -> "PearsonPartial":
-        """Merge a list of partials."""
-        if not partials:
-            raise EDAError("cannot merge zero partials")
-        merged = partials[0]
-        for partial in partials[1:]:
-            merged = merged.merge(partial)
-        return merged
-
     def finalize(self) -> np.ndarray:
         """Finish the Pearson correlation matrix from the merged sums."""
         counts = self.counts

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.frame.column import Column
 from repro.stats.sketches import DistinctSketch, MomentsSketch
-from repro.stats.sketches import merge_all as _merge_all_sketches
 
 #: Object header of a python ``str``, for
 #: :meth:`CategoricalSummary.memory_bytes`.
@@ -39,8 +38,7 @@ class NumericSummary:
     The central-moment sketch allows mean, variance, skewness and kurtosis
     to be derived after merging, matching the single-pass statistics the
     paper's Compute module shares across the stats table, box plot and Q-Q
-    plot.  The raw power sums of the previous representation remain
-    available as derived properties (``sum1`` .. ``sum4``).
+    plot.  ``sum1`` is the raw sum, derived from the mean.
     """
 
     moments: MomentsSketch = field(default_factory=MomentsSketch)
@@ -84,13 +82,6 @@ class NumericSummary:
             total=self.total + other.total,
         )
 
-    @staticmethod
-    def merge_all(summaries: Sequence["NumericSummary"]) -> "NumericSummary":
-        """Merge a list of partial summaries."""
-        if not summaries:
-            return NumericSummary()
-        return _merge_all_sketches(list(summaries))
-
     # ------------------------------------------------------------------ #
     # Derived statistics
     # ------------------------------------------------------------------ #
@@ -113,25 +104,6 @@ class NumericSummary:
     def sum1(self) -> float:
         """Raw power sum ``sum(x)``, derived from the central moments."""
         return self.moments.mean * self.count
-
-    @property
-    def sum2(self) -> float:
-        """Raw power sum ``sum(x^2)``, derived from the central moments."""
-        mean, n = self.moments.mean, self.count
-        return self.moments.m2 + n * mean * mean
-
-    @property
-    def sum3(self) -> float:
-        """Raw power sum ``sum(x^3)``, derived from the central moments."""
-        mean, n = self.moments.mean, self.count
-        return self.moments.m3 + 3.0 * mean * self.moments.m2 + n * mean ** 3
-
-    @property
-    def sum4(self) -> float:
-        """Raw power sum ``sum(x^4)``, derived from the central moments."""
-        mean, n = self.moments.mean, self.count
-        return (self.moments.m4 + 4.0 * mean * self.moments.m3
-                + 6.0 * mean * mean * self.moments.m2 + n * mean ** 4)
 
     @property
     def mean(self) -> float:
@@ -357,13 +329,6 @@ class CategoricalSummary:
         second = other.distinct_sketch or \
             DistinctSketch.from_values(other.labels.tolist())
         return first.merge(second)
-
-    @staticmethod
-    def merge_all(summaries: Sequence["CategoricalSummary"]) -> "CategoricalSummary":
-        """Merge a list of partial summaries."""
-        if not summaries:
-            return CategoricalSummary()
-        return _merge_all_sketches(list(summaries))
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, CategoricalSummary):

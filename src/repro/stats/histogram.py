@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -52,20 +52,6 @@ class Histogram:
                 not np.allclose(self.edges, other.edges):
             raise EDAError("cannot merge histograms with different bin edges")
         return Histogram(self.edges, self.counts + other.counts)
-
-    @staticmethod
-    def merge_all(histograms: Sequence["Histogram"]) -> "Histogram":
-        """Merge a list of histograms with identical edges."""
-        if not histograms:
-            raise EDAError("cannot merge zero histograms")
-        merged = histograms[0]
-        for histogram in histograms[1:]:
-            merged = merged.merge(histogram)
-        return merged
-
-    def as_plot_data(self) -> Tuple[List[float], List[int]]:
-        """``(bin centers, counts)`` lists ready to feed a bar-style chart."""
-        return self.centers.tolist(), self.counts.astype(int).tolist()
 
 
 def compute_histogram(values: np.ndarray, bins: int,

@@ -12,76 +12,6 @@ CSV parsing.)
 from __future__ import annotations
 
 import os
-from typing import Optional
-
-#: Task-key prefixes of the partition materialization tasks every source
-#: emits (in-memory row slices and CSV byte-range parses).  The schedulers
-#: classify executed tasks by these prefixes to report projected-vs-full
-#: parse counts without the graph layer having to know about frames.
-PARSE_TASK_PREFIXES = ("partition", "read_csv_partition")
-
-#: Suffix appended to a partition task's key prefix when the task carries a
-#: column projection (parses/slices a subset of the columns).
-PROJECTED_SUFFIX = ".proj"
-
-#: Suffix appended to a partition task's key prefix when the task carries a
-#: pushed-down row predicate (filters rows inside the parse).  Composes
-#: with the projection suffix as ``".proj.filt"``.
-FILTERED_SUFFIX = ".filt"
-
-
-def projected_prefix(prefix: str) -> str:
-    """The task-key prefix of the projected variant of a partition task."""
-    return prefix + PROJECTED_SUFFIX
-
-
-def filtered_prefix(prefix: str) -> str:
-    """The task-key prefix of the predicate-filtered variant of a task."""
-    return prefix + FILTERED_SUFFIX
-
-
-def classify_parse_key(key: str) -> Optional[str]:
-    """Classify a task key as a ``"full"`` or ``"projected"`` partition parse.
-
-    Task keys look like ``"<prefix>-<counter>"``; anything that is not a
-    recognised partition materialization returns None.  This is how
-    :class:`~repro.graph.scheduler.RunStats` counts parse work per kind
-    without inspecting task arguments.  The filtered marker is orthogonal —
-    a filtered parse still classifies as projected or full by its column
-    coverage; use :func:`is_filtered_parse_key` for the predicate axis.
-    """
-    prefix, dash, _ = key.rpartition("-")
-    if not dash:
-        return None
-    if prefix.endswith(FILTERED_SUFFIX):
-        prefix = prefix[:-len(FILTERED_SUFFIX)]
-    if prefix.endswith(PROJECTED_SUFFIX):
-        base = prefix[:-len(PROJECTED_SUFFIX)]
-        return "projected" if base in PARSE_TASK_PREFIXES else None
-    return "full" if prefix in PARSE_TASK_PREFIXES else None
-
-
-def is_filtered_parse_key(key: str) -> bool:
-    """Whether a task key is a partition parse carrying a row predicate."""
-    prefix, dash, _ = key.rpartition("-")
-    if not dash or not prefix.endswith(FILTERED_SUFFIX):
-        return False
-    return classify_parse_key(key) is not None
-
-
-def parse_task_byte_span(args: tuple) -> int:
-    """Bytes an executed partition-parse task read, from its positional args.
-
-    CSV partition tasks lead with ``(path, byte_start, byte_stop, ...)``;
-    the span is what the incremental-refresh counters report as
-    ``bytes_reparsed``.  In-memory slice tasks (``(frame, start, stop)``)
-    and anything else shaped differently report zero bytes — they still
-    count as executed chunks, they just read no file bytes.
-    """
-    if len(args) >= 3 and isinstance(args[0], str) \
-            and type(args[1]) is int and type(args[2]) is int:
-        return max(0, args[2] - args[1])
-    return 0
 
 
 def default_worker_count() -> int:

@@ -346,15 +346,23 @@ def test_pushdown_contract_lists_every_capability_flag():
 
 def test_task_spec_only_builds_the_call():
     """task_spec never inspects the func: it adds the requested keywords and
-    the key-prefix markers, nothing else — an undeclared keyword surfaces as
-    the func's own TypeError if someone bypasses the planner."""
-    part = SourcePartition(0, 1, _legacy_chunk, ())
-    func, args, kwargs, prefix = part.task_spec(
+    declares what the task is, nothing else — an undeclared keyword surfaces
+    as the func's own TypeError if someone bypasses the planner."""
+    part = SourcePartition(0, 1, _legacy_chunk, (), prefix="rows")
+    func, args, kwargs, declared = part.task_spec(
         columns=["a"], predicate=[["a", ">", 0.0]])
     assert (func, args) == (_legacy_chunk, ())
     assert kwargs == {"columns": ("a",), "predicate": (("a", ">", 0.0),)}
-    assert prefix != part.prefix
-    assert part.task_spec() == (_legacy_chunk, (), {}, part.prefix)
+    assert declared == {
+        "prefix": "rows.proj.filt", "affinity": None,
+        "counts": {"projected_parses": 1, "chunks_new": 1, "bytes_reparsed": 0}}
+    assert part.task_spec() == (_legacy_chunk, (), {}, {
+        "prefix": "rows", "affinity": None,
+        "counts": {"full_parses": 1, "chunks_new": 1, "bytes_reparsed": 0}})
+    on_disk = SourcePartition(0, 1, _legacy_chunk, (), path="f.csv", byte_span=90)
+    declared = on_disk.task_spec()[3]
+    assert declared["affinity"] == "f.csv"
+    assert declared["counts"]["bytes_reparsed"] == 90
     with pytest.raises(TypeError, match="columns"):
         part.materialize(columns=("a",))
     assert part.materialize().columns == ["a"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import FrameError, GraphError
 from repro.frame import DataFrame
 from repro.graph import PartitionedFrame, precompute_chunk_sizes
 from repro.graph.partition import tree_combine
@@ -35,13 +35,14 @@ class TestPrecomputeChunkSizes:
         assert precompute_chunk_sizes(0) == [(0, 0)]
 
     def test_invalid_arguments(self):
-        with pytest.raises(GraphError):
+        # One boundary function, in the frame layer (InMemorySource uses it).
+        with pytest.raises(FrameError):
             precompute_chunk_sizes(10, partition_rows=5, n_partitions=2)
-        with pytest.raises(GraphError):
+        with pytest.raises(FrameError):
             precompute_chunk_sizes(10, partition_rows=0)
-        with pytest.raises(GraphError):
+        with pytest.raises(FrameError):
             precompute_chunk_sizes(-1)
-        with pytest.raises(GraphError):
+        with pytest.raises(FrameError):
             precompute_chunk_sizes(10, n_partitions=0)
 
 
@@ -84,12 +85,18 @@ class TestPartitionedFrame:
         lengths = [value.compute() for value in partitioned.map_partitions(len)]
         assert sum(lengths) == 1000
 
-    def test_column_values(self, wide_frame):
-        partitioned = PartitionedFrame.from_frame(wide_frame, partition_rows=400)
-        columns = [value.compute() for value in partitioned.column_values("x")]
-        assert sum(len(column) for column in columns) == 1000
-        with pytest.raises(GraphError):
-            partitioned.column_values("missing_column")
+    def test_from_frame_is_the_in_memory_source(self, wide_frame):
+        from repro.frame.source import InMemorySource
+        direct = PartitionedFrame.from_frame(wide_frame, partition_rows=400)
+        source = PartitionedFrame.from_source(InMemorySource(wide_frame, 400))
+        assert [part.key for part in direct.partitions] == \
+            [part.key for part in source.partitions]
+        assert direct.boundaries == source.boundaries == \
+            [(0, 400), (400, 800), (800, 1000)]
+        with pytest.raises(FrameError):
+            PartitionedFrame.from_frame(wide_frame, partition_rows=0)
+        empty = PartitionedFrame.from_frame(wide_frame.slice(0, 0))
+        assert empty.boundaries == [(0, 0)] and len(empty.compute()) == 0
 
     def test_partition_slices_are_shared_between_reductions(self, wide_frame):
         from repro.graph.delayed import merge_graphs

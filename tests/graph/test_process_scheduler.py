@@ -17,6 +17,7 @@ never had to honour, and each gets pinned here:
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import threading
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
+from repro.frame import DataFrame, DType
 from repro.graph import (
     ProcessScheduler,
     SynchronousScheduler,
@@ -37,11 +39,8 @@ from repro.graph import (
     delayed,
     get_scheduler,
 )
-from repro.graph.executor import (
-    MAX_SHIP_PAYLOAD_BYTES,
-    can_run_in_worker,
-    run_task_bundle,
-)
+from repro.graph.executor import run_task_bundle
+from repro.graph.task import MAX_SHIP_PAYLOAD_BYTES
 
 
 # --------------------------------------------------------------------------- #
@@ -76,6 +75,11 @@ def scheduler():
     instance = ProcessScheduler(max_workers=2)
     yield instance
     instance.close()
+
+
+def _task(value):
+    """The task a Delayed value stands for."""
+    return value.graph[value.key]
 
 
 def chunked_graph(n_chunks=4, chunk_func=square_sum):
@@ -173,19 +177,48 @@ class TestHybridDispatch:
 
     def test_oversized_payload_is_not_shippable(self):
         small = Task("small", square_sum, (tuple(range(10)),), {})
-        assert can_run_in_worker(small)
+        assert small.shippable
         big_array = np.zeros(MAX_SHIP_PAYLOAD_BYTES // 8 + 16, dtype=np.float64)
         big = Task("big", square_sum, (big_array,), {})
-        assert not can_run_in_worker(big)
+        assert not big.shippable
+        # The same walk decides for tasks recorded by delayed().
+        assert _task(delayed(square_sum)(tuple(range(10)))).shippable
+        assert not _task(delayed(square_sum)(big_array)).shippable
 
     def test_live_object_payload_is_not_shippable(self):
         class Opaque:
             pass
 
-        assert not can_run_in_worker(Task("t", square_sum, (Opaque(),), {}))
+        assert not Task("t", square_sum, (Opaque(),), {}).shippable
+        assert not _task(delayed(square_sum)([Opaque()])).shippable
+        # A frame is named by content, so cacheable — but a live object.
+        frame = DataFrame({"a": [1.0, 2.0]})
+        task = _task(delayed(square_sum)(frame))
+        assert task.cacheable and not task.shippable
 
     def test_lambda_is_not_shippable(self):
-        assert not can_run_in_worker(Task("t", lambda: 1, (), {}))
+        assert not Task("t", lambda: 1, (), {}).shippable
+        assert not _task(delayed(lambda: 1)()).shippable
+        assert not _task(delayed(functools.partial(square_sum))((1,))).shippable
+
+    def test_plain_values_of_every_kind_ship(self):
+        chunk = delayed(make_values)(3)
+        task = _task(delayed(square_sum)(
+            chunk, 1.5, 2 + 3j, b"raw", np.int64(4), DType.FLOAT,
+            {"k": (None, True)}, frozenset({1, 2}), np.arange(4), sidecar=("d", 1)))
+        assert task.shippable and task.deps == (chunk.key,)
+        assert not _task(delayed(square_sum)({"k": object()})).shippable
+        assert not _task(delayed(square_sum)({object(): 1})).shippable
+        assert not _task(delayed(square_sum)(1, sidecar=object())).shippable
+
+    def test_declared_facts_stay_on_the_coordinator(self):
+        import pickle
+        task = _task(delayed(make_values, counts={"full_parses": 1},
+                             affinity="a.csv")(3))
+        shipped = pickle.loads(pickle.dumps(task))
+        assert (shipped.key, shipped.func, shipped.args, shipped.deps) == \
+            (task.key, task.func, task.args, task.deps)
+        assert shipped.counts == {} and shipped.affinity is None
 
     def test_run_task_bundle_withholds_root_when_asked(self):
         root = Task("root", make_values, (4,), {})
@@ -297,8 +330,7 @@ class TestProjectedBundles:
         projected = PartitionedFrame.from_source(source, columns=("a",))
 
         for part in projected.partitions:
-            task = part.graph[part.key]
-            assert can_run_in_worker(task), \
+            assert _task(part).shippable, \
                 "a projected parse must stay value-picklable"
 
         reduction = projected.reduction(_sum_column_a, _sum_floats)
@@ -322,7 +354,6 @@ class TestFilteredBundles:
         from repro.frame.predicate import compile_predicate
         from repro.frame.source import FilteredSource
         from repro.graph.partition import PartitionedFrame
-        from repro.utils import is_filtered_parse_key
 
         frame = DataFrame({
             "a": np.arange(600, dtype=np.float64),
@@ -340,10 +371,11 @@ class TestFilteredBundles:
                                                 predicate=predicate)
 
         for part in filtered.partitions:
-            task = part.graph[part.key]
-            assert can_run_in_worker(task), \
-                "a filtered parse must stay value-picklable"
-            assert is_filtered_parse_key(part.key)
+            task = _task(part)
+            assert task.shippable, "a filtered parse must stay value-picklable"
+            assert task.kwargs["predicate"] == predicate.spec()
+            assert task.counts == {"projected_parses": 1, "chunks_new": 1,
+                                   "bytes_reparsed": task.args[2] - task.args[1]}
 
         reduction = filtered.reduction(_sum_column_a, _sum_floats)
         scheduler = ProcessScheduler(max_workers=2)
@@ -351,7 +383,7 @@ class TestFilteredBundles:
             total = reduction.compute(scheduler=scheduler)
             assert total == pytest.approx(float(np.arange(300, 600).sum()))
             assert scheduler.last_run.shipped > 0
-            # The filter marker composes with projection classification.
+            # A filtered parse still counts by its column coverage.
             assert scheduler.last_run.projected_parses == 4
             assert scheduler.last_run.full_parses == 0
         finally:

@@ -1,7 +1,7 @@
 """Tests for the socket-based remote scheduler and its wire protocol.
 
 The remote backend inherits the process backend's planning (hybrid
-dispatch, ``can_run_in_worker``), so these tests pin what is genuinely new:
+dispatch, ``Task.shippable``), so these tests pin what is genuinely new:
 
 * **wire protocol** — length-prefixed, checksummed framing that rejects
   corruption, bad magic, unknown types and oversized frames;
@@ -41,7 +41,6 @@ from repro.graph.remote import (
     AFFINITY_SPILL_INFLIGHT,
     RemoteExecutor,
     RemoteScheduler,
-    _bundle_affinity,
     shutdown_remote_pools,
 )
 
@@ -234,38 +233,54 @@ class TestRemoteSchedulerBasics:
         assert excinfo.value.key == bad.key
         assert "boom in remote worker" in str(excinfo.value.cause)
 
-    def test_bundle_affinity_picks_the_parse_path_argument(self):
-        task = Task("read_csv_partition-0", make_values,
-                    ("/data/part-0.csv", 0, 4096), {})
-        assert _bundle_affinity(task) == "/data/part-0.csv"
-        # Projected/filtered parse variants still classify.
-        task = Task("read_csv_partition.proj.filt-3", make_values,
-                    ("data/part-1.csv", 0, 4096), {})
-        assert _bundle_affinity(task) == "data/part-1.csv"
-        assert _bundle_affinity(Task("chunk-0", make_values, (7,), {})) is None
+    def test_affinity_is_what_the_task_declares(self, tmp_path):
+        from repro.frame import DataFrame
+        from repro.frame.io import scan_csv, write_csv
+        from repro.graph.partition import PartitionedFrame
+        chunk = delayed(path_length, affinity="/data/part-0.csv")(
+            "/data/part-0.csv", 0)
+        assert chunk.graph[chunk.key].affinity == "/data/part-0.csv"
+        # Projected/filtered parse variants of a scan declare their file.
+        path = str(tmp_path / "part-1.csv")
+        write_csv(DataFrame({"a": [1.0, 2.0, 3.0]}), path)
+        parts = PartitionedFrame.from_source(
+            scan_csv(path), columns=("a",), predicate=(("a", ">", 1.0),))
+        assert [part.graph[part.key].affinity
+                for part in parts.partitions] == [path]
 
-    def test_bundle_affinity_ignores_non_parse_and_non_path_args(self):
-        # A slash-bearing string in a non-parse task (e.g. a date format)
-        # must not pin the bundle to a worker.
-        task = Task("sketch-1", make_values, ("%m/%d/%Y",), {})
-        assert _bundle_affinity(task) is None
-        # A parse task whose first argument is not a path (in-memory
-        # slices carry the frame itself) has no file to shard by.
-        task = Task("partition-2", make_values, (object(), 0, 100), {})
-        assert _bundle_affinity(task) is None
+    def test_nothing_is_pinned_by_the_look_of_its_key_or_arguments(self):
+        # A path-shaped first argument, a slash-bearing string (e.g. a date
+        # format) or a partition-like key prefix declare nothing.
+        for value in (
+                delayed(path_length, prefix="read_csv_partition")("/data/a.csv", 0),
+                delayed(make_values, prefix="sketch")("%m/%d/%Y"),
+                Task("read_csv_partition-0", make_values, ("/data/a.csv", 0, 9), {})):
+            task = value.graph[value.key] if hasattr(value, "graph") else value
+            assert task.affinity is None
+        # In-memory slices carry the frame itself: no file to shard by.
+        from repro.frame import DataFrame
+        from repro.graph.partition import PartitionedFrame
+        part = PartitionedFrame.from_frame(DataFrame({"a": [1.0]})).partitions[0]
+        assert part.graph[part.key].affinity is None
 
     def test_single_path_scan_does_not_pin(self, scheduler):
         # Every bundle of a single-file scan must round-robin across the
         # pool: with pinning active they would all land on one worker and
         # the remote backend would run serially.
-        chunks = [delayed(path_length, prefix="read_csv_partition")(
+        chunks = [delayed(path_length, affinity="/data/only.csv")(
             "/data/only.csv", offset) for offset in range(4)]
         total = delayed(combine_sum, prefix="combine")(chunks)
         total.compute(scheduler=scheduler)
         assert scheduler._affinity_active is False
 
-        # Two distinct paths in the parse tasks switch pinning on.
-        chunks = [delayed(path_length, prefix="read_csv_partition")(path, 0)
+        # Undeclared paths among the arguments do not switch pinning on ...
+        chunks = [delayed(path_length)(path, 0)
+                  for path in ("/data/a.csv", "/data/b.csv")]
+        delayed(combine_sum, prefix="combine")(chunks).compute(scheduler=scheduler)
+        assert scheduler._affinity_active is False
+
+        # ... two distinct declared ones do.
+        chunks = [delayed(path_length, affinity=path)(path, 0)
                   for path in ("/data/a.csv", "/data/b.csv")]
         total = delayed(combine_sum, prefix="combine")(chunks)
         total.compute(scheduler=scheduler)

@@ -10,6 +10,7 @@ without another edit, and no view can drift from the reports it summarises.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import operator
 from dataclasses import fields
 
@@ -18,11 +19,14 @@ import pytest
 
 from repro import DataFrame, plot, plot_missing
 from repro.frame.io import scan_csv, write_csv
+from repro.frame.source import InMemorySource
 from repro.graph import (
     EagerEngine,
     TaskCache,
+    compute,
     delayed,
     get_global_cache,
+    get_scheduler,
     set_global_cache,
 )
 from repro.graph.engines import ExecutionReport
@@ -166,3 +170,84 @@ def test_meta_stats_are_views_of_the_summed_reports(sources, kind, call):
         assert meta["predicate"]["chunks_skipped"] == 4
         assert meta["predicate"]["rows_filtered"] == 100
         assert meta["projection"]["columns_pruned"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Counters come from what a task declares, not from what it looks like.
+# --------------------------------------------------------------------------- #
+def partition(path, start, stop):
+    """A user function that merely shares a partition task's name and shape."""
+    return stop - start
+
+
+def read_csv_partition(path, start, stop):
+    return stop - start
+
+
+class _RowsSource(InMemorySource):
+    """The stock in-memory source, its partitions labelled ``rows``."""
+
+    def partitions(self):
+        return [dataclasses.replace(part, prefix="rows")
+                for part in super().partitions()]
+
+    def with_partitioning(self, chunk_rows=None, budget_bytes=None,
+                          concurrency=1):
+        inner = super().with_partitioning(chunk_rows, budget_bytes, concurrency)
+        return self if inner is self else _RowsSource(inner.frame, chunk_rows)
+
+
+@pytest.mark.parametrize("scheduler", ["synchronous", "process"])
+def test_a_lookalike_user_function_declares_nothing(scheduler):
+    # Fails at the parent commit: the key prefix plus the (str, int, int)
+    # arguments read as two CSV byte-range parses of 4990 + 7 bytes.
+    backend = get_scheduler(scheduler, max_workers=2, cache=TaskCache())
+    try:
+        for _ in range(2):          # cold, then served from the cache
+            values = [delayed(partition)("notes.txt", 10, 5000),
+                      delayed(read_csv_partition)("notes.txt", 0, 7)]
+            assert compute(*values, scheduler=backend) == [4990, 7]
+            run = backend.last_run
+            assert (run.full_parses, run.projected_parses, run.chunks_new,
+                    run.chunks_reused, run.bytes_reparsed) == (0, 0, 0, 0, 0)
+        assert run.cache_hits == 2
+    finally:
+        backend.close()
+
+
+@pytest.mark.parametrize("scheduler", ["synchronous", "process"])
+def test_a_custom_prefix_counts_like_the_stock_source(sources, scheduler):
+    # Fails at the parent commit: only the prefixes "partition" and
+    # "read_csv_partition" counted, so a source labelling its partitions
+    # anything else reported zero parses and zero reuse.
+    frame = sources["memory"]()
+    config = {**CONFIG, "compute.scheduler": scheduler, "compute.max_workers": 2}
+    counted = {}
+    for make in (InMemorySource, _RowsSource):
+        set_global_cache(TaskCache())
+        source = make(frame, CHUNK_ROWS)
+        totals = RunStats()
+        for _ in range(2):          # the second call reuses the first's chunks
+            for report in plot(source, mode="intermediates",
+                               config=config).meta["execution_reports"]:
+                totals += report
+        counted[make] = (totals.full_parses, totals.chunks_new,
+                         totals.chunks_reused)
+    assert counted[_RowsSource] == counted[InMemorySource]
+    full_parses, chunks_new, chunks_reused = counted[InMemorySource]
+    assert full_parses == chunks_new >= N_ROWS // CHUNK_ROWS
+    assert chunks_reused > 0
+
+
+def test_declared_counts_are_added_when_the_task_runs_and_must_name_counters():
+    from repro.errors import GraphError
+    for unknown in ("full_parse", "worker_utilization"):
+        with pytest.raises(GraphError, match=unknown):
+            delayed(operator.mul, counts={unknown: 1})
+    backend = get_scheduler("synchronous", cache=TaskCache())
+    for expected in ((2, 10, 0), (0, 0, 1)):     # runs, then is reused
+        value = delayed(operator.mul, counts={
+            "full_parses": 2, "bytes_reparsed": 10, "chunks_new": 1})(3, 4)
+        assert compute(value, scheduler=backend) == [12]
+        run = backend.last_run
+        assert (run.full_parses, run.bytes_reparsed, run.chunks_reused) == expected

@@ -136,9 +136,9 @@ class TestKeys:
         def lazy(value):
             return ref.graph[ref.key] if value is ref else None
 
-        token, deps, stable, args, kwargs = tokenize(
+        token, deps, stable, shippable, args, kwargs = tokenize(
             operator.add, (ref, 2), {"extra": [ref]}, lazy)
-        assert deps == (ref.key,) and stable
+        assert deps == (ref.key,) and stable and shippable
         assert args == (TaskRef(ref.key), 2)
         assert kwargs == {"extra": [TaskRef(ref.key)]}
         assert len(token) == 32

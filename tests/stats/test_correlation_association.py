@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro.errors import EDAError
+from repro.stats import merge_all
 from repro.stats.association import (
     column_missing_counts,
     missing_spectrum,
@@ -44,7 +45,7 @@ class TestPearson:
         whole = pearson_matrix(correlated_matrix)
         partials = [PearsonPartial.from_matrix(chunk)
                     for chunk in np.array_split(correlated_matrix, 6)]
-        merged = PearsonPartial.merge_all(partials).finalize()
+        merged = merge_all(partials).finalize()
         assert np.allclose(whole, merged, equal_nan=True, atol=1e-10)
 
     def test_pairwise_deletion_matches_scipy(self, correlated_matrix):

@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 
 from repro.frame import Column
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
+from repro.stats.sketches import merge_all
 
 
 @pytest.fixture
@@ -31,7 +32,7 @@ class TestNumericSummary:
         whole = NumericSummary.from_values(sample_values)
         parts = [NumericSummary.from_values(chunk)
                  for chunk in np.array_split(sample_values, 7)]
-        merged = NumericSummary.merge_all(parts)
+        merged = merge_all(parts)
         assert merged.count == whole.count
         assert merged.mean == pytest.approx(whole.mean)
         assert merged.variance == pytest.approx(whole.variance)
@@ -84,7 +85,7 @@ class TestCategoricalSummary:
     def test_merge_equals_whole(self):
         values = ["red"] * 10 + ["green"] * 5 + ["blue"] * 3
         whole = CategoricalSummary.from_values(values)
-        merged = CategoricalSummary.merge_all([
+        merged = merge_all([
             CategoricalSummary.from_values(values[:6]),
             CategoricalSummary.from_values(values[6:12]),
             CategoricalSummary.from_values(values[12:]),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import EDAError
-from repro.stats.histogram import Histogram, compute_histogram, freedman_diaconis_bins
+from repro.stats.histogram import compute_histogram, freedman_diaconis_bins
 from repro.stats.kde import gaussian_kde_curve, silverman_bandwidth
 from repro.stats.qq import box_plot_stats, normal_qq_points, quantiles_from_histogram
+from repro.stats.sketches import merge_all
 
 
 @pytest.fixture
@@ -26,7 +27,7 @@ class TestHistogram:
         whole = compute_histogram(normal_sample, 64, value_range)
         parts = [compute_histogram(chunk, 64, value_range)
                  for chunk in np.array_split(normal_sample, 9)]
-        merged = Histogram.merge_all(parts)
+        merged = merge_all(parts)
         assert np.array_equal(merged.counts, whole.counts)
 
     def test_merge_mismatched_edges_raises(self, normal_sample):

@@ -19,6 +19,7 @@ from repro.render.charts import render_scatter
 from repro.stats import sketches
 from repro.stats.correlation import spearman_matrix
 from repro.stats.descriptive import CategoricalSummary
+from repro.stats.sketches import merge_all
 
 
 def _python_calls(work) -> int:
@@ -41,7 +42,7 @@ def _python_calls(work) -> int:
 def _summarize(chunks, cache: TaskCache) -> None:
     """What a report does with one categorical column on the exact path."""
     partials = [CategoricalSummary.from_column(chunk) for chunk in chunks]
-    merged = CategoricalSummary.merge_all(partials)
+    merged = merge_all(partials)
     merged.top_values(10)
     merged.as_dict()
     for index, summary in enumerate(partials + [merged]):
@@ -121,7 +122,7 @@ def test_bounded_summaries_that_never_prune_hash_nothing(monkeypatch):
     def run(labels_per_chunk: int) -> int:
         chunks = _bounded_chunks(labels_per_chunk)
         merged = []
-        calls = _python_calls(lambda: merged.append(CategoricalSummary.merge_all(
+        calls = _python_calls(lambda: merged.append(merge_all(
             [CategoricalSummary.from_column(chunk, capacity=50_000)
              for chunk in chunks])))
         assert merged[0].distinct == merged[0].labels.size == 3 * labels_per_chunk
@@ -138,7 +139,7 @@ def test_bounded_summaries_that_prune_hash_once_per_side(monkeypatch):
     # The chunks fit the capacity; the second merge is the first to prune
     # (hashing its whole table once), each later merge hashes only the
     # incoming chunk's labels.
-    merged = CategoricalSummary.merge_all(
+    merged = merge_all(
         [CategoricalSummary.from_column(chunk, capacity=7_000)
          for chunk in chunks])
     assert hashed == [8_000, 4_000, 4_000]
@@ -147,7 +148,7 @@ def test_bounded_summaries_that_prune_hash_once_per_side(monkeypatch):
     assert merged.distinct == pytest.approx(12_000, rel=0.08)
 
     hashed.clear()
-    merged = CategoricalSummary.merge_all(
+    merged = merge_all(
         [CategoricalSummary.from_column(chunk, capacity=3_000)
          for chunk in chunks])
     assert hashed == [4_000] * 5            # every chunk prunes on its own

@@ -117,7 +117,7 @@ def test_numeric_summary_split_invariant_with_missing(values, missing, n_chunks)
     partials = [NumericSummary.from_values(chunk,
                                            missing=missing if index == 0 else 0)
                 for index, chunk in enumerate(chunks)]
-    merged = NumericSummary.merge_all(partials)
+    merged = merge_all(partials)
     assert merged.count == whole.count
     assert merged.missing == whole.missing
     assert merged.total == whole.total
@@ -305,7 +305,7 @@ def test_bounded_categorical_count_exact_under_pruning(values, split, capacity):
 def test_bounded_categorical_distinct_estimate_when_pruned():
     values = [f"unique-{index}" for index in range(5_000)]
     chunks = [values[:2_000], values[2_000:4_000], values[4_000:]]
-    merged = CategoricalSummary.merge_all(
+    merged = merge_all(
         [CategoricalSummary.from_values(chunk, capacity=100) for chunk in chunks])
     assert len(merged.counts) <= 100
     assert merged.count == 5_000
@@ -330,7 +330,7 @@ def test_bounded_categorical_sketch_is_lazy_and_order_free(values, n_chunks,
               np.array_split(np.asarray(values, dtype=object), n_chunks)]
 
     def fold(parts):
-        return CategoricalSummary.merge_all(
+        return merge_all(
             [CategoricalSummary.from_values(part, capacity=capacity)
              for part in parts])
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
-from repro.stats.histogram import Histogram, compute_histogram
+from repro.stats.histogram import compute_histogram
+from repro.stats.sketches import merge_all
 from repro.stats.tests import chi_square_uniformity, ks_similarity, normality_test
 
 
@@ -69,7 +70,7 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6,
 def test_numeric_summary_merge_is_split_invariant(values, n_chunks):
     array = np.asarray(values)
     whole = NumericSummary.from_values(array)
-    merged = NumericSummary.merge_all(
+    merged = merge_all(
         [NumericSummary.from_values(chunk) for chunk in np.array_split(array, n_chunks)])
     assert merged.count == whole.count
     assert np.isclose(merged.mean, whole.mean, rtol=1e-9, atol=1e-9)
@@ -100,7 +101,7 @@ def test_categorical_summary_merge_is_split_invariant(values, split):
 def test_histogram_merge_is_split_invariant(values, n_chunks, bins):
     array = np.asarray(values)
     whole = compute_histogram(array, bins, (0.0, 100.0))
-    merged = Histogram.merge_all(
+    merged = merge_all(
         [compute_histogram(chunk, bins, (0.0, 100.0))
          for chunk in np.array_split(array, n_chunks)])
     assert np.array_equal(whole.counts, merged.counts)
