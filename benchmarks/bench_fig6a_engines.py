@@ -10,9 +10,11 @@ The workload here mirrors that setup: the bitcoin-shaped data sits in a CSV
 file, partitions are parsed lazily inside the task graph
 (:meth:`PartitionedFrame.from_source` over a ``scan_csv`` handle), and the
 requested values are the ``plot(df)`` intermediates (a summary and a histogram per column).  The lazy
-engine parses every partition once and shares it across all intermediates;
-the eager engine re-parses per requested value; the RPC series is the lazy
-engine over a synchronous scheduler that pays a dispatch latency per task.
+strategy computes them in one merged graph, which parses every partition
+once and shares it across all intermediates; the eager strategy computes
+each value on its own, re-parsing per value; the RPC series is the one
+merged graph over a synchronous scheduler that pays a dispatch latency per
+task.
 """
 
 from __future__ import annotations
@@ -20,32 +22,44 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import Dict, List
+from typing import Any, Callable, Dict, List
 
 import pytest
 
 from benchmarks.conftest import BITCOIN_ROWS, print_header
 from repro.datasets import bitcoin_dataset
 from repro.frame.io import scan_csv, write_csv
-from repro.graph import Delayed, PartitionedFrame
-from repro.graph.engines import EagerEngine, Engine, LazyEngine
+from repro.graph import (
+    Delayed,
+    PartitionedFrame,
+    SynchronousScheduler,
+    ThreadedScheduler,
+    compute,
+)
 from repro.stats.descriptive import NumericSummary
 from repro.stats.histogram import Histogram, compute_histogram
 from repro.stats.sketches import merge_all
 
-#: Engine name -> measured seconds (filled as the benchmarks run).
+#: Strategy name -> measured seconds (filled as the benchmarks run).
 _RESULTS: Dict[str, float] = {}
+
+
+def _eager(values: List[Delayed]) -> List[Any]:
+    """Modin-like: each value computed on its own graph, nothing shared."""
+    scheduler = ThreadedScheduler()
+    return [compute(value, scheduler=scheduler)[0] for value in values]
+
 
 #: The strategies compared, in the order of the paper's Figure 6(a) bars.
 #: "rpc" models Koalas/PySpark on a single node: lazy overall, but every
 #: task dispatch pays a 10 ms driver/executor round trip — deliberately
 #: modest, and it still dominates when the data is small, which is the
 #: paper's point.
-ENGINES = {
-    "lazy": LazyEngine,
-    "eager": EagerEngine,
-    "rpc": lambda: LazyEngine(scheduler="synchronous",
-                              scheduler_options={"dispatch_latency": 0.01}),
+ENGINES: Dict[str, Callable[[List[Delayed]], List[Any]]] = {
+    "lazy": lambda values: compute(*values, scheduler=ThreadedScheduler()),
+    "eager": _eager,
+    "rpc": lambda values: compute(
+        *values, scheduler=SynchronousScheduler(dispatch_latency=0.01)),
 }
 
 #: Rows per CSV partition.
@@ -91,16 +105,15 @@ def bitcoin_csv_path():
 
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_fig6a_engine(benchmark, bitcoin_csv_path, engine_name):
-    """Compute the plot(df) intermediates with one engine."""
+    """Compute the plot(df) intermediates with one strategy."""
     def run():
-        engine: Engine = ENGINES[engine_name]()
         started = time.perf_counter()
         # An effectively unbounded budget: PARTITION_ROWS is this figure's
         # fixed granularity, not something the memory heuristic may shrink.
         partitioned = PartitionedFrame.from_source(scan_csv(
             bitcoin_csv_path, chunk_rows=PARTITION_ROWS,
             budget_bytes=2 ** 62, inference_rows=1000))
-        results = engine.compute(_plot_df_workload(partitioned))
+        results = ENGINES[engine_name](_plot_df_workload(partitioned))
         _RESULTS[engine_name] = time.perf_counter() - started
         return len(results)
 

@@ -10,7 +10,7 @@ slices, summaries and histograms computed by earlier ones.
 This benchmark replays one such session twice against a fresh process-wide
 cache: the first (cold) replay pays for everything, the second (warm) replay
 must execute strictly fewer tasks and report cache hits in its
-ExecutionReports.  Wall-clock times are printed per call.
+execution reports.  Wall-clock times are printed per call.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def test_interactive_session_cold_vs_warm(benchmark):
     print(f"whole-session speedup: {speedup:.2f}x")
 
     # Acceptance: the warm replay executes strictly fewer tasks and the
-    # avoided work is visible as cache hits in the ExecutionReports.
+    # avoided work is visible as cache hits in the execution reports.
     assert warm["tasks_executed"] < cold["tasks_executed"]
     assert warm["cache_hits"] > 0
     # Even the cold session benefits: calls after the first reuse the

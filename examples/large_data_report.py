@@ -1,9 +1,11 @@
-"""Profile reports on larger data: the lazy pipeline and engine choices.
+"""Profile reports on larger data: the lazy pipeline and its sharing.
 
 This example mirrors Section 6.2 of the paper on a laptop scale: it builds a
 bitcoin-shaped dataset, generates a profile report through the partitioned
-lazy pipeline, compares the execution engines on the same workload, and shows
-the intermediates-sharing statistics the optimizer reports.
+lazy pipeline, compares it with the eager baseline profiler, and shows the
+intermediates-sharing statistics each graph run reports.  The lazy vs eager
+vs RPC-style comparison of Figure 6(a) is
+``benchmarks/bench_fig6a_engines.py``.
 
 Run with::
 
@@ -21,7 +23,6 @@ from repro.baselines import eager_profile_report
 from repro.datasets import bitcoin_dataset
 from repro.eda.compute import ComputeContext, compute_overview
 from repro.eda.config import Config
-from repro.graph.engines import available_engines, get_engine
 
 
 def main() -> None:
@@ -48,21 +49,21 @@ def main() -> None:
     print(f"eager baseline report: {baseline_seconds:.1f}s "
           f"({baseline_seconds / dataprep_seconds:.1f}x slower)")
 
-    # 3. Engine comparison on the plot(df) intermediates (Figure 6a shape).
-    engine_config = Config.from_user({"compute.use_graph": "always",
-                                      "compute.partition_rows": 50_000,
-                                      "insight.enabled": False})
-    print("engine comparison for plot(df) intermediates:")
-    for engine_name in available_engines():
-        context = ComputeContext(df, engine_config,
-                                 engine=get_engine(engine_name))
-        started = time.perf_counter()
-        compute_overview(df, engine_config, context=context)
-        elapsed = time.perf_counter() - started
-        shared = sum(report.shared_tasks for report in context.reports)
-        executed = sum(report.tasks_executed for report in context.reports)
-        print(f"  {engine_name:12s} {elapsed:6.2f}s "
-              f"({executed} tasks executed, {shared} shared)")
+    # 3. Work sharing in the plot(df) intermediates: one merged graph per
+    # stage.  (The eager one-graph-per-value comparison of Figure 6a is
+    # benchmarks/bench_fig6a_engines.py.)
+    overview_config = Config.from_user({"compute.use_graph": "always",
+                                        "compute.partition_rows": 50_000,
+                                        "insight.enabled": False,
+                                        "cache.enabled": False})
+    context = ComputeContext(df, overview_config)
+    started = time.perf_counter()
+    compute_overview(df, overview_config, context=context)
+    elapsed = time.perf_counter() - started
+    shared = sum(report.shared_tasks for report in context.reports)
+    executed = sum(report.tasks_executed for report in context.reports)
+    print(f"plot(df) intermediates: {elapsed:.2f}s "
+          f"({executed} tasks executed, {shared} shared)")
     print(f"all output files are in {output_dir}")
 
 

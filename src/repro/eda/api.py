@@ -15,8 +15,8 @@ With ``mode="intermediates"`` the call skips rendering and returns the raw
 charts would be drawn from (histogram counts and edges, summary statistics,
 correlation matrices, ...) — for use with any other plotting library.  The
 returned object also carries ``timings`` (seconds per pipeline stage) and
-``meta["execution_reports"]`` (one
-:class:`~repro.graph.engines.ExecutionReport` per graph stage, including
+``meta["execution_reports"]`` (the scheduler's
+:class:`~repro.graph.scheduler.RunStats` of each graph stage, including
 cache hits), which is how the benchmarks observe the pipeline.
 
 Interactive sessions and the ``cache.*`` config keys

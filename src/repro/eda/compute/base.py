@@ -52,10 +52,9 @@ from repro.frame.frame import DataFrame
 from repro.frame.sidecar import SidecarRoute, stats_snapshot as _sidecar_snapshot
 from repro.frame.source import FilteredSource, FrameSource, as_source
 from repro.graph.cache import TaskCache, get_global_cache
-from repro.graph.delayed import Delayed
-from repro.graph.engines import Engine, ExecutionReport, get_engine
+from repro.graph.delayed import Delayed, compute as compute_values
 from repro.graph.partition import PartitionedFrame
-from repro.graph.scheduler import RunStats
+from repro.graph.scheduler import RunStats, get_scheduler
 from repro.stats.correlation import PearsonPartial
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
 from repro.stats.histogram import Histogram
@@ -390,7 +389,7 @@ class PendingReduction:
 # --------------------------------------------------------------------------- #
 # The projection planner: pure functions of (column names, projections
 # already built, requests), so a plan can be computed — and tested — with no
-# source and no engine.  A request is the column tuple one reduction declared
+# source and no scheduler.  A request is the column tuple one reduction declared
 # (None = every column); a projection is a column tuple in source order
 # (None = full width).
 # --------------------------------------------------------------------------- #
@@ -468,7 +467,7 @@ def _select_projection(column_names: Sequence[str], built: Sequence[Projection],
 class ComputeContext:
     """Execution context for one EDA task.
 
-    The context owns the frame source, the partitioned frame, the engine
+    The context owns the frame source, the partitioned frame, the scheduler
     and the timing bookkeeping.  Compute functions ask it for intermediates
     — pending reductions in the graph stage, plain values on tiny data,
     where the same plans run inline — and then call :meth:`resolve` once
@@ -476,15 +475,14 @@ class ComputeContext:
     graph.
     """
 
-    def __init__(self, frame: Union[DataFrame, FrameSource, Any], config: Config,
-                 engine: Optional[Engine] = None):
+    def __init__(self, frame: Union[DataFrame, FrameSource, Any], config: Config):
         self.source: FrameSource = as_source(frame)
         self.exact_results = self.source.capabilities.exact
         self._frame: Optional[DataFrame] = \
             self.source.to_frame() if self.exact_results else None
         self.config = config
         self.timings: Dict[str, float] = {}
-        self.reports: List[ExecutionReport] = []
+        self.reports: List[RunStats] = []
         self._planned_source: Optional[FrameSource] = None
         self._projected_partitions: Dict[Projection, PartitionedFrame] = {}
         self._used_projections: List[Projection] = []
@@ -540,11 +538,10 @@ class ComputeContext:
             self.sidecar_route = SidecarRoute(
                 directory=config.get("cache.disk_dir"),
                 budget_bytes=int(config.get("cache.disk_bytes")))
-        if engine is not None:
-            self.engine = engine
-        else:
-            self.engine = get_engine(config.get("compute.engine"),
-                                     **self._engine_kwargs())
+        self.scheduler = get_scheduler(
+            config.get("compute.scheduler"),
+            max_workers=config.get("compute.max_workers"), cache=self.cache,
+            **self._scheduler_options())
 
     # ------------------------------------------------------------------ #
     # Input access (source-mediated)
@@ -657,12 +654,6 @@ class ComputeContext:
             "timeout_s": self.config.get("compute.remote.timeout_s"),
             "authkey": self.config.get("compute.remote.authkey"),
         }
-
-    def _engine_kwargs(self) -> Dict[str, Any]:
-        return {"max_workers": self.config.get("compute.max_workers"),
-                "cache": self.cache,
-                "scheduler": self.config.get("compute.scheduler"),
-                "scheduler_options": self._scheduler_options()}
 
     def _decide_graph_mode(self) -> bool:
         if not self.exact_results:
@@ -937,7 +928,7 @@ class ComputeContext:
     # ------------------------------------------------------------------ #
     # Resolution (one merged graph per stage)
     # ------------------------------------------------------------------ #
-    def resolve(self, requested: Dict[str, Any], stage: str = "graph") -> Dict[str, Any]:
+    def resolve(self, requested: Dict[str, Any]) -> Dict[str, Any]:
         """Compute all lazy values in *requested* against one shared graph.
 
         Pending reductions are first bound to partition tasks: the
@@ -946,8 +937,9 @@ class ComputeContext:
         task per ``(chunk, column set)`` — this is the point where
         ``plot(df, "x")`` over a wide scan becomes a single-column parse.
         Plain values pass through untouched, so compute functions can
-        freely mix lazy and already-known values.  Timing and execution
-        reports are recorded per stage for the benchmarks.
+        freely mix lazy and already-known values.  The time spent adds to
+        ``timings["graph"]``, and the scheduler's run record of the batch
+        (``last_run``) becomes its execution report.
         """
         started = time.perf_counter()
         resolved = dict(requested)
@@ -978,8 +970,9 @@ class ComputeContext:
         keys = [key for key, value in resolved.items() if isinstance(value, Delayed)]
         if keys:
             sidecar_before = _sidecar_snapshot()
-            values, report = self.engine.compute_with_report(
-                [resolved[key] for key in keys])
+            values = compute_values(*(resolved[key] for key in keys),
+                                    scheduler=self.scheduler)
+            report = self.scheduler.last_run
             for key, value in zip(keys, values):
                 resolved[key] = value
             sidecar_after = _sidecar_snapshot()
@@ -996,7 +989,7 @@ class ComputeContext:
             self.total += report
             self.reports.append(report)
         elapsed = time.perf_counter() - started
-        self.timings[stage] = self.timings.get(stage, 0.0) + elapsed
+        self.timings["graph"] = self.timings.get("graph", 0.0) + elapsed
         return resolved
 
     def record_local_stage(self, seconds: float) -> None:
@@ -1008,8 +1001,8 @@ class ComputeContext:
 
         Every compute function calls this last, so callers (and the
         interactive-session benchmark) can read per-stage timings and the
-        engine's :class:`~repro.graph.engines.ExecutionReport` list —
-        including cache hits — from ``intermediates.meta``.
+        :class:`~repro.graph.scheduler.RunStats` list of the resolved
+        batches — including cache hits — from ``intermediates.meta``.
         ``meta["projection"]`` carries the projection planner's counters
         (partition tasks built per kind, columns pruned), which is how the
         benchmarks assert that a single-column task parsed a single column.

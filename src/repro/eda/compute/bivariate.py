@@ -64,7 +64,7 @@ def _numerical_numerical(context: ComputeContext, col1: str, col2: str,
         "summary2": context.numeric_summary(col2),
         "pearson": context.pearson_partial([col1, col2]),
         "sample": context.sample([col1, col2], config.get("scatter.sample_size")),
-    }, stage="graph")
+    })
 
     started = time.perf_counter()
     pearson: PearsonPartial = stage1["pearson"]
@@ -153,7 +153,7 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
         "summary": context.numeric_summary(numerical),
         "categories": context.categorical_summary(categorical),
         "sample": context.sample([categorical, numerical], 50_000),
-    }, stage="graph")
+    })
 
     started = time.perf_counter()
     sample: DataFrame = stage1["sample"]
@@ -236,7 +236,7 @@ def _categorical_categorical(context: ComputeContext, col1: str, col2: str,
         "pairs": context.pair_counts(col1, col2),
         "summary1": context.categorical_summary(col1),
         "summary2": context.categorical_summary(col2),
-    }, stage="graph")
+    })
 
     started = time.perf_counter()
     pair_counts: Dict[Tuple[str, str], int] = stage1["pairs"]

@@ -54,7 +54,7 @@ def compute_correlation_overview(frame: DataFrame, config: Config,
     stage1 = context.resolve({
         "pearson": context.pearson_partial(columns),
         "sample": context.sample(columns, sample_size),
-    }, stage="graph")
+    })
 
     started = time.perf_counter()
     matrices: Dict[str, np.ndarray] = {}
@@ -166,7 +166,7 @@ def compute_correlation_pair(frame: DataFrame, col1: str, col2: str, config: Con
         "pearson": context.pearson_partial([col1, col2]),
         "sample": context.sample([col1, col2],
                                  config.get("correlation.scatter_sample_size")),
-    }, stage="graph")
+    })
 
     started = time.perf_counter()
     correlation = float(stage1["pearson"].finalize()[0, 1])

@@ -48,7 +48,7 @@ def compute_missing_overview(frame: DataFrame, config: Config,
     context = context or ComputeContext(frame, config)
     stage1 = context.resolve({
         "sketch": context.nullity_sketch(config.get("missing.spectrum_bins")),
-    }, stage="graph")
+    })
 
     started = time.perf_counter()
     sketch: NullitySketch = stage1["sketch"]

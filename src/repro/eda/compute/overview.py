@@ -54,7 +54,7 @@ def compute_overview(frame: DataFrame, config: Config,
         requested[f"numeric::{name}"] = context.numeric_summary(name)
     for name in categorical:
         requested[f"categorical::{name}"] = context.categorical_summary(name)
-    stage1 = context.resolve(requested, stage="graph")
+    stage1 = context.resolve(requested)
 
     numeric_summaries: Dict[str, NumericSummary] = {
         name: stage1[f"numeric::{name}"] for name in numerical}
@@ -68,7 +68,7 @@ def compute_overview(frame: DataFrame, config: Config,
         if summary.count:
             stage2_request[f"hist::{name}"] = context.histogram(
                 name, bins, summary.minimum, summary.maximum)
-    stage2 = context.resolve(stage2_request, stage="graph") if stage2_request else {}
+    stage2 = context.resolve(stage2_request) if stage2_request else {}
 
     # Local stage: assemble dataset statistics and per-column chart data.
     started = time.perf_counter()

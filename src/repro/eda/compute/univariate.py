@@ -60,8 +60,7 @@ def compute_univariate(frame: DataFrame, column: str, config: Config,
 def _numerical_univariate(context: ComputeContext, column: str,
                           config: Config) -> Intermediates:
     # Stage 1 (graph): the shared numeric summary.
-    stage1 = context.resolve({"summary": context.numeric_summary(column)},
-                             stage="graph")
+    stage1 = context.resolve({"summary": context.numeric_summary(column)})
     summary: NumericSummary = stage1["summary"]
 
     # Stage 2 (graph): histograms over the now-known range plus a sample for
@@ -75,7 +74,7 @@ def _numerical_univariate(context: ComputeContext, column: str,
         "histogram": context.histogram(column, display_bins, low, high),
         "fine_histogram": context.histogram(column, internal_bins, low, high),
         "sample": context.sample([column], 5000),
-    }, stage="graph")
+    })
 
     # Local stage ("Pandas computation"): derive everything plot-ready.
     started = time.perf_counter()
@@ -163,8 +162,7 @@ def _display_bins(summary: NumericSummary, config: Config) -> int:
 # --------------------------------------------------------------------------- #
 def _categorical_univariate(context: ComputeContext, column: str, config: Config,
                             semantic: SemanticType) -> Intermediates:
-    stage1 = context.resolve({"summary": context.categorical_summary(column)},
-                             stage="graph")
+    stage1 = context.resolve({"summary": context.categorical_summary(column)})
     summary: CategoricalSummary = stage1["summary"]
 
     started = time.perf_counter()

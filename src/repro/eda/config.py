@@ -20,7 +20,6 @@ from repro.frame.io import DEFAULT_BUDGET_BYTES as _DEFAULT_BUDGET_BYTES
 from repro.frame.io import DEFAULT_CHUNK_ROWS as _DEFAULT_CHUNK_ROWS
 from repro.frame.sidecar import DEFAULT_DISK_BYTES as _SIDECAR_DEFAULT_BYTES
 from repro.graph.cache import DEFAULT_MAX_BYTES as _CACHE_DEFAULT_MAX_BYTES
-from repro.graph.engines import available_engines
 
 _VALID_GRAPH_MODES = ("auto", "always", "never")
 _VALID_CORRELATION_METHODS = ("pearson", "spearman", "kendall")
@@ -69,20 +68,12 @@ _graph_mode = _expects(f"one of {_VALID_GRAPH_MODES}",
                        lambda v: v in _VALID_GRAPH_MODES)
 
 
-def _registered(key: str, value: Any, valid: Tuple[str, ...]) -> str:
-    if value not in valid:
-        raise ConfigError(f"config key {key!r} expects one of "
-                          f"{valid}, got {value!r}", key=key,
-                          suggestion=_closest(str(value), valid))
-    return value
-
-
 def _scheduler(key: str, value: Any) -> str:
-    return _registered(key, value, _VALID_SCHEDULERS)
-
-
-def _engine(key: str, value: Any) -> str:
-    return _registered(key, value, tuple(available_engines()))
+    if value not in _VALID_SCHEDULERS:
+        raise ConfigError(f"config key {key!r} expects one of "
+                          f"{_VALID_SCHEDULERS}, got {value!r}", key=key,
+                          suggestion=_closest(str(value), _VALID_SCHEDULERS))
+    return value
 
 
 def _correlation_methods(key: str, value: Any) -> Tuple[str, ...]:
@@ -190,7 +181,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "compute.partition_rows": (100000, _positive_int),
     "compute.use_graph": ("auto", _graph_mode), # "auto" | "always" | "never"
     "compute.small_data_rows": (50000, _positive_int), # below this, skip the graph stage
-    "compute.engine": ("lazy", _engine), # see repro.graph.engines
     # Execution backend for the graph stage: "threaded" (default; GIL-shared
     # workers, fine for numpy-dominated tasks), "process" (a true
     # multiprocess pool — scales GIL-bound chunk work such as streaming CSV

@@ -16,17 +16,18 @@ does not ship Dask, so this package implements the required subset:
 * :mod:`~repro.graph.scheduler` — the pluggable execution layer: a shared
   scheduling core (cache planning, readiness, result release) with
   synchronous, threaded and true-multiprocess backends, selected by the
-  ``compute.scheduler`` config key.
+  ``compute.scheduler`` config key.  Each run's ``last_run``
+  (:class:`~repro.graph.scheduler.RunStats`) is the execution report.
+  :func:`~repro.graph.delayed.compute` over one merged graph is the lazy
+  strategy of Figure 6(a); the eager (one ``compute`` per value) and
+  RPC-style (a dispatch latency per task) series are composed from the
+  same parts in the Figure 6(a) benchmark.
 * :mod:`~repro.graph.executor` — where payloads run (thread pool, process
   pool), including the picklability contract and chunk-bundle shipping of
   the process backend.
 * :class:`~repro.graph.partition.PartitionedFrame` — a row-chunked DataFrame
   with lazy per-partition map and tree reductions, plus the chunk-size
   precompute stage described in Section 5.2 of the paper.
-* :mod:`~repro.graph.engines` — execution strategies compared in Figure 6(a):
-  lazy-shared (DataPrep.EDA / Dask) and eager per-operation (Modin-like);
-  the RPC-overhead series (Koalas / PySpark-like) is the lazy engine over a
-  synchronous scheduler with a per-task dispatch latency.
 * :mod:`~repro.graph.remote` / :mod:`~repro.graph.wire` — the real
   distributed backend behind Figure 6(c): a coordinator dispatching bundles
   to socket workers (spawned locally or attached from other hosts) over a
@@ -61,13 +62,6 @@ from repro.graph.scheduler import (
 )
 from repro.frame.source import precompute_chunk_sizes
 from repro.graph.partition import PartitionedFrame
-from repro.graph.engines import (
-    EagerEngine,
-    Engine,
-    LazyEngine,
-    available_engines,
-    get_engine,
-)
 from repro.graph.cluster import ClusterCostModel
 
 #: Remote-backend names resolved on first attribute access (PEP 562): an
@@ -87,10 +81,7 @@ __all__ = [
     "CacheStats",
     "ClusterCostModel",
     "Delayed",
-    "EagerEngine",
-    "Engine",
     "Executor",
-    "LazyEngine",
     "PartitionedFrame",
     "ProcessExecutor",
     "ProcessScheduler",
@@ -104,12 +95,10 @@ __all__ = [
     "TaskGraph",
     "TaskRef",
     "ThreadedScheduler",
-    "available_engines",
     "available_schedulers",
     "clear_global_cache",
     "compute",
     "delayed",
-    "get_engine",
     "get_global_cache",
     "get_scheduler",
     "precompute_chunk_sizes",

@@ -92,11 +92,11 @@ class ProcessExecutor(Executor):
 
     Worker pools are **process-wide**, shared by every ProcessExecutor with
     the same worker count: forking workers costs tens of milliseconds, and
-    each EDA call builds a fresh engine (hence a fresh scheduler), so
-    per-scheduler pools would respawn workers on every interactive call.
-    The pool is created on the first submit, reused across calls, and torn
-    down by ``concurrent.futures``' atexit hook; :meth:`close` therefore
-    deliberately does *not* stop workers another engine may be using.
+    each EDA call builds a fresh scheduler, so per-scheduler pools would
+    respawn workers on every interactive call.  The pool is created on the
+    first submit, reused across calls, and torn down by
+    ``concurrent.futures``' atexit hook; :meth:`close` therefore
+    deliberately does *not* stop workers another scheduler may be using.
     After a worker crash the pool is discarded; the next submit starts a
     fresh one, so one poisoned task cannot wedge the rest of the process.
     """

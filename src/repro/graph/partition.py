@@ -207,6 +207,9 @@ def tree_combine(values: Sequence[Delayed],
     """Combine lazy values with a balanced tree of *combine* calls."""
     if not values:
         raise GraphError("cannot combine zero values")
+    if split_every < 2:
+        # A group of one never shrinks a level: the tree would not end.
+        raise GraphError(f"split_every must be at least 2, got {split_every!r}")
     combiner = delayed(combine, prefix=getattr(combine, "__name__", "combine"))
     level = list(values)
     while len(level) > 1:

@@ -55,8 +55,8 @@ Failure semantics
 * shutdown drains: in-flight results are collected (bounded wait), then
   workers receive ``SHUTDOWN`` and local processes are reaped.
 
-Like the in-process pools, remote pools are **process-wide** — engines are
-rebuilt per EDA call, and respawning (re-importing numpy in) the workers on
+Like the in-process pools, remote pools are **process-wide** — schedulers
+are rebuilt per EDA call, and respawning (re-importing numpy in) the workers on
 every interactive call would dominate the session.  Pools are keyed by
 their full configuration and reaped atexit; :func:`shutdown_remote_pools`
 tears them down explicitly (tests, benchmarks).
@@ -802,7 +802,7 @@ class RemoteExecutor(Executor):
 
     ``workers`` local subprocesses are spawned on first use (0 with an
     externally-bound address means "attached workers only").  Pools are
-    process-wide, keyed by their full configuration: engines are rebuilt
+    process-wide, keyed by their full configuration: schedulers are rebuilt
     per EDA call and workers must not be respawned each time.  ``close``
     is therefore a no-op and ``discard`` (after a pool-level failure)
     drops the shared pool so the next submit starts fresh.

@@ -46,12 +46,17 @@ from repro.utils import default_worker_count
 
 @dataclass
 class RunStats:
-    """What one ``execute`` call did, including cache-based work avoidance.
+    """What one ``execute`` call did, including its work avoidance.
 
-    The single declaration of every run counter: an engine's
-    :class:`~repro.graph.engines.ExecutionReport` extends this record, and
+    The single declaration of every run counter, and the execution report
+    itself: each element of ``meta["execution_reports"]`` /
+    ``Report.execution_reports`` is one batch's ``Scheduler.last_run``, and
     the per-call totals behind ``meta[...]`` / ``Report.*_stats`` are one
-    more instance that every report is added to with ``+=``.
+    more instance that every report is added to with ``+=``.  Each
+    avoidance mechanism has its own counter: ``shared_tasks`` of the
+    ``tasks_before_optimization`` tasks built were equal to another one and
+    merged away by graph union, while ``cache_hits`` /
+    ``tasks_skipped_by_cache`` report the cross-call intermediate cache.
 
     The scheduler counts tasks; what a task *is* it reads from the facts
     declared when the task was built (``Task.counts``): executing a task
@@ -60,6 +65,7 @@ class RunStats:
     """
 
     planned: int = 0       # tasks in the (merged) graph
+    shared_tasks: int = 0  # built tasks the union merged into an equal one
     executed: int = 0      # tasks actually run
     cache_hits: int = 0    # tasks served straight from the cache
     skipped: int = 0       # ancestors never visited because a hit covered them
@@ -105,15 +111,28 @@ class RunStats:
     redispatched: int = 0
     worker_utilization: Dict[str, float] = field(default_factory=dict)
 
+    @property
+    def tasks_before_optimization(self) -> int:
+        """Every task that was built, shared ones included."""
+        return self.planned + self.shared_tasks
+
+    @property
+    def tasks_executed(self) -> int:
+        """Tasks that actually ran (``executed``)."""
+        return self.executed
+
+    @property
+    def tasks_skipped_by_cache(self) -> int:
+        """Ancestors a cache hit made unnecessary (``skipped``)."""
+        return self.skipped
+
     def __iadd__(self, other: "RunStats") -> "RunStats":
         """Fold another run's counters into this record.
 
         Integers add; ``worker_utilization`` keeps each worker's busiest
         run (fractions of different runs do not add).
         """
-        # RunStats' own fields, whatever the operands: a report (subclass)
-        # takes in a plain run, and a plain total takes in a report.
-        for spec in fields(RunStats):
+        for spec in fields(self):
             mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
             if isinstance(theirs, dict):
                 for worker_id, busy in theirs.items():
@@ -223,7 +242,7 @@ class _ExecutionState:
 class Scheduler:
     """Base class for graph schedulers."""
 
-    #: Human-readable name used by the engine registry and benchmarks.
+    #: Registry name (the ``compute.scheduler`` value).
     name = "base"
 
     #: Optional cross-call intermediate cache consulted before execution.
@@ -255,11 +274,13 @@ class Scheduler:
         hits is prefilled into the plan's results and its dependencies
         are not visited, so the whole subtree feeding only that task is
         skipped.  Returns None when no cache is attached (run everything);
-        always records :attr:`last_run`.
+        always records :attr:`last_run`, including how many built tasks
+        the graph's union shared away.
         """
-        total = len(graph)
+        total, shared = len(graph), graph.shared
         if self.cache is None:
-            self.last_run = RunStats(planned=total, executed=total)
+            self.last_run = RunStats(planned=total, shared_tasks=shared,
+                                     executed=total)
             return None
         plan = CachePlan()
         pending = list(outputs)
@@ -280,7 +301,7 @@ class Scheduler:
         # a combine-level cache hit skips its parse subtree without the walk
         # ever visiting those partition tasks.
         self.last_run = RunStats(
-            planned=total, executed=len(plan.needed),
+            planned=total, shared_tasks=shared, executed=len(plan.needed),
             cache_hits=len(plan.results),
             skipped=total - len(plan.needed) - len(plan.results),
             chunks_reused=sum(task.counts.get("chunks_new", 0)
@@ -327,11 +348,11 @@ class Scheduler:
 class SynchronousScheduler(Scheduler):
     """Single-threaded scheduler executing tasks in topological order.
 
-    Optionally injects a fixed per-task dispatch latency, which the engine
-    comparison benchmark (Figure 6a) uses to model RPC-style scheduling
-    overhead of cluster frameworks running on a single node.  Accepts (and
-    ignores) ``max_workers`` so the engine layer can construct any
-    registered scheduler with one uniform signature.
+    Optionally injects a fixed per-task dispatch latency, which the Figure
+    6(a) benchmark uses to model RPC-style scheduling overhead of cluster
+    frameworks running on a single node.  Accepts (and ignores)
+    ``max_workers`` so the compute context can construct any registered
+    scheduler with one uniform signature.
     """
 
     name = "synchronous"

@@ -7,8 +7,8 @@ directly comparable — this is the workload of Table 2 and Figure 6(b).
 Unlike the baseline, every section is computed through the shared
 :class:`~repro.eda.compute.base.ComputeContext`: the per-column summaries,
 histograms, correlation partials and missing-value mask all reuse the same
-partition scans inside one engine, which is where the measured speedup comes
-from.
+partition scans inside one merged graph, which is where the measured speedup
+comes from.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class Report:
     """A generated profile report.
 
     Besides the rendered sections, the report keeps the per-section
-    wall-clock ``timings`` and the engine's ``execution_reports`` — one
-    :class:`~repro.graph.engines.ExecutionReport` per resolved graph stage,
+    wall-clock ``timings`` and the ``execution_reports`` — the scheduler's
+    :class:`~repro.graph.scheduler.RunStats` of each resolved graph stage,
     whose ``cache_hits`` field shows how much work the cross-call
     intermediate cache (``cache.enabled``) avoided on repeated runs.  The
     four ``*_stats`` dicts are views of one record, the field-wise sum of
@@ -247,8 +247,7 @@ def _interactions(df: DataFrame, config: Config,
     if len(numerical) < 2:
         return {}
     resolved = context.resolve(
-        {"sample": context.sample(numerical, config.get("scatter.sample_size"))},
-        stage="graph")
+        {"sample": context.sample(numerical, config.get("scatter.sample_size"))})
     sample = resolved["sample"]
 
     # Each column is boxed into python floats once; its pairs select from

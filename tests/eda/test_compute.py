@@ -19,6 +19,7 @@ from repro.eda.compute import (
 from repro.eda.config import Config
 from repro.errors import ColumnNotFoundError, EDAError
 from repro.frame import DataFrame
+from repro.graph.scheduler import RunStats
 
 
 @pytest.fixture
@@ -287,21 +288,29 @@ class TestPipelineModes:
                                    "compute.partition_rows": 100})
         context = ComputeContext(house_frame, config)
         compute_overview(house_frame, config, context=context)
-        assert context.reports, "the engine should have produced execution reports"
-        assert all(report.engine == "lazy" for report in context.reports)
+        assert context.reports, "the graph stage should have produced execution reports"
+        assert all(type(report) is RunStats for report in context.reports)
 
-    def test_eager_engine_configuration(self, house_frame):
-        config = Config.from_user({"compute.engine": "eager",
-                                   "compute.use_graph": "always",
-                                   "compute.partition_rows": 200})
-        intermediates = compute_univariate(house_frame, "price", config)
-        assert intermediates.stats["mean"] == pytest.approx(
-            house_frame.column("price").mean())
+    def test_each_batch_report_is_the_schedulers_last_run(self, house_frame):
+        config = Config.from_user({"compute.use_graph": "always",
+                                   "compute.partition_rows": 100,
+                                   "compute.scheduler": "synchronous"})
+        context = ComputeContext(house_frame, config)
+        scheduler = context.scheduler
+        compute_overview(house_frame, config, context=context)
+        assert context.scheduler is scheduler     # built once per context
+        assert context.reports[-1] is scheduler.last_run
+        assert all(report.shared_tasks >= 0 and
+                   report.tasks_before_optimization
+                   == report.planned + report.shared_tasks
+                   for report in context.reports)
+        with pytest.raises(TypeError):
+            ComputeContext(house_frame, config, engine="lazy")
 
 
 class TestProjectionPlanner:
     """The planner is a pure function of (column names, projections already
-    built, requests): no source, no engine, nothing executes."""
+    built, requests): no source, no scheduler, nothing executes."""
 
     COLUMNS = ["a", "b", "c", "d", "e"]
 

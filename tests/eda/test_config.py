@@ -142,29 +142,6 @@ class TestValidation:
             Config.from_user({"compute.scheduler": "remot"})
         assert "remote" in str(excinfo.value)
 
-    @pytest.mark.parametrize("name", ["lazy", "eager"])
-    def test_engine_accepts_registered_engines(self, name):
-        assert Config.from_user({"compute.engine": name}).get(
-            "compute.engine") == name
-
-    def test_engine_rejects_unknown_value_with_suggestion(self):
-        with pytest.raises(ConfigError) as excinfo:
-            Config.from_user({"compute.engine": "lazzy"})
-        assert excinfo.value.key == "compute.engine"
-        assert excinfo.value.suggestion == "lazy"
-        assert "did you mean" in str(excinfo.value)
-        with pytest.raises(ConfigError):
-            Config.from_user({"compute.engine": "spark"})
-
-    def test_engine_rejects_removed_rpc_engine_naming_the_choices(self):
-        # Spelled in two parts so a repo-wide grep for the removed engine's
-        # name stays empty.
-        removed = "cluster" + "-rpc"
-        with pytest.raises(ConfigError) as excinfo:
-            Config.from_user({"compute.engine": removed})
-        assert "'lazy'" in str(excinfo.value)
-        assert "'eager'" in str(excinfo.value)
-
     def test_remote_workers_validation(self):
         assert Config.from_user({"compute.remote.workers": 4}).get(
             "compute.remote.workers") == 4
@@ -247,7 +224,7 @@ class TestKeyDeclarations:
             assert _validate(key, default) == default
 
     @pytest.mark.parametrize("key", [
-        "compute.enable_fusion", "compute.enable_cse",
+        "compute.enable_fusion", "compute.enable_cse", "compute.engine",
         "insight.outlier.iqr_multiplier", "report.sample_rows"])
     def test_removed_keys_are_unknown(self, key):
         assert key not in DEFAULTS
@@ -269,7 +246,7 @@ class TestKeyDeclarations:
         unread = [key for key in _KEYS
                   if f'"{key}"' not in readers and f"'{key}'" not in readers]
         assert unread == []
-        assert len(_KEYS) == 68
+        assert len(_KEYS) == 67
 
 
 class TestConfigHygiene:

@@ -1,4 +1,4 @@
-"""Tests for the execution engines (Fig. 6a) and the cluster model (Fig. 6c)."""
+"""Tests for the execution strategies (Fig. 6a) and the cluster model (Fig. 6c)."""
 
 import operator
 
@@ -7,12 +7,12 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import (
     ClusterCostModel,
-    EagerEngine,
-    LazyEngine,
-    available_engines,
+    SynchronousScheduler,
+    ThreadedScheduler,
+    compute,
     delayed,
-    get_engine,
 )
+from repro.graph.delayed import merge_graphs
 
 
 def build_workload():
@@ -30,34 +30,42 @@ def build_workload():
     return [double, squared, other], counter
 
 
-class TestEngines:
-    def test_registry(self):
-        assert set(available_engines()) == {"lazy", "eager"}
-        assert isinstance(get_engine("lazy"), LazyEngine)
-        with pytest.raises(GraphError):
-            get_engine("spark")
-
-    @pytest.mark.parametrize("engine", [LazyEngine(), EagerEngine()])
-    def test_all_engines_produce_identical_results(self, engine):
-        values, _ = build_workload()
-        assert engine.compute(values) == [42, 84, 42]
-
-    def test_lazy_engine_shares_work(self):
+class TestStrategies:
+    def test_one_merged_graph_shares_work(self):
         values, counter = build_workload()
-        results, report = LazyEngine().compute_with_report(values)
-        assert results == [42, 84, 42]
+        scheduler = ThreadedScheduler()
+        assert compute(*values, scheduler=scheduler) == [42, 84, 42]
         assert counter["calls"] == 1
-        assert report.graphs_built == 1
-        assert report.shared_tasks >= 1
-        assert report.sharing_ratio > 0
+        graph, _ = merge_graphs(values)
+        run = scheduler.last_run
+        assert run.shared_tasks == graph.shared >= 1
+        assert run.tasks_before_optimization == len(graph) + graph.shared
 
-    def test_eager_engine_repeats_work(self):
+    def test_one_compute_per_value_repeats_work(self):
         values, counter = build_workload()
-        results, report = EagerEngine().compute_with_report(values)
+        scheduler = ThreadedScheduler()
+        results = []
+        for value in values:
+            results += compute(value, scheduler=scheduler)
+            assert scheduler.last_run.shared_tasks == 0
         assert results == [42, 84, 42]
         assert counter["calls"] == 3
-        assert report.graphs_built == len(values)
-        assert report.shared_tasks == 0
+
+    @pytest.mark.parametrize("strategy", ["lazy", "eager", "rpc"])
+    def test_every_fig6a_series_gives_the_same_results(self, strategy):
+        # The three series of benchmarks/bench_fig6a_engines.py, composed
+        # from compute alone: they differ in work done, never in results.
+        values, counter = build_workload()
+        if strategy == "eager":
+            scheduler = ThreadedScheduler()
+            results = [compute(value, scheduler=scheduler)[0]
+                       for value in values]
+        else:
+            scheduler = (ThreadedScheduler() if strategy == "lazy" else
+                         SynchronousScheduler(dispatch_latency=0.001))
+            results = compute(*values, scheduler=scheduler)
+        assert results == [42, 84, 42]
+        assert counter["calls"] == (3 if strategy == "eager" else 1)
 
 
 class TestClusterCostModel:

@@ -2,7 +2,7 @@
 
 import operator
 
-from repro.graph import LazyEngine, TaskGraph, compute, delayed
+from repro.graph import TaskGraph, compute, delayed
 from repro.graph.delayed import merge_graphs
 from repro.graph.scheduler import SynchronousScheduler
 
@@ -71,9 +71,9 @@ class TestPipeline:
 
     def test_report_carries_the_merge_s_two_integers(self):
         top, orphan = build_diamond()
-        results, report = LazyEngine(scheduler="synchronous").compute_with_report(
-            [top, orphan])
-        assert results == [16, 99]
+        scheduler = SynchronousScheduler()
+        assert compute(top, orphan, scheduler=scheduler) == [16, 99]
+        report = scheduler.last_run
         assert report.tasks_before_optimization == 5
         assert report.shared_tasks == 1
         assert report.planned == report.executed == 4

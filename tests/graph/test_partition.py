@@ -1,5 +1,7 @@
 """Tests for the partitioned frame and chunk-size precompute stage."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,19 @@ class TestTreeCombine:
     def test_tree_combine_empty_raises(self):
         with pytest.raises(GraphError):
             tree_combine([], combine=sum)
+
+    @pytest.mark.parametrize("split_every", [1, 0, -2])
+    def test_split_every_below_two_is_rejected(self, wide_frame, split_every):
+        # Fails (hangs) at the parent commit: groups of one never shrink a
+        # level, so split_every=1 built the tree forever; 0 escaped as
+        # range()'s ValueError.
+        values = [delayed(operator.add)(index, 0) for index in range(3)]
+        with pytest.raises(GraphError, match="split_every"):
+            tree_combine(values, sum, split_every=split_every)
+        partitioned = PartitionedFrame.from_frame(wide_frame, partition_rows=100)
+        with pytest.raises(GraphError, match="split_every"):
+            partitioned.reduction(chunk=len, combine=sum,
+                                  split_every=split_every)
 
     def test_mismatched_boundaries_rejected(self, wide_frame):
         partitioned = PartitionedFrame.from_frame(wide_frame, partition_rows=100)

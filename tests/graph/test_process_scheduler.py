@@ -108,7 +108,7 @@ class TestProcessSchedulerBasics:
         assert scheduler.execute(graph, ["b", "c"]) == {"b": 5, "c": 10}
 
     def test_synchronous_accepts_max_workers(self):
-        # The engine layer constructs every registered scheduler with one
+        # The compute context constructs every registered scheduler with one
         # uniform signature; "synchronous" must tolerate (and ignore) it.
         scheduler = get_scheduler("synchronous", max_workers=4)
         assert isinstance(scheduler, SynchronousScheduler)

@@ -1,15 +1,14 @@
 """The run ledger: ``RunStats`` is the one counter record.
 
-An engine's ``ExecutionReport`` is that record plus the engine-level facts,
-an engine that runs several graphs merges their runs with ``+=``, and the
-per-call ``meta[...]`` stats dicts are views over the sum of the call's
-reports — so a counter added to ``RunStats`` reaches every public result
-without another edit, and no view can drift from the reports it summarises.
+Each execution report is a scheduler's ``last_run``, several runs merge
+with ``+=``, and the per-call ``meta[...]`` stats dicts are views over the
+sum of the call's reports — so a counter added to ``RunStats`` reaches
+every public result without another edit, and no view can drift from the
+reports it summarises.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import operator
 from dataclasses import fields
@@ -21,7 +20,6 @@ from repro import DataFrame, plot, plot_missing
 from repro.frame.io import scan_csv, write_csv
 from repro.frame.source import InMemorySource
 from repro.graph import (
-    EagerEngine,
     TaskCache,
     compute,
     delayed,
@@ -29,7 +27,7 @@ from repro.graph import (
     get_scheduler,
     set_global_cache,
 )
-from repro.graph.engines import ExecutionReport
+from repro.graph.delayed import merge_graphs
 from repro.graph.scheduler import RunStats
 
 N_ROWS = 1_200
@@ -59,29 +57,61 @@ def test_merge_adds_integers_and_keeps_the_busiest_run_per_worker():
     assert run.worker_utilization == {"a": 0.25, "b": 0.75}
 
 
+def test_run_stats_has_no_subclass_in_the_library():
+    # Importing every layer that builds execution reports registers any
+    # subclass it defines; there must be none — the run record is the report.
+    import repro.eda.compute  # noqa: F401
+    import repro.graph.remote  # noqa: F401
+    import repro.report  # noqa: F401
+    library = [cls for cls in RunStats.__subclasses__()
+               if cls.__module__.split(".")[0] == "repro"]
+    assert library == []
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_plan_records_the_unions_shared_tasks(cached):
+    # Graph union is the sharing pass; planning copies its count into the
+    # run record whether or not a cache is attached.  The two bases are
+    # built apart but compute the same thing, so the union keeps one.
+    values = [delayed(operator.mul)(21, 2).then(operator.add, 0),
+              delayed(operator.mul)(21, 2).then(operator.mul, 2)]
+    graph, _ = merge_graphs(values)
+    backend = get_scheduler("synchronous",
+                            cache=TaskCache() if cached else None)
+    assert compute(*values, scheduler=backend) == [42, 84]
+    run = backend.last_run
+    assert run.shared_tasks == graph.shared >= 1
+    assert run.planned == run.tasks_executed == len(graph)
+    assert run.tasks_before_optimization == len(graph) + graph.shared
+    assert compute(*values, scheduler=backend) == [42, 84]
+    replay = backend.last_run
+    assert replay.shared_tasks == graph.shared
+    if cached:
+        # Both outputs hit; their shared ancestor is never visited.
+        assert (replay.cache_hits, replay.tasks_skipped_by_cache,
+                replay.tasks_executed) == (2, 1, 0)
+    else:
+        assert (replay.cache_hits, replay.tasks_executed) == (0, len(graph))
+
+
 @pytest.mark.parametrize("scheduler", ["threaded", "process"])
-def test_eager_report_is_the_fieldwise_merge_of_its_runs(scheduler):
+def test_summed_runs_are_the_fieldwise_merge(scheduler):
     base = delayed(operator.mul)(21, 2)
     values = [base.then(operator.add, 0), base.then(operator.mul, 2),
               delayed(operator.mul)(3, 4)]
-    engine = EagerEngine(scheduler=scheduler, max_workers=2)
-    runs = []
-    execute = engine.scheduler.execute
-
-    def recording_execute(graph, outputs):
-        results = execute(graph, outputs)
-        runs.append(copy.deepcopy(engine.scheduler.last_run))
-        return results
-
-    engine.scheduler.execute = recording_execute
+    backend = get_scheduler(scheduler, max_workers=2)
+    results, runs, report = [], [], RunStats()
     try:
-        results, report = engine.compute_with_report(values)
+        for value in values:
+            results += compute(value, scheduler=backend)
+            runs.append(backend.last_run)
+            report += backend.last_run
     finally:
-        engine.scheduler.close()
+        backend.close()
     assert results == [42, 84, 12]
-    assert len(runs) == report.graphs_built == len(values)
+    assert len({id(run) for run in runs}) == len(values)   # one record per run
     for spec in fields(RunStats):
-        merged = getattr(report, spec.name)      # readable on the report
+        merged = getattr(report, spec.name)
         per_run = [getattr(run, spec.name) for run in runs]
         if spec.name == "worker_utilization":
             workers = {worker for run in per_run for worker in run}
@@ -154,7 +184,8 @@ def test_meta_stats_are_views_of_the_summed_reports(sources, kind, call):
     meta = CALLS[call](sources[kind]()).meta
     reports = meta["execution_reports"]
     assert reports
-    counters = {spec.name for spec in fields(ExecutionReport)}
+    assert all(type(report) is RunStats for report in reports)
+    counters = {spec.name for spec in fields(RunStats)}
     for view in ("projection", "predicate", "sidecar", "incremental"):
         assert set(meta[view]) - counters <= PLANNER_ONLY, view
         for name in set(meta[view]) & counters:
