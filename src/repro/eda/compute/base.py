@@ -26,10 +26,13 @@ a compute kind has one definition whichever way it runs.
 The planner also performs **projection pushdown**: every
 :class:`ReductionKind` declares the column set its chunk functions read,
 builders return :class:`PendingReduction` requests, and
-:meth:`ComputeContext.resolve` merges the overlapping requirements of a
-batch into shared *projected* partition tasks — ``plot(df, "x")`` over a
-40-column ``scan_csv`` then parses one column per chunk instead of 40
-(see ``docs/architecture.md`` § Planning & projection).
+:func:`plan_batch` merges the overlapping requirements of a batch into
+shared *projected* partition tasks — ``plot(df, "x")`` over a 40-column
+``scan_csv`` then parses one column per chunk instead of 40 (see
+``docs/architecture.md`` § Planning & projection).  Planning is a value:
+:meth:`ComputeContext.resolve` plans each batch into a frozen
+:class:`BatchPlan` without executing anything, runs it once
+(:func:`run_batch`) and appends the run's report.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from repro.frame.source import FilteredSource, FrameSource, as_source
 from repro.graph.cache import TaskCache, get_global_cache
 from repro.graph.delayed import Delayed, compute as compute_values
 from repro.graph.partition import PartitionedFrame
-from repro.graph.scheduler import RunStats, get_scheduler
+from repro.graph.scheduler import RunStats, Scheduler, get_scheduler
 from repro.stats.correlation import PearsonPartial
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
 from repro.stats.histogram import Histogram
@@ -239,15 +242,14 @@ def _finalize_duplicates(sketch: DuplicateSketch) -> Optional[int]:
 # select between them through SourceCapabilities.exact; nothing outside this
 # module ever branches on the input flavour.  A plan is the only definition
 # of its kind and has two evaluators: the graph stage binds it to partition
-# tasks (ComputeContext._bind_reduction), the local stage runs the same
-# chunk -> combine -> finalize inline on the whole frame
-# (ComputeContext._run_inline).
+# tasks (plan_batch), the local stage runs the same chunk -> combine ->
+# finalize inline on the whole frame (ComputeContext._run_inline).
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ReductionPlan:
     """One chunk/combine/finalize triple plus how to call it.
 
-    ``adapt(context, args, n_rows)`` turns the caller's kind-level
+    ``adapt(column_names, args, n_rows)`` turns the caller's kind-level
     arguments into the chunk function's positional tail (e.g. appending a
     capacity bound, or converting a target sample size into a per-partition
     fraction of the *n_rows* the plan runs over); ``indexed`` chunk
@@ -259,8 +261,13 @@ class ReductionPlan:
     combine: Callable[[List[Any]], Any]
     finalize: Optional[Callable[[Any], Any]] = None
     indexed: bool = False
-    adapt: Optional[Callable[["ComputeContext", Tuple[Any, ...], int],
+    adapt: Optional[Callable[[Sequence[str], Tuple[Any, ...], int],
                              Tuple[Any, ...]]] = None
+
+    def chunk_args(self, column_names: Sequence[str], args: Tuple[Any, ...],
+                   n_rows: int) -> Tuple[Any, ...]:
+        """The chunk function's positional tail for kind-level *args*."""
+        return args if self.adapt is None else self.adapt(column_names, args, n_rows)
 
 
 @dataclass(frozen=True)
@@ -298,26 +305,26 @@ def _requires_column_pair(args: Tuple[Any, ...]) -> Tuple[str, ...]:
     return (args[0], args[1])
 
 
-def _sample_exact_args(context: "ComputeContext", args: Tuple[Any, ...],
+def _sample_exact_args(column_names: Sequence[str], args: Tuple[Any, ...],
                        n_rows: int) -> Tuple[Any, ...]:
     columns, size, seed = args
     return (columns, min(1.0, size / max(n_rows, 1)), seed)
 
 
-def _append_category_capacity(context: "ComputeContext", args: Tuple[Any, ...],
+def _append_category_capacity(column_names: Sequence[str], args: Tuple[Any, ...],
                               n_rows: int) -> Tuple[Any, ...]:
     return args + (STREAMING_CATEGORY_CAPACITY,)
 
 
-def _append_duplicate_capacity(context: "ComputeContext", args: Tuple[Any, ...],
+def _append_duplicate_capacity(column_names: Sequence[str], args: Tuple[Any, ...],
                                n_rows: int) -> Tuple[Any, ...]:
     return args + (DUPLICATE_SKETCH_CAPACITY,)
 
 
-def _nullity_args(context: "ComputeContext", args: Tuple[Any, ...],
+def _nullity_args(column_names: Sequence[str], args: Tuple[Any, ...],
                   n_rows: int) -> Tuple[Any, ...]:
     (n_bins,) = args
-    return (tuple(context.column_names), n_rows, n_bins)
+    return (tuple(column_names), n_rows, n_bins)
 
 
 REDUCTION_KINDS: Dict[str, ReductionKind] = {
@@ -370,7 +377,7 @@ class PendingReduction:
 
     Builders (``numeric_summary``, ``histogram``, ...) return these in
     graph mode instead of a ready :class:`~repro.graph.delayed.Delayed`:
-    deferring the binding to :meth:`ComputeContext.resolve` lets the
+    deferring the binding to :func:`plan_batch` lets the
     projection planner see every reduction of a batch at once and merge
     overlapping column requirements into shared projected parse tasks —
     the binding decision needs the whole graph, not one request.
@@ -464,84 +471,215 @@ def _select_projection(column_names: Sequence[str], built: Sequence[Projection],
     return tuple(name for name in column_names if name in needed)
 
 
+# --------------------------------------------------------------------------- #
+# Plans as values: a call decides once (CallPlan); plan_batch turns a batch
+# into a frozen BatchPlan, executing nothing; run_batch runs it once.
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CallPlan:
+    """What one EDA call decides about its source and config, once.
+
+    ``exact`` selects the exact plans (and an in-memory frame), ``graph``
+    the lazy graph over inline evaluation.  ``projection`` is on only where
+    materializing pays per column (streaming parses): in-memory slices are
+    zero-copy views, so projecting them would only fragment the cross-call
+    cache.  ``predicate`` is the spec a filtered streaming source pushes
+    into every partition task, ``sidecar`` the parsed-chunk disk route of a
+    source declaring ``capabilities.chunk_sidecar``; None when absent.
+    """
+
+    exact: bool
+    graph: bool
+    projection: bool
+    predicate: Optional[Tuple[Tuple[str, str, Any], ...]]
+    sidecar: Optional[SidecarRoute]
+
+    @classmethod
+    def decide(cls, source: FrameSource, config: Config) -> "CallPlan":
+        capabilities = source.capabilities
+        exact = capabilities.exact
+        mode = config.get("compute.use_graph")
+        # A streaming source must never be materialized wholesale; the
+        # graph (chunked) path is the only one with a bounded footprint.
+        graph = not exact or mode == "always" or (
+            mode != "never"
+            and source.n_rows >= config.get("compute.small_data_rows"))
+        sidecar = None
+        if (config.get("cache.disk_enabled") and not exact
+                and capabilities.chunk_sidecar):
+            sidecar = SidecarRoute(directory=config.get("cache.disk_dir"),
+                                   budget_bytes=int(config.get("cache.disk_bytes")))
+        return cls(exact, graph,
+                   bool(config.get("compute.projection")
+                        and capabilities.projection and not exact),
+                   source.predicate.spec()
+                   if isinstance(source, FilteredSource) else None,
+                   sidecar)
+
+    def reduction(self, kind: str) -> ReductionPlan:
+        """The exact or sketch plan of *kind*."""
+        spec = REDUCTION_KINDS[kind]
+        return spec.exact if self.exact else spec.sketch or spec.exact
+
+
+@dataclass(frozen=True)
+class BatchPlan:
+    """One batch of requests, planned and not yet run.
+
+    ``values`` maps each requested key to its bound lazy value (plain
+    values pass through); ``partitions`` the call's partition sets after
+    this batch, one per projection (None = full width) in build order;
+    ``planned`` the planner's counters for the sets this batch built
+    (``columns_pruned``, ``chunks_skipped``); ``audit`` the ``(row-count
+    reduction, planned rows)`` of a filtered call's first batch, whose
+    difference is ``rows_filtered``.
+    """
+
+    values: Dict[str, Any]
+    partitions: Dict[Projection, PartitionedFrame]
+    planned: RunStats
+    audit: Optional[Tuple[Delayed, int]] = None
+
+
+def _bind(plan: ReductionPlan, partitioned: PartitionedFrame,
+          args: Tuple[Any, ...], column_names: Sequence[str],
+          n_rows: int) -> Delayed:
+    return partitioned.reduction(
+        plan.chunk, plan.combine, finalize=plan.finalize,
+        chunk_args=plan.chunk_args(column_names, args, n_rows),
+        indexed=plan.indexed)
+
+
+def plan_batch(call: CallPlan, source: FrameSource,
+               built: Dict[Projection, PartitionedFrame],
+               requested: Dict[str, Any]) -> BatchPlan:
+    """Bind every pending reduction of *requested*; execute nothing.
+
+    *source* is the call's partitioned source, *built* the partition sets
+    of earlier batches (not modified).  The projection planner sees the
+    whole batch at once; each new set is one shared (possibly projected,
+    filtered, sidecar-routed) parse task per chunk — where ``plot(df, "x")``
+    over a wide scan becomes a single-column parse.
+    """
+    values = dict(requested)
+    partitions = dict(built)
+    planned = RunStats()
+    pending = [key for key, value in values.items()
+               if isinstance(value, PendingReduction)]
+    if not pending:
+        return BatchPlan(values, partitions, planned)
+    columns, n_rows = source.columns, source.n_rows
+    projections = _plan_projections(columns, list(built),
+                                    [values[key].required for key in pending])
+    for projection in projections:
+        if projection in partitions:
+            continue
+        partitioned = PartitionedFrame.from_source(
+            source, columns=projection, predicate=call.predicate,
+            sidecar=call.sidecar)
+        partitions[projection] = partitioned
+        if projection is not None:
+            planned.columns_pruned += \
+                (len(columns) - len(projection)) * partitioned.npartitions
+        if call.predicate is not None:
+            planned.chunks_skipped += \
+                len(source.source.partitions()) - partitioned.npartitions
+    for key, projection in zip(pending, projections):
+        request = values[key]
+        values[key] = _bind(call.reduction(request.kind), partitions[projection],
+                            request.args, columns, n_rows)
+    audit = None
+    if call.predicate is not None and not built:
+        # The call's first batch counts the rows its pushed-down filter
+        # keeps, over partition tasks the batch builds anyway.
+        first = partitions[projections[0]]
+        audit = (_bind(call.reduction("row_count"), first, (), columns, n_rows),
+                 sum(stop - start for start, stop in first.boundaries))
+    return BatchPlan(values, partitions, planned, audit)
+
+
+def run_batch(batch: BatchPlan, scheduler: Scheduler
+              ) -> Tuple[Dict[str, Any], RunStats]:
+    """Run a planned batch that binds at least one reduction, as one
+    ``compute(...)`` call.  The scheduler's ``last_run`` is the batch's
+    report; it gains the planner's counters, ``rows_filtered`` from the
+    audit and this process's sidecar deltas across the run.
+    """
+    lazy = list(batch.values.values())
+    if batch.audit is not None:
+        lazy.append(batch.audit[0])
+    before = _sidecar_snapshot()
+    computed = compute_values(*lazy, scheduler=scheduler)
+    after = _sidecar_snapshot()
+    report = scheduler.last_run
+    report += batch.planned
+    if batch.audit is not None:
+        report.rows_filtered += max(0, batch.audit[1] - int(computed.pop()))
+    for name, total_key in _SIDECAR_COUNTERS.items():
+        setattr(report, name,
+                getattr(report, name) + after[total_key] - before[total_key])
+    return dict(zip(batch.values, computed)), report
+
+
+def _decide_cache(config: Config) -> Optional[TaskCache]:
+    """The process-wide intermediate cache, or None when disabled.
+
+    The budget is process-global state: only a call that explicitly passes
+    ``cache.max_bytes`` resizes the shared cache, so default-config calls
+    never shrink — and thereby evict — a cache another call configured.  A
+    call that disables the cache detaches and never resizes.
+    """
+    if not config.get("cache.enabled"):
+        return None
+    cache = get_global_cache()
+    if "cache.max_bytes" in config.provided:
+        cache.resize(config.get("cache.max_bytes"))
+    return cache
+
+
+def _scheduler_options(config: Config) -> Dict[str, Any]:
+    """Backend-specific scheduler kwargs from the ``compute.remote.*``
+    keys (empty for the in-process backends)."""
+    if config.get("compute.scheduler") != "remote":
+        return {}
+    return {
+        "workers": config.get("compute.remote.workers"),
+        "bind": config.get("compute.remote.bind"),
+        "heartbeat_s": config.get("compute.remote.heartbeat_s"),
+        "timeout_s": config.get("compute.remote.timeout_s"),
+        "authkey": config.get("compute.remote.authkey"),
+    }
+
+
 class ComputeContext:
     """Execution context for one EDA task.
 
-    The context owns the frame source, the partitioned frame, the scheduler
-    and the timing bookkeeping.  Compute functions ask it for intermediates
-    — pending reductions in the graph stage, plain values on tiny data,
-    where the same plans run inline — and then call :meth:`resolve` once
-    per pipeline stage so every pending value lands in the same merged
-    graph.
+    The context owns the frame source, the call's :class:`CallPlan`, the
+    partition sets built so far, the scheduler and the timing bookkeeping.
+    Compute functions ask it for intermediates — pending reductions in the
+    graph stage, plain values on tiny data, where the same plans run
+    inline — and then call :meth:`resolve` once per pipeline stage so every
+    pending value lands in the same merged graph.
     """
 
     def __init__(self, frame: Union[DataFrame, FrameSource, Any], config: Config):
-        self.source: FrameSource = as_source(frame)
-        self.exact_results = self.source.capabilities.exact
-        self._frame: Optional[DataFrame] = \
-            self.source.to_frame() if self.exact_results else None
+        self.source = as_source(frame)
         self.config = config
+        self.call = CallPlan.decide(self.source, config)
+        self._frame = self.source.to_frame() if self.call.exact else None
         self.timings: Dict[str, float] = {}
+        #: One execution report per resolved batch: its scheduler run.
         self.reports: List[RunStats] = []
-        self._planned_source: Optional[FrameSource] = None
-        self._projected_partitions: Dict[Projection, PartitionedFrame] = {}
-        self._used_projections: List[Projection] = []
-        self._semantic_types: Optional[Dict[str, SemanticType]] = None
-        self.use_graph = self._decide_graph_mode()
-        self.cache = self._decide_cache()
-        #: Projection pushdown is active only when the user has not disabled
-        #: it, the source declares ``capabilities.projection``, and the
-        #: source actually pays per column to materialize (streaming
-        #: parses).  In-memory slices are zero-copy views whichever columns
-        #: they carry, so projecting them would buy nothing while
-        #: fragmenting the cross-call cache (a full slice built by
-        #: ``plot(df)`` could no longer serve ``plot_correlation(df)``).
-        self.projection_enabled = bool(
-            config.get("compute.projection") and
-            self.source.capabilities.projection and
-            not self.exact_results)
-        #: Predicate pushdown: a filtered streaming source carries its
-        #: compiled predicate into every partition task (rows are dropped
-        #: inside the parse, before coercion feeds the sketches), and the
-        #: zone-map planner may skip whole chunks before reading bytes.
-        #: In-memory filtered inputs are materialized eagerly at the API
-        #: layer, so an exact source never reaches this path with a
-        #: predicate attached.
-        self._predicate = self.source.predicate \
-            if isinstance(self.source, FilteredSource) else None
-        self.predicate_enabled = bool(
-            self._predicate is not None and not self.exact_results)
-        self._predicate_spec = self._predicate.spec() \
-            if self.predicate_enabled else None
-        self._rows_audit_done = False
-        #: The call's run ledger.  ``total`` is the field-wise sum of every
-        #: report :meth:`resolve` produced — the four ``*_stats()`` views
-        #: read it and nothing else writes it.  ``_unreported`` collects
-        #: what the context itself observes between two reports (columns
-        #: pruned and chunks skipped per newly built partition set, rows
-        #: the pushed-down filter removed, this process's sidecar deltas);
-        #: the next report takes it over.
-        self.total = RunStats()
-        self._unreported = RunStats()
-        #: Planner-only counts: partition tasks built per kind.
-        self._parse_tasks: Dict[str, int] = {
-            "projected_parse_tasks": 0,
-            "full_parse_tasks": 0,
-        }
-        #: Parsed-chunk disk sidecar: streaming sources that declare
-        #: ``capabilities.chunk_sidecar`` spill each parsed chunk to a binary
-        #: sidecar and serve warm re-scans from it without decoding CSV.
-        #: In-memory sources never parse, so they get no route.
-        self.sidecar_route: Optional[SidecarRoute] = None
-        if (config.get("cache.disk_enabled") and not self.exact_results
-                and self.source.capabilities.chunk_sidecar):
-            self.sidecar_route = SidecarRoute(
-                directory=config.get("cache.disk_dir"),
-                budget_bytes=int(config.get("cache.disk_bytes")))
         self.scheduler = get_scheduler(
             config.get("compute.scheduler"),
-            max_workers=config.get("compute.max_workers"), cache=self.cache,
-            **self._scheduler_options())
+            max_workers=config.get("compute.max_workers"),
+            cache=_decide_cache(config), **_scheduler_options(config))
+        self._planned_source = None
+        self._partitions = {}
+        self._preview = None
+        self._semantic_types = None
+        #: End of the last resolve or finish: where the local stage starts.
+        self._clock = time.perf_counter()
 
     # ------------------------------------------------------------------ #
     # Input access (source-mediated)
@@ -584,6 +722,13 @@ class ComputeContext:
         """Number of columns of the input."""
         return len(self.column_names)
 
+    def _schema(self) -> DataFrame:
+        """The source's schema preview, read once per context (a filtered
+        scan may parse a chunk to answer it)."""
+        if self._preview is None:
+            self._preview = self.source.schema_preview()
+        return self._preview
+
     def semantic_types(self) -> Dict[str, SemanticType]:
         """Semantic type of every column, detected once per context.
 
@@ -593,17 +738,25 @@ class ComputeContext:
         representative.
         """
         if self._semantic_types is None:
-            self._semantic_types = detect_frame_types(
-                self.source.schema_preview())
+            self._semantic_types = detect_frame_types(self._schema())
         return self._semantic_types
 
     def numerical_columns(self) -> List[str]:
         """Columns that are semantically numerical and stored numerically —
         what the histogram, correlation and interaction sections analyse."""
-        preview = self.source.schema_preview()
+        preview = self._schema()
         return [name for name, semantic in self.semantic_types().items()
                 if semantic is SemanticType.NUMERICAL
                 and preview.column(name).dtype.is_numeric]
+
+    def column(self, name: str) -> Column:
+        """A column for schema/semantic-type inspection (validates the name).
+
+        For an in-memory source this is the full column; for a streaming
+        source it is the preview's column — compute paths must go through
+        the sketch reductions for actual data.
+        """
+        return self._schema().column(name)
 
     def duplicate_rows(self, max_rows: int) -> Union[PendingReduction, Optional[int]]:
         """Duplicate-row count, or None when it would be unbounded.
@@ -617,67 +770,18 @@ class ComputeContext:
         :class:`~repro.stats.sketches.DuplicateSketch` reduction — exact
         while the distinct rows fit the sketch capacity, None beyond.
         """
-        if self.exact_results:
+        if self.call.exact:
             if self.known_n_rows > max_rows:
                 return None
             return self.frame.duplicate_row_count()
         return self._reduce("duplicates")
 
-    def _decide_cache(self) -> Optional[TaskCache]:
-        """The process-wide intermediate cache, or None when disabled.
-
-        ``cache.enabled`` (default True) attaches the shared cross-call
-        cache so repeated EDA calls on the same frame reuse partition
-        slices, summaries and histograms.  The budget is process-global
-        state: only a call that explicitly passes ``cache.max_bytes``
-        (even the default value, to restore it) resizes the shared cache;
-        default-config calls never shrink — and thereby evict — a cache
-        another call configured.  A call that disables the cache detaches
-        entirely and never resizes, even if it also passes a budget.
-        """
-        if not self.config.get("cache.enabled"):
-            return None
-        cache = get_global_cache()
-        if "cache.max_bytes" in self.config.provided:
-            cache.resize(self.config.get("cache.max_bytes"))
-        return cache
-
-    def _scheduler_options(self) -> Dict[str, Any]:
-        """Backend-specific scheduler kwargs from the ``compute.remote.*``
-        keys (empty for the in-process backends)."""
-        if self.config.get("compute.scheduler") != "remote":
-            return {}
-        return {
-            "workers": self.config.get("compute.remote.workers"),
-            "bind": self.config.get("compute.remote.bind"),
-            "heartbeat_s": self.config.get("compute.remote.heartbeat_s"),
-            "timeout_s": self.config.get("compute.remote.timeout_s"),
-            "authkey": self.config.get("compute.remote.authkey"),
-        }
-
-    def _decide_graph_mode(self) -> bool:
-        if not self.exact_results:
-            # A streaming source must never be materialized wholesale; the
-            # graph (chunked) path is the only one with a bounded footprint.
-            return True
-        mode = self.config.get("compute.use_graph")
-        if mode == "always":
-            return True
-        if mode == "never":
-            return False
-        return self.known_n_rows >= self.config.get("compute.small_data_rows")
-
-    def _effective_workers(self) -> int:
-        workers = self.config.get("compute.max_workers")
-        if workers is None:
-            workers = default_worker_count()
-        return int(workers)
-
     # ------------------------------------------------------------------ #
     # Partitioning (the chunk-size precompute stage)
     # ------------------------------------------------------------------ #
-    def _plan_source(self) -> FrameSource:
-        """The source with its final partition granularity, planned once.
+    def _partitioned_source(self) -> FrameSource:
+        """The source with its final partition granularity, planned once,
+        at the first batch that binds a reduction.
 
         In-memory sources honour ``compute.partition_rows``; streaming
         sources honour ``memory.chunk_rows`` / ``memory.budget_bytes`` and
@@ -688,7 +792,7 @@ class ComputeContext:
         if self._planned_source is None:
             started = time.perf_counter()
             provided = self.config.provided
-            if self.exact_results:
+            if self.call.exact:
                 # Pass the config granularity only when the user set it; a
                 # source constructed with an explicit partition_rows must
                 # not be silently overridden by the config default.
@@ -696,15 +800,16 @@ class ComputeContext:
                     chunk_rows=self.config.get("compute.partition_rows")
                     if "compute.partition_rows" in provided else None)
             else:
+                workers = self.config.get("compute.max_workers")
                 planned = self.source.with_partitioning(
                     chunk_rows=self.config.get("memory.chunk_rows")
                     if "memory.chunk_rows" in provided else None,
                     budget_bytes=self.config.get("memory.budget_bytes")
                     if "memory.budget_bytes" in provided else None,
-                    concurrency=self._effective_workers())
-            if (self._predicate is not None
-                    and not self.config.get("compute.predicates")
-                    and hasattr(planned, "without_pruning")):
+                    concurrency=int(default_worker_count()
+                                    if workers is None else workers))
+            if self.call.predicate is not None \
+                    and not self.config.get("compute.predicates"):
                 # compute.predicates=False disables only the zone-map chunk
                 # skipping; the filter itself still runs inside every parse
                 # task, so results are identical either way.
@@ -713,53 +818,22 @@ class ComputeContext:
             self.timings["precompute_chunk_sizes"] = time.perf_counter() - started
         return self._planned_source
 
-    @property
-    def partitioned(self) -> PartitionedFrame:
-        """The full-width partitioned frame (every partition task
-        materializes every column)."""
-        return self.partitioned_for(None)
-
-    def partitioned_for(self, projection: Projection) -> PartitionedFrame:
-        """The partitioned frame projected onto *projection* (None = full).
-
-        Memoized per column set, so every reduction bound to the same
-        projection in this context shares the exact same partition task
-        objects — one projected parse per ``(chunk, column set)``.
-        Building a projection also records it for the planner's
-        superset-reuse pass and updates the planning counters.
-        """
-        cached = self._projected_partitions.get(projection)
-        if cached is not None:
-            return cached
-        planned = self._plan_source()
-        built = PartitionedFrame.from_source(planned, columns=projection,
-                                             predicate=self._predicate_spec,
-                                             sidecar=self.sidecar_route)
-        self._projected_partitions[projection] = built
-        self._used_projections.append(projection)
-        pruning = getattr(planned, "last_pruning", None)
-        if pruning:
-            # Counted per newly built partition set: each one re-plans the
-            # chunk list, so each one independently avoids these reads.
-            self._unreported.chunks_skipped += pruning.get("chunks_skipped", 0)
-        if projection is None:
-            self._parse_tasks["full_parse_tasks"] += built.npartitions
-        else:
-            self._parse_tasks["projected_parse_tasks"] += built.npartitions
-            self._unreported.columns_pruned += \
-                (self.n_columns - len(projection)) * built.npartitions
-        return built
-
     # The four views below are the public shape of ``meta[...]`` and
     # ``Report.*_stats``: an enabled flag, planner-only facts, and counters
-    # read from the ledger — each the sum over this call's reports.
+    # summed over this call's reports.
     def _counters(self, *names: str) -> Dict[str, int]:
-        return {name: getattr(self.total, name) for name in names}
+        return {name: sum(getattr(report, name) for report in self.reports)
+                for name in names}
 
     def projection_stats(self) -> Dict[str, Any]:
         """Projection planner counters: partition tasks built per kind,
         columns whose parse was avoided, plus the predicate counters."""
-        return {"enabled": self.projection_enabled, **self._parse_tasks,
+        tasks = {projection: partitioned.npartitions
+                 for projection, partitioned in self._partitions.items()}
+        full = tasks.pop(None, 0)
+        return {"enabled": self.call.projection,
+                "projected_parse_tasks": sum(tasks.values()),
+                "full_parse_tasks": full,
                 **self._counters("columns_pruned", "chunks_skipped",
                                  "rows_filtered")}
 
@@ -767,8 +841,8 @@ class ComputeContext:
         """Predicate-pushdown counters: the pushed spec, chunks the zone
         maps skipped before any bytes were read, and rows the in-parse
         filter removed from the chunks that did parse."""
-        return {"enabled": self.predicate_enabled,
-                "predicate": self._predicate_spec,
+        return {"enabled": self.call.predicate is not None,
+                "predicate": self.call.predicate,
                 **self._counters("chunks_skipped", "rows_filtered")}
 
     def sidecar_stats(self) -> Dict[str, Any]:
@@ -780,7 +854,7 @@ class ComputeContext:
         process and remote schedulers, where workers hit their sidecars in
         their own processes.
         """
-        return {"enabled": self.sidecar_route is not None,
+        return {"enabled": self.call.sidecar is not None,
                 **self._counters(*_SIDECAR_COUNTERS)}
 
     def incremental_stats(self) -> Dict[str, Any]:
@@ -793,36 +867,29 @@ class ComputeContext:
         per-chunk-stamp cache key, which is what makes appended-file
         refreshes reuse the old chunks' sketch states.
         """
-        return {"enabled": bool(not self.exact_results
-                                and self.cache is not None),
+        return {"enabled": bool(not self.call.exact
+                                and self.scheduler.cache is not None),
                 **self._counters("chunks_reused", "chunks_new",
                                  "bytes_reparsed")}
 
     # ------------------------------------------------------------------ #
     # The planner dispatch
     # ------------------------------------------------------------------ #
-    def _plan(self, kind: str) -> ReductionPlan:
-        """Pick the exact or sketch plan of *kind* from the capabilities."""
-        spec = REDUCTION_KINDS[kind]
-        if self.exact_results:
-            return spec.exact
-        return spec.sketch or spec.exact
-
     def _reduce(self, kind: str, args: Tuple[Any, ...] = ()) -> Any:
         """The reduction of *kind* over this context's source.
 
         The graph stage returns a :class:`PendingReduction` carrying the
-        kind's declared column requirement; :meth:`resolve` binds every
+        kind's declared column requirement; :func:`plan_batch` binds every
         pending reduction of a batch to (possibly projected) partition
         tasks at once, so overlapping column requirements end up sharing
         parse tasks.  The local stage runs the same plan inline and
         returns its value.
         """
-        if not self.use_graph:
+        if not self.call.graph:
             return self._run_inline(kind, args)
         declared = REDUCTION_KINDS[kind].columns
         required = declared(args) \
-            if self.projection_enabled and declared is not None else None
+            if self.call.projection and declared is not None else None
         return PendingReduction(kind, args, required)
 
     def _run_inline(self, kind: str, args: Tuple[Any, ...]) -> Any:
@@ -832,25 +899,14 @@ class ComputeContext:
         stage computes over a single partition, minus the graph; an indexed
         chunk receives ``(0, n_rows)`` as its row range.
         """
-        plan = self._plan(kind)
+        plan = self.call.reduction(kind)
         frame = self.frame
         n_rows = len(frame)
-        chunk_args = plan.adapt(self, args, n_rows) \
-            if plan.adapt is not None else args
+        chunk_args = plan.chunk_args(self.column_names, args, n_rows)
         if plan.indexed:
             chunk_args = (0, n_rows) + tuple(chunk_args)
         value = plan.combine([plan.chunk(frame, *chunk_args)])
         return value if plan.finalize is None else plan.finalize(value)
-
-    def _bind_reduction(self, pending: PendingReduction,
-                        projection: Projection) -> Delayed:
-        """Bind one pending reduction to partition tasks of *projection*."""
-        plan = self._plan(pending.kind)
-        chunk_args = plan.adapt(self, pending.args, self.known_n_rows) \
-            if plan.adapt is not None else pending.args
-        return self.partitioned_for(projection).reduction(
-            plan.chunk, plan.combine, finalize=plan.finalize,
-            chunk_args=chunk_args, indexed=plan.indexed)
 
     # ------------------------------------------------------------------ #
     # Intermediate builders: one ``_reduce`` call each — pending in the
@@ -885,7 +941,7 @@ class ComputeContext:
         counts, pairwise co-missing counts and the row-binned missing
         spectrum — in a few small arrays per chunk, for every source kind.
         """
-        if self._predicate_spec is not None:
+        if self.call.predicate is not None:
             # The nullity reduction is indexed (chunks place themselves by
             # their precomputed global row range), but a filtered partition
             # compacts rows, so those pre-filter positions would be wrong.
@@ -896,7 +952,7 @@ class ComputeContext:
 
     def row_count(self) -> Union[PendingReduction, int]:
         """Total number of rows (post-filter when a predicate is pushed)."""
-        if not self.exact_results and self._predicate_spec is None:
+        if not self.call.exact and self.call.predicate is None:
             return self.known_n_rows      # precomputed by the layout scan
         # In memory, or filtered: the layout scan counts pre-filter rows and
         # only the filtered parses know how many survive — count through them.
@@ -931,82 +987,36 @@ class ComputeContext:
     def resolve(self, requested: Dict[str, Any]) -> Dict[str, Any]:
         """Compute all lazy values in *requested* against one shared graph.
 
-        Pending reductions are first bound to partition tasks: the
-        projection planner sees the whole batch at once, merges overlapping
-        column requirements and emits one shared (possibly projected) parse
-        task per ``(chunk, column set)`` — this is the point where
-        ``plot(df, "x")`` over a wide scan becomes a single-column parse.
-        Plain values pass through untouched, so compute functions can
-        freely mix lazy and already-known values.  The time spent adds to
-        ``timings["graph"]``, and the scheduler's run record of the batch
-        (``last_run``) becomes its execution report.
+        Plan (:func:`plan_batch`), run (:func:`run_batch`), then append the
+        batch's report and keep its partition sets.  Plain values pass
+        through untouched.  The time spent adds to ``timings["graph"]``.
         """
         started = time.perf_counter()
         resolved = dict(requested)
-        pending_keys = [key for key, value in requested.items()
-                        if isinstance(value, PendingReduction)]
-        audit_key: Optional[str] = None
-        planned_rows = 0
-        if pending_keys:
-            projections = _plan_projections(
-                self.column_names, self._used_projections,
-                [requested[key].required for key in pending_keys])
-            for key, projection in zip(pending_keys, projections):
-                resolved[key] = self._bind_reduction(requested[key], projection)
-            if self._predicate_spec is not None and not self._rows_audit_done:
-                # One hidden row-count audit per context measures how many
-                # rows the pushed-down filter removed.  It rides along the
-                # first batch's first projection, so it shares the
-                # parse tasks the batch builds anyway — no extra reads.
-                self._rows_audit_done = True
-                audit_key = "__predicate_rows_audit__"
-                while audit_key in resolved:
-                    audit_key += "_"
-                resolved[audit_key] = self._bind_reduction(
-                    PendingReduction("row_count", (), None), projections[0])
-                planned_rows = sum(
-                    stop - start for start, stop
-                    in self.partitioned_for(projections[0]).boundaries)
-        keys = [key for key, value in resolved.items() if isinstance(value, Delayed)]
-        if keys:
-            sidecar_before = _sidecar_snapshot()
-            values = compute_values(*(resolved[key] for key in keys),
-                                    scheduler=self.scheduler)
-            report = self.scheduler.last_run
-            for key, value in zip(keys, values):
-                resolved[key] = value
-            sidecar_after = _sidecar_snapshot()
-            unreported, self._unreported = self._unreported, RunStats()
-            if audit_key is not None:
-                kept = resolved.pop(audit_key)
-                unreported.rows_filtered += max(0, planned_rows - int(kept))
-            # The sidecar counts its work process-wide; this batch's share
-            # is the difference across the run (coordinator process only).
-            for name, total_key in _SIDECAR_COUNTERS.items():
-                setattr(unreported, name,
-                        sidecar_after[total_key] - sidecar_before[total_key])
-            report += unreported
-            self.total += report
+        if any(isinstance(value, PendingReduction) for value in resolved.values()):
+            batch = plan_batch(self.call, self._partitioned_source(),
+                               self._partitions, resolved)
+            resolved, report = run_batch(batch, self.scheduler)
+            self._partitions = batch.partitions
             self.reports.append(report)
-        elapsed = time.perf_counter() - started
-        self.timings["graph"] = self.timings.get("graph", 0.0) + elapsed
+        self._clock = time.perf_counter()
+        self.timings["graph"] = self.timings.get("graph", 0.0) + self._clock - started
         return resolved
-
-    def record_local_stage(self, seconds: float) -> None:
-        """Record time spent in the local ("Pandas computation") stage."""
-        self.timings["local"] = self.timings.get("local", 0.0) + seconds
 
     def finish(self, intermediates: "Intermediates") -> "Intermediates":
         """Attach this context's timings and execution reports to a result.
 
-        Every compute function calls this last, so callers (and the
-        interactive-session benchmark) can read per-stage timings and the
-        :class:`~repro.graph.scheduler.RunStats` list of the resolved
-        batches — including cache hits — from ``intermediates.meta``.
-        ``meta["projection"]`` carries the projection planner's counters
-        (partition tasks built per kind, columns pruned), which is how the
-        benchmarks assert that a single-column task parsed a single column.
+        Every compute function calls this last.  The time since the end of
+        the last :meth:`resolve` or ``finish`` (or since the context was
+        created) is the local ("Pandas computation") stage and adds to
+        ``timings["local"]`` — a compute function finishing another on the
+        same context first never counts that one's local time twice.
+        ``meta`` gets the :class:`~repro.graph.scheduler.RunStats` of every
+        resolved batch and the four per-call views.
         """
+        now = time.perf_counter()
+        self.timings["local"] = self.timings.get("local", 0.0) + now - self._clock
+        self._clock = now
         intermediates.timings = dict(self.timings)
         intermediates.meta["execution_reports"] = list(self.reports)
         intermediates.meta["projection"] = self.projection_stats()
@@ -1014,13 +1024,3 @@ class ComputeContext:
         intermediates.meta["sidecar"] = self.sidecar_stats()
         intermediates.meta["incremental"] = self.incremental_stats()
         return intermediates
-
-    def column(self, name: str) -> Column:
-        """A column for schema/semantic-type inspection (validates the name).
-
-        For an in-memory source this is the full column; for a streaming
-        source it is the preview's column — compute paths must go through
-        the sketch reductions for actual data, so this accessor never
-        parses the file.
-        """
-        return self.source.schema_preview().column(name)

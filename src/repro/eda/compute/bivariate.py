@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -66,7 +65,6 @@ def _numerical_numerical(context: ComputeContext, col1: str, col2: str,
         "sample": context.sample([col1, col2], config.get("scatter.sample_size")),
     })
 
-    started = time.perf_counter()
     pearson: PearsonPartial = stage1["pearson"]
     correlation = float(pearson.finalize()[0, 1])
     x, y = finite_pair(stage1["sample"], col1, col2,
@@ -102,7 +100,6 @@ def _numerical_numerical(context: ComputeContext, col1: str, col2: str,
             value=correlation,
             message=f"{col1} and {col2} are highly correlated "
                     f"(pearson = {correlation:.2f})")])
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 
@@ -155,7 +152,6 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
         "sample": context.sample([categorical, numerical], 50_000),
     })
 
-    started = time.perf_counter()
     sample: DataFrame = stage1["sample"]
     codes, labels = sample.column(categorical).category_codes()
     numbers = sample.column(numerical)
@@ -205,7 +201,6 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
     intermediates = Intermediates(
         task="bivariate", columns=requested_order, items=items, stats=stats,
         meta={"combination": "CN", "categorical": categorical, "numerical": numerical})
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 
@@ -238,7 +233,6 @@ def _categorical_categorical(context: ComputeContext, col1: str, col2: str,
         "summary2": context.categorical_summary(col2),
     })
 
-    started = time.perf_counter()
     pair_counts: Dict[Tuple[str, str], int] = stage1["pairs"]
     limit_nested = config.get("nested.max_categories")
     limit_heat = config.get("heatmap.max_categories")
@@ -273,7 +267,6 @@ def _categorical_categorical(context: ComputeContext, col1: str, col2: str,
     intermediates = Intermediates(
         task="bivariate", columns=[col1, col2], items=items, stats=stats,
         meta={"combination": "CC"})
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 

@@ -21,7 +21,6 @@ columns of a mixed table are never parsed here.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,7 +55,6 @@ def compute_correlation_overview(frame: DataFrame, config: Config,
         "sample": context.sample(columns, sample_size),
     })
 
-    started = time.perf_counter()
     matrices: Dict[str, np.ndarray] = {}
     if "pearson" in methods:
         matrices["pearson"] = stage1["pearson"].finalize()
@@ -95,7 +93,6 @@ def compute_correlation_overview(frame: DataFrame, config: Config,
         task="correlation", columns=[], items=items, stats=stats,
         meta={"numerical_columns": columns})
     intermediates.add_insights(insights)
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 
@@ -111,7 +108,6 @@ def compute_correlation_single(frame: DataFrame, column: str, config: Config,
         raise EDAError("correlation analysis requires at least two numerical columns")
 
     overview = compute_correlation_overview(frame, config, context=context)
-    started = time.perf_counter()
     others = [name for name in columns if name != column]
     target_index = columns.index(column)
 
@@ -149,7 +145,6 @@ def compute_correlation_single(frame: DataFrame, column: str, config: Config,
         task="correlation", columns=[column], items=items, stats=stats,
         meta={"numerical_columns": columns})
     intermediates.add_insights(overview.insights)
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 
@@ -168,7 +163,6 @@ def compute_correlation_pair(frame: DataFrame, col1: str, col2: str, config: Con
                                  config.get("correlation.scatter_sample_size")),
     })
 
-    started = time.perf_counter()
     correlation = float(stage1["pearson"].finalize()[0, 1])
     x, y = finite_pair(stage1["sample"], col1, col2,
                        config.get("correlation.scatter_sample_size"))
@@ -195,7 +189,6 @@ def compute_correlation_pair(frame: DataFrame, col1: str, col2: str, config: Con
     intermediates.add_insights(correlation_insights(
         [col1, col2], np.array([[1.0, correlation], [correlation, 1.0]]),
         "pearson", config))
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 

@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -50,7 +49,6 @@ def compute_missing_overview(frame: DataFrame, config: Config,
         "sketch": context.nullity_sketch(config.get("missing.spectrum_bins")),
     })
 
-    started = time.perf_counter()
     sketch: NullitySketch = stage1["sketch"]
     columns = list(sketch.columns)
     n_rows = sketch.n_rows_seen
@@ -72,7 +70,6 @@ def compute_missing_overview(frame: DataFrame, config: Config,
     intermediates = _assemble_missing_overview(
         config, columns, n_rows, missing_per_column, spectrum_item,
         kept, nullity_matrix, dendro_labels, dendro_nodes)
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 
@@ -153,7 +150,6 @@ def compute_missing_single(frame: DataFrame, column: str, config: Config,
     context = context or ComputeContext(frame, config)
     if column not in context.column_names:
         context.column(column)  # raises ColumnNotFoundError with suggestions
-    started_total = time.perf_counter()
 
     frame = context.frame
     target_missing = frame.column(column).isna()
@@ -210,7 +206,6 @@ def compute_missing_single(frame: DataFrame, column: str, config: Config,
         task="missing", columns=[column], items=items, stats=stats,
         meta={"semantic_types": {name: semantic.value for name, semantic in types.items()}})
     intermediates.add_insights(insights)
-    context.record_local_stage(time.perf_counter() - started_total)
     return context.finish(intermediates)
 
 
@@ -226,7 +221,6 @@ def compute_missing_pair(frame: DataFrame, col1: str, col2: str, config: Config,
     for name in (col1, col2):
         if name not in context.column_names:
             context.column(name)
-    started = time.perf_counter()
 
     frame = context.frame
     target_missing = frame.column(col1).isna()
@@ -309,5 +303,4 @@ def compute_missing_pair(frame: DataFrame, col1: str, col2: str, config: Config,
         task="missing", columns=[col1, col2], items=items, stats=stats,
         meta={"impacted_type": semantic.value})
     intermediates.add_insights(insights)
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)

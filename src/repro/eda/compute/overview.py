@@ -8,7 +8,6 @@ main computation-sharing win the paper measures against Pandas-profiling.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional
 
 from repro.eda.compute.base import ComputeContext
@@ -71,7 +70,6 @@ def compute_overview(frame: DataFrame, config: Config,
     stage2 = context.resolve(stage2_request) if stage2_request else {}
 
     # Local stage: assemble dataset statistics and per-column chart data.
-    started = time.perf_counter()
     n_rows = int(stage1["n_rows"])
     n_columns = context.n_columns
     missing_cells = sum(summary.missing for summary in numeric_summaries.values())
@@ -135,5 +133,4 @@ def compute_overview(frame: DataFrame, config: Config,
                                  for name, semantic in semantic_types.items()}})
     intermediates.add_insights(dataset_insights(
         n_rows, duplicate_rows or 0, missing_rates, config))
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)

@@ -9,7 +9,6 @@
 from __future__ import annotations
 
 import re
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,7 +76,6 @@ def _numerical_univariate(context: ComputeContext, column: str,
     })
 
     # Local stage ("Pandas computation"): derive everything plot-ready.
-    started = time.perf_counter()
     histogram: Histogram = stage2["histogram"]
     fine: Histogram = stage2["fine_histogram"]
     sample_frame: DataFrame = stage2["sample"]
@@ -142,7 +140,6 @@ def _numerical_univariate(context: ComputeContext, column: str,
         column, summary, histogram, config, sample=sample))
     intermediates.add_insights(outlier_insight(
         column, box.outlier_count, summary.count, config))
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 
@@ -165,7 +162,6 @@ def _categorical_univariate(context: ComputeContext, column: str, config: Config
     stage1 = context.resolve({"summary": context.categorical_summary(column)})
     summary: CategoricalSummary = stage1["summary"]
 
-    started = time.perf_counter()
     top_bar = summary.top_values(config.get("bar.top_words"))
     pie = _pie_slices(summary, config.get("pie.slices"))
     words = _word_frequencies(summary, config)
@@ -200,7 +196,6 @@ def _categorical_univariate(context: ComputeContext, column: str, config: Config
         task="univariate", columns=[column], items=items, stats=stats,
         meta={"semantic_type": semantic.value, "n_rows": context.known_n_rows})
     intermediates.add_insights(categorical_column_insights(column, summary, config))
-    context.record_local_stage(time.perf_counter() - started)
     return context.finish(intermediates)
 
 

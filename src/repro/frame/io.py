@@ -413,8 +413,8 @@ def _estimate_csv_row_bytes(path: Union[str, os.PathLike],
     """Rough on-disk bytes per data row from a bounded probe of the file.
 
     Newlines embedded in quoted fields inflate the apparent record count,
-    which only *under*-estimates the row size; the worker-aware re-check in
-    ``ComputeContext.partitioned`` corrects any resulting over-sized chunks.
+    which only *under*-estimates the row size; the worker-aware re-check when
+    the compute layer partitions the source corrects over-sized chunks.
     """
     with open(path, "rb") as handle:
         handle.readline()                      # skip (first line of) header

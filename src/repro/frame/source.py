@@ -488,11 +488,12 @@ class FilteredSource:
     * **chunk skipping** — ``partitions()`` asks the inner source for its
       ``partitions_matching(spec)`` (the CSV scans answer from per-chunk
       zone maps, :mod:`repro.frame.zonemap`), dropping chunks whose min/max
-      ranges prove no row can match and recording the decision in
-      :attr:`last_pruning`;
+      ranges prove no row can match; the planner counts what was skipped
+      as the inner source's partitions minus these;
     * **the predicate itself** — exposed as :attr:`predicate` so the
       reduction planner pushes its spec into the surviving partition tasks
-      (each chunk parse then filters rows before coercion and sketching).
+      (each chunk parse then filters rows before coercion and sketching),
+      as :meth:`to_frame` does too.
 
     ``capabilities.exact`` is always False: the post-filter row count is
     unknown before execution, so the planner must use the bounded sketch
@@ -523,11 +524,6 @@ class FilteredSource:
         self._source = source
         self._predicate = predicate
         self._prune = prune
-        #: ``{"chunks_total", "chunks_skipped"}`` of the latest
-        #: ``partitions()`` call — the planner folds this into its
-        #: ``chunks_skipped`` counters.
-        self.last_pruning: Dict[str, int] = {"chunks_total": 0,
-                                             "chunks_skipped": 0}
 
     # ------------------------------------------------------------------ #
     # The filtered view
@@ -643,16 +639,13 @@ class FilteredSource:
         surviving partitions keep their original pre-filter global offsets.
         When every chunk is prunable, the first is kept anyway — it parses
         and filters to zero rows — so downstream planning never sees an
-        empty partition list.  Each call records its decision in
-        :attr:`last_pruning`.
+        empty partition list.
         """
-        parts = everything = self._source.partitions()
         matching = getattr(self._source, "partitions_matching", None)
         if self._prune and matching is not None:
-            parts = matching(self._predicate.spec()) or everything[:1]
-        self.last_pruning = {"chunks_total": len(everything),
-                             "chunks_skipped": len(everything) - len(parts)}
-        return parts
+            return matching(self._predicate.spec()) \
+                or self._source.partitions()[:1]
+        return self._source.partitions()
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
                           budget_bytes: Optional[int] = None,
@@ -672,9 +665,16 @@ class FilteredSource:
         return FilteredSource(inner, self._predicate, prune=self._prune)
 
     def to_frame(self) -> DataFrame:
-        """Materialize the inner source, then apply the predicate mask."""
-        frame = self._source.to_frame()
-        return frame.filter(self._predicate.mask(frame))
+        """Materialize the rows that survive the filter.
+
+        Only the partitions zone-map pruning keeps are read, each with the
+        predicate pushed into its materialization, concatenated in order —
+        pruning never drops a matching row, so this equals masking the whole
+        inner frame without decoding the chunks that cannot match.
+        """
+        spec = self._predicate.spec()
+        frames = [part.materialize(predicate=spec) for part in self.partitions()]
+        return concat_rows([frame for frame in frames if len(frame)] or frames[:1])
 
     def __repr__(self) -> str:
         return (f"FilteredSource({self._source!r}, "

@@ -355,16 +355,24 @@ class TestProjectionPlanner:
         assert built == [("a", "b")] and requests == [("a",), ("d",)]
 
     def test_context_plans_through_the_pure_planner(self, house_frame, tmp_path):
-        """The context feeds the planner its own column names, the
-        projections it has built and the requests' declared columns."""
+        """A batch plan feeds the planner the source's column names, the
+        partition sets already built and the requests' declared columns;
+        the context's resolve runs exactly what its plan built."""
+        from repro.eda.compute.base import plan_batch
         from repro.frame.io import scan_csv, write_csv
         path = tmp_path / "houses.csv"
         write_csv(house_frame, str(path))
         context = ComputeContext(scan_csv(str(path)), Config.from_user())
         pending = context.numeric_summary("price")
         assert pending.required == ("price",)
+        first = plan_batch(context.call, context.source, {}, {"summary": pending})
+        assert list(first.partitions) == [("price",)]
+        second = plan_batch(context.call, context.source, first.partitions, {
+            "again": context.histogram("price", 10, 0.0, 1.0),
+            "other": context.numeric_summary("size")})
+        assert list(second.partitions) == [("price",), ("size",)]
+        assert second.partitions[("price",)] is first.partitions[("price",)]
         context.resolve({"summary": pending})
-        assert context._used_projections == [("price",)]
-        context.resolve({"again": context.histogram("price", 10, 0.0, 1.0),
-                         "other": context.numeric_summary("size")})
-        assert context._used_projections == [("price",), ("size",)]
+        assert context.projection_stats()["projected_parse_tasks"] == \
+            first.partitions[("price",)].npartitions == \
+            context.reports[-1].projected_parses

@@ -202,13 +202,44 @@ def test_explicit_in_memory_partitioning_survives_default_config():
     from repro.eda.config import Config
 
     frame = DataFrame({"x": np.arange(60_000, dtype=np.float64)})
-    context = ComputeContext(InMemorySource(frame, partition_rows=5_000),
-                             Config.from_user())
-    assert context.partitioned.npartitions == 12
-    overridden = ComputeContext(InMemorySource(frame, partition_rows=5_000),
-                                Config.from_user({"compute.partition_rows":
-                                                  30_000}))
-    assert overridden.partitioned.npartitions == 2
+
+    def partition_tasks(config):
+        context = ComputeContext(InMemorySource(frame, partition_rows=5_000),
+                                 Config.from_user(config))
+        assert context.resolve({"rows": context.row_count()}) == {"rows": 60_000}
+        return context.projection_stats()["full_parse_tasks"]
+
+    assert partition_tasks({}) == 12
+    assert partition_tasks({"compute.partition_rows": 30_000}) == 2
+
+
+def test_filtered_to_frame_decodes_only_the_chunks_pruning_keeps(
+        tmp_path, monkeypatch):
+    """Materializing a filtered scan reads the zone-map survivors with the
+    predicate pushed in, not every chunk followed by a mask."""
+    from repro.frame import io as frame_io
+
+    frame = DataFrame({"ts": np.arange(500, dtype=np.float64),
+                       "w": [f"w{i % 7}" for i in range(500)]})
+    path = str(tmp_path / "log.csv")
+    write_csv(frame, path)
+    scan = scan_csv(path, chunk_rows=100)
+    assert scan.n_chunks == 5
+    filtered = scan[scan.ts >= 450]
+    scan.zone_map()
+    parse, calls = frame_io.parse_csv_range, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(frame_io, "parse_csv_range", counted)
+    result = filtered.to_frame()
+    assert calls == [scan.byte_ranges[-1]]
+    whole = scan.to_frame()
+    assert result == whole.filter(filtered.predicate.mask(whole))
+    nothing = scan[scan.ts > 1e9].to_frame()
+    assert len(nothing) == 0 and nothing.columns == ["ts", "w"]
 
 
 # --------------------------------------------------------------------------- #
