@@ -35,7 +35,6 @@ from repro.frame import (
     FilteredSource,
     FrameSource,
     InMemorySource,
-    MultiFileCsvSource,
     Predicate,
     SourceCapabilities,
     SourcePartition,
@@ -96,7 +95,6 @@ __all__ = [
     "FilteredSource",
     "FrameSource",
     "InMemorySource",
-    "MultiFileCsvSource",
     "Predicate",
     "Report",
     "SourceCapabilities",

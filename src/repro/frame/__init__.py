@@ -26,7 +26,6 @@ from repro.frame.fingerprint import fingerprint_array, fingerprint_column, finge
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.io import (
     CsvSource,
-    MultiFileCsvSource,
     read_csv,
     scan_csv,
     write_csv,
@@ -65,7 +64,6 @@ __all__ = [
     "FilteredSource",
     "FrameSource",
     "InMemorySource",
-    "MultiFileCsvSource",
     "Predicate",
     "SourceCapabilities",
     "SourcePartition",

@@ -8,23 +8,23 @@ Kaggle CSV files.
 The streaming reader (:func:`scan_csv`) never materializes the file: it scans
 the byte layout once (quote-aware, so embedded newlines inside quoted fields
 are handled), infers dtypes from a bounded preview, and returns a
-:class:`CsvSource` — or, for a list or glob of paths, a
-:class:`MultiFileCsvSource` over one ``CsvSource`` per file — whose chunks
-are parsed lazily, one bounded row range at a time.  Both are
-:class:`~repro.frame.source.FrameSource` implementations, so the EDA layer
-routes them through per-partition sketch reductions, which is what makes
+:class:`CsvSource` — for one path, a list or a glob alike: one schema over
+one :class:`CsvLayout` value per file — whose chunks are parsed lazily, one
+bounded row range at a time.  It is a
+:class:`~repro.frame.source.FrameSource` implementation, so the EDA layer
+routes it through per-partition sketch reductions, which is what makes
 ``plot`` / ``create_report`` work on CSVs larger than memory.  This module
 imports :mod:`repro.frame.source` (the protocol), never the reverse.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import glob as glob_module
 import io
 import os
 import zlib
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import (
     Any,
@@ -46,7 +46,13 @@ from repro.frame.dtypes import DType, coerce_values, encode_cells, infer_dtype
 from repro.frame.fingerprint import fingerprint_file_stamps
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.predicate import apply_predicate_spec
-from repro.frame.sidecar import load_chunk, record_hit, record_miss, store_chunk
+from repro.frame.sidecar import (
+    is_sidecar_artifact,
+    load_chunk,
+    record_hit,
+    record_miss,
+    store_chunk,
+)
 from repro.frame.source import (
     SourceCapabilities,
     SourcePartition,
@@ -59,13 +65,12 @@ from repro.frame.zonemap import (
     chunk_key,
     decode_zone_entry,
     encode_zone_entry,
+    is_zone_map_path,
     load_zone_entries,
     save_zone_entries,
     zone_map_from_stats,
 )
-from repro.utils import default_worker_count  # noqa: F401 - re-exported; the
-# shared worker-count default lives in repro.utils so the graph and compute
-# layers no longer depend on the I/O layer for it.
+from repro.utils import default_worker_count
 
 PathOrBuffer = Union[str, os.PathLike, io.TextIOBase]
 
@@ -156,14 +161,12 @@ def _read_csv_stream(stream: io.TextIOBase,
                      dtypes: Optional[Dict[str, DType]],
                      max_rows: Optional[int],
                      lenient: bool = False,
-                     usecols: Optional[Sequence[str]] = None,
-                     validate_dtype_keys: bool = True) -> DataFrame:
+                     usecols: Optional[Sequence[str]] = None) -> DataFrame:
     """Tokenise → infer where no dtype was given → batch coerce → encode.
 
     The one cell→column step behind :func:`read_csv`, the scan preview and
     every chunk parse.  *dtypes* entries naming no column of this header
-    raise unless *validate_dtype_keys* is false (the multi-file scan hands
-    later files the first file's whole map), in which case they are unused.
+    raise.
     """
     reader = csv.reader(stream, delimiter=delimiter)
     rows = iter(reader)
@@ -178,7 +181,7 @@ def _read_csv_stream(stream: io.TextIOBase,
             raise FrameError("column_names is required when has_header is False")
         names = list(column_names)
 
-    if dtypes and validate_dtype_keys:
+    if dtypes:
         _validate_known_columns(dtypes, names)
     if has_header and header is None:          # a zero-byte input
         return DataFrame()
@@ -285,97 +288,159 @@ def _format_cell(value: Any) -> str:
 # --------------------------------------------------------------------------- #
 # Streaming scan
 # --------------------------------------------------------------------------- #
-def _scan_records(handle, chunk_rows: int
-                  ) -> Tuple[List[int], List[int], int, int, bool]:
-    """Count CSV records from the handle's current byte position.
+def _read_header(path: str, delimiter: str) -> Tuple[List[str], int]:
+    """The header's column names and the byte offset of the first record.
 
-    A record ends only on a line where the cumulative quote count is even
-    (``""`` escapes toggle twice, so parity is preserved); completely blank
-    records are not counted, matching :func:`read_csv`.  A chunk boundary
-    is committed every *chunk_rows* records.  Returns ``(boundary offsets,
-    committed row counts, trailing rows past the last boundary, end byte,
-    clean_eof)`` — *clean_eof* is False when the file ends inside an open
-    quoted field (the trailing record is still counted, since
-    ``csv.reader`` yields it), which makes the layout unsafe to extend
-    in place by a later incremental refresh.
+    Quote-aware like :func:`scan_layout`: a quoted header field may span
+    physical lines.  A zero-byte file has no columns.
     """
-    byte_offsets: List[int] = []
-    row_counts: List[int] = []
-    rows_in_chunk = 0
-    quotes = 0
-    record_blank = True
-    for line in handle:
-        quotes += line.count(b'"')
-        if line.strip(b"\r\n"):
-            record_blank = False
-        if quotes % 2 == 1:
-            continue                      # still inside a quoted field
-        if not record_blank:
-            rows_in_chunk += 1
-            if rows_in_chunk == chunk_rows:
-                byte_offsets.append(handle.tell())
-                row_counts.append(rows_in_chunk)
-                rows_in_chunk = 0
-        record_blank = True
-    clean_eof = quotes % 2 == 0
-    if not clean_eof and not record_blank:
-        # A final record whose quoted field is never closed: the csv
-        # parser still yields it as a row, so count it — otherwise
-        # n_rows disagrees with what the chunks actually parse.
-        rows_in_chunk += 1
-    return byte_offsets, row_counts, rows_in_chunk, handle.tell(), clean_eof
-
-
-def _ranges_from_counts(byte_offsets: List[int], row_counts: List[int]
-                        ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """``(row boundaries, byte ranges)`` from committed offsets and counts."""
-    byte_ranges = [(byte_offsets[index], byte_offsets[index + 1])
-                   for index in range(len(row_counts))]
-    boundaries: List[Tuple[int, int]] = []
-    start = 0
-    for count in row_counts:
-        boundaries.append((start, start + count))
-        start += count
-    return boundaries, byte_ranges
-
-
-def _scan_csv_layout(path: Union[str, os.PathLike], chunk_rows: int,
-                     delimiter: str = ","
-                     ) -> Tuple[List[str], List[Tuple[int, int]],
-                                List[Tuple[int, int]], bool]:
-    """One quote-aware pass over the file recording chunk byte boundaries.
-
-    Returns ``(column names, row boundaries, byte ranges, clean_eof)``
-    where every byte range starts and ends on a record boundary, so each
-    chunk is independently parseable; *clean_eof* is False when the file
-    ends inside an open quoted field (see :func:`_scan_records`).
-    """
-    if chunk_rows <= 0:
-        raise FrameError("chunk_rows must be positive")
     with open(path, "rb") as handle:
-        header_lines: List[bytes] = []
+        lines: List[bytes] = []
         quotes = 0
         for line in handle:
-            header_lines.append(line)
+            lines.append(line)
             quotes += line.count(b'"')
             if quotes % 2 == 0:
                 break
-        header_text = b"".join(header_lines).decode("utf-8")
-        header_rows = list(csv.reader(io.StringIO(header_text),
-                                      delimiter=delimiter))
-        if not header_rows:
-            return [], [(0, 0)], [(handle.tell(), handle.tell())], True
-        columns = [name.strip() for name in header_rows[0]]
+        rows = list(csv.reader(io.StringIO(b"".join(lines).decode("utf-8")),
+                               delimiter=delimiter))
+        columns = [name.strip() for name in rows[0]] if rows else []
+        return columns, handle.tell()
 
-        data_start = handle.tell()
-        byte_offsets, row_counts, rows_in_chunk, end_of_file, clean_eof = \
-            _scan_records(handle, chunk_rows)
-    byte_offsets = [data_start] + byte_offsets
-    if rows_in_chunk or not row_counts:
-        byte_offsets.append(end_of_file)
-        row_counts.append(rows_in_chunk)
-    boundaries, byte_ranges = _ranges_from_counts(byte_offsets, row_counts)
-    return columns, boundaries, byte_ranges, clean_eof
+
+@dataclass(frozen=True)
+class CsvLayout:
+    """One file's chunk layout, as a value.
+
+    Built only by :func:`scan_layout`: a rechunk or a refresh produces a new
+    layout and never edits this one.  Every chunk is a record-aligned byte
+    range, so each parses on its own; ``boundaries`` are its rows within
+    this file.  ``chunk_stamps`` are the per-chunk ``(head_crc, tail_crc)``
+    content stamps, captured with the layout — not lazily — so a refresh
+    compares today's bytes against what the layout was computed from;
+    stamping after a mutation would trust the mutated prefix.  Chunk *i* is
+    keyed by ``chunk_stamps[i]`` in the cross-call cache, the zone-map
+    sidecar and the parsed-chunk binary sidecar.
+    """
+
+    path: str
+    #: ``(size, mtime_ns)`` of the file when the layout was scanned.
+    file_stamp: Tuple[int, int]
+    chunk_rows: int
+    boundaries: Tuple[Tuple[int, int], ...]
+    byte_ranges: Tuple[Tuple[int, int], ...]
+    chunk_stamps: Tuple[Tuple[int, int], ...]
+    #: Whether the scan ended outside any quoted field; an open quote at
+    #: EOF makes appended bytes part of the dangling record, so a refresh
+    #: must rescan instead of extending.
+    clean_eof: bool
+    #: In-memory bytes of one parsed row going by this file's preview; with
+    #: the on-disk row size it prices a chunk against the memory budget.
+    row_bytes: float
+
+    @property
+    def n_rows(self) -> int:
+        """Data rows of this file, known from the layout scan."""
+        return self.boundaries[-1][1]
+
+    def content_crc(self) -> int:
+        """One CRC folding every chunk stamp — the file-level content probe.
+
+        Changes whenever any chunk's head/tail probe changes, so the
+        fingerprint detects in-place rewrites even when they preserve both
+        size and mtime_ns (the stamp-granularity hazard: editors restoring
+        timestamps, appends within one mtime resolution).
+        """
+        crc = 0
+        for head, tail in self.chunk_stamps:
+            crc = zlib.crc32(f"{head}:{tail};".encode(), crc)
+        return crc
+
+    def row_cost(self) -> int:
+        """Rough peak parse cost of one row (on-disk and in-memory)."""
+        data_bytes = max(self.file_stamp[0] - self.byte_ranges[0][0], 0)
+        csv_row = data_bytes / self.n_rows if self.n_rows else 64.0
+        return max(1, int(csv_row * PARSE_OVERHEAD_FACTOR + self.row_bytes))
+
+    def appendable(self) -> bool:
+        """Whether the file still holds exactly the bytes this layout covers,
+        so bytes appended since can simply extend it.
+
+        Trusted only when the layout holds records and ended cleanly — no
+        open quote at EOF and a record-terminating newline as the last
+        scanned byte, so appended bytes start a fresh record — and every
+        chunk's head/tail CRC probe still matches, so a mutated-then-grown
+        prefix rescans instead of extending over a stale layout.
+        """
+        if not self.n_rows or not self.clean_eof:
+            return False
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(self.byte_ranges[-1][1] - 1)
+                if handle.read(1) != b"\n":
+                    return False
+            return tuple(compute_chunk_stamps(
+                self.path, self.byte_ranges)) == self.chunk_stamps
+        except OSError:
+            return False
+
+
+def scan_layout(path: str, chunk_rows: int, start: int,
+                file_stamp: Tuple[int, int], row_bytes: float,
+                kept: Optional[CsvLayout] = None) -> CsvLayout:
+    """The one routine that builds a :class:`CsvLayout`.
+
+    The layout holds *kept*'s chunks unchanged, then the records from byte
+    *start* on, a chunk boundary committed every *chunk_rows* of them, and
+    every new chunk stamped.  A cold scan and a rechunk start at the first
+    record with nothing kept; an append-refresh starts where *kept* ends.
+    A record ends only on a line where the cumulative quote count is even
+    (``""`` escapes toggle twice, so parity is preserved); completely blank
+    records are not counted, matching :func:`read_csv`.  A layout with no
+    record at all is one empty chunk.
+    """
+    if chunk_rows <= 0:
+        raise FrameError("chunk_rows must be positive")
+    stops: List[int] = []
+    counts: List[int] = []
+    rows = quotes = 0
+    record_blank = True
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        for line in handle:
+            quotes += line.count(b'"')
+            if line.strip(b"\r\n"):
+                record_blank = False
+            if quotes % 2 == 1:
+                continue                      # still inside a quoted field
+            if not record_blank:
+                rows += 1
+                if rows == chunk_rows:
+                    stops.append(handle.tell())
+                    counts.append(rows)
+                    rows = 0
+            record_blank = True
+        clean_eof = quotes % 2 == 0
+        if not clean_eof and not record_blank:
+            # A final record whose quoted field is never closed: the csv
+            # parser still yields it as a row, so count it — otherwise
+            # n_rows disagrees with what the chunks actually parse.
+            rows += 1
+        if rows or (not counts and kept is None):
+            stops.append(handle.tell())
+            counts.append(rows)
+    byte_ranges = tuple(zip([start] + stops[:-1], stops))
+    row_stops = list(accumulate(counts, initial=kept.n_rows if kept else 0))
+    boundaries = tuple(zip(row_stops, row_stops[1:]))
+    chunk_stamps = tuple(compute_chunk_stamps(path, byte_ranges))
+    if kept is not None:
+        boundaries = kept.boundaries + boundaries
+        byte_ranges = kept.byte_ranges + byte_ranges
+        chunk_stamps = kept.chunk_stamps + chunk_stamps
+    return CsvLayout(path=path, file_stamp=file_stamp, chunk_rows=chunk_rows,
+                     boundaries=boundaries, byte_ranges=byte_ranges,
+                     chunk_stamps=chunk_stamps, clean_eof=clean_eof,
+                     row_bytes=row_bytes)
 
 
 def compute_chunk_stamps(path: Union[str, os.PathLike],
@@ -542,166 +607,114 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
     return frame
 
 
-class CsvSource:
-    """One on-disk CSV file as a lazy, chunked :class:`FrameSource`.
+@dataclass(frozen=True)
+class _ScanSettings:
+    """The ``scan_csv`` arguments a source was opened with.
 
-    What ``scan_csv(path)`` returns.  Constructing one scans the file's
-    byte layout (quote-aware) and parses a bounded preview for dtypes; it
-    holds only that metadata — column names, dtypes, chunk boundaries,
-    per-chunk content stamps, the preview — never the parsed file.
-    Partitions are lazy byte-range parse tasks, and
-    ``capabilities.exact=False`` routes every reduction through the
-    bounded-memory sketch finalizers, so ``plot`` / ``create_report`` run
-    with peak memory proportional to the chunk size, not the file.
-
-    *validate_dtype_keys* is disabled by the multi-file scanner for files
-    after the first: those receive file 1's complete dtype map, and a
-    header mismatch there must surface as the multi-file "files disagree on
-    columns" error, not as an unknown-dtype-key error.
+    A refresh rescans, and a glob absorbs newly matching files, under
+    exactly these.
     """
 
-    def __init__(self, path: Union[str, os.PathLike],
-                 chunk_rows: Optional[int] = None,
-                 budget_bytes: Optional[int] = None,
-                 dtypes: Optional[Dict[str, DType]] = None,
-                 inference_rows: int = 10_000,
-                 delimiter: str = ",",
-                 validate_dtype_keys: bool = True):
-        requested_rows = chunk_rows if chunk_rows is not None \
-            else DEFAULT_CHUNK_ROWS
-        if requested_rows <= 0:
-            raise FrameError("chunk_rows must be positive")
-        budget = budget_bytes if budget_bytes is not None \
-            else DEFAULT_BUDGET_BYTES
-        if budget <= 0:
-            raise FrameError("budget_bytes must be positive")
-        self.path = str(path)
-        self.delimiter = delimiter
-        #: The budget inputs the chunking already accounts for; consumers
-        #: (ComputeContext) re-derive a chunk size only when theirs differ,
-        #: so default-config EDA calls never pay a second layout pass.
-        self.budget_bytes = int(budget)
-        self.budget_concurrency = default_worker_count()
-        #: The scan_csv arguments that produced this handle, retained so
-        #: :meth:`refreshed` can re-derive the layout under the exact same
-        #: settings when extension is not safe.
-        self._requested_chunk_rows = chunk_rows
-        self._inference_rows = int(inference_rows)
-        self._user_dtypes = dict(dtypes) if dtypes else None
-        self._validate_dtype_keys = bool(validate_dtype_keys)
+    chunk_rows: int
+    budget_bytes: int
+    #: The user's dtype overrides (validated against the first header).
+    dtypes: Optional[Dict[str, DType]]
+    inference_rows: int
+    delimiter: str
+    #: The glob pattern the source was opened from, if it was; None for a
+    #: path or an explicit list (a closed set of files).
+    pattern: Optional[str]
+    #: The worker count the budget was divided by; consumers
+    #: (ComputeContext) re-derive chunk sizes only when theirs differs, so
+    #: default-config EDA calls never pay a second layout pass.
+    concurrency: int = field(default_factory=default_worker_count)
 
-        self._preview, inferred = _scan_preview(
-            path, dtypes, inference_rows, delimiter, validate_dtype_keys)
-        file_stat = os.stat(path)
-        # Cap the chunk size by the budget using cheap row-size estimates
-        # (the parsed preview plus a 64 KiB on-disk probe), then scan the
-        # layout once at the final granularity.  The formula deliberately
-        # mirrors chunk_rows_for_budget with the default worker count, so
-        # the worker-aware re-derivation in ComputeContext usually agrees
-        # and no second layout pass is needed.
-        row_cost = max(1.0, _estimate_csv_row_bytes(path)
-                       * PARSE_OVERHEAD_FACTOR + self._preview_row_bytes())
-        budget_rows = max(MIN_CHUNK_ROWS,
-                          int(budget / self.budget_concurrency // row_cost))
-        effective_rows = min(requested_rows, budget_rows)
-        self._columns, boundaries, byte_ranges, clean_eof = _scan_csv_layout(
-            path, effective_rows, delimiter=delimiter)
-        self._dtypes = {name: inferred.get(name, DType.STRING)
-                        for name in self._columns}
-        self._set_layout(effective_rows, boundaries, byte_ranges, clean_eof,
-                         (int(file_stat.st_size), int(file_stat.st_mtime_ns)))
 
-    def _set_layout(self, chunk_rows: int,
-                    boundaries: Sequence[Tuple[int, int]],
-                    byte_ranges: Sequence[Tuple[int, int]], clean_eof: bool,
-                    file_stamp: Tuple[int, int],
-                    chunk_stamps: Optional[List[Tuple[int, int]]] = None
-                    ) -> "CsvSource":
-        """Install a chunk layout, dropping the memos derived from the old
-        one; ``copy.copy(scan)._set_layout(...)`` is the same scan (path,
-        schema, settings) over a new layout."""
-        self.chunk_rows = int(chunk_rows)
-        self._boundaries = list(boundaries)
-        self._byte_ranges = list(byte_ranges)
-        #: Whether the layout scan ended outside any quoted field; an open
-        #: quote at EOF makes appended bytes part of the dangling record,
-        #: so refresh must rescan instead of extending.
-        self.clean_eof = bool(clean_eof)
-        self.file_stamp = tuple(file_stamp)
-        #: Per-chunk ``(head_crc, tail_crc)`` content stamps.  Captured with
-        #: the layout — NOT lazily — so a later :meth:`refreshed` compares
-        #: today's bytes against what the layout was actually computed
-        #: from; stamping after a mutation would trust the mutated prefix.
-        self._chunk_stamps = chunk_stamps if chunk_stamps is not None \
-            else compute_chunk_stamps(self.path, self._byte_ranges)
-        self._rechunks: Dict[int, "CsvSource"] = {}
-        self._zone_map: Optional[ZoneMap] = None
-        return self
+class CsvSource:
+    """On-disk CSV files as one lazy, chunked :class:`FrameSource`.
+
+    What ``scan_csv`` returns for a path, a list or a glob.  It holds one
+    schema — the first file's preview and dtypes, user overrides included,
+    under which every file's chunks parse — and one :class:`CsvLayout` per
+    file, in concatenation order: metadata only, never the parsed data.
+    Partitions are lazy byte-range parse tasks at accumulated row offsets,
+    so the pipeline sees one frame and never learns about file boundaries,
+    and ``capabilities.exact=False`` routes every reduction through the
+    bounded-memory sketch finalizers, so ``plot`` / ``create_report`` run
+    with peak memory proportional to the chunk size, not the files.
+    """
+
+    def __init__(self, preview: DataFrame, dtypes: Dict[str, DType],
+                 layouts: Sequence[CsvLayout], settings: _ScanSettings):
+        self._preview = preview
+        self._columns = tuple(preview.columns)
+        self._dtypes = dict(dtypes)
+        self._layouts = tuple(layouts)
+        self._settings = settings
+        self._rechunks: Dict[Tuple[int, ...], "CsvSource"] = {}
+        self._zone_maps: Dict[int, ZoneMap] = {}
 
     # ------------------------------------------------------------------ #
     # Metadata (no I/O)
     # ------------------------------------------------------------------ #
     @property
+    def layouts(self) -> Tuple[CsvLayout, ...]:
+        """One chunk layout per file, in concatenation order."""
+        return self._layouts
+
+    @property
+    def paths(self) -> List[str]:
+        """The file paths, in concatenation order."""
+        return [layout.path for layout in self._layouts]
+
+    @property
+    def path(self) -> str:
+        """The file of a one-file scan; a multi-file scan has :attr:`paths`."""
+        if len(self._layouts) != 1:
+            raise FrameError(f"a scan of {len(self._layouts)} files has no "
+                             f"single path; read .paths instead")
+        return self._layouts[0].path
+
+    @property
     def columns(self) -> List[str]:
-        """Column names, known without parsing the file."""
+        """Column names, known without parsing the files."""
         return list(self._columns)
 
     @property
     def dtypes(self) -> Dict[str, DType]:
-        """Per-column storage dtypes inferred from the preview rows."""
+        """Per-column storage dtypes inferred from the first file's preview."""
         return dict(self._dtypes)
 
     @property
     def n_rows(self) -> int:
-        """Total data rows, known from the layout scan."""
-        return self._boundaries[-1][1] if self._boundaries else 0
+        """Total data rows, known from the layout scans."""
+        return sum(layout.n_rows for layout in self._layouts)
 
     @property
     def n_chunks(self) -> int:
-        """Number of precomputed chunks."""
-        return len(self._boundaries)
+        """Number of precomputed chunks over every file."""
+        return sum(len(layout.boundaries) for layout in self._layouts)
 
     @property
     def boundaries(self) -> List[Tuple[int, int]]:
         """``(start, stop)`` global row range of each chunk."""
-        return list(self._boundaries)
+        return [(part.start, part.stop) for part in self.partitions()]
 
     @property
     def byte_ranges(self) -> List[Tuple[int, int]]:
-        """``(start, stop)`` byte range of each chunk (record-aligned)."""
-        return list(self._byte_ranges)
-
-    @property
-    def file_size(self) -> int:
-        """On-disk size recorded at scan time (part of the cache stamp)."""
-        return int(self.file_stamp[0])
+        """``(start, stop)`` byte range of each chunk within its file."""
+        return [span for layout in self._layouts for span in layout.byte_ranges]
 
     @property
     def chunk_stamps(self) -> List[Tuple[int, int]]:
-        """Per-chunk ``(head_crc, tail_crc)`` content stamps.
-
-        Chunk ``index`` of this layout is keyed by ``chunk_stamps[index]``
-        in the cross-call cache, the zone-map sidecar and the parsed-chunk
-        binary sidecar.
-        """
-        return list(self._chunk_stamps)
+        """Per-chunk ``(head_crc, tail_crc)`` content stamps (see
+        :class:`CsvLayout`)."""
+        return [stamp for layout in self._layouts
+                for stamp in layout.chunk_stamps]
 
     def chunk_stamp(self, index: int) -> Tuple[int, int]:
         """The content stamp of chunk *index*."""
-        return self._chunk_stamps[index]
-
-    def content_crc(self) -> int:
-        """One CRC folding every chunk stamp — the file-level content probe.
-
-        Changes whenever any chunk's head/tail probe changes, so the
-        whole-file fingerprint below detects in-place rewrites even when
-        they preserve both size and mtime_ns (the stamp-granularity hazard:
-        editors restoring timestamps, appends within one mtime resolution).
-        """
-        crc = 0
-        for head, tail in self._chunk_stamps:
-            crc = zlib.crc32(f"{head}:{tail};".encode(), crc)
-        return crc
+        return self.chunk_stamps[index]
 
     @property
     def preview(self) -> DataFrame:
@@ -717,28 +730,28 @@ class CsvSource:
         return self._preview
 
     def fingerprint(self) -> str:
-        """Content fingerprint from ``(path, size, mtime_ns, content CRC)``.
+        """Content fingerprint from every file's ``(path, size, mtime_ns,
+        content CRC)``.
 
-        Stable across processes while the file is unchanged, so cross-call
-        cache keys survive re-scanning.  The trailing content CRC folds
+        Stable across processes while the files are unchanged, so
+        cross-call cache keys survive re-scanning.  The content CRC folds
         every per-chunk probe, so a same-size same-mtime rewrite still
         changes the fingerprint.
         """
         return fingerprint_file_stamps(
-            [(self.path, self.file_stamp[0], self.file_stamp[1],
-              self.content_crc())])
+            [(layout.path, *layout.file_stamp, layout.content_crc())
+             for layout in self._layouts])
 
     def footprint_bytes(self) -> int:
-        return self.file_size
+        return sum(layout.file_stamp[0] for layout in self._layouts)
 
     def materialization_bytes(self) -> int:
-        if not len(self._preview):
-            return self.file_size
-        return int(self._preview_row_bytes() * self.n_rows)
+        return sum(int(layout.row_bytes * layout.n_rows)
+                   for layout in self._layouts)
 
     def __repr__(self) -> str:
-        return (f"CsvSource(path={self.path!r}, rows={self.n_rows}, "
-                f"chunks={self.n_chunks}, columns={self._columns})")
+        return (f"CsvSource(paths={self.paths!r}, rows={self.n_rows}, "
+                f"chunks={self.n_chunks}, columns={self.columns})")
 
     # ------------------------------------------------------------------ #
     # Filtered views (predicate pushdown)
@@ -750,8 +763,8 @@ class CsvSource:
     def __getattr__(self, name: str) -> Any:
         return _source_getattr(self, name)
 
-    def zone_map(self) -> ZoneMap:
-        """The per-chunk zone map of this scan, building it if needed.
+    def zone_map(self, file: int = 0) -> ZoneMap:
+        """The per-chunk zone map of file *file*, building it if needed.
 
         The sidecar holds one entry per chunk byte range, each keyed by
         that chunk's ``(head_crc, tail_crc)`` content stamp
@@ -762,132 +775,117 @@ class CsvSource:
         verbatim and the build pays for the new chunks alone; a mutated
         chunk rebuilds individually.  Memoized on this handle.
         """
-        if self._zone_map is not None:
-            return self._zone_map
-        entries = load_zone_entries(self.path)
-        per_chunk: List[Dict[str, Tuple[Any, Any, int, int]]] = []
-        fresh: Dict[str, Dict[str, Any]] = {}
-        for index, byte_range in enumerate(self._byte_ranges):
-            key = chunk_key(*byte_range)
-            stamp = self._chunk_stamps[index]
-            stats = decode_zone_entry(entries.get(key), stamp)
-            if stats is None:
-                stats = chunk_column_stats(self.read_chunk(index))
-                fresh[key] = encode_zone_entry(stats, stamp)
-            per_chunk.append(stats)
-        if fresh:
-            save_zone_entries(self.path, fresh)
-        self._zone_map = zone_map_from_stats(per_chunk, self.file_stamp,
-                                             self.chunk_rows)
-        return self._zone_map
+        if file not in self._zone_maps:
+            layout = self._layouts[file]
+            entries = load_zone_entries(layout.path)
+            per_chunk: List[Dict[str, Tuple[Any, Any, int, int]]] = []
+            fresh: Dict[str, Dict[str, Any]] = {}
+            for part, byte_range, stamp in zip(self._file_partitions(file),
+                                               layout.byte_ranges,
+                                               layout.chunk_stamps):
+                key = chunk_key(*byte_range)
+                stats = decode_zone_entry(entries.get(key), stamp)
+                if stats is None:
+                    stats = chunk_column_stats(part.materialize())
+                    fresh[key] = encode_zone_entry(stats, stamp)
+                per_chunk.append(stats)
+            if fresh:
+                save_zone_entries(layout.path, fresh)
+            self._zone_maps[file] = zone_map_from_stats(
+                per_chunk, layout.file_stamp, layout.chunk_rows)
+        return self._zone_maps[file]
 
     # ------------------------------------------------------------------ #
     # Chunked access
     # ------------------------------------------------------------------ #
-    def _partition(self, index: int, offset: int = 0) -> SourcePartition:
-        """The parse task of chunk *index*, shifted to global *offset* rows.
+    def _file_partitions(self, file: int,
+                         offset: int = 0) -> List[SourcePartition]:
+        """The parse tasks of file *file*'s chunks, at global *offset* rows.
 
-        The task carries its chunk's *own* content stamp (the head/tail
+        Each task carries its chunk's *own* content stamp (the head/tail
         CRC probe pair) instead of a whole-file stamp: appending to the
         file leaves the old chunks' args — and therefore their cross-call
         cache keys — byte-identical, which is what lets a refresh reuse
         every already-sketched chunk and execute only the appended ones.
         """
-        byte_start, byte_stop = self._byte_ranges[index]
-        start, stop = self._boundaries[index]
-        return SourcePartition(
-            offset + start, offset + stop, _read_csv_slice,
-            (self.path, byte_start, byte_stop, tuple(self._columns),
-             self._dtypes, self._chunk_stamps[index], self.delimiter,
-             stop - start),
-            prefix="read_csv_partition", path=self.path,
-            byte_span=byte_stop - byte_start)
+        layout = self._layouts[file]
+        return [SourcePartition(
+                    offset + start, offset + stop, _read_csv_slice,
+                    (layout.path, byte_start, byte_stop, self._columns,
+                     self._dtypes, stamp, self._settings.delimiter,
+                     stop - start),
+                    prefix="read_csv_partition", path=layout.path,
+                    byte_span=byte_stop - byte_start)
+                for (start, stop), (byte_start, byte_stop), stamp
+                in zip(layout.boundaries, layout.byte_ranges,
+                       layout.chunk_stamps)]
 
-    def partitions(self, offset: int = 0) -> List[SourcePartition]:
-        return [self._partition(index, offset)
-                for index in range(self.n_chunks)]
+    def _partitions_by_file(self) -> List[List[SourcePartition]]:
+        offsets = accumulate((layout.n_rows for layout in self._layouts),
+                             initial=0)
+        return [self._file_partitions(file, offset)
+                for file, offset in zip(range(len(self._layouts)), offsets)]
 
-    def partitions_matching(self, spec: Sequence[Tuple[str, str, Any]],
-                            offset: int = 0) -> List[SourcePartition]:
-        """:meth:`partitions` minus chunks the zone map proves hold no match.
+    def partitions(self) -> List[SourcePartition]:
+        return [part for parts in self._partitions_by_file() for part in parts]
 
-        Falls back to every partition on any failure — zone maps are an
-        optimization, never a correctness requirement, so an unreadable
-        sidecar or a parse problem during the statistics build must
-        degrade to "parse every chunk".
+    def partitions_matching(self, spec: Sequence[Tuple[str, str, Any]]
+                            ) -> List[SourcePartition]:
+        """:meth:`partitions` minus chunks a zone map proves hold no match.
+
+        A file falls back to every partition on any failure — zone maps
+        are an optimization, never a correctness requirement, so an
+        unreadable sidecar or a parse problem during the statistics build
+        must degrade to "parse every chunk".
         """
-        parts = self.partitions(offset)
-        try:
-            keep = self.zone_map().keep_flags(spec)
-        except (OSError, FrameError):
-            return parts
-        return [part for part, kept in zip(parts, keep) if kept]
+        kept: List[SourcePartition] = []
+        for file, parts in enumerate(self._partitions_by_file()):
+            try:
+                flags = self.zone_map(file).keep_flags(spec)
+            except (OSError, FrameError):
+                flags = [True] * len(parts)
+            kept += [part for part, keep in zip(parts, flags) if keep]
+        return kept
 
     def read_chunk(self, index: int) -> DataFrame:
         """Parse chunk *index* (its rows only) into a DataFrame."""
-        return self._partition(index).materialize()
+        return self.partitions()[index].materialize()
 
     def chunks(self) -> Iterator[DataFrame]:
         """Yield every chunk in row order, one bounded DataFrame at a time."""
-        for index in range(self.n_chunks):
-            yield self.read_chunk(index)
-
-    def head(self, n: int = 5) -> DataFrame:
-        """The first *n* rows (served from the preview when possible)."""
-        if n <= len(self._preview):
-            return self._preview.head(n)
-        return read_csv(self.path, delimiter=self.delimiter,
-                        dtypes=self._dtypes, max_rows=n, lenient=True)
+        return (part.materialize() for part in self.partitions())
 
     def to_frame(self) -> DataFrame:
-        """Materialize the whole file (escape hatch; needs the full memory)."""
-        return concat_rows([chunk for chunk in self.chunks() if len(chunk)]
-                           or [self.read_chunk(0)])
+        """Materialize every file (escape hatch; needs the full memory)."""
+        frames = list(self.chunks())
+        return concat_rows([frame for frame in frames if len(frame)]
+                           or frames[:1])
 
     # ------------------------------------------------------------------ #
     # Chunk-size control
     # ------------------------------------------------------------------ #
-    def _preview_row_bytes(self) -> float:
-        """In-memory bytes of one parsed row, going by the preview."""
-        return self._preview.memory_bytes() / len(self._preview) \
-            if len(self._preview) else 64.0
-
-    def estimated_row_bytes(self) -> int:
-        """Rough peak parse cost of one row (on-disk and in-memory)."""
-        data_bytes = max(self.file_size - self._byte_ranges[0][0], 0) \
-            if self._byte_ranges else 0
-        csv_row = data_bytes / self.n_rows if self.n_rows else 64.0
-        return max(1, int(csv_row * PARSE_OVERHEAD_FACTOR
-                          + self._preview_row_bytes()))
-
-    def chunk_rows_for_budget(self, budget_bytes: int,
-                              concurrency: int = 1) -> int:
-        """Largest chunk size that keeps *concurrency* in-flight chunks
-        within *budget_bytes* of estimated peak parse memory."""
-        if budget_bytes <= 0:
-            raise FrameError("budget_bytes must be positive")
-        per_chunk = budget_bytes / max(1, concurrency)
-        rows = int(per_chunk // self.estimated_row_bytes())
-        return max(MIN_CHUNK_ROWS, rows)
-
-    def rechunk(self, chunk_rows: int) -> "CsvSource":
-        """Re-scan the byte layout with a different chunk granularity.
+    def rechunk(self, chunk_rows: Union[int, Sequence[int]]) -> "CsvSource":
+        """Re-scan the layouts at another granularity: one *chunk_rows* for
+        every file, or one value per file.
 
         The result is memoized per granularity on this handle: repeated EDA
         calls on the same handle (the interactive-session pattern) must not
         pay a full-file layout pass each time — a warm-cache call would
         otherwise still re-read the whole file.
         """
-        if chunk_rows == self.chunk_rows:
+        targets = tuple(chunk_rows) if isinstance(chunk_rows, (list, tuple)) \
+            else (chunk_rows,) * len(self._layouts)
+        if targets == tuple(layout.chunk_rows for layout in self._layouts):
             return self
-        cached = self._rechunks.get(chunk_rows)
-        if cached is None:
-            _, boundaries, byte_ranges, clean_eof = _scan_csv_layout(
-                self.path, chunk_rows, delimiter=self.delimiter)
-            cached = self._rechunks[chunk_rows] = copy.copy(self)._set_layout(
-                chunk_rows, boundaries, byte_ranges, clean_eof,
-                self.file_stamp)
-        return cached
+        if targets not in self._rechunks:
+            # Every layout's first chunk starts at its file's first record.
+            self._rechunks[targets] = CsvSource(self._preview, self._dtypes, [
+                layout if rows == layout.chunk_rows else scan_layout(
+                    layout.path, rows, layout.byte_ranges[0][0],
+                    layout.file_stamp, layout.row_bytes)
+                for layout, rows in zip(self._layouts, targets)],
+                self._settings)
+        return self._rechunks[targets]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
                           budget_bytes: Optional[int] = None,
@@ -899,354 +897,225 @@ class CsvSource:
         overrides (or a worker count the scan did not assume).  Anything
         else would silently override an explicit
         ``scan_csv(chunk_rows=...)`` choice and pay a needless full-file
-        layout rescan.
+        layout rescan.  Each file is priced by its own row cost.
         """
-        target = self.chunk_rows
-        if chunk_rows is not None:
-            target = min(target, chunk_rows)
-        budget = budget_bytes if budget_bytes is not None \
-            else self.budget_bytes
-        if budget != self.budget_bytes \
-                or concurrency != self.budget_concurrency:
-            target = min(target, self.chunk_rows_for_budget(
-                budget, concurrency=concurrency))
-        return self.rechunk(target)
+        settings = self._settings
+        budget = settings.budget_bytes if budget_bytes is None else budget_bytes
+        if budget <= 0:
+            raise FrameError("budget_bytes must be positive")
+        rebudget = budget != settings.budget_bytes \
+            or concurrency != settings.concurrency
+        per_chunk = budget / max(1, concurrency)
+        targets = []
+        for layout in self._layouts:
+            target = layout.chunk_rows if chunk_rows is None \
+                else min(layout.chunk_rows, chunk_rows)
+            if rebudget:
+                target = min(target, max(MIN_CHUNK_ROWS,
+                                         int(per_chunk // layout.row_cost())))
+            targets.append(target)
+        return self.rechunk(targets)
 
     # ------------------------------------------------------------------ #
     # Incremental refresh
     # ------------------------------------------------------------------ #
     def refreshed(self) -> "CsvSource":
-        """Re-resolve this scan against the file's current on-disk state.
+        """Re-resolve this scan against the files' current on-disk state.
 
-        Returns ``self`` (the same object) when the file's ``(size,
-        mtime_ns)`` stamp is unchanged.  When the file *grew* and the old
-        byte region still matches every per-chunk CRC probe — an append —
-        the existing layout is extended from the last committed record
-        boundary: the old chunks keep their byte ranges and content
-        stamps, so their cross-call cache keys, zone-map entries and
-        binary sidecars all stay valid, and only the appended bytes are
-        layout-scanned and stamped.  Any other change (shrink, mutation,
-        schema drift in the preview window, a layout that ended inside an
-        open quote) falls back to a full rescan under the original
-        ``scan_csv`` arguments.  A file that can no longer be read raises.
+        Returns ``self`` (the same object) when no file's ``(size,
+        mtime_ns)`` stamp changed and no new file matches the glob.  A
+        file that *grew* with its old byte region intact — an append — has
+        its layout extended from the last committed record boundary: the
+        old chunks keep their byte ranges and content stamps, so their
+        cross-call cache keys, zone-map entries and binary sidecars all
+        stay valid, and only the appended bytes are layout-scanned and
+        stamped.  Any other change rescans that file — and, for the first
+        file, whose preview is the schema, every file — under the original
+        ``scan_csv`` arguments.  A glob is re-expanded and newly matching
+        files are appended in sorted order, pinned to the current dtypes.
+        A file that can no longer be read raises, naming it.
         """
+        settings = self._settings
         try:
-            file_stat = os.stat(self.path)
+            stamps = [_file_stamp(path) for path in self.paths]
         except OSError as error:
-            raise FrameError(f"cannot refresh the scan of {self.path!r}: "
+            raise FrameError(f"cannot refresh the scan of {error.filename!r}: "
                              f"{error.strerror}") from error
-        stamp = (int(file_stat.st_size), int(file_stat.st_mtime_ns))
-        if stamp == self.file_stamp:
+        first = (self._layouts[0].path, list(self._columns))
+        layouts = list(self._layouts)
+        preview = self._preview
+        for file, (layout, stamp) in enumerate(zip(self._layouts, stamps)):
+            if stamp == layout.file_stamp:
+                continue
+            appended = self._appended(
+                layout, stamp, self._dtypes if file else settings.dtypes)
+            if appended is not None:
+                grown_preview, layouts[file] = appended
+                if not file and grown_preview is not None:
+                    preview = grown_preview
+            elif not file:
+                return _open(expand_scan_paths(settings.pattern or self.paths),
+                             settings)
+            else:
+                layouts[file] = _scan_file(layout.path, settings,
+                                           self._dtypes, first)[2]
+        if settings.pattern:
+            known = set(self.paths)
+            layouts += [_scan_file(path, settings, self._dtypes, first)[2]
+                        for path in _glob_data_files(settings.pattern)
+                        if path not in known]
+        if tuple(layouts) == self._layouts:
             return self
-        if stamp[0] > self.file_stamp[0] and self._prefix_intact():
-            extended = self._extend_layout(stamp)
-            if extended is not None:
-                return extended
-        return CsvSource(self.path, chunk_rows=self._requested_chunk_rows,
-                         budget_bytes=self.budget_bytes,
-                         dtypes=self._user_dtypes,
-                         inference_rows=self._inference_rows,
-                         delimiter=self.delimiter,
-                         validate_dtype_keys=self._validate_dtype_keys)
+        return CsvSource(preview, self._dtypes, layouts, settings)
 
-    def _prefix_intact(self) -> bool:
-        """Whether the scanned byte region still holds exactly the old data.
+    def _appended(self, layout: CsvLayout, stamp: Tuple[int, int],
+                  dtypes: Optional[Dict[str, DType]]
+                  ) -> Optional[Tuple[Optional[DataFrame], CsvLayout]]:
+        """*layout* extended over its file's appended bytes, with the
+        file's re-parsed preview when there is one; None when only a rescan
+        is safe.
 
-        Extension is trusted only when (a) the old layout ended cleanly —
-        no open quote at EOF and a record-terminating newline as the last
-        scanned byte, so appended bytes start a fresh record — and (b)
-        every chunk's head/tail CRC probe still matches what was captured
-        at scan time, so a mutated-then-grown prefix rescans instead of
-        extending over a stale layout.
+        While the old layout holds fewer rows than the inference window,
+        the appended rows enter it: the preview is re-parsed under *dtypes*
+        (the user's overrides for the first file, the pinned map for the
+        others), and a changed dtype map means a rescan — the chunks would
+        disagree on storage types.  Otherwise the old preview stands and
+        the refresh reads only the appended tail plus the CRC probes.
         """
-        if not self._columns or not self.clean_eof or not self._byte_ranges:
-            return False
-        scanned_end = int(self._byte_ranges[-1][1])
-        if scanned_end < 1:
-            return False
+        settings = self._settings
+        if stamp[0] <= layout.file_stamp[0] or not layout.appendable():
+            return None
         try:
-            with open(self.path, "rb") as handle:
-                handle.seek(scanned_end - 1)
-                if handle.read(1) != b"\n":
-                    return False
-            return compute_chunk_stamps(self.path, self._byte_ranges) == \
-                self._chunk_stamps
-        except OSError:
-            return False
-
-    def _extend_layout(self, stamp: Tuple[int, int]
-                       ) -> Optional["CsvSource"]:
-        """Append-only layout extension; None when a full rescan is needed.
-
-        Re-runs preview dtype inference over the grown file first: when the
-        appended rows change any inferred column dtype (they entered the
-        inference window), the chunks would disagree on storage types, so
-        the caller rescans instead.  When the intact prefix already holds
-        the full ``inference_rows`` window, the preview bytes are unchanged
-        by construction and the old preview (and its dtypes) is reused —
-        the refresh then reads only the appended tail plus the CRC probes.
-        """
-        scanned_end = int(self._byte_ranges[-1][1])
-        try:
-            preview = self._preview
-            if self.n_rows < self._inference_rows:
-                preview, inferred = _scan_preview(
-                    self.path, self._user_dtypes, self._inference_rows,
-                    self.delimiter, self._validate_dtype_keys)
-                new_dtypes = {name: inferred.get(name, DType.STRING)
-                              for name in self._columns}
-                if new_dtypes != self._dtypes:
+            preview, row_bytes = None, layout.row_bytes
+            if layout.n_rows < settings.inference_rows:
+                preview, resolved = _scan_preview(
+                    layout.path, dtypes, settings.inference_rows,
+                    settings.delimiter)
+                if resolved != self._dtypes:
                     return None
-            with open(self.path, "rb") as handle:
-                handle.seek(scanned_end)
-                offsets, counts, trailing, end, clean_eof = \
-                    _scan_records(handle, self.chunk_rows)
+                row_bytes = _row_bytes(preview)
+            return preview, scan_layout(
+                layout.path, layout.chunk_rows, layout.byte_ranges[-1][1],
+                stamp, row_bytes, kept=layout)
         except (OSError, FrameError):
             return None
-        byte_offsets = [scanned_end] + offsets
-        row_counts = list(counts)
-        if trailing:
-            byte_offsets.append(end)
-            row_counts.append(trailing)
-        # The placeholder empty chunk of a zero-row scan is replaced by the
-        # real appended chunks instead of lingering at index 0.
-        kept = self.n_chunks if self.n_rows else 0
-        boundaries = self._boundaries[:kept]
-        byte_ranges = self._byte_ranges[:kept]
-        row = self.n_rows
-        for index, count in enumerate(row_counts):
-            boundaries.append((row, row + count))
-            byte_ranges.append((byte_offsets[index], byte_offsets[index + 1]))
-            row += count
-        if not boundaries:
-            boundaries = [(0, 0)]
-            byte_ranges = [(scanned_end, scanned_end)]
-        try:
-            chunk_stamps = self._chunk_stamps[:kept] + compute_chunk_stamps(
-                self.path, byte_ranges[kept:])
-        except OSError:
-            return None
-        extended = copy.copy(self)._set_layout(
-            self.chunk_rows, boundaries, byte_ranges, clean_eof, stamp,
-            chunk_stamps)
-        extended._preview = preview
-        return extended
 
 
-class MultiFileCsvSource:
-    """Several scanned CSV files concatenated into one logical frame.
+def _file_stamp(path: str) -> Tuple[int, int]:
+    """``(size, mtime_ns)`` of *path*."""
+    stat = os.stat(path)
+    return int(stat.st_size), int(stat.st_mtime_ns)
 
-    Built by ``repro.scan_csv`` from a list or glob of paths.  Every file
-    gets its own :class:`CsvSource`; the per-file chunk partitions are
-    concatenated with shifted global row offsets, so the downstream pipeline
-    sees one frame and never learns about file boundaries.  Dtypes are
-    pinned to the first file's inference (plus user overrides) so all
-    partitions agree on storage types; files whose header disagrees with
-    the first file's columns are rejected up front.  The fingerprint covers
-    every file's ``(path, size, mtime_ns, content CRC)`` stamp, so the
-    cross-call cache stays warm across sessions while the files are
-    unchanged.
+
+def _row_bytes(preview: DataFrame) -> float:
+    """In-memory bytes of one parsed row, going by *preview*."""
+    return preview.memory_bytes() / len(preview) if len(preview) else 64.0
+
+
+def _scan_preview(path: str, dtypes: Optional[Dict[str, DType]],
+                  inference_rows: int, delimiter: str
+                  ) -> Tuple[DataFrame, Dict[str, DType]]:
+    """Parse the preview rows; returns them and the resolved dtype map.
+
+    One tokenisation of the preview rows: a named column is coerced under
+    its override, every other one is inferred.  Lenient like the chunk
+    parser when overrides are given — explicit dtypes are the documented
+    remedy for late-typed columns, so early values that contradict them
+    must become missing, not abort the scan; an inferred dtype accepts
+    every cell it was inferred from, so leniency never touches those.
     """
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        preview = _read_csv_stream(handle, delimiter, True, None, dtypes,
+                                   inference_rows, lenient=bool(dtypes))
+    return preview, {**preview.dtypes, **(dtypes or {})}
 
-    def __init__(self, scans: Sequence[CsvSource],
-                 pattern: Optional[str] = None,
-                 scan_kwargs: Optional[Dict[str, Any]] = None):
-        scans = list(scans)
-        if not scans:
-            raise FrameError("MultiFileCsvSource requires at least one file")
-        for scan in scans:
-            if not isinstance(scan, CsvSource):
-                raise FrameError("MultiFileCsvSource expects CsvSource parts")
-            if scan.columns != scans[0].columns:
-                raise FrameError(
-                    f"CSV files disagree on columns: {scans[0].path!r} has "
-                    f"{scans[0].columns} but {scan.path!r} has {scan.columns}")
-            if scan.delimiter != scans[0].delimiter:
-                raise FrameError("CSV files disagree on the delimiter")
-        self._scans = scans
-        #: The glob pattern this source was built from, when it was — a
-        #: refresh re-expands it and absorbs newly matching files as
-        #: appended partitions.  None for explicit path lists (closed set).
-        self._pattern = pattern
-        #: The scan_csv keyword arguments, so absorbed files are scanned
-        #: with the same chunking/budget/inference settings.
-        self._scan_kwargs = dict(scan_kwargs or {})
 
-    @classmethod
-    def scan(cls, paths: Sequence[Union[str, os.PathLike]],
-             chunk_rows: Optional[int] = None,
-             budget_bytes: Optional[int] = None,
-             dtypes: Optional[Dict[str, DType]] = None,
-             inference_rows: int = 10_000,
-             delimiter: str = ",",
-             pattern: Optional[str] = None) -> "MultiFileCsvSource":
-        """Layout-scan every file, sharing the first file's inferred dtypes.
+def _scan_file(path: str, settings: _ScanSettings,
+               dtypes: Optional[Dict[str, DType]],
+               first: Optional[Tuple[str, List[str]]] = None
+               ) -> Tuple[DataFrame, Dict[str, DType], CsvLayout]:
+    """One file's cold scan: header, preview, budgeted layout and stamps.
 
-        The first file is scanned with normal preview inference (plus any
-        user *dtypes* overrides); the resulting full dtype map is forced on
-        every later file, so a column whose type is ambiguous in file N
-        cannot silently diverge from file 1 and break partition merges.
-        """
-        if not paths:
-            raise FrameError("scan_csv received an empty list of paths")
-        scan_kwargs = {"chunk_rows": chunk_rows, "budget_bytes": budget_bytes,
-                       "inference_rows": inference_rows,
-                       "delimiter": delimiter}
-        first = CsvSource(paths[0], dtypes=dtypes, **scan_kwargs)
-        rest = [CsvSource(path, dtypes=first.dtypes,
-                          validate_dtype_keys=False, **scan_kwargs)
-                for path in paths[1:]]
-        return cls([first] + rest, pattern=pattern, scan_kwargs=scan_kwargs)
+    *first* is the first file's ``(path, columns)`` when this file joins a
+    multi-file scan.  Its header must repeat those columns, and it is
+    compared before the preview parses under the first file's *dtypes*,
+    so every pinned dtype key names a column by construction.
+    """
+    columns, data_start = _read_header(path, settings.delimiter)
+    if first is not None and columns != first[1]:
+        raise FrameError(
+            f"CSV files disagree on columns: {first[0]!r} has {first[1]} "
+            f"but {path!r} has {columns}")
+    preview, resolved = _scan_preview(path, dtypes, settings.inference_rows,
+                                      settings.delimiter)
+    # Cap the chunk size by the budget using cheap row-size estimates (the
+    # parsed preview plus a 64 KiB on-disk probe), then scan the layout once
+    # at the final granularity.  The formula deliberately mirrors
+    # with_partitioning at the default worker count, so the worker-aware
+    # re-derivation in ComputeContext usually agrees and no second layout
+    # pass is needed.
+    row_bytes = _row_bytes(preview)
+    row_cost = max(1.0, _estimate_csv_row_bytes(path) * PARSE_OVERHEAD_FACTOR
+                   + row_bytes)
+    budget_rows = max(MIN_CHUNK_ROWS, int(
+        settings.budget_bytes / settings.concurrency // row_cost))
+    layout = scan_layout(path, min(settings.chunk_rows, budget_rows),
+                         data_start, _file_stamp(path), row_bytes)
+    return preview, resolved, layout
 
-    # ------------------------------------------------------------------ #
-    # Schema
-    # ------------------------------------------------------------------ #
-    @property
-    def scans(self) -> List[CsvSource]:
-        """The per-file scans, in concatenation order."""
-        return list(self._scans)
 
-    @property
-    def paths(self) -> List[str]:
-        """The file paths, in concatenation order."""
-        return [scan.path for scan in self._scans]
-
-    @property
-    def columns(self) -> List[str]:
-        return self._scans[0].columns
-
-    @property
-    def dtypes(self) -> Dict[str, DType]:
-        return self._scans[0].dtypes
-
-    @property
-    def n_rows(self) -> int:
-        return sum(scan.n_rows for scan in self._scans)
-
-    @property
-    def capabilities(self) -> SourceCapabilities:
-        return self._scans[0].capabilities
-
-    def schema_preview(self) -> DataFrame:
-        return self._scans[0].preview
-
-    def fingerprint(self) -> str:
-        """Stable across processes while every file's content is unchanged.
-
-        Folds each file's content CRC in next to its size/mtime stamp, so
-        an in-place rewrite that preserves both (the stamp-granularity
-        hazard) still changes the fingerprint.
-        """
-        return fingerprint_file_stamps(
-            [(scan.path, scan.file_stamp[0], scan.file_stamp[1],
-              scan.content_crc())
-             for scan in self._scans])
-
-    def footprint_bytes(self) -> int:
-        return sum(scan.file_size for scan in self._scans)
-
-    def materialization_bytes(self) -> int:
-        return sum(scan.materialization_bytes() for scan in self._scans)
-
-    def _scans_with_offsets(self) -> Iterator[Tuple[CsvSource, int]]:
-        """Each file's scan with the global row offset of its first row."""
-        return zip(self._scans,
-                   accumulate((scan.n_rows for scan in self._scans),
-                              initial=0))
-
-    def partitions(self) -> List[SourcePartition]:
-        return [part for scan, offset in self._scans_with_offsets()
-                for part in scan.partitions(offset)]
-
-    def partitions_matching(self, spec: Sequence[Tuple[str, str, Any]]
-                            ) -> List[SourcePartition]:
-        """Every file's zone-map-surviving partitions, at global offsets."""
-        return [part for scan, offset in self._scans_with_offsets()
-                for part in scan.partitions_matching(spec, offset)]
-
-    def _with_scans(self, scans: List[CsvSource]) -> "MultiFileCsvSource":
-        """``self`` when every scan is unchanged, else the same set-up over
-        *scans*."""
-        if len(scans) == len(self._scans) and \
-                all(new is old for new, old in zip(scans, self._scans)):
-            return self
-        return MultiFileCsvSource(scans, pattern=self._pattern,
-                                  scan_kwargs=self._scan_kwargs)
-
-    def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
-                          concurrency: int = 1) -> "MultiFileCsvSource":
-        return self._with_scans(
-            [scan.with_partitioning(chunk_rows, budget_bytes, concurrency)
-             for scan in self._scans])
-
-    def refreshed(self) -> "MultiFileCsvSource":
-        """Re-resolve every file and absorb newly matching glob files.
-
-        Each existing scan refreshes individually (appends extend, other
-        changes rescan, a vanished member raises naming its path).  When
-        this source was built from a glob pattern, the pattern is
-        re-expanded and previously unseen files are scanned — pinned to the
-        first file's *current* dtype map, like any later file at cold-scan
-        time — and appended in sorted order as new partitions.  Returns
-        ``self`` when nothing changed.
-        """
-        scans = [scan.refreshed() for scan in self._scans]
-        if self._pattern:
-            known = set(self.paths)
-            shared_dtypes = scans[0].dtypes
-            scans += [CsvSource(path, dtypes=shared_dtypes,
-                                validate_dtype_keys=False,
-                                **self._scan_kwargs)
-                      for path in _glob_data_files(self._pattern)
-                      if path not in known]
-        return self._with_scans(scans)
-
-    def to_frame(self) -> DataFrame:
-        """Materialize every file (escape hatch; needs the full memory)."""
-        return concat_rows([scan.to_frame() for scan in self._scans])
-
-    def __getitem__(self, item: Any) -> Any:
-        """``source["x"]`` / ``source[pred]``: lazy filter building."""
-        return _source_getitem(self, item)
-
-    def __getattr__(self, name: str) -> Any:
-        return _source_getattr(self, name)
-
-    def __repr__(self) -> str:
-        return (f"MultiFileCsvSource(files={len(self._scans)}, "
-                f"rows={self.n_rows}, columns={self.columns})")
+def _open(paths: Sequence[str], settings: _ScanSettings) -> CsvSource:
+    """Scan every file; the first one's preview and dtypes are the schema."""
+    preview, dtypes, first = _scan_file(paths[0], settings, settings.dtypes)
+    rest = [_scan_file(path, settings, dtypes, (paths[0], preview.columns))[2]
+            for path in paths[1:]]
+    return CsvSource(preview, dtypes, [first] + rest, settings)
 
 
 def _glob_data_files(pattern: str) -> List[str]:
-    """Sorted matches of *pattern*, minus Python bytecode litter.
+    """Sorted regular files matching *pattern*, minus Python bytecode and
+    what this package writes next to a CSV.
 
     Every glob walk in this package (expansion at scan time, re-expansion
     on refresh) goes through here: a broad user pattern like ``data/*``
-    must not absorb ``__pycache__`` directories or ``.pyc`` files as scan
+    must not absorb ``__pycache__`` litter, chunk-sidecar directories,
+    zone-map sidecars or an interrupted atomic write's temp file as scan
     members.
     """
     return sorted(match for match in glob_module.glob(pattern)
-                  if not match.endswith(".pyc")
-                  and "__pycache__" not in match.split(os.sep))
+                  if os.path.isfile(match) and not match.endswith(".pyc")
+                  and "__pycache__" not in match.split(os.sep)
+                  and not is_sidecar_artifact(match)
+                  and not is_zone_map_path(match))
+
+
+def _glob_pattern(path: Union[str, os.PathLike, Sequence]) -> Optional[str]:
+    """*path* as a glob pattern, or None: a list, a plain path and an
+    existing file whose name merely contains ``*``, ``?`` or ``[`` are not
+    patterns."""
+    if isinstance(path, (list, tuple)):
+        return None
+    text = os.fspath(path)
+    return text if glob_module.has_magic(text) and not os.path.isfile(text) \
+        else None
 
 
 def expand_scan_paths(path: Union[str, os.PathLike, Sequence]) -> List[str]:
     """Resolve a ``scan_csv`` path argument into an explicit file list.
 
-    Lists/tuples pass through; a string containing glob magic (``*``,
-    ``?``, ``[``) expands to the sorted matches.  Raises when a glob
-    matches nothing, so a typo cannot silently scan zero files.
+    Lists/tuples pass through; a glob pattern expands to the sorted
+    matches.  Raises when a glob matches nothing, so a typo cannot silently
+    scan zero files.
     """
     if isinstance(path, (list, tuple)):
         return [str(item) for item in path]
-    text = str(path)
-    if glob_module.has_magic(text):
-        matches = _glob_data_files(text)
-        if not matches:
-            raise FrameError(f"glob pattern {text!r} matched no files")
-        return matches
-    return [text]
+    pattern = _glob_pattern(path)
+    if pattern is None:
+        return [os.fspath(path)]
+    matches = _glob_data_files(pattern)
+    if not matches:
+        raise FrameError(f"glob pattern {pattern!r} matched no files")
+    return matches
 
 
 def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
@@ -1254,8 +1123,7 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
              budget_bytes: Optional[int] = None,
              dtypes: Optional[Dict[str, DType]] = None,
              inference_rows: int = 10_000,
-             delimiter: str = ","
-             ) -> Union[CsvSource, MultiFileCsvSource]:
+             delimiter: str = ",") -> CsvSource:
     """Open one or more CSVs for out-of-core streaming without materializing.
 
     Each file is scanned once (I/O only, quote-aware) to precompute chunk
@@ -1264,14 +1132,15 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
     dtypes, which every chunk then shares.  Peak memory of any downstream
     consumer is bounded by the chunk size.
 
-    A single path returns a :class:`CsvSource`.  A list of paths, or a
-    glob pattern (``"data/part-*.csv"``), returns a
-    :class:`MultiFileCsvSource`: one logical frame concatenating the files
-    in list (or sorted glob) order, with dtypes pinned to the first file's
-    inference so every partition agrees.  Both handle types are
-    :class:`~repro.frame.source.FrameSource` implementations accepted by
-    every ``plot*`` / ``create_report`` entry point, and both build lazy
-    filters the same way (``h[h.ts >= x]``).
+    A single path, a list of paths or a glob pattern
+    (``"data/part-*.csv"``) all return a :class:`CsvSource`: one logical
+    frame concatenating the files in list (or sorted glob) order, with
+    dtypes pinned to the first file's inference so every partition agrees;
+    a file whose header disagrees with the first file's is rejected.  An
+    existing file is never a pattern, whatever characters its name holds.
+    The source is a :class:`~repro.frame.source.FrameSource` accepted by
+    every ``plot*`` / ``create_report`` entry point, and builds lazy
+    filters (``h[h.ts >= x]``).
 
     Parameters
     ----------
@@ -1303,47 +1172,16 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
     delimiter:
         Field separator.
     """
-    is_list = isinstance(path, (list, tuple))
-    if is_list or glob_module.has_magic(os.fspath(path)):
-        # A glob pattern is remembered so refresh() can re-expand it and
-        # absorb newly matching files as appended partitions; an explicit
-        # list is a closed set and only its members are refreshed.
-        return MultiFileCsvSource.scan(
-            expand_scan_paths(path), chunk_rows=chunk_rows,
-            budget_bytes=budget_bytes, dtypes=dtypes,
-            inference_rows=inference_rows, delimiter=delimiter,
-            pattern=None if is_list else os.fspath(path))
-    return CsvSource(path, chunk_rows=chunk_rows, budget_bytes=budget_bytes,
-                     dtypes=dtypes, inference_rows=inference_rows,
-                     delimiter=delimiter)
-
-
-def _scan_preview(path: Union[str, os.PathLike],
-                  dtypes: Optional[Dict[str, DType]],
-                  inference_rows: int,
-                  delimiter: str,
-                  validate_dtype_keys: bool) -> Tuple["DataFrame", Dict[str, DType]]:
-    """Parse the preview rows and resolve inferred + overridden dtypes.
-
-    Shared by the cold scan and by ``CsvSource.refreshed``: an
-    append-extension must re-run the same inference over the grown file so
-    it can detect appended rows changing a column's inferred dtype (in
-    which case the refresh falls back to a full rescan).
-    """
-    # One tokenisation of the preview rows: a named column is coerced under
-    # its override, every other one is inferred.  Lenient like the chunk
-    # parser when overrides are given — explicit dtypes are the documented
-    # remedy for late-typed columns, so early values that contradict them
-    # must become missing, not abort the scan; an inferred dtype accepts
-    # every cell it was inferred from, so leniency never touches those.
-    # In the multi-file path *dtypes* is file 1's complete map and its keys
-    # go unvalidated: a header mismatch must be reported by the multi-file
-    # constructor, not here.
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        preview = _read_csv_stream(
-            handle, delimiter, True, None, dtypes, inference_rows,
-            lenient=bool(dtypes), validate_dtype_keys=validate_dtype_keys)
-    inferred = preview.dtypes
-    if dtypes:
-        inferred.update(dtypes)
-    return preview, inferred
+    if chunk_rows is not None and chunk_rows <= 0:
+        raise FrameError("chunk_rows must be positive")
+    budget = DEFAULT_BUDGET_BYTES if budget_bytes is None else budget_bytes
+    if budget <= 0:
+        raise FrameError("budget_bytes must be positive")
+    paths = expand_scan_paths(path)
+    if not paths:
+        raise FrameError("scan_csv received an empty list of paths")
+    return _open(paths, _ScanSettings(
+        chunk_rows=DEFAULT_CHUNK_ROWS if chunk_rows is None else chunk_rows,
+        budget_bytes=int(budget), dtypes=dict(dtypes) if dtypes else None,
+        inference_rows=int(inference_rows), delimiter=delimiter,
+        pattern=_glob_pattern(path)))

@@ -45,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -178,6 +179,18 @@ def atomic_replace(target: str, payload: bytes) -> bool:
             pass
         return False
     return True
+
+
+#: The name :func:`atomic_replace` gives its temp file: the target plus
+#: ``.<pid>.<8 hex digits>.tmp``.
+_TEMPORARY = re.compile(r"\.\d+\.[0-9a-f]{8}\.tmp\Z")
+
+
+def is_sidecar_artifact(path: str) -> bool:
+    """Whether *path* is named like something this module writes next to a
+    CSV: a ``<file>.chunks`` directory or an :func:`atomic_replace` temp
+    file (which the zone-map sidecar's writes leave too, if interrupted)."""
+    return path.endswith(".chunks") or _TEMPORARY.search(path) is not None
 
 
 # --------------------------------------------------------------------------- #
@@ -478,6 +491,7 @@ __all__ = [
     "atomic_replace",
     "chunk_dir",
     "chunk_path",
+    "is_sidecar_artifact",
     "load_chunk",
     "record_hit",
     "record_miss",

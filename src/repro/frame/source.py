@@ -3,21 +3,18 @@
 The compute layer (Section 5.2 of the paper) is one lazy partitioned
 pipeline — per-partition work, tree merge, finalize — regardless of where
 the bytes come from.  This module defines the contract a data source must
-satisfy to feed that pipeline.  There are three built-in implementations:
+satisfy to feed that pipeline.  There are two built-in implementations:
 
 * :class:`InMemorySource` (here) — wraps a materialized
   :class:`DataFrame`; partitions are lazy row slices and every reduction
   may use the exact (unbounded per-value memory) finalizers.
-* :class:`~repro.frame.io.CsvSource` — what ``repro.scan_csv(path)``
-  returns: one file's quote-aware layout scan, whose partitions parse
-  record-aligned byte ranges lazily, so reductions must use bounded-memory
-  sketches.
-* :class:`~repro.frame.io.MultiFileCsvSource` — what ``repro.scan_csv``
-  returns for a list or glob of paths: several ``CsvSource`` parts
-  concatenated into one logical frame, sharing the first file's dtypes.
+* :class:`~repro.frame.io.CsvSource` — what ``repro.scan_csv`` returns for
+  a path, a list or a glob: one schema (the first file's dtypes) over one
+  quote-aware chunk layout per file, whose partitions parse record-aligned
+  byte ranges lazily, so reductions must use bounded-memory sketches.
 
-plus :class:`FilteredSource`, the row-predicate view over any of them.  The
-CSV classes live in :mod:`repro.frame.io`, which imports this module —
+plus :class:`FilteredSource`, the row-predicate view over either.  The
+CSV class lives in :mod:`repro.frame.io`, which imports this module —
 never the other way round: everything here reaches a concrete source only
 through the protocol.
 

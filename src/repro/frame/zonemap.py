@@ -251,9 +251,18 @@ def zone_map_from_stats(stats_list: Sequence[Dict[str, Tuple[Any, ...]]],
 # --------------------------------------------------------------------------- #
 # Sidecar persistence.
 # --------------------------------------------------------------------------- #
+#: What :func:`sidecar_path` appends to the CSV's path.
+SIDECAR_SUFFIX = ".zones.json"
+
+
 def sidecar_path(csv_path: str) -> str:
     """Where the zone-map sidecar for *csv_path* lives."""
-    return csv_path + ".zones.json"
+    return csv_path + SIDECAR_SUFFIX
+
+
+def is_zone_map_path(path: str) -> bool:
+    """Whether *path* is named like a zone-map sidecar."""
+    return path.endswith(SIDECAR_SUFFIX)
 
 
 def chunk_key(byte_start: int, byte_stop: int) -> str:
@@ -355,6 +364,7 @@ __all__ = [
     "chunk_key",
     "decode_zone_entry",
     "encode_zone_entry",
+    "is_zone_map_path",
     "load_zone_entries",
     "save_zone_entries",
     "sidecar_path",

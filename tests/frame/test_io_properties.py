@@ -144,7 +144,7 @@ def test_scan_budget_caps_chunk_size(tmp_path):
     path = tmp_path / "big.csv"
     write_csv(frame, str(path))
     tight = scan_csv(str(path), chunk_rows=5_000, budget_bytes=64 * 1024)
-    assert tight.chunk_rows < 5_000
+    assert tight.layouts[0].chunk_rows < 5_000
     assert tight.n_chunks > 1
     assert_frames_equal(tight.to_frame(), read_csv(str(path),
                                                    dtypes=tight.dtypes))
@@ -209,18 +209,18 @@ def test_default_config_streaming_call_never_rescans_layout(tmp_path):
     write_csv(frame, str(path))
     scan = scan_csv(str(path), chunk_rows=500)
     calls = {"n": 0}
-    original = fio._scan_csv_layout
+    original = fio.scan_layout
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    fio._scan_csv_layout = counting
+    fio.scan_layout = counting
     try:
         plot(scan, mode="intermediates", config={"cache.enabled": False})
         plot(scan, "x", mode="intermediates", config={"cache.enabled": False})
     finally:
-        fio._scan_csv_layout = original
+        fio.scan_layout = original
     assert calls["n"] == 0
 
 

@@ -24,7 +24,7 @@ from repro.frame.dtypes import DType
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.io import (
     CsvSource,
-    MultiFileCsvSource,
+    expand_scan_paths,
     read_csv,
     scan_csv,
     write_csv,
@@ -113,8 +113,7 @@ def test_scan_handle_partitions_concatenate_to_file(frame, kind, filtered,
         target = {"file": whole_path, "list": parts,
                   "glob": os.path.join(tmp, "part-*.csv")}[kind]
         handle = scan_csv(target, chunk_rows=chunk_rows, dtypes=CSV_DTYPES)
-        assert isinstance(handle, CsvSource if kind == "file"
-                          else MultiFileCsvSource)
+        assert isinstance(handle, CsvSource)
         assert handle.n_rows == len(frame)
         assert_covers(handle)
         expected = read_csv(whole_path, dtypes=CSV_DTYPES)
@@ -189,8 +188,60 @@ def test_pathlike_glob_dispatches_to_multifile(tmp_path):
     write_csv(frame, str(tmp_path / "part-0.csv"))
     write_csv(frame, str(tmp_path / "part-1.csv"))
     source = scan_csv(tmp_path / "part-*.csv")        # os.PathLike, not str
-    assert isinstance(source, MultiFileCsvSource)
+    assert isinstance(source, CsvSource)
     assert source.n_rows == 4
+    assert len(source.layouts) == 2
+    with pytest.raises(FrameError, match="paths"):
+        source.path
+
+
+def test_existing_file_named_like_a_glob_is_that_file(tmp_path):
+    """``sales[1].csv`` exists, so it is a file, not a pattern that matches
+    ``sales1.csv`` (or nothing)."""
+    literal = str(tmp_path / "sales[1].csv")
+    write_csv(DataFrame({"a": [1.0, 2.0]}), literal)
+    assert scan_csv(literal).n_rows == 2
+    write_csv(DataFrame({"a": [float(i) for i in range(50)]}),
+              str(tmp_path / "sales1.csv"))
+    assert expand_scan_paths(literal) == [literal]
+    scan = scan_csv(literal)
+    assert (scan.path, scan.n_rows) == (literal, len(read_csv(literal)))
+    assert repro.refresh(scan) is scan
+    assert scan_csv(str(tmp_path / "sales?.csv")).n_rows == 50
+
+
+def test_broad_glob_skips_the_packages_own_artifacts(tmp_path, monkeypatch):
+    """Default-config EDA calls leave ``p0.csv.chunks/`` and
+    ``p0.csv.zones.json`` (and, if interrupted, an atomic-write temp file)
+    next to the CSVs; a ``dir/*`` scan and its refresh must not take them
+    for data files."""
+    from repro.frame import sidecar
+
+    frame = DataFrame({"ts": np.arange(40, dtype=np.float64),
+                       "w": [f"w{i % 3}" for i in range(40)]})
+    paths = [str(tmp_path / "p0.csv"), str(tmp_path / "p1.csv")]
+    write_csv(frame.slice(0, 20), paths[0])
+    write_csv(frame.slice(20, 40), paths[1])
+    handle = scan_csv(str(tmp_path / "*"), chunk_rows=10)
+    repro.plot(handle)
+    repro.plot(handle, "ts", where=("ts", ">=", 30.0))
+    assert os.path.isdir(paths[0] + ".chunks")
+    assert os.path.isfile(paths[0] + ".zones.json")
+
+    temporary = []
+
+    def killed_before_replace(source, target):
+        temporary.append(source)
+        raise OSError("killed")
+
+    monkeypatch.setattr(os, "replace", killed_before_replace)
+    assert not sidecar.atomic_replace(paths[0] + ".zones.json", b"{}")
+    monkeypatch.undo()
+    with open(temporary[0], "w", encoding="utf-8") as left:
+        left.write("ts,w\n")               # what a killed writer leaves
+
+    assert repro.refresh(handle) is handle
+    assert scan_csv(str(tmp_path / "*")).paths == paths
 
 
 def test_explicit_in_memory_partitioning_survives_default_config():
@@ -305,8 +356,7 @@ def test_source_capabilities_declare_projection():
         path = os.path.join(tmp, "caps.csv")
         write_csv(frame, path)
         assert as_source(scan_csv(path)).capabilities.projection is True
-        multi = MultiFileCsvSource.scan([path])
-        assert multi.capabilities.projection is True
+        assert scan_csv([path]).capabilities.projection is True
 
 
 class _LegacySource:

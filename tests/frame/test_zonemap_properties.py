@@ -315,7 +315,7 @@ def test_scanned_frame_memoizes_and_persists_zone_map(tmp_path):
                                  fresh.chunk_stamp(index))
                for index, byte_range in enumerate(fresh.byte_ranges)]
     assert all(stats is not None for stats in revived)
-    loaded = zone_map_from_stats(revived, fresh.file_stamp, 10)
+    loaded = zone_map_from_stats(revived, fresh.layouts[0].file_stamp, 10)
     assert loaded.columns == zone_map.columns
 
     # Overwrite with different content: the chunk stamps no longer match,
