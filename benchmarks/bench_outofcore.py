@@ -1,8 +1,8 @@
 """Out-of-core streaming: full report over a CSV ~10x the memory budget.
 
 The acceptance claim of the streaming subsystem: ``create_report`` over a
-``scan_csv`` input completes with peak traced memory within ~2x the
-configured ``memory.budget_bytes`` even when the file is an order of
+``scan_csv`` input completes with peak traced memory within ~2x the budget
+passed as ``scan_csv(budget_bytes=...)`` even when the file is an order of
 magnitude larger, while the in-memory path's peak scales with the file.
 
 Peak memory is measured with ``tracemalloc`` (numpy buffers and python
@@ -36,7 +36,6 @@ FILE_BUDGET_RATIO = 10
 PEAK_BUDGET_BOUND = 2.0
 
 STREAM_CONFIG = {
-    "memory.budget_bytes": BUDGET_BYTES,
     "cache.enabled": False,      # measure the engine, not cache retention
     "cache.disk_enabled": False,  # nor the parsed-chunk disk sidecar
 }

@@ -8,11 +8,12 @@ benchmark pins the two claims of the projection planner, sized so CI can
 smoke the counter claim on every push:
 
 1. **Parse work** — ``plot(scan, "x")`` plans and executes *projected*
-   parses exclusively (one per chunk, one column wide); with
-   ``compute.projection`` disabled, the same call executes full-width
-   parses.  Asserted via the new ``projected_parses`` / ``full_parses``
-   execution-report counters and the planner's ``columns_pruned``.
-2. **Speedup** — the projected single-column plot is ≥3x faster than the
+   parses exclusively (one per chunk, one column wide), where the same
+   reductions bound by hand to ``PartitionedFrame.from_source(scan)``
+   execute full-width parses.  Asserted via the ``projected_parses`` /
+   ``full_parses`` execution-report counters and the planner's
+   ``columns_pruned``.
+2. **Speedup** — the projected single-column plot is ≥3x faster than that
    full-parse path on a wide (40-column) CSV.
 """
 
@@ -25,9 +26,9 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import print_header
+from benchmarks.conftest import numeric_plot_stages, print_header
 from repro import plot, scan_csv
-from repro.graph import TaskCache, set_global_cache
+from repro.graph import PartitionedFrame, TaskCache, set_global_cache
 
 N_COLUMNS = 40
 N_ROWS = int(os.environ.get("REPRO_BENCH_PROJECTION_ROWS", "40000"))
@@ -60,28 +61,30 @@ def wide_csv(tmp_path_factory) -> str:
 
 
 def _timed_plot(path: str, column: str, projection: bool) -> tuple:
-    """Best-of-2 cold runs of ``plot(scan, column)`` under one config."""
+    """Best-of-2 cold runs of ``plot(scan, column)`` (projected), or of its
+    stages over full-width partitions; returns the best time, the result
+    and its ``(projected, full)`` parse counts."""
     # Both caches off: the claim is about parse cost, and the parsed-chunk
     # disk sidecar (on by default) would serve the second run without
     # decoding any CSV.
-    config = {"cache.enabled": False, "cache.disk_enabled": False,
-              "compute.projection": projection}
+    config = {"cache.enabled": False, "cache.disk_enabled": False}
     best = None
-    result = None
     for _ in range(2):
         set_global_cache(TaskCache())
         scan = scan_csv(path, chunk_rows=CHUNK_ROWS)
         started = time.perf_counter()
-        result = plot(scan, column, config=config, mode="intermediates")
+        if projection:
+            result = plot(scan, column, config=config, mode="intermediates")
+            runs = result.meta["execution_reports"]
+        else:
+            result, run = numeric_plot_stages(
+                PartitionedFrame.from_source(scan), column)
+            runs = [run]
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
-def _parse_totals(intermediates) -> tuple:
-    reports = intermediates.meta["execution_reports"]
-    return (sum(report.projected_parses for report in reports),
-            sum(report.full_parses for report in reports))
+    parses = (sum(run.projected_parses for run in runs),
+              sum(run.full_parses for run in runs))
+    return best, result, parses
 
 
 def test_projection_parse_counts(wide_csv):
@@ -92,11 +95,10 @@ def test_projection_parse_counts(wide_csv):
     projected parse tasks, each one column wide, so its column-parse count
     is a ~40th of the full-parse path's.
     """
-    projected_seconds, projected = _timed_plot(wide_csv, "x0", True)
-    full_seconds, full = _timed_plot(wide_csv, "x0", False)
-
-    projected_parses, stray_full = _parse_totals(projected)
-    stray_projected, full_parses = _parse_totals(full)
+    projected_seconds, projected, (projected_parses, stray_full) = \
+        _timed_plot(wide_csv, "x0", True)
+    full_seconds, _, (stray_projected, full_parses) = \
+        _timed_plot(wide_csv, "x0", False)
 
     plan = projected.meta["projection"]
     projected_column_parses = projected_parses * 1
@@ -114,7 +116,7 @@ def test_projection_parse_counts(wide_csv):
     assert projected_parses > 0 and stray_full == 0, \
         "plot(scan, col) must execute projected parses exclusively"
     assert full_parses > 0 and stray_projected == 0, \
-        "compute.projection=False must restore full-width parses"
+        "the unprojected partitions must parse full width"
     assert projected_column_parses < full_column_parses, \
         "the projected run must parse fewer columns than the full run"
     # Every chunk prunes all but the plotted column.
@@ -124,8 +126,8 @@ def test_projection_parse_counts(wide_csv):
 
 def test_projection_single_column_speedup(wide_csv):
     """The headline claim: ≥3x on a wide scan for a single-column plot."""
-    projected_seconds, projected = _timed_plot(wide_csv, "x0", True)
-    full_seconds, full = _timed_plot(wide_csv, "x0", False)
+    projected_seconds, projected, _ = _timed_plot(wide_csv, "x0", True)
+    full_seconds, full, _ = _timed_plot(wide_csv, "x0", False)
 
     speedup = full_seconds / max(projected_seconds, 1e-9)
     print_header("Projection pushdown — single-column plot speedup")
@@ -134,6 +136,6 @@ def test_projection_single_column_speedup(wide_csv):
     print(f"speedup        {speedup:6.1f}x  (required ≥ {MIN_SPEEDUP}x)")
 
     # Both modes must agree before the timing means anything.
-    assert projected.stats["count"] == full.stats["count"]
-    assert projected.stats["mean"] == pytest.approx(full.stats["mean"])
+    assert projected.stats["count"] == full.count
+    assert projected.stats["mean"] == pytest.approx(full.mean)
     assert speedup >= MIN_SPEEDUP

@@ -13,7 +13,17 @@ import os
 
 import pytest
 
+from repro.eda.compute.base import (
+    _chunk_histogram,
+    _chunk_numeric_summary,
+    _chunk_reservoir,
+    _finalize_reservoir,
+)
+from repro.eda.compute.univariate import INTERNAL_HISTOGRAM_BINS
 from repro.graph import TaskCache, get_global_cache, set_global_cache
+from repro.graph.delayed import compute
+from repro.graph.scheduler import RunStats, get_scheduler
+from repro.stats.sketches import merge_all
 
 
 @pytest.fixture(autouse=True)
@@ -50,3 +60,27 @@ def print_header(title: str) -> None:
     print("=" * 78)
     print(title)
     print("=" * 78)
+
+
+def numeric_plot_stages(partitioned, column: str):
+    """The two graph stages of ``plot(scan, column)`` on a numeric column,
+    bound by hand to *partitioned* instead of the planner's partition sets:
+    the summary, then a fine histogram over its range and a reservoir
+    sample.  With no cache each stage parses every chunk again, as the plot
+    does.  Returns the summary and the two stages' summed ``RunStats``."""
+    scheduler = get_scheduler("threaded")
+    runs = RunStats()
+    summary = partitioned.reduction(
+        _chunk_numeric_summary, merge_all, chunk_args=(column,)
+    ).compute(scheduler=scheduler)
+    runs += scheduler.last_run
+    compute(partitioned.reduction(
+                _chunk_histogram, merge_all,
+                chunk_args=(column, INTERNAL_HISTOGRAM_BINS,
+                            summary.minimum, summary.maximum)),
+            partitioned.reduction(
+                _chunk_reservoir, merge_all, finalize=_finalize_reservoir,
+                chunk_args=((column,), 5000, 0)),
+            scheduler=scheduler)
+    runs += scheduler.last_run
+    return summary, runs

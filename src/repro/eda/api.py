@@ -169,9 +169,8 @@ def plot(df: DataFrame, col1: Optional[str] = None, col2: Optional[str] = None,
         :class:`~repro.frame.source.FrameSource`, e.g. a
         :func:`repro.scan_csv` handle over one file, a list of files or a
         glob pattern, in which case the computation streams over the
-        file(s) chunk by chunk with peak memory bounded by the
-        ``memory.chunk_rows`` / ``memory.budget_bytes`` config keys instead
-        of the data size.
+        file(s) chunk by chunk with peak memory bounded by the scan's
+        ``chunk_rows`` / ``budget_bytes`` instead of the data size.
     col1, col2:
         Optional column names selecting the finer-grained task.
     config:
@@ -190,11 +189,11 @@ def plot(df: DataFrame, col1: Optional[str] = None, col2: Optional[str] = None,
         ``where=("price", ">", 0)`` or ``where=scan.price > 0``.  Triples
         (and lists of triples, ANDed) are pushed down: streaming sources
         filter inside each chunk's parse and skip whole chunks via zone
-        maps (see the ``compute.predicates`` config key); in-memory frames
-        apply one vectorized mask.  A callable ``frame -> bool mask`` or a
-        boolean array also works but materializes the input (with a
-        :class:`UserWarning` on scans).  Results are identical to calling
-        ``plot`` on the pre-filtered frame.
+        maps; in-memory frames apply one vectorized mask.  A callable
+        ``frame -> bool mask`` or a boolean array also works but
+        materializes the input (with a :class:`UserWarning` on scans).
+        Results are identical to calling ``plot`` on the pre-filtered
+        frame.
     """
     cfg = _prepare(df, config, display, mode)
     df = _apply_where(df, where)

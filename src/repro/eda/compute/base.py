@@ -17,11 +17,11 @@ bounded-memory sketch triple for streaming ones.  That single dispatch
 point is the only place the pipeline distinguishes in-memory from
 out-of-core execution — every compute function upstream is source-agnostic,
 and the schedulers release each chunk as soon as its sketches have consumed
-it, so streaming peak memory tracks ``memory.chunk_rows`` /
-``memory.budget_bytes``, not the file size.  It is also the only place
-that distinguishes the two stages: the local stage evaluates the very same
-triple inline on the whole frame (:meth:`ComputeContext._run_inline`), so
-a compute kind has one definition whichever way it runs.
+it, so streaming peak memory tracks the scan's chunk size, not the file
+size.  It is also the only place that distinguishes the two stages: the
+local stage evaluates the very same triple inline on the whole frame
+(:meth:`ComputeContext._run_inline`), so a compute kind has one definition
+whichever way it runs.
 
 The planner also performs **projection pushdown**: every
 :class:`ReductionKind` declares the column set its chunk functions read,
@@ -416,8 +416,7 @@ def _plan_projections(column_names: Sequence[str], built: Sequence[Projection],
     requests over a narrow table can pay more byte-tokenization than
     one full parse (coercion work never exceeds it).  A group covering
     every column yields None (full-width tasks) — which is also what a
-    batch of None requests (a source without projection support, or
-    ``compute.projection=False``) plans to.
+    batch of None requests (an exact source) plans to.
     """
     full = set(column_names)
     groups: List[Tuple[set, List[int]]] = []
@@ -480,19 +479,23 @@ class CallPlan:
     """What one EDA call decides about its source and config, once.
 
     ``exact`` selects the exact plans (and an in-memory frame), ``graph``
-    the lazy graph over inline evaluation.  ``projection`` is on only where
-    materializing pays per column (streaming parses): in-memory slices are
-    zero-copy views, so projecting them would only fragment the cross-call
-    cache.  ``predicate`` is the spec a filtered streaming source pushes
-    into every partition task, ``sidecar`` the parsed-chunk disk route of a
-    source declaring ``capabilities.chunk_sidecar``; None when absent.
+    the lazy graph over inline evaluation.  ``predicate`` is the spec a
+    filtered streaming source pushes into every partition task,
+    ``sidecar`` the parsed-chunk disk route of a source declaring
+    ``capabilities.chunk_sidecar``; None when absent.
     """
 
     exact: bool
     graph: bool
-    projection: bool
     predicate: Optional[Tuple[Tuple[str, str, Any], ...]]
     sidecar: Optional[SidecarRoute]
+
+    @property
+    def projection(self) -> bool:
+        """Projection is on only where materializing pays per column
+        (streaming parses): in-memory slices are zero-copy views, so
+        projecting them would only fragment the cross-call cache."""
+        return not self.exact
 
     @classmethod
     def decide(cls, source: FrameSource, config: Config) -> "CallPlan":
@@ -510,8 +513,6 @@ class CallPlan:
             sidecar = SidecarRoute(directory=config.get("cache.disk_dir"),
                                    budget_bytes=int(config.get("cache.disk_bytes")))
         return cls(exact, graph,
-                   bool(config.get("compute.projection")
-                        and capabilities.projection and not exact),
                    source.predicate.spec()
                    if isinstance(source, FilteredSource) else None,
                    sidecar)
@@ -702,7 +703,7 @@ class ComputeContext:
                 f"this fine-grained task aligns rows across columns and "
                 f"cannot stream: materializing the scanned input "
                 f"(~{estimated / 1e6:.1f} MB estimated) — peak memory is no "
-                f"longer bounded by memory.budget_bytes for this call",
+                f"longer bounded by the scan's budget_bytes for this call",
                 UserWarning, stacklevel=3)
             self._frame = self.source.to_frame()
         return self._frame
@@ -783,37 +784,23 @@ class ComputeContext:
         """The source with its final partition granularity, planned once,
         at the first batch that binds a reduction.
 
-        In-memory sources honour ``compute.partition_rows``; streaming
-        sources honour ``memory.chunk_rows`` / ``memory.budget_bytes`` and
-        shrink further if the budget cannot hold one chunk per scheduler
-        worker concurrently (only for settings the user explicitly
-        overrides, so default-config calls never pay a second layout pass).
+        In-memory sources honour ``compute.partition_rows`` when the user
+        set it (a source built with an explicit ``partition_rows`` is not
+        overridden by the config default); streaming sources shrink their
+        chunks if the scan's budget cannot hold one per scheduler worker.
         """
         if self._planned_source is None:
             started = time.perf_counter()
-            provided = self.config.provided
             if self.call.exact:
-                # Pass the config granularity only when the user set it; a
-                # source constructed with an explicit partition_rows must
-                # not be silently overridden by the config default.
                 planned = self.source.with_partitioning(
                     chunk_rows=self.config.get("compute.partition_rows")
-                    if "compute.partition_rows" in provided else None)
+                    if "compute.partition_rows" in self.config.provided
+                    else None)
             else:
                 workers = self.config.get("compute.max_workers")
                 planned = self.source.with_partitioning(
-                    chunk_rows=self.config.get("memory.chunk_rows")
-                    if "memory.chunk_rows" in provided else None,
-                    budget_bytes=self.config.get("memory.budget_bytes")
-                    if "memory.budget_bytes" in provided else None,
                     concurrency=int(default_worker_count()
                                     if workers is None else workers))
-            if self.call.predicate is not None \
-                    and not self.config.get("compute.predicates"):
-                # compute.predicates=False disables only the zone-map chunk
-                # skipping; the filter itself still runs inside every parse
-                # task, so results are identical either way.
-                planned = planned.without_pruning()
             self._planned_source = planned
             self.timings["precompute_chunk_sizes"] = time.perf_counter() - started
         return self._planned_source

@@ -30,6 +30,10 @@ from repro.stats.qq import box_plot_stats, normal_qq_points, quantiles_from_hist
 
 _WORD_PATTERN = re.compile(r"[A-Za-z0-9']+")
 
+#: Bins of the fine histogram that quantiles, the Q-Q plot, the KDE and the
+#: box plot are read from (the display histogram uses ``hist.bins``).
+INTERNAL_HISTOGRAM_BINS = 512
+
 
 def compute_univariate(frame: DataFrame, column: str, config: Config,
                        context: Optional[ComputeContext] = None) -> Intermediates:
@@ -68,10 +72,10 @@ def _numerical_univariate(context: ComputeContext, column: str,
     low = summary.minimum if summary.count else 0.0
     high = summary.maximum if summary.count else 1.0
     display_bins = _display_bins(summary, config)
-    internal_bins = config.get("compute.histogram_bins_internal")
     stage2 = context.resolve({
         "histogram": context.histogram(column, display_bins, low, high),
-        "fine_histogram": context.histogram(column, internal_bins, low, high),
+        "fine_histogram": context.histogram(column, INTERNAL_HISTOGRAM_BINS,
+                                            low, high),
         "sample": context.sample([column], 5000),
     })
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, _closest
-from repro.frame.io import DEFAULT_BUDGET_BYTES as _DEFAULT_BUDGET_BYTES
-from repro.frame.io import DEFAULT_CHUNK_ROWS as _DEFAULT_CHUNK_ROWS
 from repro.frame.sidecar import DEFAULT_DISK_BYTES as _SIDECAR_DEFAULT_BYTES
 from repro.graph.cache import DEFAULT_MAX_BYTES as _CACHE_DEFAULT_MAX_BYTES
 
@@ -211,29 +209,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "compute.remote.heartbeat_s": (2.0, _seconds),
     "compute.remote.timeout_s": (30.0, _seconds),
     "compute.remote.authkey": (None, _authkey),
-    # Projection pushdown: partition tasks parse/slice only the columns the
-    # requested reductions declare (e.g. plot(df, "x") over a scanned CSV
-    # parses one column per chunk, not the whole table).  Overlapping
-    # requests inside one graph are merged into shared projected parses;
-    # disable to force every partition task back to full-width
-    # materialization (the pre-projection behaviour).
-    "compute.projection": (True, _boolean),
-    # Predicate pushdown: filtered EDA calls (plot(..., where=...) or a
-    # scan indexed with a predicate) ship the compiled filter into the
-    # partition parse tasks and consult per-chunk zone-map statistics to
-    # skip chunks no matching row can live in.  Disable to parse every
-    # chunk and filter inside the parse instead — identical results, no
-    # chunk skipping (the equivalence grid pins both modes against
-    # in-memory mask filtering).
-    "compute.predicates": (True, _boolean),
-    "compute.histogram_bins_internal": (512, _positive_int),
-    # Out-of-core streaming (inputs opened with repro.scan_csv).  A scanned
-    # frame is processed chunk by chunk: memory.chunk_rows caps the rows per
-    # chunk and memory.budget_bytes caps the estimated peak parse memory
-    # across all concurrently in-flight chunks (the effective chunk size is
-    # the smaller of the two constraints).
-    "memory.chunk_rows": (_DEFAULT_CHUNK_ROWS, _positive_int),
-    "memory.budget_bytes": (_DEFAULT_BUDGET_BYTES, _positive_int),
     # Cross-call intermediate cache (see repro.graph.cache).  When enabled,
     # repeated EDA calls on the same frame reuse partition slices, summaries
     # and histograms computed by earlier calls in this process.

@@ -175,6 +175,8 @@ def _read_csv_stream(stream: io.TextIOBase,
     header: Optional[List[str]] = None
     if has_header:
         header = next(rows, None)
+        if header:      # a UTF-8 byte-order mark (Excel) is not in the name
+            header[0] = header[0].removeprefix("\ufeff")
         names = [name.strip() for name in header or ()]
     else:
         if column_names is None:
@@ -292,7 +294,8 @@ def _read_header(path: str, delimiter: str) -> Tuple[List[str], int]:
     """The header's column names and the byte offset of the first record.
 
     Quote-aware like :func:`scan_layout`: a quoted header field may span
-    physical lines.  A zero-byte file has no columns.
+    physical lines.  A zero-byte file has no columns.  A leading UTF-8
+    byte-order mark is dropped from the names, not from the offset.
     """
     with open(path, "rb") as handle:
         lines: List[bytes] = []
@@ -302,7 +305,7 @@ def _read_header(path: str, delimiter: str) -> Tuple[List[str], int]:
             quotes += line.count(b'"')
             if quotes % 2 == 0:
                 break
-        rows = list(csv.reader(io.StringIO(b"".join(lines).decode("utf-8")),
+        rows = list(csv.reader(io.StringIO(b"".join(lines).decode("utf-8-sig")),
                                delimiter=delimiter))
         columns = [name.strip() for name in rows[0]] if rows else []
         return columns, handle.tell()
@@ -624,8 +627,8 @@ class _ScanSettings:
     #: The glob pattern the source was opened from, if it was; None for a
     #: path or an explicit list (a closed set of files).
     pattern: Optional[str]
-    #: The worker count the budget was divided by; consumers
-    #: (ComputeContext) re-derive chunk sizes only when theirs differs, so
+    #: The worker count the budget was divided by; ``with_partitioning``
+    #: re-derives chunk sizes only when the caller's differs, so
     #: default-config EDA calls never pay a second layout pass.
     concurrency: int = field(default_factory=default_worker_count)
 
@@ -723,8 +726,7 @@ class CsvSource:
 
     @property
     def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities(exact=False, projection=True,
-                                  predicates=True, chunk_sidecar=True)
+        return SourceCapabilities(exact=False, chunk_sidecar=True)
 
     def schema_preview(self) -> DataFrame:
         return self._preview
@@ -888,24 +890,19 @@ class CsvSource:
         return self._rechunks[targets]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
                           concurrency: int = 1) -> "CsvSource":
-        """Shrink the chunking for an explicit budget/chunk-rows override.
+        """Shrink the chunking to at most *chunk_rows*, or so the scan's
+        ``budget_bytes`` holds one chunk per worker of *concurrency*.
 
-        The scan's own chunking already satisfies the budget it was created
-        with; only constrain further for settings the caller explicitly
-        overrides (or a worker count the scan did not assume).  Anything
-        else would silently override an explicit
+        The scan's own chunking already satisfies its budget at the worker
+        count it assumed; only a different count re-derives the chunk size.
+        Anything else would silently override an explicit
         ``scan_csv(chunk_rows=...)`` choice and pay a needless full-file
         layout rescan.  Each file is priced by its own row cost.
         """
         settings = self._settings
-        budget = settings.budget_bytes if budget_bytes is None else budget_bytes
-        if budget <= 0:
-            raise FrameError("budget_bytes must be positive")
-        rebudget = budget != settings.budget_bytes \
-            or concurrency != settings.concurrency
-        per_chunk = budget / max(1, concurrency)
+        rebudget = concurrency != settings.concurrency
+        per_chunk = settings.budget_bytes / max(1, concurrency)
         targets = []
         for layout in self._layouts:
             target = layout.chunk_rows if chunk_rows is None \

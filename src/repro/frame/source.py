@@ -47,15 +47,13 @@ cross-call cache.  A partition's task declares what it is when it is built
 task keys start with, and the optional ``path`` / ``byte_span`` fields add
 ``bytes_reparsed`` and per-file worker affinity for sources that read
 files.  Declare ``capabilities.exact=False`` unless the whole
-dataset may safely coexist in memory.  Declare
-``capabilities.projection=True`` only when the partition ``func`` accepts a
-``columns=`` keyword naming a column subset and materializes just those
-columns — the EDA planner then pushes each reduction's required-column set
-down into the partition tasks (``materialize(columns=...)``).  The declared
-flags *are* the pushdown contract (:data:`PUSHDOWN_KEYWORDS`): nothing
-inspects the func's signature, so a flag declared for a func that lacks the
-keyword fails with that func's own ``TypeError`` when the task runs.  A source
-that keeps per-chunk statistics may also offer
+dataset may safely coexist in memory.  Every partition ``func`` takes a
+``columns=`` keyword (a column subset to materialize) and a ``predicate=``
+keyword (a :meth:`~repro.frame.predicate.Predicate.spec` whose rows to
+keep); a source with no native support applies
+:meth:`~repro.frame.frame.DataFrame.select` /
+:func:`~repro.frame.predicate.apply_predicate_spec` inside its func.  A
+source that keeps per-chunk statistics may also offer
 ``partitions_matching(spec)`` — its partitions minus those that provably
 hold no row matching the predicate spec — which :class:`FilteredSource`
 uses to skip chunks; without it every chunk parses and filters.  See
@@ -139,23 +137,6 @@ class SourceCapabilities:
         fraction-based row samples, the exact duplicate scan).  False means
         the source streams from storage and reductions must use the
         bounded-memory sketch variants instead.
-    ``projection``
-        True when the source's partition task functions accept a
-        ``columns=`` keyword and materialize only that column subset
-        (see :meth:`SourcePartition.materialize`).  The planner then pushes
-        each reduction's required-column set down into the partition tasks.
-        Defaults to False so a pre-existing custom source keeps its
-        full-materialization behaviour until it opts in.
-    ``predicates``
-        True when the source's partition task functions accept a
-        ``predicate=`` keyword (a
-        :meth:`~repro.frame.predicate.Predicate.spec` tuple) and filter the
-        partition's rows before returning them.  The planner then pushes a
-        filtered call's predicate down into the partition tasks — and, for
-        chunked file scans, consults the per-chunk zone maps
-        (:mod:`repro.frame.zonemap`) to skip whole chunks first.  Defaults
-        to False, so a custom source keeps full materialization plus an
-        eager post-filter until it opts in.
     ``chunk_sidecar``
         True when the source's partition task functions accept a
         ``sidecar=`` keyword (a :class:`~repro.frame.sidecar.SidecarRoute`
@@ -163,24 +144,13 @@ class SourceCapabilities:
         re-scans then skip CSV decoding entirely.  Only meaningful for
         sources that pay a real parse per chunk; defaults to False so
         in-memory and custom sources are unaffected until they opt in.
+        :meth:`PartitionedFrame.from_source
+        <repro.graph.partition.PartitionedFrame.from_source>` refuses a
+        sidecar route for a source that does not declare it.
     """
 
     exact: bool = True
-    projection: bool = False
-    predicates: bool = False
     chunk_sidecar: bool = False
-
-
-#: The pushdown contract, ``(capability flag, partition-func keyword)``: a
-#: source that declares the flag promises that every partition ``func``
-#: accepts the keyword.  :meth:`PartitionedFrame.from_source
-#: <repro.graph.partition.PartitionedFrame.from_source>` checks a requested
-#: pushdown against the flag, once per partition set; nothing else does.
-PUSHDOWN_KEYWORDS: Tuple[Tuple[str, str], ...] = (
-    ("projection", "columns"),
-    ("predicates", "predicate"),
-    ("chunk_sidecar", "sidecar"),
-)
 
 
 @dataclass(frozen=True)
@@ -218,9 +188,7 @@ class SourcePartition:
                              Dict[str, Any], Dict[str, Any]]:
         """``(func, args, kwargs, declared)`` of this partition's task.
 
-        This only builds the call; whether the source supports a pushdown
-        is its declared :class:`SourceCapabilities`, checked where the
-        partition set is planned (see :data:`PUSHDOWN_KEYWORDS`).
+        This only builds the call; nothing inspects the func.
 
         *declared* holds the keywords of
         :func:`~repro.graph.delayed.delayed` that say what the task is —
@@ -275,12 +243,11 @@ class SourcePartition:
                     ) -> DataFrame:
         """Eagerly materialize the chunk (tests and non-graph callers).
 
-        *columns* restricts the materialization to a column subset for
-        projection-capable sources — zero-copy views for
-        :class:`InMemorySource`, a projected byte-range parse for the CSV
-        sources.  *predicate* filters the chunk's rows for
-        predicate-capable sources.  *sidecar* routes the materialization
-        through the parsed-chunk cache for sidecar-capable sources.
+        *columns* restricts the materialization to a column subset —
+        zero-copy views for :class:`InMemorySource`, a projected byte-range
+        parse for the CSV sources.  *predicate* filters the chunk's rows.
+        *sidecar* routes the materialization through the parsed-chunk cache
+        for sidecar-capable sources.
         """
         func, args, kwargs, _ = self.task_spec(columns, predicate, sidecar)
         return func(*args, **kwargs)
@@ -317,7 +284,6 @@ class FrameSource(Protocol):
     def partitions(self) -> List[SourcePartition]: ...  # pragma: no cover
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
                           concurrency: int = 1) -> "FrameSource":
         ...                                      # pragma: no cover - protocol
 
@@ -362,7 +328,7 @@ class InMemorySource:
 
     @property
     def capabilities(self) -> SourceCapabilities:
-        return SourceCapabilities(exact=True, projection=True, predicates=True)
+        return SourceCapabilities(exact=True)
 
     def schema_preview(self) -> DataFrame:
         """Schema questions may read the whole frame — it is already resident."""
@@ -384,9 +350,8 @@ class InMemorySource:
                     len(self._frame), self._partition_rows)]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
                           concurrency: int = 1) -> "InMemorySource":
-        """Re-plan the partition granularity (the budget is irrelevant here)."""
+        """Re-plan the partition granularity; *concurrency* is unused."""
         if chunk_rows is None or chunk_rows == self._partition_rows:
             return self
         return InMemorySource(self._frame, partition_rows=chunk_rows)
@@ -499,19 +464,14 @@ class FilteredSource:
     wrapper.
     """
 
-    def __init__(self, source: Any, predicate: Predicate, prune: bool = True):
+    def __init__(self, source: Any, predicate: Predicate):
         source = as_source(source)
         if not isinstance(predicate, Predicate):
             raise FrameError("FilteredSource expects a compiled Predicate; "
                              "see repro.frame.predicate.compile_predicate")
         if isinstance(source, FilteredSource):
             predicate = source.predicate & predicate
-            prune = prune and source.prune
             source = source.source
-        if not source.capabilities.predicates:
-            raise FrameError(
-                f"{type(source).__name__} does not support row predicates "
-                f"(capabilities.predicates is False)")
         unknown = [name for name in predicate.columns
                    if name not in source.columns]
         if unknown:
@@ -520,7 +480,6 @@ class FilteredSource:
                 f"available: {source.columns}")
         self._source = source
         self._predicate = predicate
-        self._prune = prune
 
     # ------------------------------------------------------------------ #
     # The filtered view
@@ -534,21 +493,6 @@ class FilteredSource:
     def predicate(self) -> Predicate:
         """The row predicate this view applies."""
         return self._predicate
-
-    @property
-    def prune(self) -> bool:
-        """Whether ``partitions()`` may skip chunks via zone maps."""
-        return self._prune
-
-    def without_pruning(self) -> "FilteredSource":
-        """The same filtered view with zone-map chunk skipping disabled.
-
-        Every chunk then parses and filters — same results, no skipping —
-        which is what ``compute.predicates: False`` selects.
-        """
-        if not self._prune:
-            return self
-        return FilteredSource(self._source, self._predicate, prune=False)
 
     def __getitem__(self, item: Any) -> Any:
         """``filtered["x"]`` names a column; ``filtered[pred]`` stacks."""
@@ -580,10 +524,8 @@ class FilteredSource:
 
     @property
     def capabilities(self) -> SourceCapabilities:
-        inner = self._source.capabilities
-        return SourceCapabilities(exact=False, projection=inner.projection,
-                                  predicates=True,
-                                  chunk_sidecar=inner.chunk_sidecar)
+        return SourceCapabilities(
+            exact=False, chunk_sidecar=self._source.capabilities.chunk_sidecar)
 
     def schema_preview(self) -> DataFrame:
         """A bounded preview of the rows that survive the filter.
@@ -632,34 +574,30 @@ class FilteredSource:
         """The inner partitions minus provably non-matching chunks.
 
         Chunks are pruned by the inner source's ``partitions_matching``
-        when it has one (and pruning is enabled); row boundaries of the
-        surviving partitions keep their original pre-filter global offsets.
-        When every chunk is prunable, the first is kept anyway — it parses
-        and filters to zero rows — so downstream planning never sees an
-        empty partition list.
+        when it has one; row boundaries of the surviving partitions keep
+        their original pre-filter global offsets.  When every chunk is
+        prunable, the first is kept anyway — it parses and filters to zero
+        rows — so downstream planning never sees an empty partition list.
         """
         matching = getattr(self._source, "partitions_matching", None)
-        if self._prune and matching is not None:
-            return matching(self._predicate.spec()) \
-                or self._source.partitions()[:1]
-        return self._source.partitions()
+        if matching is None:
+            return self._source.partitions()
+        return matching(self._predicate.spec()) or self._source.partitions()[:1]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
-                          budget_bytes: Optional[int] = None,
                           concurrency: int = 1) -> "FilteredSource":
         inner = self._source.with_partitioning(chunk_rows=chunk_rows,
-                                               budget_bytes=budget_bytes,
                                                concurrency=concurrency)
         if inner is self._source:
             return self
-        return FilteredSource(inner, self._predicate, prune=self._prune)
+        return FilteredSource(inner, self._predicate)
 
     def refreshed(self) -> "FilteredSource":
         """The same filtered view over the refreshed inner source."""
         inner = refresh_input(self._source)
         if inner is self._source:
             return self
-        return FilteredSource(inner, self._predicate, prune=self._prune)
+        return FilteredSource(inner, self._predicate)
 
     def to_frame(self) -> DataFrame:
         """Materialize the rows that survive the filter.
@@ -716,7 +654,6 @@ __all__ = [
     "FilteredSource",
     "FrameSource",
     "InMemorySource",
-    "PUSHDOWN_KEYWORDS",
     "SourceCapabilities",
     "SourcePartition",
     "as_source",

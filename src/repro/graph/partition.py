@@ -15,7 +15,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.source import PUSHDOWN_KEYWORDS, InMemorySource
+from repro.frame.source import InMemorySource
 from repro.graph.delayed import Delayed, delayed
 
 
@@ -65,34 +65,33 @@ class PartitionedFrame:
         concatenations all land in the same task graph shape, and a custom
         source needs no graph-layer code at all.
 
-        Each of the three pushdowns below needs the source to declare its
-        capability flag (:data:`~repro.frame.source.PUSHDOWN_KEYWORDS`);
-        this method is the one place a request is checked against the
-        flags, and it raises before any task is built.
-
-        *columns* projects every partition task onto that column subset
-        (``capabilities.projection``): the projection travels as an
-        explicit task argument, so two reductions needing the same column
-        set share one projected parse per chunk — same task key, so one
-        task within a graph and one cache entry across calls — while
-        projected and full parses always occupy distinct keys.
+        *columns* projects every partition task onto that column subset:
+        the projection travels as an explicit task argument, so two
+        reductions needing the same column set share one projected parse
+        per chunk — same task key, so one task within a graph and one cache
+        entry across calls — while projected and full parses always occupy
+        distinct keys.
 
         *predicate* — a :class:`~repro.frame.predicate.Predicate` or its
         ``spec()`` tuple form — filters every partition task's rows before
-        they reach downstream reductions (``capabilities.predicates``).
-        Like the projection, it travels as an explicit task argument, so
-        filtered and unfiltered parses of the same chunk occupy distinct
-        task keys, while two filtered reductions with the same predicate
-        share one parse.  Note the boundaries keep the source's pre-filter row
-        offsets: a filtered partition holds *at most* ``stop - start``
-        rows, so indexed reductions (which assume exact global positions)
-        must not be planned over a filtered frame.
+        they reach downstream reductions.  Like the projection, it travels
+        as an explicit task argument, so filtered and unfiltered parses of
+        the same chunk occupy distinct task keys, while two filtered
+        reductions with the same predicate share one parse.  Note the
+        boundaries keep the source's pre-filter row offsets: a filtered
+        partition holds *at most* ``stop - start`` rows, so indexed
+        reductions (which assume exact global positions) must not be
+        planned over a filtered frame.  Over a raw source (not a
+        :class:`~repro.frame.source.FilteredSource`) every chunk is kept,
+        so this is also the unpruned form of a filtered partition set.
 
         *sidecar* — a :class:`~repro.frame.sidecar.SidecarRoute` tuple —
-        routes every partition task through the parsed-chunk binary cache
-        (``capabilities.chunk_sidecar``).  Unlike the two pushdowns it is
-        non-semantic: the graph layer excludes the keyword from task keys,
-        so enabling or moving the disk cache never changes task identity.
+        routes every partition task through the parsed-chunk binary cache.
+        It needs the source to declare ``capabilities.chunk_sidecar`` —
+        checked here, before any task is built.  Unlike the two pushdowns
+        it is non-semantic: the graph layer excludes the keyword from task
+        keys, so enabling or moving the disk cache never changes task
+        identity.
         """
         parts = source.partitions()
         if not parts:
@@ -102,17 +101,12 @@ class PartitionedFrame:
             spec = predicate.spec() if hasattr(predicate, "spec") \
                 else tuple(tuple(entry) for entry in predicate)
         if sidecar is not None:
-            route = tuple(sidecar)
-        # The one check of the pushdown contract: a requested pushdown needs
-        # its declared capability flag, before any task is built.
-        requested = {"columns": columns, "predicate": spec, "sidecar": route}
-        for flag, keyword in PUSHDOWN_KEYWORDS:
-            if requested[keyword] is not None \
-                    and not getattr(source.capabilities, flag):
+            if not source.capabilities.chunk_sidecar:
                 raise GraphError(
                     f"{type(source).__name__} does not declare "
-                    f"capabilities.{flag}, so its partition tasks take no "
-                    f"{keyword}= keyword")
+                    f"capabilities.chunk_sidecar, so its partition tasks "
+                    f"take no sidecar= keyword")
+            route = tuple(sidecar)
         if columns is not None:
             known = set(source.columns)
             for name in columns:

@@ -225,7 +225,10 @@ class TestKeyDeclarations:
 
     @pytest.mark.parametrize("key", [
         "compute.enable_fusion", "compute.enable_cse", "compute.engine",
-        "insight.outlier.iqr_multiplier", "report.sample_rows"])
+        "insight.outlier.iqr_multiplier", "report.sample_rows",
+        "compute.projection", "compute.predicates",
+        "compute.histogram_bins_internal", "memory.chunk_rows",
+        "memory.budget_bytes"])
     def test_removed_keys_are_unknown(self, key):
         assert key not in DEFAULTS
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -246,13 +249,13 @@ class TestKeyDeclarations:
         unread = [key for key in _KEYS
                   if f'"{key}"' not in readers and f"'{key}'" not in readers]
         assert unread == []
-        assert len(_KEYS) == 67
+        assert len(_KEYS) == 62
 
 
 class TestConfigHygiene:
     """Unknown dotted keys must raise with a did-you-mean suggestion.
 
-    A typo in a pipeline-control key (``compute.*`` / ``memory.*`` /
+    A typo in a pipeline-control key (``compute.*`` /
     ``cache.*``) silently ignored would mean e.g. the process scheduler the
     user asked for never runs; the Config Manager must reject the key and
     name the closest real one.
@@ -262,10 +265,8 @@ class TestConfigHygiene:
         ("compute.sheduler", "compute.scheduler"),
         ("compute.schedular", "compute.scheduler"),
         ("compute.maxworkers", "compute.max_workers"),
-        ("compute.predicate", "compute.predicates"),
-        ("compute.projections", "compute.projection"),
-        ("memory.budget_byte", "memory.budget_bytes"),
-        ("memory.chunk_row", "memory.chunk_rows"),
+        ("compute.partition_row", "compute.partition_rows"),
+        ("cache.disk_byte", "cache.disk_bytes"),
         ("cache.enable", "cache.enabled"),
         ("cache.maxbytes", "cache.max_bytes"),
         ("compute.remote.worker", "compute.remote.workers"),

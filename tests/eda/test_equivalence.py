@@ -10,9 +10,12 @@ values (a missing value never matches), computed in memory with the
 zone-map or merge code with what it checks.
 
 Each case draws one value per axis (:data:`AXES`): call shape, source,
-predicate, pushdown, projection, append + refresh, scheduler, cache state
-and sidecar state.  :func:`all_pairs` builds a fixed case list that covers
-every valid pair of axis values at least once (plus the unfiltered missing
+predicate, append + refresh, scheduler, cache state and sidecar state.
+Projection and predicate pushdown have no off switch: every streamed case
+runs them, and the zone maps must skip chunks under ``listed-gt`` and column
+calls must parse projected chunks only.  :func:`all_pairs` builds a fixed
+case list that covers every valid pair of axis values at least once (plus
+the unfiltered missing
 overview and report over each scan), instead of the full cross product; it
 is deterministic, so every hypothesis profile runs the same cases.  To add
 an axis value, append it to :data:`AXES` (and teach :func:`_valid` if some
@@ -47,8 +50,10 @@ from repro.errors import EDAError
 from repro.frame import zonemap
 from repro.frame.frame import concat_rows
 from repro.frame.io import read_csv, scan_csv, write_csv
-from repro.frame.predicate import Conjunct
+from repro.frame.predicate import Conjunct, compile_predicate
+from repro.frame.source import FilteredSource
 from repro.graph import TaskCache, get_global_cache, set_global_cache
+from repro.graph.partition import PartitionedFrame
 from repro.stats.descriptive import CategoricalSummary
 
 N_BASE = 600
@@ -71,6 +76,10 @@ CALLS = {
     "missing": (plot_missing,), "missing-single": (plot_missing, "rating"),
     "missing-pair": (plot_missing, "rating", "price"), "report": (create_report,),
 }
+#: Call shapes whose reductions all read a column subset: over a streamed
+#: scan they build projected parse tasks only.
+COLUMN_CALLS = set(CALLS) - {"overview", "missing", "missing-single",
+                             "missing-pair", "report"}
 #: ``price`` and ``listed`` carry missing values, ``listed`` grows with the
 #: row index (so its zone maps prune whole chunks) and ``city`` has a few
 #: missing values, so ``!=`` pins missing-never-matches.
@@ -87,8 +96,6 @@ AXES = {
     "call": tuple(CALLS),
     "source": IN_MEMORY + ("scan", "multifile"),
     "predicate": tuple(PREDICATES),
-    "pushdown": (True, False),
-    "projection": (True, False),
     "append": (False, True),
     "scheduler": ("synchronous", "threaded", "process", "remote"),
     "cache": ("off", "cold", "replay", "other"),
@@ -100,8 +107,6 @@ class Case(NamedTuple):
     call: str
     source: str
     predicate: str
-    pushdown: bool
-    projection: bool
     append: bool
     scheduler: str
     cache: str
@@ -157,9 +162,8 @@ CASES = all_pairs()
 
 
 def _case_id(case):
-    flags = [name for name in ("pushdown", "projection", "append")
-             if getattr(case, name)]
-    return "-".join([case.call, case.source, case.predicate, *flags,
+    return "-".join([case.call, case.source, case.predicate,
+                     *(["append"] if case.append else []),
                      case.scheduler, f"cache-{case.cache}",
                      f"sidecar-{case.sidecar}"])
 
@@ -211,7 +215,7 @@ class Dataset:
         self.whole = self._write(directory / "houses.csv", rows[:N_BASE])
         self.parts = [self._write(directory / "part-0.csv", rows[:SPLIT]),
                       self._write(directory / "part-1.csv", rows[SPLIT:N_BASE])]
-        self.oracles = {}
+        self.frames, self.oracles = {}, {}
 
     def _write(self, path, rows, mode="w"):
         with open(path, mode, encoding="utf-8") as handle:
@@ -238,10 +242,11 @@ class Dataset:
             self._write(directory / "part-2.csv", self.tail[half:])
         return scan_csv(str(directory / "part-*.csv"), chunk_rows=CHUNK_ROWS), grow
 
-    def oracle(self, call, predicate="none", append=False):
-        """The naive plan, memoised per (call, predicate, append)."""
-        key = (call, predicate, append)
-        if key not in self.oracles:
+    def rows(self, predicate="none", append=False):
+        """The oracle's rows: ``read_csv`` of the bytes, filtered by a plain
+        Python comparison, memoised per (predicate, append)."""
+        key = (predicate, append)
+        if key not in self.frames:
             frame = read_csv(self.grown if append else self.whole)
             if PREDICATES[predicate] is not None:
                 name, op, literal = PREDICATES[predicate]
@@ -250,7 +255,14 @@ class Dataset:
                 frame = frame.filter(np.array(
                     [value is not None and COMPARE[op](value, literal)
                      for value in frame.column(name).to_list()], dtype=bool))
-            self.oracles[key] = _run(call, frame, {
+            self.frames[key] = frame
+        return self.frames[key]
+
+    def oracle(self, call, predicate="none", append=False):
+        """The naive plan, memoised per (call, predicate, append)."""
+        key = (call, predicate, append)
+        if key not in self.oracles:
+            self.oracles[key] = _run(call, self.rows(predicate, append), {
                 **SAMPLING, "cache.enabled": False,
                 "compute.scheduler": "synchronous"})
         return self.oracles[key]
@@ -336,8 +348,7 @@ def _check(case, data, directory):
     """Run *case* (priming runs first) and compare it with the oracle."""
     set_global_cache(TaskCache())
     config = {**SAMPLING, "compute.scheduler": case.scheduler,
-              "compute.max_workers": 2, "compute.predicates": case.pushdown,
-              "compute.projection": case.projection,
+              "compute.max_workers": 2,
               "cache.disk_enabled": case.sidecar != "off"}
     if case.source == "graph":
         config.update({"compute.use_graph": "always",
@@ -362,14 +373,13 @@ def _check(case, data, directory):
     assert_equivalent(result, data.oracle(case.call, case.predicate,
                                           case.append))
 
-    skipped = _stats(result, "predicate")["chunks_skipped"]
-    if not case.pushdown:
-        assert skipped == 0
-    elif case.predicate == "listed-gt" and case.source not in IN_MEMORY and \
-            _streams(case):
-        assert skipped > 0
-    if not case.projection:
-        assert _stats(result, "projection")["projected_parse_tasks"] == 0
+    streamed = case.source not in IN_MEMORY and _streams(case)
+    if case.predicate == "listed-gt" and streamed:
+        assert _stats(result, "predicate")["chunks_skipped"] > 0
+    if streamed and case.call in COLUMN_CALLS:
+        projection = _stats(result, "projection")
+        assert projection["projected_parse_tasks"] > 0
+        assert projection["full_parse_tasks"] == 0
     if case.append and case.cache != "off":
         incremental = _stats(result, "incremental")
         assert incremental["enabled"]
@@ -416,8 +426,8 @@ MUTANTS = {
         CategoricalSummary, "merge", lambda original: lambda self, other: self),
 }
 SELF_TEST_CASES = [
-    Case("cat", "scan", "listed-gt", True, True, False, "synchronous", "off", "off"),
-    Case("num", "local", "city-ne", True, True, False, "synchronous", "off", "off"),
+    Case("cat", "scan", "listed-gt", False, "synchronous", "off", "off"),
+    Case("num", "local", "city-ne", False, "synchronous", "off", "off"),
 ]
 
 
@@ -438,6 +448,59 @@ def test_the_oracle_catches_broken_rewrites(data, tmp_path, monkeypatch, mutant)
     owner, name, broken = MUTANTS[mutant]
     monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
     assert failures("broken") > 0, f"no case caught {mutant}"
+
+
+# --------------------------------------------------------------------------- #
+# The pushdowns with no reduction on top.
+# --------------------------------------------------------------------------- #
+#: What a partition task can be projected onto: full width or one column
+#: (the dataset's eight columns, one per dtype and missing-value pattern).
+PROJECTIONS = {"full": None, **{name: (name,) for name in (
+    "price", "size", "rating", "city", "house_type", "district", "badge",
+    "listed")}}
+
+
+@pytest.fixture(scope="module")
+def pushed_scans(data, tmp_path_factory):
+    """One scan per (file source, append), shared so each zone map is built
+    once; the grown ones come from an append-refresh of the scanned copies."""
+    scans = {}
+    for kind in ("scan", "multifile"):
+        scans[kind, False] = data.scan(multifile=kind == "multifile")
+        source, grow = data.open(kind, tmp_path_factory.mktemp(f"grown-{kind}"))
+        grow()
+        scans[kind, True] = repro.refresh(source)
+    return scans
+
+
+@pytest.mark.parametrize("projection", PROJECTIONS)
+@pytest.mark.parametrize("predicate", PREDICATES)
+@pytest.mark.parametrize("append", [False, True], ids=["base", "append"])
+@pytest.mark.parametrize("source", ["scan", "multifile"])
+def test_pushed_partitions_hold_the_oracle_rows(data, pushed_scans, source,
+                                                append, predicate, projection):
+    """Zone-map chunk skipping, the in-parse filter and the projected parse
+    have no off switch, so each is checked where it happens: the partition
+    tasks a filtered, projected call plans, concatenated, hold exactly the
+    oracle's rows of the projected columns.  No reduction runs, so the full
+    cross product of file source, append, predicate and projection is cheap."""
+    scan = pushed_scans[source, append]
+    columns = PROJECTIONS[projection]
+    if PREDICATES[predicate] is None:
+        pushed = PartitionedFrame.from_source(scan, columns=columns)
+    else:
+        filtered = FilteredSource(scan, compile_predicate(PREDICATES[predicate]))
+        pushed = PartitionedFrame.from_source(filtered, columns=columns,
+                                              predicate=filtered.predicate)
+        if predicate == "listed-gt":
+            assert pushed.npartitions < len(scan.partitions())
+    result = pushed.compute()
+    expected = data.rows(predicate, append)
+    names = list(columns or expected.columns)
+    assert result.columns == names
+    for name in names:
+        assert result.column(name).to_list() == \
+            expected.column(name).to_list(), name
 
 
 # --------------------------------------------------------------------------- #

@@ -58,6 +58,25 @@ class TestReadCsv:
         frame = read_csv(io.StringIO(""))
         assert frame.shape == (0, 0)
 
+    def test_utf8_byte_order_mark_is_not_in_the_first_name(self, tmp_path):
+        """An Excel "CSV UTF-8" export starts with a byte-order mark: every
+        reader drops it from the header, and a scan's byte offsets still
+        count it."""
+        from repro import plot, scan_csv
+        text = "id,x\n1,2\n3,4\n"
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text(text, encoding="utf-8-sig")
+        path = str(tmp_path / "a.csv")
+        assert read_csv(path).columns == ["id", "x"]
+        one = scan_csv(path)
+        both = scan_csv(str(tmp_path / "*.csv"))
+        for scan in (one, both):
+            assert scan.columns == ["id", "x"]
+            assert scan.byte_ranges[0] == (3 + len("id,x\n"), 3 + len(text))
+        assert both.to_frame().column("id").to_list() == [1, 3, 1, 3]
+        assert plot(one, "id", mode="intermediates",
+                    config={"cache.enabled": False}).stats["count"] == 2
+
     def test_file_round_trip(self, tmp_path, house_frame):
         path = tmp_path / "houses.csv"
         write_csv(house_frame, str(path))

@@ -225,8 +225,8 @@ def test_default_config_streaming_call_never_rescans_layout(tmp_path):
 
 
 def test_explicit_scan_chunk_rows_not_overridden_by_config_default(tmp_path):
-    """scan_csv(chunk_rows=N) larger than the memory.chunk_rows default must
-    win: the user set it on the handle deliberately."""
+    """scan_csv(chunk_rows=N) must win: the user set it on the handle
+    deliberately, and the chunking of the handle is the call's."""
     from repro.eda import plot
 
     frame = DataFrame({"x": [float(i) for i in range(3000)]})
@@ -238,11 +238,12 @@ def test_explicit_scan_chunk_rows_not_overridden_by_config_default(tmp_path):
     # 3 chunks -> 3 parse tasks feeding the first stage; a silent rechunk to
     # another granularity would change the task count.
     assert result["overview"]["n_rows"] == 3000
-    assert report.tasks_executed > 0
-    # And an explicit config override still applies.
-    finer = plot(scan, mode="intermediates",
-                 config={"cache.enabled": False, "memory.chunk_rows": 300})
+    assert report.full_parses == 3
+    # And a finer scan of the same file is what re-chunks.
+    finer = plot(scan_csv(str(path), chunk_rows=300), mode="intermediates",
+                 config={"cache.enabled": False})
     assert finer["overview"]["n_rows"] == 3000
+    assert finer.meta["execution_reports"][0].full_parses == 10
 
 
 def test_scan_csv_chunks_are_quote_aware(tmp_path):

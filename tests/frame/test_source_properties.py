@@ -31,7 +31,6 @@ from repro.frame.io import (
 )
 from repro.frame.predicate import ColumnExpr
 from repro.frame.source import (
-    PUSHDOWN_KEYWORDS,
     FilteredSource,
     FrameSource,
     InMemorySource,
@@ -349,19 +348,9 @@ def test_csv_partition_projection_matches_full_parse(tmp_path):
         assert projected == full.select(["a", "c"])
 
 
-def test_source_capabilities_declare_projection():
-    frame = DataFrame({"a": [1.0, 2.0]})
-    assert InMemorySource(frame).capabilities.projection is True
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "caps.csv")
-        write_csv(frame, path)
-        assert as_source(scan_csv(path)).capabilities.projection is True
-        assert scan_csv([path]).capabilities.projection is True
-
-
 class _LegacySource:
-    """A source that declares none of the three pushdown capabilities; its
-    partition func takes no keyword at all."""
+    """A source that does not declare ``chunk_sidecar``; its partition func
+    takes no keyword at all."""
 
     columns = ["a"]
     capabilities = SourceCapabilities(exact=False)
@@ -374,16 +363,10 @@ def _legacy_chunk():
     return DataFrame({"a": [1.0]})
 
 
-@pytest.mark.parametrize("flag,keyword,request_kwargs", [
-    ("projection", "columns", {"columns": ("a",)}),
-    ("predicates", "predicate", {"predicate": (("a", ">", 0.0),)}),
-    ("chunk_sidecar", "sidecar", {"sidecar": ("/tmp/nowhere", 1 << 20)}),
-])
-def test_undeclared_pushdown_fails_once_at_plan_time(flag, keyword,
-                                                     request_kwargs,
-                                                     monkeypatch):
-    """The declared flags are the pushdown contract, checked in exactly one
-    place — PartitionedFrame.from_source — before any task is built."""
+def test_undeclared_pushdown_fails_once_at_plan_time(monkeypatch):
+    """A sidecar route needs the declared ``chunk_sidecar`` flag, checked in
+    exactly one place — PartitionedFrame.from_source — before any task is
+    built."""
     from repro.errors import GraphError
     from repro.graph.partition import PartitionedFrame
 
@@ -393,36 +376,14 @@ def test_undeclared_pushdown_fails_once_at_plan_time(flag, keyword,
     with monkeypatch.context() as patched:
         patched.setattr(SourcePartition, "task_spec", no_task_may_be_built)
         with pytest.raises(GraphError) as caught:
-            PartitionedFrame.from_source(_LegacySource(), **request_kwargs)
+            PartitionedFrame.from_source(
+                _LegacySource(), sidecar=("/tmp/nowhere", 1 << 20))
     message = str(caught.value)
-    assert f"capabilities.{flag}" in message
-    assert f"{keyword}= keyword" in message
+    assert "capabilities.chunk_sidecar" in message
+    assert "sidecar= keyword" in message
     assert "_LegacySource" in message
-    # Exactly one capability is named: the one that was requested.
-    assert sum(f"capabilities.{other}" in message
-               for other, _ in PUSHDOWN_KEYWORDS) == 1
-    # Unpushed use keeps working.
+    # Unrouted use keeps working.
     assert PartitionedFrame.from_source(_LegacySource()).npartitions == 1
-
-
-def test_pushdown_contract_lists_every_capability_flag():
-    """Every non-``exact`` capability flag has its keyword in the contract,
-    and the built-in partition funcs really take the keywords their sources
-    declare."""
-    import dataclasses
-    import inspect
-
-    from repro.frame.io import _read_csv_slice
-    from repro.frame.source import _slice_frame
-
-    flags = {field.name for field in dataclasses.fields(SourceCapabilities)}
-    assert {flag for flag, _ in PUSHDOWN_KEYWORDS} == flags - {"exact"}
-    keywords = dict(PUSHDOWN_KEYWORDS)
-    in_memory = InMemorySource(DataFrame({"a": [1.0]})).capabilities
-    for flag, keyword in keywords.items():
-        assert keyword in inspect.signature(_read_csv_slice).parameters
-        if getattr(in_memory, flag):
-            assert keyword in inspect.signature(_slice_frame).parameters
 
 
 def test_task_spec_only_builds_the_call():

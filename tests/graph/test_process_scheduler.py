@@ -352,7 +352,6 @@ class TestFilteredBundles:
         from repro.frame.frame import DataFrame
         from repro.frame.io import scan_csv, write_csv
         from repro.frame.predicate import compile_predicate
-        from repro.frame.source import FilteredSource
         from repro.graph.partition import PartitionedFrame
 
         frame = DataFrame({
@@ -362,13 +361,10 @@ class TestFilteredBundles:
         path = str(tmp_path / "filtered.csv")
         write_csv(frame, path)
         predicate = compile_predicate(("a", ">=", 300.0))
-        # Pruning off so every chunk's filtered parse actually ships (the
-        # data is sorted, so zone maps would otherwise skip half of them).
-        source = FilteredSource(
-            scan_csv(path, chunk_rows=150),
-            predicate).without_pruning()
-        filtered = PartitionedFrame.from_source(source, columns=("a",),
-                                                predicate=predicate)
+        # Over the unfiltered scan, so every chunk's filtered parse actually
+        # ships (the data is sorted: zone maps would skip half of them).
+        filtered = PartitionedFrame.from_source(
+            scan_csv(path, chunk_rows=150), columns=("a",), predicate=predicate)
 
         for part in filtered.partitions:
             task = _task(part)
@@ -393,7 +389,6 @@ class TestFilteredBundles:
         from repro.frame.frame import DataFrame
         from repro.frame.io import scan_csv, write_csv
         from repro.frame.predicate import compile_predicate
-        from repro.frame.source import FilteredSource
         from repro.graph.partition import PartitionedFrame
 
         frame = DataFrame({"a": np.arange(100, dtype=np.float64)})
@@ -403,9 +398,7 @@ class TestFilteredBundles:
         plain = PartitionedFrame.from_source(
             scan_csv(path, chunk_rows=50))
         filtered = PartitionedFrame.from_source(
-            FilteredSource(scan_csv(path, chunk_rows=50),
-                           predicate).without_pruning(),
-            predicate=predicate)
+            scan_csv(path, chunk_rows=50), predicate=predicate)
         plain_keys = {part.key for part in plain.partitions}
         filtered_keys = {part.key for part in filtered.partitions}
         assert not plain_keys & filtered_keys, \

@@ -222,9 +222,8 @@ class _RowsSource(InMemorySource):
         return [dataclasses.replace(part, prefix="rows")
                 for part in super().partitions()]
 
-    def with_partitioning(self, chunk_rows=None, budget_bytes=None,
-                          concurrency=1):
-        inner = super().with_partitioning(chunk_rows, budget_bytes, concurrency)
+    def with_partitioning(self, chunk_rows=None, concurrency=1):
+        inner = super().with_partitioning(chunk_rows, concurrency)
         return self if inner is self else _RowsSource(inner.frame, chunk_rows)
 
 

@@ -8,6 +8,7 @@ tells every row apart — in numbers that repeat exactly.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -24,18 +25,27 @@ from repro.stats.sketches import merge_all
 
 def _python_calls(work) -> int:
     """Python-level function calls (generator resumptions included) *work*
-    makes; calls into C — ``map(len, ...)``, numpy — are not ``call`` events."""
+    makes; calls into C — ``map(len, ...)``, numpy — are not ``call`` events.
+
+    The collector is off while *work* runs: a collection would call every
+    ``gc.callbacks`` entry (hypothesis registers one) and any finalizer of
+    garbage other code left, and when one lands depends on what other
+    threads allocate — calls that are not *work*'s."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         work()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 
