@@ -40,8 +40,23 @@ from repro.stats.descriptive import NumericSummary
 from repro.stats.histogram import Histogram, compute_histogram
 from repro.stats.sketches import merge_all
 
+#: Seconds the "rpc" series pays per dispatched task.
+RPC_LATENCY_S = 0.01
+
 #: Strategy name -> measured seconds (filled as the benchmarks run).
 _RESULTS: Dict[str, float] = {}
+
+
+class _RpcScheduler(SynchronousScheduler):
+    """Synchronous execution paying a fixed dispatch latency per unit.
+
+    Every unit of the synchronous scheduler is one task, so this is the
+    per-task driver/executor round trip of an RPC-style engine.
+    """
+
+    def _absorb_unit(self, unit, outcome, state):
+        time.sleep(RPC_LATENCY_S)
+        return super()._absorb_unit(unit, outcome, state)
 
 
 def _eager(values: List[Delayed]) -> List[Any]:
@@ -58,8 +73,7 @@ def _eager(values: List[Delayed]) -> List[Any]:
 ENGINES: Dict[str, Callable[[List[Delayed]], List[Any]]] = {
     "lazy": lambda values: compute(*values, scheduler=ThreadedScheduler()),
     "eager": _eager,
-    "rpc": lambda values: compute(
-        *values, scheduler=SynchronousScheduler(dispatch_latency=0.01)),
+    "rpc": lambda values: compute(*values, scheduler=_RpcScheduler()),
 }
 
 #: Rows per CSV partition.

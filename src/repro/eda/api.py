@@ -4,7 +4,7 @@ Each function implements one row family of the Figure 2 mapping rules and
 follows the common signature ``plot_tasktype(df, col_list, config)``: no
 columns means overview analysis, one or two columns mean detailed analysis.
 
-Every call returns a :class:`~repro.render.container.Container` — the tabbed
+Every call returns a :class:`~repro.render.layout.Container` — the tabbed
 layout of charts, statistics, insights and how-to guides — unless
 ``mode="intermediates"`` is passed.
 

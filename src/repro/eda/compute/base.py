@@ -689,22 +689,32 @@ class ComputeContext:
     def frame(self) -> DataFrame:
         """The full in-memory frame.
 
-        Streaming-capable compute paths never touch this.  For the few
-        fine-grained tasks that genuinely need all rows at once (bivariate
-        row alignment, missing-value drop comparisons), a streaming source
-        is materialized here once — losing the bounded-memory guarantee for
-        that call, which is documented on the corresponding ``plot`` kinds
-        and announced with a :class:`UserWarning` carrying the estimated
-        materialization size.
+        Streaming-capable compute paths never touch this.  The fine-grained
+        missing-value tasks (``plot_missing(df, col)`` and
+        ``plot_missing(df, c1, c2)``) compare rows with and without their
+        missing values, so a streaming source is materialized here once —
+        losing the bounded-memory guarantee for that call (see
+        :meth:`_materialize`).  Bivariate tasks align rows on the planner's
+        sample instead.
+        """
+        return self._materialize(
+            "this fine-grained task aligns rows across columns and cannot "
+            "stream")
+
+    def _materialize(self, reason: str) -> DataFrame:
+        """Load the whole input once, warning why a streaming source must.
+
+        The :class:`UserWarning` names *reason* and the estimated
+        materialization size; the bound it breaks is documented on the
+        corresponding ``plot`` kinds.
         """
         if self._frame is None:
             estimated = self.source.materialization_bytes()
             warnings.warn(
-                f"this fine-grained task aligns rows across columns and "
-                f"cannot stream: materializing the scanned input "
+                f"{reason}: materializing the scanned input "
                 f"(~{estimated / 1e6:.1f} MB estimated) — peak memory is no "
                 f"longer bounded by the scan's budget_bytes for this call",
-                UserWarning, stacklevel=3)
+                UserWarning, stacklevel=4)
             self._frame = self.source.to_frame()
         return self._frame
 
@@ -933,7 +943,10 @@ class ComputeContext:
             # their precomputed global row range), but a filtered partition
             # compacts rows, so those pre-filter positions would be wrong.
             # Run the plan inline instead — for a streaming source this
-            # materializes (with the documented UserWarning) and filters.
+            # materializes (with its UserWarning) and filters.
+            self._materialize("this overview task bins the missing spectrum "
+                              "by row position, which a filter changes, so "
+                              "it cannot stream")
             return self._run_inline("nullity", (n_bins,))
         return self._reduce("nullity", (n_bins,))
 

@@ -19,8 +19,7 @@ from repro.eda.insights import Insight
 from repro.eda.intermediates import Intermediates
 from repro.frame.frame import DataFrame
 from repro.stats.correlation import PearsonPartial
-from repro.stats.histogram import compute_histogram
-from repro.stats.qq import box_plot_stats
+from repro.stats.qq import box_plot_from_values
 
 
 def compute_bivariate(frame: DataFrame, col1: str, col2: str, config: Config,
@@ -130,12 +129,7 @@ def _binned_box(x: np.ndarray, y: np.ndarray, bins: int,
         values = y[mask]
         if values.size < 2:
             continue
-        quantile_values = np.quantile(values, [0.25, 0.5, 0.75])
-        histogram = compute_histogram(values, max(8, min(64, values.size)))
-        box = box_plot_stats(
-            {0.25: float(quantile_values[0]), 0.5: float(quantile_values[1]),
-             0.75: float(quantile_values[2])},
-            float(values.min()), float(values.max()), histogram, whisker=whisker)
+        box = box_plot_from_values(values, whisker)
         labels.append(f"[{low:.2f}, {high:.2f}]")
         boxes.append(box.as_dict())
     return {"bins": labels, "boxes": boxes}
@@ -173,13 +167,7 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
         samples = grouped[category]
         if samples.size < 2:
             continue
-        quantile_values = np.quantile(samples, [0.25, 0.5, 0.75])
-        histogram = compute_histogram(samples, max(8, min(64, samples.size)))
-        box = box_plot_stats(
-            {0.25: float(quantile_values[0]), 0.5: float(quantile_values[1]),
-             0.75: float(quantile_values[2])},
-            float(samples.min()), float(samples.max()), histogram,
-            whisker=config.get("box.whisker"))
+        box = box_plot_from_values(samples, config.get("box.whisker"))
         boxes.append({"category": category, **box.as_dict()})
 
     line = _multi_line(grouped, top_categories, config)

@@ -24,7 +24,7 @@ from repro.errors import EDAError
 from repro.frame.frame import DataFrame
 from repro.stats.association import nullity_dendrogram_from_distances
 from repro.stats.histogram import compute_histogram
-from repro.stats.qq import box_plot_stats
+from repro.stats.qq import box_plot_from_values
 from repro.stats.sketches import NullitySketch
 
 
@@ -251,12 +251,8 @@ def compute_missing_pair(frame: DataFrame, col1: str, col2: str, config: Config,
                                          ("after drop", after, after_hist)):
             if values.size < 2:
                 continue
-            quantile_values = np.quantile(values, [0.25, 0.5, 0.75])
-            box = box_plot_stats(
-                {0.25: float(quantile_values[0]), 0.5: float(quantile_values[1]),
-                 0.75: float(quantile_values[2])},
-                float(values.min()), float(values.max()), histogram,
-                whisker=config.get("box.whisker"))
+            box = box_plot_from_values(values, config.get("box.whisker"),
+                                       histogram)
             boxes.append({"label": label, **box.as_dict()})
 
         items = {

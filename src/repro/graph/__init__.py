@@ -13,18 +13,19 @@ does not ship Dask, so this package implements the required subset:
 * :func:`~repro.graph.delayed.delayed` and
   :class:`~repro.graph.delayed.Delayed` — lazy call wrappers used to build
   graphs declaratively.
-* :mod:`~repro.graph.scheduler` — the pluggable execution layer: a shared
-  scheduling core (cache planning, readiness, result release) with
-  synchronous, threaded and true-multiprocess backends, selected by the
-  ``compute.scheduler`` config key.  Each run's ``last_run``
+* :mod:`~repro.graph.scheduler` — the pluggable execution layer: one
+  driver loop (cache planning, readiness, result release) with
+  synchronous, threaded, true-multiprocess and remote backends, selected
+  by the ``compute.scheduler`` config key.  Each run's ``last_run``
   (:class:`~repro.graph.scheduler.RunStats`) is the execution report.
   :func:`~repro.graph.delayed.compute` over one merged graph is the lazy
   strategy of Figure 6(a); the eager (one ``compute`` per value) and
   RPC-style (a dispatch latency per task) series are composed from the
   same parts in the Figure 6(a) benchmark.
 * :mod:`~repro.graph.executor` — where payloads run (thread pool, process
-  pool), including the picklability contract and chunk-bundle shipping of
-  the process backend.
+  pool) and ``run_task_bundle``, which runs every unit of work, including
+  the picklability contract and chunk-bundle shipping of the process
+  backend.
 * :class:`~repro.graph.partition.PartitionedFrame` — a row-chunked DataFrame
   with lazy per-partition map and tree reductions, plus the chunk-size
   precompute stage described in Section 5.2 of the paper.

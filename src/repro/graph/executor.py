@@ -1,10 +1,11 @@
-"""Pluggable executors: where scheduler work units actually run.
+"""Pluggable executors, and the one routine that runs a unit of work.
 
 The schedulers in :mod:`repro.graph.scheduler` decide *what* to run and in
-which order; an :class:`Executor` decides *where* — inline on the
-coordinator, on a thread pool, or on a process pool.  Separating the two
-lets one driver loop serve every parallel scheduler, and keeps everything
-process-specific (task bundling, worker crash translation) in this module.
+which order; an :class:`Executor` decides *where* — on a thread pool, on a
+process pool, or (:mod:`repro.graph.remote`) on socket workers; a scheduler
+without one runs every unit on the coordinator.  Wherever a unit runs, it is
+one :func:`run_task_bundle` call returning a :class:`BundleOutcome`, so a
+task failure is caught in one place and a finished task absorbed in one.
 
 The process backend and the picklability contract
 -------------------------------------------------
@@ -32,7 +33,7 @@ import pickle
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.graph.task import Task
 from repro.utils import default_worker_count
@@ -50,8 +51,13 @@ class Executor:
         self.max_workers = int(max_workers) if max_workers is not None \
             else default_worker_count()
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        """Run ``fn(*args)`` on the backing pool and return its future."""
+    def submit(self, fn: Callable[..., Any], *args: Any,
+               affinity: Optional[str] = None) -> Future:
+        """Run ``fn(*args)`` on the backing pool and return its future.
+
+        *affinity* names the file the work reads; only the remote executor
+        pins by it, every other one ignores it.
+        """
         raise NotImplementedError
 
     def discard(self) -> None:
@@ -76,7 +82,8 @@ class ThreadExecutor(Executor):
         super().__init__(max_workers)
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+    def submit(self, fn: Callable[..., Any], *args: Any,
+               affinity: Optional[str] = None) -> Future:
         if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         return self._pool.submit(fn, *args)
@@ -106,7 +113,8 @@ class ProcessExecutor(Executor):
     _shared_pools: Dict[int, ProcessPoolExecutor] = {}
     _shared_lock = threading.Lock()
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+    def submit(self, fn: Callable[..., Any], *args: Any,
+               affinity: Optional[str] = None) -> Future:
         cls = type(self)
         with cls._shared_lock:
             pool = cls._shared_pools.get(self.max_workers)
@@ -127,15 +135,17 @@ class ProcessExecutor(Executor):
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side bundle execution (must be module-level and picklable)
+# Running one unit (module-level and picklable: workers receive it by name)
 # --------------------------------------------------------------------------- #
 @dataclass
 class BundleOutcome:
-    """What one shipped bundle produced (crosses the process boundary).
+    """What one unit produced.
 
-    Task failures are reported *in* the outcome rather than raised, so the
-    failing task's key survives the trip and arbitrary (possibly
-    unpicklable) exceptions cannot poison the future machinery.
+    A task's ``Exception`` is reported *in* the outcome rather than raised,
+    so the failing task's key survives a trip across the process boundary
+    and the scheduler wraps it in one place.  Pickling the outcome (only a
+    worker's outcome is pickled) swaps an exception that would not survive
+    it for a stand-in; in-process the exception keeps its identity.
     """
 
     root: Any = None
@@ -143,8 +153,12 @@ class BundleOutcome:
     error_key: Optional[str] = None
     error: Optional[BaseException] = None
 
+    def __reduce__(self) -> Any:
+        return (BundleOutcome, (self.root, self.members, self.error_key,
+                                _portable_error(self.error)))
 
-def _portable_error(error: BaseException) -> BaseException:
+
+def _portable_error(error: Optional[BaseException]) -> Optional[BaseException]:
     """Return *error* if it survives pickling, else a faithful stand-in."""
     try:
         pickle.loads(pickle.dumps(error))
@@ -154,30 +168,32 @@ def _portable_error(error: BaseException) -> BaseException:
 
 
 def run_task_bundle(root_task: Task, member_tasks: Sequence[Task],
-                    return_root: bool) -> BundleOutcome:
-    """Execute one bundle in a worker process.
+                    return_root: bool,
+                    results: Optional[Mapping[str, Any]] = None
+                    ) -> BundleOutcome:
+    """Run one unit: *root_task*, then each member against its value.
 
-    Runs the dependency-free *root_task* (a chunk parse / slice), then each
-    member with the root's value substituted for its ``TaskRef``.  The root
-    value is echoed back only when ``return_root`` is set — when every
-    consumer is in the bundle, the (large) chunk never crosses the process
-    boundary.
+    *results* holds the values the root's dependencies resolve from: the
+    coordinator's live results for a unit it runs itself or on a thread,
+    nothing for a shipped bundle, whose root is dependency-free.  Members
+    depend on the root alone.  The root value is echoed back only when
+    ``return_root`` is set — when every consumer is in the bundle, a
+    worker's (large) chunk never crosses the process boundary.  Only an
+    ``Exception`` is reported in the outcome: any other ``BaseException``
+    (``KeyboardInterrupt``) propagates from wherever the unit runs.
     """
-    results: Dict[str, Any] = {}
     try:
-        results[root_task.key] = root_task.execute({})
-    except BaseException as error:  # noqa: BLE001 - reported with the task key
-        return BundleOutcome(error_key=root_task.key,
-                             error=_portable_error(error))
+        root = root_task.execute(results or {})
+    except Exception as error:  # noqa: BLE001 - reported with the task key
+        return BundleOutcome(error_key=root_task.key, error=error)
+    inputs = {root_task.key: root}
     members: Dict[str, Any] = {}
     for task in member_tasks:
         try:
-            members[task.key] = task.execute(results)
-        except BaseException as error:  # noqa: BLE001
-            return BundleOutcome(error_key=task.key,
-                                 error=_portable_error(error))
-    return BundleOutcome(root=results[root_task.key] if return_root else None,
-                         members=members)
+            members[task.key] = task.execute(inputs)
+        except Exception as error:  # noqa: BLE001
+            return BundleOutcome(error_key=task.key, error=error)
+    return BundleOutcome(root=root if return_root else None, members=members)
 
 
 __all__ = [

@@ -82,8 +82,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import GraphError
 from repro.graph import wire
 from repro.graph.cache import TaskCache
-from repro.graph.executor import Executor, _portable_error, run_task_bundle
-from repro.graph.scheduler import ProcessScheduler, WorkUnit, _ExecutionState
+from repro.graph.executor import Executor, _portable_error
+from repro.graph.scheduler import ProcessScheduler
 from repro.utils import default_worker_count
 
 #: Default coordinator bind address; port 0 means "any free port".  Bind to
@@ -882,7 +882,6 @@ class RemoteScheduler(ProcessScheduler):
         self.heartbeat_s = float(heartbeat_s)
         self.timeout_s = float(timeout_s)
         self.authkey = authkey
-        self._affinity_active = False
 
     def _make_executor(self) -> Executor:
         return RemoteExecutor(max_workers=self.max_workers,
@@ -907,28 +906,9 @@ class RemoteScheduler(ProcessScheduler):
                 live = pool.worker_count()
         return max(2, 2 * max(self.max_workers, live))
 
-    def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
-        graph = state.graph
-        self.last_run.shipped += 1 + len(unit.members)
-        root = graph[unit.root]
-        executor = self.executor()
-        assert isinstance(executor, RemoteExecutor)
-        affinity = root.affinity if self._affinity_active else None
-        return executor.submit(
-            run_task_bundle, root, [graph[key] for key in unit.members],
-            unit.return_root, affinity=affinity)
-
     def execute(self, graph: Any, outputs: Any) -> Dict[str, Any]:
         executor = self.executor()
         assert isinstance(executor, RemoteExecutor)
-        # Tasks declare the file they read as their affinity: pinning every
-        # bundle of a file to one worker keeps that worker's OS page cache
-        # and parsed-chunk sidecar warm for exactly its file subset.  That
-        # only pays when there are files to shard: a single-file scan (or an
-        # in-memory source) must round-robin its bundles across the whole
-        # pool, not serialize on one worker.
-        self._affinity_active = len({task.affinity for task in graph.tasks()
-                                     if task.affinity is not None}) > 1
         before = executor.stats_snapshot()
         started = time.monotonic()
         results = super().execute(graph, outputs)

@@ -3,17 +3,23 @@
 The execution layer is split in two:
 
 * a :class:`Scheduler` decides *what* runs and in which order — cache
-  planning, readiness tracking, result release and run statistics live in
-  the shared :class:`Scheduler` base and :class:`_ExecutionState`, so every
-  backend accounts for work identically;
+  planning, readiness tracking, result release, run statistics and the one
+  driver loop live in the :class:`Scheduler` base and
+  :class:`_ExecutionState`, so every backend accounts for work identically;
 * an :class:`~repro.graph.executor.Executor` decides *where* payloads run —
-  inline, on a thread pool, or on a process pool.
+  on a thread pool, a process pool or socket workers; a scheduler without
+  one runs every unit on the coordinator.
 
-Three schedulers are registered: :class:`SynchronousScheduler` (in-order,
-single-threaded), :class:`ThreadedScheduler` (the default; GIL-sharing
-workers suit numpy-dominated tasks) and :class:`ProcessScheduler` (true
-multi-core parallelism for pure-Python chunk work such as streaming CSV
-parsing — see the hybrid-dispatch notes on the class).
+Every unit of work, wherever it runs, is one
+:func:`~repro.graph.executor.run_task_bundle` call whose outcome
+:meth:`Scheduler._absorb_unit` folds in.  Four schedulers are registered:
+:class:`SynchronousScheduler` (single-threaded), :class:`ThreadedScheduler`
+(the default; GIL-sharing workers suit numpy-dominated tasks),
+:class:`ProcessScheduler` (true multi-core parallelism for pure-Python
+chunk work such as streaming CSV parsing — see the hybrid-dispatch notes
+on the class) and ``"remote"``
+(:class:`~repro.graph.remote.RemoteScheduler`, the process backend on
+socket workers, imported on first use).
 
 Every scheduler can carry a :class:`~repro.graph.cache.TaskCache`.  When one
 is attached, execution starts with a cache-planning pass: cacheable tasks
@@ -25,11 +31,9 @@ call (possibly a different EDA function on the same frame) can reuse them.
 
 from __future__ import annotations
 
-import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulerError
 from repro.graph.cache import TaskCache
@@ -156,7 +160,9 @@ class _ExecutionState:
     Owns the cache plan, the result dict, the readiness counters and the
     consumer refcounts; :meth:`complete` is the single place a finished
     task's result is recorded, cached, released and propagated to its
-    dependents — so the three schedulers cannot drift apart on any of it.
+    dependents — so the backends cannot drift apart on any of it.  Only the
+    coordinator thread mutates it; a unit on a pool thread reads just its
+    root's dependencies, which stay until every consumer has finished.
     """
 
     def __init__(self, scheduler: "Scheduler", graph: TaskGraph,
@@ -181,8 +187,6 @@ class _ExecutionState:
             key: sum(dependency not in prefilled
                      for dependency in graph.dependencies(key))
             for key in self.needed}
-        #: Guards ``results`` mutation when worker threads read it concurrently.
-        self.lock = threading.Lock()
 
     def initial_ready(self) -> List[str]:
         """Dependency-free tasks, as a stack popping in graph order.
@@ -239,29 +243,173 @@ class _ExecutionState:
         return {key: self.results[key] for key in self.outputs}
 
 
+class WorkUnit(NamedTuple):
+    """One dispatchable unit: a task, optionally bundled with members.
+
+    ``ship=True`` sends the unit to the scheduler's executor, when it has
+    one; ``ship=False`` runs it on the coordinator thread.  ``members``
+    (process backend only) are single-dependency consumers executed in the
+    same worker against the root's value; ``return_root`` says whether the
+    root's value must travel back to the coordinator at all.  A tuple, not
+    a dataclass: every task of a run builds one, and a tuple builds fastest.
+    """
+
+    root: str
+    members: Tuple[str, ...] = ()
+    ship: bool = True
+    return_root: bool = True
+
+
 class Scheduler:
-    """Base class for graph schedulers."""
+    """The one driver loop, shared by every backend.
+
+    A backend says only *where* shipped units run (:meth:`_make_executor`;
+    None runs every unit on the coordinator) and *how* tasks group into
+    units (:meth:`_plan_units`).  ``max_workers`` sizes the executor's
+    pool; a scheduler without one accepts and ignores it, so the compute
+    context constructs every registered scheduler with one signature.
+    """
 
     #: Registry name (the ``compute.scheduler`` value).
     name = "base"
 
-    #: Optional cross-call intermediate cache consulted before execution.
-    cache: Optional[TaskCache] = None
-
     #: Statistics of the most recent ``execute`` call (None before the first).
     last_run: Optional[RunStats] = None
 
-    def execute(self, graph: TaskGraph, outputs: Sequence[str]) -> Dict[str, Any]:
-        """Execute *graph* and return ``{output key: value}``."""
-        raise NotImplementedError
+    #: Whether a shipped unit passes its root's ``affinity`` (the file it
+    #: reads) to the executor; the process planner decides it per run.
+    _affinity_active = False
+
+    def __init__(self, max_workers: Optional[int] = None,
+                 cache: Optional[TaskCache] = None):
+        self.max_workers = int(max_workers) if max_workers is not None \
+            else default_worker_count()
+        #: Optional cross-call intermediate cache consulted before execution.
+        self.cache = cache
+        self._executor: Optional[Executor] = None
 
     def get(self, graph: TaskGraph, outputs: Sequence[str]) -> List[Any]:
         """Execute and return output values in request order."""
         results = self.execute(graph, outputs)
         return [results[key] for key in outputs]
 
+    # -- hooks ---------------------------------------------------------- #
+    def _make_executor(self) -> Optional[Executor]:
+        """Where shipped units run; None runs every unit on the coordinator."""
+        return None
+
+    def _plan_units(self, state: _ExecutionState) -> Dict[str, WorkUnit]:
+        """Map every needed task to its unit (bundle members excluded)."""
+        return {key: WorkUnit(key) for key in state.needed}
+
+    def _inflight_cap(self) -> int:
+        """How many shipped units may be in flight at once.
+
+        The in-process pools keep this at ``max_workers`` (one unit per
+        worker); the remote backend widens it so a worker always has the
+        next bundle queued while its previous result is in transit.
+        """
+        return self.max_workers
+
+    # -- lifecycle ------------------------------------------------------ #
+    def executor(self) -> Optional[Executor]:
+        """The lazily created executor backing this scheduler."""
+        if self._executor is None:
+            self._executor = self._make_executor()
+        return self._executor
+
     def close(self) -> None:
         """Release any worker pool held by this scheduler (idempotent)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # -- the driver loop ------------------------------------------------ #
+    def execute(self, graph: TaskGraph, outputs: Sequence[str]) -> Dict[str, Any]:
+        """Execute *graph* and return ``{output key: value}``."""
+        state = _ExecutionState(self, graph, outputs)
+        units = self._plan_units(state)
+        executor = self.executor()
+        # Submit at most _inflight_cap() units at a time, popping the most
+        # recently enabled first (depth-first).  Submitting the whole ready
+        # list would run every source task (e.g. CSV chunk parse) before any
+        # consumer, accumulating the entire input in memory; capping keeps
+        # newly enabled sketch/combine tasks ahead of still-queued parses,
+        # so chunks are consumed and released at the rate they are produced.
+        ready = state.initial_ready()
+        in_flight: Dict[Future, WorkUnit] = {}
+        try:
+            while ready or in_flight:
+                # Re-read the cap every round: the remote backend widens it
+                # as workers attach mid-run (attach-only pools start at 0).
+                inflight_cap = self._inflight_cap()
+                while ready and len(in_flight) < inflight_cap:
+                    unit = units[ready.pop()]
+                    root = graph[unit.root]
+                    # A dependency-free root (every shipped bundle's) reads
+                    # no results, so none are sent with it.
+                    inputs = state.results if root.deps else None
+                    args = (root, [graph[key] for key in unit.members],
+                            unit.return_root, inputs)
+                    if executor is None or not unit.ship:
+                        outcome = run_task_bundle(*args)
+                        ready.extend(self._absorb_unit(unit, outcome, state))
+                        continue
+                    affinity = root.affinity if self._affinity_active else None
+                    try:
+                        future = executor.submit(run_task_bundle, *args,
+                                                 affinity=affinity)
+                    except Exception as error:  # noqa: BLE001
+                        # submit() itself can raise synchronously — e.g.
+                        # BrokenProcessPool when a worker died between
+                        # waits.  Discard the pool so the next execute
+                        # starts fresh, and report the task like any other
+                        # pool-level failure.
+                        executor.discard()
+                        raise SchedulerError(unit.root, error) from error
+                    in_flight[future] = unit
+                if not in_flight:
+                    continue
+                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
+                for future in done:
+                    unit = in_flight.pop(future)
+                    error = future.exception()
+                    if error is not None:
+                        # Pool-level failure (a crashed worker, an
+                        # unpicklable payload): name the unit's root task
+                        # and let a broken pool be rebuilt next time.
+                        executor.discard()
+                        raise SchedulerError(unit.root, error) from error
+                    ready.extend(self._absorb_unit(unit, future.result(), state))
+        except BaseException:
+            for pending in in_flight:
+                pending.cancel()
+            raise
+        return state.collect()
+
+    def _absorb_unit(self, unit: WorkUnit, outcome: BundleOutcome,
+                     state: _ExecutionState) -> List[str]:
+        """Fold a finished unit's outcome into the state; return newly ready.
+
+        A failed task surfaces as a :class:`SchedulerError` naming it, with
+        the raised exception (or, from a worker, its picklable stand-in) as
+        ``cause``.
+        """
+        if outcome.error_key is not None:
+            raise SchedulerError(outcome.error_key, outcome.error) \
+                from outcome.error
+        newly = state.complete(unit.root, outcome.root,
+                               returned=unit.return_root)
+        ready = [key for key in newly if key not in unit.members]
+        for key in unit.members:
+            ready.extend(state.complete(key, outcome.members[key]))
+        return ready
 
     # ------------------------------------------------------------------ #
     # Cache planning (shared by all schedulers)
@@ -346,180 +494,16 @@ class Scheduler:
 
 
 class SynchronousScheduler(Scheduler):
-    """Single-threaded scheduler executing tasks in topological order.
+    """Single-threaded: every unit runs on the coordinator, depth-first.
 
-    Optionally injects a fixed per-task dispatch latency, which the Figure
-    6(a) benchmark uses to model RPC-style scheduling overhead of cluster
-    frameworks running on a single node.  Accepts (and ignores)
-    ``max_workers`` so the compute context can construct any registered
-    scheduler with one uniform signature.
+    The reference backend — deterministic, no pool — for debugging and for
+    oracles that must not depend on thread timing.
     """
 
     name = "synchronous"
 
-    def __init__(self, dispatch_latency: float = 0.0,
-                 cache: Optional[TaskCache] = None,
-                 max_workers: Optional[int] = None):
-        self.dispatch_latency = float(dispatch_latency)
-        self.cache = cache
 
-    def execute(self, graph: TaskGraph, outputs: Sequence[str]) -> Dict[str, Any]:
-        state = _ExecutionState(self, graph, outputs)
-        for key in state.order:
-            if key not in state.needed:
-                continue
-            if self.dispatch_latency:
-                time.sleep(self.dispatch_latency)
-            try:
-                value = graph[key].execute(state.results)
-            except Exception as error:  # noqa: BLE001 - rewrapped with task context
-                raise SchedulerError(key, error) from error
-            state.complete(key, value)
-        return state.collect()
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One dispatchable unit: a task, optionally bundled with members.
-
-    ``ship=True`` sends the unit to the scheduler's executor; ``ship=False``
-    runs it inline on the coordinator thread.  ``members`` (process backend
-    only) are single-dependency consumers executed in the same worker
-    against the root's value; ``return_root`` says whether the root's value
-    must travel back to the coordinator at all.
-    """
-
-    root: str
-    members: Tuple[str, ...] = ()
-    ship: bool = True
-    return_root: bool = True
-
-
-class _PoolScheduler(Scheduler):
-    """Shared driver loop for schedulers that dispatch onto an Executor.
-
-    Subclasses provide the unit plan (:meth:`_plan_units`), the submission
-    payload (:meth:`_submit_unit`) and the result absorption
-    (:meth:`_absorb_unit`); the loop itself — bounded in-flight window,
-    depth-first ready stack, failure propagation, release — is written once
-    here instead of once per backend.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 cache: Optional[TaskCache] = None):
-        self.max_workers = int(max_workers) if max_workers is not None \
-            else default_worker_count()
-        self.cache = cache
-        self._executor: Optional[Executor] = None
-
-    # -- hooks ---------------------------------------------------------- #
-    def _make_executor(self) -> Executor:
-        raise NotImplementedError
-
-    def _plan_units(self, state: _ExecutionState) -> Dict[str, WorkUnit]:
-        """Map every needed task to its unit (bundle members excluded)."""
-        return {key: WorkUnit(key) for key in state.needed}
-
-    def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
-        raise NotImplementedError
-
-    def _absorb_unit(self, unit: WorkUnit, payload: Any,
-                     state: _ExecutionState) -> List[str]:
-        """Fold a finished unit's payload into the state; return newly ready."""
-        raise NotImplementedError
-
-    def _inflight_cap(self) -> int:
-        """How many shipped units may be in flight at once.
-
-        The in-process pools keep this at ``max_workers`` (one unit per
-        worker); the remote backend widens it so a worker always has the
-        next bundle queued while its previous result is in transit.
-        """
-        return self.max_workers
-
-    def _run_inline(self, unit: WorkUnit, state: _ExecutionState) -> List[str]:
-        """Run a non-shipped unit on the coordinator thread."""
-        try:
-            value = state.graph[unit.root].execute(state.results)
-        except Exception as error:  # noqa: BLE001 - rewrapped with task context
-            raise SchedulerError(unit.root, error) from error
-        with state.lock:
-            return state.complete(unit.root, value)
-
-    # -- lifecycle ------------------------------------------------------ #
-    def executor(self) -> Executor:
-        """The lazily created executor backing this scheduler."""
-        if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor
-
-    def close(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- the driver loop ------------------------------------------------ #
-    def execute(self, graph: TaskGraph, outputs: Sequence[str]) -> Dict[str, Any]:
-        state = _ExecutionState(self, graph, outputs)
-        units = self._plan_units(state)
-        # Submit at most max_workers units at a time, popping the most
-        # recently enabled first (depth-first).  Submitting the whole ready
-        # list would run every source task (e.g. CSV chunk parse) before any
-        # consumer, accumulating the entire input in memory; capping keeps
-        # newly enabled sketch/combine tasks ahead of still-queued parses,
-        # so chunks are consumed and released at the rate they are produced.
-        ready = state.initial_ready()
-        in_flight: Dict[Future, WorkUnit] = {}
-        try:
-            while ready or in_flight:
-                # Re-read the cap every round: the remote backend widens it
-                # as workers attach mid-run (attach-only pools start at 0).
-                inflight_cap = self._inflight_cap()
-                while ready and len(in_flight) < inflight_cap:
-                    unit = units[ready.pop()]
-                    if unit.ship:
-                        try:
-                            future = self._submit_unit(unit, state)
-                        except Exception as error:  # noqa: BLE001
-                            # submit() itself can raise synchronously — e.g.
-                            # BrokenProcessPool when a worker died between
-                            # waits.  Discard the pool so the next execute
-                            # starts fresh, and report the task like any
-                            # other pool-level failure.
-                            if self._executor is not None:
-                                self._executor.discard()
-                            raise SchedulerError(unit.root, error) from error
-                        in_flight[future] = unit
-                    else:
-                        ready.extend(self._run_inline(unit, state))
-                if not in_flight:
-                    continue
-                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
-                for future in done:
-                    unit = in_flight.pop(future)
-                    error = future.exception()
-                    if error is not None:
-                        # Pool-level failure (a crashed worker, an
-                        # unpicklable payload): name the unit's root task
-                        # and let a broken pool be rebuilt next time.
-                        if self._executor is not None:
-                            self._executor.discard()
-                        raise SchedulerError(unit.root, error) from error
-                    ready.extend(self._absorb_unit(unit, future.result(), state))
-        except BaseException:
-            for pending in in_flight:
-                pending.cancel()
-            raise
-        return state.collect()
-
-
-class ThreadedScheduler(_PoolScheduler):
+class ThreadedScheduler(Scheduler):
     """Thread-pool scheduler that runs independent tasks concurrently.
 
     This is the default execution backend, mirroring Dask's threaded
@@ -532,21 +516,8 @@ class ThreadedScheduler(_PoolScheduler):
     def _make_executor(self) -> Executor:
         return ThreadExecutor(max_workers=self.max_workers)
 
-    def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
-        return self.executor().submit(state.graph[unit.root].execute,
-                                      state.results)
 
-    def _absorb_unit(self, unit: WorkUnit, payload: Any,
-                     state: _ExecutionState) -> List[str]:
-        # Every consumer of this task's dependencies that will ever run has
-        # been submitted or finished only when its own result is in;
-        # dropping fully consumed inputs here keeps peak memory at
-        # (workers x chunk), not the file.
-        with state.lock:
-            return state.complete(unit.root, payload)
-
-
-class ProcessScheduler(_PoolScheduler):
+class ProcessScheduler(Scheduler):
     """Process-pool scheduler: true multi-core parallelism for chunk work.
 
     Pure-Python chunk tasks — above all the streaming CSV parse + sketch
@@ -579,6 +550,14 @@ class ProcessScheduler(_PoolScheduler):
 
     def _plan_units(self, state: _ExecutionState) -> Dict[str, WorkUnit]:
         graph = state.graph
+        # Tasks declare the file they read as their affinity: pinning every
+        # bundle of a file to one worker keeps that worker's OS page cache
+        # and parsed-chunk sidecar warm for exactly its file subset (only
+        # the remote executor pins).  That only pays when there are files to
+        # shard: a single-file scan (or an in-memory source) must spread its
+        # bundles across the whole pool, not serialize on one worker.
+        self._affinity_active = len({task.affinity for task in graph.tasks()
+                                     if task.affinity is not None}) > 1
         units: Dict[str, WorkUnit] = {}
         bundled: Set[str] = set()
         for key in state.order:                    # roots precede consumers
@@ -603,27 +582,8 @@ class ProcessScheduler(_PoolScheduler):
                 any(consumer not in member_set for consumer in needed_consumers)
             units[key] = WorkUnit(key, tuple(members), ship=True,
                                   return_root=return_root)
+            self.last_run.shipped += 1 + len(members)
         return units
-
-    def _submit_unit(self, unit: WorkUnit, state: _ExecutionState) -> Future:
-        graph = state.graph
-        self.last_run.shipped += 1 + len(unit.members)
-        return self.executor().submit(
-            run_task_bundle, graph[unit.root],
-            [graph[key] for key in unit.members], unit.return_root)
-
-    def _absorb_unit(self, unit: WorkUnit, payload: BundleOutcome,
-                     state: _ExecutionState) -> List[str]:
-        if payload.error_key is not None:
-            raise SchedulerError(payload.error_key, payload.error) \
-                from payload.error
-        member_set = set(unit.members)
-        newly = state.complete(unit.root, payload.root,
-                               returned=unit.return_root)
-        ready = [key for key in newly if key not in member_set]
-        for key in unit.members:
-            ready.extend(state.complete(key, payload.members[key]))
-        return ready
 
 
 _SCHEDULERS = {

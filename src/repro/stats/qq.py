@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.errors import EDAError
-from repro.stats.histogram import Histogram
+from repro.stats.histogram import Histogram, compute_histogram
 
 
 def quantiles_from_histogram(histogram: Histogram,
@@ -118,3 +118,19 @@ def box_plot_stats(quantiles: Dict[float, float], minimum: float, maximum: float
         maximum=float(maximum), lower_whisker=float(lower_whisker),
         upper_whisker=float(upper_whisker), outlier_count=outlier_count,
         outlier_samples=[float(value) for value in outlier_samples])
+
+
+def box_plot_from_values(values: np.ndarray, whisker: float = 1.5,
+                         histogram: Optional[Histogram] = None) -> BoxPlotStats:
+    """Box-plot statistics of raw values: exact quartiles and extremes.
+
+    Outliers are estimated from *histogram* (see :func:`box_plot_stats`);
+    without one, from a histogram of *values* with one bin per value,
+    clamped to 8..64 bins.  *values* must hold at least one finite number.
+    """
+    if histogram is None:
+        histogram = compute_histogram(values, max(8, min(64, values.size)))
+    q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+    return box_plot_stats(
+        {0.25: float(q1), 0.5: float(median), 0.75: float(q3)},
+        float(values.min()), float(values.max()), histogram, whisker=whisker)

@@ -393,6 +393,7 @@ def _check(case, data, directory):
 
 
 @pytest.mark.filterwarnings("ignore:this fine-grained task")
+@pytest.mark.filterwarnings("ignore:this overview task bins the missing spectrum")
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_case_matches_the_oracle(data, tmp_path, case):
     _check(case, data, tmp_path)
@@ -568,6 +569,21 @@ def test_missing_single_over_scan_warns_before_materializing(data):
         _run("missing-single", data.scan())
     with pytest.warns(UserWarning, match="MB estimated"):
         _run("missing-pair", data.scan())
+
+
+def test_each_materializing_task_warns_with_its_own_reason(data):
+    """A fine-grained missing task aligns rows across columns; a filtered
+    missing overview (alone or as a report section) bins by row position.
+    Each warning names its own reason, never the other's."""
+    fine_grained = "this fine-grained task aligns rows across columns"
+    overview = "this overview task bins the missing spectrum by row position"
+    for call, where, reason, other in (
+            ("missing-single", None, fine_grained, overview),
+            ("missing", PREDICATES["price-gt"], overview, fine_grained),
+            ("report", PREDICATES["price-gt"], overview, fine_grained)):
+        with pytest.warns(UserWarning, match=reason) as caught:
+            _run(call, data.scan(), where=where)
+        assert not [w for w in caught if other in str(w.message)], call
 
 
 def test_scan_rejects_unknown_column(data):

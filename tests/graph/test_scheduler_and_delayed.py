@@ -2,7 +2,6 @@
 
 import operator
 import threading
-import time
 
 import pytest
 
@@ -13,15 +12,49 @@ from repro.graph import (
     TaskGraph,
     TaskRef,
     ThreadedScheduler,
+    available_schedulers,
     compute,
     delayed,
     get_scheduler,
 )
 from repro.graph.delayed import merge_graphs
 
+#: Backends whose shipped units run in another process.
+WORKER_BACKENDS = ("process", "remote")
 
-def failing(_value):
+
+@pytest.fixture(scope="module", autouse=True)
+def _reap_remote_pools():
+    yield
+    from repro.graph.remote import shutdown_remote_pools
+    shutdown_remote_pools()
+
+
+@pytest.fixture(params=available_schedulers())
+def any_scheduler(request):
+    scheduler = get_scheduler(request.param, max_workers=2)
+    yield scheduler
+    scheduler.close()
+
+
+def failing(*_values):
     raise ValueError("boom")
+
+
+class UnpicklableError(Exception):
+    """Pickles, but cannot be unpickled: ``__init__`` needs two arguments."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+def failing_unpicklably(_value):
+    raise UnpicklableError("no way back", "detail")
+
+
+def interrupting(_value):
+    raise KeyboardInterrupt
 
 
 class TestSchedulers:
@@ -41,15 +74,40 @@ class TestSchedulers:
     def test_get_returns_values_in_order(self):
         assert SynchronousScheduler().get(self.build_graph(), ["c", "b"]) == [10, 5]
 
-    @pytest.mark.parametrize("scheduler", [SynchronousScheduler(),
-                                           ThreadedScheduler(max_workers=2)])
-    def test_task_failure_is_wrapped(self, scheduler):
+    @pytest.mark.parametrize("where", ["coordinator", "shipped"])
+    def test_task_failure_is_wrapped(self, any_scheduler, where):
+        # Under process/remote a task reading only the shippable root "a"
+        # runs in the worker, bundled with it; one reading two tasks runs
+        # on the coordinator.  Every backend reports both the same way.
         graph = self.build_graph()
-        graph.add(Task("bad", failing, (TaskRef("a"),), {}))
+        refs = (TaskRef("a"),) if where == "shipped" else \
+            (TaskRef("a"), TaskRef("b"))
+        graph.add(Task("bad", failing, refs, {}))
         with pytest.raises(SchedulerError) as excinfo:
-            scheduler.execute(graph, ["bad"])
+            any_scheduler.execute(graph, ["bad"])
         assert excinfo.value.key == "bad"
         assert isinstance(excinfo.value.cause, ValueError)
+        assert str(excinfo.value.cause) == "boom"
+
+    def test_unpicklable_error_is_replaced_only_across_processes(
+            self, any_scheduler):
+        graph = self.build_graph()
+        graph.add(Task("bad", failing_unpicklably, (TaskRef("a"),), {}))
+        with pytest.raises(SchedulerError) as excinfo:
+            any_scheduler.execute(graph, ["bad"])
+        assert excinfo.value.key == "bad"
+        cause = excinfo.value.cause
+        if any_scheduler.name in WORKER_BACKENDS:
+            assert type(cause) is RuntimeError
+            assert str(cause) == "UnpicklableError: no way back"
+        else:
+            assert type(cause) is UnpicklableError and cause.detail == "detail"
+
+    def test_keyboard_interrupt_on_the_coordinator_propagates(self):
+        graph = self.build_graph()
+        graph.add(Task("stop", interrupting, (TaskRef("a"),), {}))
+        with pytest.raises(KeyboardInterrupt):
+            SynchronousScheduler().execute(graph, ["stop"])
 
     def test_threaded_scheduler_runs_independent_tasks_concurrently(self):
         barrier = threading.Barrier(2, timeout=5)
@@ -69,18 +127,6 @@ class TestSchedulers:
         assert isinstance(get_scheduler("threaded", max_workers=2), ThreadedScheduler)
         with pytest.raises(SchedulerError):
             get_scheduler("quantum")
-
-    def test_dispatch_latency_slows_synchronous_scheduler(self):
-        graph = self.build_graph()
-        fast = SynchronousScheduler()
-        slow = SynchronousScheduler(dispatch_latency=0.01)
-        started = time.perf_counter()
-        fast.execute(graph, ["c"])
-        fast_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        slow.execute(graph, ["c"])
-        slow_elapsed = time.perf_counter() - started
-        assert slow_elapsed > fast_elapsed
 
 
 class TestDelayed:
