@@ -11,11 +11,10 @@ import numpy as np
 from repro.errors import DTypeError, FrameError
 from repro.frame.dtypes import (
     DType,
-    coerce_values,
+    decode_cells,
     decode_string_codes,
     encode_string_codes,
     from_numpy,
-    infer_dtype,
 )
 
 #: The ``datetime64[s]`` range python's ``datetime`` covers (years 1-9999).
@@ -82,15 +81,16 @@ class Column:
             self.mask = mask.astype(np.bool_)
             self.dtype = dtype
         else:
-            values_list = list(values)
-            self.dtype = dtype if dtype is not None else infer_dtype(values_list)
-            self._data, self.mask = coerce_values(values_list, self.dtype)
+            (self.dtype, self._data, self.mask, self._codes,
+             self._dictionary) = decode_cells(values, dtype)
             if mask is not None:
                 self.mask = self.mask | np.asarray(mask, dtype=np.bool_)
+                if self._codes is not None:     # re-encoded under the mask
+                    self._data, self._codes = self.data, None
         if self.dtype is DType.FLOAT:
             # NaN and the mask must agree so float reductions stay consistent.
             self.mask = self.mask | np.isnan(self._data)
-        if self.dtype is DType.STRING:
+        if self.dtype is DType.STRING and self._codes is None:
             self._codes, self._dictionary = encode_string_codes(self._data,
                                                                 self.mask)
             self._data = None

@@ -22,7 +22,8 @@ import enum
 import math
 import re
 from datetime import datetime, timezone
-from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import compress, product
+from typing import Any, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -215,17 +216,11 @@ def infer_dtype(values: Iterable[Any]) -> DType:
     infers STRING.  An all-missing column infers FLOAT so it can hold NaN.
 
     The loop below is the definition.  The answer depends only on which
-    distinct values occur, so a column of text cells is first reduced to
-    its distinct set and offered to :func:`_infer_text_batch`; whatever that
-    declines is decided here, cell by cell.
+    distinct values occur, so :func:`decode_cells` asks it about a text
+    column's distinct set, and only when no batch parse took the column.
     """
     if not isinstance(values, (list, tuple, set)):
         values = list(values)
-    if _all_text(values):
-        values = set(values)
-        guess = _infer_text_batch(values)
-        if guess is not None:
-            return guess
     saw_bool = saw_int = saw_float = saw_datetime = False
     saw_any = False
     for value in values:
@@ -268,14 +263,30 @@ def infer_dtype(values: Iterable[Any]) -> DType:
     return DType.STRING
 
 
-def _all_text(values: Any) -> bool:
-    """Whether every value is exactly a ``str`` — what the batch paths need."""
-    return set(map(type, values)) == {str}
+def _joined_text(values: Sequence[Any]) -> Optional[str]:
+    """The values concatenated, or None unless each is a ``str`` (checked in C)."""
+    try:
+        return "".join(values)
+    except TypeError:
+        return None
 
 
-def _missing_cells(distinct: Set[str]) -> Set[str]:
-    """Those of the distinct text cells :func:`is_missing_scalar` calls missing."""
-    return set(filter(is_missing_scalar, distinct))
+#: Every letter-case spelling of a missing token.  An ASCII cell without
+#: whitespace is missing exactly when it is one of these: ``str.strip``
+#: leaves it alone and, on ASCII, ``str.lower`` only folds ``A-Z``.
+_MISSING_SPELLINGS = frozenset(
+    "".join(spelling) for token in MISSING_TOKENS
+    for spelling in product(*({char, char.upper()} for char in token)))
+
+
+def _missing_cells(distinct: Set[str], text: str) -> Set[str]:
+    """Those of the *distinct* cells, concatenated in *text*, that
+    :func:`is_missing_scalar` calls missing, as a C-level chain (one set
+    intersection when *text* holds no whitespace and no non-ASCII)."""
+    if text.isascii() and text.split(None, 1) == [text]:
+        return distinct & _MISSING_SPELLINGS
+    return set(compress(distinct, map(MISSING_TOKENS.__contains__,
+                                      map(str.lower, map(str.strip, distinct)))))
 
 
 #: The only shapes the DATETIME batch parse is offered: ASCII
@@ -288,48 +299,86 @@ _ISO_DATETIME = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:[ T][0-9]{2}:[0-9]{2}:[0-9]{2})?")
 _YEAR_ONE = np.datetime64("0001-01-01", "s")
 
+#: Text that parses to each dtype's null sentinel, substituted for missing
+#: cells; inference tries these dtypes in :func:`infer_dtype`'s precedence.
+_NULL_TEXT = {DType.INT: "0", DType.FLOAT: "nan", DType.DATETIME: "1970-01-01"}
 
-def _parse_text_batch(cells: Sequence[str], dtype: DType) -> Optional[np.ndarray]:
-    """Parse every text cell as INT, FLOAT or DATETIME in C, or None.
 
-    numpy converts a ``str`` to int64 / float64 by calling ``int`` /
-    ``float`` on it — the calls :func:`_parse_number` makes — so an array
-    here holds, cell for cell, what the scalar coercion returns; None means
-    some cell needs the scalar path (a bool token, garbage, an int beyond
-    int64, a date outside :data:`_ISO_DATETIME`), never a different value.
+def _parse_text(values: Sequence[str], distinct: Set[str], missing: Set[str],
+                dtype: Optional[DType]) -> Optional["Decoded"]:
+    """The first batch parse of text cells that succeeds — under *dtype*, or
+    under INT, FLOAT, DATETIME in turn when it is None — or None.
+
+    *missing* cells parse as :data:`_NULL_TEXT`.  numpy converts a ``str``
+    to int64 / float64 by calling ``int`` / ``float`` on it — the calls
+    :func:`_parse_number` makes — so an array here holds, cell for cell,
+    what the scalar coercion returns.  A parse refuses a bool token, garbage,
+    an int beyond int64, a date outside :data:`_ISO_DATETIME`.
     """
-    if dtype is DType.DATETIME and \
-            not all(map(_ISO_DATETIME.fullmatch, cells)):
-        return None
-    try:
-        data = np.asarray(cells, dtype=dtype.numpy_dtype())
-    except (ValueError, OverflowError):
-        return None
-    if dtype is DType.DATETIME and (data < _YEAR_ONE).any():
-        return None
-    return data
-
-
-def _infer_text_batch(distinct: Set[str]) -> Optional[DType]:
-    """:func:`infer_dtype` of text cells by trial batch parses, or None.
-
-    INT: every present cell is an int64 literal.  FLOAT: every one is a
-    float literal and INT refused some.  DATETIME: every one is ISO-shaped
-    and valid.  None of these cells can be a bool token, so the scalar
-    loop's precedence (number, bool, datetime) cannot disagree.
-    """
-    present = list(distinct - _missing_cells(distinct))
-    if not present:
-        return DType.FLOAT
-    for dtype in (DType.INT, DType.FLOAT, DType.DATETIME):
-        if _parse_text_batch(present, dtype) is not None:
-            return dtype
+    if dtype is None:
+        trials = (DType.FLOAT,) if missing == distinct else _NULL_TEXT
+    else:
+        trials = (dtype,) if dtype in _NULL_TEXT else ()
+    for trial in trials:
+        if trial is DType.DATETIME and \
+                not all(map(_ISO_DATETIME.fullmatch, distinct - missing)):
+            continue
+        cells = map(dict.fromkeys(missing, _NULL_TEXT[trial]).get, values, values) \
+            if missing else values
+        try:
+            data = np.fromiter(cells, dtype=trial.numpy_dtype(), count=len(values))
+        except (ValueError, OverflowError):
+            continue
+        if trial is DType.DATETIME and (data < _YEAR_ONE).any():
+            continue
+        return Decoded(trial, data, np.fromiter(
+            map(missing.__contains__, values), dtype=np.bool_, count=len(values))
+            if missing else np.zeros(len(values), dtype=np.bool_))
     return None
 
 
-#: Text that parses to each dtype's null sentinel, substituted for missing
-#: cells before a batch parse.
-_NULL_TEXT = {DType.INT: "0", DType.FLOAT: "nan", DType.DATETIME: "1970-01-01"}
+class Decoded(NamedTuple):
+    """A column's storage: ``data``, or for STRING ``codes`` + ``dictionary``."""
+
+    dtype: DType
+    data: Optional[np.ndarray]
+    mask: np.ndarray
+    codes: Optional[np.ndarray] = None
+    dictionary: Optional[np.ndarray] = None
+
+
+def decode_cells(values: Sequence[Any], dtype: Optional[DType] = None,
+                 lenient: bool = False) -> Decoded:
+    """Raw cells to a column's storage under *dtype*, inferred when None.
+
+    A text column's distinct set and its missing subset are built once, and
+    its first successful batch parse is both the inferred dtype and the
+    data.  What the batch declines is decided by the scalar loops of
+    :func:`infer_dtype` and :func:`_coerce_each`.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    if len(values) and (text := _joined_text(values)) is not None:
+        distinct = set(values)
+        missing = _missing_cells(distinct, text)
+        decoded = _parse_text(values, distinct, missing, dtype)
+        if decoded is not None:
+            return decoded
+        if dtype is None:
+            dtype = infer_dtype(distinct)
+        if dtype is DType.STRING:          # codes from the distinct cells
+            dictionary = _sorted_distinct(distinct - missing)
+            index = dict(zip(dictionary.tolist(), range(dictionary.size)))
+            index.update(dict.fromkeys(missing, -1))
+            codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32,
+                                count=len(values))
+            return Decoded(dtype, None, codes < 0, codes, dictionary)
+    elif dtype is None:
+        dtype = infer_dtype(values)
+    data, mask = _coerce_each(values, dtype, lenient)
+    if dtype is DType.STRING:
+        return Decoded(dtype, None, mask, *encode_string_codes(data, mask))
+    return Decoded(dtype, data, mask)
 
 
 def coerce_values(values: Sequence[Any], dtype: DType,
@@ -345,15 +394,16 @@ def coerce_values(values: Sequence[Any], dtype: DType,
     degrade to a missing cell (as documented on ``scan_csv``), not abort a
     long-running scan.
 
-    Text cells take a batch path (:func:`_coerce_text_batch`: numpy parses
-    the whole column in C) which either returns exactly what the per-scalar
-    loop below would, or declines — the loop is the definition and decides
-    every raise and every lenient degrade.  This is the hot loop of the
-    chunked CSV scan.
+    Text cells take :func:`decode_cells`' batch parse, which returns exactly
+    what the scalar loop :func:`_coerce_each`, the definition, would.
     """
-    batch = _coerce_text_batch(values, dtype)
-    if batch is not None:
-        return batch
+    _, data, mask, codes, dictionary = decode_cells(values, dtype, lenient)
+    return data if codes is None else decode_string_codes(codes, dictionary), mask
+
+
+def _coerce_each(values: Sequence[Any], dtype: DType,
+                 lenient: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`coerce_values`, one scalar at a time."""
     size = len(values)
     data = np.empty(size, dtype=dtype.numpy_dtype())
     mask = np.zeros(size, dtype=np.bool_)
@@ -375,38 +425,6 @@ def coerce_values(values: Sequence[Any], dtype: DType,
         else:
             data[index] = _coerce_scalar(value, dtype)
     return data, mask
-
-
-def _coerce_text_batch(values: Sequence[Any], dtype: DType
-                       ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Whole-column coercion of text cells; None = use the per-scalar loop.
-
-    Guess that no cell is missing and parse; when that fails, find the
-    missing cells among the distinct ones, substitute the null text and
-    parse again.  A cell no parse accepts (lenient or not) declines.
-    """
-    if dtype is DType.BOOL or not len(values) or not _all_text(values):
-        return None
-    if dtype is DType.STRING:
-        codes, dictionary, mask = _encode_text_cells(values)
-        return decode_string_codes(codes, dictionary), mask
-    data = _parse_text_batch(values, dtype)
-    if data is not None:
-        mask = np.zeros(len(values), dtype=np.bool_)
-        if dtype is DType.FLOAT:
-            # "nan" is both a float literal and a missing token.
-            for index in np.flatnonzero(np.isnan(data)).tolist():
-                mask[index] = is_missing_scalar(values[index])
-        return data, mask
-    missing = _missing_cells(set(values))
-    if not missing:
-        return None
-    fill = dict.fromkeys(missing, _NULL_TEXT[dtype])
-    data = _parse_text_batch(list(map(fill.get, values, values)), dtype)
-    if data is None:
-        return None
-    return data, np.fromiter(map(missing.__contains__, values),
-                             dtype=np.bool_, count=len(values))
 
 
 def _coerce_scalar(value: Any, dtype: DType) -> Any:
@@ -477,25 +495,10 @@ def encode_cells(values: Sequence[Any]
 
     Equal to ``coerce_values(values, DType.STRING)`` followed by
     :func:`encode_string_codes`, without materializing the per-row object
-    array in between — what the CSV parse emits for a STRING column.
+    array in between.
     """
-    if len(values) and _all_text(values):
-        return _encode_text_cells(values)
-    data, mask = coerce_values(values, DType.STRING)
-    return (*encode_string_codes(data, mask), mask)
-
-
-def _encode_text_cells(values: Sequence[str]
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One distinct-set pass: missing cells, dictionary and codes of text."""
-    distinct = set(values)
-    missing = _missing_cells(distinct)
-    dictionary = _sorted_distinct(distinct - missing)
-    index = dict(zip(dictionary.tolist(), range(dictionary.size)))
-    index.update(dict.fromkeys(missing, -1))
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32,
-                        count=len(values))
-    return codes, dictionary, codes < 0
+    decoded = decode_cells(values, DType.STRING)
+    return decoded.codes, decoded.dictionary, decoded.mask
 
 
 def _sorted_distinct(values: Iterable[str]) -> np.ndarray:
@@ -558,8 +561,8 @@ def from_numpy(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray, DType]:
     """Adopt an existing numpy array as column storage.
 
     Returns ``(data, mask, dtype)``.  Float arrays reuse NaN positions as the
-    mask; other numeric arrays have an all-False mask; object arrays fall back
-    to full inference and coercion.
+    mask; other numeric arrays have an all-False mask; the cells of an object
+    array are decoded by :func:`decode_cells`.
     """
     if array.ndim != 1:
         raise DTypeError(f"columns must be one-dimensional, got shape {array.shape}")
@@ -578,7 +581,5 @@ def from_numpy(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray, DType]:
         data = array.astype(str).astype(object)
         mask = np.array([is_missing_scalar(item) for item in data], dtype=np.bool_)
         return data, mask, DType.STRING
-    values = list(array)
-    dtype = infer_dtype(values)
-    data, mask = coerce_values(values, dtype)
-    return data, mask, dtype
+    dtype, data, mask, codes, dictionary = decode_cells(list(array))
+    return data if codes is None else decode_string_codes(codes, dictionary), mask, dtype

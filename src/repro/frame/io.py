@@ -25,7 +25,8 @@ import io
 import os
 import zlib
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import itemgetter
 from typing import (
     Any,
     Dict,
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.errors import ColumnNotFoundError, FrameError
 from repro.frame.column import Column
-from repro.frame.dtypes import DType, coerce_values, encode_cells, infer_dtype
+from repro.frame.dtypes import DType, decode_cells
 from repro.frame.fingerprint import fingerprint_file_stamps
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.predicate import apply_predicate_spec
@@ -76,6 +77,13 @@ PathOrBuffer = Union[str, os.PathLike, io.TextIOBase]
 
 #: Default number of rows per streamed chunk (mirrors the partition default).
 DEFAULT_CHUNK_ROWS = 100_000
+
+#: Rows tokenised and transposed into columns at a time by a CSV parse.
+#: Each row is a live list until its batch is transposed, so the batch stays
+#: well under the collector's first-generation threshold (700 by default):
+#: a larger one triggers collections that promote the rows, and in time a
+#: full collection lands in whatever call runs next.
+TRANSPOSE_ROWS = 256
 
 #: Default peak-memory budget for an out-of-core scan (bytes).
 DEFAULT_BUDGET_BYTES = 128 * 1024 * 1024
@@ -162,7 +170,7 @@ def _read_csv_stream(stream: io.TextIOBase,
                      max_rows: Optional[int],
                      lenient: bool = False,
                      usecols: Optional[Sequence[str]] = None) -> DataFrame:
-    """Tokenise → infer where no dtype was given → batch coerce → encode.
+    """Tokenise → transpose in row batches → decode each column once.
 
     The one cell→column step behind :func:`read_csv`, the scan preview and
     every chunk parse.  *dtypes* entries naming no column of this header
@@ -201,39 +209,32 @@ def _read_csv_stream(stream: io.TextIOBase,
 
     width = full_width if keep is None else keep[-1] + 1
     cells: List[List[str]] = [[] for _ in names]
-    for row_number, row in enumerate(rows):
-        if max_rows is not None and row_number >= max_rows:
-            break
-        if not row:
-            continue
-        if len(row) < width:
-            row = _normalize_row(row, width)
-        if keep is None:
-            if len(row) > width:
-                row = row[:width]
-            for column_index, cell in enumerate(row):
-                cells[column_index].append(cell)
+    rows = islice(rows, max_rows)
+    # A bounded batch of rows at a time; only a batch holding a short row
+    # (a blank one is skipped) is normalised row by row.
+    while batch := list(islice(rows, TRANSPOSE_ROWS)):
+        if min(map(len, batch)) < width:
+            batch = [_normalize_row(row, width) for row in batch if row]
+            if not batch:
+                continue
+        if keep is None:        # zip() stops at the header width
+            for column, values in zip(cells, zip(*batch)):
+                column.extend(values)
         else:
-            for position, column_index in enumerate(keep):
-                cells[position].append(row[column_index])
+            for column, index in zip(cells, keep):
+                column.extend(map(itemgetter(index), batch))
 
     overrides = dtypes or {}
     columns = []
     for name, raw_values in zip(names, cells):
         # Inference is paid only by a column nobody named a dtype for: a
         # chunk parse, handed the scan's complete map, infers nothing.
-        dtype = overrides[name] if name in overrides \
-            else infer_dtype(raw_values)
-        if dtype is DType.STRING:
-            # Emit dictionary codes directly at parse time: one pass over
-            # the chunk's distinct cells replaces every later per-row loop,
-            # and the chunk travels (cache, sidecar, worker payloads) as
-            # int32 codes plus its per-chunk dictionary.
-            codes, dictionary, mask = encode_cells(raw_values)
-            columns.append(Column.from_codes(name, codes, dictionary, mask))
-            continue
-        data, mask = coerce_values(raw_values, dtype, lenient=lenient)
-        columns.append(Column(name, data, dtype, mask))
+        # A STRING column stays dictionary codes: the chunk travels (cache,
+        # sidecar, worker payloads) as int32 codes plus its dictionary.
+        dtype, data, mask, codes, dictionary = decode_cells(
+            raw_values, overrides.get(name), lenient)
+        columns.append(Column(name, data, dtype, mask) if codes is None
+                       else Column.from_codes(name, codes, dictionary, mask))
     return DataFrame(columns)
 
 
@@ -290,6 +291,14 @@ def _format_cell(value: Any) -> str:
 # --------------------------------------------------------------------------- #
 # Streaming scan
 # --------------------------------------------------------------------------- #
+def _csv_failure(context: str, error: csv.Error) -> FrameError:
+    """*error* as a FrameError; a record that ran on past a ``\\r`` says why."""
+    hint = ("; scan_csv splits records on '\\n' only, so a bare '\\r' record "
+            "separator defeats it — read the file with repro.read_csv instead"
+            if "new-line character seen in unquoted field" in str(error) else "")
+    return FrameError(f"{context}: {error}{hint}")
+
+
 def _read_header(path: str, delimiter: str) -> Tuple[List[str], int]:
     """The header's column names and the byte offset of the first record.
 
@@ -305,8 +314,12 @@ def _read_header(path: str, delimiter: str) -> Tuple[List[str], int]:
             quotes += line.count(b'"')
             if quotes % 2 == 0:
                 break
-        rows = list(csv.reader(io.StringIO(b"".join(lines).decode("utf-8-sig")),
-                               delimiter=delimiter))
+        text = io.StringIO(b"".join(lines).decode("utf-8-sig"))
+        try:
+            rows = list(csv.reader(text, delimiter=delimiter))
+        except csv.Error as error:
+            raise _csv_failure(f"cannot read the CSV header of {path!r}",
+                               error) from error
         columns = [name.strip() for name in rows[0]] if rows else []
         return columns, handle.tell()
 
@@ -509,9 +522,14 @@ def parse_csv_range(path: Union[str, os.PathLike], byte_start: int,
     with open(path, "rb") as handle:
         handle.seek(byte_start)
         payload = handle.read(byte_stop - byte_start)
-    return read_csv(io.StringIO(payload.decode("utf-8")), delimiter=delimiter,
-                    has_header=False, column_names=list(column_names),
-                    dtypes=dtypes, lenient=True, usecols=usecols)
+    try:
+        return read_csv(io.StringIO(payload.decode("utf-8")),
+                        delimiter=delimiter, has_header=False,
+                        column_names=list(column_names), dtypes=dtypes,
+                        lenient=True, usecols=usecols)
+    except csv.Error as error:
+        raise _csv_failure(f"cannot parse the CSV chunk at bytes [{byte_start}, "
+                           f"{byte_stop}) of {path!r}", error) from error
 
 
 def _read_csv_slice(path: str, byte_start: int, byte_stop: int,

@@ -20,6 +20,17 @@ class TestConstruction:
         assert column.dtype is DType.FLOAT
         assert column.missing_count() == 1
 
+    def test_object_array_decodes_its_cells(self):
+        column = Column("x", np.array(["b", "NA", "a"], dtype=object))
+        assert column.dtype is DType.STRING
+        assert column.to_list() == ["b", None, "a"]
+        assert column.dictionary.tolist() == ["a", "b"]
+
+    @pytest.mark.parametrize("dtype", [float, object])
+    def test_2d_array_is_rejected(self, dtype):
+        with pytest.raises(DTypeError, match="one-dimensional"):
+            Column("x", np.empty((2, 2), dtype=dtype))
+
     def test_explicit_dtype(self):
         column = Column("x", ["1", "2"], dtype=DType.STRING)
         assert column.to_list() == ["1", "2"]

@@ -1,8 +1,8 @@
 """CSV cell decode: the batch paths denote what the per-scalar reference does.
 
-``infer_dtype`` / ``coerce_values`` / ``encode_cells`` guess that a column
-parses in C, verify, and otherwise fall back to one cell at a time.  A fast
-path is a rewriting of the scalar definition and must give the same answers,
+``decode_cells`` (behind ``coerce_values`` / ``encode_cells``) parses a
+column in C when it can and otherwise falls back to one cell at a time.  A
+fast path is a rewriting of the scalar definition and must give the same answers,
 so every property here draws a column of text cells and asserts, against the
 naive reference in ``tests/naive_reference.py``, an equal inferred dtype and —
 under every dtype, strict and lenient — bitwise-equal data (NaN sign and
@@ -33,6 +33,7 @@ from repro.frame.dtypes import (
     DATETIME_FORMATS,
     DType,
     coerce_values,
+    decode_cells,
     encode_cells,
     encode_string_codes,
     infer_dtype,
@@ -191,6 +192,51 @@ def test_string_encoding_matches_the_reference(cells):
         assert actual_mask.tolist() == mask
 
 
+@given(columns(), st.one_of(st.none(), st.sampled_from(list(DType))),
+       st.booleans())
+@example(["+nan", "NaN", " na "], None, False)
+@example(["+nan", "1.5", ""], DType.FLOAT, False)
+@example(["1", "9223372036854775808", "NA"], None, False)  # widens to FLOAT
+@example(["1", "9223372036854775808"], DType.INT, True)
+@example(["0000-01-01", "2021-01-06", ""], None, False)   # numpy only
+@example(["0000-01-01", "2021-01-06"], DType.DATETIME, True)
+@example(["yes", "No", " ? "], None, False)
+@example(["1", "0", "NULL"], None, False)         # numbers before bools
+@example(["1", "true"], DType.INT, False)
+@example(["", " NA", "nan"], None, False)         # all missing: FLOAT
+@example(["1", " nan "], None, False)     # a padded "nan" is missing: INT
+@example(["1", " NA", "2"], DType.INT, False)     # a padded token
+@example(["1.5", " nan", "+nan"], DType.FLOAT, False)
+@example(["2021-01-01", "NA ", ""], None, False)
+@example(["1", "nUlL", "MISSING", "N/a"], None, False)   # no whitespace, ASCII
+@example(["1", "None", "\u00b5"], None, False)        # non-ASCII text
+def test_decode_cells_is_inference_then_coercion(cells, dtype, lenient):
+    """The fused routine: the reference's inference (when no dtype is
+    given) followed by its coercion, as ``(dtype, data, mask, codes,
+    dictionary)``."""
+    expected_dtype = naive.decode_infer(cells) if dtype is None else dtype
+    expected = _outcome(naive.decode_column, cells, expected_dtype, lenient)
+    actual = _outcome(decode_cells, cells, dtype, lenient)
+    if isinstance(expected, type):
+        assert actual is expected
+        return
+    assert not isinstance(actual, type), actual
+    values, mask = expected
+    assert actual.dtype is expected_dtype
+    assert actual.mask.dtype == np.bool_ and actual.mask.tolist() == mask
+    if expected_dtype is DType.STRING:
+        codes, dictionary = naive.decode_dictionary(values, mask)
+        assert actual.data is None
+        assert actual.codes.dtype == np.int32
+        assert actual.codes.tolist() == codes
+        assert actual.dictionary.dtype == object
+        assert actual.dictionary.tolist() == dictionary
+    else:
+        assert actual.codes is None and actual.dictionary is None
+        assert actual.data.dtype == expected_dtype.numpy_dtype()
+        assert _bits(actual.data) == _bits(_stored(expected_dtype, values))
+
+
 @given(columns(), st.integers(0, 24))
 def test_a_cell_does_not_depend_on_its_chunk(cells, cut):
     """Bit-identical across chunkings: coercing two row ranges apart equals
@@ -252,6 +298,9 @@ class TestBatchPathsAreTakenAndRefused:
         (["2021-01-01", "2021-01-01 10:00:00", "?"], DType.DATETIME),
         (["2021-01-01T10:00:00"] * 3, DType.DATETIME),
         (["a", "", "b"], DType.STRING),
+        (["1", " NA", ""], DType.INT),           # a padded token
+        (["1.5", " nan", "2"], DType.FLOAT),
+        (["2021-01-01", "? ", "NULL"], DType.DATETIME),
     ])
     def test_clean_columns_never_reach_the_scalar_coercion(
             self, scalar_calls, cells, dtype):

@@ -1,7 +1,10 @@
 """Tests for CSV input/output."""
 
+import csv
 import io
 
+import naive_reference as naive
+import numpy as np
 import pytest
 
 from repro.errors import FrameError
@@ -207,14 +210,17 @@ class TestDecodePaysOnlyForWhatItReturns:
 
     @pytest.fixture
     def inferred(self, monkeypatch):
-        """The columns ``infer_dtype`` was asked about, as cell lists."""
+        """The columns ``decode_cells`` was asked to infer a dtype for, as
+        cell lists."""
         from repro.frame import io as io_module
+        original = io_module.decode_cells
         calls = []
 
-        def counted(values):
-            calls.append(list(values))
-            return DType.STRING
-        monkeypatch.setattr(io_module, "infer_dtype", counted)
+        def counted(values, dtype=None, lenient=False):
+            if dtype is None:
+                calls.append(list(values))
+            return original(values, dtype, lenient)
+        monkeypatch.setattr(io_module, "decode_cells", counted)
         return calls
 
     @pytest.fixture
@@ -281,3 +287,102 @@ class TestDecodePaysOnlyForWhatItReturns:
         # Files 2..N are handed file 1's complete map: nothing to infer.
         assert len(inferred) == 3
         assert scan.n_rows == 120
+
+
+class TestRowsAroundTheTransposeBatch:
+    """Blank, short and long rows at and around the transpose batch size
+    and the scan's inference window decode like the per-cell reference;
+    blank rows count toward ``max_rows``."""
+
+    NAMES = ["i", "f", "s", "when"]
+    INFERENCE_ROWS = 1500
+
+    def _rows(self):
+        from repro.frame.io import TRANSPOSE_ROWS as seam
+        window = self.INFERENCE_ROWS
+        count = max(2 * seam, window) + 50
+        odd = {0: "short", seam - 2: "long", seam - 1: "blank",
+               seam: "short", seam + 1: "blank", 2 * seam - 1: "short",
+               2 * seam: "long", window - 2: "blank", window - 1: "blank",
+               window: "float", window + 1: "short", count - 1: "blank"}
+        rows = []
+        for number in range(count):
+            row = [str(number), f"{number}.25", f"s{number % 7}",
+                   f"2021-01-{number % 28 + 1:02d} 10:00:00"]
+            kind = odd.get(number)
+            if kind == "blank":
+                row = []
+            elif kind == "short":
+                row = row[:1 + number % 2]
+            elif kind == "long":
+                row += ["extra", ""]
+            elif kind == "float":
+                row[0] = "2.5"              # first row past the window
+            rows.append(row)
+        return rows
+
+    def _expected(self, rows, max_rows=None, dtypes=None):
+        columns = naive.decode_rows(rows, len(self.NAMES), max_rows)
+        expected = {}
+        for name, cells in zip(self.NAMES, columns):
+            dtype = dtypes[name] if dtypes else naive.decode_infer(cells)
+            expected[name] = (dtype, *naive.decode_column(
+                cells, dtype, lenient=dtypes is not None))
+        return expected
+
+    def _assert_decodes(self, frame, expected):
+        assert frame.columns == self.NAMES
+        for name, (dtype, values, mask) in expected.items():
+            column = frame.column(name)
+            assert column.dtype is dtype
+            assert column.mask.tolist() == mask
+            if dtype is DType.STRING:
+                codes, dictionary = naive.decode_dictionary(values, mask)
+                assert column.codes.tolist() == codes
+                assert column.dictionary.tolist() == dictionary
+            else:                          # bits: NaN == NaN here
+                stored = np.array(values, dtype=np.int64 if dtype is
+                                  DType.DATETIME else dtype.numpy_dtype())
+                assert column.data.tobytes() == stored.tobytes()
+
+    def test_every_reader_decodes_like_the_reference(self, tmp_path):
+        from repro.frame.io import scan_csv
+        rows = self._rows()
+        path = str(tmp_path / "seams.csv")
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(self.NAMES)
+            writer.writerows(rows)
+        whole = self._expected(rows)
+        assert whole["i"][0] is DType.FLOAT
+        self._assert_decodes(read_csv(path), whole)
+        window = self._expected(rows, max_rows=self.INFERENCE_ROWS)
+        assert window["i"][0] is DType.INT     # the blank rows are counted
+        for chunk_rows in (1, 700):
+            scan = scan_csv(path, chunk_rows=chunk_rows,
+                            inference_rows=self.INFERENCE_ROWS)
+            self._assert_decodes(scan.preview, window)
+            self._assert_decodes(scan.to_frame(), self._expected(
+                rows, dtypes={name: dtype for name, (dtype, _, _)
+                              in window.items()}))
+
+    def test_a_parse_leaves_the_garbage_collector_alone(self):
+        """The rows of one batch never fill the collector's first
+        generation, so a parse starts no collection: a full collection it
+        provoked would land in whatever call came next."""
+        import gc
+        text = "a,b,c\n" + "".join(f"{n},{n / 4},s{n % 9}\n"
+                                    for n in range(5000))
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            read_csv(io.StringIO(text))
+        finally:
+            gc.callbacks.remove(count)
+        assert started == []

@@ -198,6 +198,32 @@ def test_scan_detects_non_rfc_quoting_instead_of_skewing_stats(tmp_path):
         scan.to_frame()
 
 
+@pytest.mark.parametrize("payload, chunk, cause", [
+    (b"a,b\r1,x\r2,y\r3,z\r", False, "bare"),    # every record
+    (b"a,b\n1,x\n2,y\rq\n3,z\n", True, "bare"),    # one, inside a chunk
+    # A field over csv.field_size_limit(), past the preview rows, fails
+    # its chunk for its own reason: no word about a bare '\r'.
+    (b"a,b\n1,x\n2,y\n3," + b"q" * 200_000 + b"\n", True, "field limit"),
+])
+def test_scan_rejects_a_bare_carriage_return_naming_the_file(
+        tmp_path, payload, chunk, cause):
+    """``read_csv`` splits records on a bare ``\\r``; the scan splits on
+    ``\\n`` only, so it must raise a FrameError naming the file (and the
+    chunk's byte range), never a raw ``csv.Error``.  Only a record that ran
+    on past a ``\\r`` blames the ``\\r``."""
+    from repro.errors import FrameError
+    path = tmp_path / "cr.csv"
+    path.write_bytes(payload)
+    if cause == "bare":
+        assert len(read_csv(str(path))) >= 3
+    with pytest.raises(FrameError, match="cr.csv") as raised:
+        scan_csv(str(path), chunk_rows=2, inference_rows=2).to_frame()
+    message = str(raised.value)
+    assert ("bytes [" in message) is chunk
+    assert cause in message
+    assert ("bare '\\r' record separator" in message) is (cause == "bare")
+
+
 def test_default_config_streaming_call_never_rescans_layout(tmp_path):
     """With no memory.* overrides, EDA calls must trust the scan's own
     chunking — no second full-file layout pass, cold or warm."""

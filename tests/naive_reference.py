@@ -359,3 +359,21 @@ def decode_dictionary(values: Sequence[str], mask: Sequence[bool]
                          if not missing})
     return [-1 if missing else dictionary.index(value)
             for value, missing in zip(values, mask)], dictionary
+
+
+def decode_rows(rows: Sequence[Sequence[str]], width: int,
+                max_rows: Optional[int] = None) -> List[List[str]]:
+    """Tokenised CSV rows to per-column cell lists, one cell at a time.
+
+    The first *max_rows* rows are read, blank ones included; a blank row is
+    then skipped, a short row padded with ``""`` and a long one truncated.
+    """
+    columns: List[List[str]] = [[] for _ in range(width)]
+    for number, row in enumerate(rows):
+        if max_rows is not None and number >= max_rows:
+            break
+        if not row:
+            continue
+        for index in range(width):
+            columns[index].append(row[index] if index < len(row) else "")
+    return columns
