@@ -12,7 +12,10 @@ baseline's *cost structure* rather than its exact code:
 * the Interactions section renders a scatter for every pair of numerical
   columns from the full data;
 * the Correlations section computes Pearson, Spearman and Kendall tau on the
-  full dataset (DataPrep.EDA samples Kendall), each with its own pass;
+  full dataset (DataPrep.EDA samples Kendall), each with its own pass, and
+  Kendall's tau — like Pandas' ``DataFrame.corr("kendall")`` — with one
+  ``scipy.stats.kendalltau`` call per column pair, not the library's batched
+  kernel, so the baseline stays as slow as the tool it models;
 * everything runs eagerly on a single thread — no task graph, no sharing, no
   parallelism.
 
@@ -29,12 +32,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
+from scipy.stats import kendalltau
 
 from repro.errors import EDAError
 from repro.frame.column import Column
 from repro.frame.frame import DataFrame
 from repro.stats.association import missing_spectrum, nullity_correlation, nullity_dendrogram
-from repro.stats.correlation import kendall_tau_matrix, pearson_matrix, spearman_matrix
+from repro.stats.correlation import pearson_matrix, spearman_matrix
 from repro.stats.histogram import compute_histogram
 
 
@@ -267,9 +271,20 @@ def _correlations_section(df: DataFrame,
     kendall_input = matrix
     if kendall_max_rows is not None and matrix.shape[0] > kendall_max_rows:
         kendall_input = matrix[:kendall_max_rows]
-    correlations["kendall"] = kendall_tau_matrix(
-        kendall_input, max_rows=kendall_input.shape[0] or 1).tolist()
+    correlations["kendall"] = _pairwise_kendall(kendall_input).tolist()
     return correlations
+
+
+def _pairwise_kendall(matrix: np.ndarray) -> np.ndarray:
+    """Kendall's tau-b as ``DataFrame.corr("kendall")`` gets it: one
+    ``scipy.stats.kendalltau`` per pair, on its jointly finite rows."""
+    result = np.eye(matrix.shape[1])
+    for i, j in zip(*np.triu_indices(matrix.shape[1], 1)):
+        both = np.isfinite(matrix[:, i]) & np.isfinite(matrix[:, j])
+        result[i, j] = result[j, i] = (
+            kendalltau(matrix[both, i], matrix[both, j])[0]
+            if both.sum() >= 2 else np.nan)
+    return result
 
 
 def _missing_section(df: DataFrame) -> Dict[str, Any]:

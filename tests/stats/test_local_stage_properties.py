@@ -1,15 +1,17 @@
 """The array-native local-stage kernels against their plain-list oracles.
 
 ``CategoricalSummary`` (sorted ``labels`` + ``counts`` arrays), the rank-once
-``spearman_matrix`` and the group-refinement ``duplicate_row_count`` each
-replaced a per-value / per-pair / whole-table formulation.  Everything here
-pins them to ``tests/naive_reference.py`` (lists, Counter, no numpy) and, for
-Spearman, bit for bit to the per-pair ``rankdata`` loop it replaced.
+``spearman_matrix``, the batched ``kendall_tau_matrix`` and the
+group-refinement ``duplicate_row_count`` each replaced a per-value / per-pair
+/ whole-table formulation.  Everything here pins them to
+``tests/naive_reference.py`` (lists, Counter, no numpy) and, for the rank
+correlations, bit for bit to the per-pair scipy loops they replaced.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timedelta
 
@@ -22,6 +24,7 @@ from scipy import stats as scipy_stats
 
 from repro.frame import Column, DataFrame, DType
 from repro.stats.correlation import (
+    _KENDALL_BATCH_ELEMENTS,
     _pearson_of,
     kendall_tau_matrix,
     spearman_matrix,
@@ -65,6 +68,23 @@ def _per_pair_rankdata_spearman(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
+def _per_pair_kendalltau(matrix: np.ndarray) -> np.ndarray:
+    """The formulation ``kendall_tau_matrix`` replaced (and Pandas'
+    ``corr("kendall")``): one ``scipy.stats.kendalltau`` per pair under the
+    pair's joint mask."""
+    n_columns = matrix.shape[1]
+    result = np.eye(n_columns)
+    for i in range(n_columns):
+        for j in range(i + 1, n_columns):
+            both = np.isfinite(matrix[:, i]) & np.isfinite(matrix[:, j])
+            value = np.nan
+            if both.sum() >= 2:
+                value = scipy_stats.kendalltau(matrix[both, i],
+                                               matrix[both, j])[0]
+            result[i, j] = result[j, i] = value
+    return result
+
+
 def _assert_matches_pairwise(matrix, ours, oracle):
     columns = [matrix[:, index].tolist() for index in range(matrix.shape[1])]
     for i, first in enumerate(columns):
@@ -98,6 +118,55 @@ def test_spearman_is_bit_identical_on_continuous_data_with_gaps():
     matrix[rng.random(matrix.shape) < 0.01] = np.inf
     assert np.array_equal(spearman_matrix(matrix),
                           _per_pair_rankdata_spearman(matrix), equal_nan=True)
+
+
+def _kendall_input(n_rows: int, n_columns: int, seed: int) -> np.ndarray:
+    """Continuous, correlated, heavily tied, three-valued and constant
+    columns, each missing different rows, with ±inf and one column that is
+    missing everywhere."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(0.0, 3.0, (n_rows, n_columns))
+    matrix[:, 1::5] = np.round(matrix[:, 1::5])
+    matrix[:, 2::5] += matrix[:, :1]
+    matrix[:, 3::5] = rng.integers(0, 3, (n_rows, 1))
+    matrix[:, 4::5] = 1.0
+    matrix[rng.random(matrix.shape) < 0.1] = np.nan
+    matrix[rng.random(matrix.shape) < 0.01] = np.inf
+    matrix[rng.random(matrix.shape) < 0.01] = -np.inf
+    matrix[:, -1] = np.nan
+    return matrix
+
+
+# The padding (multiples of 8, powers of two) and rank-dtype (int16 up to
+# 16383 rows) boundaries of the batched kernel.
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 8, 9, 8191, 8192, 8193,
+                                    16383, 16384, 20000])
+def test_kendall_is_bit_identical_to_per_pair_kendalltau(n_rows):
+    matrix = _kendall_input(n_rows, 6, seed=n_rows)
+    assert np.array_equal(kendall_tau_matrix(matrix, max_rows=n_rows + 1),
+                          _per_pair_kendalltau(matrix), equal_nan=True)
+
+
+def test_kendall_is_bit_identical_across_pair_batches():
+    matrix = _kendall_input(2000, 40, seed=40)
+    assert 40 * 39 // 2 > 5 * (_KENDALL_BATCH_ELEMENTS // 2000)
+    assert np.array_equal(kendall_tau_matrix(matrix),
+                          _per_pair_kendalltau(matrix), equal_nan=True)
+
+
+def test_kendall_working_set_is_bounded_by_the_batch_not_the_columns():
+    def peak_bytes(n_columns: int) -> int:
+        matrix = _kendall_input(10_000, n_columns, seed=n_columns)
+        tracemalloc.start()
+        try:
+            kendall_tau_matrix(matrix)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    narrow = peak_bytes(9)
+    assert narrow <= 4 * 2 ** 20
+    assert peak_bytes(40) <= narrow + 2 ** 20
 
 
 # --------------------------------------------------------------------------- #
