@@ -86,14 +86,6 @@ def _correlation_methods(key: str, value: Any) -> Tuple[str, ...]:
     return methods
 
 
-def _aggregation(key: str, value: Any) -> str:
-    from repro.frame.ops import AGGREGATIONS
-    if value not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {value!r}; expected one of "
-                          f"{sorted(AGGREGATIONS)}", key=key)
-    return value
-
-
 def _bind_address(key: str, value: Any) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"config key {key!r} expects a 'host:port' "
@@ -126,7 +118,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "hist.auto_bins": (False, _boolean),
     # Kernel density estimate plot
     "kde.grid_points": (200, _positive_int),
-    "kde.bins": (256, _positive_int),
     # Normal Q-Q plot
     "qq.points": (100, _positive_int),
     # Box plot
@@ -134,7 +125,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "box.max_groups": (10, _positive_int),
     # Bar / pie chart for categorical columns
     "bar.top_words": (10, _positive_int),
-    "bar.sort_descending": (True, _boolean),
     "pie.slices": (6, _positive_int),
     # Word statistics for categorical columns
     "wordfreq.top_words": (10, _positive_int),
@@ -143,14 +133,13 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     "scatter.sample_size": (1000, _positive_int),
     "hexbin.gridsize": (20, _positive_int),
     "binnedbox.bins": (10, _positive_int),
-    # Nested / stacked bar charts and heat map for two categorical columns
+    # Nested and stacked bar charts (one shared bound) and heat map for two
+    # categorical columns
     "nested.max_categories": (10, _positive_int),
-    "stacked.max_categories": (10, _positive_int),
     "heatmap.max_categories": (20, _positive_int),
     # Multi-line chart for categorical-numerical bivariate analysis
     "line.max_groups": (10, _positive_int),
     "line.bins": (20, _positive_int),
-    "line.aggregate": ("mean", _aggregation),
     # Correlation analysis
     "correlation.methods": (("pearson", "spearman", "kendall"), _correlation_methods),
     "correlation.kendall_max_rows": (10000, _positive_int),
@@ -159,7 +148,6 @@ _KEYS: Dict[str, Tuple[Any, Optional[Callable[[str, Any], Any]]]] = {
     # Missing-value analysis
     "missing.spectrum_bins": (32, _positive_int),
     "missing.bins": (30, _positive_int),
-    "missing.quantiles": (100, _positive_int),
     # Insight thresholds (Section 4.2.2: each insight has its own threshold)
     "insight.missing.threshold": (0.1, _rate),
     "insight.duplicates.threshold": (0.05, _rate),

@@ -17,26 +17,26 @@ from repro.eda.config import DEFAULTS
 #: visualization name -> config keys that customize it.
 GUIDE_KEYS: Dict[str, List[str]] = {
     "histogram": ["hist.bins", "hist.auto_bins"],
-    "kde_plot": ["kde.grid_points", "kde.bins"],
+    "kde_plot": ["kde.grid_points"],
     "qq_plot": ["qq.points"],
     "box_plot": ["box.whisker", "box.max_groups"],
-    "bar_chart": ["bar.top_words", "bar.sort_descending"],
+    "bar_chart": ["bar.top_words"],
     "pie_chart": ["pie.slices"],
     "word_frequencies": ["wordfreq.top_words", "wordfreq.lowercase"],
     "scatter_plot": ["scatter.sample_size"],
     "hexbin_plot": ["hexbin.gridsize"],
     "binned_box_plot": ["binnedbox.bins"],
     "nested_bar_chart": ["nested.max_categories"],
-    "stacked_bar_chart": ["stacked.max_categories"],
+    "stacked_bar_chart": ["nested.max_categories"],
     "heat_map": ["heatmap.max_categories"],
-    "multi_line_chart": ["line.max_groups", "line.bins", "line.aggregate"],
+    "multi_line_chart": ["line.max_groups", "line.bins"],
     "correlation_matrix": ["correlation.methods", "insight.correlation.threshold"],
     "correlation_scatter": ["correlation.scatter_sample_size"],
     "missing_bar_chart": ["insight.missing.threshold"],
     "missing_spectrum": ["missing.spectrum_bins"],
-    "nullity_correlation": ["insight.correlation.threshold"],
+    "nullity_correlation": [],
     "nullity_dendrogram": [],
-    "missing_impact": ["missing.bins", "missing.quantiles"],
+    "missing_impact": ["missing.bins"],
     "stats": ["insight.missing.threshold", "insight.skewness.threshold",
               "insight.high_cardinality.threshold"],
 }

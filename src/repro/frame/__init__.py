@@ -30,7 +30,6 @@ from repro.frame.io import (
     scan_csv,
     write_csv,
 )
-from repro.frame.ops import crosstab, groupby_aggregate, value_counts
 from repro.frame.predicate import (
     ColumnExpr,
     Conjunct,
@@ -48,7 +47,6 @@ from repro.frame.source import (
 )
 from repro.frame.zonemap import (
     ZoneMap,
-    build_zone_map,
     load_zone_entries,
     save_zone_entries,
     zone_map_from_stats,
@@ -69,21 +67,17 @@ __all__ = [
     "SourcePartition",
     "ZoneMap",
     "as_source",
-    "build_zone_map",
     "compile_predicate",
     "load_zone_entries",
     "refresh_input",
     "save_zone_entries",
     "zone_map_from_stats",
     "concat_rows",
-    "crosstab",
     "fingerprint_array",
     "fingerprint_column",
     "fingerprint_frame",
-    "groupby_aggregate",
     "infer_dtype",
     "read_csv",
     "scan_csv",
-    "value_counts",
     "write_csv",
 ]

@@ -138,8 +138,8 @@ def fingerprint_file_stamps(stamps: Iterable[Tuple]) -> str:
     """Fingerprint of on-disk inputs from per-file stamp tuples.
 
     Each stamp is ``(path, size, mtime_ns, *extra)`` where the optional
-    extra elements are integers — the CSV scans append a content CRC drawn
-    from their per-chunk probes, so even an in-place rewrite that preserves
+    extra elements are integers — the CSV scans append a content CRC folded
+    from their per-chunk stamps, so even an in-place rewrite that preserves
     both size and mtime_ns (an editor restoring timestamps, or appends
     inside one mtime resolution) still changes the fingerprint.
 

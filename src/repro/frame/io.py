@@ -61,6 +61,7 @@ from repro.frame.source import (
     _source_getitem,
 )
 from repro.frame.zonemap import (
+    ChunkStats,
     ZoneMap,
     chunk_column_stats,
     chunk_key,
@@ -99,13 +100,8 @@ PARSE_OVERHEAD_FACTOR = 12
 #: dominate the python/scheduler overhead.
 MIN_CHUNK_ROWS = 256
 
-#: Bytes CRC-probed at the head and at the tail of every chunk's byte range
-#: to form its content stamp.  Two probes per chunk keep stamping O(chunks)
-#: instead of O(bytes); the trust model (an interior edit that touches
-#: neither probe window goes unnoticed) is documented in
-#: ``docs/architecture.md`` and backstopped by the per-chunk
-#: ``expected_rows`` validation at parse time.
-CHUNK_PROBE_BYTES = 4096
+#: Bytes read per block while a chunk's byte range is CRC'd into its stamp.
+STAMP_BLOCK_BYTES = 1 << 20
 
 
 def read_csv(path_or_buffer: PathOrBuffer,
@@ -331,7 +327,7 @@ class CsvLayout:
     Built only by :func:`scan_layout`: a rechunk or a refresh produces a new
     layout and never edits this one.  Every chunk is a record-aligned byte
     range, so each parses on its own; ``boundaries`` are its rows within
-    this file.  ``chunk_stamps`` are the per-chunk ``(head_crc, tail_crc)``
+    this file.  ``chunk_stamps`` are the per-chunk ``(crc32, byte count)``
     content stamps, captured with the layout — not lazily — so a refresh
     compares today's bytes against what the layout was computed from;
     stamping after a mutation would trust the mutated prefix.  Chunk *i* is
@@ -360,16 +356,16 @@ class CsvLayout:
         return self.boundaries[-1][1]
 
     def content_crc(self) -> int:
-        """One CRC folding every chunk stamp — the file-level content probe.
+        """One CRC folding every chunk stamp — the file-level content check.
 
-        Changes whenever any chunk's head/tail probe changes, so the
-        fingerprint detects in-place rewrites even when they preserve both
-        size and mtime_ns (the stamp-granularity hazard: editors restoring
+        Changes whenever any chunk's bytes change, so the fingerprint
+        detects in-place rewrites even when they preserve both size and
+        mtime_ns (the stamp-granularity hazard: editors restoring
         timestamps, appends within one mtime resolution).
         """
         crc = 0
-        for head, tail in self.chunk_stamps:
-            crc = zlib.crc32(f"{head}:{tail};".encode(), crc)
+        for chunk_crc, length in self.chunk_stamps:
+            crc = zlib.crc32(f"{chunk_crc}:{length};".encode(), crc)
         return crc
 
     def row_cost(self) -> int:
@@ -385,8 +381,8 @@ class CsvLayout:
         Trusted only when the layout holds records and ended cleanly — no
         open quote at EOF and a record-terminating newline as the last
         scanned byte, so appended bytes start a fresh record — and every
-        chunk's head/tail CRC probe still matches, so a mutated-then-grown
-        prefix rescans instead of extending over a stale layout.
+        chunk's CRC still matches, so a mutated-then-grown prefix rescans
+        instead of extending over a stale layout.
         """
         if not self.n_rows or not self.clean_eof:
             return False
@@ -462,30 +458,30 @@ def scan_layout(path: str, chunk_rows: int, start: int,
 def compute_chunk_stamps(path: Union[str, os.PathLike],
                          byte_ranges: Sequence[Tuple[int, int]]
                          ) -> List[Tuple[int, int]]:
-    """``(head_crc, tail_crc)`` content stamp of every chunk byte range.
+    """``(crc32, byte count)`` content stamp of every chunk byte range.
 
-    Each stamp CRC32s the first and last :data:`CHUNK_PROBE_BYTES` of the
-    chunk's byte range (the whole range when it is smaller), so it is
-    computable in O(chunks) regardless of file size.  These stamps replace
-    the whole-file ``(size, mtime_ns)`` stamp in chunk-level cache keys:
-    appending to a file leaves every old chunk's bytes — and therefore its
-    stamp, its cross-call cache key, its zone-map entry and its binary
-    sidecar — untouched, while a mutated prefix fails the CRC probes and
+    Each stamp CRC32s every byte of the chunk's range, read in blocks of
+    :data:`STAMP_BLOCK_BYTES`.  These stamps replace the whole-file
+    ``(size, mtime_ns)`` stamp in chunk-level cache keys: appending to a
+    file leaves every old chunk's bytes — and therefore its stamp, its
+    cross-call cache key, its zone-map entry and its binary sidecar —
+    untouched, while an edit anywhere in a chunk changes its CRC and
     invalidates exactly the chunks it touched.
     """
     stamps: List[Tuple[int, int]] = []
     with open(path, "rb") as handle:
         for start, stop in byte_ranges:
-            span = max(0, int(stop) - int(start))
-            probe = min(span, CHUNK_PROBE_BYTES)
             handle.seek(int(start))
-            head = handle.read(probe)
-            if span > probe:
-                handle.seek(int(stop) - probe)
-                tail = handle.read(probe)
-            else:
-                tail = head
-            stamps.append((zlib.crc32(head), zlib.crc32(tail)))
+            remaining = max(0, int(stop) - int(start))
+            crc = length = 0
+            while remaining:
+                block = handle.read(min(remaining, STAMP_BLOCK_BYTES))
+                if not block:
+                    break
+                crc = zlib.crc32(block, crc)
+                length += len(block)
+                remaining -= len(block)
+            stamps.append((crc, length))
     return stamps
 
 
@@ -543,12 +539,11 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
                     ) -> DataFrame:
     """Parse one byte range of a CSV file into a DataFrame partition.
 
-    *file_stamp* is the chunk's content stamp — the ``(head_crc, tail_crc)``
-    probe pair captured at scan time (see
-    :func:`compute_chunk_stamps`).  It is not parsed here —
-    it exists so the task's cross-call cache key changes when the chunk's
-    bytes change, even with identical byte boundaries, while *surviving*
-    file growth: an append leaves the old chunks' byte ranges and probes
+    *file_stamp* is the chunk's content stamp — the ``(crc32, byte count)``
+    pair captured at scan time (see :func:`compute_chunk_stamps`).  It is
+    not parsed here — it exists so the task's cross-call cache key changes
+    when the chunk's bytes change, even with identical byte boundaries,
+    while *surviving* file growth: an append leaves the old chunks' bytes
     untouched, so their cache keys (and any tree-combine ancestors built
     purely from them) stay warm and a refresh re-executes only the new
     chunks.  The binary chunk sidecar validates the same opaque pair.
@@ -728,7 +723,7 @@ class CsvSource:
 
     @property
     def chunk_stamps(self) -> List[Tuple[int, int]]:
-        """Per-chunk ``(head_crc, tail_crc)`` content stamps (see
+        """Per-chunk ``(crc32, byte count)`` content stamps (see
         :class:`CsvLayout`)."""
         return [stamp for layout in self._layouts
                 for stamp in layout.chunk_stamps]
@@ -755,7 +750,7 @@ class CsvSource:
 
         Stable across processes while the files are unchanged, so
         cross-call cache keys survive re-scanning.  The content CRC folds
-        every per-chunk probe, so a same-size same-mtime rewrite still
+        every chunk stamp, so a same-size same-mtime rewrite still
         changes the fingerprint.
         """
         return fingerprint_file_stamps(
@@ -787,18 +782,18 @@ class CsvSource:
         """The per-chunk zone map of file *file*, building it if needed.
 
         The sidecar holds one entry per chunk byte range, each keyed by
-        that chunk's ``(head_crc, tail_crc)`` content stamp
+        that chunk's ``(crc32, byte count)`` content stamp
         (:mod:`repro.frame.zonemap`): only chunks whose entry is missing or
-        whose stamp mismatches are parsed to compute their
-        min/max/null/distinct statistics, and only those entries are
-        written back.  After an append, the old chunks' entries survive
+        whose stamp mismatches are parsed to compute their min/max and
+        distinct-value statistics, and only those entries are written
+        back.  After an append, the old chunks' entries survive
         verbatim and the build pays for the new chunks alone; a mutated
         chunk rebuilds individually.  Memoized on this handle.
         """
         if file not in self._zone_maps:
             layout = self._layouts[file]
             entries = load_zone_entries(layout.path)
-            per_chunk: List[Dict[str, Tuple[Any, Any, int, int]]] = []
+            per_chunk: List[Dict[str, ChunkStats]] = []
             fresh: Dict[str, Dict[str, Any]] = {}
             for part, byte_range, stamp in zip(self._file_partitions(file),
                                                layout.byte_ranges,
@@ -811,8 +806,7 @@ class CsvSource:
                 per_chunk.append(stats)
             if fresh:
                 save_zone_entries(layout.path, fresh)
-            self._zone_maps[file] = zone_map_from_stats(
-                per_chunk, layout.file_stamp, layout.chunk_rows)
+            self._zone_maps[file] = zone_map_from_stats(per_chunk)
         return self._zone_maps[file]
 
     # ------------------------------------------------------------------ #
@@ -822,8 +816,8 @@ class CsvSource:
                          offset: int = 0) -> List[SourcePartition]:
         """The parse tasks of file *file*'s chunks, at global *offset* rows.
 
-        Each task carries its chunk's *own* content stamp (the head/tail
-        CRC probe pair) instead of a whole-file stamp: appending to the
+        Each task carries its chunk's *own* content stamp (its CRC and
+        byte count) instead of a whole-file stamp: appending to the
         file leaves the old chunks' args — and therefore their cross-call
         cache keys — byte-identical, which is what lets a refresh reuse
         every already-sketched chunk and execute only the appended ones.
@@ -995,7 +989,8 @@ class CsvSource:
         (the user's overrides for the first file, the pinned map for the
         others), and a changed dtype map means a rescan — the chunks would
         disagree on storage types.  Otherwise the old preview stands and
-        the refresh reads only the appended tail plus the CRC probes.
+        the refresh reads the old chunks once, to check their CRCs, and
+        layout-scans only the appended tail.
         """
         settings = self._settings
         if stamp[0] <= layout.file_stamp[0] or not layout.appendable():

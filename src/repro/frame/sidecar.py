@@ -10,14 +10,14 @@ compact binary file next to the CSV (``<file>.chunks/``) so any later scan
 arrays directly and decodes zero CSV bytes.
 
 Keying mirrors the zone-map sidecar (:mod:`repro.frame.zonemap`): a chunk
-file answers only for the exact content stamp — the chunk's per-range
-``(head_crc, tail_crc)`` probe pair from
+file answers only for the exact content stamp — the CRC32 and byte count
+of the chunk's whole byte range, from
 :func:`repro.frame.io.compute_chunk_stamps` — byte range, delimiter and
 per-column dtypes it was written under, so an overwritten file can never
 serve stale rows.  The stamp is opaque two-int data to this module; keying
 per chunk rather than per file is what lets an *append* keep every old
-chunk's binary sidecar valid (their byte ranges and probes are untouched)
-while a mutated chunk fails its probe and re-parses.  Like zone maps, the
+chunk's binary sidecar valid (their bytes are untouched) while an edited
+chunk fails its stamp and re-parses.  Like zone maps, the
 sidecar is a cache, never a correctness requirement — every read or write
 failure degrades to "parse the CSV again".
 
@@ -28,13 +28,12 @@ On-disk format (version :data:`SIDECAR_VERSION`)::
 The header records the stamp, row count, delimiter and, per column, the
 dtype plus ``[payload-relative offset, byte length]`` of each buffer.
 Fixed-width columns (bool/int/float/datetime) store their raw array bytes
-and load zero-copy through ``numpy.memmap``.  Since format version 2,
-string columns store their dictionary encoding — an ``int32`` code array
-(``-1`` = missing, loaded zero-copy like the fixed-width dtypes) plus the
-dictionary as an ``int64`` offset array over a UTF-8 blob — so a
-low-cardinality string column costs 4 bytes per row on disk instead of its
-repeated text.  Version-1 files (per-row offset arrays) simply miss and
-re-parse.  Writes are atomic — a uniquely named temp file (pid + random suffix, so
+and load zero-copy through ``numpy.memmap``.  String columns store their
+dictionary encoding — an ``int32`` code array (``-1`` = missing, loaded
+zero-copy like the fixed-width dtypes) plus the dictionary as an ``int64``
+offset array over a UTF-8 blob — so a low-cardinality string column costs
+4 bytes per row on disk instead of its repeated text.  A file of another
+version simply misses and re-parses.  Writes are atomic — a uniquely named temp file (pid + random suffix, so
 concurrent writers never collide) is ``os.replace``\\d over the target —
 and a byte budget is enforced per chunk directory by evicting the
 least-recently-*read* files (atime LRU; every hit touches the file).
@@ -59,9 +58,7 @@ from repro.frame.frame import DataFrame
 MAGIC = b"RPCH"
 
 #: Chunk-file schema version; bump on incompatible format changes.
-#: Version 2 switched string columns to dictionary encoding (int32 codes +
-#: dictionary blob); v1 files fail the version check and re-parse once.
-SIDECAR_VERSION = 2
+SIDECAR_VERSION = 3
 
 #: Default per-directory byte budget (``cache.disk_bytes``).
 DEFAULT_DISK_BYTES = 512 * 1024 * 1024

@@ -1,11 +1,11 @@
 """Per-chunk zone maps: the statistics behind predicate chunk skipping.
 
 A *zone map* records, for every chunk of a chunked CSV scan and every
-column, the minimum, maximum, null count and a (bounded) distinct-value
-estimate of that chunk.  Given a pushdown predicate
-(:mod:`repro.frame.predicate`), the planner tests each conjunct against the
-chunk's min/max range and drops chunks that cannot possibly contain a
-matching row — before a single data byte of the chunk is read.
+column, the minimum and maximum of that chunk and, for a string column of
+bounded cardinality, its exact set of distinct values.  Given a pushdown
+predicate (:mod:`repro.frame.predicate`), the planner tests each conjunct
+against the chunk's min/max range and drops chunks that cannot possibly
+contain a matching row — before a single data byte of the chunk is read.
 
 Pruning is deliberately one-sided: a kept chunk may still contain zero
 matching rows (the residual per-chunk filter handles that), but a skipped
@@ -16,53 +16,52 @@ always skippable.
 
 Zone maps are persisted as a JSON *sidecar* next to the CSV
 (``<file>.zones.json``) holding one entry per chunk *byte range*, each
-validated by that chunk's ``(head_crc, tail_crc)`` content stamp
+validated by that chunk's ``(crc32, byte count)`` content stamp
 (:func:`repro.frame.io.compute_chunk_stamps`).  Appending to the CSV leaves
 the old chunks' byte ranges and stamps untouched, so their entries answer
 verbatim after a refresh and only the appended chunks parse to build their
-statistics; a mutated chunk fails its stamp probe and rebuilds
-individually.  Different chunk granularities coexist naturally — their byte
-ranges differ, so their entries occupy distinct keys.  Building a zone map
-costs one parse of the chunks that lack entries, so it happens lazily on
-the first *filtered* plan over a scan and is amortized across every later
-filtered call in any process.
+statistics; an edit anywhere inside a chunk changes its stamp, and that
+chunk alone rebuilds.  Different chunk granularities coexist naturally —
+their byte ranges differ, so their entries occupy distinct keys.  Building
+a zone map costs one parse of the chunks that lack entries, so it happens
+lazily on the first *filtered* plan over a scan and is amortized across
+every later filtered call in any process.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.frame.dtypes import DType, parse_datetime
 from repro.frame.sidecar import atomic_replace
 
-#: Distinct-value estimates saturate here; beyond this a chunk is simply
-#: "high cardinality" and the exact count stops being useful for planning.
+#: A string column's exact distinct set is kept only up to this many values;
+#: beyond it the chunk is "high cardinality" and prunes on min/max alone.
 DISTINCT_CAP = 256
 
-#: Sidecar schema version; bump on incompatible format changes.  Version 2
-#: replaced the whole-file-stamp grids with per-chunk byte-range entries so
-#: appends keep the old chunks' statistics warm.
-SIDECAR_VERSION = 2
+#: Sidecar schema version; bump on incompatible format changes.
+SIDECAR_VERSION = 3
 
 #: Per-column stat vectors, one entry per chunk.
 ColumnStats = Dict[str, List[Any]]
+
+#: One column's statistics in one chunk: ``(min, max, values)``.
+ChunkStats = Tuple[Any, Any, Optional[List[str]]]
 
 
 @dataclass
 class ZoneMap:
     """Chunk statistics for one file at one chunk granularity."""
 
-    stamp: Tuple[int, int]          # (st_size, st_mtime_ns) of the CSV
-    chunk_rows: int                 # granularity the chunks were cut at
     n_chunks: int
-    #: column name -> {"min": [...], "max": [...], "nulls": [...],
-    #: "distinct": [...], "values": [...]}, each list indexed by chunk.
-    #: ``values`` holds the chunk's exact distinct-value list for
-    #: dictionary-encoded string columns (None when unbounded/unknown).
+    #: column name -> {"min": [...], "max": [...], "values": [...]}, each
+    #: list indexed by chunk.  ``values`` holds the chunk's exact
+    #: distinct-value list for dictionary-encoded string columns (None when
+    #: unbounded/unknown).
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
 
     def chunk_may_match(self, index: int,
@@ -82,8 +81,7 @@ class ZoneMap:
                 # Every value in this chunk is missing; missing never
                 # matches any comparison, so no conjunct can hold.
                 return False
-            values_lists = stats.get("values")
-            chunk_values = values_lists[index] if values_lists else None
+            chunk_values = stats["values"][index]
             if chunk_values is not None and isinstance(value, str) and \
                     op == "==" and value not in chunk_values:
                 # Exact distinct set (dictionary-encoded string column):
@@ -172,59 +170,44 @@ def _decode_stat(value: Any) -> Any:
     return value
 
 
-def chunk_column_stats(frame: Any) -> Dict[str, Tuple[Any, ...]]:
-    """``(min, max, nulls, distinct[, values])`` per column of one chunk.
+def chunk_column_stats(frame: Any) -> Dict[str, ChunkStats]:
+    """``(min, max, values)`` per column of one chunk.
 
     ``min``/``max`` are None when the chunk has no present values for the
-    column; ``distinct`` saturates at :data:`DISTINCT_CAP`.  For
-    dictionary-encoded string columns whose distinct count fits the cap,
-    a fifth element lists the exact distinct values (sorted) — the
-    membership set behind string-equality chunk skipping; it is None
-    whenever the exact set is unknown or too large.
+    column.  For dictionary-encoded string columns with at most
+    :data:`DISTINCT_CAP` distinct values, ``values`` lists them exactly
+    (sorted) — the membership set behind string-equality chunk skipping;
+    it is None whenever the exact set is unknown or too large.
     """
-    stats: Dict[str, Tuple[Any, ...]] = {}
+    stats: Dict[str, ChunkStats] = {}
     for name in frame.columns:
         column = frame.column(name)
         present = column.notna()
-        nulls = int(len(column) - present.sum())
-        if nulls == len(column):
-            stats[name] = (None, None, nulls, 0, None)
+        if not present.any():
+            stats[name] = (None, None, None)
             continue
         if column.dtype is DType.STRING:
             used = np.unique(column.codes[present])
             dictionary = column.dictionary
-            distinct = int(used.size)
             values_set = [str(dictionary[code]) for code in used] \
-                if distinct <= DISTINCT_CAP else None
+                if used.size <= DISTINCT_CAP else None
             stats[name] = (str(dictionary[used[0]]),
-                           str(dictionary[used[-1]]),
-                           nulls, min(distinct, DISTINCT_CAP), values_set)
+                           str(dictionary[used[-1]]), values_set)
             continue
         values = column.to_numpy()[present]
-        stats[name] = (_scalar(values.min()), _scalar(values.max()), nulls,
-                       min(int(np.unique(values).size), DISTINCT_CAP), None)
+        stats[name] = (_scalar(values.min()), _scalar(values.max()), None)
     return stats
 
 
-def build_zone_map(chunks: Iterable[Any], stamp: Tuple[int, int],
-                   chunk_rows: int) -> ZoneMap:
-    """Build a :class:`ZoneMap` from an iterable of parsed chunk frames."""
-    return zone_map_from_stats([chunk_column_stats(frame) for frame in chunks],
-                               stamp, chunk_rows)
-
-
-def zone_map_from_stats(stats_list: Sequence[Dict[str, Tuple[Any, ...]]],
-                        stamp: Tuple[int, int],
-                        chunk_rows: int) -> ZoneMap:
+def zone_map_from_stats(stats_list: Sequence[Dict[str, ChunkStats]]
+                        ) -> ZoneMap:
     """Assemble a :class:`ZoneMap` from per-chunk statistics dictionaries.
 
     *stats_list* holds one :func:`chunk_column_stats`-shaped mapping per
     chunk, in chunk order — what the incremental build collects from a mix
-    of sidecar hits and fresh parses.  Entries may be 4-tuples (pre-distinct
-    -set sidecars) or 5-tuples; a missing value set just means no membership
-    pruning for that chunk.  Only columns present in *every* chunk's
-    statistics enter the map: a column with gaps cannot be safely indexed
-    per chunk, and dropping it merely disables pruning on it.
+    of sidecar hits and fresh parses.  Only columns present in *every*
+    chunk's statistics enter the map: a column with gaps cannot be safely
+    indexed per chunk, and dropping it merely disables pruning on it.
     """
     columns: Dict[str, ColumnStats] = {}
     shared: Optional[set] = None
@@ -233,19 +216,13 @@ def zone_map_from_stats(stats_list: Sequence[Dict[str, Tuple[Any, ...]]],
         shared = names if shared is None else (shared & names)
     for per_column in stats_list:
         for name in (shared or ()):
-            vmin, vmax, nulls, distinct = per_column[name][:4]
-            values = per_column[name][4] if len(per_column[name]) > 4 else None
+            vmin, vmax, values = per_column[name]
             entry = columns.setdefault(
-                name, {"min": [], "max": [], "nulls": [], "distinct": [],
-                       "values": []})
+                name, {"min": [], "max": [], "values": []})
             entry["min"].append(vmin)
             entry["max"].append(vmax)
-            entry["nulls"].append(nulls)
-            entry["distinct"].append(distinct)
             entry["values"].append(values)
-    return ZoneMap(stamp=(int(stamp[0]), int(stamp[1])),
-                   chunk_rows=int(chunk_rows), n_chunks=len(stats_list),
-                   columns=columns)
+    return ZoneMap(n_chunks=len(stats_list), columns=columns)
 
 
 # --------------------------------------------------------------------------- #
@@ -270,21 +247,18 @@ def chunk_key(byte_start: int, byte_stop: int) -> str:
     return f"{int(byte_start)}-{int(byte_stop)}"
 
 
-def encode_zone_entry(stats: Dict[str, Tuple[Any, ...]],
+def encode_zone_entry(stats: Dict[str, ChunkStats],
                       stamp: Tuple[int, int]) -> Dict[str, Any]:
     """JSON form of one chunk's statistics, guarded by its content stamp.
 
-    The distinct-value set, when present, is written as a fifth element —
-    a plain JSON list of strings, unambiguous next to the tagged-pair
-    datetime encoding because those always have exactly two elements with
-    a ``"dt"`` head.
+    Each column is ``[min, max]``, plus the distinct-value set as a third
+    element when there is one — a plain JSON list of strings, unambiguous
+    next to the tagged-pair datetime encoding because those always have
+    exactly two elements with a ``"dt"`` head.
     """
     encoded: Dict[str, List[Any]] = {}
-    for name, packed in stats.items():
-        vmin, vmax, nulls, distinct = packed[:4]
-        entry = [_encode_stat(vmin), _encode_stat(vmax),
-                 int(nulls), int(distinct)]
-        values = packed[4] if len(packed) > 4 else None
+    for name, (vmin, vmax, values) in stats.items():
+        entry = [_encode_stat(vmin), _encode_stat(vmax)]
         if values is not None:
             entry.append([str(value) for value in values])
         encoded[name] = entry
@@ -292,30 +266,29 @@ def encode_zone_entry(stats: Dict[str, Tuple[Any, ...]],
 
 
 def decode_zone_entry(entry: Any, stamp: Tuple[int, int]
-                      ) -> Optional[Dict[str, Tuple[Any, Any, int, int]]]:
+                      ) -> Optional[Dict[str, ChunkStats]]:
     """Revive one chunk's statistics; None on stamp mismatch or bad shape.
 
-    The stamp check is what invalidates a mutated chunk: its head/tail CRC
-    probes change, the persisted entry stops answering, and the caller
-    re-parses that chunk alone.
+    The stamp check is what invalidates a mutated chunk: its CRC changes,
+    the persisted entry stops answering, and the caller re-parses that
+    chunk alone.
     """
     if not isinstance(entry, dict):
         return None
     try:
         if tuple(entry["stamp"]) != (int(stamp[0]), int(stamp[1])):
             return None
-        stats: Dict[str, Tuple[Any, ...]] = {}
+        stats: Dict[str, ChunkStats] = {}
         for name, packed in entry["columns"].items():
-            if len(packed) not in (4, 5):
+            if len(packed) not in (2, 3):
                 return None
-            vmin, vmax, nulls, distinct = packed[:4]
-            values = packed[4] if len(packed) > 4 else None
+            values = packed[2] if len(packed) > 2 else None
             if values is not None and not (
                     isinstance(values, list) and
                     all(isinstance(value, str) for value in values)):
                 return None
-            stats[name] = (_decode_stat(vmin), _decode_stat(vmax),
-                           int(nulls), int(distinct), values)
+            stats[name] = (_decode_stat(packed[0]), _decode_stat(packed[1]),
+                           values)
         return stats
     except (KeyError, TypeError, ValueError):
         return None
@@ -359,7 +332,6 @@ def save_zone_entries(csv_path: str, entries: Dict[str, Any]) -> bool:
 __all__ = [
     "DISTINCT_CAP",
     "ZoneMap",
-    "build_zone_map",
     "chunk_column_stats",
     "chunk_key",
     "decode_zone_entry",

@@ -1,8 +1,11 @@
 """Tests for semantic type detection, insights and the how-to guide."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro
 from repro.eda.config import Config
 from repro.eda.dtypes import SemanticType, detect_frame_types, detect_semantic_type
 from repro.eda.howto import GUIDE_KEYS, guides_for, how_to_guide
@@ -137,6 +140,54 @@ class TestInsights:
         assert dataset_insights(10, 10, {"a": 1.0}, config) == []
 
 
+def _shown(intermediates):
+    return pickle.dumps((intermediates.items, intermediates.insights))
+
+
+_NUMBER = (repro.plot, ("num",))
+_WORDS = (repro.plot, ("cat",))
+_PAIR = (repro.plot, ("num", "num2"))
+_CATEGORIES = (repro.plot, ("cat", "cat2"))
+_GROUPS = (repro.plot, ("cat", "num"))
+
+#: (visualization, key) -> ((function, columns), non-default value).
+GUIDE_CASES = {
+    ("histogram", "hist.bins"): (_NUMBER, 7),
+    ("histogram", "hist.auto_bins"): (_NUMBER, True),
+    ("kde_plot", "kde.grid_points"): (_NUMBER, 50),
+    ("qq_plot", "qq.points"): (_NUMBER, 20),
+    ("box_plot", "box.whisker"): (_NUMBER, 0.5),
+    ("box_plot", "box.max_groups"): (_GROUPS, 3),
+    ("bar_chart", "bar.top_words"): (_WORDS, 3),
+    ("pie_chart", "pie.slices"): (_WORDS, 3),
+    ("word_frequencies", "wordfreq.top_words"): ((repro.plot, ("text",)), 3),
+    ("word_frequencies", "wordfreq.lowercase"): ((repro.plot, ("text",)), False),
+    ("scatter_plot", "scatter.sample_size"): (_PAIR, 50),
+    ("hexbin_plot", "hexbin.gridsize"): (_PAIR, 5),
+    ("binned_box_plot", "binnedbox.bins"): (_PAIR, 4),
+    ("nested_bar_chart", "nested.max_categories"): (_CATEGORIES, 3),
+    ("stacked_bar_chart", "nested.max_categories"): (_CATEGORIES, 3),
+    ("heat_map", "heatmap.max_categories"): (_CATEGORIES, 3),
+    ("multi_line_chart", "line.max_groups"): (_GROUPS, 3),
+    ("multi_line_chart", "line.bins"): (_GROUPS, 5),
+    ("correlation_matrix", "correlation.methods"):
+        ((repro.plot_correlation, ()), ("pearson",)),
+    ("correlation_matrix", "insight.correlation.threshold"):
+        ((repro.plot_correlation, ()), 0.999),
+    ("correlation_scatter", "correlation.scatter_sample_size"):
+        ((repro.plot_correlation, ("num", "num2")), 50),
+    ("missing_bar_chart", "insight.missing.threshold"):
+        ((repro.plot_missing, ()), 0.5),
+    ("missing_spectrum", "missing.spectrum_bins"):
+        ((repro.plot_missing, ()), 4),
+    ("missing_impact", "missing.bins"): ((repro.plot_missing, ("miss",)), 5),
+    ("stats", "insight.missing.threshold"): ((repro.plot, ("miss",)), 0.5),
+    ("stats", "insight.skewness.threshold"): (_NUMBER, 100.0),
+    ("stats", "insight.high_cardinality.threshold"):
+        ((repro.plot, ("cat2",)), 10),
+}
+
+
 class TestHowToGuide:
     def test_every_guide_key_exists_in_defaults(self):
         from repro.eda.config import DEFAULTS
@@ -162,3 +213,43 @@ class TestHowToGuide:
         assert "box.whisker" in text
         text = how_to_guide("nullity_dendrogram").as_text()
         assert "no tunable parameters" in text
+
+    def test_guide_cases_cover_every_listed_key(self):
+        listed = {(name, key) for name, keys in GUIDE_KEYS.items()
+                  for key in keys}
+        assert set(GUIDE_CASES) == listed
+
+    @pytest.mark.parametrize("name,key", sorted(GUIDE_CASES))
+    def test_guide_key_changes_what_its_visualization_shows(
+            self, guide_frame, name, key):
+        """The guide promises each listed key customizes its chart: a
+        non-default value (chosen to cross the key's threshold on
+        ``guide_frame``) must change the items or insights of a call that
+        shows that visualization."""
+        (function, columns), value = GUIDE_CASES[name, key]
+        default = function(guide_frame, *columns, mode="intermediates")
+        custom = function(guide_frame, *columns, config={key: value},
+                          mode="intermediates")
+        # The matrix is shown once per method, as correlation_<method>.
+        assert name in default.items or name == "correlation_matrix"
+        assert _shown(default) != _shown(custom)
+
+
+@pytest.fixture
+def guide_frame():
+    """Columns that cross every threshold ``GUIDE_CASES`` moves: a skewed
+    number, a correlated twin, two many-valued categoricals, mixed-case
+    text and a column 1 in 7 missing."""
+    rng = np.random.default_rng(0)
+    n = 600
+    num = rng.lognormal(0, 1, n)
+    words = ["Alpha", "beta", "Gamma", "delta", "eps", "zeta", "eta"]
+    return DataFrame({
+        "num": num,
+        "num2": num * 2 + rng.normal(0, 0.5, n),
+        "cat": [f"c{value % 30}" for value in rng.zipf(1.5, n)],
+        "cat2": [f"d{value}" for value in rng.integers(0, 25, n)],
+        "text": [" ".join(rng.choice(words, 3)) for _ in range(n)],
+        "miss": [None if index % 7 == 0 else float(value)
+                 for index, value in enumerate(num)],
+    })

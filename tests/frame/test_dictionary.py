@@ -13,7 +13,7 @@ dictionary (``-1`` = missing).  The contracts pinned here:
   distinct strings stay distinct (trailing NULs included), and a whole
   ``create_report`` never decodes a column;
 * vectorized kernels (value counts, unique, min/max, predicate masks,
-  crosstab/groupby, pair counts, summaries, duplicate rows) agree with the
+  pair counts, summaries, duplicate rows) agree with the
   naive per-row reference in ``tests/naive_reference.py`` for every
   categorical dtype, through row slices and pickling;
 * pickled payloads ship codes + dictionary, never the decoded object
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro import create_report
 from repro.eda.compute.base import _chunk_pair_counts
-from repro.frame import ops
 from repro.frame.column import Column
 from repro.frame.dtypes import (
     DType,
@@ -209,9 +208,9 @@ class TestKernelEquivalence:
         assert encoded.min() == naive.minimum(expected)
         assert encoded.max() == naive.maximum(expected)
 
-    @given(frame=categorical_frames(), limit=st.integers(1, 4))
+    @given(frame=categorical_frames())
     @settings(max_examples=150, deadline=None)
-    def test_every_categorical_kernel_matches_reference(self, frame, limit):
+    def test_every_categorical_kernel_matches_reference(self, frame):
         a, b, v = (frame.column(name).to_list() for name in "abv")
         for name, values in (("a", a), ("b", b)):
             column = frame.column(name)
@@ -229,17 +228,6 @@ class TestKernelEquivalence:
             assert column.fingerprint() == \
                 Column(name, values, column.dtype).fingerprint()
 
-        rows, cols, counts = ops.crosstab(frame, "a", "b", limit, limit + 1)
-        assert (rows, cols, counts.tolist()) == \
-            naive.crosstab(a, b, limit, limit + 1)
-        expected_groups = naive.grouped_values(a, v, limit)
-        groups = ops.grouped_values(frame, "a", "v", max_groups=limit)
-        assert [(g, values.tolist()) for g, values in groups] == expected_groups
-        for aggregation, reducer in ops.AGGREGATIONS.items():
-            np.testing.assert_equal(          # NaN-aware (std of one value)
-                ops.groupby_aggregate(frame, "a", "v", aggregation, limit),
-                [(g, reducer(np.asarray(values, dtype=np.float64)))
-                 for g, values in expected_groups])
         assert _chunk_pair_counts(frame, "a", "b") == naive.pair_counts(a, b)
         assert frame.duplicate_row_count() == \
             naive.duplicate_row_count([a, b, v])
@@ -349,21 +337,18 @@ class TestZoneMapDistinctSets:
     def test_stats_carry_bounded_distinct_values(self):
         frame = DataFrame({"s": ["b", "a", None, "b"]})
         stats = chunk_column_stats(frame)
-        minimum, maximum, nulls, distinct, values = stats["s"]
-        assert (minimum, maximum, nulls, distinct) == ("a", "b", 1, 2)
-        assert values == ["a", "b"]
+        assert stats["s"] == ("a", "b", ["a", "b"])
 
     def test_high_cardinality_drops_the_distinct_set(self):
         frame = DataFrame({"s": [f"v{i:04d}" for i in range(400)]})
-        values = chunk_column_stats(frame)["s"][4]
+        values = chunk_column_stats(frame)["s"][2]
         assert values is None
 
     def test_absent_literal_prunes_chunk(self):
         chunk_a = DataFrame({"s": ["a", "b"]})
         chunk_b = DataFrame({"s": ["c", "d"]})
         zone_map = zone_map_from_stats(
-            [chunk_column_stats(chunk_a), chunk_column_stats(chunk_b)],
-            STAMP, 2)
+            [chunk_column_stats(chunk_a), chunk_column_stats(chunk_b)])
         spec = (("s", "==", "c"),)
         assert zone_map.keep_flags(spec) == [False, True]
         # Min/max alone could not prune "b" < "bb" < "c"; the exact
@@ -372,6 +357,6 @@ class TestZoneMapDistinctSets:
 
     def test_range_operators_still_use_min_max(self):
         chunk = DataFrame({"s": ["a", "b"]})
-        zone_map = zone_map_from_stats([chunk_column_stats(chunk)], STAMP, 1)
+        zone_map = zone_map_from_stats([chunk_column_stats(chunk)])
         assert zone_map.keep_flags((("s", ">", "b"),)) == [False]
         assert zone_map.keep_flags((("s", ">=", "b"),)) == [True]

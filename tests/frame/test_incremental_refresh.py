@@ -3,7 +3,7 @@
 The incremental contract, exercised end to end:
 
 * appending rows *extends* the chunk layout — old chunks keep their
-  per-chunk ``(head_crc, tail_crc)`` content stamps, so their cache keys,
+  per-chunk ``(crc32, byte count)`` content stamps, so their cache keys,
   zone-map entries and binary sidecars stay valid — and the refreshed scan
   is value-identical to a cold scan of the grown file;
 * any other change (interior mutation, shrink, dtype drift in the new
@@ -105,7 +105,7 @@ def test_interior_mutation_triggers_full_rescan(tmp_path):
     first_stamp = scan.chunk_stamp(0)
 
     # Rewrite the first data row in place (same byte length) AND append:
-    # the size grew, but the prefix CRC probe must catch the mutation.
+    # the size grew, but chunk 0's CRC must catch the mutation.
     with open(path, "r+b") as handle:
         handle.seek(len(b"x,y,label\n"))
         handle.write(b"9,9.9,w9\n"[:4])
@@ -191,10 +191,6 @@ def test_same_size_rewrite_with_restored_mtime_still_invalidates(tmp_path):
                       scan.dtypes, None, route) is not None
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "open hazard: a chunk stamp probes only the first and last 4 KiB, so a "
-    "same-length edit between the probes keeps every task key and sidecar "
-    "answering with the old rows; whoever fixes it drops this marker"))
 def test_interior_edit_between_the_probes_reaches_the_next_plot(tmp_path):
     import numpy as np
 
@@ -219,6 +215,94 @@ def test_interior_edit_between_the_probes_reaches_the_next_plot(tmp_path):
     assert expected == pytest.approx(499.50225)
     assert repro.plot(refreshed, "v", mode="intermediates")["stats"]["mean"] \
         == pytest.approx(expected)
+
+
+def _write_ids(path, rows):
+    """``rows`` fixed-width ``id,v`` records, 10 bytes each."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("id,v\n" + "".join(f"{index:05d},{index % 1000}\n"
+                                         for index in range(rows)))
+
+
+def _edit_inside(path, byte_range, row):
+    """Same-length edit of row *row*'s value, more than 4 KiB from both
+    ends of *byte_range*: ``{row:05d},{row % 1000}`` gets a leading 9."""
+    with open(path, "r+b") as handle:
+        data = handle.read()
+        record = f"\n{row:05d},{row % 1000}\n".encode()
+        offset = data.index(record) + len(f"\n{row:05d},")
+        assert byte_range[0] + 4096 < offset < byte_range[1] - 4096
+        handle.seek(offset)
+        handle.write(b"9")
+
+
+def test_interior_edit_then_append_rescans_instead_of_extending(tmp_path):
+    import numpy as np
+
+    import repro
+
+    path = str(tmp_path / "interior-append.csv")
+    _write_ids(path, 6000)
+    scan = scan_csv(path, chunk_rows=1500)
+    assert scan.n_chunks == 4
+    assert all(stop - start > 8192 for start, stop in scan.byte_ranges)
+    repro.plot(scan, "v", mode="intermediates")     # warm every chunk key
+
+    _edit_inside(path, scan.byte_ranges[0], 750)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("06000,7\n")
+    refreshed = scan.refreshed()
+    # Extending would have kept chunk 0's old stamp over its new bytes.
+    assert refreshed.chunk_stamp(0) != scan.chunk_stamp(0)
+    assert refreshed.chunk_stamps == compute_chunk_stamps(
+        path, refreshed.byte_ranges)
+    expected = float(np.mean(read_csv(path).column("v").to_numpy()))
+    assert repro.plot(refreshed, "v", mode="intermediates")["stats"]["mean"] \
+        == pytest.approx(expected)
+
+
+def test_interior_edit_refuses_only_its_own_chunk_entries(tmp_path):
+    from repro.frame.zonemap import load_zone_entries
+
+    path = str(tmp_path / "interior-entries.csv")
+    _write_ids(path, 6000)
+    scan = scan_csv(path, chunk_rows=1500)
+    route = tuple(SidecarRoute(directory=str(tmp_path / "side")))
+    scan.zone_map()                         # persists one entry per chunk
+    for index, (start, stop) in enumerate(scan.byte_ranges):
+        assert store_chunk(path, start, stop, scan.chunk_stamp(index),
+                           scan.read_chunk(index), route)
+
+    _edit_inside(path, scan.byte_ranges[1], 2250)
+    fresh = scan_csv(path, chunk_rows=1500)
+    assert fresh.byte_ranges == scan.byte_ranges
+    entries = load_zone_entries(path)
+    answers = [(decode_zone_entry(entries[chunk_key(start, stop)],
+                                  fresh.chunk_stamp(index)) is not None,
+                load_chunk(path, start, stop, fresh.chunk_stamp(index),
+                           fresh.columns, fresh.dtypes, None, route)
+                is not None)
+               for index, (start, stop) in enumerate(fresh.byte_ranges)]
+    assert answers == [(True, True), (False, False), (True, True),
+                       (True, True)]
+    assert fresh.zone_map().columns["v"]["max"][1] == 999
+
+
+def test_chunk_stamps_cover_every_byte_across_read_blocks(tmp_path):
+    import zlib
+
+    import numpy as np
+
+    path = str(tmp_path / "blocks.bin")
+    data = np.random.default_rng(0).bytes(2 * 2 ** 20 + 4096)
+    with open(path, "wb") as handle:
+        handle.write(data)
+    mib = 2 ** 20
+    ranges = [(0, len(data)), (1000, mib + 7), (mib - 3, mib + 3),
+              (mib, 2 * mib + 1), (5, 5)]
+    assert compute_chunk_stamps(path, ranges) == \
+        [(zlib.crc32(data[start:stop]), stop - start)
+         for start, stop in ranges]
 
 
 def test_zone_map_entries_survive_append(tmp_path):

@@ -21,58 +21,56 @@ MTIME_NS = 1_700_000_000_000_000_000
 ROWS = [f"{index},{index * 0.5},w{index % 3}\n" for index in range(7)]
 
 ONE_FILE = {
-    "fingerprint": "361958ca95a4c86e60c07a564961a93623f33f2f",
+    "fingerprint": "5fa4012b7475011f803ab24b9cafee5ed1a5fbcd",
     "n_rows": 7,
     "boundaries": [(0, 3), (3, 6), (6, 7)],
     "byte_ranges": [("whole.csv", 10, 37), ("whole.csv", 37, 64),
                     ("whole.csv", 64, 73)],
-    "chunk_stamps": [(1170869741, 1170869741), (2993301930, 2993301930),
-                     (2487093342, 2487093342)],
+    "chunk_stamps": [(1170869741, 27), (2993301930, 27), (2487093342, 9)],
     "keys": {
-        "plain": ["read_csv_partition-ee25b593b30a9612a5628885eb40b153",
-                  "read_csv_partition-cdb922f764c088d55bf60ee1c8b1a5c2",
-                  "read_csv_partition-e821c9183889681b66073ff6032f0386"],
-        "projected": ["read_csv_partition.proj-d6ab956ad7cee4abb5132a81b46f4a9e",
-                      "read_csv_partition.proj-3f2d58626598cd87e5345d616f5b1036",
-                      "read_csv_partition.proj-e8189b5c731b15fa9bc330f4a075bf93"],
-        "filtered": ["read_csv_partition.filt-4a6c866f1f154f4a1aa1aa5b0a240af6",
-                     "read_csv_partition.filt-9fd42b86f3bdea05a2435d10396ca2af",
-                     "read_csv_partition.filt-c885d8011ba1f29fecd02efb10cf45e6"],
+        "plain": ["read_csv_partition-88ca86af22792b040c41b99968939d74",
+                  "read_csv_partition-b2732804d1b3ff5df050c57e694f0e3b",
+                  "read_csv_partition-047073dd8a382bf9c15d382b1111550a"],
+        "projected": ["read_csv_partition.proj-2f72a69864695cb5f359c90cd88af9d5",
+                      "read_csv_partition.proj-9fdaad50c07964a3f1fe8635d20124a5",
+                      "read_csv_partition.proj-fdd51635c4a3bf5012451b6b314428cb"],
+        "filtered": ["read_csv_partition.filt-ea1c88393534ac75552a2e6adb952c55",
+                     "read_csv_partition.filt-812da3b5208414e41dcaa26283ccbfc0",
+                     "read_csv_partition.filt-26e2764ddf5fb3f7704a61569ffae376"],
     },
 }
 
 #: A two-path list and a glob over the same files are the same source.
 TWO_FILES = {
-    "fingerprint": "9cb56536d74e3cb915c667d42f0f6ccb655e26c0",
+    "fingerprint": "6fecd170d2f809b16c6e8a1f8eba541ae0553456",
     "n_rows": 7,
     "boundaries": [(0, 3), (3, 4), (4, 7)],
     "byte_ranges": [("part-0.csv", 10, 37), ("part-0.csv", 37, 46),
                     ("part-1.csv", 10, 37)],
-    "chunk_stamps": [(1170869741, 1170869741), (2178339656, 2178339656),
-                     (1009110384, 1009110384)],
+    "chunk_stamps": [(1170869741, 27), (2178339656, 9), (1009110384, 27)],
     "keys": {
-        "plain": ["read_csv_partition-42445e167909831237f4caab685e2780",
-                  "read_csv_partition-050e0d71ecb5a567f51ae92584fcb561",
-                  "read_csv_partition-40bce161398e32c0182973c1b1647196"],
-        "projected": ["read_csv_partition.proj-957c2e9c9038618453a2310d75bd9bbb",
-                      "read_csv_partition.proj-44f5258de5d01f8dd0a0d25c2781dbd9",
-                      "read_csv_partition.proj-c7e10efb02b05803613040457f14f4ca"],
-        "filtered": ["read_csv_partition.filt-9a9a48748e998ed418adc5d6eb956748",
-                     "read_csv_partition.filt-a5ea32bc5176df0b09970a0a92766daf",
-                     "read_csv_partition.filt-f8bad743545e80bb4476c56a6b9c00b9"],
+        "plain": ["read_csv_partition-38ab0dbc1077ffcff491446ed8da6d7b",
+                  "read_csv_partition-3bcc7e5e1abee447cb71c43450055f8c",
+                  "read_csv_partition-3cb90db21f0983b3638ff32b62f3242b"],
+        "projected": ["read_csv_partition.proj-c0991d753b72894e0ee7a73268bc82cb",
+                      "read_csv_partition.proj-4d30809f0f4056cb0dc8e61cd70124b9",
+                      "read_csv_partition.proj-20d1484521ff00b28a06f376083017c7"],
+        "filtered": ["read_csv_partition.filt-525a24ba4abf99bf2c35bf1ba68351f7",
+                     "read_csv_partition.filt-dd6f543c04b13d3fea421aaaf7b0d611",
+                     "read_csv_partition.filt-e4f60f81eefb6119e699cc61e0e0d9a4"],
     },
 }
 
 #: The one-file scan after two appended rows: the old chunks keep their
 #: ranges, stamps and keys; one new chunk follows.
 APPENDED = {
-    "fingerprint": "c7d31ee25add380ca04c1e56ccdd98b745b1da71",
+    "fingerprint": "582ddb7e12ce9408be2b3919bf0bf56858f6feaf",
     "n_rows": 9,
     "boundaries": [(0, 3), (3, 6), (6, 7), (7, 9)],
     "byte_ranges": ONE_FILE["byte_ranges"] + [("whole.csv", 73, 91)],
-    "chunk_stamps": ONE_FILE["chunk_stamps"] + [(382501767, 382501767)],
+    "chunk_stamps": ONE_FILE["chunk_stamps"] + [(382501767, 18)],
     "keys": {"plain": ONE_FILE["keys"]["plain"]
-             + ["read_csv_partition-0a7e70154e41a1f672ee9cb7759962e6"]},
+             + ["read_csv_partition-fd1f285f0944494da78f18a822319aa2"]},
 }
 
 

@@ -8,7 +8,7 @@ Three invariants, fuzzed with hypothesis:
 * **Equivalence** — materializing a filtered source with pruning enabled
   yields exactly the rows of the plain boolean-mask filter;
 * **Persistence** — per-chunk statistics survive the JSON sidecar round
-  trip bit-for-bit, and an entry written under one ``(head_crc, tail_crc)``
+  trip bit-for-bit, and an entry written under one ``(crc32, byte count)``
   content stamp never answers for another (chunk changed ⇒ rebuild that
   chunk).
 """
@@ -26,7 +26,6 @@ from repro.frame.predicate import Predicate, compile_predicate
 from repro.frame.source import FilteredSource
 from repro.frame.zonemap import (
     ZoneMap,
-    build_zone_map,
     chunk_column_stats,
     chunk_key,
     decode_zone_entry,
@@ -46,6 +45,10 @@ float_literals = st.sampled_from([-50.0, -1.0, 0.0, 1.0, 3.5, 50.0])
 float_values = st.one_of(st.none(), float_literals,
                          st.floats(min_value=-100, max_value=100,
                                    allow_nan=False))
+
+
+def _zone_map(chunks):
+    return zone_map_from_stats([chunk_column_stats(chunk) for chunk in chunks])
 
 
 @st.composite
@@ -80,8 +83,8 @@ def predicates(draw):
 @given(data=chunked_frames(), predicate=predicates())
 @settings(max_examples=120, deadline=None)
 def test_pruning_never_drops_a_matching_row(data, predicate):
-    frame, chunks, chunk_rows = data
-    zone_map = build_zone_map(chunks, stamp=(1, 2), chunk_rows=chunk_rows)
+    _, chunks, _ = data
+    zone_map = _zone_map(chunks)
     flags = zone_map.keep_flags(predicate.spec())
     assert len(flags) == len(chunks)
     for chunk, keep in zip(chunks, flags):
@@ -116,7 +119,7 @@ def test_pruned_scan_equals_mask_filter(data, predicate, tmp_path_factory):
 @given(data=chunked_frames())
 @settings(max_examples=40, deadline=None)
 def test_sidecar_round_trip(data, tmp_path_factory):
-    frame, chunks, chunk_rows = data
+    frame, chunks, _ = data
     path = str(tmp_path_factory.mktemp("zm-sidecar") / "data.csv")
     write_csv(frame, path)
     stats = [chunk_column_stats(chunk) for chunk in chunks]
@@ -132,8 +135,8 @@ def test_sidecar_round_trip(data, tmp_path_factory):
     assert revived == stats
     # Reassembling a ZoneMap from the revived entries matches the direct
     # in-memory build bit-for-bit.
-    direct = build_zone_map(chunks, stamp=(123, 456), chunk_rows=chunk_rows)
-    rebuilt = zone_map_from_stats(revived, (123, 456), chunk_rows)
+    direct = _zone_map(chunks)
+    rebuilt = zone_map_from_stats(revived)
     assert rebuilt.columns == direct.columns
     assert rebuilt.n_chunks == direct.n_chunks
     # Entries at other byte ranges merge into the same sidecar without
@@ -205,10 +208,10 @@ def test_sidecar_round_trip_all_dtypes(data, spec, tmp_path_factory):
     """Every supported dtype survives the JSON sidecar: the reloaded map
     makes pruning decisions identical to the in-memory one — datetime
     statistics included, which used to crash the save with a TypeError."""
-    frame, chunks, chunk_rows = data
+    frame, chunks, _ = data
     path = str(tmp_path_factory.mktemp("zm-dtypes") / "data.csv")
     write_csv(frame, path)
-    zone_map = build_zone_map(chunks, stamp=(7, 8), chunk_rows=chunk_rows)
+    zone_map = _zone_map(chunks)
     entries = {chunk_key(index, index + 1):
                encode_zone_entry(chunk_column_stats(chunk), (index, index))
                for index, chunk in enumerate(chunks)}
@@ -218,7 +221,7 @@ def test_sidecar_round_trip_all_dtypes(data, spec, tmp_path_factory):
                                  (index, index))
                for index in range(len(chunks))]
     assert all(stats is not None for stats in revived)
-    back = zone_map_from_stats(revived, (7, 8), chunk_rows)
+    back = zone_map_from_stats(revived)
     assert back.columns == zone_map.columns
     datetime_stats = back.columns["t"]["min"]
     assert all(stat is None or isinstance(stat, np.datetime64)
@@ -234,7 +237,7 @@ def test_all_dtype_pruning_never_drops_a_matching_row(data, spec,
     skipped chunk provably holds no matching row for the residual filter
     (datetime conjuncts compare ISO-string literals against datetime64
     statistics, which used to no-op the pruning)."""
-    frame, chunks, chunk_rows = data
+    frame, chunks, _ = data
     path = str(tmp_path_factory.mktemp("zm-dtypes-sound") / "data.csv")
     write_csv(frame, path)
     entries = {chunk_key(index, index + 1):
@@ -245,7 +248,7 @@ def test_all_dtype_pruning_never_drops_a_matching_row(data, spec,
     back = zone_map_from_stats(
         [decode_zone_entry(stored[chunk_key(index, index + 1)],
                            (index, index))
-         for index in range(len(chunks))], (7, 8), chunk_rows)
+         for index in range(len(chunks))])
     predicate = compile_predicate(spec)
     for chunk, keep in zip(chunks, back.keep_flags(spec)):
         if not keep:
@@ -268,7 +271,7 @@ def test_datetime_zone_map_save_does_not_crash(tmp_path):
                                 (3, 4))
     assert revived["t"][0] == stats["t"][0]
     assert revived["t"][1] == stats["t"][1]
-    back = zone_map_from_stats([revived], (1, 2), 10)
+    back = zone_map_from_stats([revived])
     # The revived statistics prune: everything is before 2022.
     assert back.keep_flags((("t", ">", "2022-01-01T00:00:00"),)) == [False]
     assert back.keep_flags((("t", "<", "2021-02-01T00:00:00"),)) == [True]
@@ -280,7 +283,7 @@ def test_stamp_change_invalidates_sidecar(data, tmp_path_factory):
     """A chunk whose content stamp changed stops answering — but only that
     chunk: entries for unchanged chunks keep answering (the append-reuse
     property the whole-file stamp could not offer)."""
-    frame, chunks, chunk_rows = data
+    frame, _, _ = data
     path = str(tmp_path_factory.mktemp("zm-stamp") / "data.csv")
     write_csv(frame, path)
     stats = chunk_column_stats(frame)
@@ -288,7 +291,7 @@ def test_stamp_change_invalidates_sidecar(data, tmp_path_factory):
                chunk_key(10, 20): encode_zone_entry(stats, (30, 40))}
     assert save_zone_entries(path, entries)
     stored = load_zone_entries(path)
-    # Chunk 0 "changed" (different probe CRCs): its entry is refused.
+    # Chunk 0 "changed" (a different CRC): its entry is refused.
     assert decode_zone_entry(stored[chunk_key(0, 10)], (11, 21)) is None
     # Chunk 1 is untouched: its entry still answers.
     assert decode_zone_entry(stored[chunk_key(10, 20)], (30, 40)) == stats
@@ -315,7 +318,7 @@ def test_scanned_frame_memoizes_and_persists_zone_map(tmp_path):
                                  fresh.chunk_stamp(index))
                for index, byte_range in enumerate(fresh.byte_ranges)]
     assert all(stats is not None for stats in revived)
-    loaded = zone_map_from_stats(revived, fresh.layouts[0].file_stamp, 10)
+    loaded = zone_map_from_stats(revived)
     assert loaded.columns == zone_map.columns
 
     # Overwrite with different content: the chunk stamps no longer match,

@@ -48,45 +48,6 @@ def labels(values: Sequence[Any]) -> List[Optional[str]]:
     return [None if value is None else str(value) for value in values]
 
 
-def _by_frequency(items: Sequence[str]) -> List[str]:
-    return [label for label, _ in
-            sorted(Counter(items).items(), key=lambda pair: (-pair[1], pair[0]))]
-
-
-def _top_categories(items: Sequence[str], limit: int) -> List[str]:
-    ordered = _by_frequency(items)
-    return ordered[:limit] + (["(other)"] if len(ordered) > limit else [])
-
-
-def crosstab(rows: Sequence[Any], cols: Sequence[Any], max_rows: int,
-             max_cols: int) -> Tuple[List[str], List[str], List[List[int]]]:
-    pairs = [(a, b) for a, b in zip(labels(rows), labels(cols))
-             if a is not None and b is not None]
-    row_categories = _top_categories([a for a, _ in pairs], max_rows)
-    col_categories = _top_categories([b for _, b in pairs], max_cols)
-    counts = [[0] * len(col_categories) for _ in row_categories]
-    for a, b in pairs:
-        i = row_categories.index(a) if a in row_categories[:max_rows] \
-            else len(row_categories) - 1
-        j = col_categories.index(b) if b in col_categories[:max_cols] \
-            else len(col_categories) - 1
-        counts[i][j] += 1
-    return row_categories, col_categories, counts
-
-
-def grouped_values(groups: Sequence[Any], numbers: Sequence[Any],
-                   max_groups: int) -> List[Tuple[str, List[float]]]:
-    """Numbers per group label in row order, most frequent groups first."""
-    pairs = [(group, float(number))
-             for group, number in zip(labels(groups), numbers)
-             if group is not None and number is not None]
-    buckets: Dict[str, List[float]] = {}
-    for group, number in pairs:
-        buckets.setdefault(group, []).append(number)
-    return [(group, buckets[group])
-            for group in _by_frequency([g for g, _ in pairs])[:max_groups]]
-
-
 def pair_counts(first: Sequence[Any],
                 second: Sequence[Any]) -> Dict[Tuple[str, str], int]:
     return dict(Counter((a, b) for a, b in zip(labels(first), labels(second))
