@@ -20,7 +20,8 @@ import pytest
 from benchmarks.conftest import TABLE2_ROW_SCALE, print_header
 from repro.datasets import load_kaggle_like
 from repro.eda import plot, plot_correlation, plot_missing
-from repro.eda.dtypes import SemanticType, detect_frame_types
+from repro.eda.compute.base import ComputeContext
+from repro.eda.config import Config
 
 #: Datasets covered by the sweep (a spread of sizes and column mixes).
 DATASETS = ["heart", "titanic", "women", "suicide", "adult"]
@@ -47,10 +48,7 @@ def _timed(function_name: str, callable_) -> None:
 
 def _sweep_dataset(name: str) -> None:
     frame = load_kaggle_like(name, row_scale=TABLE2_ROW_SCALE)
-    types = detect_frame_types(frame)
-    numerical = [column for column, semantic in types.items()
-                 if semantic is SemanticType.NUMERICAL and
-                 frame.column(column).dtype.is_numeric]
+    numerical = ComputeContext(frame, Config.from_user()).numerical_columns()
     low_cardinality = [column for column in frame.columns
                        if frame.column(column).nunique() <= 100]
 

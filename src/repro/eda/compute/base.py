@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from dataclasses import dataclass
 
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_frame_types
+from repro.eda.dtypes import SEMANTIC_TYPE_ROWS, SemanticType, detect_semantic_type
 from repro.frame.column import Column
 from repro.frame.frame import DataFrame
 from repro.frame.sidecar import SidecarRoute, stats_snapshot as _sidecar_snapshot
@@ -678,7 +678,7 @@ class ComputeContext:
         self._planned_source = None
         self._partitions = {}
         self._preview = None
-        self._semantic_types = None
+        self._semantic_types: Dict[str, SemanticType] = {}
         #: End of the last resolve or finish: where the local stage starts.
         self._clock = time.perf_counter()
 
@@ -740,33 +740,38 @@ class ComputeContext:
             self._preview = self.source.schema_preview()
         return self._preview
 
-    def semantic_types(self) -> Dict[str, SemanticType]:
-        """Semantic type of every column, detected once per context.
+    def semantic_type(self, name: str) -> SemanticType:
+        """Semantic type of column *name*: the one decision every mapping
+        rule of this call dispatches on.
 
-        Read from the source's bounded schema preview — the in-memory frame
-        itself, or the scan's preview rows; detection samples a row prefix
-        in both cases, so the two agree whenever the preview is
-        representative.
+        Decided once per column per context, on the first
+        :data:`~repro.eda.dtypes.SEMANTIC_TYPE_ROWS` rows of the schema
+        preview.  That is the head of an in-memory frame and the leading
+        preview rows of a scan, so a frame and a scan of the same data get
+        the same type.  Only the columns a call asks about are classified.
         """
-        if self._semantic_types is None:
-            self._semantic_types = detect_frame_types(self._schema())
-        return self._semantic_types
+        semantic = self._semantic_types.get(name)
+        if semantic is None:
+            semantic = detect_semantic_type(
+                self.column(name).head(SEMANTIC_TYPE_ROWS))
+            self._semantic_types[name] = semantic
+        return semantic
+
+    def semantic_types(self) -> Dict[str, SemanticType]:
+        """Semantic type of every column, by :meth:`semantic_type`."""
+        return {name: self.semantic_type(name) for name in self.column_names}
 
     def numerical_columns(self) -> List[str]:
-        """Columns that are semantically numerical and stored numerically —
-        what the histogram, correlation and interaction sections analyse."""
-        preview = self._schema()
-        return [name for name, semantic in self.semantic_types().items()
-                if semantic is SemanticType.NUMERICAL
-                and preview.column(name).dtype.is_numeric]
+        """Columns analysed as numbers — what the histogram, correlation and
+        interaction sections read (NUMERICAL implies numeric storage)."""
+        return [name for name in self.column_names
+                if self.semantic_type(name) is SemanticType.NUMERICAL]
 
     def column(self, name: str) -> Column:
-        """A column for schema/semantic-type inspection (validates the name).
-
-        For an in-memory source this is the full column; for a streaming
-        source it is the preview's column — compute paths must go through
-        the sketch reductions for actual data.
-        """
+        """The schema preview's column *name*, for storage-dtype questions
+        (raises ColumnNotFoundError for an unknown name): the whole column of
+        an in-memory source, the preview rows of a streaming one.  Semantic
+        types come from :meth:`semantic_type`, data from the reductions."""
         return self._schema().column(name)
 
     def duplicate_rows(self, max_rows: int) -> Union[PendingReduction, Optional[int]]:

@@ -14,7 +14,7 @@ import numpy as np
 from repro.eda.compute.base import ComputeContext
 from repro.eda.compute.correlation import finite_pair
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_semantic_type
+from repro.eda.dtypes import SemanticType
 from repro.eda.insights import Insight
 from repro.eda.intermediates import Intermediates
 from repro.frame.frame import DataFrame
@@ -35,13 +35,8 @@ def compute_bivariate(frame: DataFrame, col1: str, col2: str, config: Config,
     columns per chunk.
     """
     context = context or ComputeContext(frame, config)
-    first = context.column(col1)
-    second = context.column(col2)
-    type1 = detect_semantic_type(first)
-    type2 = detect_semantic_type(second)
-
-    numeric1 = type1 is SemanticType.NUMERICAL and first.dtype.is_numeric
-    numeric2 = type2 is SemanticType.NUMERICAL and second.dtype.is_numeric
+    numeric1 = context.semantic_type(col1) is SemanticType.NUMERICAL
+    numeric2 = context.semantic_type(col2) is SemanticType.NUMERICAL
 
     if numeric1 and numeric2:
         return _numerical_numerical(context, col1, col2, config)

@@ -11,19 +11,20 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.eda.compute.base import ComputeContext
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_frame_types, detect_semantic_type
+from repro.eda.dtypes import SemanticType
 from repro.eda.insights import Insight, similarity_insight
 from repro.eda.intermediates import Intermediates
 from repro.errors import EDAError
+from repro.frame.column import Column
 from repro.frame.frame import DataFrame
 from repro.stats.association import nullity_dendrogram_from_distances
-from repro.stats.histogram import compute_histogram
+from repro.stats.histogram import Histogram, compute_histogram
 from repro.stats.qq import box_plot_from_values
 from repro.stats.sketches import NullitySketch
 
@@ -148,50 +149,23 @@ def compute_missing_single(frame: DataFrame, column: str, config: Config,
     materialization size, since it breaks the bounded-memory guarantee.
     """
     context = context or ComputeContext(frame, config)
-    if column not in context.column_names:
-        context.column(column)  # raises ColumnNotFoundError with suggestions
+    context.column(column)  # raises ColumnNotFoundError with suggestions
 
     frame = context.frame
     target_missing = frame.column(column).isna()
     dropped = frame.filter(~target_missing)
-    types = detect_frame_types(frame)
+    types = context.semantic_types()
 
-    bins = config.get("missing.bins")
-    top = config.get("bar.top_words")
     impact: Dict[str, Any] = {}
     insights: List[Insight] = []
     for other in frame.columns:
         if other == column:
             continue
-        before_column = frame.column(other)
-        after_column = dropped.column(other)
-        if types[other] is SemanticType.NUMERICAL and before_column.dtype.is_numeric:
-            before_values = before_column.to_numpy(drop_missing=True).astype(np.float64)
-            after_values = after_column.to_numpy(drop_missing=True).astype(np.float64)
-            if before_values.size == 0:
-                continue
-            low, high = float(before_values.min()), float(before_values.max())
-            before_hist = compute_histogram(before_values, bins, (low, high))
-            after_hist = compute_histogram(after_values, bins, (low, high))
-            impact[other] = {
-                "type": "numerical",
-                "edges": before_hist.edges.tolist(),
-                "before_counts": before_hist.counts.tolist(),
-                "after_counts": after_hist.counts.tolist(),
-            }
-            insights.extend(similarity_insight(
-                other, "missing_impact", before_values, after_values, config))
-        else:
-            before_counts = dict(before_column.value_counts()[:top])
-            after_counts = dict(after_column.value_counts())
-            categories = list(before_counts.keys())
-            impact[other] = {
-                "type": "categorical",
-                "categories": [str(category) for category in categories],
-                "before_counts": [int(before_counts[category]) for category in categories],
-                "after_counts": [int(after_counts.get(category, 0))
-                                 for category in categories],
-            }
+        compared = _drop_impact(other, frame.column(other), dropped.column(other),
+                                types[other] is SemanticType.NUMERICAL, config)
+        if compared is not None:
+            impact[other] = compared.item
+            insights.extend(compared.insights)
 
     n_missing = int(target_missing.sum())
     stats = {
@@ -216,75 +190,36 @@ def compute_missing_pair(frame: DataFrame, col1: str, col2: str, config: Config,
 
     Like :func:`compute_missing_single`, this aligns rows across columns,
     so a streaming source is materialized here (with the same warning).
+    On top of the single task's before/after block of *col2*, a numerical
+    *col2* gets its PDF, CDF and box plot before and after.
     """
     context = context or ComputeContext(frame, config)
-    for name in (col1, col2):
-        if name not in context.column_names:
-            context.column(name)
+    context.column(col1)  # raises ColumnNotFoundError with suggestions
+    semantic = context.semantic_type(col2)
 
     frame = context.frame
     target_missing = frame.column(col1).isna()
     dropped = frame.filter(~target_missing)
-    impacted = frame.column(col2)
-    impacted_after = dropped.column(col2)
-    semantic = detect_semantic_type(impacted)
+    compared = _drop_impact(col2, frame.column(col2), dropped.column(col2),
+                            semantic is SemanticType.NUMERICAL, config)
+    if compared is None:
+        raise EDAError(f"column {col2!r} has no present values to compare")
 
-    items: Dict[str, Any]
-    insights: List[Insight] = []
-    if semantic is SemanticType.NUMERICAL and impacted.dtype.is_numeric:
-        before = impacted.to_numpy(drop_missing=True).astype(np.float64)
-        after = impacted_after.to_numpy(drop_missing=True).astype(np.float64)
-        if before.size == 0:
-            raise EDAError(f"column {col2!r} has no present values to compare")
-        low, high = float(before.min()), float(before.max())
-        bins = config.get("missing.bins")
-        before_hist = compute_histogram(before, bins, (low, high))
-        after_hist = compute_histogram(after, bins, (low, high))
-
-        before_density = before_hist.density()
-        after_density = after_hist.density()
-        before_cdf = np.cumsum(before_hist.counts) / max(before_hist.total, 1)
-        after_cdf = np.cumsum(after_hist.counts) / max(after_hist.total, 1)
-
+    items: Dict[str, Any] = {"missing_impact": compared.item}
+    if compared.histograms is not None:
+        edges = compared.item["edges"]
+        pdf: Dict[str, Any] = {"edges": edges}
+        cdf: Dict[str, Any] = {"edges": edges}
         boxes = []
-        for label, values, histogram in (("all rows", before, before_hist),
-                                         ("after drop", after, after_hist)):
-            if values.size < 2:
-                continue
-            box = box_plot_from_values(values, config.get("box.whisker"),
-                                       histogram)
-            boxes.append({"label": label, **box.as_dict()})
-
-        items = {
-            "missing_impact": {
-                "type": "numerical",
-                "edges": before_hist.edges.tolist(),
-                "before_counts": before_hist.counts.tolist(),
-                "after_counts": after_hist.counts.tolist(),
-            },
-            "pdf": {"edges": before_hist.edges.tolist(),
-                    "before": before_density.tolist(),
-                    "after": after_density.tolist()},
-            "cdf": {"edges": before_hist.edges.tolist(),
-                    "before": before_cdf.tolist(),
-                    "after": after_cdf.tolist()},
-            "box_plot": {"boxes": boxes, "value_label": col2},
-        }
-        insights.extend(similarity_insight(col2, "missing_impact", before, after, config))
-    else:
-        top = config.get("bar.top_words")
-        before_counts = dict(impacted.value_counts()[:top])
-        after_counts = dict(impacted_after.value_counts())
-        categories = [str(category) for category in before_counts]
-        items = {
-            "missing_impact": {
-                "type": "categorical",
-                "categories": categories,
-                "before_counts": [int(count) for count in before_counts.values()],
-                "after_counts": [int(after_counts.get(category, 0))
-                                 for category in before_counts],
-            },
-        }
+        for side, label, values, histogram in zip(
+                ("before", "after"), ("all rows", "after drop"),
+                compared.values, compared.histograms):
+            pdf[side] = histogram.density().tolist()
+            cdf[side] = (np.cumsum(histogram.counts) / max(histogram.total, 1)).tolist()
+            if values.size >= 2:
+                box = box_plot_from_values(values, config.get("box.whisker"), histogram)
+                boxes.append({"label": label, **box.as_dict()})
+        items.update(pdf=pdf, cdf=cdf, box_plot={"boxes": boxes, "value_label": col2})
 
     n_missing = int(target_missing.sum())
     stats = {
@@ -298,5 +233,56 @@ def compute_missing_pair(frame: DataFrame, col1: str, col2: str, config: Config,
     intermediates = Intermediates(
         task="missing", columns=[col1, col2], items=items, stats=stats,
         meta={"impacted_type": semantic.value})
-    intermediates.add_insights(insights)
+    intermediates.add_insights(compared.insights)
     return context.finish(intermediates)
+
+
+class _Impact(NamedTuple):
+    """One column's before/after block.  A numerical block also keeps the
+    present values and the histograms it was drawn from, before and after;
+    a categorical block keeps neither."""
+
+    item: Dict[str, Any]
+    insights: List[Insight]
+    values: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    histograms: Optional[Tuple[Histogram, Histogram]] = None
+
+
+def _drop_impact(name: str, before: Column, after: Column, numerical: bool,
+                 config: Config) -> Optional[_Impact]:
+    """How dropping rows changes column *name*: all rows (*before*) against
+    the rows kept (*after*).
+
+    A numerical column compares ``missing.bins``-bin histograms over the
+    all-rows [min, max]; a categorical one compares the counts of the
+    ``bar.top_words`` most frequent values before.  None for a numerical
+    column with no present value.
+    """
+    if not numerical:
+        before_counts = dict(before.value_counts()[:config.get("bar.top_words")])
+        after_counts = dict(after.value_counts())
+        return _Impact({
+            "type": "categorical",
+            "categories": [str(category) for category in before_counts],
+            "before_counts": [int(count) for count in before_counts.values()],
+            "after_counts": [int(after_counts.get(category, 0))
+                             for category in before_counts],
+        }, [])
+    before_values = before.to_numpy(drop_missing=True).astype(np.float64)
+    after_values = after.to_numpy(drop_missing=True).astype(np.float64)
+    if before_values.size == 0:
+        return None
+    bins = config.get("missing.bins")
+    value_range = (float(before_values.min()), float(before_values.max()))
+    before_hist = compute_histogram(before_values, bins, value_range)
+    after_hist = compute_histogram(after_values, bins, value_range)
+    item = {
+        "type": "numerical",
+        "edges": before_hist.edges.tolist(),
+        "before_counts": before_hist.counts.tolist(),
+        "after_counts": after_hist.counts.tolist(),
+    }
+    insights = similarity_insight(name, "missing_impact", before_values,
+                                  after_values, config)
+    return _Impact(item, insights, (before_values, after_values),
+                   (before_hist, after_hist))

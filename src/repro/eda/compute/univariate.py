@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.eda.compute.base import ComputeContext
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_semantic_type
+from repro.eda.dtypes import SemanticType
 from repro.eda.insights import (
     categorical_column_insights,
     numeric_column_insights,
@@ -48,11 +48,8 @@ def compute_univariate(frame: DataFrame, column: str, config: Config,
     one column per chunk, not the table width.
     """
     context = context or ComputeContext(frame, config)
-    target = context.column(column)
-    semantic = detect_semantic_type(target)
-
-    if semantic in (SemanticType.NUMERICAL, SemanticType.DATETIME) and \
-            target.dtype.is_numeric:
+    semantic = context.semantic_type(column)
+    if semantic is SemanticType.NUMERICAL:
         return _numerical_univariate(context, column, config)
     return _categorical_univariate(context, column, config, semantic)
 

@@ -9,7 +9,6 @@ uninteresting for most plots.  This module implements the detection rules.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.frame.column import Column
 from repro.frame.dtypes import DType
@@ -34,11 +33,14 @@ class SemanticType(enum.Enum):
 #: categorical (e.g. a 0/1 encoded flag or a 1-5 rating).
 LOW_CARDINALITY_INT_THRESHOLD = 10
 
+#: Leading rows a column's semantic type is decided on, for every call and
+#: every source: an in-memory frame's first rows and a scan's preview rows
+#: of the same data are the same rows.
+SEMANTIC_TYPE_ROWS = 10_000
 
-def detect_semantic_type(column: Column,
-                         low_cardinality_threshold: int = LOW_CARDINALITY_INT_THRESHOLD,
-                         nunique: Optional[int] = None) -> SemanticType:
-    """Detect the semantic type of a column.
+
+def detect_semantic_type(column: Column) -> SemanticType:
+    """Detect the semantic type of *column* from all of its rows.
 
     Rules, in order:
 
@@ -47,13 +49,14 @@ def detect_semantic_type(column: Column,
     3. Strings and booleans are CATEGORICAL.
     4. Floats are NUMERICAL.
     5. Integers are CATEGORICAL when their distinct count is at most
-       *low_cardinality_threshold*, otherwise NUMERICAL.
+       :data:`LOW_CARDINALITY_INT_THRESHOLD`, otherwise NUMERICAL.
 
-    *nunique* can be passed when the caller has already computed the distinct
-    count (the compute module shares it), avoiding a second pass.
+    So NUMERICAL implies INT or FLOAT storage.  The EDA tasks do not call
+    this: they ask their :class:`~repro.eda.compute.base.ComputeContext`,
+    which classifies the first :data:`SEMANTIC_TYPE_ROWS` rows once per
+    column per call.
     """
-    if nunique is None:
-        nunique = column.nunique()
+    nunique = column.nunique()
     if nunique <= 1:
         return SemanticType.CONSTANT
     if column.dtype is DType.DATETIME:
@@ -63,25 +66,7 @@ def detect_semantic_type(column: Column,
     if column.dtype is DType.FLOAT:
         return SemanticType.NUMERICAL
     if column.dtype is DType.INT:
-        if nunique <= low_cardinality_threshold:
+        if nunique <= LOW_CARDINALITY_INT_THRESHOLD:
             return SemanticType.CATEGORICAL
         return SemanticType.NUMERICAL
     return SemanticType.CATEGORICAL
-
-
-def detect_frame_types(frame, sample_rows: int = 10_000,
-                       low_cardinality_threshold: int = LOW_CARDINALITY_INT_THRESHOLD
-                       ) -> dict:
-    """Semantic type of every column in a DataFrame.
-
-    Detection runs on a row prefix (at most *sample_rows* rows) so it stays
-    cheap even for very large frames; the EDA compute functions call this
-    before deciding which mapping rule of Figure 2 applies.
-    """
-    preview = frame.head(sample_rows) if len(frame) > sample_rows else frame
-    types = {}
-    for name in frame.columns:
-        types[name] = detect_semantic_type(
-            preview.column(name),
-            low_cardinality_threshold=low_cardinality_threshold)
-    return types

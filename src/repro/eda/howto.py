@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.eda.config import DEFAULTS
+from repro.stats.correlation import METHODS
 
 #: visualization name -> config keys that customize it.
 GUIDE_KEYS: Dict[str, List[str]] = {
@@ -41,6 +42,11 @@ GUIDE_KEYS: Dict[str, List[str]] = {
               "insight.high_cardinality.threshold"],
 }
 
+#: Items that show another visualization's guide: the correlation matrix is
+#: drawn once per method, as ``correlation_<method>``.
+_GUIDE_OF: Dict[str, str] = {f"correlation_{method}": "correlation_matrix"
+                             for method in METHODS}
+
 
 @dataclass
 class HowToEntry:
@@ -66,7 +72,7 @@ class HowToEntry:
 def how_to_guide(visualization: str,
                  call: str = 'plot(df, "col")') -> Optional[HowToEntry]:
     """The how-to guide entry for one visualization, or None if unknown."""
-    keys = GUIDE_KEYS.get(visualization)
+    keys = GUIDE_KEYS.get(_GUIDE_OF.get(visualization, visualization))
     if keys is None:
         return None
     defaults = {key: DEFAULTS[key] for key in keys}

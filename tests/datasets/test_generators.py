@@ -15,7 +15,8 @@ from repro.datasets import (
 from repro.datasets.kaggle import table2_entry
 from repro.datasets.synthetic import ColumnSpec, DatasetSpec, mixed_spec
 from repro.errors import DatasetError
-from repro.eda.dtypes import SemanticType, detect_frame_types
+from repro.eda.compute.base import ComputeContext
+from repro.eda.config import Config
 
 
 class TestSyntheticGenerator:
@@ -77,9 +78,7 @@ class TestTable2Datasets:
         entry = table2_entry(name)
         frame = load_kaggle_like(name)
         assert frame.shape == (entry.n_rows, entry.n_columns)
-        types = detect_frame_types(frame)
-        numerical = sum(1 for semantic in types.values()
-                        if semantic is SemanticType.NUMERICAL)
+        numerical = len(ComputeContext(frame, Config.from_user()).numerical_columns())
         # The synthetic generator reproduces the numerical/categorical split
         # (low-cardinality integer columns may read as categorical).
         assert abs(numerical - entry.n_numerical) <= 2

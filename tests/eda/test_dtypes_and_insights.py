@@ -7,7 +7,8 @@ import pytest
 
 import repro
 from repro.eda.config import Config
-from repro.eda.dtypes import SemanticType, detect_frame_types, detect_semantic_type
+from repro.eda.compute.base import ComputeContext
+from repro.eda.dtypes import SemanticType, detect_semantic_type
 from repro.eda.howto import GUIDE_KEYS, guides_for, how_to_guide
 from repro.eda.insights import (
     categorical_column_insights,
@@ -51,8 +52,9 @@ class TestSemanticTypes:
         column = Column("x", ["2020-01-01", "2021-01-01", "2022-03-04"])
         assert detect_semantic_type(column) is SemanticType.DATETIME
 
-    def test_detect_frame_types(self, house_frame):
-        types = detect_frame_types(house_frame)
+    def test_context_types_every_column(self, house_frame):
+        types = ComputeContext(house_frame, Config.from_user()).semantic_types()
+        assert list(types) == house_frame.columns
         assert types["price"] is SemanticType.NUMERICAL
         assert types["city"] is SemanticType.CATEGORICAL
         assert types["year_built"] is SemanticType.NUMERICAL
@@ -213,6 +215,18 @@ class TestHowToGuide:
         assert "box.whisker" in text
         text = how_to_guide("nullity_dendrogram").as_text()
         assert "no tunable parameters" in text
+
+    @pytest.mark.parametrize("columns", [(), ("price",)])
+    def test_every_correlation_method_panel_has_the_matrix_guide(
+            self, house_frame, columns):
+        container = repro.plot_correlation(house_frame, *columns)
+        panels = [panel for panel in container.panels
+                  if panel.name.startswith("correlation_")]
+        assert [panel.name for panel in panels] == [
+            "correlation_pearson", "correlation_spearman", "correlation_kendall"]
+        for panel in panels:
+            assert panel.howto.keys == ["correlation.methods",
+                                        "insight.correlation.threshold"]
 
     def test_guide_cases_cover_every_listed_key(self):
         listed = {(name, key) for name, keys in GUIDE_KEYS.items()

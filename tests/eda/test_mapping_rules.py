@@ -5,9 +5,13 @@ exactly the visualization families the paper's Figure 2 prescribes for the
 detected column types.
 """
 
+import numpy as np
 import pytest
 
 from repro.eda import plot, plot_correlation, plot_missing
+from repro.eda.compute import base
+from repro.frame import DataFrame
+from repro.frame.io import scan_csv, write_csv
 
 
 class TestPlotMappingRules:
@@ -106,3 +110,62 @@ class TestMissingMappingRules:
         intermediates = plot_missing(house_frame, "price", "city",
                                      mode="intermediates")
         assert intermediates["missing_impact"]["type"] == "categorical"
+
+
+def _drifting_frame() -> DataFrame:
+    """24 000 rows whose int column ``x`` has 5 distinct values in its first
+    12 000 rows and 100 after: categorical on the leading rows, numerical
+    over the whole column."""
+    index = np.arange(24_000)
+    return DataFrame({
+        "x": np.where(index < 12_000, index % 5, index % 100),
+        "y": np.random.default_rng(3).normal(size=index.size),
+    })
+
+
+@pytest.fixture(params=["frame", "scan"])
+def drifting(request, tmp_path):
+    frame = _drifting_frame()
+    if request.param == "frame":
+        return frame
+    write_csv(frame, tmp_path / "drift.csv")
+    return scan_csv(tmp_path / "drift.csv")
+
+
+def _semantic_answers(df) -> list:
+    """The semantic type of ``x`` as each of the five call forms reads it."""
+    return [
+        plot(df, mode="intermediates").meta["semantic_types"]["x"],
+        plot(df, "x", mode="intermediates").meta["semantic_type"],
+        plot(df, "x", "y", mode="intermediates").meta["combination"],
+        plot_missing(df, "y", mode="intermediates").meta["semantic_types"]["x"],
+        plot_missing(df, "y", "x", mode="intermediates").meta["impacted_type"],
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:.*materializing the scanned input")
+class TestOneSemanticTypePerCall:
+    """Every call decides a column's semantic type on the same leading rows,
+    so the mapping rules agree across call forms and sources."""
+
+    def test_every_call_form_agrees(self, drifting):
+        assert _semantic_answers(drifting) == [
+            "categorical", "categorical", "CN", "categorical", "categorical"]
+
+    def test_frame_and_scan_agree(self, tmp_path):
+        frame = _drifting_frame()
+        write_csv(frame, tmp_path / "drift.csv")
+        assert _semantic_answers(frame) == \
+            _semantic_answers(scan_csv(tmp_path / "drift.csv"))
+
+    def test_univariate_classifies_its_column_only(self, monkeypatch):
+        classified = []
+
+        def counting(column):
+            classified.append(column.name)
+            return detect(column)
+
+        detect = base.detect_semantic_type
+        monkeypatch.setattr(base, "detect_semantic_type", counting)
+        plot(_drifting_frame(), "x", mode="intermediates")
+        assert classified == ["x"]
