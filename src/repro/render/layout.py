@@ -12,9 +12,9 @@ import html as html_module
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.eda.howto import HowToEntry
 from repro.eda.insights import Insight
 from repro.eda.intermediates import Intermediates
+from repro.render.registry import HowToEntry
 
 _STYLE = """
 <style>

@@ -232,8 +232,8 @@ class TestKeyDeclarations:
     def test_every_key_is_read_somewhere(self):
         """A key nothing reads is an option nobody can be using: the guard
         that found ``insight.outlier.iqr_multiplier`` and
-        ``report.sample_rows``.  The how-to guide lists keys and reads
-        none, so its listing does not count as a read."""
+        ``report.sample_rows``.  The chart registry lists how-to guide
+        keys and reads none, so its listing does not count as a read."""
         import pathlib
 
         import repro
@@ -241,7 +241,7 @@ class TestKeyDeclarations:
         package = pathlib.Path(repro.__file__).parent
         readers = "".join(path.read_text(encoding="utf-8")
                           for path in sorted(package.rglob("*.py"))
-                          if path.name not in ("config.py", "howto.py"))
+                          if path.name not in ("config.py", "registry.py"))
         unread = [key for key in _KEYS
                   if f'"{key}"' not in readers and f"'{key}'" not in readers]
         assert unread == []

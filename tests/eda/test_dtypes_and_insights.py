@@ -9,7 +9,6 @@ import repro
 from repro.eda.config import Config
 from repro.eda.compute.base import ComputeContext
 from repro.eda.dtypes import SemanticType, detect_semantic_type
-from repro.eda.howto import GUIDE_KEYS, guides_for, how_to_guide
 from repro.eda.insights import (
     categorical_column_insights,
     correlation_insights,
@@ -19,6 +18,7 @@ from repro.eda.insights import (
     similarity_insight,
 )
 from repro.frame import Column, DataFrame
+from repro.render.registry import CHART_KINDS, guides_for, how_to_guide
 from repro.stats.descriptive import CategoricalSummary, NumericSummary
 from repro.stats.histogram import compute_histogram
 
@@ -152,7 +152,7 @@ _PAIR = (repro.plot, ("num", "num2"))
 _CATEGORIES = (repro.plot, ("cat", "cat2"))
 _GROUPS = (repro.plot, ("cat", "num"))
 
-#: (visualization, key) -> ((function, columns), non-default value).
+#: (chart kind, key) -> ((function, columns), non-default value).
 GUIDE_CASES = {
     ("histogram", "hist.bins"): (_NUMBER, 7),
     ("histogram", "hist.auto_bins"): (_NUMBER, True),
@@ -164,9 +164,12 @@ GUIDE_CASES = {
     ("pie_chart", "pie.slices"): (_WORDS, 3),
     ("word_frequencies", "wordfreq.top_words"): ((repro.plot, ("text",)), 3),
     ("word_frequencies", "wordfreq.lowercase"): ((repro.plot, ("text",)), False),
+    ("word_cloud", "wordfreq.top_words"): ((repro.plot, ("text",)), 3),
+    ("word_cloud", "wordfreq.lowercase"): ((repro.plot, ("text",)), False),
     ("scatter_plot", "scatter.sample_size"): (_PAIR, 50),
     ("hexbin_plot", "hexbin.gridsize"): (_PAIR, 5),
     ("binned_box_plot", "binnedbox.bins"): (_PAIR, 4),
+    ("binned_box_plot", "box.whisker"): (_PAIR, 0.5),
     ("nested_bar_chart", "nested.max_categories"): (_CATEGORIES, 3),
     ("stacked_bar_chart", "nested.max_categories"): (_CATEGORIES, 3),
     ("heat_map", "heatmap.max_categories"): (_CATEGORIES, 3),
@@ -183,6 +186,8 @@ GUIDE_CASES = {
     ("missing_spectrum", "missing.spectrum_bins"):
         ((repro.plot_missing, ()), 4),
     ("missing_impact", "missing.bins"): ((repro.plot_missing, ("miss",)), 5),
+    ("pdf", "missing.bins"): ((repro.plot_missing, ("miss", "num")), 5),
+    ("cdf", "missing.bins"): ((repro.plot_missing, ("miss", "num")), 5),
     ("stats", "insight.missing.threshold"): ((repro.plot, ("miss",)), 0.5),
     ("stats", "insight.skewness.threshold"): (_NUMBER, 100.0),
     ("stats", "insight.high_cardinality.threshold"):
@@ -193,8 +198,8 @@ GUIDE_CASES = {
 class TestHowToGuide:
     def test_every_guide_key_exists_in_defaults(self):
         from repro.eda.config import DEFAULTS
-        for keys in GUIDE_KEYS.values():
-            for key in keys:
+        for kind in CHART_KINDS:
+            for key in kind.keys or ():
                 assert key in DEFAULTS
 
     def test_guide_contains_example_with_key(self):
@@ -229,8 +234,8 @@ class TestHowToGuide:
                                         "insight.correlation.threshold"]
 
     def test_guide_cases_cover_every_listed_key(self):
-        listed = {(name, key) for name, keys in GUIDE_KEYS.items()
-                  for key in keys}
+        listed = {(kind.name, key) for kind in CHART_KINDS
+                  for key in kind.keys or ()}
         assert set(GUIDE_CASES) == listed
 
     @pytest.mark.parametrize("name,key", sorted(GUIDE_CASES))
@@ -239,13 +244,14 @@ class TestHowToGuide:
         """The guide promises each listed key customizes its chart: a
         non-default value (chosen to cross the key's threshold on
         ``guide_frame``) must change the items or insights of a call that
-        shows that visualization."""
+        shows that chart kind."""
         (function, columns), value = GUIDE_CASES[name, key]
         default = function(guide_frame, *columns, mode="intermediates")
         custom = function(guide_frame, *columns, config={key: value},
                           mode="intermediates")
-        # The matrix is shown once per method, as correlation_<method>.
-        assert name in default.items or name == "correlation_matrix"
+        # The matrix kind is shown once per method, as correlation_<method>.
+        titles = {kind.name: kind.titles for kind in CHART_KINDS}[name]
+        assert set(titles) & set(default.items)
         assert _shown(default) != _shown(custom)
 
 
