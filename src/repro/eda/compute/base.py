@@ -531,7 +531,8 @@ class BatchPlan:
     values pass through); ``partitions`` the call's partition sets after
     this batch, one per projection (None = full width) in build order;
     ``planned`` the planner's counters for the sets this batch built
-    (``columns_pruned``, ``chunks_skipped``); ``audit`` the ``(row-count
+    (``projected_parse_tasks``, ``full_parse_tasks``, ``columns_pruned``,
+    ``chunks_skipped``); ``audit`` the ``(row-count
     reduction, planned rows)`` of a filtered call's first batch, whose
     difference is ``rows_filtered``.
     """
@@ -579,7 +580,10 @@ def plan_batch(call: CallPlan, source: FrameSource,
             source, columns=projection, predicate=call.predicate,
             sidecar=call.sidecar)
         partitions[projection] = partitioned
-        if projection is not None:
+        if projection is None:
+            planned.full_parse_tasks += partitioned.npartitions
+        else:
+            planned.projected_parse_tasks += partitioned.npartitions
             planned.columns_pruned += \
                 (len(columns) - len(projection)) * partitioned.npartitions
         if call.predicate is not None:
@@ -620,6 +624,37 @@ def run_batch(batch: BatchPlan, scheduler: Scheduler
         setattr(report, name,
                 getattr(report, name) + after[total_key] - before[total_key])
     return dict(zip(batch.values, computed)), report
+
+
+#: The per-call views, ``meta[name]`` and ``Report.<name>_stats``, declared
+#: once: what the call plan says of the mechanism (given whether a
+#: cross-call cache is attached), then the field-wise sums of the named
+#: RunStats counters over the reports the view describes.
+#:
+#: * projection: partition tasks built full-width vs. projected, columns
+#:   whose parse was avoided, plus the predicate counters;
+#: * predicate: the pushed spec, chunks the zone maps skipped before any
+#:   bytes were read, rows the in-parse filter removed;
+#: * sidecar: chunk parses served from the binary sidecar, parses that
+#:   decoded CSV, CSV bytes the hits avoided — coordinator-process counts,
+#:   so a lower bound under the process and remote schedulers;
+#: * incremental: parse chunks answered by their per-chunk-stamp cache
+#:   keys, chunks that executed and the file bytes they read — enabled
+#:   when a streaming source meets an attached cache, which is what gives
+#:   every chunk a stable key.
+VIEWS: Dict[str, Tuple[Callable[[CallPlan, bool], Dict[str, Any]],
+                       Tuple[str, ...]]] = {
+    "projection": (lambda call, cached: {"enabled": call.projection},
+                   ("projected_parse_tasks", "full_parse_tasks",
+                    "columns_pruned", "chunks_skipped", "rows_filtered")),
+    "predicate": (lambda call, cached: {"enabled": call.predicate is not None,
+                                        "predicate": call.predicate},
+                  ("chunks_skipped", "rows_filtered")),
+    "sidecar": (lambda call, cached: {"enabled": call.sidecar is not None},
+                tuple(_SIDECAR_COUNTERS)),
+    "incremental": (lambda call, cached: {"enabled": not call.exact and cached},
+                    ("chunks_reused", "chunks_new", "bytes_reparsed")),
+}
 
 
 def _decide_cache(config: Config) -> Optional[TaskCache]:
@@ -820,59 +855,15 @@ class ComputeContext:
             self.timings["precompute_chunk_sizes"] = time.perf_counter() - started
         return self._planned_source
 
-    # The four views below are the public shape of ``meta[...]`` and
-    # ``Report.*_stats``: an enabled flag, planner-only facts, and counters
-    # summed over this call's reports.
-    def _counters(self, *names: str) -> Dict[str, int]:
-        return {name: sum(getattr(report, name) for report in self.reports)
-                for name in names}
-
-    def projection_stats(self) -> Dict[str, Any]:
-        """Projection planner counters: partition tasks built per kind,
-        columns whose parse was avoided, plus the predicate counters."""
-        tasks = {projection: partitioned.npartitions
-                 for projection, partitioned in self._partitions.items()}
-        full = tasks.pop(None, 0)
-        return {"enabled": self.call.projection,
-                "projected_parse_tasks": sum(tasks.values()),
-                "full_parse_tasks": full,
-                **self._counters("columns_pruned", "chunks_skipped",
-                                 "rows_filtered")}
-
-    def predicate_stats(self) -> Dict[str, Any]:
-        """Predicate-pushdown counters: the pushed spec, chunks the zone
-        maps skipped before any bytes were read, and rows the in-parse
-        filter removed from the chunks that did parse."""
-        return {"enabled": self.call.predicate is not None,
-                "predicate": self.call.predicate,
-                **self._counters("chunks_skipped", "rows_filtered")}
-
-    def sidecar_stats(self) -> Dict[str, Any]:
-        """Parsed-chunk sidecar counters for this call (plus enabled flag).
-
-        Coordinator-process counts: chunk parses served from the binary
-        sidecar, parses that decoded CSV (and stored a sidecar for next
-        time), and the CSV bytes the hits avoided.  A lower bound under the
-        process and remote schedulers, where workers hit their sidecars in
-        their own processes.
-        """
-        return {"enabled": self.call.sidecar is not None,
-                **self._counters(*_SIDECAR_COUNTERS)}
-
-    def incremental_stats(self) -> Dict[str, Any]:
-        """Incremental-refresh counters for this call (plus enabled flag).
-
-        Parse chunks answered by their per-chunk-stamp cache keys, chunks
-        that executed, and the file bytes those executions read.  Enabled
-        whenever the source streams from storage with a cross-call cache
-        attached — that combination gives every chunk a stable
-        per-chunk-stamp cache key, which is what makes appended-file
-        refreshes reuse the old chunks' sketch states.
-        """
-        return {"enabled": bool(not self.call.exact
-                                and self.scheduler.cache is not None),
-                **self._counters("chunks_reused", "chunks_new",
-                                 "bytes_reparsed")}
+    def views(self, reports: Sequence[RunStats]) -> Dict[str, Dict[str, Any]]:
+        """The four per-call views of *reports* (see :data:`VIEWS`), keyed
+        ``projection`` / ``predicate`` / ``sidecar`` / ``incremental``."""
+        cached = self.scheduler.cache is not None
+        return {name: {**facts(self.call, cached),
+                       **{counter: sum(getattr(report, counter)
+                                       for report in reports)
+                          for counter in counters}}
+                for name, (facts, counters) in VIEWS.items()}
 
     # ------------------------------------------------------------------ #
     # The planner dispatch
@@ -1024,8 +1015,5 @@ class ComputeContext:
         self._clock = now
         intermediates.timings = dict(self.timings)
         intermediates.meta["execution_reports"] = list(self.reports)
-        intermediates.meta["projection"] = self.projection_stats()
-        intermediates.meta["predicate"] = self.predicate_stats()
-        intermediates.meta["sidecar"] = self.sidecar_stats()
-        intermediates.meta["incremental"] = self.incremental_stats()
+        intermediates.meta.update(self.views(self.reports))
         return intermediates

@@ -10,8 +10,9 @@ names) plus the content, sampling the content above a size threshold:
 * arrays up to :data:`FULL_HASH_BYTES` are hashed byte-for-byte;
 * larger arrays combine a full-coverage CRC32 (cheap, covers every element,
   so any edit anywhere changes the fingerprint) with a head block, a tail
-  block and a strided sample fed to SHA1; object arrays feed item ``repr``s
-  to the CRC instead of raw bytes.
+  block and a strided sample fed to SHA1;
+* object arrays (a STRING column's dictionary) are hashed in full, from
+  every item's ``repr``.
 
 STRING columns are hashed as stored (int32 codes + the dictionary entries in
 use), so fingerprinting never decodes a per-row object array.
@@ -42,16 +43,20 @@ FULL_HASH_BYTES = 1 << 20
 #: Bytes hashed from the head and from the tail of a large array.
 _EDGE_BYTES = 1 << 16
 
-#: Number of strided interior samples taken from a large array.
+#: Number of strided interior samples taken from a large numeric array.
 _STRIDE_SAMPLES = 1024
+
+#: Items of an object array whose ``repr``s are hashed as one block.
+_OBJECT_BLOCK_ITEMS = 4096
 
 
 def fingerprint_array(array: np.ndarray) -> str:
     """Deterministic content fingerprint of a numpy array.
 
     Small arrays (including the boolean null masks) are hashed exactly;
-    large arrays are sampled as described in the module docstring.  Object
-    arrays (a STRING column's dictionary) are hashed from item ``repr``s.
+    large numeric arrays are sampled as described in the module docstring.
+    Object arrays (a STRING column's dictionary) are hashed from every
+    item's ``repr``.
     """
     hasher = hashlib.sha1()
     hasher.update(str(array.dtype).encode())
@@ -81,27 +86,13 @@ def _hash_numeric_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
 
 
 def _hash_object_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
-    flat = array.reshape(-1)
-    if flat.size <= _STRIDE_SAMPLES * 4:
-        for item in flat:
-            hasher.update(repr(item).encode())
-            hasher.update(b"\x00")
-        return
-    # Full-coverage CRC32 over every item so an edit anywhere changes the
-    # fingerprint (the object analogue of the numeric full-buffer CRC; one
-    # python-level pass, paid once per Column since fingerprints are cached).
-    crc = 0
-    for item in flat:
-        crc = zlib.crc32(repr(item).encode(), crc)
-    hasher.update(crc.to_bytes(4, "big"))
-    # Plus SHA1 over sampled items for collision diversity beyond 32 bits.
-    step = max(flat.size // _STRIDE_SAMPLES, 1)
-    head = range(min(flat.size, 256))
-    tail = range(max(flat.size - 256, 0), flat.size)
-    interior = range(0, flat.size, step)
-    for index in sorted(set(head) | set(tail) | set(interior)):
-        hasher.update(repr(flat[index]).encode())
-        hasher.update(b"\x00")
+    # Every item's repr, each followed by a NUL, fed in bounded blocks: one
+    # pass over the items and one SHA1 update per block, paid once per
+    # Column since fingerprints are cached.
+    items = array.reshape(-1).tolist()
+    for start in range(0, len(items), _OBJECT_BLOCK_ITEMS):
+        block = items[start:start + _OBJECT_BLOCK_ITEMS]
+        hasher.update(("\x00".join(map(repr, block)) + "\x00").encode())
 
 
 def fingerprint_column(column: "Column") -> str:

@@ -15,7 +15,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
 from repro.frame.frame import DataFrame, concat_rows
-from repro.frame.source import InMemorySource
+from repro.frame.source import FilteredSource, InMemorySource
 from repro.graph.delayed import Delayed, delayed
 
 
@@ -81,9 +81,11 @@ class PartitionedFrame:
         boundaries keep the source's pre-filter row offsets: a filtered
         partition holds *at most* ``stop - start`` rows, so indexed
         reductions (which assume exact global positions) must not be
-        planned over a filtered frame.  Over a raw source (not a
-        :class:`~repro.frame.source.FilteredSource`) every chunk is kept,
-        so this is also the unpruned form of a filtered partition set.
+        planned over a filtered frame.  It defaults to a
+        :class:`~repro.frame.source.FilteredSource`'s own predicate, so its
+        zone-map survivors are filtered too; over a raw source every chunk
+        is kept, so this is also the unpruned form of a filtered partition
+        set.
 
         *sidecar* — a :class:`~repro.frame.sidecar.SidecarRoute` tuple —
         routes every partition task through the parsed-chunk binary cache.
@@ -97,6 +99,8 @@ class PartitionedFrame:
         if not parts:
             raise GraphError("a FrameSource must expose at least one partition")
         spec = route = None
+        if predicate is None and isinstance(source, FilteredSource):
+            predicate = source.predicate
         if predicate is not None:
             spec = predicate.spec() if hasattr(predicate, "spec") \
                 else tuple(tuple(entry) for entry in predicate)

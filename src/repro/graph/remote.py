@@ -281,12 +281,11 @@ class PoolStats:
     redispatched: int = 0
     rejected_connections: int = 0
     worker_busy_s: Dict[str, float] = field(default_factory=dict)
-    worker_tasks: Dict[str, int] = field(default_factory=dict)
 
     def copy(self) -> "PoolStats":
         return PoolStats(self.shipped_bytes, self.bytes_received,
                          self.redispatched, self.rejected_connections,
-                         dict(self.worker_busy_s), dict(self.worker_tasks))
+                         dict(self.worker_busy_s))
 
 
 class _PendingTask:
@@ -468,7 +467,6 @@ class _RemotePool:
                                process=self._procs.get(hello.get("pid")))
             self._workers[worker_id] = link
             self.stats.worker_busy_s.setdefault(worker_id, 0.0)
-            self.stats.worker_tasks.setdefault(worker_id, 0)
             self._pump_locked()
             self._workers_changed.notify_all()
         threading.Thread(target=self._serve_worker, args=(link,), daemon=True,
@@ -502,8 +500,6 @@ class _RemotePool:
                         self.stats.worker_busy_s[link.id] = \
                             self.stats.worker_busy_s.get(link.id, 0.0) + \
                             (now - (task.started_at or task.dispatched_at))
-                        self.stats.worker_tasks[link.id] = \
-                            self.stats.worker_tasks.get(link.id, 0) + 1
                         self._pump_locked()
                 # Resolve outside the lock; a done/duplicate future is a
                 # no-op, which is the at-most-once absorption guarantee.

@@ -55,8 +55,10 @@ class RunStats:
     The single declaration of every run counter, and the execution report
     itself: each element of ``meta["execution_reports"]`` /
     ``Report.execution_reports`` is one batch's ``Scheduler.last_run``, and
-    the per-call totals behind ``meta[...]`` / ``Report.*_stats`` are one
-    more instance that every report is added to with ``+=``.  Each
+    each counter in ``meta[...]`` / ``Report.*_stats`` is the sum of that
+    field over the reports the view describes — the whole call's, or one
+    report section's (:data:`repro.eda.compute.base.VIEWS` declares the
+    four views once).  Each
     avoidance mechanism has its own counter: ``shared_tasks`` of the
     ``tasks_before_optimization`` tasks built were equal to another one and
     merged away by graph union, while ``cache_hits`` /
@@ -80,12 +82,15 @@ class RunStats:
     full_parses: int = 0       # executed partition tasks parsing every column
     # Planning-side facts the compute layer adds to the report after the
     # run (work that was avoided is no task's to declare), each counted once
-    # per newly built partition set: columns avoided across the projected
-    # partition tasks (table width - projected width, per task), chunks the
-    # zone maps let the planner drop before any bytes were read, and rows the
-    # pushed-down filters removed inside the executed parse tasks.  A stage
-    # that reuses an earlier stage's partition set builds none, so it can
-    # report ``projected_parses > 0`` with ``columns_pruned == 0``.
+    # per newly built partition set: the set's partition tasks, projected
+    # or full-width, columns avoided across the projected partition tasks
+    # (table width - projected width, per task), chunks the zone maps let
+    # the planner drop before any bytes were read, and rows the pushed-down
+    # filters removed inside the executed parse tasks.  A stage that reuses
+    # an earlier stage's partition set builds none, so it can report
+    # ``projected_parses > 0`` with ``projected_parse_tasks == 0``.
+    projected_parse_tasks: int = 0
+    full_parse_tasks: int = 0
     columns_pruned: int = 0
     chunks_skipped: int = 0
     rows_filtered: int = 0

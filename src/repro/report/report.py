@@ -43,9 +43,10 @@ class Report:
     :class:`~repro.graph.scheduler.RunStats` of each resolved graph stage,
     whose ``cache_hits`` field shows how much work the cross-call
     intermediate cache (``cache.enabled``) avoided on repeated runs.  The
-    four ``*_stats`` dicts are views of one record, the field-wise sum of
-    those reports: an ``enabled`` flag, the planner-only facts, and the
-    counters of that name.
+    four ``*_stats`` dicts are views of those reports: an ``enabled`` flag
+    (and the predicate's spec) from the call plan, and the field-wise sums
+    of the counters each names.  Each section's ``meta[...]`` holds the
+    same views of that section's own ``execution_reports``.
     """
 
     title: str
@@ -54,23 +55,16 @@ class Report:
     timings: Dict[str, float] = field(default_factory=dict)
     config: Optional[Config] = None
     execution_reports: List[Any] = field(default_factory=list)
-    #: The projection planner's counters for the whole report (partition
-    #: tasks built full-width vs. projected, columns pruned) — see
-    #: :meth:`~repro.eda.compute.base.ComputeContext.projection_stats`.
+    #: The four per-call views of ``execution_reports``
+    #: (:data:`repro.eda.compute.base.VIEWS`): the projection planner's
+    #: partition tasks and columns pruned; the pushed filter spec, chunks
+    #: the zone maps skipped and rows filtered inside the parse; chunk
+    #: parses served from the disk sidecar and those that decoded CSV; and
+    #: parse chunks the per-chunk-stamp cache keys answered, chunks executed
+    #: and the file bytes they read.
     projection_stats: Dict[str, Any] = field(default_factory=dict)
-    #: Predicate-pushdown counters for the whole report (the pushed filter
-    #: spec, chunks the zone maps skipped, rows filtered inside the parse)
-    #: — see :meth:`~repro.eda.compute.base.ComputeContext.predicate_stats`.
     predicate_stats: Dict[str, Any] = field(default_factory=dict)
-    #: Parsed-chunk disk-sidecar counters for the whole report (chunk parses
-    #: served from the binary sidecar, parses that decoded CSV, CSV bytes
-    #: avoided) — see
-    #: :meth:`~repro.eda.compute.base.ComputeContext.sidecar_stats`.
     sidecar_stats: Dict[str, Any] = field(default_factory=dict)
-    #: Incremental-refresh counters for the whole report (parse chunks whose
-    #: per-chunk-stamp cache keys answered without running, chunks executed,
-    #: file bytes those executions read) — see
-    #: :meth:`~repro.eda.compute.base.ComputeContext.incremental_stats`.
     incremental_stats: Dict[str, Any] = field(default_factory=dict)
     #: The input handle the report was computed from (pre-``where``), kept
     #: so :meth:`refresh` can re-resolve it against the current file state.
@@ -195,10 +189,13 @@ def create_report(df: DataFrame, config: Optional[Mapping[str, Any]] = None,
     context = ComputeContext(df, cfg)
 
     # The context is shared across sections, so each finish() would attach
-    # the cumulative report list; re-slice per section so summing over
-    # sections never counts a graph stage twice.
+    # the cumulative reports and views; re-slice per section so a section
+    # describes its own graph stages and summing over sections never counts
+    # one twice.
     def section_reports(start: int, intermediates: Intermediates) -> Intermediates:
-        intermediates.meta["execution_reports"] = list(context.reports[start:])
+        reports = context.reports[start:]
+        intermediates.meta["execution_reports"] = reports
+        intermediates.meta.update(context.views(reports))
         return intermediates
 
     started = time.perf_counter()
@@ -228,10 +225,8 @@ def create_report(df: DataFrame, config: Optional[Mapping[str, Any]] = None,
     return Report(title=title, sections=sections, interactions=interactions,
                   timings=timings, config=cfg,
                   execution_reports=list(context.reports),
-                  projection_stats=context.projection_stats(),
-                  predicate_stats=context.predicate_stats(),
-                  sidecar_stats=context.sidecar_stats(),
-                  incremental_stats=context.incremental_stats(),
+                  **{f"{name}_stats": view for name, view
+                     in context.views(context.reports).items()},
                   source=original, where=where)
 
 

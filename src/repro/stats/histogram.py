@@ -51,7 +51,7 @@ class Histogram:
         if self.edges.shape != other.edges.shape or \
                 not np.allclose(self.edges, other.edges):
             raise EDAError("cannot merge histograms with different bin edges")
-        return Histogram(self.edges, self.counts + other.counts)
+        return type(self)(self.edges, self.counts + other.counts)
 
 
 def compute_histogram(values: np.ndarray, bins: int,

@@ -217,13 +217,9 @@ class StreamingHistogram(Histogram):
     """A :class:`Histogram` that accepts incremental batches.
 
     The edges are fixed up front (from a precomputed global min/max), so two
-    sketches built over different chunks are mergeable by adding counts.
-    Values outside the range are not silently lost: they are tallied in
-    ``underflow`` / ``overflow``.
+    sketches built over different chunks are mergeable by adding counts
+    (:meth:`Histogram.merge`).  Values outside the range are not counted.
     """
-
-    underflow: int = 0
-    overflow: int = 0
 
     @classmethod
     def with_range(cls, bins: int, low: float, high: float) -> "StreamingHistogram":
@@ -251,21 +247,8 @@ class StreamingHistogram(Histogram):
         finite = values[np.isfinite(values)]
         if finite.size == 0:
             return
-        low, high = float(self.edges[0]), float(self.edges[-1])
         counts, _ = np.histogram(finite, bins=self.edges)
         self.counts = self.counts + counts.astype(np.int64)
-        self.underflow += int((finite < low).sum())
-        self.overflow += int((finite > high).sum())
-
-    def merge(self, other: Histogram) -> "StreamingHistogram":
-        """Merge with another histogram built over identical edges."""
-        if self.edges.shape != other.edges.shape or \
-                not np.allclose(self.edges, other.edges):
-            raise EDAError("cannot merge histograms with different bin edges")
-        return StreamingHistogram(
-            edges=self.edges, counts=self.counts + other.counts,
-            underflow=self.underflow + int(getattr(other, "underflow", 0)),
-            overflow=self.overflow + int(getattr(other, "overflow", 0)))
 
 
 # --------------------------------------------------------------------------- #

@@ -5,8 +5,9 @@ batch is a frozen :class:`BatchPlan` — bound values, the partition sets
 after the batch, the planner's own counters and the rows audit — that can
 be built, compared and tested without a scheduler.  These tests pin that
 planning executes nothing and is deterministic, that the per-call views
-read from the plans and reports are unchanged, and that a filtered report
-decodes each surviving chunk once.
+read from the plans and reports are unchanged, that each report section's
+views describe its own batches, and that a filtered report decodes each
+surviving chunk once.
 """
 
 from __future__ import annotations
@@ -212,6 +213,42 @@ def test_the_per_call_views_are_unchanged(tmp_path, call, kind):
              else result.meta[view] for view in VIEWS}
     predicate = (("ts", ">=", 900),) if kind == "filtered" else None
     assert views == _expected_views(VIEW_TABLE[call, kind], predicate)
+
+
+# --------------------------------------------------------------------------- #
+# Every report section's views describe its own batches.
+# --------------------------------------------------------------------------- #
+def _views_over(reports, facts):
+    """*facts*' call-plan entries, each counter summed over *reports*."""
+    counters = {spec.name for spec in dataclasses.fields(RunStats)}
+    return {name: sum(getattr(report, name) for report in reports)
+            if name in counters else value for name, value in facts.items()}
+
+
+@pytest.mark.parametrize("kind", ["memory", "scan", "filtered"])
+def test_each_report_section_views_its_own_batches(tmp_path, kind):
+    path = str(tmp_path / "data.csv")
+    write_csv(_frame(), path)
+    scan = scan_csv(path, chunk_rows=N_ROWS // 2)
+    assert scan.n_chunks == 2
+    source = {"memory": _frame(), "scan": scan,
+              "filtered": scan[scan.ts >= 900]}[kind]
+    config = {"compute.scheduler": "synchronous",
+              "cache.disk_dir": str(tmp_path / "disk"),
+              "compute.use_graph": "always",
+              "compute.partition_rows": N_ROWS // 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # filtered Missing
+        report = create_report(source, config=config)
+    whole = {view: getattr(report, f"{view}_stats") for view in VIEWS}
+    for view, stats in whole.items():
+        assert stats == _views_over(report.execution_reports, stats), view
+    assert "Correlations" in report.sections
+    for name, section in report.sections.items():
+        reports = section.meta["execution_reports"]
+        for view, stats in whole.items():
+            assert section.meta[view] == _views_over(reports, stats), \
+                f"{name}: meta[{view!r}]"
 
 
 # --------------------------------------------------------------------------- #

@@ -373,6 +373,7 @@ class TestProjectionPlanner:
         assert list(second.partitions) == [("price",), ("size",)]
         assert second.partitions[("price",)] is first.partitions[("price",)]
         context.resolve({"summary": pending})
-        assert context.projection_stats()["projected_parse_tasks"] == \
+        assert context.views(context.reports)["projection"][
+            "projected_parse_tasks"] == \
             first.partitions[("price",)].npartitions == \
             context.reports[-1].projected_parses

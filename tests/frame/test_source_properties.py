@@ -257,7 +257,7 @@ def test_explicit_in_memory_partitioning_survives_default_config():
         context = ComputeContext(InMemorySource(frame, partition_rows=5_000),
                                  Config.from_user(config))
         assert context.resolve({"rows": context.row_count()}) == {"rows": 60_000}
-        return context.projection_stats()["full_parse_tasks"]
+        return context.views(context.reports)["projection"]["full_parse_tasks"]
 
     assert partition_tasks({}) == 12
     assert partition_tasks({"compute.partition_rows": 30_000}) == 2

@@ -126,6 +126,26 @@ class TestCsvPartitioning:
             combine=lambda parts: float(sum(parts))).compute()
         assert total == pytest.approx(wide_frame.column("x").sum())
 
+    def test_a_filtered_source_partitions_under_its_own_predicate(self, tmp_path):
+        from repro.frame.io import scan_csv, write_csv
+        path = str(tmp_path / "log.csv")
+        write_csv(DataFrame({"ts": np.arange(4000, dtype=np.float64)}), path)
+        scan = scan_csv(path, chunk_rows=1000)
+        filtered = scan[scan.ts >= 2500]
+        expected = filtered.to_frame()
+        assert len(expected) == 1500
+        # Zone maps keep the last two chunks; their rows below 2500 go too.
+        pruned = PartitionedFrame.from_source(filtered)
+        assert pruned.npartitions == 2
+        assert pruned.compute() == expected
+        # An explicit predicate wins: over the raw scan it keeps every chunk.
+        unpruned = PartitionedFrame.from_source(scan, predicate=filtered.predicate)
+        assert unpruned.npartitions == 4
+        assert unpruned.compute() == expected
+        narrower = PartitionedFrame.from_source(filtered,
+                                                predicate=(("ts", ">=", 3000),))
+        assert narrower.compute().column("ts").to_numpy().min() == 3000
+
     def test_scanned_csv_partitions_share_dtypes(self, wide_frame, tmp_path):
         from repro.frame.io import scan_csv, write_csv
         path = tmp_path / "wide.csv"
