@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from repro.eda.config import Config
 from repro.eda.dtypes import SEMANTIC_TYPE_ROWS, SemanticType, detect_semantic_type
-from repro.frame.column import Column
+from repro.frame.column import Column, category_labels
 from repro.frame.frame import DataFrame
 from repro.frame.sidecar import SidecarRoute, stats_snapshot as _sidecar_snapshot
 from repro.frame.source import FilteredSource, FrameSource, as_source
@@ -157,7 +157,8 @@ def _combine_samples(partials: List[DataFrame]) -> DataFrame:
 def _chunk_pair_counts(partition: DataFrame, col1: str, col2: str,
                        capacity: Optional[int] = None) -> Dict[Tuple[str, str], int]:
     """Counts per (value of col1, value of col2) pair, as strings; with a
-    *capacity*, only that many most frequent pairs are kept."""
+    *capacity*, only that many most frequent pairs are kept.  Only the
+    categories of a counted pair are formatted."""
     first, left = partition.column(col1).category_codes()
     second, right = partition.column(col2).category_codes()
     keep = (first >= 0) & (second >= 0)
@@ -174,9 +175,15 @@ def _chunk_pair_counts(partition: DataFrame, col1: str, col2: str,
         tallies = tallies[keys]
     else:       # too sparse for a dense bincount table
         keys, tallies = np.unique(fused, return_counts=True)
-    counts = {(str(left[key // width]), str(right[key % width])): int(count)
-              for key, count in zip(keys.tolist(), tallies.tolist())}
+    pairs = zip(_labels_at(left, keys // width), _labels_at(right, keys % width))
+    counts = dict(zip(pairs, tallies.tolist()))
     return counts if capacity is None else _prune_pair_counts(counts, capacity)
+
+
+def _labels_at(categories: np.ndarray, indices: np.ndarray) -> List[str]:
+    """The labels of ``categories[indices]``, each category formatted once."""
+    used, inverse = np.unique(indices, return_inverse=True)
+    return category_labels(categories[used])[inverse].tolist()
 
 
 def _combine_pair_counts(partials: List[Dict[Tuple[str, str], int]]

@@ -17,6 +17,7 @@ from repro.eda.config import Config
 from repro.eda.dtypes import SemanticType
 from repro.eda.insights import Insight
 from repro.eda.intermediates import Intermediates
+from repro.frame.column import category_labels
 from repro.frame.frame import DataFrame
 from repro.stats.correlation import PearsonPartial
 from repro.stats.qq import box_plot_from_values
@@ -142,20 +143,21 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
     })
 
     sample: DataFrame = stage1["sample"]
-    codes, labels = sample.column(categorical).category_codes()
+    codes, categories = sample.column(categorical).category_codes()
     numbers = sample.column(numerical)
     values = numbers.to_numpy().astype(np.float64)
     # Finite values only, as the NumericSummary beside the boxes counts them.
     keep = (codes >= 0) & numbers.notna() & np.isfinite(values)
     codes, values = codes[keep], values[keep]
 
-    max_groups = config.get("box.max_groups")
-    top_categories = [value for value, _ in
-                      stage1["categories"].top_values(max_groups)]
-    code_of = {label: code for code, label in enumerate(labels.tolist())}
+    # The summary and the sample are of one column, so the summary's top
+    # categories are in the sample's (sorted) category space: one search
+    # each, and only their labels are formatted.
+    wanted = stage1["categories"].top_categories(config.get("box.max_groups"))
+    top_categories = category_labels(wanted).tolist()
     grouped: Dict[str, np.ndarray] = {
-        category: values[codes == code_of.get(category, -1)]
-        for category in top_categories}
+        category: values[codes == code] for category, code in
+        zip(top_categories, _codes_of(categories, wanted))}
 
     boxes = []
     for category in top_categories:
@@ -185,6 +187,14 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
         task="bivariate", columns=requested_order, items=items, stats=stats,
         meta={"combination": "CN", "categorical": categorical, "numerical": numerical})
     return context.finish(intermediates)
+
+
+def _codes_of(categories: np.ndarray, wanted: np.ndarray) -> List[int]:
+    """The code of each *wanted* category among the sorted *categories*
+    (``-1`` where absent)."""
+    found = np.searchsorted(categories, wanted).tolist()
+    return [code if code < categories.size and categories[code] == category
+            else -1 for code, category in zip(found, wanted)]
 
 
 def _multi_line(grouped: Dict[str, np.ndarray], categories: List[str],

@@ -20,21 +20,51 @@ from repro.frame.dtypes import (
 #: The ``datetime64[s]`` range python's ``datetime`` covers (years 1-9999).
 _DATETIME_MIN = np.datetime64("0001-01-01T00:00:00", "s")
 _DATETIME_MAX = np.datetime64("9999-12-31T23:59:59", "s")
+#: ``len(str(datetime))`` of a whole-second datetime in that range.
+_DATETIME_LABEL_WIDTH = 19
 
 
-def _value_text(distinct: np.ndarray) -> Sequence[str]:
-    """``str(value)`` of every python scalar in a sorted array.
+def _value_text(values: np.ndarray) -> Sequence[str]:
+    """``str(value)`` of every python scalar in an array of storage values.
 
     Datetimes inside python's range print as their ISO text with a space
     for the ``T``, which numpy formats for the whole array at once; every
     other value goes through ``str`` itself.
     """
-    if distinct.dtype.kind == "M" and distinct.size and \
-            _DATETIME_MIN <= distinct[0] and distinct[-1] <= _DATETIME_MAX:
-        text = np.datetime_as_string(distinct, unit="s")
-        text.view(np.uint32).reshape(distinct.size, -1)[:, 10] = ord(" ")
+    if values.dtype.kind == "M" and values.size and \
+            _DATETIME_MIN <= values.min() and values.max() <= _DATETIME_MAX:
+        text = np.datetime_as_string(values, unit="s")
+        text.view(np.uint32).reshape(values.size, -1)[:, 10] = ord(" ")
         return text.astype(object)
-    return [str(value) for value in distinct.tolist()]
+    return [str(value) for value in values.tolist()]
+
+
+def category_labels(categories: np.ndarray) -> np.ndarray:
+    """The label (``str(value)``) of each category, as an object array.
+
+    STRING categories are their dictionary texts already and come back as
+    they are; storage values (BOOL / INT / FLOAT / DATETIME) are formatted
+    here, so a caller pays for the labels it reads and no others.
+    """
+    if categories.dtype == object:
+        return categories
+    labels = np.empty(categories.size, dtype=object)
+    labels[:] = _value_text(categories)
+    return labels
+
+
+def fixed_label_width(categories: np.ndarray) -> Optional[int]:
+    """The one label length of ascending *categories* whose labels sort
+    like their values, or None when that takes formatting to know.
+
+    That is DATETIME inside python's range: fixed-width ISO text, 19
+    characters, so value order is label order.
+    """
+    if categories.dtype.kind == "M" and (not categories.size or (
+            _DATETIME_MIN <= categories[0]
+            and categories[-1] <= _DATETIME_MAX)):
+        return _DATETIME_LABEL_WIDTH
+    return None
 
 
 class Column:
@@ -52,15 +82,17 @@ class Column:
       it, and ``data`` is a lazily decoded object-array view kept for
       ``to_numpy`` / ``to_list`` / ``__getitem__``.
 
-    :meth:`category_codes` gives every dtype the same ``(codes, labels)``
-    shape, so categorical kernels are written once.
+    :meth:`category_codes` and :meth:`category_counts` give every dtype the
+    same *categories* shape — dictionary texts for STRING, sorted distinct
+    storage values otherwise — so categorical kernels are written once and
+    format labels (:func:`category_labels`) only for what they emit.
 
     Columns are immutable from the caller's perspective: every operation
     returns a new :class:`Column` and never mutates ``data`` in place.
     """
 
     __slots__ = ("name", "_data", "mask", "dtype", "_fingerprint",
-                 "_codes", "_dictionary", "_memory_bytes")
+                 "_codes", "_dictionary", "_memory_bytes", "_dictionary_bytes")
 
     def __init__(self, name: str, values: Union[Sequence[Any], np.ndarray],
                  dtype: Optional[DType] = None,
@@ -69,6 +101,7 @@ class Column:
         self._codes: Optional[np.ndarray] = None
         self._dictionary: Optional[np.ndarray] = None
         self._memory_bytes: Optional[int] = None
+        self._dictionary_bytes: Optional[int] = None
         self._fingerprint: Optional[str] = None
         if isinstance(values, np.ndarray) and dtype is None and mask is None:
             self._data, self.mask, self.dtype = from_numpy(values)
@@ -98,10 +131,12 @@ class Column:
     @classmethod
     def _build(cls, name: str, dtype: DType, mask: np.ndarray,
                data: Optional[np.ndarray], codes: Optional[np.ndarray] = None,
-               dictionary: Optional[np.ndarray] = None) -> "Column":
+               dictionary: Optional[np.ndarray] = None,
+               dictionary_bytes: Optional[int] = None) -> "Column":
         """Assemble a column from buffers that already hold the constructor's
         invariants (coerced to *dtype*, FLOAT NaNs masked, codes ``-1`` exactly
-        where masked) without copying or rescanning them."""
+        where masked) without copying or rescanning them; a column sharing
+        another's dictionary passes on its memoised *dictionary_bytes*."""
         column = object.__new__(cls)
         column.name = name
         column.dtype = dtype
@@ -111,6 +146,7 @@ class Column:
         column._dictionary = dictionary
         column._fingerprint = None
         column._memory_bytes = None
+        column._dictionary_bytes = dictionary_bytes
         return column
 
     # ------------------------------------------------------------------ #
@@ -142,27 +178,44 @@ class Column:
         """The per-row array actually stored: codes for STRING, else data."""
         return self._codes if self.dtype is DType.STRING else self._data
 
+    def _present_values(self) -> np.ndarray:
+        """Non-STRING present storage values, ``-0.0`` as ``0.0`` (as every
+        categorical reduction here counts it)."""
+        values = self._data[~self.mask]
+        return values + 0.0 if self.dtype is DType.FLOAT else values
+
     def category_codes(self) -> Tuple[np.ndarray, np.ndarray]:
-        """This column as categories: ``(codes, labels)``.
+        """This column as categories: ``(codes, categories)``.
 
         ``codes`` holds one integer per row (``-1`` where missing) indexing
-        ``labels``, an object array with ``labels[code] == str(value)``.
-        STRING hands back its storage as is (labels sorted, possibly with
-        unused entries); other dtypes factorize their present values, with
-        ``-0.0`` counted as ``0.0`` like every other reduction here.
+        ``categories``, whose labels are ``category_labels(categories)``.
+        STRING hands back its storage as is (the dictionary: sorted texts,
+        possibly with unused entries); other dtypes factorize their present
+        values into their sorted distinct storage values.  Nothing is
+        formatted here.
         """
         if self.dtype is DType.STRING:
             return self._codes, self._dictionary
         codes = np.full(len(self), -1, dtype=np.int32)
-        present = ~self.mask
-        values = self._data[present]
-        if self.dtype is DType.FLOAT:
-            values = values + 0.0
-        distinct, inverse = np.unique(values, return_inverse=True)
-        codes[present] = inverse
-        labels = np.empty(distinct.size, dtype=object)
-        labels[:] = _value_text(distinct)
-        return codes, labels
+        distinct, codes[~self.mask] = np.unique(self._present_values(),
+                                                return_inverse=True)
+        return codes, distinct
+
+    def category_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The categories present, ascending, and their ``int64`` counts.
+
+        Categories as in :meth:`category_codes`, unused dictionary entries
+        dropped: label order for STRING, value order otherwise.
+        """
+        if self.dtype is DType.STRING:
+            codes, labels = self._codes, self._dictionary
+            tallies = np.bincount(codes[codes >= 0], minlength=labels.size)
+            used = np.flatnonzero(tallies)
+            # The dictionary is sorted already: the stable sort is one pass.
+            used = used[np.argsort(labels[used], kind="stable")]
+            return labels[used], tallies[used].astype(np.int64, copy=False)
+        distinct, counts = np.unique(self._present_values(), return_counts=True)
+        return distinct, counts.astype(np.int64, copy=False)
 
     @classmethod
     def from_codes(cls, name: str, codes: np.ndarray, dictionary: np.ndarray,
@@ -195,7 +248,8 @@ class Column:
         STRING subset keeps sharing this column's dictionary."""
         if self.dtype is DType.STRING:
             return Column._build(self.name, self.dtype, self.mask[indexer],
-                                 None, self._codes[indexer], self._dictionary)
+                                 None, self._codes[indexer], self._dictionary,
+                                 self._dictionary_bytes)
         return Column._build(self.name, self.dtype, self.mask[indexer],
                              self._data[indexer])
 
@@ -219,6 +273,7 @@ class Column:
         self.dtype = state["dtype"]
         self._fingerprint = None
         self._memory_bytes = None
+        self._dictionary_bytes = None
         self._data = state.get("data")
         self._codes = state.get("codes")
         self._dictionary = state.get("dictionary")
@@ -335,7 +390,8 @@ class Column:
     def rename(self, name: str) -> "Column":
         """Return a copy of this column under a new name (data is shared)."""
         return Column._build(str(name), self.dtype, self.mask, self._data,
-                             self._codes, self._dictionary)
+                             self._codes, self._dictionary,
+                             self._dictionary_bytes)
 
     def slice_view(self, start: int, stop: int) -> "Column":
         """Zero-copy row slice sharing this column's buffers.
@@ -350,7 +406,8 @@ class Column:
         dictionary, which nothing mutates)."""
         if self.dtype is DType.STRING:
             return Column._build(self.name, self.dtype, self.mask.copy(), None,
-                                 self._codes.copy(), self._dictionary)
+                                 self._codes.copy(), self._dictionary,
+                                 self._dictionary_bytes)
         return Column._build(self.name, self.dtype, self.mask.copy(),
                              self._data.copy())
 
@@ -590,13 +647,19 @@ class Column:
         STRING columns count the python ``str`` objects of the dictionary
         (header included), once per distinct value — O(dictionary), not
         O(rows) — so the intermediate cache keeps its byte budget honest for
-        parsed CSV chunks.  Memoized: the budget check runs on every store.
+        parsed CSV chunks.  Memoized: the budget check runs on every store,
+        and the dictionary's share is memoised apart, so a row subset or copy
+        made after its parent priced the shared dictionary does not walk it
+        again.
         """
         if self._memory_bytes is None:
             size = self._storage.nbytes + self.mask.nbytes
             if self.dtype is DType.STRING:
-                size += self._dictionary.nbytes + sum(
-                    sys.getsizeof(value) for value in self._dictionary.tolist())
+                if self._dictionary_bytes is None:
+                    self._dictionary_bytes = self._dictionary.nbytes + sum(
+                        sys.getsizeof(value)
+                        for value in self._dictionary.tolist())
+                size += self._dictionary_bytes
             self._memory_bytes = int(size)
         return self._memory_bytes
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 import pickle
+import sys
 
 import naive_reference as naive
 import numpy as np
@@ -328,6 +329,22 @@ class TestMemoryBytes:
         first = column.memory_bytes()
         assert column._memory_bytes == first
         assert column.memory_bytes() == first
+
+    def test_row_subsets_inherit_the_priced_dictionary(self, monkeypatch):
+        values = [f"id{index % 500:04d}" for index in range(2_000)]
+        parent = _column(values)
+        fresh = [_column(values[100:900]).memory_bytes(),
+                 _column(values[::3]).memory_bytes()]
+        parent.memory_bytes()
+        walked = []
+        monkeypatch.setattr(sys, "getsizeof", lambda value, *default:
+                            walked.append(value) or 0)
+        subsets = [parent[100:900], parent.take(np.arange(0, 2_000, 3))]
+        # Same bytes as columns that own an equal dictionary, without
+        # walking the shared one again.
+        assert [subset.memory_bytes() for subset in subsets] == fresh
+        assert [subset.copy().memory_bytes() for subset in subsets] == fresh
+        assert walked == []
 
 
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.frame import Column, DataFrame
+from repro.frame import column as column_module
 from repro.graph.cache import TaskCache
 from repro.render.charts import render_scatter
 from repro.stats import sketches
@@ -83,6 +84,26 @@ def test_exact_summary_path_makes_no_call_per_distinct_value():
     # size estimate's recursion — about a million in all.)
     assert large == small
     assert large < 400
+
+
+def test_value_space_summary_formats_only_the_labels_it_shows(monkeypatch):
+    formatted = []
+    original = column_module._value_text
+    monkeypatch.setattr(column_module, "_value_text", lambda values:
+                        formatted.append(len(values)) or original(values))
+
+    def run(rows: int) -> int:
+        formatted.clear()
+        chunks = _columns(rows // 2, 1)[0]      # the all-distinct DATETIME
+        merged = merge_all([CategoricalSummary.from_column(chunk)
+                            for chunk in chunks])
+        merged.top_values(10)
+        merged.as_dict()
+        return sum(formatted)
+
+    # The ten shown and the mode, whatever the column's size: ties, order
+    # and lengths of in-range datetimes need no text.
+    assert run(60_000) == run(600) <= 11
 
 
 def test_summary_size_estimate_counts_label_text():
