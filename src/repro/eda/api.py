@@ -79,18 +79,6 @@ from repro.frame.source import FilteredSource, as_source
 _VALID_MODES = ("container", "intermediates")
 
 
-def _prepare(df: DataFrame, config: Optional[Mapping[str, Any]],
-             display: Optional[Sequence[str]], mode: str) -> Config:
-    try:
-        as_source(df)   # any FrameSource: DataFrame, scan_csv handle, custom
-    except FrameError as error:
-        raise EDAError(f"the first argument must be an EDA input: {error}") \
-            from None
-    if mode not in _VALID_MODES:
-        raise EDAError(f"mode must be one of {_VALID_MODES}, got {mode!r}")
-    return Config.from_user(config, display=display)
-
-
 def _apply_where(df: Any, where: Any) -> Any:
     """Resolve the ``where=`` filter against the input before computing.
 
@@ -144,11 +132,57 @@ def _fallback_filter(source: Any, where: Any, error: PredicateError):
     return frame.filter(mask)
 
 
-def _finish(intermediates: Intermediates, config: Config, call: str, mode: str):
+#: Each task family's compute functions by the number of columns named.
+_TASKS = {
+    "plot": (compute_overview, compute_univariate, compute_bivariate),
+    "plot_correlation": (compute_correlation_overview,
+                         compute_correlation_single, compute_correlation_pair),
+    "plot_missing": (compute_missing_overview, compute_missing_single,
+                     compute_missing_pair),
+}
+
+
+def _run(task: str, df: Any, col1: Optional[str], col2: Optional[str],
+         config: Optional[Mapping[str, Any]],
+         display: Optional[Sequence[str]], mode: str, where: Any):
+    """The one body of every ``plot*`` call: check the input, filter the
+    rows, compute the family's intermediates for the columns named, keep
+    the items *display* selects and render them unless *mode* asks for
+    the intermediates."""
+    try:
+        as_source(df)   # any FrameSource: DataFrame, scan_csv handle, custom
+    except FrameError as error:
+        raise EDAError(f"the first argument must be an EDA input: {error}") \
+            from None
+    if mode not in _VALID_MODES:
+        raise EDAError(f"mode must be one of {_VALID_MODES}, got {mode!r}")
+    cfg = Config.from_user(config)
+    df = _apply_where(df, where)
+    if col1 is None and col2 is not None:
+        raise EDAError("col1 must be provided when col2 is given")
+    columns = [name for name in (col1, col2) if name is not None]
+    intermediates = _TASKS[task][len(columns)](df, *columns, cfg)
+    _select(intermediates, display)
     if mode == "intermediates":
         return intermediates
+    call = task + "(df" + "".join(f', "{name}"' for name in columns) + ")"
     from repro.render import render_intermediates
-    return render_intermediates(intermediates, config, call=call)
+    return render_intermediates(intermediates, cfg, call=call)
+
+
+def _select(intermediates: Intermediates,
+            display: Optional[Sequence[str]]) -> None:
+    """Keep only the items named in *display* (case-insensitive), in the
+    order the compute step built them; all of them when *display* is None."""
+    if display is None:
+        return
+    wanted = {name.lower() for name in display}
+    kept = {name: data for name, data in intermediates.items.items()
+            if name.lower() in wanted}
+    if not kept:
+        raise EDAError(f"display={list(display)!r} selects none of this "
+                       f"call's items: {list(intermediates.items)}")
+    intermediates.items = kept
 
 
 def plot(df: DataFrame, col1: Optional[str] = None, col2: Optional[str] = None,
@@ -179,7 +213,13 @@ def plot(df: DataFrame, col1: Optional[str] = None, col2: Optional[str] = None,
         cache keys; :func:`repro.eda.config.available_config_keys` lists
         everything).
     display:
-        Restrict the produced visualizations, e.g. ``["histogram"]``.
+        Keep only the named items (tabs), e.g. ``["histogram", "stats"]``;
+        names are case-insensitive and the default keeps every item.  It
+        selects among what this call makes (``plot(df)`` makes
+        ``overview`` and ``variables``) after computing, so no kept value
+        depends on it, in the container and in ``mode="intermediates"``
+        alike.  A list that names none of the call's items raises
+        :class:`~repro.errors.EDAError` listing them.
     mode:
         ``"container"`` (default) returns the rendered tabbed layout;
         ``"intermediates"`` returns the raw computed values plus stage
@@ -195,20 +235,7 @@ def plot(df: DataFrame, col1: Optional[str] = None, col2: Optional[str] = None,
         Results are identical to calling ``plot`` on the pre-filtered
         frame.
     """
-    cfg = _prepare(df, config, display, mode)
-    df = _apply_where(df, where)
-    if col1 is None and col2 is not None:
-        raise EDAError("col1 must be provided when col2 is given")
-    if col1 is None:
-        intermediates = compute_overview(df, cfg)
-        call = "plot(df)"
-    elif col2 is None:
-        intermediates = compute_univariate(df, col1, cfg)
-        call = f'plot(df, "{col1}")'
-    else:
-        intermediates = compute_bivariate(df, col1, col2, cfg)
-        call = f'plot(df, "{col1}", "{col2}")'
-    return _finish(intermediates, cfg, call, mode)
+    return _run("plot", df, col1, col2, config, display, mode, where)
 
 
 def plot_correlation(df: DataFrame, col1: Optional[str] = None,
@@ -225,22 +252,10 @@ def plot_correlation(df: DataFrame, col1: Optional[str] = None,
     * ``plot_correlation(df, col1, col2)`` — scatter plot with a regression
       line for the two columns.
 
-    ``where=`` filters rows before the analysis exactly as in :func:`plot`.
+    ``where=`` filters rows before the analysis and ``display=`` selects
+    among the call's items exactly as in :func:`plot`.
     """
-    cfg = _prepare(df, config, display, mode)
-    df = _apply_where(df, where)
-    if col1 is None and col2 is not None:
-        raise EDAError("col1 must be provided when col2 is given")
-    if col1 is None:
-        intermediates = compute_correlation_overview(df, cfg)
-        call = "plot_correlation(df)"
-    elif col2 is None:
-        intermediates = compute_correlation_single(df, col1, cfg)
-        call = f'plot_correlation(df, "{col1}")'
-    else:
-        intermediates = compute_correlation_pair(df, col1, col2, cfg)
-        call = f'plot_correlation(df, "{col1}", "{col2}")'
-    return _finish(intermediates, cfg, call, mode)
+    return _run("plot_correlation", df, col1, col2, config, display, mode, where)
 
 
 def plot_missing(df: DataFrame, col1: Optional[str] = None,
@@ -257,19 +272,7 @@ def plot_missing(df: DataFrame, col1: Optional[str] = None,
     * ``plot_missing(df, col1, col2)`` — the impact of dropping the rows where
       ``col1`` is missing on the distribution of ``col2``.
 
-    ``where=`` filters rows before the analysis exactly as in :func:`plot`.
+    ``where=`` filters rows before the analysis and ``display=`` selects
+    among the call's items exactly as in :func:`plot`.
     """
-    cfg = _prepare(df, config, display, mode)
-    df = _apply_where(df, where)
-    if col1 is None and col2 is not None:
-        raise EDAError("col1 must be provided when col2 is given")
-    if col1 is None:
-        intermediates = compute_missing_overview(df, cfg)
-        call = "plot_missing(df)"
-    elif col2 is None:
-        intermediates = compute_missing_single(df, col1, cfg)
-        call = f'plot_missing(df, "{col1}")'
-    else:
-        intermediates = compute_missing_pair(df, col1, col2, cfg)
-        call = f'plot_missing(df, "{col1}", "{col2}")'
-    return _finish(intermediates, cfg, call, mode)
+    return _run("plot_missing", df, col1, col2, config, display, mode, where)

@@ -75,16 +75,13 @@ def _numerical_numerical(context: ComputeContext, col1: str, col2: str,
         f"{col2}_mean": stage1["summary2"].mean,
         "sampled_points": int(x.size),
     }
-    items: Dict[str, Any] = {}
-    if config.wants("stats"):
-        items["stats"] = stats
-    if config.wants("scatter_plot"):
-        items["scatter_plot"] = {"x": x.tolist(), "y": y.tolist(),
-                                 "x_label": col1, "y_label": col2}
-    if config.wants("hexbin_plot"):
-        items["hexbin_plot"] = hexbin
-    if config.wants("binned_box_plot"):
-        items["binned_box_plot"] = binned_box
+    items: Dict[str, Any] = {
+        "stats": stats,
+        "scatter_plot": {"x": x.tolist(), "y": y.tolist(),
+                         "x_label": col1, "y_label": col2},
+        "hexbin_plot": hexbin,
+        "binned_box_plot": binned_box,
+    }
 
     intermediates = Intermediates(
         task="bivariate", columns=[col1, col2], items=items, stats=stats,
@@ -174,14 +171,12 @@ def _categorical_numerical(context: ComputeContext, categorical: str, numerical:
         "total_categories": stage1["categories"].distinct,
         f"{numerical}_mean": stage1["summary"].mean,
     }
-    items: Dict[str, Any] = {}
-    if config.wants("stats"):
-        items["stats"] = stats
-    if config.wants("box_plot"):
-        items["box_plot"] = {"boxes": boxes, "value_label": numerical,
-                             "category_label": categorical}
-    if config.wants("multi_line_chart"):
-        items["multi_line_chart"] = line
+    items: Dict[str, Any] = {
+        "stats": stats,
+        "box_plot": {"boxes": boxes, "value_label": numerical,
+                     "category_label": categorical},
+        "multi_line_chart": line,
+    }
 
     intermediates = Intermediates(
         task="bivariate", columns=requested_order, items=items, stats=stats,
@@ -243,19 +238,16 @@ def _categorical_categorical(context: ComputeContext, col1: str, col2: str,
         f"{col2}_categories": stage1["summary2"].distinct,
         "observed_pairs": len(pair_counts),
     }
-    items: Dict[str, Any] = {}
-    if config.wants("stats"):
-        items["stats"] = stats
-    if config.wants("nested_bar_chart"):
-        items["nested_bar_chart"] = nested
-    if config.wants("stacked_bar_chart"):
-        items["stacked_bar_chart"] = nested
-    if config.wants("heat_map"):
-        items["heat_map"] = {
+    items: Dict[str, Any] = {
+        "stats": stats,
+        "nested_bar_chart": nested,
+        "stacked_bar_chart": nested,
+        "heat_map": {
             "x_categories": heat1, "y_categories": heat2,
             "counts": heat_matrix.astype(int).tolist(),
             "x_label": col1, "y_label": col2,
-        }
+        },
+    }
 
     intermediates = Intermediates(
         task="bivariate", columns=[col1, col2], items=items, stats=stats,

@@ -18,12 +18,13 @@ import numpy as np
 from repro.eda.compute.base import ComputeContext
 from repro.eda.config import Config
 from repro.eda.dtypes import SemanticType
-from repro.eda.insights import Insight, similarity_insight
+from repro.eda.insights import Insight, _missing_insight, similarity_insight
 from repro.eda.intermediates import Intermediates
 from repro.errors import EDAError
 from repro.frame.column import Column
 from repro.frame.frame import DataFrame
 from repro.stats.association import nullity_dendrogram_from_distances
+from repro.stats.descriptive import CategoricalSummary
 from repro.stats.histogram import Histogram, compute_histogram
 from repro.stats.qq import box_plot_from_values
 from repro.stats.sketches import NullitySketch
@@ -95,41 +96,34 @@ def _assemble_missing_overview(config: Config, columns: List[str], n_rows: int,
         "columns_with_missing": sum(1 for count in missing_per_column.values() if count),
     }
 
-    items: Dict[str, Any] = {"stats": stats}
-    if config.wants("missing_bar_chart"):
-        items["missing_bar_chart"] = {
+    items: Dict[str, Any] = {
+        "stats": stats,
+        "missing_bar_chart": {
             "columns": columns,
             "missing_counts": [missing_per_column[name] for name in columns],
             "present_counts": [n_rows - missing_per_column[name] for name in columns],
-        }
-    if spectrum_item is not None and config.wants("missing_spectrum"):
+        },
+    }
+    if spectrum_item is not None:
         items["missing_spectrum"] = spectrum_item
-    if config.wants("nullity_correlation"):
-        items["nullity_correlation"] = {
-            "columns": kept,
-            "matrix": np.round(nullity_matrix, 6).tolist() if len(kept) else [],
-        }
-    if config.wants("nullity_dendrogram"):
-        items["nullity_dendrogram"] = {
-            "labels": dendro_labels,
-            "linkage": [{"left": node.left, "right": node.right,
-                         "distance": node.distance, "size": node.size}
-                        for node in dendro_nodes],
-        }
+    items["nullity_correlation"] = {
+        "columns": kept,
+        "matrix": np.round(nullity_matrix, 6).tolist() if len(kept) else [],
+    }
+    items["nullity_dendrogram"] = {
+        "labels": dendro_labels,
+        "linkage": [{"left": node.left, "right": node.right,
+                     "distance": node.distance, "size": node.size}
+                    for node in dendro_nodes],
+    }
 
     intermediates = Intermediates(
         task="missing", columns=[], items=items, stats=stats,
         meta={"missing_per_column": missing_per_column})
-    insights = []
-    threshold = config.get("insight.missing.threshold")
     for name, count in missing_per_column.items():
-        rate = count / n_rows if n_rows else 0.0
-        if rate > threshold:
-            insights.append(Insight(
-                kind="missing", column=name, item="missing_bar_chart",
-                severity="warning", value=rate,
-                message=f"{name} has {rate:.1%} missing values"))
-    intermediates.add_insights(insights)
+        intermediates.add_insights(_missing_insight(
+            name, count / n_rows if n_rows else 0.0, config,
+            "missing_bar_chart"))
     return intermediates
 
 
@@ -259,14 +253,14 @@ def _drop_impact(name: str, before: Column, after: Column, numerical: bool,
     column with no present value.
     """
     if not numerical:
-        before_counts = dict(before.value_counts()[:config.get("bar.top_words")])
-        after_counts = dict(after.value_counts())
+        top = CategoricalSummary.from_column(before).top_values(
+            config.get("bar.top_words"))
+        after_counts = CategoricalSummary.from_column(after).counts_by_label()
         return _Impact({
             "type": "categorical",
-            "categories": [str(category) for category in before_counts],
-            "before_counts": [int(count) for count in before_counts.values()],
-            "after_counts": [int(after_counts.get(category, 0))
-                             for category in before_counts],
+            "categories": [label for label, _ in top],
+            "before_counts": [count for _, count in top],
+            "after_counts": [after_counts.get(label, 0) for label, _ in top],
         }, [])
     before_values = before.to_numpy(drop_missing=True).astype(np.float64)
     after_values = after.to_numpy(drop_missing=True).astype(np.float64)

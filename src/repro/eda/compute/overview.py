@@ -104,7 +104,7 @@ def compute_overview(frame: DataFrame, config: Config,
                 "stats": summary.as_dict(),
             }
             histogram = stage2.get(f"hist::{name}")
-            if histogram is not None and config.wants("histogram"):
+            if histogram is not None:
                 entry["histogram"] = {
                     "counts": histogram.counts.tolist(),
                     "edges": histogram.edges.tolist(),
@@ -115,13 +115,12 @@ def compute_overview(frame: DataFrame, config: Config,
             entry = {
                 "type": semantic_types[name].value,
                 "stats": summary.as_dict(),
-            }
-            if config.wants("bar_chart"):
-                entry["bar_chart"] = {
+                "bar_chart": {
                     "categories": [value for value, _ in top],
                     "counts": [count for _, count in top],
                     "total_categories": summary.distinct,
-                }
+                },
+            }
         variables[name] = entry
     items["variables"] = variables
 

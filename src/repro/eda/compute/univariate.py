@@ -107,31 +107,27 @@ def _numerical_univariate(context: ComputeContext, column: str,
         "p95": quantiles[0.95],
     })
 
-    items: Dict[str, Any] = {}
-    if config.wants("stats"):
-        items["stats"] = stats
-    if config.wants("histogram"):
-        items["histogram"] = {
+    items: Dict[str, Any] = {
+        "stats": stats,
+        "histogram": {
             "counts": histogram.counts.tolist(),
             "edges": histogram.edges.tolist(),
             "bins": histogram.n_bins,
-        }
-    if config.wants("kde_plot"):
-        items["kde_plot"] = {
+        },
+        "kde_plot": {
             "grid": kde_grid.tolist(),
             "density": kde_density.tolist(),
             "histogram_density": histogram.density().tolist(),
             "edges": histogram.edges.tolist(),
-        }
-    if config.wants("qq_plot"):
-        items["qq_plot"] = {
+        },
+        "qq_plot": {
             "theoretical": theoretical.tolist(),
             "sample": sample_q.tolist(),
             "mean": summary.mean,
             "std": summary.std,
-        }
-    if config.wants("box_plot"):
-        items["box_plot"] = box.as_dict() | {"outlier_samples": box.outlier_samples}
+        },
+        "box_plot": box.as_dict() | {"outlier_samples": box.outlier_samples},
+    }
 
     intermediates = Intermediates(
         task="univariate", columns=[column], items=items, stats=stats,
@@ -168,30 +164,26 @@ def _categorical_univariate(context: ComputeContext, column: str, config: Config
     words = _word_frequencies(summary, config)
 
     stats = summary.as_dict()
-    items: Dict[str, Any] = {}
-    if config.wants("stats"):
-        items["stats"] = stats
-    if config.wants("bar_chart"):
-        items["bar_chart"] = {
+    items: Dict[str, Any] = {
+        "stats": stats,
+        "bar_chart": {
             "categories": [value for value, _ in top_bar],
             "counts": [count for _, count in top_bar],
             "total_categories": summary.distinct,
-        }
-    if config.wants("pie_chart"):
-        items["pie_chart"] = {
+        },
+        "pie_chart": {
             "labels": [label for label, _ in pie],
             "counts": [count for _, count in pie],
-        }
-    if config.wants("word_frequencies"):
-        items["word_frequencies"] = {
+        },
+        "word_frequencies": {
             "words": [word for word, _ in words],
             "counts": [count for _, count in words],
-        }
-    if config.wants("word_cloud"):
-        items["word_cloud"] = {
+        },
+        "word_cloud": {
             "words": [word for word, _ in words],
             "weights": _word_weights(words),
-        }
+        },
+    }
 
     intermediates = Intermediates(
         task="univariate", columns=[column], items=items, stats=stats,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, _closest
 from repro.frame.sidecar import DEFAULT_DISK_BYTES as _SIDECAR_DEFAULT_BYTES
@@ -231,18 +231,21 @@ class Config:
     the passed value equals the default — so consumers of process-global
     settings (the intermediate cache budget) can distinguish "the user set
     this" from "this is just the default".
+
+    It holds no choice of which visualizations to show: the ``display=``
+    argument of the ``plot*`` calls selects among the finished items in
+    :mod:`repro.eda.api`, so no computed value depends on it.
     """
 
     values: Dict[str, Any] = field(default_factory=dict)
-    display: Optional[List[str]] = None
     provided: frozenset = frozenset()
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_user(cls, user_config: Optional[Mapping[str, Any]] = None,
-                  display: Optional[Sequence[str]] = None) -> "Config":
+    def from_user(cls, user_config: Optional[Mapping[str, Any]] = None
+                  ) -> "Config":
         """Build a Config from user overrides, validating every key."""
         values = dict(DEFAULTS)
         env_scheduler = os.environ.get("REPRO_SCHEDULER")
@@ -270,9 +273,7 @@ class Config:
         for key in ("compute.scheduler", "compute.remote.workers",
                     "compute.remote.authkey"):
             values[key] = _validate(key, values[key])
-        return cls(values=values,
-                   display=list(display) if display is not None else None,
-                   provided=frozenset(user_config or ()))
+        return cls(values=values, provided=frozenset(user_config or ()))
 
     # ------------------------------------------------------------------ #
     # Access
@@ -298,19 +299,12 @@ class Config:
         return {key[len(prefix_dot):]: value
                 for key, value in self.values.items() if key.startswith(prefix_dot)}
 
-    def wants(self, chart_name: str) -> bool:
-        """Whether the user asked for *chart_name* (all charts by default)."""
-        if self.display is None:
-            return True
-        wanted = {name.lower() for name in self.display}
-        return chart_name.lower() in wanted
-
     def with_overrides(self, overrides: Mapping[str, Any]) -> "Config":
         """Return a copy of this config with extra validated overrides."""
         merged = copy.deepcopy(self.values)
         for key, value in overrides.items():
             merged[key] = _validate(key, value)
-        return Config(values=merged, display=self.display,
+        return Config(values=merged,
                       provided=self.provided | frozenset(overrides))
 
     def user_overrides(self) -> Dict[str, Any]:
@@ -320,7 +314,7 @@ class Config:
 
     def __repr__(self) -> str:
         overrides = self.user_overrides()
-        return f"Config(overrides={overrides}, display={self.display})"
+        return f"Config(overrides={overrides})"
 
 
 def _validate(key: str, value: Any) -> Any:

@@ -335,7 +335,7 @@ def render_stats_table(stats: Dict[str, Any], width: int, height: int,
     rows = []
     for key, value in stats.items():
         css = ' class="insight-row"' if key in highlights else ""
-        hint = f' title="{highlights[key]}"' if key in highlights else ""
+        hint = f' title="{_escape(highlights[key])}"' if key in highlights else ""
         rows.append(f"<tr{css}{hint}><td>{_escape(key)}</td>"
                     f"<td>{_escape(_format_value(value))}</td></tr>")
     body = "\n".join(rows)

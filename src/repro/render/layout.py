@@ -42,6 +42,17 @@ _STYLE = """
 """
 
 
+def save_page(path: str, title: str, body: str) -> str:
+    """Write *body* as a standalone HTML document titled *title* to *path*
+    and return the path."""
+    document = ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
+                f"<title>{html_module.escape(title)}</title></head>"
+                f"<body>{body}</body></html>")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(document)
+    return path
+
+
 @dataclass
 class Panel:
     """One tab of the container: a chart plus its insights and how-to guide."""
@@ -139,12 +150,7 @@ class Container:
 
     def save(self, path: str) -> str:
         """Write a standalone HTML document to *path* and return the path."""
-        document = ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
-                    f"<title>{html_module.escape(self.title)}</title></head>"
-                    f"<body>{self.to_html()}</body></html>")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-        return path
+        return save_page(path, self.title, self.to_html())
 
     def show(self) -> None:
         """Print a text summary (stand-in for displaying in a notebook)."""

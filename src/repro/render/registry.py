@@ -44,8 +44,15 @@ class ChartKind(NamedTuple):
     render: Renderer
 
 
+#: The stats-table row each kind of insight on a ``stats`` item is about;
+#: that row is highlighted, like the distinct count in Figure 1.
+_STATS_ROW: Dict[str, str] = {"missing": "missing_rate", "infinite": "infinite",
+                              "constant": "distinct"}
+
+
 def _render_stats(item: Item, width: int, height: int) -> str:
-    highlights = {insight.column: insight.message for insight in item.insights}
+    highlights = {_STATS_ROW[insight.kind]: insight.message
+                  for insight in item.insights if insight.kind in _STATS_ROW}
     return charts.render_stats_table(item.data, width, height,
                                      title=f"Statistics of {item.label}",
                                      highlights=highlights)

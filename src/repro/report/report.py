@@ -32,6 +32,7 @@ from repro.frame.frame import DataFrame
 from repro.frame.source import as_source
 from repro.render import render_intermediates
 from repro.render.charts import render_scatter
+from repro.render.layout import save_page
 
 
 @dataclass
@@ -131,12 +132,7 @@ class Report:
 
     def save(self, path: str) -> str:
         """Write a standalone HTML report to *path* and return the path."""
-        document = ("<!DOCTYPE html><html><head><meta charset='utf-8'>"
-                    f"<title>{html_module.escape(self.title)}</title></head>"
-                    f"<body>{self.to_html()}</body></html>")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(document)
-        return path
+        return save_page(path, self.title, self.to_html())
 
     def __repr__(self) -> str:
         return (f"Report(title={self.title!r}, sections={self.section_names}, "

@@ -1,9 +1,12 @@
 """Tests for the public task-centric API surface."""
 
+import re
+
 import pytest
 
 from repro.eda import plot, plot_correlation, plot_missing
 from repro.errors import ConfigError, EDAError
+from repro.frame import DataFrame
 from repro.render import Container
 
 
@@ -48,6 +51,13 @@ class TestReturnTypes:
     def test_display_limits_tabs(self, house_frame):
         container = plot(house_frame, "price", display=["histogram", "stats"])
         assert set(container.tab_names) == {"stats", "histogram"}
+
+    def test_stats_table_marks_the_missing_rate_row(self):
+        values = [None if index % 5 == 0 else float(index % 37)
+                  for index in range(200)]
+        table = plot(DataFrame({"x": values}), "x").panel("stats").body
+        rows = re.findall(r'<tr class="insight-row"[^>]*><td>([^<]*)</td>', table)
+        assert rows == ["missing_rate"]
 
     def test_insight_badges_follow_intermediates(self, house_frame):
         container = plot(house_frame, "price")

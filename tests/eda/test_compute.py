@@ -12,6 +12,7 @@ from repro.eda.compute import (
     compute_correlation_overview,
     compute_correlation_pair,
     compute_missing_overview,
+    compute_missing_pair,
     compute_missing_single,
     compute_overview,
     compute_univariate,
@@ -42,12 +43,6 @@ class TestOverview:
         intermediates = compute_overview(house_frame, config)
         for name in house_frame.columns:
             assert "stats" in intermediates["variables"][name]
-
-    def test_display_filter_removes_charts(self, house_frame):
-        config = Config.from_user(display=["stats"])
-        intermediates = compute_overview(house_frame, config)
-        assert "histogram" not in intermediates["variables"]["price"]
-        assert "bar_chart" not in intermediates["variables"]["city"]
 
 
 class TestUnivariate:
@@ -189,6 +184,45 @@ class TestCorrelationAndMissing:
         stats = intermediates.stats
         assert stats["missing_rows"] == house_frame.column("price").missing_count()
         assert stats["rows_after_drop"] == len(house_frame) - stats["missing_rows"]
+
+    def test_missing_impact_categories_follow_value_counts(self, config):
+        """STRING, INT and BOOL blocks list the top values by descending
+        count, ties in label order, as ``Column.value_counts`` does."""
+        rng = np.random.default_rng(3)
+        n = 300
+        frame = DataFrame({
+            "target": [None if rng.random() < 0.3 else 1.0 for _ in range(n)],
+            "text": list(rng.choice(["b", "a", "c", "d"], n)),
+            "ints": rng.integers(0, 6, n),
+            "flags": list(rng.random(n) < 0.4),
+        })
+        dropped = frame.filter(frame.column("target").notna())
+        impact = compute_missing_single(frame, "target", config)["missing_impact"]
+        top = config.get("bar.top_words")
+        for name in ("text", "ints", "flags"):
+            before = frame.column(name).value_counts()[:top]
+            after = dict(dropped.column(name).value_counts())
+            assert impact[name] == {
+                "type": "categorical",
+                "categories": [str(value) for value, _ in before],
+                "before_counts": [count for _, count in before],
+                "after_counts": [after.get(value, 0) for value, _ in before],
+            }, name
+
+    def test_missing_impact_labels_datetimes_like_plot(self, config):
+        rng = np.random.default_rng(5)
+        n = 200
+        frame = DataFrame({
+            "x": [None if rng.random() < 0.2 else float(v)
+                  for v in rng.normal(size=n)],
+            "when": [f"2021-03-0{day} {hour:02d}:00:00" for day, hour in
+                     zip(rng.integers(1, 5, n), rng.integers(0, 3, n))],
+        })
+        bar = compute_univariate(frame, "when", config)["bar_chart"]
+        impact = compute_missing_pair(frame, "x", "when", config)["missing_impact"]
+        assert impact["categories"] == bar["categories"]
+        assert impact["before_counts"] == bar["counts"]
+        assert not any("T" in label for label in impact["categories"])
 
 
 def _identical(left, right, path="result"):

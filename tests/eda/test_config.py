@@ -281,16 +281,3 @@ class TestConfigHygiene:
         with pytest.raises(ConfigError) as excinfo:
             Config.from_user().with_overrides({"compute.sheduler": "process"})
         assert "compute.scheduler" in str(excinfo.value)
-
-
-class TestDisplay:
-    def test_wants_everything_by_default(self):
-        config = Config.from_user()
-        assert config.wants("histogram")
-        assert config.wants("anything")
-
-    def test_display_restricts_visualizations(self):
-        config = Config.from_user(display=["Histogram", "box_plot"])
-        assert config.wants("histogram")
-        assert config.wants("Box_Plot")
-        assert not config.wants("qq_plot")

@@ -160,6 +160,11 @@ class TestChartRenderers:
         assert "insight-row" in html
         assert "1,000" in html
 
+    def test_stats_table_highlight_hint_is_escaped(self):
+        html = charts.render_stats_table({"mean": 1.0}, 400, 300,
+                                         highlights={"mean": 'a "b" <c>'})
+        assert 'title="a &quot;b&quot; &lt;c&gt;"' in html
+
     def test_missing_spectrum(self):
         svg = charts.render_missing_spectrum(
             {"columns": ["a", "b"], "densities": [[0.1, 0.0], [0.2, 0.1]]}, 400, 300)
