@@ -173,7 +173,8 @@ def _run(task: str, df: Any, col1: Optional[str], col2: Optional[str],
 def _select(intermediates: Intermediates,
             display: Optional[Sequence[str]]) -> None:
     """Keep only the items named in *display* (case-insensitive), in the
-    order the compute step built them; all of them when *display* is None."""
+    order the compute step built them, and the insights about those items;
+    everything when *display* is None."""
     if display is None:
         return
     wanted = {name.lower() for name in display}
@@ -183,6 +184,8 @@ def _select(intermediates: Intermediates,
         raise EDAError(f"display={list(display)!r} selects none of this "
                        f"call's items: {list(intermediates.items)}")
     intermediates.items = kept
+    intermediates.insights = [insight for insight in intermediates.insights
+                              if insight.item in kept]
 
 
 def plot(df: DataFrame, col1: Optional[str] = None, col2: Optional[str] = None,

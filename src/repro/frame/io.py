@@ -25,6 +25,7 @@ import io
 import os
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, islice
 from operator import itemgetter
 from typing import (
@@ -528,6 +529,46 @@ def parse_csv_range(path: Union[str, os.PathLike], byte_start: int,
                            f"{byte_stop}) of {path!r}", error) from error
 
 
+def _parse_columns(column_names: Sequence[str],
+                   columns: Optional[Sequence[str]],
+                   predicate: Optional[Sequence[Tuple[str, str, Any]]]
+                   ) -> Optional[Tuple[str, ...]]:
+    """The columns a chunk task decodes: *columns* plus the ones *predicate*
+    reads, in file order; None (every column) without a projection."""
+    if predicate is None or columns is None:
+        return None if columns is None else tuple(columns)
+    wanted = set(columns) | {column for column, _, _ in predicate}
+    return tuple(name for name in column_names if name in wanted)
+
+
+def _chunk_payload(column: Column, start: int, stop: int) -> Tuple[Any, ...]:
+    """Rows ``[start, stop)`` of *column* as plain arrays:
+    ``(name, dtype, mask, data or codes, dictionary or None)``.
+
+    Fixed-width data and the mask are views.  STRING codes are re-indexed
+    into the dictionary entries the rows use, so the slice equals what
+    decoding those rows alone returns (its own sorted distinct values) and
+    carries none of the other rows' texts.
+    """
+    mask = column.mask[start:stop]
+    if column.dtype is not DType.STRING:
+        return column.name, column.dtype, mask, column.data[start:stop], None
+    codes, dictionary = column.codes[start:stop], column.dictionary
+    used = np.flatnonzero(np.bincount(codes[~mask], minlength=dictionary.size))
+    # One slot past the dictionary maps a missing row's -1 to -1.
+    remap = np.full(dictionary.size + 1, -1, dtype=np.int32)
+    remap[used] = np.arange(used.size, dtype=np.int32)
+    return column.name, column.dtype, mask, remap[codes], dictionary[used]
+
+
+def _chunk_frame(payload: Sequence[Tuple[Any, ...]]) -> DataFrame:
+    """The frame of a :func:`_chunk_payload` tuple per column."""
+    return DataFrame([
+        Column.from_storage(name, values, dtype, mask) if dictionary is None
+        else Column.from_codes(name, values, dictionary, mask)
+        for name, dtype, mask, values, dictionary in payload])
+
+
 def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
                     column_names: Tuple[str, ...], dtypes: dict,
                     file_stamp: Tuple[int, int] = (0, 0),
@@ -535,7 +576,8 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
                     expected_rows: Optional[int] = None,
                     columns: Optional[Tuple[str, ...]] = None,
                     predicate: Optional[Tuple[Tuple[str, str, Any], ...]] = None,
-                    sidecar: Optional[Tuple[Any, ...]] = None
+                    sidecar: Optional[Tuple[Any, ...]] = None,
+                    decoded: Optional[Tuple[Tuple[Any, ...], ...]] = None
                     ) -> DataFrame:
     """Parse one byte range of a CSV file into a DataFrame partition.
 
@@ -582,13 +624,15 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
     configuration, not semantics: the returned rows are identical with or
     without it, which is why the graph layer excludes the keyword from task
     keys (``NON_SEMANTIC_KWARGS``).
+
+    *decoded* is the chunk's rows already decoded, as plain arrays
+    (:func:`_chunk_payload`): a scan whose preview is the whole file hands
+    each of that file's chunk tasks its rows, so the task takes them in
+    place of the parse — the sidecar is still consulted first and still
+    written on a miss.  Non-semantic like *sidecar*: the rows are exactly
+    what the parse returns.
     """
-    parse_columns = columns
-    if predicate is not None and columns is not None:
-        wanted = set(columns)
-        filter_columns = {column for column, _, _ in predicate}
-        parse_columns = tuple(name for name in column_names
-                              if name in wanted or name in filter_columns)
+    parse_columns = _parse_columns(column_names, columns, predicate)
     frame = None
     if sidecar is not None:
         needed = parse_columns if parse_columns is not None \
@@ -599,9 +643,12 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
         if frame is not None:
             record_hit(byte_stop - byte_start)
     if frame is None:
-        frame = parse_csv_range(path, byte_start, byte_stop,
-                                list(column_names), dtypes,
-                                delimiter=delimiter, usecols=parse_columns)
+        if decoded is not None:
+            frame = _chunk_frame(decoded)
+        else:
+            frame = parse_csv_range(path, byte_start, byte_stop,
+                                    list(column_names), dtypes,
+                                    delimiter=delimiter, usecols=parse_columns)
         if expected_rows is not None and len(frame) != expected_rows:
             raise FrameError(
                 f"CSV chunk at bytes [{byte_start}, {byte_stop}) of {path!r} "
@@ -658,11 +705,19 @@ class CsvSource:
     and ``capabilities.exact=False`` routes every reduction through the
     bounded-memory sketch finalizers, so ``plot`` / ``create_report`` run
     with peak memory proportional to the chunk size, not the files.
+
+    *whole* is :func:`_scan_preview`'s verdict that the preview holds the
+    whole first file.  When the preview also has as many rows as that
+    file's layout counts, it *is* the file's decoded rows, and the graph
+    hands each of the file's chunk tasks its slice instead of a second
+    parse.
     """
 
     def __init__(self, preview: DataFrame, dtypes: Dict[str, DType],
-                 layouts: Sequence[CsvLayout], settings: _ScanSettings):
+                 layouts: Sequence[CsvLayout], settings: _ScanSettings,
+                 whole: bool = False):
         self._preview = preview
+        self._whole = whole
         self._columns = tuple(preview.columns)
         self._dtypes = dict(dtypes)
         self._layouts = tuple(layouts)
@@ -821,18 +876,41 @@ class CsvSource:
         file leaves the old chunks' args — and therefore their cross-call
         cache keys — byte-identical, which is what lets a refresh reuse
         every already-sketched chunk and execute only the appended ones.
+
+        The first file's chunks are also ``decoded`` from the preview when
+        the preview is the whole file (see :func:`_scan_preview`) and has
+        exactly the rows the layout counted.  A preview cut at
+        ``inference_rows``, or a file whose quoting or bare ``\r`` makes the
+        csv reader and the layout count records differently, keeps the
+        parse, which raises on the disagreement.
         """
         layout = self._layouts[file]
+        held = not file and self._whole \
+            and 0 < len(self._preview) == layout.n_rows
         return [SourcePartition(
                     offset + start, offset + stop, _read_csv_slice,
                     (layout.path, byte_start, byte_stop, self._columns,
                      self._dtypes, stamp, self._settings.delimiter,
                      stop - start),
                     prefix="read_csv_partition", path=layout.path,
-                    byte_span=byte_stop - byte_start)
+                    byte_span=byte_stop - byte_start,
+                    decoded=partial(self._preview_rows, start, stop)
+                    if held else None)
                 for (start, stop), (byte_start, byte_stop), stamp
                 in zip(layout.boundaries, layout.byte_ranges,
                        layout.chunk_stamps)]
+
+    def _preview_rows(self, start: int, stop: int,
+                      columns: Optional[Sequence[str]],
+                      predicate: Optional[Sequence[Tuple[str, str, Any]]]
+                      ) -> Tuple[Tuple[Any, ...], ...]:
+        """Preview rows ``[start, stop)`` of the columns a chunk task with
+        this projection and predicate decodes, in file order as the parse
+        returns them, as its ``decoded=`` value."""
+        wanted = _parse_columns(self._columns, columns, predicate)
+        return tuple(_chunk_payload(self._preview.column(name), start, stop)
+                     for name in self._columns
+                     if wanted is None or name in wanted)
 
     def _partitions_by_file(self) -> List[List[SourcePartition]]:
         offsets = accumulate((layout.n_rows for layout in self._layouts),
@@ -898,7 +976,7 @@ class CsvSource:
                     layout.path, rows, layout.byte_ranges[0][0],
                     layout.file_stamp, layout.row_bytes)
                 for layout, rows in zip(self._layouts, targets)],
-                self._settings)
+                self._settings, self._whole)
         return self._rechunks[targets]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
@@ -952,16 +1030,18 @@ class CsvSource:
                              f"{error.strerror}") from error
         first = (self._layouts[0].path, list(self._columns))
         layouts = list(self._layouts)
-        preview = self._preview
+        preview, whole = self._preview, self._whole
         for file, (layout, stamp) in enumerate(zip(self._layouts, stamps)):
             if stamp == layout.file_stamp:
                 continue
             appended = self._appended(
                 layout, stamp, self._dtypes if file else settings.dtypes)
             if appended is not None:
-                grown_preview, layouts[file] = appended
-                if not file and grown_preview is not None:
-                    preview = grown_preview
+                grown_preview, grown_whole, layouts[file] = appended
+                if not file:
+                    whole = grown_whole
+                    if grown_preview is not None:
+                        preview = grown_preview
             elif not file:
                 return _open(expand_scan_paths(settings.pattern or self.paths),
                              settings)
@@ -975,14 +1055,14 @@ class CsvSource:
                         if path not in known]
         if tuple(layouts) == self._layouts:
             return self
-        return CsvSource(preview, self._dtypes, layouts, settings)
+        return CsvSource(preview, self._dtypes, layouts, settings, whole)
 
     def _appended(self, layout: CsvLayout, stamp: Tuple[int, int],
                   dtypes: Optional[Dict[str, DType]]
-                  ) -> Optional[Tuple[Optional[DataFrame], CsvLayout]]:
-        """*layout* extended over its file's appended bytes, with the
-        file's re-parsed preview when there is one; None when only a rescan
-        is safe.
+                  ) -> Optional[Tuple[Optional[DataFrame], bool, CsvLayout]]:
+        """The file's re-parsed preview when there is one, whether it is
+        the whole file, and *layout* extended over the file's appended
+        bytes; None when only a rescan is safe.
 
         While the old layout holds fewer rows than the inference window,
         the appended rows enter it: the preview is re-parsed under *dtypes*
@@ -996,15 +1076,15 @@ class CsvSource:
         if stamp[0] <= layout.file_stamp[0] or not layout.appendable():
             return None
         try:
-            preview, row_bytes = None, layout.row_bytes
+            preview, whole, row_bytes = None, False, layout.row_bytes
             if layout.n_rows < settings.inference_rows:
-                preview, resolved = _scan_preview(
+                preview, resolved, whole = _scan_preview(
                     layout.path, dtypes, settings.inference_rows,
                     settings.delimiter)
                 if resolved != self._dtypes:
                     return None
                 row_bytes = _row_bytes(preview)
-            return preview, scan_layout(
+            return preview, whole, scan_layout(
                 layout.path, layout.chunk_rows, layout.byte_ranges[-1][1],
                 stamp, row_bytes, kept=layout)
         except (OSError, FrameError):
@@ -1024,8 +1104,9 @@ def _row_bytes(preview: DataFrame) -> float:
 
 def _scan_preview(path: str, dtypes: Optional[Dict[str, DType]],
                   inference_rows: int, delimiter: str
-                  ) -> Tuple[DataFrame, Dict[str, DType]]:
-    """Parse the preview rows; returns them and the resolved dtype map.
+                  ) -> Tuple[DataFrame, Dict[str, DType], bool]:
+    """Parse the preview rows; returns them, the resolved dtype map and
+    whether they are the whole file as the layout scan splits it.
 
     One tokenisation of the preview rows: a named column is coerced under
     its override, every other one is inferred.  Lenient like the chunk
@@ -1033,18 +1114,34 @@ def _scan_preview(path: str, dtypes: Optional[Dict[str, DType]],
     remedy for late-typed columns, so early values that contradict them
     must become missing, not abort the scan; an inferred dtype accepts
     every cell it was inferred from, so leniency never touches those.
+    Under that same dtype map a chunk parse decodes each cell to exactly
+    this storage, which is what lets a whole-file preview serve its chunks
+    (:meth:`CsvSource._file_partitions`).
+
+    Whole means the parse reached the end of the file and no text cell
+    holds a quote character.  A quote the csv reader keeps as text (an
+    escaped ``""`` or a stray one) is one the layout scan counts as
+    syntax, so the two may disagree on where records end.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
         preview = _read_csv_stream(handle, delimiter, True, None, dtypes,
                                    inference_rows, lenient=bool(dtypes))
-    return preview, {**preview.dtypes, **(dtypes or {})}
+        try:
+            whole = not handle.read(1)
+        except ValueError:      # undecodable bytes past the preview
+            whole = False
+    whole = whole and not any(
+        '"' in text for column in map(preview.column, preview.columns)
+        if column.dtype is DType.STRING for text in column.dictionary.tolist())
+    return preview, {**preview.dtypes, **(dtypes or {})}, whole
 
 
 def _scan_file(path: str, settings: _ScanSettings,
                dtypes: Optional[Dict[str, DType]],
                first: Optional[Tuple[str, List[str]]] = None
-               ) -> Tuple[DataFrame, Dict[str, DType], CsvLayout]:
-    """One file's cold scan: header, preview, budgeted layout and stamps.
+               ) -> Tuple[DataFrame, Dict[str, DType], CsvLayout, bool]:
+    """One file's cold scan: header, preview, budgeted layout and stamps,
+    and whether the preview is the whole file (:func:`_scan_preview`).
 
     *first* is the first file's ``(path, columns)`` when this file joins a
     multi-file scan.  Its header must repeat those columns, and it is
@@ -1056,8 +1153,8 @@ def _scan_file(path: str, settings: _ScanSettings,
         raise FrameError(
             f"CSV files disagree on columns: {first[0]!r} has {first[1]} "
             f"but {path!r} has {columns}")
-    preview, resolved = _scan_preview(path, dtypes, settings.inference_rows,
-                                      settings.delimiter)
+    preview, resolved, whole = _scan_preview(
+        path, dtypes, settings.inference_rows, settings.delimiter)
     # Cap the chunk size by the budget using cheap row-size estimates (the
     # parsed preview plus a 64 KiB on-disk probe), then scan the layout once
     # at the final granularity.  The formula deliberately mirrors
@@ -1071,15 +1168,16 @@ def _scan_file(path: str, settings: _ScanSettings,
         settings.budget_bytes / settings.concurrency // row_cost))
     layout = scan_layout(path, min(settings.chunk_rows, budget_rows),
                          data_start, _file_stamp(path), row_bytes)
-    return preview, resolved, layout
+    return preview, resolved, layout, whole
 
 
 def _open(paths: Sequence[str], settings: _ScanSettings) -> CsvSource:
     """Scan every file; the first one's preview and dtypes are the schema."""
-    preview, dtypes, first = _scan_file(paths[0], settings, settings.dtypes)
+    preview, dtypes, first, whole = _scan_file(paths[0], settings,
+                                               settings.dtypes)
     rest = [_scan_file(path, settings, dtypes, (paths[0], preview.columns))[2]
             for path in paths[1:]]
-    return CsvSource(preview, dtypes, [first] + rest, settings)
+    return CsvSource(preview, dtypes, [first] + rest, settings, whole)
 
 
 def _glob_data_files(pattern: str) -> List[str]:
@@ -1141,6 +1239,12 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
     input — and the first *inference_rows* rows are parsed to infer storage
     dtypes, which every chunk then shares.  Peak memory of any downstream
     consumer is bounded by the chunk size.
+
+    When those rows are the whole first file (the parse reached its end,
+    kept no quote character as text and counted the records the layout
+    did), a cold scan decodes each byte once: the EDA graph hands that
+    file's chunk tasks their slices of the preview instead of parsing the
+    bytes again.  ``to_frame`` and ``read_chunk`` always parse.
 
     A single path, a list of paths or a glob pattern
     (``"data/part-*.csv"``) all return a :class:`CsvSource`: one logical

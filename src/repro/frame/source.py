@@ -63,7 +63,7 @@ uses to skip chunks; without it every chunk parses and filters.  See
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -166,6 +166,14 @@ class SourcePartition:
     it.  A partition that reads a file names it in ``path`` (its tasks then
     prefer the remote worker that served the file before) and says how many
     bytes of it a materialization reads in ``byte_span``.
+
+    A source that already holds the chunk's decoded rows sets ``decoded``:
+    ``decoded(columns, predicate)`` returns them, for the projection and
+    predicate of the task, as plain arrays that *func* takes as its
+    ``decoded=`` keyword instead of decoding.  Only the graph hands them
+    over (:meth:`PartitionedFrame.from_source
+    <repro.graph.partition.PartitionedFrame.from_source>`);
+    :meth:`materialize` always decodes.
     """
 
     start: int
@@ -175,6 +183,8 @@ class SourcePartition:
     prefix: str = "partition"
     path: Optional[str] = None
     byte_span: int = 0
+    decoded: Optional[Callable[..., Any]] = field(default=None, compare=False,
+                                                  repr=False)
 
     @property
     def n_rows(self) -> int:

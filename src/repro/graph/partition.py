@@ -94,6 +94,12 @@ class PartitionedFrame:
         it is non-semantic: the graph layer excludes the keyword from task
         keys, so enabling or moving the disk cache never changes task
         identity.
+
+        A partition whose rows its source already holds decoded
+        (``SourcePartition.decoded``) hands them to its task here, as the
+        non-semantic ``decoded=`` keyword: the task skips its decode, and
+        its key, cache key and sidecar entry stay those of the decoding
+        task.
         """
         parts = source.partitions()
         if not parts:
@@ -121,6 +127,9 @@ class PartitionedFrame:
         partitions = []
         for part in parts:
             func, args, kwargs, declared = part.task_spec(columns, spec, route)
+            if part.decoded is not None:
+                kwargs["decoded"] = part.decoded(kwargs.get("columns"),
+                                                 kwargs.get("predicate"))
             partitions.append(delayed(func, **declared)(*args, **kwargs))
         boundaries = [(part.start, part.stop) for part in parts]
         frame_columns = source.columns if columns is None else list(columns)

@@ -135,12 +135,13 @@ class Task:
 
 
 #: Keyword arguments that configure *where* a task's bytes come from, never
-#: *what* it returns — currently only the parsed-chunk sidecar route
-#: (``sidecar=`` on CSV partition parses).  The tokenizer skips them, so
-#: toggling the disk cache (or pointing it at another directory) can never
-#: split a key: a result computed without the sidecar legitimately serves a
-#: sidecar-enabled run and vice versa.
-NON_SEMANTIC_KWARGS = frozenset({"sidecar"})
+#: *what* it returns: the parsed-chunk sidecar route (``sidecar=`` on CSV
+#: partition parses) and the rows a scan's preview already decoded
+#: (``decoded=`` on the same tasks).  The tokenizer sizes them for shipping
+#: but never hashes them, so toggling the disk cache (or pointing it at
+#: another directory), or serving a chunk from the preview, can never split
+#: a key: a result computed one way legitimately serves the other.
+NON_SEMANTIC_KWARGS = frozenset({"sidecar", "decoded"})
 
 _IMPORTABLE: Dict[Callable[..., Any], Optional[str]] = {}
 
@@ -203,14 +204,17 @@ def tokenize(func: Callable[..., Any], args: Tuple[Any, ...],
     payload = 0         # estimated pickled bytes of the arguments
     opaque = 0          # > 0 where a reference could not be substituted
 
+    def unsubstituted() -> GraphError:
+        return GraphError(
+            f"{getattr(func, '__name__', func)}(...): a lazy value inside a "
+            f"set, a dict key, a callable's bound arguments or a "
+            f"non-semantic keyword cannot become a dependency; pass it in a "
+            f"list, tuple or dict value")
+
     def depend(key: str) -> TaskRef:
         nonlocal payload
         if opaque:
-            raise GraphError(
-                f"{getattr(func, '__name__', func)}(...): a lazy value "
-                f"inside a set, a dict key or a callable's bound arguments "
-                f"cannot become a dependency; pass it in a list, tuple or "
-                f"dict value")
+            raise unsubstituted()
         deps[key] = None
         parts.append(f"ref:{key}")
         payload += 64
@@ -273,6 +277,30 @@ def tokenize(func: Callable[..., Any], args: Tuple[Any, ...],
             stable = by_value = False
         return value
 
+    def measure(value: Any) -> None:
+        """:func:`visit`'s shipping facts of *value*, without naming it."""
+        nonlocal by_value, payload
+        if value is None or isinstance(value, _LITERALS):
+            payload += 49 + len(value) if isinstance(value, (str, bytes)) else 16
+        elif isinstance(value, dict):
+            payload += 64
+            for name, item in value.items():
+                measure(name)
+                measure(item)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            payload += 64
+            for item in value:
+                measure(item)
+        elif isinstance(value, TaskRef) or (
+                lazy is not None and lazy(value) is not None):
+            raise unsubstituted()
+        elif isinstance(value, enum.Enum):
+            payload += 48
+        elif isinstance(value, np.ndarray):
+            payload += int(value.nbytes) + 128
+        else:
+            by_value = False
+
     def visit_callable(target: Callable[..., Any]) -> None:
         nonlocal stable, by_value, opaque
         if isinstance(target, functools.partial):
@@ -297,13 +325,8 @@ def tokenize(func: Callable[..., Any], args: Tuple[Any, ...],
     for name in sorted(kwargs):
         if name in NON_SEMANTIC_KWARGS:
             # Sized and type-checked for shipping like any argument, but
-            # passed through as is and kept out of the token.
-            mark, was_stable = len(parts), stable
-            opaque += 1
-            visit(kwargs[name])
-            opaque -= 1
-            del parts[mark:]
-            stable = was_stable
+            # never hashed: passed through as is and kept out of the token.
+            measure(kwargs[name])
         else:
             parts.append(f"{name}=")
             new_kwargs[name] = visit(kwargs[name])

@@ -116,3 +116,18 @@ def test_overview_display_selects_tabs_not_variable_charts():
     assert "bar_chart" in kept["variables"]["city"]
     with pytest.raises(EDAError):
         plot(frame, display=["histogram"])
+
+
+def test_display_drops_the_insights_of_hidden_items(source):
+    # x is 20 % missing: the missing insight sits on the stats tab.
+    full = plot(source, "x", mode="intermediates")
+    assert [insight.item for insight in full.insights
+            if insight.kind == "missing"] == ["stats"]
+    assert plot(source, "x").insights == full.insights
+
+    kept = plot(source, "x", display=["histogram"], mode="intermediates")
+    assert kept.insights == [insight for insight in full.insights
+                             if insight.item == "histogram"]
+    assert "missing" not in {insight.kind for insight in kept.insights}
+    container = plot(source, "x", display=["histogram"])
+    assert container.insights == kept.insights

@@ -130,6 +130,35 @@ class TestKeys:
         assert task_of(delayed(scale)(2, sidecar=("/tmp/a", 1))).kwargs == \
             {"sidecar": ("/tmp/a", 1)}
 
+    def test_non_semantic_kwargs_are_sized_never_hashed(self, monkeypatch):
+        from repro.frame.dtypes import DType
+        from repro.frame.io import _read_csv_slice
+        from repro.graph import task as task_module
+
+        class Hashless:
+            def fingerprint(self):
+                raise AssertionError("a non-semantic value was hashed")
+
+        def no_fingerprint(array):
+            raise AssertionError("a non-semantic array was hashed")
+
+        monkeypatch.setattr(task_module, "fingerprint_array", no_fingerprint)
+        call = delayed(_read_csv_slice, prefix="read_csv_partition")
+        args = ("data.csv", 0, 10, ("a", "b"), {}, (7, 10), ",", 2)
+        rows = (("b", DType.STRING, np.zeros(2, dtype=bool),
+                 np.array([1, 0], dtype=np.int32),
+                 np.array(["x", "y"], dtype=object)),)
+        # The key this call had before ``decoded=`` existed.
+        key = "read_csv_partition-05fe536bd63329a9d85f495ff679d01c"
+        plain = call(*args, sidecar=("disk", 1), decoded=rows)
+        opaque = call(*args, sidecar=Hashless(), decoded=rows)
+        assert call(*args).key == plain.key == opaque.key == key
+        assert task_of(plain).shippable and not task_of(opaque).shippable
+        assert task_of(plain).kwargs["decoded"] is rows
+        big = (("a", DType.FLOAT, np.zeros(1 << 17, dtype=bool),
+                np.zeros(1 << 17), None),)
+        assert not task_of(call(*args, decoded=big)).shippable
+
     def test_tokenize_is_one_walk(self):
         ref = delayed(int)(1)
 
