@@ -776,10 +776,11 @@ class ComputeContext:
         return len(self.column_names)
 
     def _schema(self) -> DataFrame:
-        """The source's schema preview, read once per context (a filtered
-        scan may parse a chunk to answer it)."""
+        """The source's schema preview, read once per context over the
+        call's sidecar route (a warm scan builds it from the chunks'
+        records; a filtered scan may parse a chunk to answer it)."""
         if self._preview is None:
-            self._preview = self.source.schema_preview()
+            self._preview = self.source.schema_preview(sidecar=self.call.sidecar)
         return self._preview
 
     def semantic_type(self, name: str) -> SemanticType:

@@ -6,11 +6,12 @@ per column and coerces.  This mirrors how the EDA tools in the paper ingest
 Kaggle CSV files.
 
 The streaming reader (:func:`scan_csv`) never materializes the file: it scans
-the byte layout once (quote-aware, so embedded newlines inside quoted fields
-are handled), infers dtypes from a bounded preview, and returns a
-:class:`CsvSource` — for one path, a list or a glob alike: one schema over
-one :class:`CsvLayout` value per file — whose chunks are parsed lazily, one
-bounded row range at a time.  It is a
+the byte layout once (:mod:`repro.frame.layout`: quote-aware, so embedded
+newlines inside quoted fields are handled), infers dtypes from a bounded
+preview of the first file — or reads them from the scan header an earlier
+scan persisted — and returns a :class:`CsvSource` — for one path, a list or
+a glob alike: one schema over one :class:`CsvLayout` value per file — whose
+chunks are parsed lazily, one bounded row range at a time.  It is a
 :class:`~repro.frame.source.FrameSource` implementation, so the EDA layer
 routes it through per-partition sketch reductions, which is what makes
 ``plot`` / ``create_report`` work on CSVs larger than memory.  This module
@@ -47,6 +48,15 @@ from repro.frame.column import Column
 from repro.frame.dtypes import DType, decode_cells
 from repro.frame.fingerprint import fingerprint_file_stamps
 from repro.frame.frame import DataFrame, concat_rows
+from repro.frame.layout import (
+    CsvLayout,
+    compute_chunk_stamps,
+    csv_failure,
+    estimate_csv_row_bytes,
+    parse_row_cost,
+    read_header_row,
+    scan_layout,
+)
 from repro.frame.predicate import apply_predicate_spec
 from repro.frame.sidecar import (
     is_sidecar_artifact,
@@ -63,13 +73,16 @@ from repro.frame.source import (
 )
 from repro.frame.zonemap import (
     ChunkStats,
+    ScanHeader,
     ZoneMap,
     chunk_column_stats,
     chunk_key,
     decode_zone_entry,
     encode_zone_entry,
     is_zone_map_path,
+    load_scan_header,
     load_zone_entries,
+    save_scan_header,
     save_zone_entries,
     zone_map_from_stats,
 )
@@ -90,20 +103,9 @@ TRANSPOSE_ROWS = 256
 #: Default peak-memory budget for an out-of-core scan (bytes).
 DEFAULT_BUDGET_BYTES = 128 * 1024 * 1024
 
-#: Parsing a CSV chunk transiently holds the raw text plus per-cell python
-#: strings (each with ~50 bytes of object header), which costs several times
-#: the on-disk bytes; the budget-to-rows conversion multiplies the on-disk
-#: row size by this factor.  Calibrated against tracemalloc peaks in
-#: benchmarks/bench_outofcore.py.
-PARSE_OVERHEAD_FACTOR = 12
-
 #: Never shrink chunks below this many rows — per-chunk numpy work must still
 #: dominate the python/scheduler overhead.
 MIN_CHUNK_ROWS = 256
-
-#: Bytes read per block while a chunk's byte range is CRC'd into its stamp.
-STAMP_BLOCK_BYTES = 1 << 20
-
 
 def read_csv(path_or_buffer: PathOrBuffer,
              delimiter: str = ",",
@@ -288,245 +290,38 @@ def _format_cell(value: Any) -> str:
 # --------------------------------------------------------------------------- #
 # Streaming scan
 # --------------------------------------------------------------------------- #
-def _csv_failure(context: str, error: csv.Error) -> FrameError:
-    """*error* as a FrameError; a record that ran on past a ``\\r`` says why."""
-    hint = ("; scan_csv splits records on '\\n' only, so a bare '\\r' record "
-            "separator defeats it — read the file with repro.read_csv instead"
-            if "new-line character seen in unquoted field" in str(error) else "")
-    return FrameError(f"{context}: {error}{hint}")
-
-
-def _read_header(path: str, delimiter: str) -> Tuple[List[str], int]:
-    """The header's column names and the byte offset of the first record.
-
-    Quote-aware like :func:`scan_layout`: a quoted header field may span
-    physical lines.  A zero-byte file has no columns.  A leading UTF-8
-    byte-order mark is dropped from the names, not from the offset.
-    """
-    with open(path, "rb") as handle:
-        lines: List[bytes] = []
-        quotes = 0
-        for line in handle:
-            lines.append(line)
-            quotes += line.count(b'"')
-            if quotes % 2 == 0:
-                break
-        text = io.StringIO(b"".join(lines).decode("utf-8-sig"))
-        try:
-            rows = list(csv.reader(text, delimiter=delimiter))
-        except csv.Error as error:
-            raise _csv_failure(f"cannot read the CSV header of {path!r}",
-                               error) from error
-        columns = [name.strip() for name in rows[0]] if rows else []
-        return columns, handle.tell()
-
-
-@dataclass(frozen=True)
-class CsvLayout:
-    """One file's chunk layout, as a value.
-
-    Built only by :func:`scan_layout`: a rechunk or a refresh produces a new
-    layout and never edits this one.  Every chunk is a record-aligned byte
-    range, so each parses on its own; ``boundaries`` are its rows within
-    this file.  ``chunk_stamps`` are the per-chunk ``(crc32, byte count)``
-    content stamps, captured with the layout — not lazily — so a refresh
-    compares today's bytes against what the layout was computed from;
-    stamping after a mutation would trust the mutated prefix.  Chunk *i* is
-    keyed by ``chunk_stamps[i]`` in the cross-call cache, the zone-map
-    sidecar and the parsed-chunk binary sidecar.
-    """
-
-    path: str
-    #: ``(size, mtime_ns)`` of the file when the layout was scanned.
-    file_stamp: Tuple[int, int]
-    chunk_rows: int
-    boundaries: Tuple[Tuple[int, int], ...]
-    byte_ranges: Tuple[Tuple[int, int], ...]
-    chunk_stamps: Tuple[Tuple[int, int], ...]
-    #: Whether the scan ended outside any quoted field; an open quote at
-    #: EOF makes appended bytes part of the dangling record, so a refresh
-    #: must rescan instead of extending.
-    clean_eof: bool
-    #: In-memory bytes of one parsed row going by this file's preview; with
-    #: the on-disk row size it prices a chunk against the memory budget.
-    row_bytes: float
-
-    @property
-    def n_rows(self) -> int:
-        """Data rows of this file, known from the layout scan."""
-        return self.boundaries[-1][1]
-
-    def content_crc(self) -> int:
-        """One CRC folding every chunk stamp — the file-level content check.
-
-        Changes whenever any chunk's bytes change, so the fingerprint
-        detects in-place rewrites even when they preserve both size and
-        mtime_ns (the stamp-granularity hazard: editors restoring
-        timestamps, appends within one mtime resolution).
-        """
-        crc = 0
-        for chunk_crc, length in self.chunk_stamps:
-            crc = zlib.crc32(f"{chunk_crc}:{length};".encode(), crc)
-        return crc
-
-    def row_cost(self) -> int:
-        """Rough peak parse cost of one row (on-disk and in-memory)."""
-        data_bytes = max(self.file_stamp[0] - self.byte_ranges[0][0], 0)
-        csv_row = data_bytes / self.n_rows if self.n_rows else 64.0
-        return max(1, int(csv_row * PARSE_OVERHEAD_FACTOR + self.row_bytes))
-
-    def appendable(self) -> bool:
-        """Whether the file still holds exactly the bytes this layout covers,
-        so bytes appended since can simply extend it.
-
-        Trusted only when the layout holds records and ended cleanly — no
-        open quote at EOF and a record-terminating newline as the last
-        scanned byte, so appended bytes start a fresh record — and every
-        chunk's CRC still matches, so a mutated-then-grown prefix rescans
-        instead of extending over a stale layout.
-        """
-        if not self.n_rows or not self.clean_eof:
-            return False
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(self.byte_ranges[-1][1] - 1)
-                if handle.read(1) != b"\n":
-                    return False
-            return tuple(compute_chunk_stamps(
-                self.path, self.byte_ranges)) == self.chunk_stamps
-        except OSError:
-            return False
-
-
-def scan_layout(path: str, chunk_rows: int, start: int,
-                file_stamp: Tuple[int, int], row_bytes: float,
-                kept: Optional[CsvLayout] = None) -> CsvLayout:
-    """The one routine that builds a :class:`CsvLayout`.
-
-    The layout holds *kept*'s chunks unchanged, then the records from byte
-    *start* on, a chunk boundary committed every *chunk_rows* of them, and
-    every new chunk stamped.  A cold scan and a rechunk start at the first
-    record with nothing kept; an append-refresh starts where *kept* ends.
-    A record ends only on a line where the cumulative quote count is even
-    (``""`` escapes toggle twice, so parity is preserved); completely blank
-    records are not counted, matching :func:`read_csv`.  A layout with no
-    record at all is one empty chunk.
-    """
-    if chunk_rows <= 0:
-        raise FrameError("chunk_rows must be positive")
-    stops: List[int] = []
-    counts: List[int] = []
-    rows = quotes = 0
-    record_blank = True
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        for line in handle:
-            quotes += line.count(b'"')
-            if line.strip(b"\r\n"):
-                record_blank = False
-            if quotes % 2 == 1:
-                continue                      # still inside a quoted field
-            if not record_blank:
-                rows += 1
-                if rows == chunk_rows:
-                    stops.append(handle.tell())
-                    counts.append(rows)
-                    rows = 0
-            record_blank = True
-        clean_eof = quotes % 2 == 0
-        if not clean_eof and not record_blank:
-            # A final record whose quoted field is never closed: the csv
-            # parser still yields it as a row, so count it — otherwise
-            # n_rows disagrees with what the chunks actually parse.
-            rows += 1
-        if rows or (not counts and kept is None):
-            stops.append(handle.tell())
-            counts.append(rows)
-    byte_ranges = tuple(zip([start] + stops[:-1], stops))
-    row_stops = list(accumulate(counts, initial=kept.n_rows if kept else 0))
-    boundaries = tuple(zip(row_stops, row_stops[1:]))
-    chunk_stamps = tuple(compute_chunk_stamps(path, byte_ranges))
-    if kept is not None:
-        boundaries = kept.boundaries + boundaries
-        byte_ranges = kept.byte_ranges + byte_ranges
-        chunk_stamps = kept.chunk_stamps + chunk_stamps
-    return CsvLayout(path=path, file_stamp=file_stamp, chunk_rows=chunk_rows,
-                     boundaries=boundaries, byte_ranges=byte_ranges,
-                     chunk_stamps=chunk_stamps, clean_eof=clean_eof,
-                     row_bytes=row_bytes)
-
-
-def compute_chunk_stamps(path: Union[str, os.PathLike],
-                         byte_ranges: Sequence[Tuple[int, int]]
-                         ) -> List[Tuple[int, int]]:
-    """``(crc32, byte count)`` content stamp of every chunk byte range.
-
-    Each stamp CRC32s every byte of the chunk's range, read in blocks of
-    :data:`STAMP_BLOCK_BYTES`.  These stamps replace the whole-file
-    ``(size, mtime_ns)`` stamp in chunk-level cache keys: appending to a
-    file leaves every old chunk's bytes — and therefore its stamp, its
-    cross-call cache key, its zone-map entry and its binary sidecar —
-    untouched, while an edit anywhere in a chunk changes its CRC and
-    invalidates exactly the chunks it touched.
-    """
-    stamps: List[Tuple[int, int]] = []
-    with open(path, "rb") as handle:
-        for start, stop in byte_ranges:
-            handle.seek(int(start))
-            remaining = max(0, int(stop) - int(start))
-            crc = length = 0
-            while remaining:
-                block = handle.read(min(remaining, STAMP_BLOCK_BYTES))
-                if not block:
-                    break
-                crc = zlib.crc32(block, crc)
-                length += len(block)
-                remaining -= len(block)
-            stamps.append((crc, length))
-    return stamps
-
-
-def _estimate_csv_row_bytes(path: Union[str, os.PathLike],
-                            probe_bytes: int = 64 * 1024) -> float:
-    """Rough on-disk bytes per data row from a bounded probe of the file.
-
-    Newlines embedded in quoted fields inflate the apparent record count,
-    which only *under*-estimates the row size; the worker-aware re-check when
-    the compute layer partitions the source corrects over-sized chunks.
-    """
-    with open(path, "rb") as handle:
-        handle.readline()                      # skip (first line of) header
-        probe = handle.read(probe_bytes)
-    records = probe.count(b"\n")
-    if not records:
-        return float(max(len(probe), 64))
-    return len(probe) / records
-
-
 def parse_csv_range(path: Union[str, os.PathLike], byte_start: int,
                     byte_stop: int, column_names: Sequence[str],
                     dtypes: Dict[str, DType],
                     delimiter: str = ",",
-                    usecols: Optional[Sequence[str]] = None) -> DataFrame:
+                    usecols: Optional[Sequence[str]] = None,
+                    stamp: Optional[Tuple[int, int]] = None) -> DataFrame:
     """Parse one record-aligned byte range of a CSV file into a DataFrame.
 
     Parsing is lenient: the dtypes come from a bounded preview, so a value
     deep in the file that contradicts them becomes a missing cell rather
     than aborting the whole scan.  *usecols* projects the parse onto a
     column subset — the other columns' cells are skipped before collection
-    and coercion (see :func:`read_csv`).
+    and coercion (see :func:`read_csv`).  With *stamp* (the chunk's
+    ``(crc32, byte count)`` from the layout scan) the bytes read must still
+    be the ones the scan stamped, or this raises before decoding any.
     """
     with open(path, "rb") as handle:
         handle.seek(byte_start)
         payload = handle.read(byte_stop - byte_start)
+    if stamp is not None and (zlib.crc32(payload), len(payload)) != tuple(stamp):
+        raise FrameError(
+            f"the CSV chunk at bytes [{byte_start}, {byte_stop}) of {path!r} "
+            f"changed since it was scanned; refresh the scan with "
+            f"repro.refresh and run the call again")
     try:
         return read_csv(io.StringIO(payload.decode("utf-8")),
                         delimiter=delimiter, has_header=False,
                         column_names=list(column_names), dtypes=dtypes,
                         lenient=True, usecols=usecols)
     except csv.Error as error:
-        raise _csv_failure(f"cannot parse the CSV chunk at bytes [{byte_start}, "
-                           f"{byte_stop}) of {path!r}", error) from error
+        raise csv_failure(f"cannot parse the CSV chunk at bytes [{byte_start}, "
+                          f"{byte_stop}) of {path!r}", error) from error
 
 
 def _parse_columns(column_names: Sequence[str],
@@ -571,7 +366,7 @@ def _chunk_frame(payload: Sequence[Tuple[Any, ...]]) -> DataFrame:
 
 def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
                     column_names: Tuple[str, ...], dtypes: dict,
-                    file_stamp: Tuple[int, int] = (0, 0),
+                    file_stamp: Optional[Tuple[int, int]] = None,
                     delimiter: str = ",",
                     expected_rows: Optional[int] = None,
                     columns: Optional[Tuple[str, ...]] = None,
@@ -582,13 +377,16 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
     """Parse one byte range of a CSV file into a DataFrame partition.
 
     *file_stamp* is the chunk's content stamp — the ``(crc32, byte count)``
-    pair captured at scan time (see :func:`compute_chunk_stamps`).  It is
-    not parsed here — it exists so the task's cross-call cache key changes
-    when the chunk's bytes change, even with identical byte boundaries,
-    while *surviving* file growth: an append leaves the old chunks' bytes
-    untouched, so their cache keys (and any tree-combine ancestors built
-    purely from them) stay warm and a refresh re-executes only the new
-    chunks.  The binary chunk sidecar validates the same opaque pair.
+    pair captured at scan time (see
+    :func:`~repro.frame.layout.compute_chunk_stamps`).  It makes the task's
+    cross-call cache key change when the chunk's bytes change, even with
+    identical byte boundaries, while *surviving* file growth: an append
+    leaves the old chunks' bytes untouched, so their cache keys (and any
+    tree-combine ancestors built purely from them) stay warm and a refresh
+    re-executes only the new chunks.  The binary chunk sidecar validates
+    the same pair, and the parse checks the bytes it reads against it
+    (:func:`parse_csv_range`), so nothing is cached or spilled under a
+    stamp its rows were not decoded from.
 
     *columns* projects the parse onto a column subset: the other columns'
     cells are skipped before collection and dtype coercion (the hot path of
@@ -626,11 +424,12 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
     keys (``NON_SEMANTIC_KWARGS``).
 
     *decoded* is the chunk's rows already decoded, as plain arrays
-    (:func:`_chunk_payload`): a scan whose preview is the whole file hands
-    each of that file's chunk tasks its rows, so the task takes them in
-    place of the parse — the sidecar is still consulted first and still
-    written on a miss.  Non-semantic like *sidecar*: the rows are exactly
-    what the parse returns.
+    (:func:`_chunk_payload`): a scan whose preview is the whole file, read
+    from the bytes its layout pass stamped, hands each of that file's chunk
+    tasks its rows, so the task takes them in place of the parse — the
+    sidecar is still consulted first and still written on a miss.
+    Non-semantic like *sidecar*: the rows are exactly what the parse
+    returns.
     """
     parse_columns = _parse_columns(column_names, columns, predicate)
     frame = None
@@ -648,7 +447,8 @@ def _read_csv_slice(path: str, byte_start: int, byte_stop: int,
         else:
             frame = parse_csv_range(path, byte_start, byte_stop,
                                     list(column_names), dtypes,
-                                    delimiter=delimiter, usecols=parse_columns)
+                                    delimiter=delimiter, usecols=parse_columns,
+                                    stamp=file_stamp)
         if expected_rows is not None and len(frame) != expected_rows:
             raise FrameError(
                 f"CSV chunk at bytes [{byte_start}, {byte_stop}) of {path!r} "
@@ -692,6 +492,99 @@ class _ScanSettings:
     #: default-config EDA calls never pay a second layout pass.
     concurrency: int = field(default_factory=default_worker_count)
 
+    def header_args(self) -> List[Any]:
+        """The arguments a preview depends on, as its scan header records
+        them: a header answers only a scan opened with the same ones."""
+        return [self.inference_rows, self.delimiter,
+                {name: dtype.value for name, dtype in self.dtypes.items()}
+                if self.dtypes else None]
+
+
+class _PrefixReader(io.FileIO):
+    """A CSV file opened for a preview parse that CRCs the bytes it hands
+    out from byte *start* on, up to *stop* (None: to where it stops)."""
+
+    def __init__(self, path: str, start: int, stop: Optional[int] = None):
+        super().__init__(path, "r")
+        self.start, self.stop = start, stop
+        self.position = self.crc = self.counted = 0
+
+    def readinto(self, buffer: Any) -> int:
+        count = super().readinto(buffer) or 0
+        low = max(self.start - self.position, 0)
+        high = count if self.stop is None else min(count,
+                                                   self.stop - self.position)
+        if low < high:
+            self.crc = zlib.crc32(memoryview(buffer)[low:high], self.crc)
+            self.counted += high - low
+        self.position += count
+        return count
+
+
+class _Preview:
+    """The first file's preview rows, decoded at most once for a scan, its
+    rechunks and the refreshes that keep its preview.
+
+    A cold scan holds the rows it parsed; *checked* says whether its layout
+    pass stamped the bytes they were parsed from.  A warm scan holds the
+    header alone, checked against *layout* in the read that stamped its
+    chunks, and builds the rows on first use: from the leading chunks'
+    sidecar records when the header is plain and every one of them is on
+    the route, else by parsing the preview again — which must read the
+    bytes the header stamped, or the file changed since it was scanned.
+    """
+
+    def __init__(self, header: ScanHeader, layout: CsvLayout,
+                 settings: _ScanSettings, frame: Optional[DataFrame] = None,
+                 checked: bool = True):
+        self.header, self.layout, self.settings = header, layout, settings
+        self.frame, self.checked = frame, checked
+
+    @property
+    def whole(self) -> bool:
+        """Whether the rows are the whole file the layout stamped, so its
+        chunk tasks may take their slices of them."""
+        return self.checked and self.header.whole
+
+    def get(self, sidecar: Optional[Sequence[Any]] = None) -> DataFrame:
+        if self.frame is None:
+            if sidecar is not None and self.header.plain and self.header.rows:
+                self.frame = self._from_records(sidecar)
+            if self.frame is None:
+                self.frame = self._parse()
+        return self.frame
+
+    def _from_records(self, sidecar: Sequence[Any]) -> Optional[DataFrame]:
+        header, layout = self.header, self.layout
+        names = tuple(header.dtypes)
+        frames = []
+        for (start, stop), (byte_start, byte_stop), stamp in zip(
+                layout.boundaries, layout.byte_ranges, layout.chunk_stamps):
+            if start >= header.rows:
+                break
+            frame = load_chunk(layout.path, byte_start, byte_stop, stamp, names,
+                               header.dtypes, stop - start, sidecar,
+                               delimiter=self.settings.delimiter)
+            if frame is None:
+                return None
+            frames.append(frame)
+        merged = concat_rows(frames)
+        if len(merged) < header.rows:
+            return None
+        return _chunk_frame([_chunk_payload(merged.column(name), 0, header.rows)
+                             for name in names])
+
+    def _parse(self) -> DataFrame:
+        header, path = self.header, self.layout.path
+        frame, parsed = _parse_preview(path, self.settings, *header.span)
+        if (parsed.stamp, parsed.rows, parsed.dtypes) != \
+                (header.stamp, header.rows, header.dtypes):
+            raise FrameError(
+                f"the CSV preview at bytes [{header.span[0]}, "
+                f"{header.span[1]}) of {path!r} changed since it was "
+                f"scanned; refresh the scan with repro.refresh")
+        return frame
+
 
 class CsvSource:
     """On-disk CSV files as one lazy, chunked :class:`FrameSource`.
@@ -706,20 +599,17 @@ class CsvSource:
     bounded-memory sketch finalizers, so ``plot`` / ``create_report`` run
     with peak memory proportional to the chunk size, not the files.
 
-    *whole* is :func:`_scan_preview`'s verdict that the preview holds the
-    whole first file.  When the preview also has as many rows as that
-    file's layout counts, it *is* the file's decoded rows, and the graph
-    hands each of the file's chunk tasks its slice instead of a second
-    parse.
+    When the held preview is the whole first file (:attr:`_Preview.whole`)
+    and has as many rows as that file's layout counts, it *is* the file's
+    decoded rows, and the graph hands each of the file's chunk tasks its
+    slice instead of a second parse.
     """
 
-    def __init__(self, preview: DataFrame, dtypes: Dict[str, DType],
-                 layouts: Sequence[CsvLayout], settings: _ScanSettings,
-                 whole: bool = False):
+    def __init__(self, preview: _Preview, layouts: Sequence[CsvLayout],
+                 settings: _ScanSettings):
         self._preview = preview
-        self._whole = whole
-        self._columns = tuple(preview.columns)
-        self._dtypes = dict(dtypes)
+        self._dtypes = dict(preview.header.dtypes)
+        self._columns = tuple(self._dtypes)
         self._layouts = tuple(layouts)
         self._settings = settings
         self._rechunks: Dict[Tuple[int, ...], "CsvSource"] = {}
@@ -789,15 +679,20 @@ class CsvSource:
 
     @property
     def preview(self) -> DataFrame:
-        """The bounded preview frame dtypes and semantic types come from."""
-        return self._preview
+        """The bounded preview frame dtypes and semantic types come from
+        (a warm scan decodes it on first read)."""
+        return self._preview.get()
 
     @property
     def capabilities(self) -> SourceCapabilities:
         return SourceCapabilities(exact=False, chunk_sidecar=True)
 
-    def schema_preview(self) -> DataFrame:
-        return self._preview
+    def schema_preview(self, sidecar: Optional[Sequence[Any]] = None
+                       ) -> DataFrame:
+        """The preview; on a warm scan the first read with a *sidecar*
+        route builds it from the leading chunks' records when they are all
+        there, decoding no CSV byte."""
+        return self._preview.get(sidecar)
 
     def fingerprint(self) -> str:
         """Content fingerprint from every file's ``(path, size, mtime_ns,
@@ -878,15 +773,16 @@ class CsvSource:
         every already-sketched chunk and execute only the appended ones.
 
         The first file's chunks are also ``decoded`` from the preview when
-        the preview is the whole file (see :func:`_scan_preview`) and has
+        it is held, is the whole file (see :class:`_Preview`) and has
         exactly the rows the layout counted.  A preview cut at
         ``inference_rows``, or a file whose quoting or bare ``\r`` makes the
         csv reader and the layout count records differently, keeps the
         parse, which raises on the disagreement.
         """
         layout = self._layouts[file]
-        held = not file and self._whole \
-            and 0 < len(self._preview) == layout.n_rows
+        held = self._preview.frame if not file and self._preview.whole \
+            else None
+        served = held is not None and 0 < len(held) == layout.n_rows
         return [SourcePartition(
                     offset + start, offset + stop, _read_csv_slice,
                     (layout.path, byte_start, byte_stop, self._columns,
@@ -895,7 +791,7 @@ class CsvSource:
                     prefix="read_csv_partition", path=layout.path,
                     byte_span=byte_stop - byte_start,
                     decoded=partial(self._preview_rows, start, stop)
-                    if held else None)
+                    if served else None)
                 for (start, stop), (byte_start, byte_stop), stamp
                 in zip(layout.boundaries, layout.byte_ranges,
                        layout.chunk_stamps)]
@@ -908,7 +804,8 @@ class CsvSource:
         this projection and predicate decodes, in file order as the parse
         returns them, as its ``decoded=`` value."""
         wanted = _parse_columns(self._columns, columns, predicate)
-        return tuple(_chunk_payload(self._preview.column(name), start, stop)
+        return tuple(_chunk_payload(self._preview.frame.column(name), start,
+                                    stop)
                      for name in self._columns
                      if wanted is None or name in wanted)
 
@@ -971,12 +868,12 @@ class CsvSource:
             return self
         if targets not in self._rechunks:
             # Every layout's first chunk starts at its file's first record.
-            self._rechunks[targets] = CsvSource(self._preview, self._dtypes, [
+            self._rechunks[targets] = CsvSource(self._preview, [
                 layout if rows == layout.chunk_rows else scan_layout(
                     layout.path, rows, layout.byte_ranges[0][0],
-                    layout.file_stamp, layout.row_bytes)
+                    layout.file_stamp, layout.row_bytes)[0]
                 for layout, rows in zip(self._layouts, targets)],
-                self._settings, self._whole)
+                self._settings)
         return self._rechunks[targets]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
@@ -1028,67 +925,68 @@ class CsvSource:
         except OSError as error:
             raise FrameError(f"cannot refresh the scan of {error.filename!r}: "
                              f"{error.strerror}") from error
-        first = (self._layouts[0].path, list(self._columns))
         layouts = list(self._layouts)
-        preview, whole = self._preview, self._whole
+        preview = self._preview
         for file, (layout, stamp) in enumerate(zip(self._layouts, stamps)):
             if stamp == layout.file_stamp:
                 continue
-            appended = self._appended(
-                layout, stamp, self._dtypes if file else settings.dtypes)
-            if appended is not None:
-                grown_preview, grown_whole, layouts[file] = appended
-                if not file:
-                    whole = grown_whole
-                    if grown_preview is not None:
-                        preview = grown_preview
-            elif not file:
+            grown = self._appended(layout, stamp, first=not file)
+            if grown is None and not file:
                 return _open(expand_scan_paths(settings.pattern or self.paths),
                              settings)
-            else:
-                layouts[file] = _scan_file(layout.path, settings,
-                                           self._dtypes, first)[2]
+            if not file:
+                preview = grown[0]
+            layouts[file] = grown[1] if grown else self._member(layout.path)
         if settings.pattern:
             known = set(self.paths)
-            layouts += [_scan_file(path, settings, self._dtypes, first)[2]
+            layouts += [self._member(path)
                         for path in _glob_data_files(settings.pattern)
                         if path not in known]
         if tuple(layouts) == self._layouts:
             return self
-        return CsvSource(preview, self._dtypes, layouts, settings, whole)
+        return CsvSource(preview, layouts, settings)
+
+    def _member(self, path: str) -> CsvLayout:
+        """A rescan of *path* as a further file of this scan."""
+        return _scan_member(path, self._settings,
+                            (self._layouts[0].path, self.columns),
+                            self._preview.header.row_bytes)
 
     def _appended(self, layout: CsvLayout, stamp: Tuple[int, int],
-                  dtypes: Optional[Dict[str, DType]]
-                  ) -> Optional[Tuple[Optional[DataFrame], bool, CsvLayout]]:
-        """The file's re-parsed preview when there is one, whether it is
-        the whole file, and *layout* extended over the file's appended
-        bytes; None when only a rescan is safe.
+                  first: bool
+                  ) -> Optional[Tuple[Optional[_Preview], CsvLayout]]:
+        """*layout* extended over the file's appended bytes, with the
+        preview as it now stands when the file is the *first*; None when
+        only a rescan is safe.
 
-        While the old layout holds fewer rows than the inference window,
-        the appended rows enter it: the preview is re-parsed under *dtypes*
-        (the user's overrides for the first file, the pinned map for the
-        others), and a changed dtype map means a rescan — the chunks would
-        disagree on storage types.  Otherwise the old preview stands and
-        the refresh reads the old chunks once, to check their CRCs, and
-        layout-scans only the appended tail.
+        While the first file's layout holds fewer rows than the inference
+        window, the appended rows enter it: the preview is parsed again
+        (under the user's overrides), and a changed dtype map means a
+        rescan — the chunks would disagree on storage types.  Otherwise the
+        old preview stands.  The layout pass re-stamps the old chunks (they
+        must still match) and the preview's bytes in the read that lays
+        out the appended tail.
         """
         settings = self._settings
-        if stamp[0] <= layout.file_stamp[0] or not layout.appendable():
+        if stamp[0] <= layout.file_stamp[0] or not layout.n_rows \
+                or not layout.clean_eof:
             return None
+        frame = header = None
         try:
-            preview, whole, row_bytes = None, False, layout.row_bytes
-            if layout.n_rows < settings.inference_rows:
-                preview, resolved, whole = _scan_preview(
-                    layout.path, dtypes, settings.inference_rows,
-                    settings.delimiter)
-                if resolved != self._dtypes:
+            if first and layout.n_rows < settings.inference_rows:
+                frame, header = _parse_preview(layout.path, settings,
+                                               layout.byte_ranges[0][0])
+                if header.dtypes != self._dtypes:
                     return None
-                row_bytes = _row_bytes(preview)
-            return preview, whole, scan_layout(
+            grown, prefix = scan_layout(
                 layout.path, layout.chunk_rows, layout.byte_ranges[-1][1],
-                stamp, row_bytes, kept=layout)
+                stamp, header.row_bytes if header else layout.row_bytes,
+                kept=layout, prefix_stop=header.stop if header else 0)
         except (OSError, FrameError):
             return None
+        if header is None:      # the old preview stands
+            return (self._preview if first else None), grown
+        return _held(frame, header, grown, prefix, settings), grown
 
 
 def _file_stamp(path: str) -> Tuple[int, int]:
@@ -1102,11 +1000,12 @@ def _row_bytes(preview: DataFrame) -> float:
     return preview.memory_bytes() / len(preview) if len(preview) else 64.0
 
 
-def _scan_preview(path: str, dtypes: Optional[Dict[str, DType]],
+def _scan_preview(source: io.RawIOBase, dtypes: Optional[Dict[str, DType]],
                   inference_rows: int, delimiter: str
                   ) -> Tuple[DataFrame, Dict[str, DType], bool]:
-    """Parse the preview rows; returns them, the resolved dtype map and
-    whether they are the whole file as the layout scan splits it.
+    """Parse the preview rows of *source*, a binary CSV file read from its
+    first byte; returns them, the resolved dtype map and whether the parse
+    read to the end of the file.
 
     One tokenisation of the preview rows: a named column is coerced under
     its override, every other one is inferred.  Lenient like the chunk
@@ -1116,68 +1015,108 @@ def _scan_preview(path: str, dtypes: Optional[Dict[str, DType]],
     every cell it was inferred from, so leniency never touches those.
     Under that same dtype map a chunk parse decodes each cell to exactly
     this storage, which is what lets a whole-file preview serve its chunks
-    (:meth:`CsvSource._file_partitions`).
-
-    Whole means the parse reached the end of the file and no text cell
-    holds a quote character.  A quote the csv reader keeps as text (an
-    escaped ``""`` or a stray one) is one the layout scan counts as
-    syntax, so the two may disagree on where records end.
+    (:meth:`CsvSource._file_partitions`) and the chunks' sidecar records
+    rebuild a preview (:class:`_Preview`).
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        preview = _read_csv_stream(handle, delimiter, True, None, dtypes,
-                                   inference_rows, lenient=bool(dtypes))
-        try:
-            whole = not handle.read(1)
-        except ValueError:      # undecodable bytes past the preview
-            whole = False
-    whole = whole and not any(
-        '"' in text for column in map(preview.column, preview.columns)
+    handle = io.TextIOWrapper(io.BufferedReader(source), encoding="utf-8",
+                              newline="")
+    preview = _read_csv_stream(handle, delimiter, True, None, dtypes,
+                               inference_rows, lenient=bool(dtypes))
+    try:
+        reached_end = not handle.read(1)
+    except ValueError:      # undecodable bytes past the preview
+        reached_end = False
+    return preview, {**preview.dtypes, **(dtypes or {})}, reached_end
+
+
+def _parse_preview(path: str, settings: _ScanSettings, start: int,
+                   stop: Optional[int] = None) -> Tuple[DataFrame, ScanHeader]:
+    """:func:`_scan_preview` of *path* and the rows' header, whose span is
+    the bytes the parse read from *start* on (up to *stop*)."""
+    with _PrefixReader(path, start, stop) as source:
+        frame, dtypes, eof = _scan_preview(source, settings.dtypes,
+                                           settings.inference_rows,
+                                           settings.delimiter)
+    plain = not any(
+        '"' in text for column in map(frame.column, frame.columns)
         if column.dtype is DType.STRING for text in column.dictionary.tolist())
-    return preview, {**preview.dtypes, **(dtypes or {})}, whole
+    return frame, ScanHeader(dtypes, _row_bytes(frame), len(frame), eof, plain,
+                             (start, start + source.counted), source.crc)
 
 
-def _scan_file(path: str, settings: _ScanSettings,
-               dtypes: Optional[Dict[str, DType]],
-               first: Optional[Tuple[str, List[str]]] = None
-               ) -> Tuple[DataFrame, Dict[str, DType], CsvLayout, bool]:
-    """One file's cold scan: header, preview, budgeted layout and stamps,
-    and whether the preview is the whole file (:func:`_scan_preview`).
+def _held(frame: DataFrame, header: ScanHeader, layout: CsvLayout,
+          prefix: Tuple[int, int], settings: _ScanSettings) -> _Preview:
+    """The parsed preview *frame*, checked when the layout pass stamped its
+    bytes to *prefix*; a checked header is persisted for later scans."""
+    checked = prefix == header.stamp
+    if checked:
+        save_scan_header(layout.path, header, settings.header_args())
+    return _Preview(header, layout, settings, frame, checked)
 
-    *first* is the first file's ``(path, columns)`` when this file joins a
-    multi-file scan.  Its header must repeat those columns, and it is
-    compared before the preview parses under the first file's *dtypes*,
-    so every pinned dtype key names a column by construction.
+
+def _budgeted_layout(path: str, settings: _ScanSettings, start: int,
+                     row_bytes: float, prefix_stop: int = 0
+                     ) -> Tuple[CsvLayout, Tuple[int, int]]:
+    """:func:`scan_layout` of *path* from byte *start*, at most
+    ``settings.chunk_rows`` rows per chunk and fewer if the budget needs.
+
+    The cap comes from cheap row-size estimates (*row_bytes* plus a 64 KiB
+    on-disk probe), so the layout is scanned once at the final granularity.
+    The formula deliberately mirrors ``with_partitioning`` at the default
+    worker count, so the worker-aware re-derivation in ComputeContext
+    usually agrees and no second layout pass is needed.
     """
-    columns, data_start = _read_header(path, settings.delimiter)
-    if first is not None and columns != first[1]:
+    row_cost = max(1.0, parse_row_cost(estimate_csv_row_bytes(path),
+                                       row_bytes))
+    budget_rows = max(MIN_CHUNK_ROWS, int(
+        settings.budget_bytes / settings.concurrency // row_cost))
+    return scan_layout(path, min(settings.chunk_rows, budget_rows), start,
+                       _file_stamp(path), row_bytes, prefix_stop=prefix_stop)
+
+
+def _scan_first(path: str, settings: _ScanSettings
+                ) -> Tuple[_Preview, CsvLayout]:
+    """The first file's scan: its layout, and its preview header — read
+    from the zone-map file when the layout pass stamps the bytes it was
+    worked out from, else from a fresh parse of the preview rows.  A
+    header whose bytes changed is dropped after a read of those bytes
+    alone, before any layout pass under it."""
+    columns, start = read_header_row(path, settings.delimiter)
+    header = load_scan_header(path, settings.header_args(), columns, start)
+    if header is not None and compute_chunk_stamps(
+            path, [(start, header.stop)]) == [header.stamp]:
+        layout, prefix = _budgeted_layout(path, settings, start,
+                                          header.row_bytes, header.stop)
+        if prefix == header.stamp:
+            return _Preview(header, layout, settings), layout
+    frame, header = _parse_preview(path, settings, start)
+    layout, prefix = _budgeted_layout(path, settings, start, header.row_bytes,
+                                      header.stop)
+    return _held(frame, header, layout, prefix, settings), layout
+
+
+def _scan_member(path: str, settings: _ScanSettings,
+                 first: Tuple[str, List[str]], row_bytes: float) -> CsvLayout:
+    """A further file of a multi-file scan: its header must repeat the
+    first file's columns (*first* is its ``(path, columns)``), its chunks
+    parse under the first file's dtypes and are priced by its *row_bytes*,
+    so no preview of it is parsed."""
+    columns, start = read_header_row(path, settings.delimiter)
+    if columns != first[1]:
         raise FrameError(
             f"CSV files disagree on columns: {first[0]!r} has {first[1]} "
             f"but {path!r} has {columns}")
-    preview, resolved, whole = _scan_preview(
-        path, dtypes, settings.inference_rows, settings.delimiter)
-    # Cap the chunk size by the budget using cheap row-size estimates (the
-    # parsed preview plus a 64 KiB on-disk probe), then scan the layout once
-    # at the final granularity.  The formula deliberately mirrors
-    # with_partitioning at the default worker count, so the worker-aware
-    # re-derivation in ComputeContext usually agrees and no second layout
-    # pass is needed.
-    row_bytes = _row_bytes(preview)
-    row_cost = max(1.0, _estimate_csv_row_bytes(path) * PARSE_OVERHEAD_FACTOR
-                   + row_bytes)
-    budget_rows = max(MIN_CHUNK_ROWS, int(
-        settings.budget_bytes / settings.concurrency // row_cost))
-    layout = scan_layout(path, min(settings.chunk_rows, budget_rows),
-                         data_start, _file_stamp(path), row_bytes)
-    return preview, resolved, layout, whole
+    return _budgeted_layout(path, settings, start, row_bytes)[0]
 
 
 def _open(paths: Sequence[str], settings: _ScanSettings) -> CsvSource:
     """Scan every file; the first one's preview and dtypes are the schema."""
-    preview, dtypes, first, whole = _scan_file(paths[0], settings,
-                                               settings.dtypes)
-    rest = [_scan_file(path, settings, dtypes, (paths[0], preview.columns))[2]
+    preview, first = _scan_first(paths[0], settings)
+    rest = [_scan_member(path, settings,
+                         (paths[0], list(preview.header.dtypes)),
+                         preview.header.row_bytes)
             for path in paths[1:]]
-    return CsvSource(preview, dtypes, [first] + rest, settings, whole)
+    return CsvSource(preview, [first] + rest, settings)
 
 
 def _glob_data_files(pattern: str) -> List[str]:
@@ -1236,15 +1175,31 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
 
     Each file is scanned once (I/O only, quote-aware) to precompute chunk
     boundaries — the paper's "precompute chunk sizes" stage applied to file
-    input — and the first *inference_rows* rows are parsed to infer storage
-    dtypes, which every chunk then shares.  Peak memory of any downstream
-    consumer is bounded by the chunk size.
+    input — and stamp every chunk's bytes; the first *inference_rows* rows
+    of the first file are parsed to infer storage dtypes, which every chunk
+    of every file then shares.  Peak memory of any downstream consumer is
+    bounded by the chunk size.
 
-    When those rows are the whole first file (the parse reached its end,
-    kept no quote character as text and counted the records the layout
-    did), a cold scan decodes each byte once: the EDA graph hands that
-    file's chunk tasks their slices of the preview instead of parsing the
-    bytes again.  ``to_frame`` and ``read_chunk`` always parse.
+    The first file's zone-map JSON (``<file>.zones.json``) keeps a scan
+    header next to its chunk statistics: these arguments, the resolved
+    dtypes, the preview's row count and row size, whether it read the whole
+    file, and a CRC of the bytes it was parsed from.  A scan is *warm* when
+    the header was written for the same *inference_rows*, *dtypes* and
+    *delimiter* and the layout pass — the same read that stamps the chunks
+    — finds those bytes unchanged (and, for a preview that read to the end,
+    no byte after them).  A warm scan decodes no byte: the preview is built
+    on first use, from the leading chunks' sidecar records when an EDA call
+    has its sidecar route and every one of them is there, else by parsing
+    it again.  Any other scan is cold and writes the header afresh, where
+    the directory lets it.
+
+    When the preview rows are the whole first file (the parse reached its
+    end, kept no quote character as text, counted the records the layout
+    did and read the bytes the layout stamped), a cold scan decodes each
+    byte once: the EDA graph hands that file's chunk tasks their slices of
+    the preview instead of parsing the bytes again.  ``to_frame`` and
+    ``read_chunk`` always parse, and every parse checks the bytes it reads
+    against the chunk's stamp, raising if the file changed since the scan.
 
     A single path, a list of paths or a glob pattern
     (``"data/part-*.csv"``) all return a :class:`CsvSource`: one logical

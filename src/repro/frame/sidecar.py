@@ -12,7 +12,7 @@ arrays directly and decodes zero CSV bytes.
 Keying mirrors the zone-map sidecar (:mod:`repro.frame.zonemap`): a chunk
 file answers only for the exact content stamp — the CRC32 and byte count
 of the chunk's whole byte range, from
-:func:`repro.frame.io.compute_chunk_stamps` — byte range, delimiter and
+:func:`repro.frame.layout.compute_chunk_stamps` — byte range, delimiter and
 per-column dtypes it was written under, so an overwritten file can never
 serve stale rows.  The stamp is opaque two-int data to this module; keying
 per chunk rather than per file is what lets an *append* keep every old
@@ -326,9 +326,10 @@ def _decode_column(path: str, handle: Any, base: int, name: str,
     if blob is None or int(offsets[-1]) != len(blob):
         return None
     size = offsets.size - 1
+    bounds = offsets.tolist()
     dictionary = np.empty(size, dtype=object)
-    for index in range(size):
-        dictionary[index] = blob[offsets[index]:offsets[index + 1]].decode("utf-8")
+    dictionary[:] = [blob[start:stop].decode("utf-8")
+                     for start, stop in zip(bounds, bounds[1:])]
     if codes.size and (int(codes.max()) >= size or
                        bool(((codes < 0) != mask).any())):
         return None

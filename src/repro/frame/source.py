@@ -34,7 +34,8 @@ fork through every compute module.
 Implementing a custom source
 ----------------------------
 Provide the :class:`FrameSource` members: schema (``columns`` /``dtypes`` /
-``n_rows`` / ``schema_preview``), a content ``fingerprint`` (stable across
+``n_rows`` / ``schema_preview``, which takes the call's ``sidecar=`` route
+and may ignore it), a content ``fingerprint`` (stable across
 processes for unchanged data — it feeds cross-call cache keys), and
 ``partitions()`` returning :class:`SourcePartition` rows-ranges whose
 ``func``/``args`` lazily materialize each chunk.  ``func`` must be a
@@ -283,7 +284,8 @@ class FrameSource(Protocol):
     @property
     def capabilities(self) -> SourceCapabilities: ...  # pragma: no cover
 
-    def schema_preview(self) -> DataFrame: ...   # pragma: no cover - protocol
+    def schema_preview(self, sidecar: Optional[Sequence[Any]] = None
+                       ) -> DataFrame: ...       # pragma: no cover - protocol
 
     def fingerprint(self) -> str: ...            # pragma: no cover - protocol
 
@@ -340,7 +342,8 @@ class InMemorySource:
     def capabilities(self) -> SourceCapabilities:
         return SourceCapabilities(exact=True)
 
-    def schema_preview(self) -> DataFrame:
+    def schema_preview(self, sidecar: Optional[Sequence[Any]] = None
+                       ) -> DataFrame:
         """Schema questions may read the whole frame — it is already resident."""
         return self._frame
 
@@ -537,8 +540,10 @@ class FilteredSource:
         return SourceCapabilities(
             exact=False, chunk_sidecar=self._source.capabilities.chunk_sidecar)
 
-    def schema_preview(self) -> DataFrame:
-        """A bounded preview of the rows that survive the filter.
+    def schema_preview(self, sidecar: Optional[Sequence[Any]] = None
+                       ) -> DataFrame:
+        """A bounded preview of the rows that survive the filter, from the
+        inner source's preview over the *sidecar* route.
 
         Filtering keeps schema questions (semantic type detection) aligned
         with what an in-memory user would see after masking the same rows.
@@ -549,7 +554,7 @@ class FilteredSource:
         from the (zone-map pruned) partitions instead — bounded by the
         inner preview's own size.
         """
-        preview = self._source.schema_preview()
+        preview = self._source.schema_preview(sidecar=sidecar)
         filtered = preview.filter(self._predicate.mask(preview))
         if len(filtered) > 0 or len(preview) == 0:
             return filtered

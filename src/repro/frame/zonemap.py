@@ -17,7 +17,7 @@ always skippable.
 Zone maps are persisted as a JSON *sidecar* next to the CSV
 (``<file>.zones.json``) holding one entry per chunk *byte range*, each
 validated by that chunk's ``(crc32, byte count)`` content stamp
-(:func:`repro.frame.io.compute_chunk_stamps`).  Appending to the CSV leaves
+(:func:`repro.frame.layout.compute_chunk_stamps`).  Appending to the CSV leaves
 the old chunks' byte ranges and stamps untouched, so their entries answer
 verbatim after a refresh and only the appended chunks parse to build their
 statistics; an edit anywhere inside a chunk changes its stamp, and that
@@ -26,6 +26,10 @@ their byte ranges differ, so their entries occupy distinct keys.  Building
 a zone map costs one parse of the chunks that lack entries, so it happens
 lazily on the first *filtered* plan over a scan and is amortized across
 every later filtered call in any process.
+
+The same file holds the scan header (:class:`ScanHeader`) of the CSV's
+first-file scans: a warm ``scan_csv`` reads it instead of parsing the dtype
+preview again.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ from repro.frame.sidecar import atomic_replace
 #: beyond it the chunk is "high cardinality" and prunes on min/max alone.
 DISTINCT_CAP = 256
 
-#: Sidecar schema version; bump on incompatible format changes.
+#: Sidecar schema version; bump on incompatible format changes, and when
+#: dtype inference or the row-size estimate changes what a preview resolves
+#: to — a stored scan header answers with its old verdicts until it does.
 SIDECAR_VERSION = 3
 
 #: Per-column stat vectors, one entry per chunk.
@@ -294,34 +300,37 @@ def decode_zone_entry(entry: Any, stamp: Tuple[int, int]
         return None
 
 
-def load_zone_entries(csv_path: str) -> Dict[str, Any]:
-    """All persisted chunk entries of *csv_path* (empty on any problem)."""
+def _load_payload(csv_path: str) -> Dict[str, Any]:
+    """The zone-map file's JSON object; empty on any problem."""
     try:
         with open(sidecar_path(csv_path), "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, ValueError):
         return {}
     if not isinstance(payload, dict) or \
-            payload.get("version") != SIDECAR_VERSION or \
-            not isinstance(payload.get("chunks"), dict):
+            payload.get("version") != SIDECAR_VERSION:
         return {}
-    return payload["chunks"]
+    return payload
 
 
-def save_zone_entries(csv_path: str, entries: Dict[str, Any]) -> bool:
-    """Merge *entries* into the sidecar's chunk table.
+def load_zone_entries(csv_path: str) -> Dict[str, Any]:
+    """All persisted chunk entries of *csv_path* (empty on any problem)."""
+    chunks = _load_payload(csv_path).get("chunks")
+    return chunks if isinstance(chunks, dict) else {}
 
-    Entries already on disk are kept (stale byte ranges are harmless — the
-    table is a cache probed by byte range *and* content stamp, so they are
-    simply never consulted again).  Returns False — without raising — when
-    the directory is not writable or an entry does not serialize; zone
-    maps are a cache, never a correctness requirement.
-    """
-    merged = load_zone_entries(csv_path)
-    merged.update(entries)
+
+def _save_payload(csv_path: str, entries: Dict[str, Any],
+                  scan: Optional[Dict[str, Any]] = None) -> bool:
+    """Merge *entries* into the file's chunk table and set its scan header
+    (keep the persisted one when *scan* is None)."""
+    payload = _load_payload(csv_path)
+    chunks = payload.get("chunks")
+    merged = {**(chunks if isinstance(chunks, dict) else {}), **entries}
+    scan = payload.get("scan") if scan is None else scan
     try:
         serialized = json.dumps(
-            {"version": SIDECAR_VERSION, "chunks": merged}).encode("utf-8")
+            {"version": SIDECAR_VERSION, "chunks": merged,
+             **({"scan": scan} if scan is not None else {})}).encode("utf-8")
     except (TypeError, ValueError):
         # Last-resort guard: a statistic the encoder does not know (e.g. a
         # future dtype) must degrade to "no sidecar", not crash the scan.
@@ -329,15 +338,112 @@ def save_zone_entries(csv_path: str, entries: Dict[str, Any]) -> bool:
     return atomic_replace(sidecar_path(csv_path), serialized)
 
 
+def save_zone_entries(csv_path: str, entries: Dict[str, Any]) -> bool:
+    """Merge *entries* into the sidecar's chunk table.
+
+    Entries already on disk are kept (stale byte ranges are harmless — the
+    table is a cache probed by byte range *and* content stamp, so they are
+    simply never consulted again), and so is the scan header.  Returns
+    False — without raising — when the directory is not writable or an
+    entry does not serialize; zone maps are a cache, never a correctness
+    requirement.
+    """
+    return _save_payload(csv_path, entries)
+
+
+# --------------------------------------------------------------------------- #
+# The scan header: what a scan learned from the first file's preview.
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ScanHeader:
+    """What the first file's preview told a scan, and which bytes told it.
+
+    A scan of the file (:func:`repro.frame.io.scan_csv`) writes it as the
+    ``"scan"`` field of the file's zone-map JSON, beside the scan arguments
+    it answers for, once its layout pass has stamped the bytes the preview
+    was parsed from.  A later scan with those arguments reads it instead
+    of parsing the preview when its own layout pass stamps ``span`` to
+    :attr:`stamp` again — one byte further when the preview read to the
+    end of the file, so a grown file misses.
+    """
+
+    #: The resolved dtype map, in column order.
+    dtypes: Dict[str, DType]
+    #: In-memory bytes of one preview row (prices chunks on the budget).
+    row_bytes: float
+    #: Preview rows.
+    rows: int
+    #: Whether the preview parse read to the end of the file.
+    eof: bool
+    #: Whether no text cell of the preview holds a quote character.  A
+    #: quote the csv reader keeps as text is one the layout pass counts as
+    #: syntax, so only then do the two agree on where its records end.
+    plain: bool
+    #: ``[first record, end of the bytes the preview parse read)``.
+    span: Tuple[int, int]
+    #: crc32 of the bytes in ``span``.
+    crc: int
+
+    @property
+    def whole(self) -> bool:
+        """Whether the preview rows are every record of the file."""
+        return self.eof and self.plain
+
+    @property
+    def stop(self) -> int:
+        """Where a layout pass stops stamping the preview's bytes."""
+        return self.span[1] + self.eof
+
+    @property
+    def stamp(self) -> Tuple[int, int]:
+        """``(crc32, byte count)`` of the bytes the preview was parsed from."""
+        return self.crc, self.span[1] - self.span[0]
+
+
+def load_scan_header(csv_path: str, args: List[Any], columns: List[str],
+                     start: int) -> Optional[ScanHeader]:
+    """The header persisted for *csv_path*, if there is one for a scan with
+    *args* of a file whose header row reads *columns* and ends at *start*."""
+    payload = _load_payload(csv_path).get("scan")
+    try:
+        if payload["args"] != args or not isinstance(payload["eof"], bool) \
+                or not isinstance(payload["plain"], bool):
+            return None
+        header = ScanHeader(
+            {name: DType(value) for name, value in payload["dtypes"].items()},
+            float(payload["row_bytes"]), int(payload["rows"]), payload["eof"],
+            payload["plain"], tuple(map(int, payload["span"])),
+            int(payload["crc"]))
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    span = header.span
+    return header if list(header.dtypes) == columns and len(span) == 2 \
+        and span[0] == start else None
+
+
+def save_scan_header(csv_path: str, header: ScanHeader,
+                     args: List[Any]) -> bool:
+    """Persist *header* for scans with *args*, keeping the chunk entries;
+    False (never raises) when it cannot be written."""
+    return _save_payload(csv_path, {}, {
+        "args": args,
+        "dtypes": {name: dtype.value for name, dtype in header.dtypes.items()},
+        "row_bytes": header.row_bytes, "rows": header.rows, "eof": header.eof,
+        "plain": header.plain, "span": list(header.span), "crc": header.crc})
+
+
 __all__ = [
     "DISTINCT_CAP",
+    "ScanHeader",
     "ZoneMap",
     "chunk_column_stats",
     "chunk_key",
     "decode_zone_entry",
     "encode_zone_entry",
     "is_zone_map_path",
+    "load_scan_header",
     "load_zone_entries",
+    "save_scan_header",
     "save_zone_entries",
     "sidecar_path",
     "zone_map_from_stats",

@@ -277,9 +277,9 @@ def test_a_warm_filtered_report_decodes_each_surviving_chunk_once(
             counts["parse_csv_range"] += 1
             return parse(*args, **kwargs)
 
-        def counted_preview(self):
+        def counted_preview(self, **kwargs):
             counts["schema_preview"] += 1
-            return preview(self)
+            return preview(self, **kwargs)
 
         monkeypatch.setattr(frame_io, "parse_csv_range", counted_parse)
         monkeypatch.setattr(FilteredSource, "schema_preview", counted_preview)

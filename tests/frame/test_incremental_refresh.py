@@ -13,7 +13,11 @@ The incremental contract, exercised end to end:
   key, but the per-chunk CRC stamps still invalidate the fingerprint, the
   zone-map entries and the binary sidecar;
 * a glob-backed multi-file source absorbs newly matching files as
-  appended partitions.
+  appended partitions;
+* nothing is stored from bytes that were not checked: a parse of rewritten
+  bytes raises before the sidecar, the task cache or a zone-map entry can
+  keep them under the old stamp, and a preview read before a rewrite
+  serves no chunk.
 """
 
 from __future__ import annotations
@@ -24,14 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FrameError
 from repro.frame.dtypes import DType
 from repro.frame.frame import DataFrame
-from repro.frame.io import (
-    compute_chunk_stamps,
-    read_csv,
-    scan_csv,
-    write_csv,
-)
+from repro.frame.io import read_csv, scan_csv, write_csv
+from repro.frame.layout import compute_chunk_stamps
 from repro.frame.sidecar import SidecarRoute, load_chunk, store_chunk
 from repro.frame.source import refresh_input
 from repro.frame.zonemap import (
@@ -493,3 +494,143 @@ def test_refresh_is_idempotent(tmp_path, growth):
     _write_rows(path, 100, 100 + growth, header=False, mode="a")
     once = scan.refreshed()
     assert once.refreshed() is once
+
+
+# --------------------------------------------------------------------------- #
+# Nothing is stored from bytes that were not checked.
+# --------------------------------------------------------------------------- #
+def _write_labels(path, letter):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("id,k\n" + "".join(f"{index},{letter}{index % 4}\n"
+                                         for index in range(20)))
+
+
+def _rewrite_in_place(path, letter):
+    """Same-size rewrite with the size and mtime put back: invisible to
+    ``(size, mtime_ns)``, visible only to the chunk CRCs."""
+    before = os.stat(path)
+    _write_labels(path, letter)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.path.getsize(path) == before.st_size
+
+
+def _frame_error(run):
+    """The FrameError *run* raised, unwrapped from a scheduler's error."""
+    from repro.errors import SchedulerError
+
+    with pytest.raises((FrameError, SchedulerError)) as raised:
+        run()
+    error = getattr(raised.value, "cause", raised.value)
+    assert isinstance(error, FrameError), repr(raised.value)
+    return str(error)
+
+
+@pytest.mark.parametrize("scheduler", ["synchronous", "threaded", "process"])
+def test_a_parse_of_rewritten_bytes_stores_nothing(tmp_path, scheduler):
+    import repro
+
+    path = str(tmp_path / "labels.csv")
+    _write_labels(path, "x")
+    config = {"compute.scheduler": scheduler, "compute.max_workers": 2,
+              "cache.disk_dir": str(tmp_path / "side")}
+    old = scan_csv(path, inference_rows=5, chunk_rows=10)
+    _rewrite_in_place(path, "y")
+    message = _frame_error(
+        lambda: repro.plot(old, "k", mode="intermediates", config=config))
+    assert repr(path) in message and "at bytes [" in message
+    assert "repro.refresh" in message
+
+    _write_labels(path, "x")                 # the old bytes, back in place
+    fresh = scan_csv(path, inference_rows=5, chunk_rows=10)
+    assert fresh.chunk_stamps == old.chunk_stamps
+    result = repro.plot(fresh, "k", mode="intermediates", config=config)
+    assert result["bar_chart"]["categories"] == ["x0", "x1", "x2", "x3"]
+    _rewrite_in_place(path, "y")
+    result = repro.plot(repro.refresh(old), "k", mode="intermediates",
+                        config=config)
+    assert result["bar_chart"]["categories"] == ["y0", "y1", "y2", "y3"]
+
+
+def test_a_zone_map_build_over_rewritten_bytes_stores_nothing(tmp_path):
+    from repro.frame.zonemap import load_zone_entries
+
+    path = str(tmp_path / "labels.csv")
+    _write_labels(path, "x")
+    old = scan_csv(path, inference_rows=5, chunk_rows=10)
+    _rewrite_in_place(path, "y")
+    assert "repro.refresh" in _frame_error(old.zone_map)
+    assert load_zone_entries(path) == {}
+
+    _write_labels(path, "x")
+    fresh = scan_csv(path, inference_rows=5, chunk_rows=10)
+    assert fresh.zone_map().columns["k"]["min"] == ["x0", "x0"]
+
+
+def test_a_preview_read_before_a_rewrite_serves_no_chunk(tmp_path,
+                                                         monkeypatch):
+    """The preview and the stamps come from two reads; when the file changes
+    between them, the chunk tasks parse instead of taking preview rows."""
+    from repro.frame import io as frame_io
+    from repro.frame.zonemap import load_scan_header
+    from repro.graph import PartitionedFrame
+
+    path = str(tmp_path / "labels.csv")
+    _write_labels(path, "x")
+    layout = frame_io.scan_layout
+
+    def rewritten_first(*args, **kwargs):
+        _rewrite_in_place(path, "y")
+        return layout(*args, **kwargs)
+
+    monkeypatch.setattr(frame_io, "scan_layout", rewritten_first)
+    scan = scan_csv(path, chunk_rows=10)
+    monkeypatch.undo()
+    assert scan.preview.column("k").dictionary.tolist() == \
+        ["x0", "x1", "x2", "x3"]
+    partitioned = PartitionedFrame.from_source(scan)
+    assert not any("decoded" in part.graph[part.key].kwargs
+                   for part in partitioned.partitions)
+    assert partitioned.compute() == read_csv(path, dtypes=scan.dtypes)
+    assert load_scan_header(path, [10_000, ",", None], ["id", "k"],
+                            len("id,k\n")) is None
+
+
+def _assert_refresh_is_a_rescan(scan, path, **options):
+    refreshed = scan.refreshed()
+    fresh = scan_csv(path, **options)
+    assert (refreshed.dtypes, refreshed.byte_ranges, refreshed.chunk_stamps) \
+        == (fresh.dtypes, fresh.byte_ranges, fresh.chunk_stamps)
+    assert_frames_equal(refreshed.to_frame(), fresh.to_frame())
+
+
+def test_an_append_that_continues_an_unterminated_last_record(tmp_path):
+    path = str(tmp_path / "open-end.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("x,y\n1,a\n2,b")
+    scan = scan_csv(path, chunk_rows=1)
+    with open(path, "a", encoding="utf-8", newline="") as handle:
+        handle.write("c\n3,d\n")
+    _assert_refresh_is_a_rescan(scan, path, chunk_rows=1)
+
+
+def test_an_edit_that_moves_a_record_boundary_then_an_append(tmp_path):
+    path = str(tmp_path / "moved.csv")
+    _write_ids(path, 40)
+    scan = scan_csv(path, chunk_rows=10)
+    with open(path, "r+b") as handle:        # "00003,3" -> "00003\n3"
+        data = handle.read()
+        handle.seek(data.index(b"00003,3") + 5)
+        handle.write(b"\n")
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("00040,40\n")
+    _assert_refresh_is_a_rescan(scan, path, chunk_rows=10)
+
+
+def test_an_append_that_changes_the_preview_dtypes_rescans(tmp_path):
+    path = str(tmp_path / "drift.csv")
+    _write_ids(path, 45)
+    scan = scan_csv(path, chunk_rows=10, inference_rows=100)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("00045,4.5\n")
+    assert scan.refreshed().dtypes["v"] is DType.FLOAT
+    _assert_refresh_is_a_rescan(scan, path, chunk_rows=10, inference_rows=100)

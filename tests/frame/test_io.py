@@ -283,8 +283,9 @@ class TestDecodePaysOnlyForWhatItReturns:
         for name in ("part-0.csv", "part-1.csv", "part-2.csv"):
             self._write(tmp_path, name)
         scan = scan_csv(str(tmp_path / "part-*.csv"), inference_rows=30)
-        assert tokenised == [30, 30, 30]
-        # Files 2..N are handed file 1's complete map: nothing to infer.
+        # Only file 1 has a preview: files 2..N parse under its dtypes and
+        # are priced by its row size, so their rows decode once, in chunks.
+        assert tokenised == [30]
         assert len(inferred) == 3
         assert scan.n_rows == 120
 

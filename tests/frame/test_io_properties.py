@@ -1,13 +1,15 @@
 """CSV round-trip and chunked-scan property tests.
 
-Two invariants, fuzzed with hypothesis:
+Three invariants, fuzzed with hypothesis:
 
 * ``read_csv(write_csv(frame))`` reproduces the frame (values, missingness
   and dtypes), including strings containing quotes, delimiters, embedded
   newlines and non-ASCII text;
 * concatenating the chunks of ``scan_csv`` reproduces ``read_csv`` of the
   same file for any chunk size — i.e. the quote-aware layout scanner never
-  splits a record, even when quoted fields span physical lines.
+  splits a record, even when quoted fields span physical lines;
+* the layout pass ends records where ``csv.reader`` does, whatever block
+  size it reads the file in.
 
 Dtypes are pinned explicitly on re-read: CSV carries no type information, so
 "the same frame back" is only well-defined relative to a declared schema
@@ -308,3 +310,81 @@ def test_scan_rechunk_preserves_content(tmp_path):
     assert finer.n_rows == scan.n_rows == 100
     assert finer.n_chunks == 15
     assert_frames_equal(finer.to_frame(), scan.to_frame())
+
+
+# --------------------------------------------------------------------------- #
+# The numpy layout pass finds the records csv.reader finds.
+# --------------------------------------------------------------------------- #
+plain_field = st.text(alphabet=st.sampled_from(list("ab9 .")), max_size=4)
+quoted_field = st.lists(
+    st.sampled_from(["x", " ", ",", '""', "\n", "\r\n", "\n\n"]),
+    max_size=5).map(lambda parts: '"' + "".join(parts) + '"')
+csv_record = st.lists(st.one_of(plain_field, quoted_field), min_size=1,
+                      max_size=3).map(",".join)
+
+
+@st.composite
+def csv_bodies(draw):
+    """Records, blank lines between them, LF or CRLF endings; the end is a
+    newline, none, or a quoted field that is never closed."""
+    pieces = []
+    for record in draw(st.lists(csv_record, max_size=8)):
+        pieces.append(record + draw(st.sampled_from(["\n", "\r\n"])))
+        pieces.append(draw(st.sampled_from(["", "", "\n", "\r\n", "\n\n"])))
+    ending = draw(st.sampled_from(["newline", "none", "open-quote"]))
+    if ending == "none" and pieces:
+        pieces[-1] = ""
+        pieces[-2] = pieces[-2].rstrip("\r\n") or "a"
+    elif ending == "open-quote":
+        pieces.append('1,"unterminated' + draw(st.sampled_from(
+            ["", "\n", "\nmore\r\n"])))
+    return "".join(pieces).encode("utf-8")
+
+
+def _reader_record_ends(data: bytes):
+    """Byte offsets just past each non-blank record ``csv.reader`` yields."""
+    import csv
+
+    consumed = [0]
+
+    def lines():
+        for line in data.splitlines(keepends=True):
+            consumed[0] += len(line)
+            yield line.decode("utf-8")
+
+    # splitlines would also split on a bare '\r'; these bodies hold none.
+    assert b"\r" not in data.replace(b"\r\n", b"")
+    return [consumed[0] for row in csv.reader(lines()) if row]
+
+
+@given(data=csv_bodies(), block=st.integers(min_value=1, max_value=9),
+       chunk_rows=st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_layout_finds_the_records_csv_reader_finds(data, block, chunk_rows,
+                                                   tmp_path_factory):
+    import zlib
+
+    from repro.frame import layout as layout_module
+
+    path = str(tmp_path_factory.mktemp("layout") / "body.csv")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    ends = _reader_record_ends(data)
+    original = layout_module.STAMP_BLOCK_BYTES
+    layout_module.STAMP_BLOCK_BYTES = block          # records straddle blocks
+    try:
+        layout, prefix = layout_module.scan_layout(
+            path, chunk_rows, 0, (len(data), 0), 1.0, prefix_stop=len(data))
+    finally:
+        layout_module.STAMP_BLOCK_BYTES = original
+    stops = [stop for _, stop in layout.byte_ranges]
+    assert layout.n_rows == len(ends)
+    expected = ends[chunk_rows - 1::chunk_rows]
+    if len(ends) % chunk_rows or not ends:
+        expected.append(len(data))        # the last chunk runs to EOF
+    assert stops == expected
+    assert layout.clean_eof == (data.count(b'"') % 2 == 0)
+    assert layout.chunk_stamps == tuple(
+        (zlib.crc32(data[start:stop]), stop - start)
+        for start, stop in layout.byte_ranges)
+    assert prefix == (zlib.crc32(data), len(data))

@@ -37,6 +37,7 @@ from repro.frame import io as frame_io
 from repro.frame.dtypes import DType
 from repro.frame.frame import DataFrame, concat_rows
 from repro.frame.io import scan_csv, write_csv
+from repro.frame.zonemap import sidecar_path
 from repro.graph import PartitionedFrame
 from repro.graph.scheduler import SynchronousScheduler, ThreadedScheduler
 
@@ -276,12 +277,26 @@ def _outcome(run):
 
 
 def _parse_only_scan(monkeypatch, path, options):
-    """The scan as it would be if no preview ever read the whole file."""
-    preview = frame_io._scan_preview
+    """The scan as it would be if no preview ever read the whole file.
+
+    Cold: the scan header an earlier scan left in the zone-map file would
+    skip the preview parse this cuts short, and serve the chunks anyway.
+    """
+    preview, cut = frame_io._scan_preview, []
+
+    def cut_short(*args):
+        cut.append(args)
+        return preview(*args)[:2] + (False,)
+
+    if os.path.exists(sidecar_path(path)):
+        os.remove(sidecar_path(path))
     with monkeypatch.context() as patch:
-        patch.setattr(frame_io, "_scan_preview",
-                      lambda *args: preview(*args)[:2] + (False,))
-        return scan_csv(path, **options)
+        patch.setattr(frame_io, "_scan_preview", cut_short)
+        scan = scan_csv(path, **options)
+    assert len(cut) == 1 and not any(
+        "decoded" in task.kwargs
+        for task in _tasks(PartitionedFrame.from_source(scan)))
+    return scan
 
 
 def _report_html(report) -> str:
