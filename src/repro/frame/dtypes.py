@@ -533,7 +533,7 @@ def unify_dictionaries(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
 
     The unified dictionary is the sorted union of the part dictionaries —
     the same canonical order :func:`encode_string_codes` produces — and each
-    part's codes are remapped through a ``searchsorted`` lookup, so the
+    part's codes are remapped through a table of dict lookups, so the
     result is exactly the encoding of the concatenated column.
     """
     non_empty = [dictionary for _, dictionary in parts if dictionary.size]
@@ -542,18 +542,20 @@ def unify_dictionaries(parts: Sequence[Tuple[np.ndarray, np.ndarray]]
                 if parts else np.empty(0, dtype=np.int32),
                 np.empty(0, dtype=object))
     if len(non_empty) == 1:
-        unified = non_empty[0]
+        unified, index = non_empty[0], {}
     else:
         unified = _sorted_distinct(np.concatenate(non_empty).tolist())
+        index = {text: code for code, text in enumerate(unified.tolist())}
     remapped: List[np.ndarray] = []
     for codes, dictionary in parts:
         if dictionary.size == 0 or (dictionary.size == unified.size and
                                     np.array_equal(dictionary, unified)):
             remapped.append(np.asarray(codes, dtype=np.int32))
             continue
-        table = np.searchsorted(unified, dictionary).astype(np.int32)
-        part = np.where(codes < 0, np.int32(-1), table[np.where(codes < 0, 0, codes)])
-        remapped.append(part.astype(np.int32, copy=False))
+        # One slot past the part's dictionary maps a missing row's -1 to -1.
+        table = np.array([*map(index.__getitem__, dictionary.tolist()), -1],
+                         dtype=np.int32)
+        remapped.append(table[codes])
     return np.concatenate(remapped), unified
 
 

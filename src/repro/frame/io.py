@@ -525,37 +525,43 @@ class _Preview:
     """The first file's preview rows, decoded at most once for a scan, its
     rechunks and the refreshes that keep its preview.
 
-    A cold scan holds the rows it parsed; *checked* says whether its layout
-    pass stamped the bytes they were parsed from.  A warm scan holds the
-    header alone, checked against *layout* in the read that stamped its
-    chunks, and builds the rows on first use: from the leading chunks'
-    sidecar records when the header is plain and every one of them is on
-    the route, else by parsing the preview again — which must read the
-    bytes the header stamped, or the file changed since it was scanned.
+    A cold scan holds the rows it parsed, a warm scan its header alone.
+    Whichever layout of the first file uses the rows checks them itself
+    (:meth:`vouched`): a rechunk or a refresh stamps the file again, so
+    rows read from bytes that changed since are neither served nor stored.
+    A warm scan builds the rows on first use: from a vouching layout's
+    leading sidecar records when every one of them is on the route, else
+    by parsing the preview again — which must read the bytes the header
+    stamped, or the file changed since it was scanned.
     """
 
-    def __init__(self, header: ScanHeader, layout: CsvLayout,
-                 settings: _ScanSettings, frame: Optional[DataFrame] = None,
-                 checked: bool = True):
-        self.header, self.layout, self.settings = header, layout, settings
-        self.frame, self.checked = frame, checked
+    def __init__(self, header: ScanHeader, settings: _ScanSettings,
+                 frame: Optional[DataFrame] = None):
+        self.header, self.settings, self.frame = header, settings, frame
 
-    @property
-    def whole(self) -> bool:
-        """Whether the rows are the whole file the layout stamped, so its
-        chunk tasks may take their slices of them."""
-        return self.checked and self.header.whole
+    def vouched(self, layout: CsvLayout, whole: bool = False) -> bool:
+        """Whether the rows are *layout*'s leading records: its own pass
+        stamped the bytes they came from, and none holds a quote the csv
+        reader keeps as text but the pass counts as syntax.  With *whole*,
+        also that they are held and are every record the pass counted."""
+        header = self.header
+        return (layout.preview == header.stamp and header.plain
+                and header.rows > 0 and (not whole or (
+                    self.frame is not None and header.eof
+                    and header.rows == layout.n_rows)))
 
-    def get(self, sidecar: Optional[Sequence[Any]] = None) -> DataFrame:
+    def get(self, layout: CsvLayout,
+            sidecar: Optional[Sequence[Any]] = None) -> DataFrame:
         if self.frame is None:
-            if sidecar is not None and self.header.plain and self.header.rows:
-                self.frame = self._from_records(sidecar)
+            if sidecar is not None and self.vouched(layout):
+                self.frame = self._from_records(layout, sidecar)
             if self.frame is None:
-                self.frame = self._parse()
+                self.frame = self._parse(layout.path)
         return self.frame
 
-    def _from_records(self, sidecar: Sequence[Any]) -> Optional[DataFrame]:
-        header, layout = self.header, self.layout
+    def _from_records(self, layout: CsvLayout,
+                      sidecar: Sequence[Any]) -> Optional[DataFrame]:
+        header = self.header
         names = tuple(header.dtypes)
         frames = []
         for (start, stop), (byte_start, byte_stop), stamp in zip(
@@ -574,8 +580,8 @@ class _Preview:
         return _chunk_frame([_chunk_payload(merged.column(name), 0, header.rows)
                              for name in names])
 
-    def _parse(self) -> DataFrame:
-        header, path = self.header, self.layout.path
+    def _parse(self, path: str) -> DataFrame:
+        header = self.header
         frame, parsed = _parse_preview(path, self.settings, *header.span)
         if (parsed.stamp, parsed.rows, parsed.dtypes) != \
                 (header.stamp, header.rows, header.dtypes):
@@ -599,10 +605,10 @@ class CsvSource:
     bounded-memory sketch finalizers, so ``plot`` / ``create_report`` run
     with peak memory proportional to the chunk size, not the files.
 
-    When the held preview is the whole first file (:attr:`_Preview.whole`)
-    and has as many rows as that file's layout counts, it *is* the file's
-    decoded rows, and the graph hands each of the file's chunk tasks its
-    slice instead of a second parse.
+    When the first file's layout vouches for the held preview as the whole
+    file (:meth:`_Preview.vouched`), the preview *is* the file's decoded
+    rows, and the graph hands each of the file's chunk tasks its slice
+    instead of a second parse.
     """
 
     def __init__(self, preview: _Preview, layouts: Sequence[CsvLayout],
@@ -681,7 +687,7 @@ class CsvSource:
     def preview(self) -> DataFrame:
         """The bounded preview frame dtypes and semantic types come from
         (a warm scan decodes it on first read)."""
-        return self._preview.get()
+        return self._preview.get(self._layouts[0])
 
     @property
     def capabilities(self) -> SourceCapabilities:
@@ -692,7 +698,7 @@ class CsvSource:
         """The preview; on a warm scan the first read with a *sidecar*
         route builds it from the leading chunks' records when they are all
         there, decoding no CSV byte."""
-        return self._preview.get(sidecar)
+        return self._preview.get(self._layouts[0], sidecar)
 
     def fingerprint(self) -> str:
         """Content fingerprint from every file's ``(path, size, mtime_ns,
@@ -711,8 +717,8 @@ class CsvSource:
         return sum(layout.file_stamp[0] for layout in self._layouts)
 
     def materialization_bytes(self) -> int:
-        return sum(int(layout.row_bytes * layout.n_rows)
-                   for layout in self._layouts)
+        row_bytes = self._preview.header.row_bytes
+        return sum(int(row_bytes * layout.n_rows) for layout in self._layouts)
 
     def __repr__(self) -> str:
         return (f"CsvSource(paths={self.paths!r}, rows={self.n_rows}, "
@@ -772,17 +778,14 @@ class CsvSource:
         cache keys — byte-identical, which is what lets a refresh reuse
         every already-sketched chunk and execute only the appended ones.
 
-        The first file's chunks are also ``decoded`` from the preview when
-        it is held, is the whole file (see :class:`_Preview`) and has
-        exactly the rows the layout counted.  A preview cut at
-        ``inference_rows``, or a file whose quoting or bare ``\r`` makes the
-        csv reader and the layout count records differently, keeps the
-        parse, which raises on the disagreement.
+        The first file's chunks are also ``decoded`` from the held preview
+        when this layout vouches for it as the whole file
+        (:meth:`_Preview.vouched`).  Changed bytes, a preview cut at
+        ``inference_rows``, or quoting or a bare ``\r`` that makes the csv
+        reader and the layout count records differently keep the parse.
         """
         layout = self._layouts[file]
-        held = self._preview.frame if not file and self._preview.whole \
-            else None
-        served = held is not None and 0 < len(held) == layout.n_rows
+        served = not file and self._preview.vouched(layout, whole=True)
         return [SourcePartition(
                     offset + start, offset + stop, _read_csv_slice,
                     (layout.path, byte_start, byte_stop, self._columns,
@@ -867,13 +870,15 @@ class CsvSource:
         if targets == tuple(layout.chunk_rows for layout in self._layouts):
             return self
         if targets not in self._rechunks:
-            # Every layout's first chunk starts at its file's first record.
+            # Each layout starts at its file's first record; the first
+            # file's pass stamps the preview's bytes again.
+            stop = self._preview.header.stop
             self._rechunks[targets] = CsvSource(self._preview, [
                 layout if rows == layout.chunk_rows else scan_layout(
                     layout.path, rows, layout.byte_ranges[0][0],
-                    layout.file_stamp, layout.row_bytes)[0]
-                for layout, rows in zip(self._layouts, targets)],
-                self._settings)
+                    layout.file_stamp, prefix_stop=0 if file else stop)
+                for file, (layout, rows)
+                in enumerate(zip(self._layouts, targets))], self._settings)
         return self._rechunks[targets]
 
     def with_partitioning(self, chunk_rows: Optional[int] = None,
@@ -896,7 +901,8 @@ class CsvSource:
                 else min(layout.chunk_rows, chunk_rows)
             if rebudget:
                 target = min(target, max(MIN_CHUNK_ROWS,
-                                         int(per_chunk // layout.row_cost())))
+                                         int(per_chunk // layout.row_cost(
+                                             self._preview.header.row_bytes))))
             targets.append(target)
         return self.rechunk(targets)
 
@@ -971,22 +977,25 @@ class CsvSource:
         if stamp[0] <= layout.file_stamp[0] or not layout.n_rows \
                 or not layout.clean_eof:
             return None
-        frame = header = None
+        preview = self._preview if first else None
         try:
             if first and layout.n_rows < settings.inference_rows:
                 frame, header = _parse_preview(layout.path, settings,
                                                layout.byte_ranges[0][0])
                 if header.dtypes != self._dtypes:
                     return None
-            grown, prefix = scan_layout(
+                preview = _Preview(header, settings, frame)
+            grown = scan_layout(
                 layout.path, layout.chunk_rows, layout.byte_ranges[-1][1],
-                stamp, header.row_bytes if header else layout.row_bytes,
-                kept=layout, prefix_stop=header.stop if header else 0)
+                stamp, kept=layout,
+                prefix_stop=preview.header.stop if preview else 0)
         except (OSError, FrameError):
             return None
-        if header is None:      # the old preview stands
-            return (self._preview if first else None), grown
-        return _held(frame, header, grown, prefix, settings), grown
+        if preview not in (None, self._preview) \
+                and grown.preview == preview.header.stamp:
+            save_scan_header(layout.path, preview.header,
+                             settings.header_args())
+        return preview, grown
 
 
 def _file_stamp(path: str) -> Tuple[int, int]:
@@ -1044,19 +1053,8 @@ def _parse_preview(path: str, settings: _ScanSettings, start: int,
                              (start, start + source.counted), source.crc)
 
 
-def _held(frame: DataFrame, header: ScanHeader, layout: CsvLayout,
-          prefix: Tuple[int, int], settings: _ScanSettings) -> _Preview:
-    """The parsed preview *frame*, checked when the layout pass stamped its
-    bytes to *prefix*; a checked header is persisted for later scans."""
-    checked = prefix == header.stamp
-    if checked:
-        save_scan_header(layout.path, header, settings.header_args())
-    return _Preview(header, layout, settings, frame, checked)
-
-
 def _budgeted_layout(path: str, settings: _ScanSettings, start: int,
-                     row_bytes: float, prefix_stop: int = 0
-                     ) -> Tuple[CsvLayout, Tuple[int, int]]:
+                     row_bytes: float, prefix_stop: int = 0) -> CsvLayout:
     """:func:`scan_layout` of *path* from byte *start*, at most
     ``settings.chunk_rows`` rows per chunk and fewer if the budget needs.
 
@@ -1071,7 +1069,7 @@ def _budgeted_layout(path: str, settings: _ScanSettings, start: int,
     budget_rows = max(MIN_CHUNK_ROWS, int(
         settings.budget_bytes / settings.concurrency // row_cost))
     return scan_layout(path, min(settings.chunk_rows, budget_rows), start,
-                       _file_stamp(path), row_bytes, prefix_stop=prefix_stop)
+                       _file_stamp(path), prefix_stop=prefix_stop)
 
 
 def _scan_first(path: str, settings: _ScanSettings
@@ -1085,14 +1083,16 @@ def _scan_first(path: str, settings: _ScanSettings
     header = load_scan_header(path, settings.header_args(), columns, start)
     if header is not None and compute_chunk_stamps(
             path, [(start, header.stop)]) == [header.stamp]:
-        layout, prefix = _budgeted_layout(path, settings, start,
-                                          header.row_bytes, header.stop)
-        if prefix == header.stamp:
-            return _Preview(header, layout, settings), layout
+        layout = _budgeted_layout(path, settings, start, header.row_bytes,
+                                  header.stop)
+        if layout.preview == header.stamp:
+            return _Preview(header, settings), layout
     frame, header = _parse_preview(path, settings, start)
-    layout, prefix = _budgeted_layout(path, settings, start, header.row_bytes,
-                                      header.stop)
-    return _held(frame, header, layout, prefix, settings), layout
+    layout = _budgeted_layout(path, settings, start, header.row_bytes,
+                              header.stop)
+    if layout.preview == header.stamp:
+        save_scan_header(path, header, settings.header_args())
+    return _Preview(header, settings, frame), layout
 
 
 def _scan_member(path: str, settings: _ScanSettings,
@@ -1106,7 +1106,7 @@ def _scan_member(path: str, settings: _ScanSettings,
         raise FrameError(
             f"CSV files disagree on columns: {first[0]!r} has {first[1]} "
             f"but {path!r} has {columns}")
-    return _budgeted_layout(path, settings, start, row_bytes)[0]
+    return _budgeted_layout(path, settings, start, row_bytes)
 
 
 def _open(paths: Sequence[str], settings: _ScanSettings) -> CsvSource:
@@ -1193,11 +1193,12 @@ def scan_csv(path: Union[str, os.PathLike, Sequence[Union[str, os.PathLike]]],
     it again.  Any other scan is cold and writes the header afresh, where
     the directory lets it.
 
-    When the preview rows are the whole first file (the parse reached its
-    end, kept no quote character as text, counted the records the layout
-    did and read the bytes the layout stamped), a cold scan decodes each
-    byte once: the EDA graph hands that file's chunk tasks their slices of
-    the preview instead of parsing the bytes again.  ``to_frame`` and
+    Every layout of the first file (a scan's, a rechunk's, a refresh's)
+    stamps the preview's bytes in its own pass and uses the preview rows
+    only if they are unchanged.  When they are the whole file too (the
+    parse reached its end, kept no quote as text and counted the records
+    the layout did), each byte is decoded once: the EDA graph hands that
+    layout's chunk tasks their slices of the preview.  ``to_frame`` and
     ``read_chunk`` always parse, and every parse checks the bytes it reads
     against the chunk's stamp, raising if the file changed since the scan.
 

@@ -103,9 +103,9 @@ class CsvLayout:
     #: EOF makes appended bytes part of the dangling record, so a refresh
     #: must rescan instead of extending.
     clean_eof: bool
-    #: In-memory bytes of one parsed row going by the first file's preview;
-    #: with the on-disk row size it prices a chunk against the memory budget.
-    row_bytes: float
+    #: The stamp of the bytes up to the ``prefix_stop`` the pass was given:
+    #: a first-file layout uses the scan preview only while it matches.
+    preview: Tuple[int, int]
 
     @property
     def n_rows(self) -> int:
@@ -125,11 +125,11 @@ class CsvLayout:
             crc = zlib.crc32(f"{chunk_crc}:{length};".encode(), crc)
         return crc
 
-    def row_cost(self) -> int:
-        """Rough peak parse cost of one row (on-disk and in-memory)."""
+    def row_cost(self, row_bytes: float) -> int:
+        """Rough peak parse cost of one row of *row_bytes* in-memory bytes."""
         data_bytes = max(self.file_stamp[0] - self.byte_ranges[0][0], 0)
         csv_row = data_bytes / self.n_rows if self.n_rows else 64.0
-        return max(1, int(parse_row_cost(csv_row, self.row_bytes)))
+        return max(1, int(parse_row_cost(csv_row, row_bytes)))
 
 
 def _record_ends(view: np.ndarray, odd: bool, filled: bool
@@ -165,9 +165,8 @@ def _record_ends(view: np.ndarray, odd: bool, filled: bool
 
 
 def scan_layout(path: str, chunk_rows: int, start: int,
-                file_stamp: Tuple[int, int], row_bytes: float,
-                kept: Optional[CsvLayout] = None, prefix_stop: int = 0
-                ) -> Tuple[CsvLayout, Tuple[int, int]]:
+                file_stamp: Tuple[int, int], kept: Optional[CsvLayout] = None,
+                prefix_stop: int = 0) -> CsvLayout:
     """The one routine that builds a :class:`CsvLayout`.
 
     The layout holds *kept*'s chunks unchanged, then the records from byte
@@ -183,9 +182,9 @@ def scan_layout(path: str, chunk_rows: int, start: int,
     open line carried from block to block), finds the records and stamps
     every chunk.  *kept*'s chunks are stamped again on the way; unless
     they still match and still end on a newline this raises FrameError,
-    and a refresh rescans.  The second value is the ``(crc32, byte
-    count)`` stamp of the bytes from the first chunk's start to
-    *prefix_stop* (fewer at EOF): what a scan header is checked against.
+    and a refresh rescans.  The same read stamps the bytes from the first
+    chunk's start to *prefix_stop* (fewer at EOF) as the layout's
+    ``preview``.
     """
     if chunk_rows <= 0:
         raise FrameError("chunk_rows must be positive")
@@ -237,11 +236,11 @@ def scan_layout(path: str, chunk_rows: int, start: int,
     if kept is not None:
         boundaries = kept.boundaries + boundaries
         byte_ranges = kept.byte_ranges + byte_ranges
-    layout = CsvLayout(path=path, file_stamp=file_stamp, chunk_rows=chunk_rows,
-                       boundaries=boundaries, byte_ranges=byte_ranges,
-                       chunk_stamps=tuple(stamps), clean_eof=not odd,
-                       row_bytes=row_bytes)
-    return layout, (prefix_crc, max(0, min(prefix_stop, position) - first))
+    return CsvLayout(path=path, file_stamp=file_stamp, chunk_rows=chunk_rows,
+                     boundaries=boundaries, byte_ranges=byte_ranges,
+                     chunk_stamps=tuple(stamps), clean_eof=not odd,
+                     preview=(prefix_crc,
+                              max(0, min(prefix_stop, position) - first)))
 
 
 def compute_chunk_stamps(path: Union[str, os.PathLike],

@@ -563,7 +563,7 @@ class FilteredSource:
         collected: List[DataFrame] = []
         rows = 0
         for part in self.partitions():
-            frame = part.materialize(predicate=spec)
+            frame = part.materialize(predicate=spec, sidecar=sidecar)
             if len(frame) > 0:
                 collected.append(frame)
                 rows += len(frame)

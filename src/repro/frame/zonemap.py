@@ -361,10 +361,11 @@ class ScanHeader:
     A scan of the file (:func:`repro.frame.io.scan_csv`) writes it as the
     ``"scan"`` field of the file's zone-map JSON, beside the scan arguments
     it answers for, once its layout pass has stamped the bytes the preview
-    was parsed from.  A later scan with those arguments reads it instead
-    of parsing the preview when its own layout pass stamps ``span`` to
-    :attr:`stamp` again — one byte further when the preview read to the
-    end of the file, so a grown file misses.
+    was parsed from.  Every layout of the file asks its pass to stamp the
+    bytes up to :attr:`stop` — one byte past ``span`` when the preview read
+    to the end of the file, so a grown file misses — and vouches for the
+    preview while that stamp is :attr:`stamp`: a later scan with the same
+    arguments then reads the header instead of parsing the preview.
     """
 
     #: The resolved dtype map, in column order.
@@ -383,11 +384,6 @@ class ScanHeader:
     span: Tuple[int, int]
     #: crc32 of the bytes in ``span``.
     crc: int
-
-    @property
-    def whole(self) -> bool:
-        """Whether the preview rows are every record of the file."""
-        return self.eof and self.plain
 
     @property
     def stop(self) -> int:

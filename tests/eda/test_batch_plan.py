@@ -260,7 +260,9 @@ def test_a_warm_filtered_report_decodes_each_surviving_chunk_once(
     # last chunk, far past the scan's 10 k-row preview.  Before plans were
     # values the report asked the filtered source for its preview five
     # times (one decode each) and the Missing section decoded all five
-    # chunks to materialize the frame: ten decodes with warm sidecars.
+    # chunks to materialize the frame: ten decodes with warm sidecars.  The
+    # preview's fallback reads the surviving chunk's record; the one decode
+    # left is the Missing section's materialization, which has no route.
     path = str(tmp_path / "log.csv")
     write_csv(_frame(20_000), path)
     scan = scan_csv(path, chunk_rows=4_000)
@@ -284,6 +286,6 @@ def test_a_warm_filtered_report_decodes_each_surviving_chunk_once(
         monkeypatch.setattr(frame_io, "parse_csv_range", counted_parse)
         monkeypatch.setattr(FilteredSource, "schema_preview", counted_preview)
         report = create_report(scan, config=config, where=where)
-    assert counts == {"schema_preview": 1, "parse_csv_range": 2}
+    assert counts == {"schema_preview": 1, "parse_csv_range": 1}
     assert report.sidecar_stats["sidecar_misses"] == 0
     assert report.predicate_stats["chunks_skipped"] == 4

@@ -373,8 +373,8 @@ def test_layout_finds_the_records_csv_reader_finds(data, block, chunk_rows,
     original = layout_module.STAMP_BLOCK_BYTES
     layout_module.STAMP_BLOCK_BYTES = block          # records straddle blocks
     try:
-        layout, prefix = layout_module.scan_layout(
-            path, chunk_rows, 0, (len(data), 0), 1.0, prefix_stop=len(data))
+        layout = layout_module.scan_layout(
+            path, chunk_rows, 0, (len(data), 0), prefix_stop=len(data))
     finally:
         layout_module.STAMP_BLOCK_BYTES = original
     stops = [stop for _, stop in layout.byte_ranges]
@@ -387,4 +387,4 @@ def test_layout_finds_the_records_csv_reader_finds(data, block, chunk_rows,
     assert layout.chunk_stamps == tuple(
         (zlib.crc32(data[start:stop]), stop - start)
         for start, stop in layout.byte_ranges)
-    assert prefix == (zlib.crc32(data), len(data))
+    assert layout.preview == (zlib.crc32(data), len(data))

@@ -86,8 +86,9 @@ def _facts(scan):
         "columns": scan.columns,
         "dtypes": scan.dtypes,
         "layouts": [(layout.chunk_rows, layout.boundaries, layout.byte_ranges,
-                     layout.chunk_stamps, layout.clean_eof, layout.row_bytes)
+                     layout.chunk_stamps, layout.clean_eof, layout.preview)
                     for layout in scan.layouts],
+        "row_bytes": scan._preview.header.row_bytes,
         "preview": preview,
         "served": ["decoded" in task.kwargs for task in tasks],
     }
@@ -259,6 +260,57 @@ def test_an_append_to_a_whole_file(data_csv):
     _assert_equals_cold(warm, chunk_rows=250)
 
 
+# --------------------------------------------------------------------------- #
+# Each layout that uses the preview rows checks their bytes in its own pass.
+# --------------------------------------------------------------------------- #
+def _keys(path, prefix, rows=600):
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("k,v\n" + "".join(f"{prefix}{i},{i}\n"
+                                        for i in range(rows)))
+
+
+def _items(intermediates):
+    return {name: intermediates[name] for name in intermediates}
+
+
+@pytest.mark.parametrize("scheduler", ["synchronous", "threaded"])
+def test_a_rechunk_after_a_same_size_rewrite_serves_and_stores_no_old_rows(
+        tmp_path, scheduler):
+    path = str(tmp_path / "keys.csv")
+    _keys(path, "x")
+    scan = scan_csv(path, chunk_rows=300)          # the preview is the file
+    before = os.stat(path)
+    _keys(path, "y")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    config = {"compute.scheduler": scheduler,
+              "cache.disk_dir": str(tmp_path / "side")}
+    rechunked = repro.plot(scan.rechunk(200), "k", config=config,
+                           mode="intermediates")
+    assert rechunked["stats"]["top"] == "y0"
+    fresh = scan_csv(path, chunk_rows=200)
+    assert _items(repro.plot(fresh, "k", config=config,
+                             mode="intermediates")) == \
+        _items(repro.plot(fresh.to_frame(), "k", mode="intermediates"))
+
+
+@pytest.mark.parametrize("inference_rows", [400, 10_000],
+                         ids=["cut-preview", "whole-file-preview"])
+def test_refreshed_and_rechunked_layouts_vouch_for_an_unchanged_preview(
+        tmp_path, inference_rows):
+    path = str(tmp_path / "keys.csv")
+    _keys(path, "x")
+    scan = scan_csv(path, chunk_rows=300, inference_rows=inference_rows)
+    rechunked = scan.rechunk(200)
+    with open(path, "a", encoding="utf-8", newline="") as handle:
+        handle.write("x600,600\n")
+    refreshed = scan.refreshed()
+    assert refreshed.layouts[0].byte_ranges[:2] == scan.layouts[0].byte_ranges
+    for source in (rechunked, refreshed):
+        assert source._preview.vouched(source.layouts[0])
+        served = _facts(source)["served"]
+        assert served == [inference_rows > 600] * len(served)
+
+
 @pytest.mark.parametrize("change", [
     {"inference_rows": 300},
     {"dtypes": {"k": DType.FLOAT, "when": DType.STRING}},
@@ -292,7 +344,7 @@ def test_a_change_to_the_preview_verdicts_bumps_the_version(tmp_path):
                      "2,,false,2021-03-04\n,2.5,,\n")
     scan = scan_csv(path)
     verdicts = ({name: dtype.value for name, dtype in scan.dtypes.items()},
-                scan.layouts[0].row_bytes)
+                scan._preview.header.row_bytes)
     assert VERDICTS.get(SIDECAR_VERSION) == verdicts, (
         "dtype inference or the row-size estimate changed: bump "
         "repro.frame.zonemap.SIDECAR_VERSION so stored scan headers are "
