@@ -757,7 +757,7 @@ class ComputeContext:
                 f"(~{estimated / 1e6:.1f} MB estimated) — peak memory is no "
                 f"longer bounded by the scan's budget_bytes for this call",
                 UserWarning, stacklevel=4)
-            self._frame = self.source.to_frame()
+            self._frame = self.source.to_frame(sidecar=self.call.sidecar)
         return self._frame
 
     @property

@@ -843,13 +843,15 @@ class CsvSource:
         """Parse chunk *index* (its rows only) into a DataFrame."""
         return self.partitions()[index].materialize()
 
-    def chunks(self) -> Iterator[DataFrame]:
-        """Yield every chunk in row order, one bounded DataFrame at a time."""
-        return (part.materialize() for part in self.partitions())
+    def chunks(self, sidecar: Optional[Sequence[Any]] = None
+               ) -> Iterator[DataFrame]:
+        """Yield every chunk in row order, one bounded DataFrame at a time,
+        each read over the *sidecar* route when given."""
+        return (part.materialize(sidecar=sidecar) for part in self.partitions())
 
-    def to_frame(self) -> DataFrame:
+    def to_frame(self, sidecar: Optional[Sequence[Any]] = None) -> DataFrame:
         """Materialize every file (escape hatch; needs the full memory)."""
-        frames = list(self.chunks())
+        frames = list(self.chunks(sidecar))
         return concat_rows([frame for frame in frames if len(frame)]
                            or frames[:1])
 

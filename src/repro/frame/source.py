@@ -35,8 +35,8 @@ Implementing a custom source
 ----------------------------
 Provide the :class:`FrameSource` members: schema (``columns`` /``dtypes`` /
 ``n_rows`` / ``schema_preview``, which takes the call's ``sidecar=`` route
-and may ignore it), a content ``fingerprint`` (stable across
-processes for unchanged data — it feeds cross-call cache keys), and
+and may ignore it, as ``to_frame`` may), a content ``fingerprint`` (stable
+across processes for unchanged data — it feeds cross-call cache keys), and
 ``partitions()`` returning :class:`SourcePartition` rows-ranges whose
 ``func``/``args`` lazily materialize each chunk.  ``func`` must be a
 module-level function and every argument fingerprintable (paths, numbers,
@@ -299,7 +299,8 @@ class FrameSource(Protocol):
                           concurrency: int = 1) -> "FrameSource":
         ...                                      # pragma: no cover - protocol
 
-    def to_frame(self) -> DataFrame: ...         # pragma: no cover - protocol
+    def to_frame(self, sidecar: Optional[Sequence[Any]] = None
+                 ) -> DataFrame: ...             # pragma: no cover - protocol
 
 
 # --------------------------------------------------------------------------- #
@@ -373,7 +374,8 @@ class InMemorySource:
         """In-memory data has no on-disk state to re-resolve."""
         return self
 
-    def to_frame(self) -> DataFrame:
+    def to_frame(self, sidecar: Optional[Sequence[Any]] = None) -> DataFrame:
+        """The wrapped frame; a resident frame has no *sidecar* route."""
         return self._frame
 
     def __repr__(self) -> str:
@@ -614,16 +616,18 @@ class FilteredSource:
             return self
         return FilteredSource(inner, self._predicate)
 
-    def to_frame(self) -> DataFrame:
+    def to_frame(self, sidecar: Optional[Sequence[Any]] = None) -> DataFrame:
         """Materialize the rows that survive the filter.
 
         Only the partitions zone-map pruning keeps are read, each with the
-        predicate pushed into its materialization, concatenated in order —
-        pruning never drops a matching row, so this equals masking the whole
-        inner frame without decoding the chunks that cannot match.
+        predicate pushed into its materialization (over the *sidecar*
+        route, when given), concatenated in order — pruning never drops a
+        matching row, so this equals masking the whole inner frame without
+        decoding the chunks that cannot match.
         """
         spec = self._predicate.spec()
-        frames = [part.materialize(predicate=spec) for part in self.partitions()]
+        frames = [part.materialize(predicate=spec, sidecar=sidecar)
+                  for part in self.partitions()]
         return concat_rows([frame for frame in frames if len(frame)] or frames[:1])
 
     def __repr__(self) -> str:

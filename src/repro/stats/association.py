@@ -3,7 +3,9 @@
 These reproduce the four overview visualizations the paper lists for
 ``plot_missing(df)``: the per-column missing bar chart (trivially derived
 from counts), the missing spectrum plot, the nullity correlation heat map and
-the nullity dendrogram (both adopted from the Missingno library).
+the nullity dendrogram (both adopted from the Missingno library).  The
+dendrograms import ``scipy.cluster.hierarchy`` when first called, so a
+process that never draws one never loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.cluster import hierarchy
 
 from repro.errors import EDAError
 from repro.stats.correlation import pearson_matrix
@@ -107,6 +108,7 @@ def nullity_dendrogram(mask: np.ndarray, columns: Sequence[str]
         raise EDAError("mask width does not match number of columns")
     if n_columns < 2:
         return list(columns), []
+    from scipy.cluster import hierarchy
     linkage = hierarchy.linkage(mask.T, method="average", metric="euclidean")
     nodes = [DendrogramNode(left=int(row[0]), right=int(row[1]),
                             distance=float(row[2]), size=int(row[3]))
@@ -128,6 +130,7 @@ def nullity_dendrogram_from_distances(condensed: np.ndarray,
     """
     if len(columns) < 2:
         return list(columns), []
+    from scipy.cluster import hierarchy
     linkage = hierarchy.linkage(np.asarray(condensed, dtype=np.float64),
                                 method="average")
     nodes = [DendrogramNode(left=int(row[0]), right=int(row[1]),

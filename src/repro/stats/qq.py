@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import EDAError
 from repro.stats.histogram import Histogram, compute_histogram
@@ -37,15 +37,23 @@ def normal_qq_points(quantiles: np.ndarray, mean: float, std: float,
     """Points of a normal Q-Q plot.
 
     *quantiles* are the sample quantiles at *probabilities*; the theoretical
-    axis is the normal distribution with the sample's mean and std.  Returns
-    ``(theoretical, sample)`` arrays.
+    axis is the normal distribution with the sample's mean and std, whose
+    quantiles are ``statistics.NormalDist.inv_cdf`` (Wichura's AS241, the
+    precision of ``scipy.stats.norm.ppf``); p = 0 and 1 map to ∓inf and a
+    p outside [0, 1] to NaN, as scipy does.  Returns ``(theoretical,
+    sample)`` arrays.
     """
     probabilities = np.asarray(list(probabilities), dtype=np.float64)
     if not np.isfinite(std) or std <= 0:
         std = 1.0
     if not np.isfinite(mean):
         mean = 0.0
-    theoretical = scipy_stats.norm.ppf(probabilities, loc=mean, scale=std)
+    inverse = NormalDist(float(mean), float(std)).inv_cdf
+    inside = (probabilities > 0) & (probabilities < 1)
+    theoretical = np.full(probabilities.shape, np.nan)
+    theoretical[inside] = [inverse(p) for p in probabilities[inside].tolist()]
+    theoretical[probabilities == 0] = -np.inf
+    theoretical[probabilities == 1] = np.inf
     return theoretical, np.asarray(quantiles, dtype=np.float64)
 
 
