@@ -23,7 +23,7 @@ from repro.eda.compute.univariate import INTERNAL_HISTOGRAM_BINS
 from repro.graph import TaskCache, get_global_cache, set_global_cache
 from repro.graph.delayed import compute
 from repro.graph.scheduler import RunStats, get_scheduler
-from repro.stats.sketches import merge_all
+from repro.stats.sketches import merge_all, merge_reservoirs
 
 
 @pytest.fixture(autouse=True)
@@ -79,8 +79,9 @@ def numeric_plot_stages(partitioned, column: str):
                 chunk_args=(column, INTERNAL_HISTOGRAM_BINS,
                             summary.minimum, summary.maximum)),
             partitioned.reduction(
-                _chunk_reservoir, merge_all, finalize=_finalize_reservoir,
-                chunk_args=((column,), 5000, 0)),
+                _chunk_reservoir, merge_reservoirs,
+                finalize=_finalize_reservoir,
+                chunk_args=((column,), 5000, 0), indexed=True),
             scheduler=scheduler)
     runs += scheduler.last_run
     return summary, runs

@@ -68,6 +68,7 @@ from repro.stats.sketches import (
     ReservoirSketch,
     StreamingHistogram,
     merge_all,
+    merge_reservoirs,
 )
 from repro.utils import default_worker_count
 
@@ -98,6 +99,8 @@ STREAMING_CATEGORY_CAPACITY = 50_000
 # has a ``merge`` method (summaries, histograms, Pearson sums, sketches) needs
 # no combine function of its own: its plan names
 # :func:`repro.stats.sketches.merge_all`, the left fold of ``merge``.
+# Reservoirs name :func:`repro.stats.sketches.merge_reservoirs`: one exact
+# draw however many partials a combine receives.
 # --------------------------------------------------------------------------- #
 def _chunk_numeric_summary(partition: DataFrame, column: str) -> NumericSummary:
     return NumericSummary.from_column(partition.column(column))
@@ -215,10 +218,11 @@ def _combine_pair_counts_bounded(partials: List[Dict[Tuple[str, str], int]]
                               STREAMING_CATEGORY_CAPACITY)
 
 
-def _chunk_reservoir(partition: DataFrame, columns: Tuple[str, ...],
-                     capacity: int, seed: int) -> ReservoirSketch:
+def _chunk_reservoir(partition: DataFrame, start: int, stop: int,
+                     columns: Tuple[str, ...], capacity: int,
+                     seed: int) -> ReservoirSketch:
     return ReservoirSketch.from_frame(partition.select(list(columns)),
-                                      capacity, seed=seed)
+                                      capacity, seed=seed, start=start)
 
 
 def _finalize_reservoir(sketch: ReservoirSketch) -> DataFrame:
@@ -360,8 +364,8 @@ REDUCTION_KINDS: Dict[str, ReductionKind] = {
     "sample": ReductionKind(
         exact=ReductionPlan(_chunk_sample, _combine_samples,
                             adapt=_sample_exact_args),
-        sketch=ReductionPlan(_chunk_reservoir, merge_all,
-                             finalize=_finalize_reservoir),
+        sketch=ReductionPlan(_chunk_reservoir, merge_reservoirs,
+                             finalize=_finalize_reservoir, indexed=True),
         columns=_requires_column_tuple),
     "pair_counts": ReductionKind(
         exact=ReductionPlan(_chunk_pair_counts, _combine_pair_counts),

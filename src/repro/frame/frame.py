@@ -223,8 +223,13 @@ class DataFrame:
             raise FrameError("predicate length does not match frame length")
         return DataFrame([column.filter(keep) for column in self._columns.values()])
 
-    def sample(self, n: int, seed: Optional[int] = None) -> "DataFrame":
-        """Return *n* rows sampled uniformly without replacement."""
+    def sample(self, n: int,
+               seed: Union[None, int, Sequence[int]] = None) -> "DataFrame":
+        """Return *n* rows sampled uniformly without replacement.
+
+        *seed* is anything ``numpy.random.default_rng`` takes: an int or a
+        sequence of ints.
+        """
         if n >= len(self):
             return self.copy()
         rng = np.random.default_rng(seed)

@@ -81,11 +81,13 @@ class PartitionedFrame:
         boundaries keep the source's pre-filter row offsets: a filtered
         partition holds *at most* ``stop - start`` rows, so indexed
         reductions (which assume exact global positions) must not be
-        planned over a filtered frame.  It defaults to a
-        :class:`~repro.frame.source.FilteredSource`'s own predicate, so its
-        zone-map survivors are filtered too; over a raw source every chunk
-        is kept, so this is also the unpruned form of a filtered partition
-        set.
+        planned over a filtered frame.  The reservoir sample is the one
+        indexed plan that may: it takes ``start`` only as the seed of its
+        chunk's draw, which the pre-filter offsets keep stable.  It
+        defaults to a :class:`~repro.frame.source.FilteredSource`'s own
+        predicate, so its zone-map survivors are filtered too; over a raw
+        source every chunk is kept, so this is also the unpruned form of a
+        filtered partition set.
 
         *sidecar* — a :class:`~repro.frame.sidecar.SidecarRoute` tuple —
         routes every partition task through the parsed-chunk binary cache.

@@ -39,6 +39,7 @@ from repro.stats.sketches import (
     ReservoirSketch,
     StreamingHistogram,
     merge_all,
+    merge_reservoirs,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "ReservoirSketch",
     "StreamingHistogram",
     "merge_all",
+    "merge_reservoirs",
     "box_plot_stats",
     "categorical_summary_of",
     "chi_square_uniformity",

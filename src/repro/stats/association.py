@@ -93,6 +93,21 @@ class DendrogramNode:
     size: int
 
 
+def indicator_distances(counts: np.ndarray, co_counts: np.ndarray) -> np.ndarray:
+    """Condensed Euclidean distances between 0/1 indicator columns.
+
+    *counts* holds each column's ones ``S_i`` and *co_counts* the pairwise
+    co-occurrences ``S_ij``: the squared distance of two indicator columns
+    is ``S_i + S_j - 2 S_ij``, exact in float64 for counts below 2^53.  The
+    order is ``scipy.spatial.distance.pdist``'s (row-major upper triangle).
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    left, right = np.triu_indices(counts.shape[0], k=1)
+    squared = counts[left] + counts[right] \
+        - 2.0 * np.asarray(co_counts, dtype=np.float64)[left, right]
+    return np.sqrt(np.maximum(squared, 0.0))
+
+
 def nullity_dendrogram(mask: np.ndarray, columns: Sequence[str]
                        ) -> Tuple[List[str], List[DendrogramNode]]:
     """Hierarchical clustering of columns by missingness pattern similarity.
@@ -108,25 +123,18 @@ def nullity_dendrogram(mask: np.ndarray, columns: Sequence[str]
         raise EDAError("mask width does not match number of columns")
     if n_columns < 2:
         return list(columns), []
-    from scipy.cluster import hierarchy
-    linkage = hierarchy.linkage(mask.T, method="average", metric="euclidean")
-    nodes = [DendrogramNode(left=int(row[0]), right=int(row[1]),
-                            distance=float(row[2]), size=int(row[3]))
-             for row in linkage]
-    return list(columns), nodes
+    return nullity_dendrogram_from_distances(
+        indicator_distances(mask.sum(axis=0), mask.T @ mask), columns)
 
 
 def nullity_dendrogram_from_distances(condensed: np.ndarray,
                                       columns: Sequence[str]
                                       ) -> Tuple[List[str], List[DendrogramNode]]:
-    """Dendrogram from precomputed condensed pairwise distances.
+    """Dendrogram from condensed pairwise distances (:func:`indicator_distances`).
 
-    The out-of-core path derives the Euclidean distances between the
-    missingness indicator columns in closed form from mergeable counts
-    (``sqrt(S_i + S_j - 2 S_ij)``, see
-    :class:`repro.stats.sketches.NullitySketch`), then clusters them here —
-    identical to :func:`nullity_dendrogram`, which computes the same
-    distances from the materialized mask.
+    The out-of-core path derives them from mergeable counts (see
+    :class:`repro.stats.sketches.NullitySketch`), :func:`nullity_dendrogram`
+    from the materialized mask; both cluster here.
     """
     if len(columns) < 2:
         return list(columns), []

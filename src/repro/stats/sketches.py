@@ -14,9 +14,9 @@ with a bounded footprint:
   top of it.
 * :class:`StreamingHistogram` — a fixed-range histogram that accepts
   incremental ``update`` batches and tracks values clipped outside its range.
-* :class:`ReservoirSketch` — a bounded uniform row sample with a
-  deterministic weighted merge; exact (keeps every row) while the total fits
-  the capacity.
+* :class:`ReservoirSketch` — a bounded uniform row sample; any number of
+  them merge in one exact, deterministic draw (:func:`merge_reservoirs`),
+  which keeps every row while the total fits the capacity.
 * :class:`DistinctSketch` — a bounded distinct-count estimator (k minimum
   hash values); exact until more than ``capacity`` distinct values are seen.
 * :class:`NullitySketch` — per-column missing counts, pairwise co-missing
@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.errors import EDAError
 from repro.frame.dtypes import DType
+from repro.stats.association import indicator_distances
 from repro.stats.histogram import Histogram
 
 
@@ -260,48 +261,33 @@ class ReservoirSketch:
 
     While ``n_seen <= capacity`` the sketch simply keeps every row, so small
     datasets round-trip exactly; beyond that it holds a uniform sample of
-    ``capacity`` rows.  ``merge`` draws from the two reservoirs with weights
-    proportional to how many original rows each retained row represents,
-    using an RNG seeded from the deterministic ``(seed, n_seen)`` state so
-    replays — and therefore cross-call cache keys — are stable.
+    ``capacity`` rows.  ``start`` is the stream's first row position: a
+    chunk seeds its draw with ``(seed, start)``, so two chunks of equal
+    length keep independent rows.  Any number of reservoirs merge in one
+    exact draw (:func:`merge_reservoirs`), seeded from their deterministic
+    ``(seed, start, n_seen)`` state so replays — and therefore cross-call
+    cache keys — are stable.
     """
 
     capacity: int
     frame: Any                      # repro.frame.frame.DataFrame
     n_seen: int = 0
     seed: int = 0
+    start: int = 0
 
     @classmethod
-    def from_frame(cls, frame: Any, capacity: int, seed: int = 0) -> "ReservoirSketch":
+    def from_frame(cls, frame: Any, capacity: int, seed: int = 0,
+                   start: int = 0) -> "ReservoirSketch":
         """Sketch of one chunk: keep everything or a seeded uniform sample."""
         if capacity <= 0:
             raise EDAError("capacity must be positive")
-        kept = frame if len(frame) <= capacity else frame.sample(capacity, seed=seed)
-        return cls(capacity=capacity, frame=kept, n_seen=len(frame), seed=seed)
+        kept = frame if len(frame) <= capacity \
+            else frame.sample(capacity, seed=(seed, start))
+        return cls(capacity, kept, len(frame), seed, start)
 
     def merge(self, other: "ReservoirSketch") -> "ReservoirSketch":
         """Combine two reservoirs into one uniform sample of both streams."""
-        from repro.frame.frame import concat_rows
-        if self.capacity != other.capacity:
-            raise EDAError("cannot merge reservoirs with different capacities")
-        n_seen = self.n_seen + other.n_seen
-        parts = [sketch.frame for sketch in (self, other) if len(sketch.frame)]
-        if not parts:
-            return ReservoirSketch(self.capacity, self.frame, n_seen, self.seed)
-        combined = concat_rows(parts) if len(parts) > 1 else parts[0]
-        if n_seen <= self.capacity or len(combined) <= self.capacity:
-            return ReservoirSketch(self.capacity, combined, n_seen, self.seed)
-        weights = np.concatenate([
-            np.full(len(sketch.frame), sketch.n_seen / len(sketch.frame))
-            for sketch in (self, other) if len(sketch.frame)])
-        weights = weights / weights.sum()
-        rng = np.random.default_rng(
-            (self.seed, self.n_seen, other.n_seen, self.capacity))
-        indices = rng.choice(len(combined), size=self.capacity, replace=False,
-                             p=weights)
-        indices.sort()
-        return ReservoirSketch(self.capacity, combined.take(indices), n_seen,
-                               self.seed)
+        return merge_reservoirs([self, other])
 
     @property
     def is_exact(self) -> bool:
@@ -316,6 +302,42 @@ class ReservoirSketch:
         if values.size == 0:
             return [float("nan") for _ in probabilities]
         return [float(value) for value in np.quantile(values, list(probabilities))]
+
+
+def merge_reservoirs(sketches: Sequence[ReservoirSketch]) -> ReservoirSketch:
+    """One exact uniform sample of ``capacity`` rows of all the streams.
+
+    Below capacity every held row is kept.  Above it, ``capacity`` distinct
+    positions of the streams' concatenation, binned by stream, give each
+    reservoir its share — the exact multivariate hypergeometric split, with
+    no bound on the total — and each reservoir gives a uniform subset of its
+    share: O(capacity) work whatever the number of streams.  A reservoir
+    holds ``min(n_seen, capacity)`` uniform rows of its stream, never fewer
+    than the positions drawn in it.
+    """
+    from repro.frame.frame import concat_rows
+    if not sketches:
+        raise EDAError("cannot merge zero sketches")
+    first = sketches[0]
+    capacity = first.capacity
+    if any(sketch.capacity != capacity for sketch in sketches):
+        raise EDAError("cannot merge reservoirs with different capacities")
+    n_seen = [sketch.n_seen for sketch in sketches]
+    held = [len(sketch.frame) for sketch in sketches]
+    total = sum(n_seen)
+    if total <= capacity or sum(held) <= capacity:
+        parts = [sketch.frame for sketch in sketches if len(sketch.frame)]
+    else:
+        rng = np.random.default_rng((first.seed, capacity, first.start, *n_seen))
+        positions = rng.choice(total, size=capacity, replace=False, shuffle=False)
+        stream = np.searchsorted(np.cumsum(n_seen), positions, side="right")
+        shares = np.bincount(stream, minlength=len(sketches)).tolist()
+        parts = [sketch.frame.take(np.sort(
+                     rng.choice(size, size=share, replace=False, shuffle=False)))
+                 for sketch, size, share in zip(sketches, held, shares) if share]
+    parts = parts or [first.frame]
+    frame = parts[0] if len(parts) == 1 else concat_rows(parts)
+    return ReservoirSketch(capacity, frame, total, first.seed, first.start)
 
 
 # --------------------------------------------------------------------------- #
@@ -666,14 +688,7 @@ class NullitySketch:
 
     def nullity_distances(self) -> np.ndarray:
         """Condensed Euclidean distances between missingness indicators."""
-        width = len(self.columns)
-        counts = self.counts.astype(np.float64)
-        condensed: List[float] = []
-        for i in range(width):
-            for j in range(i + 1, width):
-                squared = counts[i] + counts[j] - 2.0 * float(self.co_counts[i, j])
-                condensed.append(math.sqrt(max(squared, 0.0)))
-        return np.asarray(condensed, dtype=np.float64)
+        return indicator_distances(self.counts, self.co_counts)
 
 
 __all__ = [
@@ -688,4 +703,5 @@ __all__ = [
     "frame_row_hashes",
     "hash_texts",
     "merge_all",
+    "merge_reservoirs",
 ]

@@ -27,7 +27,12 @@ from repro.frame import io as frame_io
 from repro.frame.io import scan_csv, write_csv
 from repro.frame.sidecar import stats_snapshot
 from repro.frame.source import FilteredSource
-from repro.graph import TaskCache, get_global_cache, set_global_cache
+from repro.graph import (
+    PartitionedFrame,
+    TaskCache,
+    get_global_cache,
+    set_global_cache,
+)
 from repro.graph.delayed import Delayed
 from repro.graph.scheduler import RunStats
 
@@ -290,3 +295,33 @@ def test_a_warm_filtered_report_decodes_each_surviving_chunk_once(
     assert counts["parse_csv_range"] == 0
     assert report.sidecar_stats["sidecar_misses"] == 0
     assert report.predicate_stats["chunks_skipped"] == 4
+
+
+# --------------------------------------------------------------------------- #
+# The streaming sample's chunks draw independent rows.
+# --------------------------------------------------------------------------- #
+def _chunk_reservoirs(source):
+    """The per-chunk reservoirs of the streaming sample plan, column ``ts``."""
+    plan = base.REDUCTION_KINDS["sample"].sketch
+    partitioned = PartitionedFrame.from_source(source)
+    args = plan.chunk_args(["ts"], (("ts",), 1_000, 0), partitioned.n_rows)
+    return partitioned.reduction(plan.chunk, list, chunk_args=args,
+                                 indexed=plan.indexed).compute()
+
+
+def test_equal_chunks_keep_independent_reservoir_rows(tmp_path):
+    # Each chunk seeds its draw with its start row: two 4000-row chunks at
+    # capacity 1000 keep different row offsets, as the exact merge assumes.
+    path = str(tmp_path / "data.csv")
+    write_csv(_frame(8_000), path)
+    scan = scan_csv(path, chunk_rows=4_000)
+    sketches = _chunk_reservoirs(scan)
+    offsets = [sketch.frame.column("ts").to_numpy() - start
+               for sketch, start in zip(sketches, (0, 4_000))]
+    assert [len(rows) for rows in offsets] == [1_000, 1_000]
+    assert not np.array_equal(*offsets)
+    # A filtered partition keeps its pre-filter start, so a filter that
+    # keeps every row keeps every draw.
+    for kept, sketch in zip(_chunk_reservoirs(scan[scan.ts >= 0]), sketches):
+        np.testing.assert_array_equal(kept.frame.column("ts").to_numpy(),
+                                      sketch.frame.column("ts").to_numpy())

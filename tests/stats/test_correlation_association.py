@@ -1,5 +1,7 @@
 """Tests for correlation matrices and missing-value association statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -134,6 +136,25 @@ class TestMissingAssociation:
         assert len(nodes) == 3
         first_merge = {nodes[0].left, nodes[0].right}
         assert first_merge == {1, 2}  # b and c share their missingness pattern
+
+    def test_dendrogram_matches_linkage_over_the_mask(self, mask):
+        from scipy.cluster import hierarchy
+        _, nodes = nullity_dendrogram(mask, ["a", "b", "c", "d"])
+        linkage = hierarchy.linkage(mask.T.astype(np.float64),
+                                    method="average", metric="euclidean")
+        np.testing.assert_array_equal(
+            [[node.left, node.right, node.distance, node.size] for node in nodes],
+            linkage)
+
+    def test_dendrogram_of_a_distance_shaped_mask_warns_nothing(self):
+        # Square, symmetric and zero on the diagonal: linkage over the raw
+        # mask took it for an uncondensed distance matrix (ClusterWarning).
+        mask = ~np.eye(3, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, nodes = nullity_dendrogram(mask, ["a", "b", "c"])
+        assert labels == ["a", "b", "c"]
+        assert [node.distance for node in nodes] == [np.sqrt(2.0)] * 2
 
     def test_dendrogram_single_column(self):
         labels, nodes = nullity_dendrogram(np.zeros((5, 1), dtype=bool), ["only"])

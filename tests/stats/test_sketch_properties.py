@@ -33,6 +33,7 @@ from repro.stats.sketches import (
     StreamingHistogram,
     hash_texts,
     merge_all,
+    merge_reservoirs,
 )
 from repro.frame.frame import DataFrame
 
@@ -201,6 +202,94 @@ def test_reservoir_bounded_and_drawn_from_input(values, capacity, n_chunks):
         for chunk in chunks])
     np.testing.assert_array_equal(replay.frame.column("x").to_numpy(),
                                   merged.frame.column("x").to_numpy())
+
+
+def _tagged(tag: float, n_seen: int, capacity: int, seed: int,
+            start: int) -> ReservoirSketch:
+    """A full reservoir of a stream whose every row is *tag*."""
+    held = min(n_seen, capacity)
+    return ReservoirSketch(capacity, DataFrame({"s": np.full(held, tag)}),
+                           n_seen, seed, start)
+
+
+def _shares(sketch: ReservoirSketch, n_streams: int) -> np.ndarray:
+    tags = sketch.frame.column("s").to_numpy().astype(np.int64)
+    return np.bincount(tags, minlength=n_streams)
+
+
+def _mean_shares(merge, sizes, capacity, n_seeds):
+    """Mean rows per stream kept by *merge* over seeds ``0..n_seeds-1``."""
+    total = np.zeros(len(sizes))
+    for seed in range(n_seeds):
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        streams = [_tagged(tag, size, capacity, seed, int(start))
+                   for tag, (size, start) in enumerate(zip(sizes, starts))]
+        merged = merge(streams)
+        assert len(merged.frame) == capacity
+        assert merged.n_seen == sum(sizes)
+        total += _shares(merged, len(sizes))
+    return total / n_seeds
+
+
+def _hypergeometric_tolerance(sizes, capacity, n_seeds):
+    """Five standard errors of each stream's mean share over *n_seeds*."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    whole = sizes.sum()
+    variance = capacity * sizes / whole * (1 - sizes / whole) \
+        * (whole - capacity) / (whole - 1)
+    return 5 * np.sqrt(variance / n_seeds)
+
+
+def test_reservoir_merge_keeps_a_small_streams_exact_share():
+    # 100 rows and 10 rows at capacity 10: the merged sample holds
+    # 10 * 10 / 110 = 0.909 rows of the small stream on average.  A merge
+    # that weights each held row by the rows it stands for keeps ~1.6.
+    sizes, capacity, n_seeds = (100, 10), 10, 2_000
+    mean = _mean_shares(merge_reservoirs, sizes, capacity, n_seeds)
+    expected = capacity * np.asarray(sizes) / sum(sizes)
+    tolerance = _hypergeometric_tolerance(sizes, capacity, n_seeds)
+    assert abs(mean[1] - expected[1]) < tolerance[1]      # ±0.10 rows
+    # the same through the pairwise form
+    pairwise = _mean_shares(lambda pair: pair[0].merge(pair[1]),
+                            sizes, capacity, n_seeds)
+    assert abs(pairwise[1] - expected[1]) < tolerance[1]
+
+
+@pytest.mark.parametrize("merge", [
+    merge_reservoirs,
+    lambda three: merge_reservoirs([three[0].merge(three[1]), three[2]]),
+], ids=["k-way", "pairwise-then-k-way"])
+def test_reservoir_merge_splits_three_streams_hypergeometrically(merge):
+    sizes, capacity, n_seeds = (1_000, 300, 50), 20, 1_000
+    mean = _mean_shares(merge, sizes, capacity, n_seeds)
+    expected = capacity * np.asarray(sizes) / sum(sizes)
+    assert np.all(np.abs(mean - expected)
+                  < _hypergeometric_tolerance(sizes, capacity, n_seeds))
+
+
+def test_reservoir_merge_draws_past_a_billion_rows():
+    # numpy's (multivariate_)hypergeometric raises once the total reaches
+    # 1e9; the merge draws positions of the concatenation instead.
+    sizes, capacity = (10 ** 9, 3 * 10 ** 9, 7), 50
+    streams = [_tagged(tag, size, capacity, 0, 0)
+               for tag, size in enumerate(sizes)]
+    merged = merge_reservoirs(streams)
+    assert merged.n_seen == sum(sizes)
+    assert len(merged.frame) == capacity
+    assert _shares(merged, 3).sum() == capacity
+
+
+def test_reservoir_merge_replays_the_same_sample():
+    frames = [DataFrame({"x": np.arange(start, start + 400, dtype=np.float64)})
+              for start in (0, 400, 800)]
+    def merged():
+        return merge_reservoirs([
+            ReservoirSketch.from_frame(frame, 60, seed=5, start=400 * index)
+            for index, frame in enumerate(frames)])
+    first, second = merged(), merged()
+    np.testing.assert_array_equal(first.frame.column("x").to_numpy(),
+                                  second.frame.column("x").to_numpy())
+    assert len(first.frame) == 60
 
 
 # --------------------------------------------------------------------------- #
